@@ -1,7 +1,7 @@
 /// Sweep macro-bench: wall time of the full fig14_is_full_exec sweep
 /// (IS on the Full network, execution-time metric, the classic machine
-/// trio at every P) — the end-to-end number the ROADMAP's trace-replay
-/// and Pareto-search speed claims are measured against.
+/// trio at every P) — the end-to-end number the trace-replay speedup
+/// (bench_replay) and the event-kernel claims are measured against.
 ///
 /// Emits BENCH_sweep.json via the shared bench_common harness.  The
 /// figure values themselves are published as a counter (their sum), so

@@ -190,14 +190,18 @@ runOneImpl(const RunConfig &config, const sim::RunBudget *budget)
     if (!recorded->replayable)
         return executeOne(config, budget, nullptr);
 
+    // Replay runs the very model code execution runs, and execution
+    // checks it; the coherence checker would cost a replay 38-60% of
+    // its time (docs/TRACING.md), so the replay context leaves it off.
     RunContext run_context;
+    run_context.checkState().options.coherence = false;
     trace::ReplaySpec spec;
     spec.machine = config.machine;
     spec.topology = config.topology;
     spec.gapPolicy = config.gapPolicy;
     spec.cache = config.cache;
     spec.protocol = config.protocol;
-    return trace::replayTrace(*recorded, spec);
+    return trace::replayTrace(*recorded, spec, budget);
 }
 
 /** First line of a (possibly multi-line) exception message; the

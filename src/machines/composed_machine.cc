@@ -16,13 +16,4 @@ ComposedMachine::ComposedMachine(MachineKind kind, std::uint32_t nodes,
                                     << " is missing a model");
 }
 
-AccessTiming
-ComposedMachine::access(MemClient &client, mem::Addr addr, AccessType type,
-                        std::uint32_t bytes)
-{
-    const AccessTiming t = mem_model_->access(client, addr, type, bytes);
-    stats_.memTime += t.busy;
-    return t;
-}
-
 } // namespace absim::mach

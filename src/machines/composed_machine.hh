@@ -5,10 +5,9 @@
  * Every shared-memory machine in the simulator is such a composition
  * (see machines/registry.hh for the table): the memory model decides
  * what each access costs and which messages it sends, the network model
- * prices the messages.  The shell owns both models, forwards the
- * Machine interface to them, and accumulates the per-axis attribution
- * (MachineStats::memTime) at the single point every access funnels
- * through.
+ * prices the messages.  The shell owns both models and forwards the
+ * Machine interface to them; the memory model keeps the per-axis
+ * attribution (MachineStats::memTime) in the shell's stats block.
  *
  * The classic paper machines (TargetMachine, LogPMachine, LogPCMachine)
  * derive from this shell only to pin their composition at compile time
@@ -41,8 +40,18 @@ class ComposedMachine : public Machine
                     const mem::HomeMap &homes, const NetFactory &make_net,
                     const MemFactory &make_mem);
 
-    AccessTiming access(MemClient &client, mem::Addr addr, AccessType type,
-                        std::uint32_t bytes) override;
+    bool
+    probe(MemClient &client, mem::Addr addr, AccessType type,
+          AccessTiming &t) override
+    {
+        return mem_model_->probe(client, addr, type, t);
+    }
+
+    sim::Task<AccessTiming>
+    miss(MemClient &client, mem::Addr addr, AccessType type) override
+    {
+        return mem_model_->miss(client, addr, type);
+    }
 
     MachineKind kind() const override { return kind_; }
 

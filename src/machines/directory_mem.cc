@@ -44,7 +44,7 @@ DirectoryMem::DirectoryMem(sim::EventQueue &eq, NetModel &net,
             cache_config.bytes, cache_config.ways));
 }
 
-void
+DirectoryMem::Charged
 DirectoryMem::hop(NodeId src, NodeId dst, std::uint32_t bytes,
                   AccessTiming &t)
 {
@@ -55,46 +55,61 @@ DirectoryMem::hop(NodeId src, NodeId dst, std::uint32_t bytes,
         // to the uncached/ideal memory models' kLocalMemNs.
         if (bytes == kDataBytes)
             t.busy += kLocalMemNs;
-        return;
+        return charge(NetWait{}, t);
     }
-    const NetTiming r = net_.transfer(src, dst, bytes);
-    t.latency += r.latency;
-    t.contention += r.contention;
-    stats_.messages += r.messages;
+    return charge(net_.transfer(src, dst, bytes), t);
 }
 
-AccessTiming
-DirectoryMem::access(MemClient &client, mem::Addr addr, AccessType type,
-                     std::uint32_t bytes)
+bool
+DirectoryMem::probe(MemClient &client, mem::Addr addr, AccessType type,
+                    AccessTiming &t)
 {
-    (void)bytes; // All app accesses fit in one block; asserted by runtime.
+    const BlockId blk = mem::blockOf(addr);
+    mem::SetAssocCache &cache = *caches_[client.node()];
+    const LineState state = cache.stateOf(blk);
+    if (type == AccessType::Read ? state == LineState::Invalid
+                                 : state != LineState::Dirty)
+        return false;
+    ++stats_.accesses;
+    cache.touch(blk);
+    ++cache.stats().hits;
+    ++stats_.cacheHits;
+    t.busy = kCacheHitNs;
+    stats_.memTime += t.busy;
+    return true;
+}
+
+sim::Task<AccessTiming>
+DirectoryMem::miss(MemClient &client, mem::Addr addr, AccessType type)
+{
     ++stats_.accesses;
     const NodeId node = client.node();
     const BlockId blk = mem::blockOf(addr);
     mem::SetAssocCache &cache = *caches_[node];
     const LineState state = cache.stateOf(blk);
-    const bool is_read = (type == AccessType::Read);
-
-    AccessTiming t;
-    if (is_read ? state != LineState::Invalid : state == LineState::Dirty) {
-        cache.touch(blk);
-        ++cache.stats().hits;
-        ++stats_.cacheHits;
-        t.busy = kCacheHitNs;
-        return t;
-    }
 
     // Miss or upgrade: the transaction runs in engine time.
-    client.syncToEngine();
+    AccessTiming t;
+    co_await client.syncToEngine();
     const std::uint64_t messages_before = stats_.messages;
 
-    if (state == LineState::Invalid)
-        makeRoom(node, blk, t);
+    if (state == LineState::Invalid) {
+        // Make room: an owned victim is written back first.  Clean
+        // (Valid) victims are replaced silently: the directory keeps a
+        // stale sharer bit, which at worst causes a harmless spurious
+        // invalidation later — exactly like real full-map directories.
+        BlockId victim = 0;
+        LineState vstate = LineState::Invalid;
+        if (cache.victimFor(blk, victim, vstate) && mem::isOwned(vstate)) {
+            co_await writeback(node, victim, t);
+            checker_.checkBlock(victim);
+        }
+    }
 
-    if (is_read)
-        readMiss(node, blk, t);
+    if (type == AccessType::Read)
+        co_await readMiss(node, blk, t);
     else
-        writeMiss(node, blk, state != LineState::Invalid, t);
+        co_await writeMiss(node, blk, state != LineState::Invalid, t);
 
     if (stats_.messages != messages_before) {
         t.networked = true;
@@ -109,39 +124,22 @@ DirectoryMem::access(MemClient &client, mem::Addr addr, AccessType type,
 
     // The access completes out of the (now valid) cache line.
     t.busy += kCacheHitNs;
-    return t;
+    stats_.memTime += t.busy;
+    co_return t;
 }
 
-void
-DirectoryMem::makeRoom(NodeId node, BlockId blk, AccessTiming &t)
+sim::Task<>
+DirectoryMem::writeback(NodeId node, BlockId victim, AccessTiming &t)
 {
-    BlockId victim;
-    LineState vstate;
-    if (!caches_[node]->victimFor(blk, victim, vstate))
-        return;
-    if (mem::isOwned(vstate)) {
-        writeback(node, victim, vstate, t);
-        checker_.checkBlock(victim);
-    }
-    // Clean (Valid) victims are replaced silently: the directory keeps a
-    // stale sharer bit, which at worst causes a harmless spurious
-    // invalidation later — exactly like real full-map directories.
-}
-
-void
-DirectoryMem::writeback(NodeId node, BlockId victim, LineState state,
-                        AccessTiming &t)
-{
-    (void)state;
     mem::DirectoryEntry &entry = dir_.entry(victim);
-    t.contention += entry.lock.acquire();
+    t.contention += co_await entry.lock.lock(eq_);
 
     // While we waited for the lock, another node's write transaction may
     // have stolen ownership and invalidated our line; then there is
     // nothing left to write back.
     if (!mem::isOwned(caches_[node]->stateOf(victim))) {
         entry.lock.release();
-        return;
+        co_return;
     }
 
     ++stats_.writebacks;
@@ -149,7 +147,7 @@ DirectoryMem::writeback(NodeId node, BlockId victim, LineState state,
     ABSIM_TRACE(eq_, Protocol, "writeback node=" << node
                                    << " blk=" << victim
                                    << " home=" << home);
-    hop(node, home, kDataBytes, t);
+    co_await hop(node, home, kDataBytes, t);
     if (entry.owner == static_cast<std::int32_t>(node))
         entry.owner = mem::DirectoryEntry::kNoOwner;
     entry.removeSharer(node);
@@ -157,18 +155,18 @@ DirectoryMem::writeback(NodeId node, BlockId victim, LineState state,
     entry.lock.release();
 }
 
-void
+sim::Task<>
 DirectoryMem::readMiss(NodeId node, BlockId blk, AccessTiming &t)
 {
     ++stats_.readMisses;
     const NodeId home = homes_.homeOf(mem::blockBase(blk));
     mem::DirectoryEntry &entry = dir_.entry(blk);
-    t.contention += entry.lock.acquire();
+    t.contention += co_await entry.lock.lock(eq_);
     ABSIM_TRACE(eq_, Protocol, "read miss node=" << node << " blk=" << blk
                                    << " home=" << home
                                    << " owner=" << entry.owner);
 
-    hop(node, home, kCtrlBytes, t); // Request to the home/directory.
+    co_await hop(node, home, kCtrlBytes, t); // Request to the directory.
 
     ABSIM_CHECK(entry.owner != static_cast<std::int32_t>(node),
                 "node " << node << " read-missed block " << blk
@@ -179,20 +177,20 @@ DirectoryMem::readMiss(NodeId node, BlockId blk, AccessTiming &t)
             // Berkeley: the owner supplies the block cache-to-cache and
             // keeps ownership, degrading to SharedDirty; memory stays
             // stale.
-            hop(home, owner, kCtrlBytes, t); // Forwarded request.
-            hop(owner, node, kDataBytes, t); // Owner-supplied data.
+            co_await hop(home, owner, kCtrlBytes, t); // Forwarded request.
+            co_await hop(owner, node, kDataBytes, t); // Owner's data.
             caches_[owner]->setState(blk, LineState::SharedDirty);
         } else {
             // MSI: the owner writes back to the home, which then
             // supplies the data; the ex-owner keeps a clean copy.
-            hop(home, owner, kCtrlBytes, t); // Recall.
-            hop(owner, home, kDataBytes, t); // Writeback to memory.
-            hop(home, node, kDataBytes, t);  // Memory-supplied data.
+            co_await hop(home, owner, kCtrlBytes, t); // Recall.
+            co_await hop(owner, home, kDataBytes, t); // Writeback.
+            co_await hop(home, node, kDataBytes, t);  // Memory's data.
             caches_[owner]->setState(blk, LineState::Valid);
             entry.owner = mem::DirectoryEntry::kNoOwner;
         }
     } else {
-        hop(home, node, kDataBytes, t); // Memory-supplied data.
+        co_await hop(home, node, kDataBytes, t); // Memory-supplied data.
     }
 
     entry.addSharer(node);
@@ -200,13 +198,13 @@ DirectoryMem::readMiss(NodeId node, BlockId blk, AccessTiming &t)
     entry.lock.release();
 }
 
-void
+sim::Task<>
 DirectoryMem::writeMiss(NodeId node, BlockId blk, bool have_line,
                         AccessTiming &t)
 {
     const NodeId home = homes_.homeOf(mem::blockBase(blk));
     mem::DirectoryEntry &entry = dir_.entry(blk);
-    t.contention += entry.lock.acquire();
+    t.contention += co_await entry.lock.lock(eq_);
     ABSIM_TRACE(eq_, Protocol, (have_line ? "upgrade" : "write miss")
                                    << " node=" << node << " blk=" << blk
                                    << " sharers=" << entry.sharers);
@@ -222,7 +220,7 @@ DirectoryMem::writeMiss(NodeId node, BlockId blk, bool have_line,
     else
         ++stats_.writeMisses;
 
-    hop(node, home, kCtrlBytes, t); // Request to the home/directory.
+    co_await hop(node, home, kCtrlBytes, t); // Request to the directory.
 
     if (!have_line) {
         if (entry.owner != mem::DirectoryEntry::kNoOwner &&
@@ -231,26 +229,26 @@ DirectoryMem::writeMiss(NodeId node, BlockId blk, bool have_line,
             if (protocol_ == ProtocolKind::Berkeley) {
                 // Ownership transfer: the current owner supplies the
                 // data directly and invalidates its copy.
-                hop(home, owner, kCtrlBytes, t);
-                hop(owner, node, kDataBytes, t);
+                co_await hop(home, owner, kCtrlBytes, t);
+                co_await hop(owner, node, kDataBytes, t);
             } else {
                 // MSI: recall through memory.
-                hop(home, owner, kCtrlBytes, t);
-                hop(owner, home, kDataBytes, t);
-                hop(home, node, kDataBytes, t);
+                co_await hop(home, owner, kCtrlBytes, t);
+                co_await hop(owner, home, kDataBytes, t);
+                co_await hop(home, node, kDataBytes, t);
             }
             caches_[owner]->invalidate(blk);
             entry.removeSharer(owner);
             entry.owner = mem::DirectoryEntry::kNoOwner;
         } else {
-            hop(home, node, kDataBytes, t);
+            co_await hop(home, node, kDataBytes, t);
         }
     }
 
-    invalidateSharers(node, blk, entry, t);
+    co_await invalidateSharers(node, blk, entry, t);
 
     // Ack collection at the home and exclusive grant to the requester.
-    hop(home, node, kCtrlBytes, t);
+    co_await hop(home, node, kCtrlBytes, t);
 
     entry.sharers = 0;
     entry.addSharer(node);
@@ -262,15 +260,14 @@ DirectoryMem::writeMiss(NodeId node, BlockId blk, bool have_line,
     entry.lock.release();
 }
 
-void
+DirectoryMem::Charged
 DirectoryMem::invalidateSharers(NodeId node, BlockId blk,
                                 mem::DirectoryEntry &entry, AccessTiming &t)
 {
     const NodeId home = homes_.homeOf(mem::blockBase(blk));
 
     // Apply the state flips immediately: the home lock is held, so this is
-    // the transaction's serialization point.  The network traffic below
-    // contributes timing only.
+    // the transaction's serialization point.
     std::vector<NodeId> remote_targets;
     for (NodeId s = 0; s < nodes_; ++s) {
         if (s == node || !entry.isSharer(s))
@@ -285,15 +282,12 @@ DirectoryMem::invalidateSharers(NodeId node, BlockId blk,
     entry.sharers = 0;
 
     if (remote_targets.empty())
-        return;
+        return charge(NetWait{}, t);
 
     // Parallel invalidation/ack round trips from the home; the requester
     // waits for the slowest.  The NetModel partitions the elapsed wait
     // into critical latency and contention.
-    const NetTiming r = net_.fanOutRoundTrips(home, remote_targets);
-    stats_.messages += r.messages;
-    t.latency += r.latency;
-    t.contention += r.contention;
+    return charge(net_.fanOutRoundTrips(home, remote_targets), t);
 }
 
 bool

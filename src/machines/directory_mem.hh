@@ -48,8 +48,14 @@ class DirectoryMem : public MemModel
 
     const char *name() const override { return "directory"; }
 
-    AccessTiming access(MemClient &client, mem::Addr addr, AccessType type,
-                        std::uint32_t bytes) override;
+    /** Cache hits. */
+    bool probe(MemClient &client, mem::Addr addr, AccessType type,
+               AccessTiming &t) override;
+
+    /** Misses and upgrades: victim writeback, then the read-miss or
+     *  write-miss transaction at the block's home. */
+    sim::Task<AccessTiming> miss(MemClient &client, mem::Addr addr,
+                                 AccessType type) override;
 
     /** Full SWMR + directory-agreement sweep over every tracked block. */
     void checkInvariants() const override { checker_.checkAll(); }
@@ -81,30 +87,29 @@ class DirectoryMem : public MemModel
     /// @}
 
   private:
-    /** One network hop with stats/latency bookkeeping; no-op if src==dst
+    /** One network hop charged to @p t; complete at once if src==dst
      *  (then the data-transfer cost is charged to busy instead). */
-    void hop(net::NodeId src, net::NodeId dst, std::uint32_t bytes,
-             AccessTiming &t);
+    Charged hop(net::NodeId src, net::NodeId dst, std::uint32_t bytes,
+                AccessTiming &t);
 
     /** Write the victim back to its home and update the directory. */
-    void writeback(net::NodeId node, mem::BlockId victim,
-                   mem::LineState state, AccessTiming &t);
+    sim::Task<> writeback(net::NodeId node, mem::BlockId victim,
+                          AccessTiming &t);
 
     /** Read-miss transaction (Berkeley: owner supplies if one exists). */
-    void readMiss(net::NodeId node, mem::BlockId blk, AccessTiming &t);
+    sim::Task<> readMiss(net::NodeId node, mem::BlockId blk,
+                         AccessTiming &t);
 
     /** Write-miss / upgrade transaction: fetch data if needed, invalidate
      *  all other copies, take exclusive ownership. */
-    void writeMiss(net::NodeId node, mem::BlockId blk, bool have_line,
-                   AccessTiming &t);
+    sim::Task<> writeMiss(net::NodeId node, mem::BlockId blk,
+                          bool have_line, AccessTiming &t);
 
-    /** Fan out invalidations to every sharer but @p node in parallel and
-     *  wait for all acks; state flips happen immediately (lock is held). */
-    void invalidateSharers(net::NodeId node, mem::BlockId blk,
-                           mem::DirectoryEntry &entry, AccessTiming &t);
-
-    /** Make room for @p blk in @p node's cache (victim writeback). */
-    void makeRoom(net::NodeId node, mem::BlockId blk, AccessTiming &t);
+    /** Invalidate every sharer but @p node, then fan the messages out in
+     *  parallel and wait for all acks.  The state flips happen at once
+     *  (the home lock is held); the traffic contributes timing only. */
+    Charged invalidateSharers(net::NodeId node, mem::BlockId blk,
+                              mem::DirectoryEntry &entry, AccessTiming &t);
 
     sim::EventQueue &eq_;
     std::vector<std::unique_ptr<mem::SetAssocCache>> caches_;

@@ -74,41 +74,49 @@ IdealCacheMem::invalidateOthers(NodeId node, BlockId blk,
     entry.owner = static_cast<std::int32_t>(node);
 }
 
-AccessTiming
-IdealCacheMem::access(MemClient &client, mem::Addr addr, AccessType type,
-                      std::uint32_t bytes)
+bool
+IdealCacheMem::probe(MemClient &client, mem::Addr addr, AccessType type,
+                     AccessTiming &t)
 {
-    (void)bytes;
-    ++stats_.accesses;
     const NodeId node = client.node();
     const BlockId blk = mem::blockOf(addr);
     mem::SetAssocCache &cache = *caches_[node];
     const LineState state = cache.stateOf(blk);
     const bool is_read = (type == AccessType::Read);
 
-    AccessTiming t;
     if (is_read ? state != LineState::Invalid : state == LineState::Dirty) {
+        ++stats_.accesses;
         cache.touch(blk);
         ++cache.stats().hits;
         ++stats_.cacheHits;
-        t.busy = kCacheHitNs;
-        return t;
-    }
-
-    if (!is_read && state != LineState::Invalid) {
+    } else if (!is_read && state != LineState::Invalid) {
         // Upgrade: the paper's canonical example — the block is valid in
         // several caches and one processor writes.  The directory memory
         // system sends invalidations; here the state flips are free and
         // there is no network access at all.
+        ++stats_.accesses;
         ++stats_.upgrades;
         ++cache.stats().upgrades;
         invalidateOthers(node, blk, entryOf(blk));
         cache.setState(blk, LineState::Dirty);
         cache.touch(blk);
         checker_.checkBlock(blk);
-        t.busy = kCacheHitNs;
-        return t;
+    } else {
+        return false;
     }
+    t.busy = kCacheHitNs;
+    stats_.memTime += t.busy;
+    return true;
+}
+
+sim::Task<AccessTiming>
+IdealCacheMem::miss(MemClient &client, mem::Addr addr, AccessType type)
+{
+    ++stats_.accesses;
+    const NodeId node = client.node();
+    const BlockId blk = mem::blockOf(addr);
+    mem::SetAssocCache &cache = *caches_[node];
+    const bool is_read = (type == AccessType::Read);
 
     // True miss: find where the data lives.
     if (is_read)
@@ -127,14 +135,12 @@ IdealCacheMem::access(MemClient &client, mem::Addr addr, AccessType type,
         source = static_cast<NodeId>(entry.owner);
     }
 
+    AccessTiming t;
     if (source != node) {
-        client.syncToEngine();
+        co_await client.syncToEngine();
         t.networked = true;
         ++stats_.networkAccesses;
-        const NetTiming rt = net_.roundTrip(node, source, kDataBytes);
-        stats_.messages += rt.messages;
-        t.latency = rt.latency;
-        t.contention = rt.contention;
+        co_await charge(net_.roundTrip(node, source, kDataBytes), t);
     } else {
         ++stats_.localMem;
         t.busy += kLocalMemNs;
@@ -157,7 +163,8 @@ IdealCacheMem::access(MemClient &client, mem::Addr addr, AccessType type,
 
     checker_.checkBlock(blk);
     t.busy += kCacheHitNs;
-    return t;
+    stats_.memTime += t.busy;
+    co_return t;
 }
 
 } // namespace absim::mach

@@ -51,8 +51,14 @@ class IdealCacheMem : public MemModel
 
     const char *name() const override { return "ideal"; }
 
-    AccessTiming access(MemClient &client, mem::Addr addr, AccessType type,
-                        std::uint32_t bytes) override;
+    /** Cache hits and the free upgrade. */
+    bool probe(MemClient &client, mem::Addr addr, AccessType type,
+               AccessTiming &t) override;
+
+    /** True misses: a round trip to wherever the data lives, unless it
+     *  lives in this node's memory. */
+    sim::Task<AccessTiming> miss(MemClient &client, mem::Addr addr,
+                                 AccessType type) override;
 
     /** Full SWMR + oracle-agreement sweep.  The oracle bookkeeping is
      *  exact (no silent stale bits), so the sweep is strict. */

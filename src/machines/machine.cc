@@ -1,6 +1,27 @@
 #include "machines/machine.hh"
 
+#include <stdexcept>
+
 namespace absim::mach {
+
+sim::Task<AccessTiming>
+Machine::miss(MemClient &, mem::Addr, AccessType)
+{
+    throw std::logic_error(
+        "shared-memory access on a machine without a memory system "
+        "(a message-passing platform)");
+}
+
+AccessTiming
+Machine::access(MemClient &client, mem::Addr addr, AccessType type,
+                std::uint32_t bytes)
+{
+    (void)bytes;
+    AccessTiming t;
+    if (probe(client, addr, type, t))
+        return t;
+    return miss(client, addr, type).get();
+}
 
 std::string
 toString(ProtocolKind kind)

@@ -6,10 +6,17 @@
  * network plus an ideal coherent cache abstracting data locality).
  *
  * A Machine is a memory system: the runtime's processors feed it one
- * shared-memory access at a time and receive a timing split back.  Fast
- * paths (cache hits, local memory) return immediately; paths that use the
- * network first synchronize the calling processor with the global engine
- * clock through the MemClient callback and then block in simulated time.
+ * shared-memory access at a time and receive a timing split back.  Every
+ * access is split in two phases, the same for both drivers of the
+ * simulator (execution and trace replay):
+ *
+ *  - probe(): a plain function that completes the accesses needing no
+ *    engine time (cache hits, local memory) in place;
+ *  - miss(): a coroutine transaction (sim/task.hh) for the rest, which
+ *    first synchronizes the caller with the global engine clock through
+ *    the MemClient callback and then blocks in simulated time.
+ *
+ * access() is probe() || miss() for a fiber caller.
  */
 
 #ifndef ABSIM_MACHINES_MACHINE_HH
@@ -20,6 +27,7 @@
 
 #include "mem/addr.hh"
 #include "net/topology.hh"
+#include "sim/task.hh"
 #include "sim/types.hh"
 
 namespace absim::mach {
@@ -110,17 +118,23 @@ class MemClient
     virtual ~MemClient() = default;
 
     /** The caller's node. */
-    virtual net::NodeId node() const = 0;
+    net::NodeId node() const { return node_; }
 
     /** The caller's local clock (may run ahead of the engine). */
     virtual sim::Tick localTime() const = 0;
 
     /**
-     * Block until the engine clock catches up with localTime().  Machines
-     * must call this exactly once before their first blocking operation
-     * of an access.
+     * Awaitable: wait until the engine clock catches up with
+     * localTime().  A miss transaction must co_await it exactly once,
+     * before its first blocking operation.
      */
-    virtual void syncToEngine() = 0;
+    virtual sim::Delay syncToEngine() = 0;
+
+  protected:
+    explicit MemClient(net::NodeId node) : node_(node) {}
+
+  private:
+    net::NodeId node_;
 };
 
 /** Timing split of one access, in ticks. */
@@ -169,15 +183,36 @@ class Machine
     virtual ~Machine() = default;
 
     /**
-     * Perform one shared-memory access on behalf of @p client.
-     *
-     * Must be called from inside the client's simulated process.  If the
-     * access needs the network, the machine calls client.syncToEngine()
-     * and blocks; on return the engine clock equals the access completion
-     * time and the result has networked == true.
+     * The non-blocking phase of an access: complete it in place when it
+     * needs no engine time (cache hit, free ideal upgrade, home-local
+     * reference), filling @p t and returning true.  Otherwise return
+     * false having changed nothing, and the caller runs miss().
+     */
+    virtual bool
+    probe(MemClient &, mem::Addr, AccessType, AccessTiming &)
+    {
+        return false;
+    }
+
+    /**
+     * The blocking phase: the transaction for an access probe()
+     * declined.  It co_awaits client.syncToEngine() before blocking; on
+     * completion the engine clock is the access completion time and a
+     * networked result has networked == true.
+     * @throws std::logic_error on a machine without a memory system.
+     */
+    virtual sim::Task<AccessTiming> miss(MemClient &client, mem::Addr addr,
+                                         AccessType type);
+
+    /**
+     * Perform one shared-memory access on behalf of @p client, from
+     * inside the client's simulated process: probe() || miss(), whose
+     * task has completed on return because every blocking point blocked
+     * the process in place.  @p bytes fits one cache block (asserted by
+     * the runtime).
      */
     virtual AccessTiming access(MemClient &client, mem::Addr addr,
-                                AccessType type, std::uint32_t bytes) = 0;
+                                AccessType type, std::uint32_t bytes);
 
     virtual MachineKind kind() const = 0;
 

@@ -2,32 +2,34 @@
 
 namespace absim::mach {
 
-AccessTiming
-UncachedMem::access(MemClient &client, mem::Addr addr, AccessType type,
-                    std::uint32_t bytes)
+bool
+UncachedMem::probe(MemClient &client, mem::Addr addr, AccessType type,
+                   AccessTiming &t)
 {
     (void)type;
-    (void)bytes;
+    if (homes_.homeOf(addr) != client.node())
+        return false;
     ++stats_.accesses;
-    const net::NodeId node = client.node();
-    const net::NodeId home = homes_.homeOf(addr);
+    ++stats_.localMem;
+    t.busy = kLocalMemNs;
+    stats_.memTime += t.busy;
+    return true;
+}
 
-    AccessTiming t;
-    if (home == node) {
-        ++stats_.localMem;
-        t.busy = kLocalMemNs;
-        return t;
-    }
+sim::Task<AccessTiming>
+UncachedMem::miss(MemClient &client, mem::Addr addr, AccessType type)
+{
+    (void)type;
+    ++stats_.accesses;
 
     // Remote reference: request/reply round trip on the network.
-    client.syncToEngine();
+    AccessTiming t;
+    co_await client.syncToEngine();
     t.networked = true;
     ++stats_.networkAccesses;
-    const NetTiming rt = net_.roundTrip(node, home, kDataBytes);
-    stats_.messages += rt.messages;
-    t.latency = rt.latency;
-    t.contention = rt.contention;
-    return t;
+    co_await charge(
+        net_.roundTrip(client.node(), homes_.homeOf(addr), kDataBytes), t);
+    co_return t;
 }
 
 } // namespace absim::mach

@@ -16,13 +16,20 @@
  *  - UncachedMem (below): no caches; every non-home reference is one
  *    request/reply round trip (the plain LogP machine's memory system).
  *
- * Models mutate the MachineStats of the composition they belong to and
- * call MemClient::syncToEngine() exactly once before their first
- * blocking network operation of an access.
+ * Every model implements an access in the two phases of Machine: a
+ * probe() plain function for what completes without engine time, and a
+ * miss() coroutine transaction for the rest, which co_awaits
+ * MemClient::syncToEngine() exactly once before its first blocking
+ * network operation.  Execution and trace replay run these same two
+ * functions (docs/MACHINES.md).  Models mutate the MachineStats of the
+ * composition they belong to, including memTime for both phases.
  */
 
 #ifndef ABSIM_MACHINES_MEM_MODEL_HH
 #define ABSIM_MACHINES_MEM_MODEL_HH
+
+#include <coroutine>
+#include <utility>
 
 #include "machines/machine.hh"
 #include "machines/net_model.hh"
@@ -37,9 +44,13 @@ class MemModel
     /** Axis identity: "directory", "ideal" or "uncached". */
     virtual const char *name() const = 0;
 
-    /** Perform one access on behalf of @p client (Machine::access). */
-    virtual AccessTiming access(MemClient &client, mem::Addr addr,
-                                AccessType type, std::uint32_t bytes) = 0;
+    /** The non-blocking phase (Machine::probe semantics). */
+    virtual bool probe(MemClient &client, mem::Addr addr, AccessType type,
+                       AccessTiming &t) = 0;
+
+    /** The miss transaction (Machine::miss semantics). */
+    virtual sim::Task<AccessTiming> miss(MemClient &client, mem::Addr addr,
+                                         AccessType type) = 0;
 
     /** Full invariant sweep, if the model maintains protocol state. */
     virtual void checkInvariants() const {}
@@ -57,6 +68,38 @@ class MemModel
              MachineStats &stats)
         : net_(net), nodes_(nodes), homes_(homes), stats_(stats)
     {
+    }
+
+    /** co_await charge(wait, t): a network wait whose latency and
+     *  contention are added to @p t and its messages to the stats. */
+    struct [[nodiscard]] Charged
+    {
+        NetWait wait;
+        AccessTiming &t;
+        MachineStats &stats;
+
+        bool await_ready() { return wait.await_ready(); }
+
+        void
+        await_suspend(std::coroutine_handle<> h)
+        {
+            wait.await_suspend(h);
+        }
+
+        void
+        await_resume()
+        {
+            const NetTiming r = wait.await_resume();
+            t.latency += r.latency;
+            t.contention += r.contention;
+            stats.messages += r.messages;
+        }
+    };
+
+    Charged
+    charge(NetWait wait, AccessTiming &t)
+    {
+        return Charged{std::move(wait), t, stats_};
     }
 
     NetModel &net_;
@@ -81,8 +124,13 @@ class UncachedMem : public MemModel
 
     const char *name() const override { return "uncached"; }
 
-    AccessTiming access(MemClient &client, mem::Addr addr, AccessType type,
-                        std::uint32_t bytes) override;
+    /** Home-local references. */
+    bool probe(MemClient &client, mem::Addr addr, AccessType type,
+               AccessTiming &t) override;
+
+    /** Remote references: one request/reply round trip. */
+    sim::Task<AccessTiming> miss(MemClient &client, mem::Addr addr,
+                                 AccessType type) override;
 };
 
 } // namespace absim::mach

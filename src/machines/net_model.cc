@@ -1,7 +1,5 @@
 #include "machines/net_model.hh"
 
-#include "sim/process.hh"
-
 namespace absim::mach {
 
 using net::NodeId;
@@ -14,56 +12,44 @@ DetailedNetModel::DetailedNetModel(sim::EventQueue &eq,
 {
 }
 
-NetTiming
+NetWait
 DetailedNetModel::transfer(NodeId src, NodeId dst, std::uint32_t bytes)
 {
-    const net::TransferResult r = net_->transfer(src, dst, bytes);
-    return NetTiming{r.latency, r.contention, 1};
+    return NetWait{net_->send(src, dst, bytes), 1};
 }
 
-NetTiming
+NetWait
 DetailedNetModel::roundTrip(NodeId src, NodeId dst,
                             std::uint32_t reply_bytes)
 {
-    const net::TransferResult req = net_->transfer(src, dst, kCtrlBytes);
-    const net::TransferResult rep = net_->transfer(dst, src, reply_bytes);
-    return NetTiming{req.latency + rep.latency,
-                     req.contention + rep.contention, 2};
+    return NetWait{net_->send(src, dst, kCtrlBytes, reply_bytes), 2};
 }
 
-NetTiming
+NetWait
 DetailedNetModel::fanOutRoundTrips(NodeId center,
                                    const std::vector<NodeId> &targets)
 {
-    // One helper process per target runs the inv/ack round trip; the
-    // caller waits on the latch for the slowest.
-    struct HelperResult
-    {
-        sim::Duration latency = 0;
-        sim::Tick doneAt = 0;
-    };
-    auto results =
-        std::make_shared<std::vector<HelperResult>>(targets.size());
-    auto latch = std::make_shared<sim::Latch>(
-        static_cast<std::uint32_t>(targets.size()));
+    return NetWait{fanOut(center, targets),
+                   2 * static_cast<std::uint32_t>(targets.size())};
+}
 
-    NetTiming t;
+sim::Task<net::TransferResult>
+DetailedNetModel::fanOut(NodeId center, const std::vector<NodeId> &targets)
+{
+    // One detached helper per target runs the inv/ack round trip; the
+    // caller waits on the latch for the slowest.  Results and latch live
+    // in this frame, which resumes only after the last helper's count.
+    std::vector<HelperResult> results(targets.size());
+    sim::Latch latch(static_cast<std::uint32_t>(targets.size()));
     const sim::Tick began = eq_.now();
     for (std::size_t i = 0; i < targets.size(); ++i) {
-        const NodeId tgt = targets[i];
-        t.messages += 2;
-        sim::spawnDetached(
-            eq_, "inv-helper",
-            [this, center, tgt, i, results, latch] {
-                const auto inv = net_->transfer(center, tgt, kCtrlBytes);
-                const auto ack = net_->transfer(tgt, center, kCtrlBytes);
-                (*results)[i].latency = inv.latency + ack.latency;
-                (*results)[i].doneAt = eq_.now();
-                latch->countDown();
-            },
-            began);
+        HelperResult *result = &results[i];
+        sim::spawn(eq_, "inv-helper", began,
+                   [this, center, target = targets[i], result, &latch] {
+                       return invalidate(center, target, *result, latch);
+                   });
     }
-    latch->await();
+    co_await latch.wait(eq_);
 
     // The caller waited for the slowest helper; charge that helper's
     // contention-free time as latency and the remainder as contention,
@@ -71,15 +57,25 @@ DetailedNetModel::fanOutRoundTrips(NodeId center,
     const sim::Tick elapsed = eq_.now() - began;
     sim::Duration critical_latency = 0;
     sim::Tick latest = 0;
-    for (const HelperResult &r : *results) {
+    for (const HelperResult &r : results) {
         if (r.doneAt >= latest) {
             latest = r.doneAt;
             critical_latency = r.latency;
         }
     }
-    t.latency = critical_latency;
-    t.contention = elapsed - critical_latency;
-    return t;
+    co_return net::TransferResult{critical_latency,
+                                  elapsed - critical_latency};
+}
+
+sim::Task<>
+DetailedNetModel::invalidate(NodeId center, NodeId target,
+                             HelperResult &result, sim::Latch &latch)
+{
+    const net::TransferResult r =
+        co_await net_->send(center, target, kCtrlBytes, kCtrlBytes);
+    result.latency = r.latency;
+    result.doneAt = eq_.now();
+    latch.countDown();
 }
 
 LogPNetModel::LogPNetModel(sim::EventQueue &eq, net::TopologyKind topo,
@@ -89,25 +85,25 @@ LogPNetModel::LogPNetModel(sim::EventQueue &eq, net::TopologyKind topo,
 {
 }
 
-NetTiming
+NetWait
 LogPNetModel::transfer(NodeId src, NodeId dst, std::uint32_t bytes)
 {
     (void)bytes; // LogP messages cost L regardless of payload.
     const logp::LogPTiming m = net_->message(src, dst, eq_.now());
-    sim::Process::current()->delayUntil(m.deliveredAt);
-    return NetTiming{m.latency, m.contention, m.messages};
+    return NetWait{eq_, m.deliveredAt,
+                   NetTiming{m.latency, m.contention, m.messages}};
 }
 
-NetTiming
+NetWait
 LogPNetModel::roundTrip(NodeId src, NodeId dst, std::uint32_t reply_bytes)
 {
     (void)reply_bytes;
     const logp::LogPTiming rt = net_->roundTrip(src, dst, eq_.now());
-    sim::Process::current()->delayUntil(rt.deliveredAt);
-    return NetTiming{rt.latency, rt.contention, rt.messages};
+    return NetWait{eq_, rt.deliveredAt,
+                   NetTiming{rt.latency, rt.contention, rt.messages}};
 }
 
-NetTiming
+NetWait
 LogPNetModel::fanOutRoundTrips(NodeId center,
                                const std::vector<NodeId> &targets)
 {
@@ -125,10 +121,9 @@ LogPNetModel::fanOutRoundTrips(NodeId center,
             critical_latency = rt.latency;
         }
     }
-    sim::Process::current()->delayUntil(latest);
     t.latency = critical_latency;
     t.contention = (latest - began) - critical_latency;
-    return t;
+    return NetWait{eq_, latest, t};
 }
 
 } // namespace absim::mach

@@ -9,14 +9,17 @@
  * against this interface only, so any memory system composes with any
  * network — the independent-axes variation at the heart of the paper.
  *
- * All calls block the calling simulated process until the transfer
- * completes in simulated time; the caller must have synchronized its
- * local clock with the engine (MemClient::syncToEngine) first.
+ * Every operation returns a NetWait to co_await: it blocks until the
+ * transfer completes in simulated time (see sim/task.hh for how that
+ * serves a fiber and a coroutine caller alike).  The caller must have
+ * synchronized its local clock with the engine (MemClient::syncToEngine)
+ * first.
  */
 
 #ifndef ABSIM_MACHINES_NET_MODEL_HH
 #define ABSIM_MACHINES_NET_MODEL_HH
 
+#include <coroutine>
 #include <memory>
 #include <vector>
 
@@ -24,6 +27,8 @@
 #include "machines/machine.hh"
 #include "net/network.hh"
 #include "sim/event_queue.hh"
+#include "sim/resource.hh"
+#include "sim/task.hh"
 
 namespace absim::mach {
 
@@ -35,6 +40,66 @@ struct NetTiming
     std::uint32_t messages = 0;   ///< Messages this operation injected.
 };
 
+/**
+ * A network operation in flight; co_await it for its NetTiming.  LogP
+ * prices an operation up front and only waits for the delivery tick;
+ * the detailed network runs a circuit task.  Neither costs a coroutine
+ * frame beyond the circuit's own.  A default NetWait is already
+ * complete and carries nothing (a hop that stays inside a node).
+ */
+class [[nodiscard]] NetWait
+{
+  public:
+    NetWait() = default;
+
+    /** Priced: block until @p until, then report @p timing. */
+    NetWait(sim::EventQueue &eq, sim::Tick until, const NetTiming &timing)
+        : eq_(&eq), until_(until), timing_(timing)
+    {
+    }
+
+    /** A running circuit task that injects @p messages messages. */
+    NetWait(sim::Task<net::TransferResult> circuit, std::uint32_t messages)
+        : circuit_(std::move(circuit))
+    {
+        timing_.messages = messages;
+    }
+
+    bool
+    await_ready()
+    {
+        if (circuit_)
+            return circuit_.await_ready();
+        return eq_ == nullptr || sim::Delay{*eq_, until_}.await_ready();
+    }
+
+    void
+    await_suspend(std::coroutine_handle<> h)
+    {
+        if (circuit_)
+            circuit_.await_suspend(h);
+        else
+            sim::Delay{*eq_, until_}.await_suspend(h);
+    }
+
+    NetTiming
+    await_resume()
+    {
+        if (circuit_) {
+            const net::TransferResult r = circuit_.await_resume();
+            timing_.latency = r.latency;
+            timing_.contention = r.contention;
+        }
+        return timing_;
+    }
+
+  private:
+    sim::EventQueue *eq_ = nullptr;
+    sim::Tick until_ = 0;
+    sim::Task<net::TransferResult> circuit_; ///< Empty when priced.
+    NetTiming timing_;
+};
+
 class NetModel
 {
   public:
@@ -43,28 +108,29 @@ class NetModel
     /** Axis identity: "detailed" or "logp". */
     virtual const char *name() const = 0;
 
-    /** One message from @p src to @p dst, blocking until delivery. */
-    virtual NetTiming transfer(net::NodeId src, net::NodeId dst,
-                               std::uint32_t bytes) = 0;
+    /** One message from @p src to @p dst, complete at delivery. */
+    virtual NetWait transfer(net::NodeId src, net::NodeId dst,
+                             std::uint32_t bytes) = 0;
 
     /**
      * A request/reply round trip (control request out, @p reply_bytes
-     * back), blocking until the reply is delivered — the shape of every
+     * back), complete when the reply is delivered — the shape of every
      * remote memory reference.
      */
-    virtual NetTiming roundTrip(net::NodeId src, net::NodeId dst,
-                                std::uint32_t reply_bytes) = 0;
+    virtual NetWait roundTrip(net::NodeId src, net::NodeId dst,
+                              std::uint32_t reply_bytes) = 0;
 
     /**
      * Parallel invalidation/ack round trips (control-sized both ways)
-     * from @p center to every node in @p targets, blocking until the
-     * slowest completes.  The result partitions the elapsed wait
-     * exactly: latency is the critical (last-delivered) trip's
-     * contention-free time, contention is the remainder.
+     * from @p center to every node in @p targets, complete when the
+     * slowest does.  The result partitions the elapsed wait exactly:
+     * latency is the critical (last-delivered) trip's contention-free
+     * time, contention is the remainder.  @p targets is read before the
+     * first suspension only.
      *
      * @pre !targets.empty()
      */
-    virtual NetTiming fanOutRoundTrips(
+    virtual NetWait fanOutRoundTrips(
         net::NodeId center, const std::vector<net::NodeId> &targets) = 0;
 };
 
@@ -77,17 +143,31 @@ class DetailedNetModel : public NetModel
 
     const char *name() const override { return "detailed"; }
 
-    NetTiming transfer(net::NodeId src, net::NodeId dst,
-                       std::uint32_t bytes) override;
-    NetTiming roundTrip(net::NodeId src, net::NodeId dst,
-                        std::uint32_t reply_bytes) override;
-    NetTiming fanOutRoundTrips(
+    NetWait transfer(net::NodeId src, net::NodeId dst,
+                     std::uint32_t bytes) override;
+    NetWait roundTrip(net::NodeId src, net::NodeId dst,
+                      std::uint32_t reply_bytes) override;
+    NetWait fanOutRoundTrips(
         net::NodeId center,
         const std::vector<net::NodeId> &targets) override;
 
     const net::DetailedNetwork &network() const { return *net_; }
 
   private:
+    /** What one invalidation helper reports back to the fan-out. */
+    struct HelperResult
+    {
+        sim::Duration latency = 0;
+        sim::Tick doneAt = 0;
+    };
+
+    sim::Task<net::TransferResult>
+    fanOut(net::NodeId center, const std::vector<net::NodeId> &targets);
+
+    /** One helper's inv/ack round trip; counts @p latch down. */
+    sim::Task<> invalidate(net::NodeId center, net::NodeId target,
+                           HelperResult &result, sim::Latch &latch);
+
     sim::EventQueue &eq_;
     std::unique_ptr<net::DetailedNetwork> net_;
 };
@@ -101,11 +181,11 @@ class LogPNetModel : public NetModel
 
     const char *name() const override { return "logp"; }
 
-    NetTiming transfer(net::NodeId src, net::NodeId dst,
-                       std::uint32_t bytes) override;
-    NetTiming roundTrip(net::NodeId src, net::NodeId dst,
-                        std::uint32_t reply_bytes) override;
-    NetTiming fanOutRoundTrips(
+    NetWait transfer(net::NodeId src, net::NodeId dst,
+                     std::uint32_t bytes) override;
+    NetWait roundTrip(net::NodeId src, net::NodeId dst,
+                      std::uint32_t reply_bytes) override;
+    NetWait fanOutRoundTrips(
         net::NodeId center,
         const std::vector<net::NodeId> &targets) override;
 

@@ -2,13 +2,12 @@
  * @file
  * The no-shared-memory machine, for message-passing platform studies:
  * processors communicate exclusively through msg::MsgWorld and any
- * shared-memory access is a programming error.
+ * shared-memory access is a programming error (Machine::miss's default
+ * throws std::logic_error).
  */
 
 #ifndef ABSIM_MACHINES_NULL_MACHINE_HH
 #define ABSIM_MACHINES_NULL_MACHINE_HH
-
-#include <stdexcept>
 
 #include "machines/machine.hh"
 
@@ -20,13 +19,6 @@ class NullMachine : public Machine
     NullMachine(std::uint32_t nodes, const mem::HomeMap &homes)
         : Machine(nodes, homes)
     {
-    }
-
-    AccessTiming
-    access(MemClient &, mem::Addr, AccessType, std::uint32_t) override
-    {
-        throw std::logic_error(
-            "shared-memory access on a message-passing platform");
     }
 
     MachineKind kind() const override { return MachineKind::None; }

@@ -21,7 +21,7 @@ MsgWorld::send(rt::Proc &p, net::NodeId dst, Tag tag, const void *data,
                 "node " << p.node() << " sent to invalid target " << dst);
     if (rt::RefSink *s = p.sink()) [[unlikely]]
         s->onUntraceable("message-passing send");
-    p.syncToEngine();
+    p.syncNow();
     const sim::Tick began = eq_.now();
 
     const SendTiming timing = transport_.send(p.node(), dst, bytes);
@@ -77,7 +77,7 @@ MsgWorld::recv(rt::Proc &p, net::NodeId src, Tag tag)
                         << src);
     if (rt::RefSink *s = p.sink()) [[unlikely]]
         s->onUntraceable("message-passing recv");
-    p.syncToEngine();
+    p.syncNow();
     const sim::Tick began = eq_.now();
 
     const Key key = keyOf(p.node(), src, tag);

@@ -19,6 +19,8 @@
 #ifndef ABSIM_NET_NETWORK_HH
 #define ABSIM_NET_NETWORK_HH
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -26,6 +28,7 @@
 #include "net/topology.hh"
 #include "sim/event_queue.hh"
 #include "sim/resource.hh"
+#include "sim/task.hh"
 #include "sim/types.hh"
 
 namespace absim::net {
@@ -49,8 +52,9 @@ struct NetworkStats
 /**
  * The detailed interconnect (the target machine's network axis).
  *
- * transfer() must be called from inside a simulated process; it blocks in
- * simulated time for the full circuit set-up, transmission, and tear-down.
+ * send() is the one implementation: a coroutine (sim/task.hh) that
+ * waits in simulated time for the full circuit set-up, transmission,
+ * and tear-down.  transfer() is its fiber form.
  */
 class DetailedNetwork
 {
@@ -69,7 +73,21 @@ class DetailedNetwork
      *
      * @return The latency/contention split for this message.
      */
-    TransferResult transfer(NodeId src, NodeId dst, std::uint32_t bytes);
+    TransferResult
+    transfer(NodeId src, NodeId dst, std::uint32_t bytes)
+    {
+        return send(src, dst, bytes).get();
+    }
+
+    /**
+     * Send @p bytes from @p src to @p dst as a task; with a non-zero
+     * @p reply_bytes a reply of that size then travels back in the same
+     * frame (a request/reply round trip).  Each leg is one message; the
+     * result sums the legs.
+     */
+    sim::Task<TransferResult> send(NodeId src, NodeId dst,
+                                   std::uint32_t bytes,
+                                   std::uint32_t reply_bytes = 0);
 
     /** Contention-free transmission time for a message of @p bytes. */
     static sim::Duration
@@ -82,9 +100,22 @@ class DetailedNetwork
     const NetworkStats &stats() const { return stats_; }
 
   private:
+    /** Longest minimal route any topology produces: an 8x8 mesh's
+     *  opposite corners (14 links), rounded up to a power of two. */
+    static constexpr std::size_t kMaxRoute = 16;
+
+    using Route = std::array<LinkId, kMaxRoute>;
+
+    /** Route @p src -> @p dst into @p path, returning its length.  The
+     *  scratch vector keeps Topology::route's interface without an
+     *  allocation per message; the copy lands in the caller's frame
+     *  before any suspension, so interleaved sends cannot clobber it. */
+    std::size_t routeInto(NodeId src, NodeId dst, Route &path);
+
     sim::EventQueue &eq_;
     std::unique_ptr<Topology> topo_;
-    std::vector<std::unique_ptr<sim::FifoMutex>> links_;
+    std::unique_ptr<sim::FifoMutex[]> links_;
+    std::vector<LinkId> routeScratch_;
     NetworkStats stats_;
 };
 

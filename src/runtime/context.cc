@@ -11,7 +11,7 @@
 
 namespace absim::rt {
 
-Proc::Proc(Runtime &rt, net::NodeId id) : rt_(rt), id_(id) {}
+Proc::Proc(Runtime &rt, net::NodeId id) : MemClient(id), rt_(rt) {}
 
 std::uint32_t
 Proc::procs() const
@@ -19,19 +19,26 @@ Proc::procs() const
     return rt_.procs();
 }
 
-void
+sim::Delay
 Proc::syncToEngine()
 {
     ABSIM_CHECK(process_ != nullptr &&
                     sim::Process::current() == process_,
-                "syncToEngine outside processor " << id_
+                "syncToEngine outside processor " << node()
                                                   << "'s own process");
     ABSIM_CHECK(localTime_ >= rt_.engine().now(),
-                "processor " << id_ << " local clock " << localTime_
+                "processor " << node() << " local clock " << localTime_
                              << " fell behind the engine at "
                              << rt_.engine().now());
     syncedThisAccess_ = true;
-    process_->delayUntil(localTime_);
+    return sim::Delay{rt_.engine(), localTime_};
+}
+
+void
+Proc::syncNow()
+{
+    // On the processor's own fiber the awaitable blocks in place.
+    (void)syncToEngine().await_ready();
 }
 
 void
@@ -40,7 +47,7 @@ Proc::maybeYield()
     // The local clock may run ahead of the engine between shared events;
     // before touching shared state, let every earlier global event fire.
     if (localTime_ >= rt_.engine().nextEventTime())
-        syncToEngine();
+        syncNow();
 }
 
 void
@@ -53,7 +60,7 @@ void
 Proc::computeNs(sim::Duration ns)
 {
     if (sink_ != nullptr) [[unlikely]]
-        sink_->onCompute(id_, ns);
+        sink_->onCompute(node(), ns);
     localTime_ += ns;
     stats_.busy += ns;
 }
@@ -66,9 +73,9 @@ Proc::access(mem::Addr addr, mach::AccessType type, std::uint32_t bytes)
     ABSIM_DCHECK(mem::blockOf(addr) == mem::blockOf(addr + bytes - 1),
                  "access at " << addr << " straddles cache blocks");
     if (sink_ != nullptr) [[unlikely]]
-        sink_->onAccess(id_, addr, type, bytes);
+        sink_->onAccess(node(), addr, type, bytes);
     if (fault::armed()) [[unlikely]] {
-        const fault::AccessFault af = fault::injector().onAccess(id_);
+        const fault::AccessFault af = fault::injector().onAccess(node());
         if (af.wedge)
             process_->suspend("fault-plan: wedged fiber (never woken)");
         if (af.corrupt)
@@ -76,7 +83,7 @@ Proc::access(mem::Addr addr, mach::AccessType type, std::uint32_t bytes)
     }
     maybeYield();
     ABSIM_DCHECK(localTime_ >= rt_.engine().now(),
-                 "processor " << id_ << " issued an access with its local "
+                 "processor " << node() << " issued an access with its local "
                               << "clock behind the engine");
     const sim::Tick began = localTime_;
     syncedThisAccess_ = false;
@@ -142,31 +149,14 @@ Proc::memRmw(mem::Addr addr, std::uint32_t bytes)
 void
 Proc::flushPhase()
 {
-    stats::PhaseStats delta;
-    delta.name = currentPhase_;
-    delta.busy = stats_.busy - phaseSnapshot_.busy;
-    delta.latency = stats_.latency - phaseSnapshot_.latency;
-    delta.contention = stats_.contention - phaseSnapshot_.contention;
-    delta.wait = stats_.wait - phaseSnapshot_.wait;
-    phaseSnapshot_ = stats_;
-
-    for (stats::PhaseStats &phase : phases_) {
-        if (phase.name == delta.name) {
-            phase.busy += delta.busy;
-            phase.latency += delta.latency;
-            phase.contention += delta.contention;
-            phase.wait += delta.wait;
-            return;
-        }
-    }
-    phases_.push_back(std::move(delta));
+    stats::flushPhase(stats_, phaseSnapshot_, currentPhase_, phases_);
 }
 
 void
 Proc::beginPhase(const std::string &name)
 {
     if (sink_ != nullptr) [[unlikely]]
-        sink_->onPhase(id_, name);
+        sink_->onPhase(node(), name);
     flushPhase();
     currentPhase_ = name;
 }
@@ -177,7 +167,7 @@ Proc::absorbEngineTime(sim::Duration latency, sim::Duration contention,
 {
     const sim::Tick now = rt_.engine().now();
     ABSIM_CHECK(now >= localTime_,
-                "absorbEngineTime with processor " << id_
+                "absorbEngineTime with processor " << node()
                     << " ahead of the engine");
     if (check::options().conservation)
         ABSIM_CHECK_EQ(latency + contention + wait, now - localTime_,

@@ -35,15 +35,18 @@ class Runtime;
 /**
  * One simulated processor, as seen by application code.
  */
-class Proc : public mach::MemClient
+class Proc final : public mach::MemClient
 {
   public:
     Proc(Runtime &rt, net::NodeId id);
 
     // MemClient interface (called back by machine models).
-    net::NodeId node() const override { return id_; }
     sim::Tick localTime() const override { return localTime_; }
-    void syncToEngine() override;
+    sim::Delay syncToEngine() override;
+
+    /** Block this processor's process until the engine clock reaches
+     *  its local clock (syncToEngine() awaited in place). */
+    void syncNow();
 
     /** Charge @p n processor cycles of computation. */
     void compute(std::uint64_t n);
@@ -132,7 +135,6 @@ class Proc : public mach::MemClient
     void flushPhase();
 
     Runtime &rt_;
-    net::NodeId id_;
     sim::Process *process_ = nullptr;
     RefSink *sink_ = nullptr;
     sim::Tick localTime_ = 0;

@@ -62,15 +62,20 @@ SharedHeap::allocate(std::uint64_t bytes, Placement placement,
 net::NodeId
 SharedHeap::homeOf(mem::Addr a) const
 {
-    // Segments are appended in increasing base order: binary search.
-    auto it = std::upper_bound(
-        segments_.begin(), segments_.end(), a,
-        [](mem::Addr addr, const Segment &s) { return addr < s.base; });
-    if (it == segments_.begin())
-        throw std::out_of_range("address below the shared heap");
-    const Segment &seg = *std::prev(it);
-    if (a >= seg.base + seg.bytes)
-        throw std::out_of_range("address past its segment");
+    if (lastHit_ >= segments_.size() || a < segments_[lastHit_].base ||
+        a >= segments_[lastHit_].base + segments_[lastHit_].bytes) {
+        // Segments are appended in increasing base order: binary search.
+        auto it = std::upper_bound(
+            segments_.begin(), segments_.end(), a,
+            [](mem::Addr addr, const Segment &s) { return addr < s.base; });
+        if (it == segments_.begin())
+            throw std::out_of_range("address below the shared heap");
+        if (a >= std::prev(it)->base + std::prev(it)->bytes)
+            throw std::out_of_range("address past its segment");
+        lastHit_ = static_cast<std::size_t>(
+            std::prev(it) - segments_.begin());
+    }
+    const Segment &seg = segments_[lastHit_];
 
     const std::uint64_t offset = a - seg.base;
     switch (seg.placement) {

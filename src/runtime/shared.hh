@@ -81,6 +81,10 @@ class SharedHeap : public mem::HomeMap
 
     std::uint32_t nodes_;
     std::vector<Segment> segments_; // Sorted by base (append-only).
+
+    /** Index of the segment homeOf() found last: a miss transaction
+     *  asks again for the address its probe just asked for. */
+    mutable std::size_t lastHit_ = 0;
     mem::Addr next_;
     RefSink *sink_ = nullptr;
 };

@@ -267,6 +267,10 @@ void
 EventQueue::enqueueNode(EventNode *node)
 {
     ++size_;
+    // A new node carries the largest seq so far: it becomes the front
+    // only by being strictly earlier.
+    if (front_ == nullptr || node->when < front_->when)
+        front_ = node;
     // Bucket events must be inside the window AND not in the simulated
     // past: past events (legal with causality checks off) would break
     // the circular-scan-from-now ordering, so they ride the overflow
@@ -304,52 +308,50 @@ EventQueue::calendarFront() const
     return buckets_[idx].head;
 }
 
-const EventQueue::EventNode *
-EventQueue::peekNext() const
+void
+EventQueue::refreshFront()
 {
-    const EventNode *cal = calendarFront();
-    const EventNode *ovf = overflow_.empty() ? nullptr : overflow_.front();
-    if (cal == nullptr)
-        return ovf;
-    if (ovf == nullptr)
-        return cal;
-    if (ovf->when < cal->when ||
-        (ovf->when == cal->when && ovf->seq < cal->seq))
-        return ovf;
-    return cal;
-}
-
-EventQueue::EventNode *
-EventQueue::popNext()
-{
-    if (size_ == 0)
-        return nullptr;
-    // Re-base the window onto the overflow tier when the calendar has
-    // drained.  Past-dated overflow events (causality off) stay put:
-    // re-basing on a past tick would put them behind the scan start.
-    if (calendarCount_ == 0 && !overflow_.empty() &&
-        overflow_.front()->when >= now_)
-        advanceWindow();
-
     EventNode *cal = calendarFront();
     EventNode *ovf = overflow_.empty() ? nullptr : overflow_.front();
-    --size_;
     if (cal == nullptr ||
         (ovf != nullptr &&
          (ovf->when < cal->when ||
           (ovf->when == cal->when && ovf->seq < cal->seq))))
-        return popOverflowTop();
+        front_ = ovf;
+    else
+        front_ = cal;
+}
 
-    const std::size_t idx =
-        static_cast<std::size_t>(cal->when) & (kBuckets - 1);
-    Bucket &b = buckets_[idx];
-    b.head = cal->next;
-    if (b.head == nullptr) {
-        b.tail = nullptr;
-        clearBucket(idx);
+EventQueue::EventNode *
+EventQueue::popFront()
+{
+    // Re-base the window onto the overflow tier when the calendar has
+    // drained.  Past-dated overflow events (causality off) stay put:
+    // re-basing on a past tick would put them behind the scan start.
+    // The move keeps front_ the same node, now at the head of its
+    // bucket (the calendar was empty).
+    if (calendarCount_ == 0 && !overflow_.empty() &&
+        overflow_.front()->when >= now_)
+        advanceWindow();
+
+    EventNode *node = front_;
+    --size_;
+    if (!overflow_.empty() && overflow_.front() == node) {
+        popOverflowTop();
+    } else {
+        // A bucket is one tick in seq order, so the front is its head.
+        const std::size_t idx =
+            static_cast<std::size_t>(node->when) & (kBuckets - 1);
+        Bucket &b = buckets_[idx];
+        b.head = node->next;
+        if (b.head == nullptr) {
+            b.tail = nullptr;
+            clearBucket(idx);
+        }
+        --calendarCount_;
     }
-    --calendarCount_;
-    return cal;
+    refreshFront();
+    return node;
 }
 
 void
@@ -376,7 +378,7 @@ EventQueue::run()
 {
     while (size_ != 0 && !stopRequested_) {
         enforceBudget();
-        const EventNode *next = peekNext();
+        const EventNode *next = front_;
         if (check::options().causality)
             ABSIM_CHECK(next->when >= now_,
                         "engine clock would run backwards: now=" << now_
@@ -391,7 +393,7 @@ EventQueue::run()
         }
         if (next->when > now_)
             lastProgressDispatch_ = dispatched_;
-        dispatch(popNext());
+        dispatch(popFront());
     }
 }
 
@@ -400,7 +402,7 @@ EventQueue::runUntil(Tick limit)
 {
     while (size_ != 0 && !stopRequested_) {
         enforceBudget();
-        const EventNode *next = peekNext();
+        const EventNode *next = front_;
         if (next->when > limit)
             return false;
         if (check::options().causality)
@@ -409,16 +411,9 @@ EventQueue::runUntil(Tick limit)
                             << " next event at " << next->when);
         if (next->when > now_)
             lastProgressDispatch_ = dispatched_;
-        dispatch(popNext());
+        dispatch(popFront());
     }
     return size_ == 0;
-}
-
-Tick
-EventQueue::nextEventTime() const
-{
-    const EventNode *next = peekNext();
-    return next == nullptr ? kTickMax : next->when;
 }
 
 } // namespace absim::sim

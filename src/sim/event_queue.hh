@@ -23,6 +23,11 @@
  *    far-future events; when the calendar drains, the window re-bases
  *    onto the earliest overflow event and pulls the next window's
  *    events across.
+ *  - The earliest pending node across both tiers is cached: schedule()
+ *    compares against it, and a dispatch rescans once, after the pop.
+ *    nextEventTime() — asked before every shared access by both the
+ *    runtime and the trace replay — is a load, and run() never scans
+ *    twice per event.
  *
  * The engine also hosts the run watchdog: a RunBudget bounds events,
  * simulated time, wall-clock time and clock stalls, and every Process
@@ -111,7 +116,11 @@ class EventQueue
     Tick now() const { return now_; }
 
     /** Tick of the earliest pending event, or kTickMax if none. */
-    Tick nextEventTime() const;
+    Tick
+    nextEventTime() const
+    {
+        return front_ == nullptr ? kTickMax : front_->when;
+    }
 
     /** Number of pending events. */
     std::size_t pending() const { return size_; }
@@ -265,15 +274,15 @@ class EventQueue
     /** Earliest bucketed node, or nullptr if the calendar is empty. */
     EventNode *calendarFront() const;
 
-    /**
-     * Detach and return the earliest pending event ((when, seq) order
-     * across both tiers), re-basing the window as needed.  Returns
-     * nullptr when the queue is empty.
-     */
-    EventNode *popNext();
+    /** Recompute front_ from both tiers (the one scan per dispatch). */
+    void refreshFront();
 
-    /** The (when, seq) of the earliest pending event without popping. */
-    const EventNode *peekNext() const;
+    /**
+     * Detach and return front_, the earliest pending event ((when, seq)
+     * order across both tiers), re-basing the window as needed.
+     * Precondition: the queue is not empty.
+     */
+    EventNode *popFront();
 
     /** Dispatch @p node: advance the clock, invoke, recycle. */
     void dispatch(EventNode *node);
@@ -308,6 +317,9 @@ class EventQueue
     /** Overflow tier: (when, seq) min-heap of far-future (and, with
      *  causality checks off, past) events. */
     std::vector<EventNode *> overflow_;
+
+    /** Earliest pending node of either tier; nullptr iff empty. */
+    EventNode *front_ = nullptr;
 
     /** Node pool: arena blocks + freelist threaded through next. */
     std::vector<std::unique_ptr<EventNode[]>> blocks_;

@@ -6,12 +6,6 @@
 
 namespace absim::sim {
 
-namespace {
-
-thread_local Process *tl_current_process = nullptr;
-
-} // namespace
-
 std::string
 WaitReason::str() const
 {
@@ -56,9 +50,9 @@ Process::Process(EventQueue &eq, std::string name,
                  std::function<void()> entry)
     : eq_(eq), name_(std::move(name)),
       fiber_([this, entry = std::move(entry)] {
-          tl_current_process = this;
+          detail::tl_current_process = this;
           entry();
-          tl_current_process = nullptr;
+          detail::tl_current_process = nullptr;
       })
 {
     eq_.registerProcess(this);
@@ -80,10 +74,10 @@ void
 Process::scheduleResume(Tick when)
 {
     eq_.schedule(when, [this] {
-        Process *prev = tl_current_process;
+        Process *prev = detail::tl_current_process;
         state_ = ProcState::Running;
         fiber_.resume();
-        tl_current_process = prev;
+        detail::tl_current_process = prev;
         if (fiber_.finished()) {
             state_ = ProcState::Finished;
             if (onFinish_) {
@@ -106,9 +100,9 @@ Process::delayUntil(Tick when)
     scheduleResume(when);
     state_ = ProcState::Delayed;
     delayedUntil_ = when;
-    tl_current_process = nullptr;
+    detail::tl_current_process = nullptr;
     Fiber::yield();
-    tl_current_process = this;
+    detail::tl_current_process = this;
 }
 
 void
@@ -119,9 +113,9 @@ Process::suspend(WaitReason reason)
     suspended_ = true;
     state_ = ProcState::Suspended;
     waitReason_ = reason;
-    tl_current_process = nullptr;
+    detail::tl_current_process = nullptr;
     Fiber::yield();
-    tl_current_process = this;
+    detail::tl_current_process = this;
     waitReason_ = WaitReason{};
     ABSIM_DCHECK(!suspended_, "woken process still marked suspended");
 }
@@ -135,12 +129,6 @@ Process::wake()
     suspended_ = false;
     state_ = ProcState::Runnable;
     scheduleResume(eq_.now());
-}
-
-Process *
-Process::current()
-{
-    return tl_current_process;
 }
 
 Process *

@@ -86,6 +86,12 @@ class WaitReason
     std::uint64_t value1_ = 0;
 };
 
+namespace detail {
+/** The process running on this thread (inline: every awaitable sim
+ *  primitive asks, see sim/task.hh). */
+inline thread_local constinit Process *tl_current_process = nullptr;
+} // namespace detail
+
 /**
  * A simulated process.
  *
@@ -139,7 +145,7 @@ class Process
     void wake();
 
     /** The process currently running on this thread, if any. */
-    static Process *current();
+    static Process *current() { return detail::tl_current_process; }
 
     /**
      * Install a hook invoked from the scheduler context right after the

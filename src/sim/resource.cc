@@ -1,8 +1,18 @@
 #include "sim/resource.hh"
 
 #include "check/check.hh"
+#include "sim/task.hh"
 
 namespace absim::sim {
+
+void
+Waiter::wake() const
+{
+    if (process != nullptr)
+        process->wake();
+    else
+        eq->schedule(eq->now(), detail::Resume{handle});
+}
 
 Duration
 FifoMutex::acquire()
@@ -14,7 +24,7 @@ FifoMutex::acquire()
         return 0;
     }
     Tick began = self->engine().now();
-    waiters_.push_back(self);
+    waiters_.push_back(Waiter{self, {}, nullptr});
     self->suspend("fifo-mutex acquire");
     // Woken by release(): the mutex was handed to us directly.
     ABSIM_DCHECK(locked_, "FifoMutex hand-off lost the lock");
@@ -32,9 +42,9 @@ FifoMutex::release()
         return;
     }
     // Hand-off: stays locked, next waiter becomes the owner.
-    Process *next = waiters_.front();
+    const Waiter next = waiters_.front();
     waiters_.pop_front();
-    next->wake();
+    next.wake();
 }
 
 void
@@ -59,10 +69,10 @@ void
 Latch::countDown()
 {
     ABSIM_CHECK(count_ > 0, "countDown of an exhausted Latch");
-    if (--count_ == 0 && waiter_ != nullptr) {
-        Process *w = waiter_;
-        waiter_ = nullptr;
-        w->wake();
+    if (--count_ == 0 && waiter_) {
+        const Waiter w = waiter_;
+        waiter_ = Waiter{};
+        w.wake();
     }
 }
 
@@ -71,10 +81,10 @@ Latch::await()
 {
     Process *self = Process::current();
     ABSIM_CHECK(self != nullptr, "Latch::await outside a process");
-    ABSIM_CHECK(waiter_ == nullptr, "Latch supports a single waiter");
+    ABSIM_CHECK(!waiter_, "Latch supports a single waiter");
     if (count_ == 0)
         return;
-    waiter_ = self;
+    waiter_ = Waiter{self, {}, nullptr};
     self->suspend({"latch await", "count", count_});
 }
 

@@ -76,6 +76,29 @@ Profile::axisSplit() const
     return split;
 }
 
+void
+flushPhase(const ProcStats &now, ProcStats &snapshot,
+           const std::string &name, std::vector<PhaseStats> &phases)
+{
+    PhaseStats delta;
+    delta.name = name;
+    delta.busy = now.busy - snapshot.busy;
+    delta.latency = now.latency - snapshot.latency;
+    delta.contention = now.contention - snapshot.contention;
+    delta.wait = now.wait - snapshot.wait;
+    snapshot = now;
+    for (PhaseStats &phase : phases) {
+        if (phase.name == delta.name) {
+            phase.busy += delta.busy;
+            phase.latency += delta.latency;
+            phase.contention += delta.contention;
+            phase.wait += delta.wait;
+            return;
+        }
+    }
+    phases.push_back(std::move(delta));
+}
+
 std::vector<PhaseStats>
 Profile::phaseSummary() const
 {

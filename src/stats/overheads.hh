@@ -70,6 +70,15 @@ struct PhaseStats
 };
 
 /**
+ * Attribute the overhead a processor accrued since @p snapshot to phase
+ * @p name of @p phases (appended on first use, accumulated after) and
+ * move @p snapshot up to @p now.  The runtime's processors and the
+ * trace replay's share it.
+ */
+void flushPhase(const ProcStats &now, ProcStats &snapshot,
+                const std::string &name, std::vector<PhaseStats> &phases);
+
+/**
  * Per-abstraction-axis attribution of a run's memory-system time
  * (which model charged what), so the network abstraction's error and
  * the locality abstraction's error stay separable in every profile —

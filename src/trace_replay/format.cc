@@ -1,5 +1,6 @@
 #include "trace_replay/format.hh"
 
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <sstream>
@@ -296,13 +297,14 @@ loadTrace(const std::string &path, Trace &out)
         !findU64(header, "setupOps", setupOps) ||
         !findU64(header, "ops", ops))
         return false;
+    // Range-check before narrowing: 2^32+1 must not load as 1.
+    if (procs == 0 || procs > mem::kMaxNodes || iterations > UINT32_MAX)
+        return false;
     trace.n = n;
     trace.seed = seed;
     trace.iterations = static_cast<std::uint32_t>(iterations);
     trace.procs = static_cast<std::uint32_t>(procs);
     trace.replayable = replayable == "true";
-    if (trace.procs == 0 || trace.procs > mem::kMaxNodes)
-        return false;
 
     // Phase names: re-scan the raw array (values are escaped strings).
     trace.phaseNames.clear();
@@ -340,7 +342,14 @@ loadTrace(const std::string &path, Trace &out)
             return false;
     }
 
+    // Every record takes at least kMinRecordBytes (a kind byte plus
+    // one-byte fields), so a count the remaining body cannot hold is
+    // rejected before it sizes a reservation: the checksum is FNV-1a,
+    // not authentication.
+    constexpr std::size_t kMinRecordBytes = 5;
     std::size_t at = nl + 1;
+    if (setupOps > (body.size() - at) / kMinRecordBytes)
+        return false;
     trace.setup.reserve(setupOps);
     for (std::uint64_t i = 0; i < setupOps; ++i) {
         if (at >= body.size())
@@ -360,6 +369,8 @@ loadTrace(const std::string &path, Trace &out)
         std::uint64_t count = 0;
         if (!getVarint(body, at, count))
             return false;
+        if (count > (body.size() - at) / kMinRecordBytes)
+            return false;
         std::vector<Op> &stream = trace.streams[p];
         stream.reserve(count);
         for (std::uint64_t i = 0; i < count; ++i) {
@@ -374,7 +385,7 @@ loadTrace(const std::string &path, Trace &out)
             std::uint64_t aux = 0;
             if (!getVarint(body, at, aux) ||
                 !getVarint(body, at, op.addr) ||
-                !getVarint(body, at, op.value))
+                !getVarint(body, at, op.value) || aux > UINT32_MAX)
                 return false;
             op.aux = static_cast<std::uint32_t>(aux);
             if (op.kind == OpKind::Phase &&

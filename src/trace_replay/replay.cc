@@ -2,12 +2,8 @@
 
 #include <algorithm>
 #include <array>
-#include <bit>
 #include <chrono>
 #include <cstdint>
-#include <coroutine>
-#include <cstddef>
-#include <deque>
 #include <exception>
 #include <memory>
 #include <string>
@@ -15,13 +11,11 @@
 #include <utility>
 #include <vector>
 
-#include "check/check.hh"
-#include "logp/logp_net.hh"
-#include "logp/params.hh"
 #include "machines/registry.hh"
-#include "mem/cache.hh"
-#include "net/network.hh"
 #include "runtime/shared.hh"
+#include "runtime/sync.hh"
+#include "sim/event_queue.hh"
+#include "sim/task.hh"
 #include "stats/histogram.hh"
 
 namespace absim::trace {
@@ -30,1644 +24,163 @@ namespace {
 
 using mach::AccessTiming;
 using mach::AccessType;
-using mach::kCacheHitNs;
-using mach::kCtrlBytes;
-using mach::kDataBytes;
-using mach::kLocalMemNs;
-using mem::BlockId;
-using mem::LineState;
 using net::NodeId;
 
-// ------------------------------------------------------------ frames
-//
-// Replay coroutine frames churn at miss rate; a per-thread segregated
-// freelist turns every frame allocation into a pointer pop.  Sizes are
-// rounded to 64-byte granules so a frame returns to the bucket it came
-// from via the sized operator delete.
-
-class FramePool
-{
-  public:
-    static constexpr std::size_t kGranule = 64;
-    static constexpr std::size_t kBuckets = 64; ///< Up to 4 KB pooled.
-    static constexpr std::size_t kMaxFree = 256; ///< Per bucket.
-
-    void *
-    alloc(std::size_t size)
-    {
-        const std::size_t b = bucketOf(size);
-        if (b < kBuckets && !free_[b].empty()) {
-            void *p = free_[b].back();
-            free_[b].pop_back();
-            return p;
-        }
-        return ::operator new(b * kGranule);
-    }
-
-    void
-    release(void *p, std::size_t size)
-    {
-        const std::size_t b = bucketOf(size);
-        if (b < kBuckets && free_[b].size() < kMaxFree) {
-            free_[b].push_back(p);
-            return;
-        }
-        ::operator delete(p);
-    }
-
-    ~FramePool()
-    {
-        for (auto &bucket : free_)
-            for (void *p : bucket)
-                ::operator delete(p);
-    }
-
-  private:
-    static std::size_t
-    bucketOf(std::size_t size)
-    {
-        return (size + kGranule - 1) / kGranule;
-    }
-
-    std::vector<void *> free_[kBuckets];
-};
-
-FramePool &
-framePool()
-{
-    thread_local FramePool pool;
-    return pool;
-}
-
-struct PooledPromise
-{
-    static void *
-    operator new(std::size_t n)
-    {
-        return framePool().alloc(n);
-    }
-
-    static void
-    operator delete(void *p, std::size_t n)
-    {
-        framePool().release(p, n);
-    }
-};
-
-// ------------------------------------------------------------ engine
-//
-// Mirror of sim::EventQueue as the replay needs it: coroutine
-// resumptions dispatched in (tick, seq) order.  Sequence numbers are
-// allocated at schedule time, so same-tick events dispatch in schedule
-// order — exactly the real queue's same-tick FIFO guarantee, which is
-// what makes the mirrored schedule deterministic and equal to
-// execution's.
-//
-// The container is the same single-tick calendar the execution engine
-// uses (sim/event_queue.hh): kBuckets circular one-tick FIFO buckets
-// under a two-level occupancy bitmap for the near-now mass, plus a
-// (when, seq) min-heap overflow tier for far-future events.  A bucket
-// covers exactly one tick, so its FIFO list *is* (tick, seq) order.
-// On top of that the replay engine caches the next pending tick:
-// nextEventTime() gates every fastAccess and maybeYield decision, so
-// it is by far the most-called engine entry point.
-
-class REngine
-{
-  public:
-    REngine()
-        : buckets_(new Bucket[kBuckets]()),
-          words_(new std::uint64_t[kBucketWords]())
-    {
-    }
-
-    ~REngine()
-    {
-        // Nodes live in the arena blocks; nothing to walk.
-    }
-
-    REngine(const REngine &) = delete;
-    REngine &operator=(const REngine &) = delete;
-
-    sim::Tick now() const { return now_; }
-
-    /** Tick of the earliest pending event (cached), kTickMax if none. */
-    sim::Tick nextEventTime() const { return next_; }
-
-    void
-    schedule(std::coroutine_handle<> h, sim::Tick when)
-    {
-        ABSIM_DCHECK(when >= now_, "replay event scheduled in the past");
-        Node *node = acquireNode();
-        node->when = when;
-        node->seq = seq_++;
-        node->h = h;
-        ++size_;
-        if (when >= windowBase_ && when < windowLimit_ && when >= now_)
-            pushBucket(node);
-        else
-            pushOverflow(node);
-        if (when < next_)
-            next_ = when;
-    }
-
-    /** Dispatch until drained (or a captured error stops the run). */
-    void
-    run(const std::exception_ptr &error)
-    {
-        while (size_ != 0 && error == nullptr) {
-            Node *node = popNext();
-            now_ = node->when;
-            ++dispatched_;
-            const std::coroutine_handle<> h = node->h;
-            releaseNode(node);
-            updateNext(); // Resumed code queries nextEventTime().
-            h.resume();
-        }
-    }
-
-    std::uint64_t dispatched() const { return dispatched_; }
-
-  private:
-    /** Calendar width: one-tick buckets spanning a kBuckets-tick
-     *  window.  Power of two so the bucket index is a mask. */
-    static constexpr std::size_t kBuckets = 4096;
-    static constexpr std::size_t kBucketWords = kBuckets / 64;
-    static constexpr std::size_t kNodesPerBlock = 256;
-
-    struct Node
-    {
-        sim::Tick when = 0;
-        std::uint64_t seq = 0;
-        Node *next = nullptr;
-        std::coroutine_handle<> h;
-    };
-
-    /** A one-tick calendar bucket: FIFO list == (tick, seq) order. */
-    struct Bucket
-    {
-        Node *head = nullptr;
-        Node *tail = nullptr;
-    };
-
-    Node *
-    acquireNode()
-    {
-        if (freeList_ == nullptr) {
-            blocks_.push_back(std::make_unique<Node[]>(kNodesPerBlock));
-            Node *block = blocks_.back().get();
-            for (std::size_t i = 0; i < kNodesPerBlock; ++i) {
-                block[i].next = freeList_;
-                freeList_ = &block[i];
-            }
-        }
-        Node *node = freeList_;
-        freeList_ = node->next;
-        return node;
-    }
-
-    void
-    releaseNode(Node *node)
-    {
-        node->next = freeList_;
-        freeList_ = node;
-    }
-
-    void
-    markBucket(std::size_t idx)
-    {
-        const std::size_t word = idx >> 6;
-        words_[word] |= std::uint64_t{1} << (idx & 63);
-        summary_ |= std::uint64_t{1} << word;
-    }
-
-    void
-    clearBucket(std::size_t idx)
-    {
-        const std::size_t word = idx >> 6;
-        words_[word] &= ~(std::uint64_t{1} << (idx & 63));
-        if (words_[word] == 0)
-            summary_ &= ~(std::uint64_t{1} << word);
-    }
-
-    /** First occupied bucket in circular order from @p start. */
-    std::size_t
-    firstBucketFrom(std::size_t start) const
-    {
-        // The window spans exactly kBuckets ticks, so circular bitmap
-        // order from the bucket of the earliest possible tick *is*
-        // tick order (same three-probe scan as the execution queue).
-        const std::size_t start_word = start >> 6;
-        const std::size_t start_bit = start & 63;
-
-        const std::uint64_t head =
-            words_[start_word] & (~std::uint64_t{0} << start_bit);
-        if (head != 0)
-            return (start_word << 6) +
-                   static_cast<std::size_t>(std::countr_zero(head));
-
-        const std::uint64_t later =
-            start_word == 63
-                ? 0
-                : summary_ & (~std::uint64_t{0} << (start_word + 1));
-        if (later != 0) {
-            const auto word =
-                static_cast<std::size_t>(std::countr_zero(later));
-            return (word << 6) + static_cast<std::size_t>(
-                                     std::countr_zero(words_[word]));
-        }
-
-        const std::uint64_t below =
-            summary_ & ((std::uint64_t{1} << start_word) - 1);
-        if (below != 0) {
-            const auto word =
-                static_cast<std::size_t>(std::countr_zero(below));
-            return (word << 6) + static_cast<std::size_t>(
-                                     std::countr_zero(words_[word]));
-        }
-        const std::uint64_t low =
-            words_[start_word] & ((std::uint64_t{1} << start_bit) - 1);
-        if (low != 0)
-            return (start_word << 6) +
-                   static_cast<std::size_t>(std::countr_zero(low));
-        return kBuckets; // Empty calendar.
-    }
-
-    void
-    pushBucket(Node *node)
-    {
-        const std::size_t idx =
-            static_cast<std::size_t>(node->when) & (kBuckets - 1);
-        Bucket &b = buckets_[idx];
-        node->next = nullptr;
-        if (b.tail != nullptr) {
-            b.tail->next = node;
-        } else {
-            b.head = node;
-            markBucket(idx);
-        }
-        b.tail = node;
-        ++calendarCount_;
-    }
-
-    static bool
-    later(const Node *a, const Node *b)
-    {
-        return a->when > b->when ||
-               (a->when == b->when && a->seq > b->seq);
-    }
-
-    void
-    pushOverflow(Node *node)
-    {
-        overflow_.push_back(node);
-        std::push_heap(overflow_.begin(), overflow_.end(), later);
-    }
-
-    Node *
-    popOverflowTop()
-    {
-        Node *top = overflow_.front();
-        std::pop_heap(overflow_.begin(), overflow_.end(), later);
-        overflow_.pop_back();
-        return top;
-    }
-
-    /** Re-base the window onto the earliest overflow event and pull
-     *  the new window's events across (heap pops in (when, seq) order,
-     *  so same-tick events arrive at their bucket in seq order). */
-    void
-    advanceWindow()
-    {
-        const sim::Tick base = overflow_.front()->when;
-        windowBase_ = base;
-        windowLimit_ = base > sim::kTickMax - sim::Tick{kBuckets}
-                           ? sim::kTickMax
-                           : base + sim::Tick{kBuckets};
-        while (!overflow_.empty() &&
-               overflow_.front()->when < windowLimit_)
-            pushBucket(popOverflowTop());
-    }
-
-    Node *
-    calendarFront() const
-    {
-        if (calendarCount_ == 0)
-            return nullptr;
-        const sim::Tick start = now_ > windowBase_ ? now_ : windowBase_;
-        const std::size_t idx = firstBucketFrom(
-            static_cast<std::size_t>(start) & (kBuckets - 1));
-        return buckets_[idx].head;
-    }
-
-    Node *
-    popNext()
-    {
-        if (calendarCount_ == 0 && !overflow_.empty() &&
-            overflow_.front()->when >= now_)
-            advanceWindow();
-
-        Node *cal = calendarFront();
-        Node *ovf = overflow_.empty() ? nullptr : overflow_.front();
-        --size_;
-        if (cal == nullptr ||
-            (ovf != nullptr &&
-             (ovf->when < cal->when ||
-              (ovf->when == cal->when && ovf->seq < cal->seq))))
-            return popOverflowTop();
-
-        const std::size_t idx =
-            static_cast<std::size_t>(cal->when) & (kBuckets - 1);
-        Bucket &b = buckets_[idx];
-        b.head = cal->next;
-        if (b.head == nullptr) {
-            b.tail = nullptr;
-            clearBucket(idx);
-        }
-        --calendarCount_;
-        return cal;
-    }
-
-    /** Refresh the cached next-event tick after a pop. */
-    void
-    updateNext()
-    {
-        if (size_ == 0) {
-            next_ = sim::kTickMax;
-            return;
-        }
-        const Node *cal = calendarFront();
-        const Node *ovf =
-            overflow_.empty() ? nullptr : overflow_.front();
-        if (cal == nullptr)
-            next_ = ovf->when;
-        else if (ovf != nullptr &&
-                 (ovf->when < cal->when ||
-                  (ovf->when == cal->when && ovf->seq < cal->seq)))
-            next_ = ovf->when;
-        else
-            next_ = cal->when;
-    }
-
-    sim::Tick now_ = 0;
-    sim::Tick next_ = sim::kTickMax;
-    std::uint64_t seq_ = 0;
-    std::uint64_t dispatched_ = 0;
-    std::size_t size_ = 0;
-
-    /** Calendar tier: buckets cover [windowBase_, windowLimit_). */
-    std::unique_ptr<Bucket[]> buckets_;
-    std::uint64_t summary_ = 0; ///< Which bitmap words are non-zero.
-    std::unique_ptr<std::uint64_t[]> words_;
-    sim::Tick windowBase_ = 0;
-    sim::Tick windowLimit_ = kBuckets;
-    std::size_t calendarCount_ = 0;
-
-    /** Overflow tier: (when, seq) min-heap of far-future events. */
-    std::vector<Node *> overflow_;
-
-    /** Node pool: arena blocks + freelist threaded through next. */
-    std::vector<std::unique_ptr<Node[]>> blocks_;
-    Node *freeList_ = nullptr;
-};
-
-/** co_await EngineAt{eng, t}: mirror of Process::delayUntil(t) — always
- *  schedules one resume event, even for t == now. */
-struct EngineAt
-{
-    REngine &eng;
-    sim::Tick when;
-
-    bool await_ready() const noexcept { return false; }
-
-    void
-    await_suspend(std::coroutine_handle<> h) const
-    {
-        eng.schedule(h, when);
-    }
-
-    void await_resume() const noexcept {}
-};
-
-// ------------------------------------------------- blocking mirrors
-
-/** Mirror of sim::FifoMutex: FIFO hand-off; a woken waiter owns the
- *  lock directly and its wake is one engine event. */
-struct RFifo
-{
-    bool locked = false;
-    std::deque<std::coroutine_handle<>> waiters;
-
-    void
-    release(REngine &eng)
-    {
-        if (waiters.empty()) {
-            locked = false;
-            return;
-        }
-        const std::coroutine_handle<> next = waiters.front();
-        waiters.pop_front();
-        eng.schedule(next, eng.now()); // Process::wake().
-    }
-};
-
-/** co_await FifoAcquire{...} -> Duration waited. */
-struct FifoAcquire
-{
-    RFifo &fifo;
-    REngine &eng;
-    sim::Tick began = 0;
-
-    bool
-    await_ready() noexcept
-    {
-        if (!fifo.locked && fifo.waiters.empty()) {
-            fifo.locked = true;
-            began = eng.now();
-            return true;
-        }
-        return false;
-    }
-
-    void
-    await_suspend(std::coroutine_handle<> h)
-    {
-        began = eng.now();
-        fifo.waiters.push_back(h);
-    }
-
-    sim::Duration await_resume() const { return eng.now() - began; }
-};
-
-/** Mirror of sim::Latch (single waiter). */
-struct RLatch
-{
-    std::uint32_t count;
-    std::coroutine_handle<> waiter = nullptr;
-
-    void
-    countDown(REngine &eng)
-    {
-        ABSIM_DCHECK(count > 0, "replay latch underflow");
-        if (--count == 0 && waiter != nullptr) {
-            eng.schedule(waiter, eng.now()); // Process::wake().
-            waiter = nullptr;
-        }
-    }
-};
-
-struct LatchAwait
-{
-    RLatch &latch;
-
-    bool await_ready() const noexcept { return latch.count == 0; }
-
-    void
-    await_suspend(std::coroutine_handle<> h) const
-    {
-        latch.waiter = h;
-    }
-
-    void await_resume() const noexcept {}
-};
-
-// --------------------------------------------------------- RTask<T>
-//
-// An eagerly-started awaitable coroutine with pooled frames and
-// symmetric transfer back to the awaiter.  Exceptions propagate to the
-// awaiting coroutine at co_await; the top-level (detached) coroutines
-// catch them into the replay context.
-
-template <typename T>
-struct RTask
-{
-    struct promise_type : PooledPromise
-    {
-        T value{};
-        std::exception_ptr error;
-        std::coroutine_handle<> cont;
-
-        RTask
-        get_return_object()
-        {
-            return RTask{
-                std::coroutine_handle<promise_type>::from_promise(*this)};
-        }
-
-        std::suspend_never initial_suspend() noexcept { return {}; }
-
-        struct FinalAwaiter
-        {
-            bool await_ready() const noexcept { return false; }
-
-            std::coroutine_handle<>
-            await_suspend(std::coroutine_handle<promise_type> h)
-                const noexcept
-            {
-                const auto cont = h.promise().cont;
-                return cont ? cont : std::noop_coroutine();
-            }
-
-            void await_resume() const noexcept {}
-        };
-
-        FinalAwaiter final_suspend() noexcept { return {}; }
-
-        void return_value(T v) { value = std::move(v); }
-
-        void unhandled_exception()
-        {
-            error = std::current_exception();
-        }
-    };
-
-    explicit RTask(std::coroutine_handle<promise_type> h) : h_(h) {}
-    RTask(RTask &&o) noexcept : h_(std::exchange(o.h_, nullptr)) {}
-    RTask(const RTask &) = delete;
-    RTask &operator=(const RTask &) = delete;
-    RTask &operator=(RTask &&) = delete;
-
-    ~RTask()
-    {
-        if (h_)
-            h_.destroy();
-    }
-
-    bool await_ready() const noexcept { return h_.done(); }
-
-    void
-    await_suspend(std::coroutine_handle<> cont) const noexcept
-    {
-        h_.promise().cont = cont;
-    }
-
-    T
-    await_resume() const
-    {
-        if (h_.promise().error)
-            std::rethrow_exception(h_.promise().error);
-        return std::move(h_.promise().value);
-    }
-
-    std::coroutine_handle<promise_type> h_;
-};
-
-template <>
-struct RTask<void>
-{
-    struct promise_type : PooledPromise
-    {
-        std::exception_ptr error;
-        std::coroutine_handle<> cont;
-
-        RTask
-        get_return_object()
-        {
-            return RTask{
-                std::coroutine_handle<promise_type>::from_promise(*this)};
-        }
-
-        std::suspend_never initial_suspend() noexcept { return {}; }
-
-        struct FinalAwaiter
-        {
-            bool await_ready() const noexcept { return false; }
-
-            std::coroutine_handle<>
-            await_suspend(std::coroutine_handle<promise_type> h)
-                const noexcept
-            {
-                const auto cont = h.promise().cont;
-                return cont ? cont : std::noop_coroutine();
-            }
-
-            void await_resume() const noexcept {}
-        };
-
-        FinalAwaiter final_suspend() noexcept { return {}; }
-
-        void return_void() {}
-
-        void unhandled_exception()
-        {
-            error = std::current_exception();
-        }
-    };
-
-    explicit RTask(std::coroutine_handle<promise_type> h) : h_(h) {}
-    RTask(RTask &&o) noexcept : h_(std::exchange(o.h_, nullptr)) {}
-    RTask(const RTask &) = delete;
-    RTask &operator=(const RTask &) = delete;
-    RTask &operator=(RTask &&) = delete;
-
-    ~RTask()
-    {
-        if (h_)
-            h_.destroy();
-    }
-
-    bool await_ready() const noexcept { return h_.done(); }
-
-    void
-    await_suspend(std::coroutine_handle<> cont) const noexcept
-    {
-        h_.promise().cont = cont;
-    }
-
-    void
-    await_resume() const
-    {
-        if (h_.promise().error)
-            std::rethrow_exception(h_.promise().error);
-    }
-
-    std::coroutine_handle<promise_type> h_;
-};
-
-/** Fire-and-forget coroutine (workers, invalidation helpers): the
- *  frame self-destroys when the body returns.  Bodies must catch their
- *  own exceptions (into Ctx::error). */
-struct Detached
-{
-    struct promise_type : PooledPromise
-    {
-        Detached get_return_object() { return {}; }
-        std::suspend_never initial_suspend() noexcept { return {}; }
-        std::suspend_never final_suspend() noexcept { return {}; }
-        void return_void() {}
-        void unhandled_exception() { std::terminate(); }
-    };
-};
-
-// ----------------------------------------------------- replay state
-
-struct NetResult
-{
-    sim::Duration latency = 0;
-    sim::Duration contention = 0;
-    std::uint32_t messages = 0;
-};
-
-/** Mirror of mem::DirectoryEntry (sharers/owner + the per-block home
- *  lock); mirror of IdealCacheMem::OracleEntry when lock is unused. */
-struct REntry
-{
-    std::uint64_t sharers = 0;
-    std::int32_t owner = -1;
-    RFifo lock;
-};
-
-struct RBarrier
+/** A barrier's words and parties, rebuilt from its setup record. */
+struct BarrierInfo
 {
     std::uint32_t parties = 0;
     mem::Addr senseAddr = 0;
     std::array<std::uint64_t, mem::kMaxNodes> localSense{};
 };
 
-/** Mirror of rt::Backoff. */
-struct RBackoff
+/** Which access of the current op the interpreter issues next; the
+ *  sync ops are small state machines over these steps, regenerating
+ *  the spin loops of rt::SpinLock, rt::Barrier and rt::Flag. */
+enum class Step : std::uint8_t
 {
-    std::uint64_t cycles = 4;
-    static constexpr std::uint64_t kCap = 256;
+    Plain,          ///< The op's one access; its value effect follows.
+    LockTest,       ///< TTS: read of the lock word until it looks free.
+    LockSet,        ///< Test&set of the lock word.
+    BarrierArrive,  ///< Fetch&add of the count word.
+    BarrierReset,   ///< Last arriver: count word := 0.
+    BarrierRelease, ///< Last arriver: sense word := my sense.
+    BarrierSpin,    ///< Read of the sense word until it flips.
+    FlagSpin,       ///< Read of the flag word until it holds the value.
 };
 
-/** One replayed processor: the Proc mirror plus its stream cursor. */
-struct RWorker
+/**
+ * One replayed processor: what rt::Proc keeps (local clock, overhead
+ * accounts, phases) plus the interpreter's cursor.  As the machine's
+ * MemClient it synchronizes through the replay's event queue.
+ */
+class Worker final : public mach::MemClient
 {
-    NodeId node = 0;
-    sim::Tick localTime = 0;
-    std::uint64_t lastRmwOld = 0;
-    bool finished = false;
+  public:
+    Worker(sim::EventQueue &eq, NodeId id) : MemClient(id), eq_(eq) {}
 
+    sim::Tick localTime() const override { return local; }
+    sim::Delay syncToEngine() override { return sim::Delay{eq_, local}; }
+
+    /** Proc::computeNs. */
+    void
+    compute(sim::Duration ns)
+    {
+        local += ns;
+        stats.busy += ns;
+    }
+
+    /** The Proc::access postlude: fold one access's timing in. */
+    void
+    charge(const AccessTiming &t)
+    {
+        local = std::max(local, eq_.now()) + t.busy;
+        stats.busy += t.busy;
+        stats.latency += t.latency;
+        stats.contention += t.contention;
+        ++stats.accesses;
+        if (t.networked) {
+            ++stats.networkAccesses;
+            hist.record(t.latency + t.contention);
+        }
+    }
+
+    void
+    flushPhase()
+    {
+        stats::flushPhase(stats, phaseSnapshot_, currentPhase, phases);
+    }
+
+    /** Make @p addr / @p type the next access, in step @p s. */
+    void
+    next(Step s, mem::Addr addr, AccessType type)
+    {
+        step = s;
+        this->addr = addr;
+        this->type = type;
+    }
+
+    sim::Tick local = 0;
     stats::ProcStats stats;
-    stats::ProcStats phaseSnapshot;
     stats::Histogram hist;
     std::string currentPhase = "main";
     std::vector<stats::PhaseStats> phases;
 
-    /** Mirror of Proc::flushPhase(). */
-    void
-    flushPhase()
-    {
-        stats::PhaseStats delta;
-        delta.name = currentPhase;
-        delta.busy = stats.busy - phaseSnapshot.busy;
-        delta.latency = stats.latency - phaseSnapshot.latency;
-        delta.contention = stats.contention - phaseSnapshot.contention;
-        delta.wait = stats.wait - phaseSnapshot.wait;
-        phaseSnapshot = stats;
-        for (stats::PhaseStats &phase : phases) {
-            if (phase.name == delta.name) {
-                phase.busy += delta.busy;
-                phase.latency += delta.latency;
-                phase.contention += delta.contention;
-                phase.wait += delta.wait;
-                return;
-            }
-        }
-        phases.push_back(std::move(delta));
-    }
+    // Interpreter cursor.
+    std::uint64_t lastRmwOld = 0;
+    Step step = Step::Plain;
+    mem::Addr addr = 0;
+    AccessType type = AccessType::Read;
+    rt::Backoff backoff;
+    std::uint64_t mySense = 0;
+    const BarrierInfo *barrier = nullptr;
 
-    /** Mirror of Proc::computeNs / Backoff::pause. */
-    void
-    compute(sim::Duration ns)
-    {
-        localTime += ns;
-        stats.busy += ns;
-    }
-
-    void
-    pause(RBackoff &b)
-    {
-        compute(sim::cycles(b.cycles));
-        b.cycles = std::min(b.cycles * 2, RBackoff::kCap);
-    }
+  private:
+    sim::EventQueue &eq_;
+    stats::ProcStats phaseSnapshot_;
 };
 
-enum class NetKind : std::uint8_t
+std::uint64_t
+maskTo(std::uint64_t v, std::uint32_t bytes)
 {
-    LogP,
-    Detailed,
-};
+    return bytes >= 8 ? v : v & ((std::uint64_t{1} << (8 * bytes)) - 1);
+}
 
-enum class MemKind : std::uint8_t
+/** The trace interpreter: per-processor op streams driven through a
+ *  registry machine on one event queue. */
+class Replayer
 {
-    Directory,
-    Ideal,
-    Uncached,
-};
-
-struct Ctx
-{
-    const Trace &trace;
-    const ReplaySpec &spec;
-    REngine eng;
-    std::exception_ptr error;
-
-    NetKind netKind;
-    MemKind memKind;
-    std::uint32_t nodes;
-
-    rt::SharedHeap heap;
-    std::unordered_map<mem::Addr, std::uint64_t> store;
-    std::unordered_map<mem::Addr, RBarrier> barriers;
-
-    // Machine state (which members are live depends on the kinds).
-    mach::MachineStats ms;
-    std::vector<mem::SetAssocCache> caches;
-    std::unordered_map<BlockId, REntry> dir; ///< Directory OR oracle.
-    std::unique_ptr<logp::LogPNetwork> logp;
-    std::unique_ptr<net::Topology> topo;
-    std::vector<RFifo> links;
-    std::vector<net::LinkId> routeScratch; ///< Reused by routePath().
-
-    std::vector<RWorker> workers;
-    std::uint32_t unfinished = 0;
-
-    explicit Ctx(const Trace &t, const ReplaySpec &s)
-        : trace(t), spec(s), heap(t.procs)
+  public:
+    Replayer(const Trace &trace, const ReplaySpec &spec)
+        : trace_(trace), heap_(trace.procs),
+          machine_(mach::makeMachine(spec.machine, eq_, spec.topology,
+                                     trace.procs, heap_, spec.gapPolicy,
+                                     spec.cache, spec.protocol))
     {
+        // Pre-size the value store: rehashing mid-replay is pure
+        // overhead execution never pays (it uses real memory), and the
+        // op count bounds how many keys can appear.
+        std::size_t total_ops = trace.setup.size();
+        for (const auto &stream : trace.streams)
+            total_ops += stream.size();
+        store_.reserve(std::min<std::size_t>(total_ops, 1u << 20));
+        rebuildSetup();
     }
 
+    stats::Profile run(const sim::RunBudget *budget);
+
+  private:
     std::uint64_t
     load(mem::Addr a) const
     {
-        const auto it = store.find(a);
-        return it == store.end() ? 0 : it->second;
+        const auto it = store_.find(a);
+        return it == store_.end() ? 0 : it->second;
     }
 
-    // ----- network mirrors ------------------------------------------
-    //
-    // The detailed-network legs are written out inline at each call
-    // site (hop / roundTrip / fanOutHelper) instead of delegating to a
-    // transfer() coroutine: the transfer chain used to cost three
-    // pooled frames per message, and messages dominate the replay's
-    // frame churn.  The suspension sequence — one FifoAcquire per
-    // route link, one EngineAt for the wire latency, releases on the
-    // way out — is untouched, so the event schedule (and therefore
-    // bit-identity with execution) is unchanged.
+    void rebuildSetup();
+    sim::Task<> interpret(Worker &w, const std::vector<Op> &ops);
+    bool begin(Worker &w, const Op &op);
+    bool advance(Worker &w, const Op &op);
+    void spinFailed(Worker &w);
 
-    /** Longest minimal route any topology produces: an 8x8 mesh's
-     *  opposite corners (14 links).  Rounded up to a power of two. */
-    static constexpr std::size_t kMaxPath = 16;
-
-    /**
-     * Route @p src -> @p dst into the caller's inline link array.
-     * The shared scratch vector keeps route()'s vector interface
-     * without a heap allocation per message; the copy into the
-     * caller's frame happens before any suspension, so interleaved
-     * transfers cannot clobber it.
-     */
-    std::size_t
-    routePath(NodeId src, NodeId dst,
-              std::array<net::LinkId, kMaxPath> &path)
-    {
-        routeScratch.clear();
-        topo->route(src, dst, routeScratch);
-        ABSIM_CHECK(routeScratch.size() <= kMaxPath,
-                    "replay route " << src << "->" << dst
-                                    << " exceeds " << kMaxPath
-                                    << " links");
-        std::copy(routeScratch.begin(), routeScratch.end(),
-                  path.begin());
-        return routeScratch.size();
-    }
-
-    /** Mirror of NetModel::roundTrip (one coroutine frame: both
-     *  detailed legs run inline). */
-    RTask<NetResult>
-    roundTrip(NodeId src, NodeId dst, std::uint32_t reply_bytes)
-    {
-        if (netKind == NetKind::LogP) {
-            const logp::LogPTiming rt =
-                logp->roundTrip(src, dst, eng.now());
-            co_await EngineAt{eng, rt.deliveredAt};
-            co_return NetResult{rt.latency, rt.contention, rt.messages};
-        }
-        NetResult r;
-        r.messages = 2;
-        std::array<net::LinkId, kMaxPath> path;
-        // Request leg (control payload), then the reply leg.
-        std::size_t n = routePath(src, dst, path);
-        for (std::size_t i = 0; i < n; ++i)
-            r.contention += co_await FifoAcquire{links[path[i]], eng};
-        sim::Duration leg =
-            net::DetailedNetwork::transmissionTime(kCtrlBytes);
-        r.latency += leg;
-        co_await EngineAt{eng, eng.now() + leg};
-        for (std::size_t i = n; i-- > 0;)
-            links[path[i]].release(eng);
-
-        n = routePath(dst, src, path);
-        for (std::size_t i = 0; i < n; ++i)
-            r.contention += co_await FifoAcquire{links[path[i]], eng};
-        leg = net::DetailedNetwork::transmissionTime(reply_bytes);
-        r.latency += leg;
-        co_await EngineAt{eng, eng.now() + leg};
-        for (std::size_t i = n; i-- > 0;)
-            links[path[i]].release(eng);
-        co_return r;
-    }
-
-    struct HelperResult
-    {
-        sim::Duration latency = 0;
-        sim::Tick doneAt = 0;
-    };
-
-    /** Mirror of one DetailedNetModel fan-out helper process: starts
-     *  with the spawnDetached start(began) event, then the inv/ack
-     *  transfers.  @p results / @p latch live in fanOut's suspended
-     *  frame, which outlives every helper (it resumes only after the
-     *  last countDown's wake event). */
-    Detached
-    fanOutHelper(NodeId center, NodeId tgt, HelperResult *result,
-                 RLatch *latch, sim::Tick began)
-    {
-        try {
-            co_await EngineAt{eng, began};
-            sim::Duration latency = 0;
-            std::array<net::LinkId, kMaxPath> path;
-            // Invalidate leg out, ack leg back (both control-sized).
-            std::size_t n = routePath(center, tgt, path);
-            for (std::size_t i = 0; i < n; ++i)
-                (void)co_await FifoAcquire{links[path[i]], eng};
-            sim::Duration leg =
-                net::DetailedNetwork::transmissionTime(kCtrlBytes);
-            latency += leg;
-            co_await EngineAt{eng, eng.now() + leg};
-            for (std::size_t i = n; i-- > 0;)
-                links[path[i]].release(eng);
-
-            n = routePath(tgt, center, path);
-            for (std::size_t i = 0; i < n; ++i)
-                (void)co_await FifoAcquire{links[path[i]], eng};
-            leg = net::DetailedNetwork::transmissionTime(kCtrlBytes);
-            latency += leg;
-            co_await EngineAt{eng, eng.now() + leg};
-            for (std::size_t i = n; i-- > 0;)
-                links[path[i]].release(eng);
-
-            result->latency = latency;
-            result->doneAt = eng.now();
-            latch->countDown(eng);
-        } catch (...) {
-            if (!error)
-                error = std::current_exception();
-        }
-    }
-
-    /** Mirror of NetModel::fanOutRoundTrips. */
-    RTask<NetResult>
-    fanOut(NodeId center, const std::vector<NodeId> &targets)
-    {
-        NetResult t;
-        const sim::Tick began = eng.now();
-        if (netKind == NetKind::LogP) {
-            // All round trips start now; the center's g-gates serialize
-            // the sends.  Last maximal delivery carries the critical
-            // latency (>=, like the execution model).
-            sim::Tick latest = began;
-            sim::Duration critical = 0;
-            for (const NodeId tgt : targets) {
-                const logp::LogPTiming rt =
-                    logp->roundTrip(center, tgt, began);
-                t.messages += rt.messages;
-                if (rt.deliveredAt >= latest) {
-                    latest = rt.deliveredAt;
-                    critical = rt.latency;
-                }
-            }
-            co_await EngineAt{eng, latest};
-            t.latency = critical;
-            t.contention = (latest - began) - critical;
-            co_return t;
-        }
-        std::vector<HelperResult> results(targets.size());
-        RLatch latch{static_cast<std::uint32_t>(targets.size())};
-        for (std::size_t i = 0; i < targets.size(); ++i) {
-            t.messages += 2;
-            fanOutHelper(center, targets[i], &results[i], &latch, began);
-        }
-        co_await LatchAwait{latch};
-        const sim::Tick elapsed = eng.now() - began;
-        sim::Duration critical = 0;
-        sim::Tick latest = 0;
-        for (const HelperResult &r : results) {
-            if (r.doneAt >= latest) {
-                latest = r.doneAt;
-                critical = r.latency;
-            }
-        }
-        t.latency = critical;
-        t.contention = elapsed - critical;
-        co_return t;
-    }
-
-    // ----- directory memory mirror ----------------------------------
-
-    /** Mirror of DirectoryMem::hop (one coroutine frame: the network
-     *  leg runs inline instead of chaining transfer coroutines). */
-    RTask<void>
-    hop(NodeId src, NodeId dst, std::uint32_t bytes, AccessTiming &t)
-    {
-        if (src == dst) {
-            if (bytes == kDataBytes)
-                t.busy += kLocalMemNs;
-            co_return;
-        }
-        if (netKind == NetKind::LogP) {
-            // LogP messages cost L regardless of payload.
-            const logp::LogPTiming m = logp->message(src, dst, eng.now());
-            co_await EngineAt{eng, m.deliveredAt};
-            t.latency += m.latency;
-            t.contention += m.contention;
-            ms.messages += m.messages;
-            co_return;
-        }
-        std::array<net::LinkId, kMaxPath> path;
-        const std::size_t n = routePath(src, dst, path);
-        sim::Duration contention = 0;
-        for (std::size_t i = 0; i < n; ++i)
-            contention += co_await FifoAcquire{links[path[i]], eng};
-        const sim::Duration latency =
-            net::DetailedNetwork::transmissionTime(bytes);
-        co_await EngineAt{eng, eng.now() + latency};
-        for (std::size_t i = n; i-- > 0;)
-            links[path[i]].release(eng);
-        t.latency += latency;
-        t.contention += contention;
-        ++ms.messages;
-    }
-
-    /** Mirror of DirectoryMem::writeback. */
-    RTask<void>
-    writeback(NodeId node, BlockId victim, AccessTiming &t)
-    {
-        REntry &entry = dir[victim];
-        t.contention += co_await FifoAcquire{entry.lock, eng};
-        if (!mem::isOwned(caches[node].stateOf(victim))) {
-            entry.lock.release(eng);
-            co_return;
-        }
-        ++ms.writebacks;
-        const NodeId home = heap.homeOf(mem::blockBase(victim));
-        co_await hop(node, home, kDataBytes, t);
-        if (entry.owner == static_cast<std::int32_t>(node))
-            entry.owner = -1;
-        entry.sharers &= ~(std::uint64_t{1} << node);
-        caches[node].setState(victim, LineState::Invalid);
-        entry.lock.release(eng);
-    }
-
-    /** Mirror of DirectoryMem::readMiss. */
-    RTask<void>
-    readMiss(NodeId node, BlockId blk, AccessTiming &t)
-    {
-        ++ms.readMisses;
-        const NodeId home = heap.homeOf(mem::blockBase(blk));
-        REntry &entry = dir[blk];
-        t.contention += co_await FifoAcquire{entry.lock, eng};
-
-        co_await hop(node, home, kCtrlBytes, t);
-
-        if (entry.owner != -1) {
-            const auto owner = static_cast<NodeId>(entry.owner);
-            if (spec.protocol == mach::ProtocolKind::Berkeley) {
-                co_await hop(home, owner, kCtrlBytes, t);
-                co_await hop(owner, node, kDataBytes, t);
-                caches[owner].setState(blk, LineState::SharedDirty);
-            } else {
-                co_await hop(home, owner, kCtrlBytes, t);
-                co_await hop(owner, home, kDataBytes, t);
-                co_await hop(home, node, kDataBytes, t);
-                caches[owner].setState(blk, LineState::Valid);
-                entry.owner = -1;
-            }
-        } else {
-            co_await hop(home, node, kDataBytes, t);
-        }
-
-        entry.sharers |= std::uint64_t{1} << node;
-        caches[node].install(blk, LineState::Valid);
-        entry.lock.release(eng);
-    }
-
-    /** Mirror of DirectoryMem::writeMiss + invalidateSharers. */
-    RTask<void>
-    writeMiss(NodeId node, BlockId blk, bool have_line, AccessTiming &t)
-    {
-        const NodeId home = heap.homeOf(mem::blockBase(blk));
-        REntry &entry = dir[blk];
-        t.contention += co_await FifoAcquire{entry.lock, eng};
-
-        // The upgrade may have been invalidated while waiting for the
-        // lock; the transaction degenerates into a plain write miss.
-        if (have_line &&
-            caches[node].stateOf(blk) == LineState::Invalid)
-            have_line = false;
-
-        if (have_line)
-            ++ms.upgrades;
-        else
-            ++ms.writeMisses;
-
-        co_await hop(node, home, kCtrlBytes, t);
-
-        if (!have_line) {
-            if (entry.owner != -1 &&
-                entry.owner != static_cast<std::int32_t>(node)) {
-                const auto owner = static_cast<NodeId>(entry.owner);
-                if (spec.protocol == mach::ProtocolKind::Berkeley) {
-                    co_await hop(home, owner, kCtrlBytes, t);
-                    co_await hop(owner, node, kDataBytes, t);
-                } else {
-                    co_await hop(home, owner, kCtrlBytes, t);
-                    co_await hop(owner, home, kDataBytes, t);
-                    co_await hop(home, node, kDataBytes, t);
-                }
-                caches[owner].invalidate(blk);
-                entry.sharers &= ~(std::uint64_t{1} << owner);
-                entry.owner = -1;
-            } else {
-                co_await hop(home, node, kDataBytes, t);
-            }
-        }
-
-        // invalidateSharers: flips first (the home lock is the
-        // serialization point), traffic after.
-        std::vector<NodeId> remote_targets;
-        for (NodeId s = 0; s < nodes; ++s) {
-            if (s == node || ((entry.sharers >> s) & 1u) == 0)
-                continue;
-            caches[s].invalidate(blk);
-            ++ms.invalidations;
-            if (s != home)
-                remote_targets.push_back(s);
-        }
-        entry.sharers = 0;
-        if (!remote_targets.empty()) {
-            const NetResult r = co_await fanOut(home, remote_targets);
-            ms.messages += r.messages;
-            t.latency += r.latency;
-            t.contention += r.contention;
-        }
-
-        co_await hop(home, node, kCtrlBytes, t);
-
-        entry.sharers = std::uint64_t{1} << node;
-        entry.owner = static_cast<std::int32_t>(node);
-        if (have_line)
-            caches[node].setState(blk, LineState::Dirty);
-        else
-            caches[node].install(blk, LineState::Dirty);
-        entry.lock.release(eng);
-    }
-
-    // ----- ideal memory mirror (all pure: no co_awaits needed) ------
-
-    /** Mirror of IdealCacheMem::makeRoom (free-teleport writeback). */
-    void
-    idealMakeRoom(NodeId node, BlockId blk)
-    {
-        BlockId victim;
-        LineState vstate;
-        if (!caches[node].victimFor(blk, victim, vstate))
-            return;
-        REntry &entry = dir[victim];
-        entry.sharers &= ~(std::uint64_t{1} << node);
-        if (entry.owner == static_cast<std::int32_t>(node))
-            entry.owner = -1;
-        caches[node].setState(victim, LineState::Invalid);
-    }
-
-    /** Mirror of IdealCacheMem::invalidateOthers. */
-    void
-    idealInvalidateOthers(NodeId node, BlockId blk, REntry &entry)
-    {
-        const std::uint64_t others =
-            entry.sharers & ~(std::uint64_t{1} << node);
-        if (others != 0) {
-            for (NodeId s = 0; s < nodes; ++s) {
-                if ((others >> s) & 1u) {
-                    caches[s].invalidate(blk);
-                    ++ms.invalidations;
-                }
-            }
-        }
-        entry.sharers = std::uint64_t{1} << node;
-        entry.owner = static_cast<std::int32_t>(node);
-    }
-
-    // ----- the access path ------------------------------------------
-
-    /**
-     * Non-blocking fast path, mirroring exactly the machine paths that
-     * return without touching the engine (cache hits, free ideal
-     * upgrades, uncached local references) — no coroutine frame.
-     * @return false when the access needs the slow path (including any
-     *         access issued while the local clock has passed the next
-     *         engine event: that is maybeYield territory).
-     */
-    bool
-    fastAccess(RWorker &w, mem::Addr addr, AccessType type)
-    {
-        if (w.localTime >= eng.nextEventTime())
-            return false; // maybeYield first.
-        return hitAccess(w, addr, type);
-    }
-
-    /**
-     * Every machine path that completes without touching the engine
-     * (cache hits, free ideal upgrades, uncached local references),
-     * run in the caller's frame.  Mutates nothing when it declines, so
-     * missAccess can re-read the same state.  Callers run it either
-     * before any yield (via fastAccess) or immediately after the
-     * maybeYield suspension — the same two points execution evaluates
-     * its hit checks.
-     */
-    bool
-    hitAccess(RWorker &w, mem::Addr addr, AccessType type)
-    {
-        AccessTiming t;
-        switch (memKind) {
-          case MemKind::Uncached: {
-            const NodeId home = heap.homeOf(addr);
-            if (home != w.node)
-                return false;
-            ++ms.accesses;
-            ++ms.localMem;
-            t.busy = kLocalMemNs;
-            break;
-          }
-          case MemKind::Directory: {
-            const BlockId blk = mem::blockOf(addr);
-            const LineState state = caches[w.node].stateOf(blk);
-            const bool is_read = (type == AccessType::Read);
-            if (is_read ? state == LineState::Invalid
-                        : state != LineState::Dirty)
-                return false;
-            ++ms.accesses;
-            caches[w.node].touch(blk);
-            ++ms.cacheHits;
-            t.busy = kCacheHitNs;
-            break;
-          }
-          case MemKind::Ideal: {
-            const BlockId blk = mem::blockOf(addr);
-            const LineState state = caches[w.node].stateOf(blk);
-            const bool is_read = (type == AccessType::Read);
-            if (is_read ? state != LineState::Invalid
-                        : state == LineState::Dirty) {
-                ++ms.accesses;
-                caches[w.node].touch(blk);
-                ++ms.cacheHits;
-                t.busy = kCacheHitNs;
-                break;
-            }
-            if (!is_read && state != LineState::Invalid) {
-                // Free upgrade: state flips only.
-                ++ms.accesses;
-                ++ms.upgrades;
-                idealInvalidateOthers(w.node, blk, dir[blk]);
-                caches[w.node].setState(blk, LineState::Dirty);
-                caches[w.node].touch(blk);
-                t.busy = kCacheHitNs;
-                break;
-            }
-            return false;
-          }
-        }
-        finishAccess(w, t);
-        return true;
-    }
-
-    /** Mirror of the Proc::access postlude + ComposedMachine::access. */
-    void
-    finishAccess(RWorker &w, const AccessTiming &t)
-    {
-        ms.memTime += t.busy;
-        w.localTime = std::max(w.localTime, eng.now()) + t.busy;
-        w.stats.busy += t.busy;
-        w.stats.latency += t.latency;
-        w.stats.contention += t.contention;
-        ++w.stats.accesses;
-        if (t.networked) {
-            ++w.stats.networkAccesses;
-            w.hist.record(t.latency + t.contention);
-        }
-    }
-
-    /**
-     * The genuine-miss half of the access path.  Callers have already
-     * run maybeYield (in the worker frame) and re-run the hit checks
-     * via hitAccess — the re-check matters because while yielded,
-     * other processors' events may have changed this node's cache
-     * state, exactly as in execution (where the hit check also runs
-     * after maybeYield).  Only misses pay for a coroutine frame.
-     */
-    RTask<void>
-    missAccess(RWorker &w, mem::Addr addr, AccessType type)
-    {
-        AccessTiming t;
-        switch (memKind) {
-          case MemKind::Uncached: {
-            // hitAccess() handled the home == w.node case.
-            ++ms.accesses;
-            const NodeId home = heap.homeOf(addr);
-            co_await EngineAt{eng, w.localTime}; // syncToEngine.
-            t.networked = true;
-            ++ms.networkAccesses;
-            NetResult rt;
-            if (netKind == NetKind::LogP) {
-                // Inline LogP round trip: no coroutine frame for the
-                // by-far-commonest uncached miss.
-                const logp::LogPTiming lt =
-                    logp->roundTrip(w.node, home, eng.now());
-                co_await EngineAt{eng, lt.deliveredAt};
-                rt = NetResult{lt.latency, lt.contention, lt.messages};
-            } else {
-                rt = co_await roundTrip(w.node, home, kDataBytes);
-            }
-            ms.messages += rt.messages;
-            t.latency = rt.latency;
-            t.contention = rt.contention;
-            break;
-          }
-          case MemKind::Directory: {
-            ++ms.accesses;
-            const NodeId node = w.node;
-            const BlockId blk = mem::blockOf(addr);
-            const LineState state = caches[node].stateOf(blk);
-            const bool is_read = (type == AccessType::Read);
-            co_await EngineAt{eng, w.localTime}; // syncToEngine.
-            const std::uint64_t messages_before = ms.messages;
-            if (state == LineState::Invalid) {
-                // Mirror of DirectoryMem::makeRoom, inline.
-                BlockId victim;
-                LineState vstate;
-                if (caches[node].victimFor(blk, victim, vstate) &&
-                    mem::isOwned(vstate))
-                    co_await writeback(node, victim, t);
-            }
-            if (is_read)
-                co_await readMiss(node, blk, t);
-            else
-                co_await writeMiss(node, blk,
-                                   state != LineState::Invalid, t);
-            if (ms.messages != messages_before) {
-                t.networked = true;
-                ++ms.networkAccesses;
-            } else {
-                ++ms.localMem;
-            }
-            t.busy += kCacheHitNs;
-            break;
-          }
-          case MemKind::Ideal: {
-            // hitAccess() handled hits and free upgrades.
-            ++ms.accesses;
-            const NodeId node = w.node;
-            const BlockId blk = mem::blockOf(addr);
-            const bool is_read = (type == AccessType::Read);
-            if (is_read)
-                ++ms.readMisses;
-            else
-                ++ms.writeMisses;
-            idealMakeRoom(node, blk);
-
-            REntry &entry = dir[blk];
-            const NodeId home = heap.homeOf(addr);
-            NodeId source = home;
-            if (entry.owner >= 0 &&
-                entry.owner != static_cast<std::int32_t>(node))
-                source = static_cast<NodeId>(entry.owner);
-
-            if (source != node) {
-                co_await EngineAt{eng, w.localTime}; // syncToEngine.
-                t.networked = true;
-                ++ms.networkAccesses;
-                NetResult rt;
-                if (netKind == NetKind::LogP) {
-                    const logp::LogPTiming lt =
-                        logp->roundTrip(node, source, eng.now());
-                    co_await EngineAt{eng, lt.deliveredAt};
-                    rt = NetResult{lt.latency, lt.contention,
-                                   lt.messages};
-                } else {
-                    rt = co_await roundTrip(node, source, kDataBytes);
-                }
-                ms.messages += rt.messages;
-                t.latency = rt.latency;
-                t.contention = rt.contention;
-            } else {
-                ++ms.localMem;
-                t.busy += kLocalMemNs;
-            }
-
-            if (is_read) {
-                if (entry.owner >= 0 &&
-                    entry.owner != static_cast<std::int32_t>(node))
-                    caches[static_cast<NodeId>(entry.owner)].setState(
-                        blk, LineState::SharedDirty);
-                entry.sharers |= std::uint64_t{1} << node;
-                caches[node].install(blk, LineState::Valid);
-            } else {
-                idealInvalidateOthers(node, blk, entry);
-                caches[node].install(blk, LineState::Dirty);
-            }
-            t.busy += kCacheHitNs;
-            break;
-          }
-        }
-        finishAccess(w, t);
-    }
-
-    // ----- the worker ------------------------------------------------
-
-    /** One processor's stream interpreter; mirrors the worker fiber. */
-    Detached
-    worker(RWorker &w, const std::vector<Op> &ops)
-    {
-        try {
-            // Process::start(0): the spawn event.
-            co_await EngineAt{eng, 0};
-
-            const std::uint32_t width = 8; // Sync/RMW words (uint64).
-            for (const Op &op : ops) {
-                switch (op.kind) {
-                  case OpKind::Compute:
-                    w.compute(op.value);
-                    break;
-
-                  case OpKind::Phase:
-                    w.flushPhase();
-                    w.currentPhase = trace.phaseNames[op.aux];
-                    break;
-
-                  // Every shared access runs the same three-step
-                  // mirror of Proc::access *in this frame*: fast path,
-                  // maybeYield, post-yield hit re-check.  Only genuine
-                  // misses allocate a coroutine (missAccess); hits —
-                  // the overwhelming majority — never leave the worker.
-                  case OpKind::Read:
-                    if (!fastAccess(w, op.addr, AccessType::Read)) {
-                        if (w.localTime >= eng.nextEventTime())
-                            co_await EngineAt{eng, w.localTime};
-                        if (!hitAccess(w, op.addr, AccessType::Read))
-                            co_await missAccess(w, op.addr,
-                                                AccessType::Read);
-                    }
-                    break;
-
-                  case OpKind::Write:
-                    if (!fastAccess(w, op.addr, AccessType::Write)) {
-                        if (w.localTime >= eng.nextEventTime())
-                            co_await EngineAt{eng, w.localTime};
-                        if (!hitAccess(w, op.addr, AccessType::Write))
-                            co_await missAccess(w, op.addr,
-                                                AccessType::Write);
-                    }
-                    store[op.addr] = op.value;
-                    break;
-
-                  case OpKind::DepWrite: {
-                    // Slot re-derived from the *replayed* RMW result.
-                    const mem::Addr a =
-                        op.addr + w.lastRmwOld * op.bytes;
-                    if (!fastAccess(w, a, AccessType::Write)) {
-                        if (w.localTime >= eng.nextEventTime())
-                            co_await EngineAt{eng, w.localTime};
-                        if (!hitAccess(w, a, AccessType::Write))
-                            co_await missAccess(w, a,
-                                                AccessType::Write);
-                    }
-                    store[a] = op.value;
-                    break;
-                  }
-
-                  case OpKind::RmwFetchAdd: {
-                    if (!fastAccess(w, op.addr, AccessType::Rmw)) {
-                        if (w.localTime >= eng.nextEventTime())
-                            co_await EngineAt{eng, w.localTime};
-                        if (!hitAccess(w, op.addr, AccessType::Rmw))
-                            co_await missAccess(w, op.addr,
-                                                AccessType::Rmw);
-                    }
-                    const std::uint64_t old = load(op.addr);
-                    store[op.addr] = maskTo(old + op.value, op.bytes);
-                    w.lastRmwOld = old;
-                    break;
-                  }
-
-                  case OpKind::RmwTestAndSet: {
-                    if (!fastAccess(w, op.addr, AccessType::Rmw)) {
-                        if (w.localTime >= eng.nextEventTime())
-                            co_await EngineAt{eng, w.localTime};
-                        if (!hitAccess(w, op.addr, AccessType::Rmw))
-                            co_await missAccess(w, op.addr,
-                                                AccessType::Rmw);
-                    }
-                    const std::uint64_t old = load(op.addr);
-                    store[op.addr] = 1;
-                    w.lastRmwOld = old;
-                    break;
-                  }
-
-                  case OpKind::SyncLockTS:
-                  case OpKind::SyncLockTTS: {
-                    // Mirror of SpinLock::lock (TTS test loop, then
-                    // test&set, bounded exponential backoff).
-                    RBackoff backoff;
-                    for (;;) {
-                        if (op.kind == OpKind::SyncLockTTS) {
-                            for (;;) {
-                                if (!fastAccess(w, op.addr,
-                                                AccessType::Read)) {
-                                    if (w.localTime >=
-                                        eng.nextEventTime())
-                                        co_await EngineAt{
-                                            eng, w.localTime};
-                                    if (!hitAccess(w, op.addr,
-                                                   AccessType::Read))
-                                        co_await missAccess(
-                                            w, op.addr,
-                                            AccessType::Read);
-                                }
-                                if (load(op.addr) == 0)
-                                    break;
-                                w.pause(backoff);
-                            }
-                        }
-                        if (!fastAccess(w, op.addr, AccessType::Rmw)) {
-                            if (w.localTime >= eng.nextEventTime())
-                                co_await EngineAt{eng, w.localTime};
-                            if (!hitAccess(w, op.addr,
-                                           AccessType::Rmw))
-                                co_await missAccess(w, op.addr,
-                                                    AccessType::Rmw);
-                        }
-                        const std::uint64_t old = load(op.addr);
-                        store[op.addr] = 1;
-                        if (old == 0)
-                            break;
-                        w.pause(backoff);
-                    }
-                    break;
-                  }
-
-                  case OpKind::SyncBarrier: {
-                    // Mirror of Barrier::arrive (sense reversal).
-                    auto it = barriers.find(op.addr);
-                    if (it == barriers.end())
-                        throw ReplayError(
-                            "trace: barrier arrival without a barrier "
-                            "setup record");
-                    RBarrier &b = it->second;
-                    const std::uint64_t my_sense =
-                        1 - b.localSense[w.node];
-                    b.localSense[w.node] = my_sense;
-
-                    if (!fastAccess(w, op.addr, AccessType::Rmw)) {
-                        if (w.localTime >= eng.nextEventTime())
-                            co_await EngineAt{eng, w.localTime};
-                        if (!hitAccess(w, op.addr, AccessType::Rmw))
-                            co_await missAccess(w, op.addr,
-                                                AccessType::Rmw);
-                    }
-                    const std::uint64_t arrived = load(op.addr);
-                    store[op.addr] = maskTo(arrived + 1, width);
-
-                    if (arrived == b.parties - 1) {
-                        if (!fastAccess(w, op.addr,
-                                        AccessType::Write)) {
-                            if (w.localTime >= eng.nextEventTime())
-                                co_await EngineAt{eng, w.localTime};
-                            if (!hitAccess(w, op.addr,
-                                           AccessType::Write))
-                                co_await missAccess(w, op.addr,
-                                                    AccessType::Write);
-                        }
-                        store[op.addr] = 0;
-                        if (!fastAccess(w, b.senseAddr,
-                                        AccessType::Write)) {
-                            if (w.localTime >= eng.nextEventTime())
-                                co_await EngineAt{eng, w.localTime};
-                            if (!hitAccess(w, b.senseAddr,
-                                           AccessType::Write))
-                                co_await missAccess(w, b.senseAddr,
-                                                    AccessType::Write);
-                        }
-                        store[b.senseAddr] = my_sense;
-                        break;
-                    }
-                    RBackoff backoff;
-                    for (;;) {
-                        if (!fastAccess(w, b.senseAddr,
-                                        AccessType::Read)) {
-                            if (w.localTime >= eng.nextEventTime())
-                                co_await EngineAt{eng, w.localTime};
-                            if (!hitAccess(w, b.senseAddr,
-                                           AccessType::Read))
-                                co_await missAccess(w, b.senseAddr,
-                                                    AccessType::Read);
-                        }
-                        if (load(b.senseAddr) == my_sense)
-                            break;
-                        w.pause(backoff);
-                    }
-                    break;
-                  }
-
-                  case OpKind::SyncFlagWait: {
-                    // Mirror of Flag::waitFor.
-                    RBackoff backoff;
-                    for (;;) {
-                        if (!fastAccess(w, op.addr,
-                                        AccessType::Read)) {
-                            if (w.localTime >= eng.nextEventTime())
-                                co_await EngineAt{eng, w.localTime};
-                            if (!hitAccess(w, op.addr,
-                                           AccessType::Read))
-                                co_await missAccess(w, op.addr,
-                                                    AccessType::Read);
-                        }
-                        if (load(op.addr) == op.value)
-                            break;
-                        w.pause(backoff);
-                    }
-                    break;
-                  }
-                }
-            }
-
-            // Proc::recordFinish.
-            w.stats.finishTime = w.localTime;
-            w.flushPhase();
-            w.finished = true;
-            --unfinished;
-        } catch (...) {
-            if (!error)
-                error = std::current_exception();
-        }
-    }
-
-    static std::uint64_t
-    maskTo(std::uint64_t v, std::uint32_t bytes)
-    {
-        return bytes >= 8
-                   ? v
-                   : v & ((std::uint64_t{1} << (8 * bytes)) - 1);
-    }
+    const Trace &trace_;
+    sim::EventQueue eq_;
+    rt::SharedHeap heap_;
+    std::unique_ptr<mach::Machine> machine_;
+    std::unordered_map<mem::Addr, std::uint64_t> store_;
+    std::unordered_map<mem::Addr, BarrierInfo> barriers_;
+    std::vector<Worker> workers_;
+    std::uint32_t unfinished_ = 0;
+    std::exception_ptr error_;
 };
 
 void
-rebuildSetup(Ctx &ctx)
+Replayer::rebuildSetup()
 {
-    for (const SetupOp &op : ctx.trace.setup) {
+    for (const SetupOp &op : trace_.setup) {
         switch (op.kind) {
           case SetupOp::Alloc: {
-            const mem::Addr base = ctx.heap.allocate(
+            const mem::Addr base = heap_.allocate(
                 op.a, static_cast<rt::Placement>(op.b),
                 static_cast<NodeId>(op.c));
             if (base != op.d)
@@ -1677,23 +190,256 @@ rebuildSetup(Ctx &ctx)
             break;
           }
           case SetupOp::Barrier: {
-            RBarrier b;
+            BarrierInfo b;
             b.parties = static_cast<std::uint32_t>(op.c);
             b.senseAddr = op.b;
-            ctx.barriers[op.a] = b;
+            barriers_[op.a] = b;
             break;
           }
           case SetupOp::InitValue:
-            ctx.store[op.a] = op.b;
+            store_[op.a] = op.b;
             break;
         }
     }
 }
 
+/**
+ * One processor's stream, in the shape of the worker fiber: every
+ * access is Proc::access — yield to earlier events, then the machine's
+ * probe, then (only if it declined) its miss task.  Hits, the great
+ * majority, never leave this frame.
+ */
+sim::Task<>
+Replayer::interpret(Worker &w, const std::vector<Op> &ops)
+{
+    try {
+        co_await sim::Delay{eq_, 0}; // Process::start(0): the spawn event.
+        for (const Op &op : ops) {
+            if (!begin(w, op))
+                continue;
+            do {
+                if (w.local >= eq_.nextEventTime())
+                    co_await sim::Delay{eq_, w.local};
+                AccessTiming t;
+                if (!machine_->probe(w, w.addr, w.type, t))
+                    t = co_await machine_->miss(w, w.addr, w.type);
+                w.charge(t);
+            } while (advance(w, op));
+        }
+        // Proc::recordFinish.
+        w.stats.finishTime = w.local;
+        w.flushPhase();
+        --unfinished_;
+    } catch (...) {
+        if (!error_)
+            error_ = std::current_exception();
+        eq_.requestStop();
+    }
+}
+
+/** Start @p op: apply it if it needs no access, else aim the cursor at
+ *  its first access.  @return true if an access is due. */
+bool
+Replayer::begin(Worker &w, const Op &op)
+{
+    w.backoff = rt::Backoff{};
+    switch (op.kind) {
+      case OpKind::Compute:
+        w.compute(op.value);
+        return false;
+      case OpKind::Phase:
+        w.flushPhase();
+        w.currentPhase = trace_.phaseNames[op.aux];
+        return false;
+      case OpKind::Read:
+        w.next(Step::Plain, op.addr, AccessType::Read);
+        return true;
+      case OpKind::Write:
+        w.next(Step::Plain, op.addr, AccessType::Write);
+        return true;
+      case OpKind::DepWrite:
+        // Slot re-derived from the *replayed* RMW result.
+        w.next(Step::Plain, op.addr + w.lastRmwOld * op.bytes,
+               AccessType::Write);
+        return true;
+      case OpKind::RmwFetchAdd:
+      case OpKind::RmwTestAndSet:
+        w.next(Step::Plain, op.addr, AccessType::Rmw);
+        return true;
+      case OpKind::SyncLockTS:
+        w.next(Step::LockSet, op.addr, AccessType::Rmw);
+        return true;
+      case OpKind::SyncLockTTS:
+        w.next(Step::LockTest, op.addr, AccessType::Read);
+        return true;
+      case OpKind::SyncBarrier: {
+        // Sense reversal (rt::Barrier::arrive).
+        const auto it = barriers_.find(op.addr);
+        if (it == barriers_.end())
+            throw ReplayError("trace: barrier arrival without a barrier "
+                              "setup record");
+        w.barrier = &it->second;
+        w.mySense = 1 - it->second.localSense[w.node()];
+        it->second.localSense[w.node()] = w.mySense;
+        w.next(Step::BarrierArrive, op.addr, AccessType::Rmw);
+        return true;
+      }
+      case OpKind::SyncFlagWait:
+        w.next(Step::FlagSpin, op.addr, AccessType::Read);
+        return true;
+    }
+    throw ReplayError("trace: unknown op kind");
+}
+
+/** The access at the cursor completed: apply its value effect and aim
+ *  the cursor at the op's next access.  @return true if one is due. */
+bool
+Replayer::advance(Worker &w, const Op &op)
+{
+    switch (w.step) {
+      case Step::Plain:
+        switch (op.kind) {
+          case OpKind::Write:
+          case OpKind::DepWrite:
+            store_[w.addr] = op.value;
+            break;
+          case OpKind::RmwFetchAdd: {
+            const std::uint64_t old = load(w.addr);
+            store_[w.addr] = maskTo(old + op.value, op.bytes);
+            w.lastRmwOld = old;
+            break;
+          }
+          case OpKind::RmwTestAndSet:
+            w.lastRmwOld = load(w.addr);
+            store_[w.addr] = 1;
+            break;
+          default:
+            break;
+        }
+        return false;
+
+      case Step::LockTest:
+        if (load(w.addr) == 0)
+            w.next(Step::LockSet, w.addr, AccessType::Rmw);
+        else
+            spinFailed(w);
+        return true;
+
+      case Step::LockSet: {
+        const std::uint64_t old = load(w.addr);
+        store_[w.addr] = 1;
+        if (old == 0)
+            return false;
+        spinFailed(w);
+        if (op.kind == OpKind::SyncLockTTS)
+            w.next(Step::LockTest, w.addr, AccessType::Read);
+        return true;
+      }
+
+      case Step::BarrierArrive: {
+        const std::uint64_t arrived = load(w.addr);
+        store_[w.addr] = arrived + 1;
+        if (arrived == w.barrier->parties - 1)
+            w.next(Step::BarrierReset, w.addr, AccessType::Write);
+        else
+            w.next(Step::BarrierSpin, w.barrier->senseAddr,
+                   AccessType::Read);
+        return true;
+      }
+
+      case Step::BarrierReset:
+        // The last arriver resets the counter and releases everyone.
+        store_[w.addr] = 0;
+        w.next(Step::BarrierRelease, w.barrier->senseAddr,
+               AccessType::Write);
+        return true;
+
+      case Step::BarrierRelease:
+        store_[w.addr] = w.mySense;
+        return false;
+
+      case Step::BarrierSpin:
+        if (load(w.addr) == w.mySense)
+            return false;
+        spinFailed(w);
+        return true;
+
+      case Step::FlagSpin:
+        if (load(w.addr) == op.value)
+            return false;
+        spinFailed(w);
+        return true;
+    }
+    return false;
+}
+
+/**
+ * A spin iteration failed: back off (rt::Backoff::pause).  With no
+ * event pending, nothing else can ever run and change the word, so the
+ * spin would hit in the cache forever without dispatching an event —
+ * out of any budget's reach.  That trace is hostile or torn.
+ */
+void
+Replayer::spinFailed(Worker &w)
+{
+    if (eq_.pending() == 0)
+        throw ReplayError(
+            "replay livelock: processor " + std::to_string(w.node()) +
+            " spins on word " + std::to_string(w.addr) +
+            " that no pending event can change (hostile or torn trace?)");
+    w.compute(sim::cycles(w.backoff.cycles));
+    w.backoff.cycles = std::min(w.backoff.cycles * 2, rt::Backoff::kCap);
+}
+
+stats::Profile
+Replayer::run(const sim::RunBudget *budget)
+{
+    if (budget != nullptr)
+        eq_.setBudget(*budget);
+
+    // Spawn order as Runtime::spawn: worker i's start event is the i-th
+    // event scheduled, so the same-tick FIFO at tick 0 equals
+    // execution's.  The tasks own every frame still suspended when the
+    // run stops early (budget, error).
+    workers_.reserve(trace_.procs);
+    std::vector<sim::Task<>> tasks;
+    tasks.reserve(trace_.procs);
+    unfinished_ = trace_.procs;
+    for (std::uint32_t i = 0; i < trace_.procs; ++i) {
+        workers_.emplace_back(eq_, static_cast<NodeId>(i));
+        tasks.push_back(interpret(workers_.back(), trace_.streams[i]));
+    }
+
+    eq_.run();
+    if (error_)
+        std::rethrow_exception(error_);
+    if (unfinished_ > 0)
+        throw ReplayError(
+            "replay deadlock: event queue drained with " +
+            std::to_string(unfinished_) +
+            " worker streams unfinished (torn or cross-machine-invalid "
+            "trace?)");
+
+    stats::Profile profile;
+    profile.procs.reserve(trace_.procs);
+    profile.procPhases.reserve(trace_.procs);
+    for (const Worker &w : workers_) {
+        profile.procs.push_back(w.stats);
+        profile.procPhases.push_back(w.phases);
+        profile.remoteLatency.merge(w.hist);
+    }
+    profile.machine = machine_->stats();
+    profile.netModel = machine_->netModelName();
+    profile.memModel = machine_->memModelName();
+    profile.engineEvents = eq_.dispatched();
+    return profile;
+}
+
 } // namespace
 
 stats::Profile
-replayTrace(const Trace &trace, const ReplaySpec &spec)
+replayTrace(const Trace &trace, const ReplaySpec &spec,
+            const sim::RunBudget *budget)
 {
     // absim-lint: D1 ok(wall-clock cost accounting for Profile.wallSeconds; never reaches simulated time or figure bytes)
     const auto wall_begin = std::chrono::steady_clock::now();
@@ -1703,86 +449,13 @@ replayTrace(const Trace &trace, const ReplaySpec &spec)
                           trace.untraceableWhy + ")");
     if (trace.procs == 0 || trace.streams.size() != trace.procs)
         throw ReplayError("trace has no usable processor streams");
+    if (!mach::specFor(spec.machine).runnable)
+        throw ReplayError("machine '" +
+                          std::string(mach::specFor(spec.machine).name) +
+                          "' has no shared memory to replay");
 
-    Ctx ctx(trace, spec);
-    ctx.nodes = trace.procs;
-
-    const mach::MachineSpec &mspec = mach::specFor(spec.machine);
-    const std::string netName = mspec.netModel;
-    const std::string memName = mspec.memModel;
-    if (netName == "logp")
-        ctx.netKind = NetKind::LogP;
-    else if (netName == "detailed")
-        ctx.netKind = NetKind::Detailed;
-    else
-        throw ReplayError("machine '" + std::string(mspec.name) +
-                          "' has no replayable network model");
-    if (memName == "directory")
-        ctx.memKind = MemKind::Directory;
-    else if (memName == "ideal")
-        ctx.memKind = MemKind::Ideal;
-    else if (memName == "uncached")
-        ctx.memKind = MemKind::Uncached;
-    else
-        throw ReplayError("machine '" + std::string(mspec.name) +
-                          "' has no replayable memory model");
-
-    if (ctx.netKind == NetKind::LogP) {
-        ctx.logp = std::make_unique<logp::LogPNetwork>(
-            logp::paramsFor(spec.topology, trace.procs), spec.gapPolicy);
-    } else {
-        ctx.topo = net::Topology::make(spec.topology, trace.procs);
-        ctx.links.resize(ctx.topo->linkCount());
-    }
-    if (ctx.memKind != MemKind::Uncached) {
-        ctx.caches.reserve(trace.procs);
-        for (std::uint32_t i = 0; i < trace.procs; ++i)
-            ctx.caches.emplace_back(spec.cache.bytes, spec.cache.ways);
-    }
-
-    // Pre-size the value store and directory: rehashing mid-replay is
-    // pure overhead the execution engine never pays (it uses real
-    // memory), and the op count bounds how many keys can appear.
-    std::size_t total_ops = trace.setup.size();
-    for (const auto &stream : trace.streams)
-        total_ops += stream.size();
-    ctx.store.reserve(std::min<std::size_t>(total_ops, 1u << 20));
-    ctx.dir.reserve(std::min<std::size_t>(total_ops, 1u << 16));
-
-    rebuildSetup(ctx);
-
-    // Spawn order mirrors Runtime::spawn: worker i's start(0) event is
-    // the i-th event scheduled, so the same-tick FIFO dispatch order at
-    // tick 0 equals execution's.
-    ctx.workers.resize(trace.procs);
-    ctx.unfinished = trace.procs;
-    for (std::uint32_t i = 0; i < trace.procs; ++i) {
-        ctx.workers[i].node = static_cast<NodeId>(i);
-        ctx.worker(ctx.workers[i], trace.streams[i]);
-    }
-
-    ctx.eng.run(ctx.error);
-    if (ctx.error)
-        std::rethrow_exception(ctx.error);
-    if (ctx.unfinished > 0)
-        throw ReplayError(
-            "replay deadlock: event queue drained with " +
-            std::to_string(ctx.unfinished) +
-            " worker streams unfinished (torn or cross-machine-invalid "
-            "trace?)");
-
-    stats::Profile profile;
-    profile.procs.reserve(trace.procs);
-    profile.procPhases.reserve(trace.procs);
-    for (const RWorker &w : ctx.workers) {
-        profile.procs.push_back(w.stats);
-        profile.procPhases.push_back(w.phases);
-        profile.remoteLatency.merge(w.hist);
-    }
-    profile.machine = ctx.ms;
-    profile.netModel = netName;
-    profile.memModel = memName;
-    profile.engineEvents = ctx.eng.dispatched();
+    Replayer replayer(trace, spec);
+    stats::Profile profile = replayer.run(budget);
     // absim-lint: D1 ok(closing wall-clock stamp for Profile.wallSeconds, same contract as execution's)
     const auto wall_end = std::chrono::steady_clock::now();
     profile.wallSeconds =

@@ -1,25 +1,26 @@
 /**
  * @file
- * The fiber-free replay engine: feed a recorded reference stream (see
- * format.hh) through any NetModel x MemModel composition of the
- * registry and produce the same stats::Profile the execution-driven
- * simulator would — bit-identical, by mirroring the real engine's event
- * schedule one to one.
+ * Trace replay: feed a recorded reference stream (see format.hh) through
+ * any NetModel x MemModel composition of the registry and produce the
+ * same stats::Profile the execution-driven simulator would —
+ * bit-identical, because it runs the same code.
  *
- * Why it is exact: the execution-driven simulator's entire global
- * behaviour flows through a handful of blocking primitives (delayUntil,
- * FifoMutex hand-off, Latch, detached helper start), each of which
- * schedules exactly one engine event.  The replay interprets the same
- * per-processor operation sequences, re-executes the same machine
- * transaction logic at the same (tick, seq) dispatch points, and
- * regenerates machine-dependent traffic (cache misses, synchronization
- * spins, RMW results) from replayed state rather than the recording
- * machine's.  By induction over the dispatch order, every event lands
- * at the same tick with the same sequence number as in execution, so
- * every timing split — and therefore every figure byte — matches.
- * What replay skips is exactly what costs execution its wall time: the
- * applications' native computation, fiber switches, and the invariant
- * checkers.  Tests pin this equivalence per machine (including
+ * Replay builds its machine with mach::makeMachine and its engine is a
+ * sim::EventQueue, exactly as execution does.  Only the driver differs:
+ * instead of application code on fiber processes, a coroutine per
+ * processor interprets the recorded op stream, calling the machine's
+ * probe() and, when it declines, awaiting its miss() task — the same two
+ * phases Machine::access runs under a fiber.  Every blocking point in
+ * the models is an awaitable sim primitive that schedules the same
+ * single event for a coroutine as for a fiber (sim/task.hh), so by
+ * induction over the dispatch order every event lands at the same
+ * (tick, seq) as in execution.  Machine-dependent traffic (cache misses,
+ * synchronization spins, RMW results) is regenerated from replayed state
+ * rather than taken from the recording machine.  What replay skips is
+ * what costs execution its wall time: the applications' native
+ * computation and fiber switches; its run context also leaves the
+ * coherence checker off (core::runOne; docs/TRACING.md has the
+ * numbers).  Tests pin the equivalence per machine (including
  * Profile::engineEvents, the event-count fingerprint).
  *
  * Limits: message-passing runs are recorded as non-replayable (replay
@@ -38,6 +39,7 @@
 #include "logp/gate.hh"
 #include "machines/machine.hh"
 #include "net/topology.hh"
+#include "sim/watchdog.hh"
 #include "stats/overheads.hh"
 #include "trace_replay/format.hh"
 
@@ -55,7 +57,7 @@ struct ReplaySpec
 };
 
 /** A trace that cannot be replayed (wrong shape, non-replayable flag,
- *  layout mismatch) or a replay that deadlocked. */
+ *  layout mismatch) or a replay that deadlocked or livelocked. */
 class ReplayError : public std::runtime_error
 {
   public:
@@ -63,14 +65,18 @@ class ReplayError : public std::runtime_error
 };
 
 /**
- * Replay @p trace on the machine described by @p spec.
+ * Replay @p trace on the machine described by @p spec, under @p budget
+ * when one is given (as execution installs it on its engine).
  *
  * @return The profile the execution-driven run would produce (all
  *         simulated quantities identical; wallSeconds is this replay's
- *         own host cost and engineEvents the mirrored event count).
+ *         own host cost).
  * @throws ReplayError as above.
+ * @throws sim::BudgetExceededError / sim::DeadlockError if the budget
+ *         trips, at the same dispatch count as execution.
  */
-stats::Profile replayTrace(const Trace &trace, const ReplaySpec &spec);
+stats::Profile replayTrace(const Trace &trace, const ReplaySpec &spec,
+                           const sim::RunBudget *budget = nullptr);
 
 } // namespace absim::trace
 

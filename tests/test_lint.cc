@@ -360,8 +360,13 @@ TEST(LintJson, DecodeRejectsMalformedDocuments)
 int
 runBinary(const std::string &args, std::string *captured)
 {
-    const std::string outPath =
-        std::string(::testing::TempDir()) + "absim_lint_out.json";
+    // One file per test: ctest -j runs each test in its own process
+    // concurrently, and a shared file would let them read each other's
+    // output.
+    const ::testing::TestInfo *test =
+        ::testing::UnitTest::GetInstance()->current_test_info();
+    const std::string outPath = std::string(::testing::TempDir()) +
+                                "absim_lint_out_" + test->name() + ".json";
     const std::string command = std::string(ABSIM_LINT_BIN) + " " + args +
                                 " > " + outPath + " 2>&1";
     const int status = std::system(command.c_str());

@@ -14,6 +14,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -25,6 +26,7 @@
 #include "machines/null_machine.hh"
 #include "msg/msg_world.hh"
 #include "runtime/context.hh"
+#include "runtime/shared.hh"
 #include "stats/overheads.hh"
 #include "trace_replay/divergence.hh"
 #include "trace_replay/format.hh"
@@ -142,10 +144,12 @@ constexpr mach::MachineKind kAllMachines[] = {
 /** Record on one run, replay the trace, expect identical profiles. */
 void
 roundTrip(const std::string &app, std::uint64_t n, std::uint32_t procs,
-          mach::MachineKind machine)
+          mach::MachineKind machine,
+          mach::ProtocolKind protocol = mach::ProtocolKind::Berkeley)
 {
     TempTraceDir dir;
     core::RunConfig config = smallConfig(app, n, procs, machine);
+    config.protocol = protocol;
     config.mode = core::RunMode::Record;
     config.traceDir = dir.path();
     const stats::Profile exec = core::runOne(config);
@@ -166,7 +170,8 @@ roundTrip(const std::string &app, std::uint64_t n, std::uint32_t procs,
     const stats::Profile rep = trace::replayTrace(recorded, spec);
 
     expectProfilesEqual(exec, rep,
-                        app + " x " + mach::toString(machine) + " x p" +
+                        app + " x " + mach::toString(machine) + " x " +
+                            mach::toString(protocol) + " x p" +
                             std::to_string(procs));
 }
 
@@ -196,6 +201,17 @@ TEST(TraceReplay, EightProcessorsMatch)
 {
     roundTrip("ep", 2048, 8, mach::MachineKind::Target);
     roundTrip("is", 1024, 8, mach::MachineKind::LogPDir);
+}
+
+TEST(TraceReplay, MsiProtocolMatchesExecution)
+{
+    // The MSI branches of the read- and write-miss transactions (recall
+    // through memory) under both networks the directory composes with.
+    for (const mach::MachineKind machine :
+         {mach::MachineKind::Target, mach::MachineKind::LogPDir}) {
+        roundTrip("is", 1024, 4, machine, mach::ProtocolKind::Msi);
+        roundTrip("cg", 64, 4, machine, mach::ProtocolKind::Msi);
+    }
 }
 
 TEST(TraceReplay, TraceIsMachineIndependent)
@@ -337,6 +353,172 @@ TEST(TraceReplay, FormatRoundTripPreservesEverything)
     }
 }
 
+/** FNV-1a 64, the trace body checksum (format.cc). */
+std::uint64_t
+fnv1a64(const std::string &data)
+{
+    std::uint64_t h = 14695981039346656037ull;
+    for (const char c : data) {
+        h ^= static_cast<std::uint8_t>(c);
+        h *= 1099511628211ull;
+    }
+    return h;
+}
+
+/** The body (header + records, no checksum) of the trace at @p path. */
+std::string
+readBody(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    const std::string blob((std::istreambuf_iterator<char>(in)),
+                           std::istreambuf_iterator<char>());
+    return blob.substr(0, blob.size() - 8);
+}
+
+/** Write @p body to @p path sealed with a valid checksum. */
+void
+writeSealed(const std::string &path, std::string body)
+{
+    const std::uint64_t sum = fnv1a64(body);
+    for (unsigned i = 0; i < 8; ++i)
+        body += static_cast<char>((sum >> (8 * i)) & 0xff);
+    std::ofstream(path, std::ios::binary | std::ios::trunc) << body;
+}
+
+/** Save @p trace, replace @p from by @p to in its header, and re-seal
+ *  the file: a crafted, checksum-valid file. */
+std::string
+craftedTrace(const TempTraceDir &dir, const trace::Trace &trace,
+             const std::string &from, const std::string &to)
+{
+    const std::string path = dir.path() + "/crafted.abt";
+    trace::saveTrace(trace, path);
+    std::string body = readBody(path);
+    const std::size_t at = body.find(from);
+    EXPECT_LT(at, body.find('\n')) << "no " << from << " in the header";
+    body.replace(at, from.size(), to);
+    writeSealed(path, body);
+    return path;
+}
+
+/** A one-processor trace with a setup record and a few ops. */
+trace::Trace
+tinyTrace()
+{
+    trace::Trace t;
+    t.procs = 1;
+    t.app = "tiny";
+    trace::SetupOp init;
+    init.kind = trace::SetupOp::InitValue;
+    init.a = 64;
+    init.b = 1;
+    t.setup.push_back(init);
+    trace::Op compute;
+    compute.value = 10;
+    t.streams = {{compute, compute}};
+    return t;
+}
+
+TEST(TraceFormat, CountBeyondTheBodyIsAMissNotAnAllocation)
+{
+    // FNV-1a is a checksum, not authentication: a crafted header may
+    // claim any count.  It must load as a miss, never size a 40 TB
+    // reservation (bad_alloc/length_error out of loadTrace).
+    TempTraceDir dir;
+    trace::Trace loaded;
+    EXPECT_FALSE(trace::loadTrace(
+        craftedTrace(dir, tinyTrace(), "\"setupOps\":1",
+                     "\"setupOps\":1099511627776"),
+        loaded));
+
+    // The same for a per-processor op count in the body: the varint
+    // count 2 becomes 2^40 (six bytes), the header total to match.
+    // (The setup record is 5 bytes; the first stream's count follows.)
+    const std::string path = dir.path() + "/count.abt";
+    trace::saveTrace(tinyTrace(), path);
+    std::string body = readBody(path);
+    const std::size_t streams_at = body.find('\n') + 1 + 5;
+    ASSERT_EQ(body[streams_at], '\x02');
+    body.replace(streams_at, 1, std::string("\x80\x80\x80\x80\x80\x20"));
+    writeSealed(path, body);
+    EXPECT_FALSE(trace::loadTrace(path, loaded));
+}
+
+TEST(TraceFormat, OutOfRangeHeaderIntegersAreAMiss)
+{
+    // 2^32 + 1 processors must not narrow to a 1-processor trace.
+    TempTraceDir dir;
+    trace::Trace loaded;
+    EXPECT_FALSE(trace::loadTrace(
+        craftedTrace(dir, tinyTrace(), "\"procs\":1",
+                     "\"procs\":4294967297"),
+        loaded));
+    EXPECT_FALSE(trace::loadTrace(
+        craftedTrace(dir, tinyTrace(), "\"iterations\":0",
+                     "\"iterations\":4294967296"),
+        loaded));
+    // The unmodified file still loads.
+    EXPECT_TRUE(trace::loadTrace(
+        craftedTrace(dir, tinyTrace(), "\"procs\":1", "\"procs\":1"),
+        loaded));
+    EXPECT_EQ(loaded.procs, 1u);
+}
+
+/** A two-processor trace where processor 0 runs @p op on a word homed
+ *  on node 0 (initialized to @p init) and processor 1 does nothing. */
+trace::Trace
+unsatisfiableTrace(trace::OpKind kind, std::uint64_t init)
+{
+    trace::Trace t;
+    t.procs = 2;
+    t.app = "hostile";
+    rt::SharedHeap heap(2);
+    trace::SetupOp alloc;
+    alloc.kind = trace::SetupOp::Alloc;
+    alloc.a = 8;
+    alloc.b = static_cast<std::uint64_t>(rt::Placement::OnNode);
+    alloc.c = 0;
+    alloc.d = heap.allocate(8, rt::Placement::OnNode, 0);
+    t.setup.push_back(alloc);
+    trace::SetupOp value;
+    value.kind = trace::SetupOp::InitValue;
+    value.a = alloc.d;
+    value.b = init;
+    t.setup.push_back(value);
+    trace::Op wait;
+    wait.kind = kind;
+    wait.bytes = 8;
+    wait.addr = alloc.d;
+    wait.value = 1; // A flag value nobody writes.
+    t.streams = {{wait}, {}};
+    return t;
+}
+
+TEST(TraceReplay, UnsatisfiableSpinIsANamedLivelock)
+{
+    // The spin hits in the cache forever without dispatching an event,
+    // out of any budget's reach; replay must name it, not hang.
+    for (const mach::MachineKind machine : kAllMachines) {
+        trace::ReplaySpec spec;
+        spec.machine = machine;
+        for (const auto &[kind, init] :
+             {std::pair{trace::OpKind::SyncFlagWait, std::uint64_t{0}},
+              std::pair{trace::OpKind::SyncLockTTS, std::uint64_t{1}},
+              std::pair{trace::OpKind::SyncLockTS, std::uint64_t{1}}}) {
+            SCOPED_TRACE(mach::toString(machine));
+            try {
+                (void)trace::replayTrace(unsatisfiableTrace(kind, init),
+                                         spec);
+                ADD_FAILURE() << "expected a replay livelock";
+            } catch (const trace::ReplayError &e) {
+                EXPECT_NE(std::string(e.what()).find("replay livelock"),
+                          std::string::npos)
+                    << e.what();
+            }
+        }
+    }
+}
+
 TEST(TraceReplay, MessagePassingRunsRecordAsNonReplayable)
 {
     // Message-passing platforms run outside the shared-memory driver
@@ -381,7 +563,7 @@ TEST(TraceReplay, ReplaySpeedupIsReal)
 {
     // The whole point: replay must be much cheaper than execution.
     // This asserts only a conservative > 1x here (CI noise); the
-    // committed benchmark baseline pins the >= 10x sweep-level claim.
+    // committed benchmark baseline pins the 2.45x sweep-level speedup.
     TempTraceDir dir;
     core::RunConfig config =
         smallConfig("ep", 65536, 8, mach::MachineKind::Target);

@@ -14,9 +14,12 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <sstream>
 #include <string>
 #include <thread>
+
+#include <unistd.h>
 
 #include "check/check.hh"
 #include "core/experiment.hh"
@@ -382,6 +385,36 @@ TEST(Chaos, RunErrorReportCarriesEngineStateAndDump)
     EXPECT_NE(report.find("events dispatched"), std::string::npos)
         << report;
     EXPECT_NE(report.find("worker-0"), std::string::npos) << report;
+}
+
+TEST(Chaos, ReplayHonoursTheRunBudgetLikeExecution)
+{
+    // Execution and replay share one event kernel and dispatch the same
+    // schedule, so an event budget trips both at the same count.
+    const std::filesystem::path dir =
+        std::filesystem::temp_directory_path() /
+        ("absim-budget-" + std::to_string(::getpid()));
+    std::filesystem::remove_all(dir);
+    core::RunConfig config = chaosConfig();
+    config.traceDir = dir.string();
+    config.mode = core::RunMode::Record;
+    const auto recorded = core::runOneSafe(config, chaosPolicy());
+    ASSERT_TRUE(recorded.ok()) << recorded.error().summary();
+    const std::uint64_t limit = recorded.value().engineEvents / 2;
+    ASSERT_GT(limit, 0u);
+
+    core::RunPolicy policy = chaosPolicy();
+    policy.budget.maxEvents = limit;
+    for (const core::RunMode mode :
+         {core::RunMode::Execute, core::RunMode::Replay}) {
+        config.mode = mode;
+        const auto result = core::runOneSafe(config, policy);
+        ASSERT_FALSE(result.ok()) << "mode " << static_cast<int>(mode);
+        EXPECT_EQ(result.error().kind, core::RunErrorKind::BudgetExceeded)
+            << result.error().summary();
+        EXPECT_EQ(result.error().eventsDispatched, limit);
+    }
+    std::filesystem::remove_all(dir);
 }
 
 TEST(Chaos, SweepSurvivesFailedPointAndEmitsManifest)
