@@ -6,11 +6,8 @@
 /// Exit 0: every bench within the band.  Exit 1: a regression beyond
 /// the band, a bench missing from the current run, or a determinism
 /// checksum ("value_sum*" counter) mismatch.  Exit 2: usage/IO errors.
-///
-/// The parser is deliberately schema-bound, not a general JSON reader:
-/// bench_common.hh writes one bench object per line with known keys,
-/// and this tool greps them back out — no third-party dependency, and
-/// a malformed file is a loud exit-2 diagnostic.
+/// A file that is not one well-formed absim-bench-1 document is a loud
+/// exit-2 diagnostic.
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
@@ -22,8 +19,11 @@
 #include <vector>
 
 #include "core/env.hh"
+#include "json/json.hh"
 
 namespace {
+
+namespace json = absim::json;
 
 struct BenchLine
 {
@@ -34,95 +34,53 @@ struct BenchLine
     std::map<std::string, double> counters;
 };
 
-/// Extract the JSON string value following "key":" on @p line.
-bool
-findString(const std::string &line, const std::string &key,
-           std::string &out)
+[[noreturn]] void
+malformed(const std::string &path, const std::string &why)
 {
-    const std::string needle = "\"" + key + "\":\"";
-    const auto pos = line.find(needle);
-    if (pos == std::string::npos)
-        return false;
-    const auto start = pos + needle.size();
-    const auto end = line.find('"', start);
-    if (end == std::string::npos)
-        return false;
-    out = line.substr(start, end - start);
-    return true;
-}
-
-bool
-findNumber(const std::string &line, const std::string &key, double &out)
-{
-    const std::string needle = "\"" + key + "\":";
-    const auto pos = line.find(needle);
-    if (pos == std::string::npos)
-        return false;
-    return absim::core::parseDouble(
-        line.substr(pos + needle.size(),
-                    line.find_first_of(",}]", pos + needle.size()) -
-                        pos - needle.size())
-            .c_str(),
-        out);
-}
-
-/// Parse every "counters":{...} entry on the line.
-void
-findCounters(const std::string &line, std::map<std::string, double> &out)
-{
-    const auto pos = line.find("\"counters\":{");
-    if (pos == std::string::npos)
-        return;
-    auto cursor = pos + 12;
-    const auto end = line.find('}', cursor);
-    if (end == std::string::npos)
-        return;
-    std::string body = line.substr(cursor, end - cursor);
-    std::istringstream ss(body);
-    std::string entry;
-    while (std::getline(ss, entry, ',')) {
-        const auto colon = entry.find("\":");
-        if (colon == std::string::npos || entry.size() < 2 ||
-            entry[0] != '"')
-            continue;
-        const std::string key = entry.substr(1, colon - 1);
-        double value = 0.0;
-        if (absim::core::parseDouble(entry.substr(colon + 2).c_str(),
-                                     value))
-            out[key] = value;
-    }
+    std::cerr << "error: malformed bench file '" << path << "': " << why
+              << "\n";
+    std::exit(2);
 }
 
 std::vector<BenchLine>
 loadBenchFile(const std::string &path)
 {
-    std::ifstream in(path);
+    std::ifstream in(path, std::ios::binary);
     if (!in) {
         std::cerr << "error: cannot read bench file '" << path << "'\n";
         std::exit(2);
     }
-    std::vector<BenchLine> benches;
-    std::string line;
-    while (std::getline(in, line)) {
+    std::ostringstream text;
+    text << in.rdbuf();
+    json::Value doc;
+    std::string why;
+    if (!json::parse(text.str(), doc, &why))
+        malformed(path, why);
+    const json::Value *benches = doc.find("benches");
+    if (benches == nullptr || benches->type != json::Type::Array)
+        malformed(path, "no benches array");
+    std::vector<BenchLine> out;
+    for (const json::Value &bench : benches->items) {
         BenchLine b;
-        if (!findString(line, "name", b.name))
-            continue; // Header / footer lines.
-        if (!findString(line, "unit", b.unit) ||
-            !findNumber(line, "median", b.median)) {
-            std::cerr << "error: malformed bench line in '" << path
-                      << "': " << line << "\n";
-            std::exit(2);
-        }
-        b.higherIsBetter =
-            line.find("\"higher_is_better\":true") != std::string::npos;
-        findCounters(line, b.counters);
-        benches.push_back(std::move(b));
+        if (!json::getString(bench, "name", b.name) ||
+            !json::getString(bench, "unit", b.unit) ||
+            !json::getDouble(bench, "median", b.median))
+            malformed(path, "a bench lacks name, unit or median");
+        const json::Value *better = bench.find("higher_is_better");
+        b.higherIsBetter = better != nullptr &&
+                           better->type == json::Type::Bool &&
+                           better->text == "true";
+        if (const json::Value *counters = bench.find("counters"))
+            for (const json::Member &m : counters->members)
+                if (!json::toDouble(m.value, b.counters[m.key]))
+                    malformed(path, "counter " + m.key + " is not a number");
+        out.push_back(std::move(b));
     }
-    if (benches.empty()) {
+    if (out.empty()) {
         std::cerr << "error: no benches found in '" << path << "'\n";
         std::exit(2);
     }
-    return benches;
+    return out;
 }
 
 } // namespace

@@ -1,7 +1,6 @@
 #include "core/journal.hh"
 
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <limits>
 
@@ -53,208 +52,7 @@ ShardSpec::parse(const std::string &text, ShardSpec &out)
     return true;
 }
 
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size() + 8);
-    for (const unsigned char c : s) {
-        switch (c) {
-          case '"':
-            out += "\\\"";
-            break;
-          case '\\':
-            out += "\\\\";
-            break;
-          case '\n':
-            out += "\\n";
-            break;
-          case '\t':
-            out += "\\t";
-            break;
-          case '\r':
-            out += "\\r";
-            break;
-          default:
-            if (c < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += static_cast<char>(c);
-            }
-        }
-    }
-    return out;
-}
-
-std::string
-jsonUnescape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (std::size_t i = 0; i < s.size(); ++i) {
-        if (s[i] != '\\' || i + 1 >= s.size()) {
-            out += s[i];
-            continue;
-        }
-        switch (s[++i]) {
-          case '"':
-            out += '"';
-            break;
-          case '\\':
-            out += '\\';
-            break;
-          case 'n':
-            out += '\n';
-            break;
-          case 't':
-            out += '\t';
-            break;
-          case 'r':
-            out += '\r';
-            break;
-          case 'u':
-            if (i + 4 < s.size()) {
-                out += static_cast<char>(
-                    std::stoul(s.substr(i + 1, 4), nullptr, 16));
-                i += 4;
-            }
-            break;
-          default:
-            out += s[i];
-        }
-    }
-    return out;
-}
-
-std::string
-formatDouble(double value)
-{
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.17g", value);
-    return buf;
-}
-
 namespace {
-
-/**
- * Pull the value of @p key out of a flat JSON object line emitted by
- * this module.  Returns false if the key is absent.  String values are
- * returned unescaped; numeric values as their raw token.
- */
-bool
-extractField(const std::string &line, const std::string &key,
-             std::string &value, bool &was_string)
-{
-    const std::string needle = "\"" + key + "\":";
-    const auto pos = line.find(needle);
-    if (pos == std::string::npos)
-        return false;
-    std::size_t i = pos + needle.size();
-    if (i >= line.size())
-        return false;
-    if (line[i] == '"') {
-        // String value: scan to the closing unescaped quote.
-        std::string raw;
-        for (++i; i < line.size(); ++i) {
-            if (line[i] == '\\' && i + 1 < line.size()) {
-                raw += line[i];
-                raw += line[i + 1];
-                ++i;
-            } else if (line[i] == '"') {
-                value = jsonUnescape(raw);
-                was_string = true;
-                return true;
-            } else {
-                raw += line[i];
-            }
-        }
-        return false; // Unterminated string: torn line.
-    }
-    // Numeric (or bare) token: scan to the delimiter.
-    const auto end = line.find_first_of(",}", i);
-    if (end == std::string::npos)
-        return false;
-    value = line.substr(i, end - i);
-    was_string = false;
-    return !value.empty();
-}
-
-bool
-extractString(const std::string &line, const std::string &key,
-              std::string &value)
-{
-    bool was_string = false;
-    return extractField(line, key, value, was_string) && was_string;
-}
-
-bool
-extractDouble(const std::string &line, const std::string &key,
-              double &value)
-{
-    std::string token;
-    bool was_string = false;
-    if (!extractField(line, key, token, was_string) || was_string)
-        return false;
-    // The checked parser from core/env: rejects empty tokens, trailing
-    // junk and non-finite values, exactly the torn-line semantics the
-    // loader wants.
-    return parseDouble(token.c_str(), value);
-}
-
-bool
-extractUint(const std::string &line, const std::string &key,
-            std::uint64_t &value)
-{
-    std::string token;
-    bool was_string = false;
-    if (!extractField(line, key, token, was_string) || was_string)
-        return false;
-    return parseUint(token.c_str(), value);
-}
-
-/**
- * Parse the header's optional "machines":["a","b",...] array.  Returns
- * true with an empty @p out when the field is absent (classic layout).
- */
-bool
-extractStringArray(const std::string &line, const std::string &key,
-                   std::vector<std::string> &out)
-{
-    out.clear();
-    const std::string needle = "\"" + key + "\":[";
-    const auto pos = line.find(needle);
-    if (pos == std::string::npos)
-        return true;
-    std::size_t i = pos + needle.size();
-    if (i < line.size() && line[i] == ']')
-        return true;
-    while (i < line.size()) {
-        if (line[i] != '"')
-            return false;
-        std::string raw;
-        for (++i; i < line.size() && line[i] != '"'; ++i) {
-            if (line[i] == '\\' && i + 1 < line.size()) {
-                raw += line[i];
-                raw += line[i + 1];
-                ++i;
-            } else {
-                raw += line[i];
-            }
-        }
-        if (i >= line.size())
-            return false; // Unterminated string: torn line.
-        out.push_back(jsonUnescape(raw));
-        ++i; // Past the closing quote.
-        if (i < line.size() && line[i] == ',') {
-            ++i;
-            continue;
-        }
-        return i < line.size() && line[i] == ']';
-    }
-    return false;
-}
 
 std::string
 encodeHeader(const JournalHeader &header)
@@ -357,23 +155,23 @@ bool
 decodeRecord(const std::string &line, JournalRecord &out,
              const std::vector<std::string> &columns)
 {
-    if (line.empty() || line.front() != '{' || line.back() != '}')
-        return false;
+    json::Value doc;
     std::uint64_t procs = 0;
-    if (!extractUint(line, "procs", procs))
+    if (!json::parse(line, doc) || !json::getUint(doc, "procs", procs) ||
+        procs > std::numeric_limits<std::uint32_t>::max())
         return false;
     out = JournalRecord{};
     out.procs = static_cast<std::uint32_t>(procs);
-    if (extractString(line, "error", out.error)) {
+    if (json::getString(doc, "error", out.error)) {
         out.failed = true;
         // "trace" is optional (only captured failures carry it).
-        (void)extractString(line, "trace", out.trace);
-        return extractString(line, "machine", out.machine) &&
-               extractString(line, "message", out.message);
+        (void)json::getString(doc, "trace", out.trace);
+        return json::getString(doc, "machine", out.machine) &&
+               json::getString(doc, "message", out.message);
     }
     out.values.assign(columns.size(), 0.0);
     for (std::size_t i = 0; i < columns.size(); ++i)
-        if (!extractDouble(line, columns[i], out.values[i]))
+        if (!json::getDouble(doc, columns[i], out.values[i]))
             return false;
     return true;
 }
@@ -382,15 +180,27 @@ bool
 decodeHeader(const std::string &line, JournalHeader &out)
 {
     out = JournalHeader{};
-    if (line.find("\"absim_journal\":1") == std::string::npos ||
-        !extractString(line, "title", out.title) ||
-        !extractString(line, "app", out.app) ||
-        !extractString(line, "topology", out.topology) ||
-        !extractString(line, "metric", out.metric) ||
-        !extractStringArray(line, "machines", out.machines))
+    json::Value doc;
+    std::uint64_t version = 0;
+    if (!json::parse(line, doc) ||
+        !json::getUint(doc, "absim_journal", version) || version != 1 ||
+        !json::getString(doc, "title", out.title) ||
+        !json::getString(doc, "app", out.app) ||
+        !json::getString(doc, "topology", out.topology) ||
+        !json::getString(doc, "metric", out.metric))
         return false;
+    // "machines" is absent for the classic trio.
+    if (const json::Value *machines = doc.find("machines")) {
+        if (machines->type != json::Type::Array)
+            return false;
+        for (const json::Value &name : machines->items) {
+            if (!name.isString())
+                return false;
+            out.machines.push_back(name.text);
+        }
+    }
     std::string shard;
-    if (extractString(line, "shard", shard))
+    if (json::getString(doc, "shard", shard))
         return ShardSpec::parse(shard, out.shard);
     return true;
 }

@@ -41,9 +41,8 @@
  * along with anything after it, and the loader reports the length of
  * the clean prefix so a resume can truncate the tear away before
  * appending — a torn tail is a clean resume point, never corruption.
- * The parser handles exactly what the encoder emits — flat objects of
- * string and number fields plus the header's string array — not
- * general JSON.
+ * Lines are read back with the one JSON reader (json/json.hh): a line
+ * that is not a single well-formed object, or repeats a key, is torn.
  */
 
 #ifndef ABSIM_CORE_JOURNAL_HH
@@ -53,6 +52,8 @@
 #include <cstdio>
 #include <string>
 #include <vector>
+
+#include "json/json.hh"
 
 namespace absim::core {
 
@@ -126,14 +127,10 @@ struct JournalRecord
     std::string trace;   ///< Bounded trace excerpt ("" = none captured).
 };
 
-/** JSON-escape a string (quotes, backslashes, control characters). */
-std::string jsonEscape(const std::string &s);
-
-/** Inverse of jsonEscape (\uXXXX limited to latin-1 code points). */
-std::string jsonUnescape(const std::string &s);
-
-/** Format a double so it round-trips exactly ("%.17g"). */
-std::string formatDouble(double value);
+/** The JSON string escape and the round-trip "%.17g" double formatter
+ *  every journal and figure writer shares (json/json.hh). */
+using json::formatDouble;
+using json::jsonEscape;
 
 /**
  * Render one record as its journal line (no trailing newline).

@@ -1,5 +1,6 @@
 #include "fault/fault.hh"
 
+#include <charconv>
 #include <sstream>
 #include <stdexcept>
 
@@ -42,10 +43,12 @@ badPlan(const std::string &text, const std::string &why)
 std::uint64_t
 parseCount(const std::string &text, const std::string &digits)
 {
-    if (digits.empty() ||
-        digits.find_first_not_of("0123456789") != std::string::npos)
-        badPlan(text, "\"" + digits + "\" is not a number");
-    return std::stoull(digits);
+    std::uint64_t value = 0;
+    const char *last = digits.data() + digits.size();
+    const auto [end, ec] = std::from_chars(digits.data(), last, value);
+    if (digits.empty() || end != last || ec != std::errc())
+        badPlan(text, "\"" + digits + "\" is not a number below 2^64");
+    return value;
 }
 
 } // namespace

@@ -1,108 +1,20 @@
 #include "serve/protocol.hh"
 
+#include <limits>
 #include <stdexcept>
 
-#include "core/env.hh"
 #include "core/journal.hh"
+#include "json/json.hh"
 #include "machines/registry.hh"
 #include "sim/trace.hh"
 
 namespace absim::serve {
 
 bool
-parseFlatJson(const std::string &line, std::vector<JsonField> &out)
-{
-    out.clear();
-    std::size_t i = 0;
-    const auto skipSpace = [&] {
-        while (i < line.size() && (line[i] == ' ' || line[i] == '\t'))
-            ++i;
-    };
-    skipSpace();
-    if (i >= line.size() || line[i] != '{')
-        return false;
-    ++i;
-    skipSpace();
-    if (i < line.size() && line[i] == '}') {
-        ++i;
-        skipSpace();
-        return i == line.size();
-    }
-    const auto parseString = [&](std::string &value) {
-        if (i >= line.size() || line[i] != '"')
-            return false;
-        std::string raw;
-        for (++i; i < line.size(); ++i) {
-            if (line[i] == '\\' && i + 1 < line.size()) {
-                raw += line[i];
-                raw += line[i + 1];
-                ++i;
-            } else if (line[i] == '"') {
-                ++i;
-                value = core::jsonUnescape(raw);
-                return true;
-            } else {
-                raw += line[i];
-            }
-        }
-        return false; // Unterminated string: torn line.
-    };
-    for (;;) {
-        JsonField field;
-        if (!parseString(field.key))
-            return false;
-        skipSpace();
-        if (i >= line.size() || line[i] != ':')
-            return false;
-        ++i;
-        skipSpace();
-        if (i >= line.size())
-            return false;
-        if (line[i] == '"') {
-            if (!parseString(field.value))
-                return false;
-            field.isString = true;
-        } else if (line[i] == '{' || line[i] == '[') {
-            return false; // Flat objects only.
-        } else {
-            // Number / true / false: scan to the delimiter.
-            const auto end = line.find_first_of(",}", i);
-            if (end == std::string::npos)
-                return false;
-            field.value = line.substr(i, end - i);
-            while (!field.value.empty() && field.value.back() == ' ')
-                field.value.pop_back();
-            if (field.value.empty())
-                return false;
-            i = end;
-        }
-        out.push_back(std::move(field));
-        skipSpace();
-        if (i >= line.size())
-            return false;
-        if (line[i] == ',') {
-            ++i;
-            skipSpace();
-            continue;
-        }
-        if (line[i] != '}')
-            return false;
-        ++i;
-        skipSpace();
-        return i == line.size();
-    }
-}
-
-bool
 extractNumber(const std::string &line, const std::string &key, double &out)
 {
-    std::vector<JsonField> fields;
-    if (!parseFlatJson(line, fields))
-        return false;
-    for (const JsonField &f : fields)
-        if (f.key == key && !f.isString)
-            return core::parseDouble(f.value.c_str(), out);
-    return false;
+    json::Value doc;
+    return json::parse(line, doc) && json::getDouble(doc, key, out);
 }
 
 namespace {
@@ -117,33 +29,17 @@ fail(std::string &error, const std::string &what)
 }
 
 bool
-parseUintField(const JsonField &f, std::uint64_t &out, std::string &error,
+invalid(const json::Member &f, std::string &error)
+{
+    return fail(error, "invalid " + f.key + " value '" + f.value.text + "'");
+}
+
+bool
+parseUintField(const json::Member &f, std::uint64_t &out, std::string &error,
                std::uint64_t min, std::uint64_t max)
 {
-    if (f.isString || !core::parseUint(f.value.c_str(), out) || out < min ||
-        out > max)
-        return fail(error, "invalid " + f.key + " value '" + f.value + "'");
-    return true;
-}
-
-bool
-parseDoubleField(const JsonField &f, double &out, std::string &error)
-{
-    if (f.isString || !core::parseDouble(f.value.c_str(), out) || out < 0.0)
-        return fail(error, "invalid " + f.key + " value '" + f.value + "'");
-    return true;
-}
-
-bool
-parseBoolField(const JsonField &f, bool &out, std::string &error)
-{
-    if (!f.isString && f.value == "true")
-        out = true;
-    else if (!f.isString && f.value == "false")
-        out = false;
-    else
-        return fail(error, "invalid " + f.key + " value '" + f.value + "'");
-    return true;
+    return (json::toUint(f.value, out) && out >= min && out <= max) ||
+           invalid(f, error);
 }
 
 } // namespace
@@ -154,19 +50,27 @@ parseRequest(const std::string &line, const core::RunPolicy &defaults,
 {
     out = Request{};
     out.policy = defaults;
-    std::vector<JsonField> fields;
-    if (!parseFlatJson(line, fields))
-        return fail(error, "malformed request line (flat JSON object "
-                           "expected)");
+    json::Value doc;
+    std::string why;
+    if (!json::parse(line, doc, &why))
+        return fail(error, "malformed request line: " + why);
+    if (doc.type != json::Type::Object)
+        return fail(error, "malformed request line (JSON object expected)");
 
     bool sawOp = false;
-    for (const JsonField &f : fields) {
+    for (const json::Member &f : doc.members) {
+        if (f.value.type == json::Type::Array ||
+            f.value.type == json::Type::Object)
+            return fail(error, "field '" + f.key + "' must be a scalar");
+        // String fields take a number's raw token too, so "op":1 is an
+        // unknown op '1', not a silent default.
+        const std::string &value = f.value.text;
         std::uint64_t u = 0;
         if (f.key == "op") {
-            out.op = f.value;
+            out.op = value;
             sawOp = true;
         } else if (f.key == "app") {
-            out.config.app = f.value;
+            out.config.app = value;
         } else if (f.key == "size") {
             if (!parseUintField(f, u, error, 1, 1u << 26))
                 return false;
@@ -182,22 +86,22 @@ parseRequest(const std::string &line, const core::RunPolicy &defaults,
             out.config.params.iterations =
                 static_cast<std::uint32_t>(u);
         } else if (f.key == "variant") {
-            out.config.params.variant = f.value;
+            out.config.params.variant = value;
         } else if (f.key == "machine") {
-            if (!mach::parseMachineKind(f.value, out.config.machine) ||
+            if (!mach::parseMachineKind(value, out.config.machine) ||
                 !mach::specFor(out.config.machine).runnable)
-                return fail(error, "unknown machine '" + f.value +
+                return fail(error, "unknown machine '" + value +
                                        "' (valid: " + mach::machineNames() +
                                        ")");
         } else if (f.key == "topology") {
-            if (f.value == "full")
+            if (value == "full")
                 out.config.topology = net::TopologyKind::Full;
-            else if (f.value == "cube")
+            else if (value == "cube")
                 out.config.topology = net::TopologyKind::Hypercube;
-            else if (f.value == "mesh")
+            else if (value == "mesh")
                 out.config.topology = net::TopologyKind::Mesh2D;
             else
-                return fail(error, "unknown topology '" + f.value +
+                return fail(error, "unknown topology '" + value +
                                        "' (valid: full, cube, mesh)");
         } else if (f.key == "procs") {
             if (!parseUintField(f, u, error, 1, 1u << 20))
@@ -208,24 +112,24 @@ parseRequest(const std::string &line, const core::RunPolicy &defaults,
                 return false;
             out.maxProcs = static_cast<std::uint32_t>(u);
         } else if (f.key == "gap") {
-            if (f.value == "single")
+            if (value == "single")
                 out.config.gapPolicy = logp::GapPolicy::Single;
-            else if (f.value == "per-direction")
+            else if (value == "per-direction")
                 out.config.gapPolicy = logp::GapPolicy::PerDirection;
-            else if (f.value == "bisection")
+            else if (value == "bisection")
                 out.config.gapPolicy = logp::GapPolicy::BisectionOnly;
             else
                 return fail(error,
-                            "unknown gap policy '" + f.value +
+                            "unknown gap policy '" + value +
                                 "' (valid: single, per-direction, "
                                 "bisection)");
         } else if (f.key == "protocol") {
-            if (f.value == "berkeley")
+            if (value == "berkeley")
                 out.config.protocol = mach::ProtocolKind::Berkeley;
-            else if (f.value == "msi")
+            else if (value == "msi")
                 out.config.protocol = mach::ProtocolKind::Msi;
             else
-                return fail(error, "unknown protocol '" + f.value +
+                return fail(error, "unknown protocol '" + value +
                                        "' (valid: berkeley, msi)");
         } else if (f.key == "cache_kb") {
             if (!parseUintField(f, u, error, 1, 1u << 20))
@@ -233,23 +137,24 @@ parseRequest(const std::string &line, const core::RunPolicy &defaults,
             out.config.cache.bytes =
                 static_cast<std::uint32_t>(u) * 1024u;
         } else if (f.key == "check") {
-            if (!parseBoolField(f, out.config.checkResult, error))
-                return false;
+            if (f.value.type != json::Type::Bool)
+                return invalid(f, error);
+            out.config.checkResult = value == "true";
         } else if (f.key == "metric") {
-            if (f.value == "exec" || f.value == "exec_time")
+            if (value == "exec" || value == "exec_time")
                 out.metric = core::Metric::ExecTime;
-            else if (f.value == "latency")
+            else if (value == "latency")
                 out.metric = core::Metric::Latency;
-            else if (f.value == "contention")
+            else if (value == "contention")
                 out.metric = core::Metric::Contention;
             else
                 return fail(error,
-                            "unknown metric '" + f.value +
+                            "unknown metric '" + value +
                                 "' (valid: exec, latency, contention)");
         } else if (f.key == "deadline_s") {
-            if (!parseDoubleField(f, out.policy.budget.maxWallSeconds,
-                                  error))
-                return false;
+            if (!json::toDouble(f.value, out.policy.budget.maxWallSeconds) ||
+                out.policy.budget.maxWallSeconds < 0.0)
+                return invalid(f, error);
         } else if (f.key == "max_events") {
             if (!parseUintField(f, out.policy.budget.maxEvents, error, 0,
                                 std::numeric_limits<std::uint64_t>::max()))
@@ -273,15 +178,15 @@ parseRequest(const std::string &line, const core::RunPolicy &defaults,
                 return false;
             out.policy.retryBackoffMs = static_cast<std::uint32_t>(u);
         } else if (f.key == "trace") {
-            if (!sim::parseTraceMask(f.value, out.policy.traceMask))
+            if (!sim::parseTraceMask(value, out.policy.traceMask))
                 return fail(error,
-                            "invalid trace categories '" + f.value +
+                            "invalid trace categories '" + value +
                                 "' (valid: protocol, network, logp, "
                                 "runtime, all)");
         } else if (f.key == "fault_plan") {
             try {
-                out.faultPlan = fault::Plan::parse(f.value);
-                out.faultPlanText = f.value;
+                out.faultPlan = fault::Plan::parse(value);
+                out.faultPlanText = value;
             } catch (const std::invalid_argument &e) {
                 return fail(error, "invalid fault_plan: " +
                                        std::string(e.what()));

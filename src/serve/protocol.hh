@@ -2,13 +2,18 @@
  * @file
  * Line-JSON wire protocol of the absim serve daemon.
  *
- * Requests and responses are flat JSON objects, one per line, in the
- * same hand-rolled dialect as the sweep journals (core/journal.hh):
- * string / number / boolean fields only, no nesting except the sweep
- * response's fixed-shape arrays.  Request fields may arrive in any
- * order — parsing lands them in a RunConfig/RunPolicy and the cache
- * key is rendered from those in canonical field order, so field order
- * never splits the cache (see core/cache_key.hh).
+ * Requests and responses are JSON objects, one per line, read with the
+ * same reader as the sweep journals (json/json.hh).  A request line is
+ * exactly one RFC 8259 object, optionally surrounded by JSON
+ * whitespace, whose values are all scalars (string, number, true,
+ * false, null); an array or object value, a repeated key, trailing
+ * bytes, a raw control byte inside a string, or an escape other than
+ * `\"` `\\` `\/` `\b` `\f` `\n` `\r` `\t` and `\uXXXX` (four hex
+ * digits, no surrogates, decoded to UTF-8) is a bad request.  Responses nest only
+ * in the sweep response's fixed-shape arrays.  Request fields may
+ * arrive in any order — parsing lands them in a RunConfig/RunPolicy
+ * and the cache key is rendered from those in canonical field order,
+ * so field order never splits the cache (see core/cache_key.hh).
  *
  * Request ops:
  *
@@ -40,31 +45,14 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "core/figures.hh"
 #include "fault/fault.hh"
 
 namespace absim::serve {
 
-/** One field of a flat line-JSON object. */
-struct JsonField
-{
-    std::string key;
-    std::string value; ///< Unescaped string value, or the raw token.
-    bool isString = false;
-};
-
-/**
- * Tokenize a flat JSON object line ({"k":"v","n":1,...}).  Rejects
- * nesting, trailing garbage and torn lines.  Shared by the request
- * parser and the result-cache journal loader.
- */
-[[nodiscard]] bool parseFlatJson(const std::string &line,
-                                 std::vector<JsonField> &out);
-
-/** Extract one numeric field from a flat JSON line (e.g. a metric from
- *  a cached run payload). */
+/** Extract one numeric field from a JSON object line (e.g. a metric
+ *  from a cached run payload). */
 [[nodiscard]] bool extractNumber(const std::string &line,
                                  const std::string &key, double &out);
 

@@ -3,7 +3,7 @@
 #include <fstream>
 
 #include "core/cache_key.hh"
-#include "serve/protocol.hh"
+#include "json/json.hh"
 
 namespace absim::serve {
 
@@ -16,23 +16,14 @@ bool
 decodeEntry(const std::string &line, std::uint64_t &key,
             std::string &payload)
 {
-    std::vector<JsonField> fields;
-    if (!parseFlatJson(line, fields))
-        return false;
-    bool sawKey = false;
-    bool sawPayload = false;
+    json::Value doc;
+    std::string keyHex;
     std::string canon;
-    for (const JsonField &f : fields) {
-        if (f.key == "key" && f.isString)
-            sawKey = core::parseKeyHex(f.value, key);
-        else if (f.key == "payload" && f.isString) {
-            payload = f.value;
-            sawPayload = true;
-        } else if (f.key == "canon" && f.isString)
-            canon = f.value;
-    }
-    if (!sawKey || !sawPayload)
+    if (!json::parse(line, doc) || !json::getString(doc, "key", keyHex) ||
+        !core::parseKeyHex(keyHex, key) ||
+        !json::getString(doc, "payload", payload))
         return false;
+    (void)json::getString(doc, "canon", canon);
     // The stored canonical string must re-hash to the stored key:
     // catches canonicalization drift and on-disk corruption that still
     // parses as JSON.

@@ -2,8 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <sstream>
+
+#include "json/json.hh"
 
 namespace absim::trace {
 
@@ -11,42 +12,6 @@ namespace {
 
 /** Guard against zero/near-zero executed values blowing up relDelta. */
 constexpr double kRelEpsilon = 1e-12;
-
-/** Round-trippable decimal form (same %.17g contract as the journal's
- *  formatDouble; duplicated because this layer sits below core). */
-std::string
-formatDouble(double value)
-{
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.17g", value);
-    return buf;
-}
-
-std::string
-escape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (const char ch : s) {
-        const auto c = static_cast<unsigned char>(ch);
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\r': out += "\\r"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (c < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += ch;
-            }
-        }
-    }
-    return out;
-}
 
 } // namespace
 
@@ -89,24 +54,24 @@ toJson(const DivergenceReport &report)
 {
     std::ostringstream os;
     os << "{\"format\":\"absim-divergence\",\"version\":1"
-       << ",\"figure\":\"" << escape(report.figure) << "\""
-       << ",\"metric\":\"" << escape(report.metric) << "\""
+       << ",\"figure\":\"" << json::jsonEscape(report.figure) << "\""
+       << ",\"metric\":\"" << json::jsonEscape(report.metric) << "\""
        << ",\"identical\":" << (report.identical ? "true" : "false")
-       << ",\"max_abs\":" << formatDouble(report.maxAbs)
-       << ",\"max_rel\":" << formatDouble(report.maxRel)
-       << ",\"mean_abs\":" << formatDouble(report.meanAbs)
-       << ",\"mean_rel\":" << formatDouble(report.meanRel)
+       << ",\"max_abs\":" << json::formatDouble(report.maxAbs)
+       << ",\"max_rel\":" << json::formatDouble(report.maxRel)
+       << ",\"mean_abs\":" << json::formatDouble(report.meanAbs)
+       << ",\"mean_rel\":" << json::formatDouble(report.meanRel)
        << ",\"points\":[";
     for (std::size_t i = 0; i < report.points.size(); ++i) {
         const DivergencePoint &pt = report.points[i];
         if (i > 0)
             os << ",";
-        os << "{\"column\":\"" << escape(pt.column) << "\""
+        os << "{\"column\":\"" << json::jsonEscape(pt.column) << "\""
            << ",\"procs\":" << pt.procs
-           << ",\"executed\":" << formatDouble(pt.executed)
-           << ",\"replayed\":" << formatDouble(pt.replayed)
-           << ",\"abs_delta\":" << formatDouble(pt.absDelta)
-           << ",\"rel_delta\":" << formatDouble(pt.relDelta) << "}";
+           << ",\"executed\":" << json::formatDouble(pt.executed)
+           << ",\"replayed\":" << json::formatDouble(pt.replayed)
+           << ",\"abs_delta\":" << json::formatDouble(pt.absDelta)
+           << ",\"rel_delta\":" << json::formatDouble(pt.relDelta) << "}";
     }
     os << "]}\n";
     return os.str();

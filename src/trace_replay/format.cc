@@ -9,107 +9,11 @@
 #include <unistd.h> // fsync
 
 #include "check/check.hh"
+#include "json/json.hh"
 
 namespace absim::trace {
 
 namespace {
-
-// ------------------------------------------------------------- JSON
-
-/** Minimal JSON string escape for the header line.  Local on purpose:
- *  the trace layer sits below core/ in the include DAG, so it cannot
- *  reuse core::jsonEscape. */
-std::string
-escape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size() + 2);
-    for (const char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\r': out += "\\r"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof buf, "\\u%04x",
-                              static_cast<unsigned>(
-                                  static_cast<unsigned char>(c)));
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
-
-/** Pull one `"key":<value>` out of the header line.  The header is
- *  machine-written right above, so a tolerant scan (no full JSON
- *  parser) is enough; any surprise fails the load as a miss. */
-bool
-findRawValue(const std::string &header, const std::string &key,
-             std::string &out)
-{
-    const std::string needle = "\"" + key + "\":";
-    const std::size_t at = header.find(needle);
-    if (at == std::string::npos)
-        return false;
-    std::size_t i = at + needle.size();
-    if (i >= header.size())
-        return false;
-    if (header[i] == '"') {
-        // String value: scan to the closing unescaped quote.
-        std::string s;
-        for (++i; i < header.size(); ++i) {
-            if (header[i] == '\\' && i + 1 < header.size()) {
-                const char n = header[++i];
-                switch (n) {
-                  case 'n': s += '\n'; break;
-                  case 'r': s += '\r'; break;
-                  case 't': s += '\t'; break;
-                  case 'u':
-                    if (i + 4 >= header.size())
-                        return false;
-                    s += static_cast<char>(
-                        std::stoul(header.substr(i + 1, 4), nullptr, 16));
-                    i += 4;
-                    break;
-                  default: s += n; break;
-                }
-            } else if (header[i] == '"') {
-                out = s;
-                return true;
-            } else {
-                s += header[i];
-            }
-        }
-        return false;
-    }
-    std::size_t end = i;
-    while (end < header.size() && header[end] != ',' &&
-           header[end] != '}')
-        ++end;
-    out = header.substr(i, end - i);
-    return true;
-}
-
-bool
-findU64(const std::string &header, const std::string &key,
-        std::uint64_t &out)
-{
-    std::string raw;
-    if (!findRawValue(header, key, raw))
-        return false;
-    try {
-        out = std::stoull(raw);
-    } catch (...) {
-        return false;
-    }
-    return true;
-}
 
 // ------------------------------------------------------- binary body
 
@@ -198,16 +102,17 @@ saveTrace(const Trace &trace, const std::string &path)
 
     std::ostringstream header;
     header << "{\"format\":\"absim-trace\",\"version\":" << kFormatVersion
-           << ",\"app\":\"" << escape(trace.app) << "\",\"n\":" << trace.n
-           << ",\"seed\":" << trace.seed
+           << ",\"app\":\"" << json::jsonEscape(trace.app)
+           << "\",\"n\":" << trace.n << ",\"seed\":" << trace.seed
            << ",\"iterations\":" << trace.iterations << ",\"variant\":\""
-           << escape(trace.variant) << "\",\"procs\":" << trace.procs
+           << json::jsonEscape(trace.variant)
+           << "\",\"procs\":" << trace.procs
            << ",\"replayable\":" << (trace.replayable ? "true" : "false")
-           << ",\"why\":\"" << escape(trace.untraceableWhy)
+           << ",\"why\":\"" << json::jsonEscape(trace.untraceableWhy)
            << "\",\"phases\":[";
     for (std::size_t i = 0; i < trace.phaseNames.size(); ++i)
-        header << (i != 0 ? "," : "") << "\"" << escape(trace.phaseNames[i])
-               << "\"";
+        header << (i != 0 ? "," : "") << "\""
+               << json::jsonEscape(trace.phaseNames[i]) << "\"";
     header << "],\"setupOps\":" << trace.setup.size() << ",\"ops\":"
            << trace.opCount() << "}\n";
 
@@ -279,23 +184,29 @@ loadTrace(const std::string &path, Trace &out)
     const std::size_t nl = body.find('\n');
     if (nl == std::string::npos)
         return false;
-    const std::string header = body.substr(0, nl);
 
     Trace trace;
+    json::Value doc;
+    if (!json::parse(std::string_view(body).substr(0, nl), doc))
+        return false;
+    const json::Value *replayable = doc.find("replayable");
+    const json::Value *phases = doc.find("phases");
+    std::string format;
     std::uint64_t version = 0, n = 0, seed = 0, iterations = 0, procs = 0,
                   setupOps = 0, ops = 0;
-    std::string format, replayable;
-    if (!findRawValue(header, "format", format) ||
-        format != "absim-trace" || !findU64(header, "version", version) ||
-        version != kFormatVersion || !findRawValue(header, "app", trace.app) ||
-        !findU64(header, "n", n) || !findU64(header, "seed", seed) ||
-        !findU64(header, "iterations", iterations) ||
-        !findRawValue(header, "variant", trace.variant) ||
-        !findU64(header, "procs", procs) ||
-        !findRawValue(header, "replayable", replayable) ||
-        !findRawValue(header, "why", trace.untraceableWhy) ||
-        !findU64(header, "setupOps", setupOps) ||
-        !findU64(header, "ops", ops))
+    if (!json::getString(doc, "format", format) ||
+        format != "absim-trace" || !json::getUint(doc, "version", version) ||
+        version != kFormatVersion ||
+        !json::getString(doc, "app", trace.app) ||
+        !json::getUint(doc, "n", n) || !json::getUint(doc, "seed", seed) ||
+        !json::getUint(doc, "iterations", iterations) ||
+        !json::getString(doc, "variant", trace.variant) ||
+        !json::getUint(doc, "procs", procs) || replayable == nullptr ||
+        replayable->type != json::Type::Bool ||
+        !json::getString(doc, "why", trace.untraceableWhy) ||
+        phases == nullptr || phases->type != json::Type::Array ||
+        !json::getUint(doc, "setupOps", setupOps) ||
+        !json::getUint(doc, "ops", ops))
         return false;
     // Range-check before narrowing: 2^32+1 must not load as 1.
     if (procs == 0 || procs > mem::kMaxNodes || iterations > UINT32_MAX)
@@ -304,43 +215,15 @@ loadTrace(const std::string &path, Trace &out)
     trace.seed = seed;
     trace.iterations = static_cast<std::uint32_t>(iterations);
     trace.procs = static_cast<std::uint32_t>(procs);
-    trace.replayable = replayable == "true";
-
-    // Phase names: re-scan the raw array (values are escaped strings).
+    trace.replayable = replayable->text == "true";
     trace.phaseNames.clear();
-    {
-        const std::string needle = "\"phases\":[";
-        const std::size_t at = header.find(needle);
-        if (at == std::string::npos)
+    for (const json::Value &name : phases->items) {
+        if (!name.isString())
             return false;
-        std::size_t i = at + needle.size();
-        while (i < header.size() && header[i] != ']') {
-            if (header[i] == ',') {
-                ++i;
-                continue;
-            }
-            if (header[i] != '"')
-                return false;
-            std::string sub = header.substr(i);
-            std::string name;
-            if (!findRawValue("\"x\":" + sub, "x", name))
-                return false;
-            trace.phaseNames.push_back(name);
-            // Skip past the string we just consumed (escaped length).
-            std::size_t depth = i + 1;
-            while (depth < header.size()) {
-                if (header[depth] == '\\')
-                    depth += 2;
-                else if (header[depth] == '"')
-                    break;
-                else
-                    ++depth;
-            }
-            i = depth + 1;
-        }
-        if (trace.phaseNames.empty() || trace.phaseNames[0] != "main")
-            return false;
+        trace.phaseNames.push_back(name.text);
     }
+    if (trace.phaseNames.empty() || trace.phaseNames[0] != "main")
+        return false;
 
     // Every record takes at least kMinRecordBytes (a kind byte plus
     // one-byte fields), so a count the remaining body cannot hold is

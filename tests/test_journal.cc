@@ -16,6 +16,7 @@
 #include "core/figures.hh"
 #include "core/journal.hh"
 #include "core/journal_merge.hh"
+#include "json/json.hh"
 
 namespace {
 
@@ -24,7 +25,10 @@ using namespace absim;
 TEST(Journal, EscapeRoundTripsControlAndQuoteCharacters)
 {
     const std::string nasty = "a \"quoted\\path\"\nwith\ttabs\rand \x01";
-    EXPECT_EQ(core::jsonUnescape(core::jsonEscape(nasty)), nasty);
+    json::Value decoded;
+    ASSERT_TRUE(
+        json::parse("\"" + core::jsonEscape(nasty) + "\"", decoded));
+    EXPECT_EQ(decoded.text, nasty);
     EXPECT_EQ(core::jsonEscape("plain"), "plain");
 }
 
@@ -100,6 +104,35 @@ TEST(Journal, DecodeRejectsTornLines)
     EXPECT_FALSE(core::decodeRecord("{\"procs\":8}", out));
     EXPECT_FALSE(
         core::decodeRecord("{\"procs\":8,\"machine\":\"logp", out));
+}
+
+TEST(Journal, DecodeRejectsWeldedLines)
+{
+    // A record torn mid-key with the next record appended after it: the
+    // welded line still holds every key, but it is not one object.
+    core::JournalRecord out;
+    EXPECT_FALSE(core::decodeRecord(
+        "{\"procs\":8,\"tar{\"procs\":16,\"target\":1.5,\"logp\":2,"
+        "\"logpc\":3}",
+        out));
+}
+
+TEST(Journal, DecodeRejectsDuplicateKeys)
+{
+    core::JournalRecord out;
+    EXPECT_FALSE(core::decodeRecord(
+        "{\"procs\":8,\"procs\":16,\"target\":1.5,\"logp\":2,"
+        "\"logpc\":3}",
+        out));
+    EXPECT_FALSE(core::decodeRecord(
+        "{\"procs\":8,\"target\":1.5,\"logp\":2,\"logpc\":3,"
+        "\"target\":9}",
+        out));
+    core::JournalHeader header;
+    EXPECT_FALSE(core::decodeHeader(
+        "{\"absim_journal\":1,\"title\":\"a\",\"app\":\"is\","
+        "\"topology\":\"full\",\"metric\":\"exec\",\"app\":\"ep\"}",
+        header));
 }
 
 TEST(ShardSpec, ParsesValidSpecsAndRejectsGarbage)

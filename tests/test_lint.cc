@@ -347,12 +347,58 @@ TEST(LintJson, EscapesQuotesBackslashesAndControlBytes)
     EXPECT_EQ(decoded.diagnostics[0], d);
 }
 
+TEST(LintJson, BracesInsideStringsRoundTrip)
+{
+    // The old decoder matched each object's end with find('}'), so a
+    // message naming a brace-initializer failed to decode.
+    LintResult result;
+    result.filesScanned = 2;
+    Diagnostic d;
+    d.rule = "R1";
+    d.file = "src/core/{odd}.cc";
+    d.line = 12;
+    d.message = "discarded result of f() {see} \"x\"}";
+    result.diagnostics = {d, d};
+
+    LintResult decoded;
+    ASSERT_TRUE(
+        absim_lint::decodeJson(absim_lint::encodeJson(result), decoded));
+    ASSERT_EQ(decoded.diagnostics.size(), 2u);
+    EXPECT_EQ(decoded.diagnostics[0], d);
+    EXPECT_EQ(decoded.diagnostics[1], d);
+}
+
 TEST(LintJson, DecodeRejectsMalformedDocuments)
 {
     LintResult out;
     EXPECT_FALSE(absim_lint::decodeJson("", out));
     EXPECT_FALSE(absim_lint::decodeJson("not json", out));
     EXPECT_FALSE(absim_lint::decodeJson("{\"absim_lint\":1", out));
+    // Out-of-range integers are a decode failure, not std::out_of_range.
+    EXPECT_FALSE(absim_lint::decodeJson(
+        "{\"absim_lint\":1,\"files_scanned\":99999999999,\"count\":0,"
+        "\"violations\":[]}",
+        out));
+    EXPECT_FALSE(absim_lint::decodeJson(
+        "{\"absim_lint\":1,\"files_scanned\":1,\"count\":1,"
+        "\"violations\":[{\"file\":\"a.cc\",\"line\":99999999999,"
+        "\"rule\":\"D1\",\"message\":\"m\"}]}",
+        out));
+    // A count that disagrees with the array, and a bad escape.
+    EXPECT_FALSE(absim_lint::decodeJson(
+        "{\"absim_lint\":1,\"files_scanned\":1,\"count\":2,"
+        "\"violations\":[]}",
+        out));
+    EXPECT_FALSE(absim_lint::decodeJson(
+        "{\"absim_lint\":1,\"files_scanned\":1,\"count\":1,"
+        "\"violations\":[{\"file\":\"\\uzzzz\",\"line\":1,"
+        "\"rule\":\"D1\",\"message\":\"m\"}]}",
+        out));
+    EXPECT_TRUE(absim_lint::decodeJson(
+        "{\"absim_lint\":1,\"files_scanned\":3,\"count\":0,"
+        "\"violations\":[]}\n",
+        out));
+    EXPECT_EQ(out.filesScanned, 3);
 }
 
 // --------------------------------------------------- binary contract

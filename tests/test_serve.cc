@@ -18,6 +18,7 @@
 
 #include "core/cache_key.hh"
 #include "core/journal.hh"
+#include "json/json.hh"
 #include "serve/protocol.hh"
 #include "serve/result_cache.hh"
 #include "serve/service.hh"
@@ -32,30 +33,43 @@ using namespace absim;
 
 TEST(ServeProtocol, ParsesFlatJsonFieldsOfEveryType)
 {
-    std::vector<serve::JsonField> fields;
-    ASSERT_TRUE(serve::parseFlatJson(
-        "{\"s\":\"a\\\"b\",\"n\":-1.5e3,\"t\":true,\"e\":\"\"}", fields));
-    ASSERT_EQ(fields.size(), 4u);
-    EXPECT_EQ(fields[0].key, "s");
-    EXPECT_EQ(fields[0].value, "a\"b");
-    EXPECT_TRUE(fields[0].isString);
-    EXPECT_EQ(fields[1].value, "-1.5e3");
-    EXPECT_FALSE(fields[1].isString);
-    EXPECT_EQ(fields[2].value, "true");
-    EXPECT_EQ(fields[3].value, "");
+    json::Value doc;
+    ASSERT_TRUE(json::parse(
+        "{\"s\":\"a\\\"b\",\"n\":-1.5e3,\"t\":true,\"e\":\"\"}", doc));
+    ASSERT_EQ(doc.members.size(), 4u);
+    EXPECT_EQ(doc.members[0].key, "s");
+    EXPECT_EQ(doc.members[0].value.text, "a\"b");
+    EXPECT_TRUE(doc.members[0].value.isString());
+    EXPECT_EQ(doc.members[1].value.text, "-1.5e3");
+    EXPECT_EQ(doc.members[1].value.type, json::Type::Number);
+    EXPECT_EQ(doc.members[2].value.text, "true");
+    EXPECT_EQ(doc.members[2].value.type, json::Type::Bool);
+    EXPECT_EQ(doc.members[3].value.text, "");
 }
 
 TEST(ServeProtocol, RejectsTornNestedAndTrailingGarbage)
 {
-    std::vector<serve::JsonField> fields;
-    EXPECT_FALSE(serve::parseFlatJson("", fields));
-    EXPECT_FALSE(serve::parseFlatJson("{\"a\":1", fields));
-    EXPECT_FALSE(serve::parseFlatJson("{\"a\":\"tor", fields));
-    EXPECT_FALSE(serve::parseFlatJson("{\"a\":{\"b\":1}}", fields));
-    EXPECT_FALSE(serve::parseFlatJson("{\"a\":[1]}", fields));
-    EXPECT_FALSE(serve::parseFlatJson("{\"a\":1}x", fields));
-    EXPECT_TRUE(serve::parseFlatJson("{}", fields));
-    EXPECT_TRUE(fields.empty());
+    json::Value doc;
+    EXPECT_FALSE(json::parse("", doc));
+    EXPECT_FALSE(json::parse("{\"a\":1", doc));
+    EXPECT_FALSE(json::parse("{\"a\":\"tor", doc));
+    EXPECT_FALSE(json::parse("{\"a\":1}x", doc));
+    EXPECT_TRUE(json::parse("{}", doc));
+    EXPECT_TRUE(doc.members.empty());
+
+    // Request fields are scalars: a nested value is a bad request.
+    serve::Request request;
+    std::string error;
+    EXPECT_FALSE(serve::parseRequest("{\"op\":\"ping\",\"a\":{\"b\":1}}",
+                                     core::RunPolicy{}, request, error));
+    EXPECT_NE(error.find("field 'a' must be a scalar"), std::string::npos)
+        << error;
+    EXPECT_FALSE(serve::parseRequest("{\"op\":\"ping\",\"a\":[1]}",
+                                     core::RunPolicy{}, request, error));
+    EXPECT_FALSE(serve::parseRequest("[\"ping\"]", core::RunPolicy{},
+                                     request, error));
+    EXPECT_TRUE(serve::parseRequest(" {\"op\":\"ping\"} ",
+                                    core::RunPolicy{}, request, error));
 }
 
 TEST(ServeProtocol, RequestDiagnosticsNameTheOffendingField)
@@ -154,16 +168,12 @@ TEST(ServeProtocol, HostileTraceExcerptStaysValidLineJson)
 
     // The line must parse in the daemon's own dialect and round-trip
     // the excerpt byte-exactly through the unescaper.
-    std::vector<serve::JsonField> fields;
-    ASSERT_TRUE(serve::parseFlatJson(resp, fields));
+    json::Value doc;
+    ASSERT_TRUE(json::parse(resp, doc));
     std::string message;
     std::string trace;
-    for (const serve::JsonField &f : fields) {
-        if (f.key == "message")
-            message = f.value;
-        if (f.key == "trace")
-            trace = f.value;
-    }
+    ASSERT_TRUE(json::getString(doc, "message", message));
+    ASSERT_TRUE(json::getString(doc, "trace", trace));
     EXPECT_EQ(message, hostile);
     EXPECT_EQ(trace, hostile);
 
@@ -345,6 +355,34 @@ TEST(ServeService, BadRequestsAreNamedNotFatal)
     EXPECT_EQ(service.stats().badRequests, 1u);
     // The service still works afterwards.
     EXPECT_NE(service.handle("{\"op\":\"ping\"}").find("\"op\":\"ping\""),
+              std::string::npos);
+}
+
+TEST(ServeService, HostileEscapesAreBadRequestsNotFatal)
+{
+    // A \u escape without four hex digits used to throw out of
+    // Service::handle (std::stoul) and abort the daemon; a code point
+    // above 0xff used to be cut to its low byte, so \u0170ing read as
+    // "ping".  An oversized fault-plan count used to throw
+    // std::out_of_range past the invalid_argument handler.
+    serve::Service service(smallConfig());
+    for (const std::string line :
+         {"{\"op\":\"\\uzzzz\"}", "{\"op\":\"\\u0170ing\"}",
+          "{\"op\":\"\\u00\"}", "{\"op\":\"\\ud800\"}",
+          "{\"op\":\"ping\",\"op\":\"stats\"}",
+          "{\"op\":\"run\",\"app\":\"ep\",\"fault_plan\":"
+          "\"seed=99999999999999999999999\"}"}) {
+        const std::string response = service.handle(line);
+        EXPECT_NE(response.find("\"error\":\"bad-request\""),
+                  std::string::npos)
+            << line << " -> " << response;
+    }
+    EXPECT_EQ(service.stats().badRequests, 6u);
+    EXPECT_NE(service.handle("{\"op\":\"ping\"}").find("\"op\":\"ping\""),
+              std::string::npos);
+    // The escape itself decodes to UTF-8, not to a truncated byte.
+    EXPECT_NE(service.handle("{\"op\":\"\\u0170ing\"}")
+                  .find("unknown op '\xc5\xb0ing'"),
               std::string::npos);
 }
 

@@ -464,6 +464,27 @@ TEST(TraceFormat, OutOfRangeHeaderIntegersAreAMiss)
     EXPECT_EQ(loaded.procs, 1u);
 }
 
+TEST(TraceFormat, HostileHeaderEscapesAreAMiss)
+{
+    // The checksum is re-stamped, so only the header reader stands
+    // between these bytes and a throw out of loadTrace (a bad \u escape
+    // used to reach std::stoul).
+    TempTraceDir dir;
+    trace::Trace loaded;
+    for (const std::string why :
+         {"\"why\":\"\\uzzzz\"", "\"why\":\"\\u12\"", "\"why\":\"\\q\"",
+          "\"why\":\"\\udc00\"", "\"why\":\"\",\"why\":\"\""})
+        EXPECT_FALSE(trace::loadTrace(
+            craftedTrace(dir, tinyTrace(), "\"why\":\"\"", why), loaded))
+            << why;
+    // A well-formed escape still loads, decoded.
+    ASSERT_TRUE(trace::loadTrace(craftedTrace(dir, tinyTrace(),
+                                              "\"why\":\"\"",
+                                              "\"why\":\"\\u0041\\/\""),
+                                 loaded));
+    EXPECT_EQ(loaded.untraceableWhy, "A/");
+}
+
 /** A two-processor trace where processor 0 runs @p op on a word homed
  *  on node 0 (initialized to @p init) and processor 1 does nothing. */
 trace::Trace

@@ -9,10 +9,13 @@
 
 #include <algorithm>
 #include <cctype>
+#include <climits>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 
+#include "json/json.hh"
 #include "rules.hh"
 
 namespace absim_lint {
@@ -170,87 +173,6 @@ lintableExtension(const fs::path &path)
            ext == ".h";
 }
 
-std::string
-jsonEscapeString(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size() + 8);
-    for (const char c : s) {
-        switch (c) {
-        case '"': out += "\\\""; break;
-        case '\\': out += "\\\\"; break;
-        case '\n': out += "\\n"; break;
-        case '\t': out += "\\t"; break;
-        case '\r': out += "\\r"; break;
-        default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof buf, "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
-
-/** Extract "key":"string" from a flat JSON object body. */
-bool
-extractJsonString(const std::string &object, const std::string &key,
-                  std::string &out)
-{
-    const std::string needle = "\"" + key + "\":\"";
-    const std::size_t at = object.find(needle);
-    if (at == std::string::npos)
-        return false;
-    std::string value;
-    for (std::size_t i = at + needle.size(); i < object.size(); ++i) {
-        const char c = object[i];
-        if (c == '\\' && i + 1 < object.size()) {
-            const char next = object[++i];
-            switch (next) {
-            case 'n': value += '\n'; break;
-            case 't': value += '\t'; break;
-            case 'r': value += '\r'; break;
-            case 'u':
-                if (i + 4 < object.size()) {
-                    value += static_cast<char>(
-                        std::stoi(object.substr(i + 1, 4), nullptr, 16));
-                    i += 4;
-                }
-                break;
-            default: value += next;
-            }
-        } else if (c == '"') {
-            out = value;
-            return true;
-        } else {
-            value += c;
-        }
-    }
-    return false;
-}
-
-bool
-extractJsonInt(const std::string &object, const std::string &key,
-               int &out)
-{
-    const std::string needle = "\"" + key + "\":";
-    const std::size_t at = object.find(needle);
-    if (at == std::string::npos)
-        return false;
-    std::size_t i = at + needle.size();
-    std::size_t end = i;
-    while (end < object.size() &&
-           std::isdigit(static_cast<unsigned char>(object[end])))
-        ++end;
-    if (end == i)
-        return false;
-    out = std::stoi(object.substr(i, end - i));
-    return true;
-}
-
 } // namespace
 
 std::vector<Diagnostic>
@@ -341,9 +263,9 @@ encodeJson(const LintResult &result)
     for (std::size_t i = 0; i < result.diagnostics.size(); ++i) {
         const Diagnostic &d = result.diagnostics[i];
         out << (i == 0 ? "" : ",") << "\n{\"file\":\""
-            << jsonEscapeString(d.file) << "\",\"line\":" << d.line
-            << ",\"rule\":\"" << jsonEscapeString(d.rule)
-            << "\",\"message\":\"" << jsonEscapeString(d.message)
+            << absim::json::jsonEscape(d.file) << "\",\"line\":" << d.line
+            << ",\"rule\":\"" << absim::json::jsonEscape(d.rule)
+            << "\",\"message\":\"" << absim::json::jsonEscape(d.message)
             << "\"}";
     }
     out << "]}\n";
@@ -353,40 +275,33 @@ encodeJson(const LintResult &result)
 bool
 decodeJson(const std::string &json, LintResult &out)
 {
+    namespace js = absim::json;
     out = LintResult{};
-    if (json.find("\"absim_lint\":1") == std::string::npos)
+    js::Value doc;
+    std::uint64_t version = 0;
+    std::uint64_t filesScanned = 0;
+    std::uint64_t count = 0;
+    if (!js::parse(json, doc) || !js::getUint(doc, "absim_lint", version) ||
+        version != 1 || !js::getUint(doc, "files_scanned", filesScanned) ||
+        filesScanned > INT_MAX || !js::getUint(doc, "count", count))
         return false;
-    if (!extractJsonInt(json, "files_scanned", out.filesScanned))
-        return false;
+    out.filesScanned = static_cast<int>(filesScanned);
 
-    const std::size_t array = json.find("\"violations\":[");
-    if (array == std::string::npos)
+    const js::Value *violations = doc.find("violations");
+    if (violations == nullptr || violations->type != js::Type::Array ||
+        count != violations->items.size())
         return false;
-
-    // Objects are flat (no nesting), so brace-matching is trivial.
-    std::size_t i = array;
-    while (true) {
-        const std::size_t open = json.find('{', i);
-        if (open == std::string::npos)
-            break;
-        const std::size_t close = json.find('}', open);
-        if (close == std::string::npos)
-            return false;
-        const std::string object = json.substr(open, close - open + 1);
+    for (const js::Value &object : violations->items) {
         Diagnostic d;
-        if (!extractJsonString(object, "file", d.file) ||
-            !extractJsonInt(object, "line", d.line) ||
-            !extractJsonString(object, "rule", d.rule) ||
-            !extractJsonString(object, "message", d.message))
+        std::uint64_t line = 0;
+        if (!js::getString(object, "file", d.file) ||
+            !js::getUint(object, "line", line) || line > INT_MAX ||
+            !js::getString(object, "rule", d.rule) ||
+            !js::getString(object, "message", d.message))
             return false;
+        d.line = static_cast<int>(line);
         out.diagnostics.push_back(std::move(d));
-        i = close + 1;
     }
-
-    int count = 0;
-    if (!extractJsonInt(json, "count", count) ||
-        count != static_cast<int>(out.diagnostics.size()))
-        return false;
     return true;
 }
 

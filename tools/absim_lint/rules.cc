@@ -346,6 +346,7 @@ const std::vector<Layer> &
 layerTable()
 {
     static const std::vector<Layer> kTable = {
+        {"json", {}},
         {"fault", {}},
         {"check", {}}, // + the coherence exception below.
         {"sim", {"check", "fault"}},
@@ -360,14 +361,14 @@ layerTable()
         {"msg", {"check", "logp", "mem", "net", "runtime", "sim"}},
         {"apps", {"check", "msg", "runtime", "sim", "stats"}},
         {"trace_replay",
-         {"apps", "check", "fault", "logp", "machines", "mem", "net",
-          "runtime", "sim", "stats"}},
+         {"apps", "check", "fault", "json", "logp", "machines", "mem",
+          "net", "runtime", "sim", "stats"}},
         {"core",
-         {"apps", "check", "fault", "logp", "machines", "mem", "msg",
-          "net", "runtime", "sim", "stats", "trace_replay"}},
-        {"serve",
-         {"apps", "check", "core", "fault", "logp", "machines", "mem",
+         {"apps", "check", "fault", "json", "logp", "machines", "mem",
           "msg", "net", "runtime", "sim", "stats", "trace_replay"}},
+        {"serve",
+         {"apps", "check", "core", "fault", "json", "logp", "machines",
+          "mem", "msg", "net", "runtime", "sim", "stats", "trace_replay"}},
     };
     return kTable;
 }
