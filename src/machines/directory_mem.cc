@@ -64,15 +64,12 @@ bool
 DirectoryMem::probe(MemClient &client, mem::Addr addr, AccessType type,
                     AccessTiming &t)
 {
-    const BlockId blk = mem::blockOf(addr);
-    mem::SetAssocCache &cache = *caches_[client.node()];
-    const LineState state = cache.stateOf(blk);
-    if (type == AccessType::Read ? state == LineState::Invalid
-                                 : state != LineState::Dirty)
+    const bool write = type != AccessType::Read;
+    const LineState state =
+        caches_[client.node()]->access(mem::blockOf(addr), write);
+    if (!mem::canService(state, write))
         return false;
     ++stats_.accesses;
-    cache.touch(blk);
-    ++cache.stats().hits;
     ++stats_.cacheHits;
     t.busy = kCacheHitNs;
     stats_.memTime += t.busy;

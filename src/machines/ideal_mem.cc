@@ -81,15 +81,13 @@ IdealCacheMem::probe(MemClient &client, mem::Addr addr, AccessType type,
     const NodeId node = client.node();
     const BlockId blk = mem::blockOf(addr);
     mem::SetAssocCache &cache = *caches_[node];
-    const LineState state = cache.stateOf(blk);
-    const bool is_read = (type == AccessType::Read);
+    const bool write = type != AccessType::Read;
+    const LineState state = cache.access(blk, write);
 
-    if (is_read ? state != LineState::Invalid : state == LineState::Dirty) {
+    if (mem::canService(state, write)) {
         ++stats_.accesses;
-        cache.touch(blk);
-        ++cache.stats().hits;
         ++stats_.cacheHits;
-    } else if (!is_read && state != LineState::Invalid) {
+    } else if (state != LineState::Invalid) {
         // Upgrade: the paper's canonical example — the block is valid in
         // several caches and one processor writes.  The directory memory
         // system sends invalidations; here the state flips are free and

@@ -19,25 +19,6 @@ SetAssocCache::SetAssocCache(std::uint32_t capacity_bytes,
     lines_.resize(line_count);
 }
 
-const SetAssocCache::Line *
-SetAssocCache::find(BlockId blk) const
-{
-    const std::uint32_t set = setIndex(blk);
-    for (std::uint32_t w = 0; w < ways_; ++w) {
-        const Line &line = lines_[set * ways_ + w];
-        if (line.state != LineState::Invalid && line.tag == blk)
-            return &line;
-    }
-    return nullptr;
-}
-
-SetAssocCache::Line *
-SetAssocCache::find(BlockId blk)
-{
-    return const_cast<Line *>(
-        static_cast<const SetAssocCache *>(this)->find(blk));
-}
-
 LineState
 SetAssocCache::stateOf(BlockId blk) const
 {

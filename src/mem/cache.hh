@@ -45,6 +45,14 @@ isOwned(LineState s)
     return s == LineState::SharedDirty || s == LineState::Dirty;
 }
 
+/** True if a line in @p s services an access without a transaction:
+ *  a read hits any valid line, a write (or RMW) only a Dirty one. */
+constexpr bool
+canService(LineState s, bool write)
+{
+    return write ? s == LineState::Dirty : s != LineState::Invalid;
+}
+
 /** Per-cache hit/miss/eviction counters. */
 struct CacheStats
 {
@@ -74,17 +82,38 @@ class SetAssocCache
     bool
     hasReadable(BlockId blk) const
     {
-        return stateOf(blk) != LineState::Invalid;
+        return canService(stateOf(blk), false);
     }
 
     bool
     hasWritable(BlockId blk) const
     {
-        return stateOf(blk) == LineState::Dirty;
+        return canService(stateOf(blk), true);
     }
 
     /** Mark @p blk most recently used (call on hits). */
     void touch(BlockId blk);
+
+    /**
+     * The hit path in one scan of the set: if @p blk's line services
+     * the access (canService), mark it most recently used and count a
+     * hit.  A write to a Valid or SharedDirty line is not a hit: it
+     * leaves LRU and the counters alone.
+     * @return the line's state (Invalid if absent) either way, so the
+     *         caller can tell a hit from an upgrade from a miss.
+     */
+    LineState
+    access(BlockId blk, bool write)
+    {
+        Line *line = find(blk);
+        if (line == nullptr)
+            return LineState::Invalid;
+        if (canService(line->state, write)) {
+            line->lastUse = ++useClock_;
+            ++stats_.hits;
+        }
+        return line->state;
+    }
 
     /**
      * Pick the victim that inserting @p blk would evict.
@@ -135,8 +164,22 @@ class SetAssocCache
         std::uint64_t lastUse = 0;
     };
 
-    const Line *find(BlockId blk) const;
-    Line *find(BlockId blk);
+    const Line *
+    find(BlockId blk) const
+    {
+        const Line *set = &lines_[setIndex(blk) * ways_];
+        for (std::uint32_t w = 0; w < ways_; ++w)
+            if (set[w].state != LineState::Invalid && set[w].tag == blk)
+                return &set[w];
+        return nullptr;
+    }
+
+    Line *
+    find(BlockId blk)
+    {
+        return const_cast<Line *>(
+            static_cast<const SetAssocCache *>(this)->find(blk));
+    }
 
     std::uint32_t
     setIndex(BlockId blk) const

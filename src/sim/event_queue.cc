@@ -286,6 +286,9 @@ void
 EventQueue::advanceWindow()
 {
     // Pre: calendar empty, overflow non-empty, overflow top >= now_.
+    // The top may already lie inside the window (it was scheduled
+    // before the sliding window reached it); with the calendar empty,
+    // re-basing onto it is safe either way.
     const Tick base = overflow_.front()->when;
     windowBase_ = base;
     windowLimit_ = base > kTickMax - Tick{kBuckets} ? kTickMax
@@ -358,6 +361,17 @@ void
 EventQueue::dispatch(EventNode *node)
 {
     now_ = node->when;
+    if (now_ > windowBase_) {
+        // Slide the calendar with the clock, so near-now events keep
+        // landing in buckets instead of the overflow heap.  Every
+        // bucketed event lies in [now_, old limit), inside the new
+        // window, so no two ticks alias in one bucket; overflow events
+        // the wider window now covers stay put, and refreshFront()
+        // merges the tiers in (when, seq) order.
+        windowBase_ = now_;
+        windowLimit_ = now_ > kTickMax - Tick{kBuckets} ? kTickMax
+                                                          : now_ + kBuckets;
+    }
     ++dispatched_;
     if (fault::armed() &&
         fault::injector().shouldStallQueue(dispatched_)) [[unlikely]]

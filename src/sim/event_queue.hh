@@ -19,10 +19,15 @@
  *    tracked by a two-level bitmap — holds the near-now events; each
  *    bucket is a FIFO list, which *is* (tick, seq) order because a
  *    bucket covers exactly one tick.
+ *  - The window slides with the clock: each dispatch that advances
+ *    the clock re-bases it to [now, now + kBuckets), so events a few
+ *    microseconds ahead keep landing in buckets.
  *  - A sorted overflow tier (binary min-heap on (tick, seq)) holds
  *    far-future events; when the calendar drains, the window re-bases
  *    onto the earliest overflow event and pulls the next window's
- *    events across.
+ *    events across.  Overflow events the sliding window has reached
+ *    wait there until then; dispatch merges the two tiers in
+ *    (tick, seq) order.
  *  - The earliest pending node across both tiers is cached: schedule()
  *    compares against it, and a dispatch rescans once, after the pop.
  *    nextEventTime() — asked before every shared access by both the
@@ -306,7 +311,9 @@ class EventQueue
     std::uint64_t dispatched_ = 0;
     std::size_t size_ = 0;
 
-    /** Calendar tier: buckets cover [windowBase_, windowLimit_). */
+    /** Calendar tier: buckets cover [windowBase_, windowLimit_); the
+     *  base follows the clock forward (dispatch) and jumps to the
+     *  overflow front when the calendar drains (advanceWindow). */
     std::unique_ptr<Bucket[]> buckets_;
     std::uint64_t summary_ = 0; ///< Which bitmap words are non-zero.
     std::unique_ptr<std::uint64_t[]> words_;

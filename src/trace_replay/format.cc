@@ -1,12 +1,15 @@
 #include "trace_replay/format.hh"
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 
-#include <unistd.h> // fsync
+#include <sys/stat.h> // fstat
+#include <unistd.h>   // fsync
 
 #include "check/check.hh"
 #include "json/json.hh"
@@ -28,7 +31,7 @@ putVarint(std::string &out, std::uint64_t v)
 }
 
 bool
-getVarint(const std::string &in, std::size_t &at, std::uint64_t &out)
+getVarint(std::string_view in, std::size_t &at, std::uint64_t &out)
 {
     out = 0;
     for (unsigned shift = 0; shift < 64; shift += 7) {
@@ -46,7 +49,7 @@ constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ull;
 constexpr std::uint64_t kFnvPrime = 0x100000001b3ull;
 
 std::uint64_t
-fnv1a(const std::string &data)
+fnv1a(std::string_view data)
 {
     std::uint64_t h = kFnvOffset;
     for (const char c : data) {
@@ -56,7 +59,40 @@ fnv1a(const std::string &data)
     return h;
 }
 
+/** True for the ops whose replay reads the value store. */
+bool
+readsValue(OpKind kind)
+{
+    switch (kind) {
+      case OpKind::RmwFetchAdd:
+      case OpKind::RmwTestAndSet:
+      case OpKind::SyncLockTS:
+      case OpKind::SyncLockTTS:
+      case OpKind::SyncBarrier:
+      case OpKind::SyncFlagWait:
+        return true;
+      default:
+        return false;
+    }
+}
+
 } // namespace
+
+void
+indexValueWords(Trace &trace)
+{
+    std::vector<mem::Addr> words;
+    for (const SetupOp &op : trace.setup)
+        if (op.kind == SetupOp::Barrier)
+            words.push_back(op.b);
+    for (const std::vector<Op> &stream : trace.streams)
+        for (const Op &op : stream)
+            if (readsValue(op.kind))
+                words.push_back(op.addr);
+    std::sort(words.begin(), words.end());
+    words.erase(std::unique(words.begin(), words.end()), words.end());
+    trace.valueWords = std::move(words);
+}
 
 std::uint64_t
 Trace::opCount() const
@@ -163,6 +199,9 @@ loadTrace(const std::string &path, Trace &out)
     if (file == nullptr)
         return false;
     std::string blob;
+    struct stat st{};
+    if (::fstat(fileno(file), &st) == 0 && st.st_size > 0)
+        blob.reserve(static_cast<std::size_t>(st.st_size));
     char buf[1 << 16];
     std::size_t got;
     while ((got = std::fread(buf, 1, sizeof buf, file)) > 0)
@@ -172,7 +211,7 @@ loadTrace(const std::string &path, Trace &out)
     if (!readOk || blob.size() < 8)
         return false;
 
-    const std::string body = blob.substr(0, blob.size() - 8);
+    const std::string_view body(blob.data(), blob.size() - 8);
     std::uint64_t sum = 0;
     for (unsigned i = 0; i < 8; ++i)
         sum |= static_cast<std::uint64_t>(static_cast<std::uint8_t>(
@@ -182,12 +221,12 @@ loadTrace(const std::string &path, Trace &out)
         return false; // Torn, truncated or corrupt: a cache miss.
 
     const std::size_t nl = body.find('\n');
-    if (nl == std::string::npos)
+    if (nl == std::string_view::npos)
         return false;
 
     Trace trace;
     json::Value doc;
-    if (!json::parse(std::string_view(body).substr(0, nl), doc))
+    if (!json::parse(body.substr(0, nl), doc))
         return false;
     const json::Value *replayable = doc.find("replayable");
     const json::Value *phases = doc.find("phases");
@@ -281,6 +320,7 @@ loadTrace(const std::string &path, Trace &out)
     if (at != body.size() || totalOps != ops)
         return false;
 
+    indexValueWords(trace);
     out = std::move(trace);
     return true;
 }

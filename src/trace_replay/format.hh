@@ -131,9 +131,25 @@ struct Trace
     std::vector<SetupOp> setup;
     std::vector<std::vector<Op>> streams; ///< One stream per processor.
 
+    /**
+     * The words whose values replay reads, sorted and unique: the
+     * address of every RMW and synchronization op plus the sense word
+     * of every barrier.  Derived from setup and streams by
+     * indexValueWords(), never serialized; replay keeps a value only
+     * for these words.
+     */
+    std::vector<mem::Addr> valueWords;
+
     /** Total recorded operations across all processors. */
     std::uint64_t opCount() const;
 };
+
+/**
+ * Fill @p trace.valueWords from its setup records and streams.  Both
+ * trace producers (loadTrace and Recorder::take) call it; a trace built
+ * by hand must call it before replay.
+ */
+void indexValueWords(Trace &trace);
 
 /**
  * Machine-independent file name for the trace of one workload point

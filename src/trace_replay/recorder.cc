@@ -221,6 +221,7 @@ Recorder::take(const std::string &app, const apps::AppParams &params)
         flushCompute(s);
         trace.streams.push_back(std::move(s.ops));
     }
+    indexValueWords(trace);
     return trace;
 }
 

@@ -120,6 +120,76 @@ class Worker final : public mach::MemClient
     stats::ProcStats phaseSnapshot_;
 };
 
+/**
+ * The replayed value store: a flat open-addressing table over the
+ * trace's valueWords, the only words a replayed op reads.  The key set
+ * is fixed at construction, so the table is sized by it, not by the op
+ * count.  A store to any other word is dropped; a load of one means the
+ * trace was never indexed, which is an error rather than a silent 0.
+ */
+class ValueStore
+{
+  public:
+    explicit ValueStore(const std::vector<mem::Addr> &words)
+    {
+        unsigned bits = 1;
+        while ((std::size_t{1} << bits) < 2 * words.size())
+            ++bits;
+        shift_ = 64 - bits;
+        slots_.resize(std::size_t{1} << bits);
+        for (const mem::Addr a : words) {
+            Slot &slot = probe(a);
+            slot.used = true;
+            slot.key = a;
+        }
+    }
+
+    void
+    store(mem::Addr a, std::uint64_t v)
+    {
+        Slot &slot = probe(a);
+        if (slot.used)
+            slot.value = v;
+    }
+
+    std::uint64_t
+    load(mem::Addr a)
+    {
+        const Slot &slot = probe(a);
+        if (!slot.used)
+            throw ReplayError(
+                "trace: value word " + std::to_string(a) +
+                " is not indexed (a hand-built trace must call "
+                "trace::indexValueWords)");
+        return slot.value;
+    }
+
+  private:
+    struct Slot
+    {
+        mem::Addr key = 0;
+        std::uint64_t value = 0;
+        bool used = false;
+    };
+
+    /** @p a's slot, or the empty slot that ends its probe sequence
+     *  (at most half the slots are used, so one always does). */
+    Slot &
+    probe(mem::Addr a)
+    {
+        const std::size_t mask = slots_.size() - 1;
+        for (std::size_t i = (a * 0x9e3779b97f4a7c15ull) >> shift_;;
+             i = (i + 1) & mask) {
+            Slot &slot = slots_[i];
+            if (!slot.used || slot.key == a)
+                return slot;
+        }
+    }
+
+    std::vector<Slot> slots_;
+    unsigned shift_ = 63;
+};
+
 std::uint64_t
 maskTo(std::uint64_t v, std::uint32_t bytes)
 {
@@ -135,28 +205,15 @@ class Replayer
         : trace_(trace), heap_(trace.procs),
           machine_(mach::makeMachine(spec.machine, eq_, spec.topology,
                                      trace.procs, heap_, spec.gapPolicy,
-                                     spec.cache, spec.protocol))
+                                     spec.cache, spec.protocol)),
+          values_(trace.valueWords)
     {
-        // Pre-size the value store: rehashing mid-replay is pure
-        // overhead execution never pays (it uses real memory), and the
-        // op count bounds how many keys can appear.
-        std::size_t total_ops = trace.setup.size();
-        for (const auto &stream : trace.streams)
-            total_ops += stream.size();
-        store_.reserve(std::min<std::size_t>(total_ops, 1u << 20));
         rebuildSetup();
     }
 
     stats::Profile run(const sim::RunBudget *budget);
 
   private:
-    std::uint64_t
-    load(mem::Addr a) const
-    {
-        const auto it = store_.find(a);
-        return it == store_.end() ? 0 : it->second;
-    }
-
     void rebuildSetup();
     sim::Task<> interpret(Worker &w, const std::vector<Op> &ops);
     bool begin(Worker &w, const Op &op);
@@ -167,7 +224,7 @@ class Replayer
     sim::EventQueue eq_;
     rt::SharedHeap heap_;
     std::unique_ptr<mach::Machine> machine_;
-    std::unordered_map<mem::Addr, std::uint64_t> store_;
+    ValueStore values_;
     std::unordered_map<mem::Addr, BarrierInfo> barriers_;
     std::vector<Worker> workers_;
     std::uint32_t unfinished_ = 0;
@@ -197,7 +254,7 @@ Replayer::rebuildSetup()
             break;
           }
           case SetupOp::InitValue:
-            store_[op.a] = op.b;
+            values_.store(op.a, op.b);
             break;
         }
     }
@@ -301,17 +358,17 @@ Replayer::advance(Worker &w, const Op &op)
         switch (op.kind) {
           case OpKind::Write:
           case OpKind::DepWrite:
-            store_[w.addr] = op.value;
+            values_.store(w.addr, op.value);
             break;
           case OpKind::RmwFetchAdd: {
-            const std::uint64_t old = load(w.addr);
-            store_[w.addr] = maskTo(old + op.value, op.bytes);
+            const std::uint64_t old = values_.load(w.addr);
+            values_.store(w.addr, maskTo(old + op.value, op.bytes));
             w.lastRmwOld = old;
             break;
           }
           case OpKind::RmwTestAndSet:
-            w.lastRmwOld = load(w.addr);
-            store_[w.addr] = 1;
+            w.lastRmwOld = values_.load(w.addr);
+            values_.store(w.addr, 1);
             break;
           default:
             break;
@@ -319,15 +376,15 @@ Replayer::advance(Worker &w, const Op &op)
         return false;
 
       case Step::LockTest:
-        if (load(w.addr) == 0)
+        if (values_.load(w.addr) == 0)
             w.next(Step::LockSet, w.addr, AccessType::Rmw);
         else
             spinFailed(w);
         return true;
 
       case Step::LockSet: {
-        const std::uint64_t old = load(w.addr);
-        store_[w.addr] = 1;
+        const std::uint64_t old = values_.load(w.addr);
+        values_.store(w.addr, 1);
         if (old == 0)
             return false;
         spinFailed(w);
@@ -337,8 +394,8 @@ Replayer::advance(Worker &w, const Op &op)
       }
 
       case Step::BarrierArrive: {
-        const std::uint64_t arrived = load(w.addr);
-        store_[w.addr] = arrived + 1;
+        const std::uint64_t arrived = values_.load(w.addr);
+        values_.store(w.addr, arrived + 1);
         if (arrived == w.barrier->parties - 1)
             w.next(Step::BarrierReset, w.addr, AccessType::Write);
         else
@@ -349,23 +406,23 @@ Replayer::advance(Worker &w, const Op &op)
 
       case Step::BarrierReset:
         // The last arriver resets the counter and releases everyone.
-        store_[w.addr] = 0;
+        values_.store(w.addr, 0);
         w.next(Step::BarrierRelease, w.barrier->senseAddr,
                AccessType::Write);
         return true;
 
       case Step::BarrierRelease:
-        store_[w.addr] = w.mySense;
+        values_.store(w.addr, w.mySense);
         return false;
 
       case Step::BarrierSpin:
-        if (load(w.addr) == w.mySense)
+        if (values_.load(w.addr) == w.mySense)
             return false;
         spinFailed(w);
         return true;
 
       case Step::FlagSpin:
-        if (load(w.addr) == op.value)
+        if (values_.load(w.addr) == op.value)
             return false;
         spinFailed(w);
         return true;

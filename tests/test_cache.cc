@@ -80,6 +80,49 @@ TEST(Cache, TouchChangesLruOrder)
     EXPECT_EQ(victim, 2u);
 }
 
+/** The victim inserting block 3 into a one-set, two-way cache evicts. */
+BlockId
+nextVictim(const SetAssocCache &cache)
+{
+    BlockId victim = 0;
+    LineState vstate = LineState::Invalid;
+    EXPECT_TRUE(cache.victimFor(3, victim, vstate));
+    return victim;
+}
+
+TEST(Cache, AccessHitCountsAndRefreshesLru)
+{
+    // A read hit on Valid and a write hit on Dirty each count one hit
+    // and make the line most recently used, so the victim is the other
+    // way.
+    SetAssocCache cache(64, 2); // 1 set.
+    cache.install(1, LineState::Valid);
+    cache.install(2, LineState::Dirty);
+    EXPECT_EQ(cache.access(1, false), LineState::Valid);
+    EXPECT_EQ(cache.stats().hits, 1u);
+    EXPECT_EQ(nextVictim(cache), 2u);
+    EXPECT_EQ(cache.access(2, true), LineState::Dirty);
+    EXPECT_EQ(cache.stats().hits, 2u);
+    EXPECT_EQ(nextVictim(cache), 1u);
+    // Absent blocks miss without side effects.
+    EXPECT_EQ(cache.access(5, false), LineState::Invalid);
+    EXPECT_EQ(cache.stats().hits, 2u);
+    EXPECT_EQ(cache.stats().misses, 2u); // The two installs only.
+}
+
+TEST(Cache, AccessWriteToValidIsNoHit)
+{
+    // A write to a Valid line needs an upgrade: access reports the
+    // state but leaves LRU and the hit counter alone.
+    SetAssocCache cache(64, 2); // 1 set.
+    cache.install(1, LineState::Valid);
+    cache.install(2, LineState::Valid); // 1 is LRU.
+    EXPECT_EQ(cache.access(1, true), LineState::Valid);
+    EXPECT_EQ(cache.stats().hits, 0u);
+    EXPECT_EQ(nextVictim(cache), 1u);
+    EXPECT_EQ(cache.stateOf(1), LineState::Valid);
+}
+
 TEST(Cache, InstallEvictsLru)
 {
     SetAssocCache cache(64, 2);

@@ -398,6 +398,102 @@ TEST(EventQueueDiff, FarPastEventsAfterRebaseMatchReference)
     EXPECT_EQ(eq.dispatched(), expect.size());
 }
 
+/**
+ * The sliding-window workload: a chain of links kLinkGap ticks apart
+ * carries the clock past the initial [0, kWindow) window; past it,
+ * every link schedules a burst at now+1 ... now+kWindow+1.  The window
+ * slides to [now, now+kWindow) at each link, so the burst's last ticks
+ * ride the overflow heap while the rest are bucketed, and the next
+ * link's burst puts same-tick events into buckets behind them: the
+ * deltas kWindow-kLinkGap-1 ... kWindow-kLinkGap+1 of link i+1 hit the
+ * ticks that link i's deltas kWindow-1 ... kWindow+1 sent to overflow.
+ * Calls @p spawn(delta, is_link) for each child of a link at @p now.
+ */
+template <typename Spawn>
+void
+slidingChildren(Tick now, Spawn &&spawn)
+{
+    constexpr Tick kLinkGap = 1500;
+    constexpr Tick kEnd = 12 * kWindow;
+    if (now + kLinkGap <= kEnd)
+        spawn(kLinkGap, true);
+    if (now < kWindow)
+        return;
+    for (Tick d = 1; d <= kWindow + 1; d += 97)
+        spawn(d, false);
+    for (const Tick d : {Tick{0}, Tick{1}, kWindow - kLinkGap - 1,
+                         kWindow - kLinkGap, kWindow - kLinkGap + 1,
+                         kWindow - 1, kWindow - 1, kWindow, kWindow,
+                         kWindow + 1, kWindow + 1})
+        spawn(d, false);
+}
+
+TEST(EventQueueDiff, SlidingWindowBurstsMatchReference)
+{
+    EventQueue eq;
+    std::vector<LogEntry> real_log;
+    std::uint64_t real_next = 0;
+    std::function<void(Tick, bool)> real_spawn = [&](Tick when,
+                                                     bool is_link) {
+        const std::uint64_t id = real_next++;
+        eq.schedule(when, [&, id, is_link] {
+            real_log.emplace_back(eq.now(), id);
+            if (is_link)
+                slidingChildren(eq.now(), [&](Tick d, bool link) {
+                    real_spawn(eq.now() + d, link);
+                });
+        });
+    };
+
+    // The reference heap carries each event's link flag in a side
+    // table indexed by id (ids are dense).
+    RefRun ref{0, 0};
+    std::vector<bool> ref_is_link;
+    std::vector<LogEntry> ref_log;
+    const auto ref_spawn = [&](Tick when, bool is_link) {
+        ref_is_link.push_back(is_link);
+        ref.spawn(when);
+    };
+    const auto ref_step = [&] {
+        const RefRun::Event ev = ref.queue.top();
+        ref.queue.pop();
+        ref.now = ev.when;
+        ref_log.emplace_back(ev.when, ev.id);
+        if (ref_is_link[ev.id])
+            slidingChildren(ref.now, [&](Tick d, bool link) {
+                ref_spawn(ref.now + d, link);
+            });
+    };
+
+    real_spawn(0, true);
+    ref_spawn(0, true);
+
+    // Interleave runUntil stops; at each stop during the chain,
+    // schedule from outside the dispatch loop onto both sides of the
+    // window limit.
+    constexpr Tick kStep = 777;
+    bool drained = false;
+    for (Tick limit = kStep; !drained; limit += kStep) {
+        drained = eq.runUntil(limit);
+        while (!ref.queue.empty() && ref.queue.top().when <= limit)
+            ref_step();
+        ASSERT_EQ(eq.pending(), ref.queue.size());
+        ASSERT_EQ(eq.now(), ref.now);
+        if (!ref.queue.empty())
+            ASSERT_EQ(eq.nextEventTime(), ref.queue.top().when);
+        if (!drained && limit < 12 * kWindow) {
+            for (const Tick d : {kWindow - 1, kWindow, kWindow + 1}) {
+                real_spawn(eq.now() + d, false);
+                ref_spawn(ref.now + d, false);
+            }
+        }
+    }
+    EXPECT_TRUE(ref.queue.empty());
+    EXPECT_GT(real_log.size(), 1000u);
+    EXPECT_GT(real_log.back().first, 12 * kWindow);
+    expectSameLogs(real_log, ref_log);
+}
+
 TEST(EventQueueDiff, WindowStraddlingWorkloadMatchesReference)
 {
     // Adversarial differential run: every child delta lands within a

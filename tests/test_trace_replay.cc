@@ -15,15 +15,18 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include <unistd.h>
 
+#include "apps/app.hh"
 #include "core/experiment.hh"
 #include "core/figures.hh"
 #include "machines/null_machine.hh"
+#include "machines/registry.hh"
 #include "msg/msg_world.hh"
 #include "runtime/context.hh"
 #include "runtime/shared.hh"
@@ -195,6 +198,20 @@ TEST(TraceReplay, SyncHeavyAppsMatchExecution)
     roundTrip("cg", 64, 4, mach::MachineKind::Target);
     roundTrip("stencil", 64, 4, mach::MachineKind::LogPC);
     roundTrip("cg", 64, 4, mach::MachineKind::LogP);
+}
+
+TEST(TraceReplay, ValueStoreAppsMatchExecutionOnEveryMachine)
+{
+    // The apps whose replay reads the value store: CHOLESKY (locks and
+    // fetch&add), RADIX and SYNTHETIC (fetch&add) and FFT (barriers).
+    // Each point records on the stack it replays: CHOLESKY's task queue
+    // feeds the machine's timing back into its reference stream, so a
+    // trace recorded on another stack may legitimately differ.
+    for (const mach::MachineKind machine : kAllMachines) {
+        roundTrip("cholesky", 64, 8, machine);
+        for (const char *app : {"radix", "synthetic", "fft"})
+            roundTrip(app, 256, 8, machine);
+    }
 }
 
 TEST(TraceReplay, EightProcessorsMatch)
@@ -419,6 +436,71 @@ tinyTrace()
     return t;
 }
 
+/** The words replay reads, by brute force over every record. */
+std::vector<mem::Addr>
+scanValueWords(const trace::Trace &t)
+{
+    std::set<mem::Addr> words;
+    for (const trace::SetupOp &op : t.setup)
+        if (op.kind == trace::SetupOp::Barrier)
+            words.insert(op.b);
+    for (const std::vector<trace::Op> &stream : t.streams)
+        for (const trace::Op &op : stream)
+            if (op.kind == trace::OpKind::RmwFetchAdd ||
+                op.kind == trace::OpKind::RmwTestAndSet ||
+                op.kind == trace::OpKind::SyncLockTS ||
+                op.kind == trace::OpKind::SyncLockTTS ||
+                op.kind == trace::OpKind::SyncBarrier ||
+                op.kind == trace::OpKind::SyncFlagWait)
+                words.insert(op.addr);
+    return {words.begin(), words.end()};
+}
+
+/** Record @p app on a 4-node target the way core::runOne's record
+ *  mode binds the recorder, and return Recorder::take's trace. */
+trace::Trace
+recordTaken(const std::string &app_name, std::uint64_t n)
+{
+    constexpr std::uint32_t kProcs = 4;
+    sim::EventQueue eq;
+    rt::SharedHeap heap(kProcs);
+    const auto machine =
+        mach::makeMachine(mach::MachineKind::Target, eq,
+                          net::TopologyKind::Mesh2D, kProcs, heap);
+    rt::Runtime runtime(eq, *machine, kProcs);
+    trace::Recorder recorder(kProcs);
+    heap.bindSink(&recorder);
+    runtime.bindSink(&recorder);
+    const auto app = apps::makeApp(app_name);
+    apps::AppParams params;
+    params.n = n;
+    params.seed = 4242;
+    app->setup(runtime, heap, params);
+    runtime.spawn([&app](rt::Proc &p) { app->worker(p); });
+    runtime.run();
+    return recorder.take(app_name, params);
+}
+
+TEST(TraceFormat, RecordedAndLoadedTracesIndexTheSameWords)
+{
+    // CHOLESKY indexes lock and fetch&add words, FFT barrier count and
+    // sense words.
+    TempTraceDir dir;
+    for (const auto &[app, n] : {std::pair{"cholesky", std::uint64_t{64}},
+                                 std::pair{"fft", std::uint64_t{256}}}) {
+        SCOPED_TRACE(app);
+        const trace::Trace taken = recordTaken(app, n);
+        EXPECT_FALSE(taken.valueWords.empty());
+        EXPECT_EQ(taken.valueWords, scanValueWords(taken));
+
+        const std::string path = dir.path() + "/" + app + ".abt";
+        trace::saveTrace(taken, path);
+        trace::Trace loaded;
+        ASSERT_TRUE(trace::loadTrace(path, loaded));
+        EXPECT_EQ(loaded.valueWords, taken.valueWords);
+    }
+}
+
 TEST(TraceFormat, CountBeyondTheBodyIsAMissNotAnAllocation)
 {
     // FNV-1a is a checksum, not authentication: a crafted header may
@@ -512,6 +594,7 @@ unsatisfiableTrace(trace::OpKind kind, std::uint64_t init)
     wait.addr = alloc.d;
     wait.value = 1; // A flag value nobody writes.
     t.streams = {{wait}, {}};
+    trace::indexValueWords(t);
     return t;
 }
 
@@ -537,6 +620,25 @@ TEST(TraceReplay, UnsatisfiableSpinIsANamedLivelock)
                     << e.what();
             }
         }
+    }
+}
+
+TEST(TraceReplay, UnindexedValueWordIsANamedError)
+{
+    // Without the index, the flag wait's load must fail loudly and name
+    // the word, not read a silent 0.
+    trace::Trace t = unsatisfiableTrace(trace::OpKind::SyncFlagWait, 0);
+    const std::uint64_t word = t.streams[0][0].addr;
+    t.valueWords.clear();
+    trace::ReplaySpec spec;
+    try {
+        (void)trace::replayTrace(t, spec);
+        ADD_FAILURE() << "expected an unindexed-word error";
+    } catch (const trace::ReplayError &e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("not indexed"), std::string::npos) << what;
+        EXPECT_NE(what.find(std::to_string(word)), std::string::npos)
+            << what;
     }
 }
 
