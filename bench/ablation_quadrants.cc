@@ -84,7 +84,7 @@ runApp(const std::string &app, unsigned jobs, core::ShardSpec shard)
             std::string(dir) + "/" + stem + ".journal.jsonl";
     }
 
-    const core::SweepResult result = core::sweepFigureParallel(
+    const core::SweepResult result = core::sweepFigureSafe(
         "Quadrant ablation: " + app + " on full: execution time", base,
         net::TopologyKind::Full, core::Metric::ExecTime, procs, options);
     core::printFigure(std::cout, result.figure);

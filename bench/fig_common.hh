@@ -229,7 +229,7 @@ runFigureMain(const std::string &title, const std::string &app,
     options.jobs = jobs;
     options.shard = shard;
 
-    const core::SweepResult result = core::sweepFigureParallel(
+    const core::SweepResult result = core::sweepFigureSafe(
         title, base, topology, metric, procs, options);
     core::printFigure(std::cout, result.figure);
 

@@ -9,7 +9,7 @@
  *
  *   1. an EventQueue (the simulation engine),
  *   2. a SharedHeap (the simulated global memory, placement-aware),
- *   3. a Machine (target / LogP / LogP+C),
+ *   3. a Machine (mach::makeMachine: target / LogP / LogP+C),
  *   4. a Runtime with P worker processes, and
  *   5. shared data + synchronization from src/runtime.
  */
@@ -18,9 +18,7 @@
 #include <memory>
 #include <vector>
 
-#include "machines/logp_c_machine.hh"
-#include "machines/logp_machine.hh"
-#include "machines/target_machine.hh"
+#include "machines/registry.hh"
 #include "runtime/context.hh"
 #include "runtime/shared.hh"
 #include "runtime/sync.hh"
@@ -35,36 +33,18 @@ constexpr std::uint32_t kProcs = 4;
 constexpr std::uint64_t kItems = 2048;
 constexpr std::uint64_t kBins = 8;
 
-std::unique_ptr<mach::Machine>
-makeMachine(mach::MachineKind kind, sim::EventQueue &eq,
-            const mem::HomeMap &homes)
-{
-    switch (kind) {
-      case mach::MachineKind::Target:
-        return std::make_unique<mach::TargetMachine>(
-            eq, net::TopologyKind::Hypercube, kProcs, homes);
-      case mach::MachineKind::LogP:
-        return std::make_unique<mach::LogPMachine>(
-            eq, net::TopologyKind::Hypercube, kProcs, homes);
-      case mach::MachineKind::LogPC:
-        return std::make_unique<mach::LogPCMachine>(
-            eq, net::TopologyKind::Hypercube, kProcs, homes);
-    }
-    return nullptr;
-}
-
 } // namespace
 
 int
 main()
 {
-    for (const auto kind :
-         {mach::MachineKind::Target, mach::MachineKind::LogP,
-          mach::MachineKind::LogPC}) {
+    for (const auto kind : mach::defaultFigureMachines()) {
         // 1-3: engine, shared memory, machine.
         sim::EventQueue eq;
         rt::SharedHeap heap(kProcs);
-        auto machine = makeMachine(kind, eq, heap);
+        auto machine = mach::makeMachine(kind, eq,
+                                         net::TopologyKind::Hypercube,
+                                         kProcs, heap);
 
         // 4: runtime.
         rt::Runtime runtime(eq, *machine, kProcs);

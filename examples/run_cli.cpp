@@ -310,7 +310,7 @@ main(int argc, char **argv)
         options.policy = policy;
         options.jobs = jobs;
         options.shard = shard;
-        const core::SweepResult result = core::sweepFigureParallel(
+        const core::SweepResult result = core::sweepFigureSafe(
             "Sweep: " + config.app + " on " +
                 net::toString(config.topology) + ": " +
                 core::toString(metric),

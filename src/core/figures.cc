@@ -150,20 +150,6 @@ openJournal(JournalWriter &writer, const std::string &path, bool resumed,
                      path.c_str());
 }
 
-} // namespace
-
-SweepResult
-sweepFigureSafe(const std::string &title, const RunConfig &base,
-                net::TopologyKind topology, Metric metric,
-                const std::vector<std::uint32_t> &proc_counts,
-                const SweepOptions &options)
-{
-    return sweepFigureParallel(title, base, topology, metric, proc_counts,
-                               options);
-}
-
-namespace {
-
 /**
  * The sharded executor: runs only the (point x machine) work items the
  * shard owns and journals one positional single-column record per item
@@ -348,10 +334,10 @@ sweepFigureSharded(const std::string &title, const RunConfig &base,
 } // namespace
 
 SweepResult
-sweepFigureParallel(const std::string &title, const RunConfig &base,
-                    net::TopologyKind topology, Metric metric,
-                    const std::vector<std::uint32_t> &proc_counts,
-                    const SweepOptions &options)
+sweepFigureSafe(const std::string &title, const RunConfig &base,
+                net::TopologyKind topology, Metric metric,
+                const std::vector<std::uint32_t> &proc_counts,
+                const SweepOptions &options)
 {
     if (!options.shard.valid())
         throw std::invalid_argument("invalid shard spec " +

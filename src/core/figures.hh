@@ -165,30 +165,20 @@ struct SweepOptions
  * Resilient sweep: like sweepFigure(), but each point runs under
  * runOneSafe().  A failed point is recorded in the failure manifest
  * and the sweep continues; with a journal path set, completed points
- * checkpoint to disk and re-runs resume from the journal.  Honors
- * options.jobs (an alias of sweepFigureParallel).
+ * checkpoint to disk and re-runs resume from the journal.
+ *
+ * One (point x machine) run per work item, executed by a fixed pool of
+ * options.jobs threads (see core::runManySafe for the isolation model).
+ * Output — figure, failure manifest, journal bytes, exit semantics — is
+ * byte-identical for every jobs value: results assemble in sweep order
+ * and journal records commit through an in-order frontier, so even a
+ * crash leaves a serial-compatible journal prefix.  Composes with
+ * journal resume exactly like a serial run.
  */
 SweepResult sweepFigureSafe(const std::string &title, const RunConfig &base,
                             net::TopologyKind topology, Metric metric,
                             const std::vector<std::uint32_t> &proc_counts,
                             const SweepOptions &options = {});
-
-/**
- * The parallel sweep executor: one (point x machine) run per work
- * item, executed by a fixed pool of options.jobs threads (see
- * core::runManySafe for the isolation model).  Output — figure,
- * failure manifest, journal bytes, exit semantics — is guaranteed
- * byte-identical to the serial sweep for every jobs value: results
- * assemble in sweep order and journal records commit through an
- * in-order frontier, so even a crash leaves a serial-compatible
- * journal prefix.  Composes with journal resume exactly like the
- * serial path.
- */
-SweepResult sweepFigureParallel(const std::string &title,
-                                const RunConfig &base,
-                                net::TopologyKind topology, Metric metric,
-                                const std::vector<std::uint32_t> &proc_counts,
-                                const SweepOptions &options = {});
 
 /** Print the figure in the benches' common tabular format. */
 void printFigure(std::ostream &os, const Figure &figure);

@@ -324,25 +324,4 @@ JournalWriter::close()
     file_ = nullptr;
 }
 
-void
-startJournal(const std::string &path, const JournalHeader &header)
-{
-    JournalWriter writer;
-    (void)writer.start(path, header);
-}
-
-void
-appendJournal(const std::string &path, const JournalRecord &record,
-              const std::vector<std::string> &columns)
-{
-    std::FILE *file = std::fopen(path.c_str(), "ab");
-    if (file == nullptr)
-        return;
-    const std::string line = encodeRecord(record, columns) + "\n";
-    std::fwrite(line.data(), 1, line.size(), file);
-    std::fflush(file);
-    ::fsync(fileno(file));
-    std::fclose(file);
-}
-
 } // namespace absim::core

@@ -284,15 +284,6 @@ class JournalWriter
     unsigned sinceSync_ = 0;
 };
 
-/** Create/truncate the journal and write its header line (fsynced). */
-void startJournal(const std::string &path, const JournalHeader &header);
-
-/** Append one record, flush and fsync (the one-shot checkpoint write;
- *  sweeps hold a JournalWriter instead). */
-void appendJournal(const std::string &path, const JournalRecord &record,
-                   const std::vector<std::string> &columns =
-                       defaultJournalColumns());
-
 } // namespace absim::core
 
 #endif // ABSIM_CORE_JOURNAL_HH

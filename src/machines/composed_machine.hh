@@ -2,43 +2,40 @@
  * @file
  * A Machine assembled from one NetModel and one MemModel.
  *
- * Every shared-memory machine in the simulator is such a composition
- * (see machines/registry.hh for the table): the memory model decides
- * what each access costs and which messages it sends, the network model
- * prices the messages.  The shell owns both models and forwards the
- * Machine interface to them; the memory model keeps the per-axis
- * attribution (MachineStats::memTime) in the shell's stats block.
- *
- * The classic paper machines (TargetMachine, LogPMachine, LogPCMachine)
- * derive from this shell only to pin their composition at compile time
- * and expose typed accessors for tests; the off-diagonal quadrants
- * ("target+ic", "logp+dir") are plain ComposedMachine instances built
- * by the registry.
+ * Every shared-memory machine in the simulator is such a composition:
+ * the memory model decides what each access costs and which messages it
+ * sends, the network model prices the messages.  The shell builds both
+ * models from one row of the registry table (machines/registry.hh) and
+ * forwards the Machine interface to them; the memory model keeps the
+ * per-axis attribution (MachineStats::memTime) in the shell's stats
+ * block.  mach::makeMachine() is the usual way to get one.
  */
 
 #ifndef ABSIM_MACHINES_COMPOSED_MACHINE_HH
 #define ABSIM_MACHINES_COMPOSED_MACHINE_HH
 
-#include <functional>
 #include <memory>
 
 #include "machines/mem_model.hh"
 #include "machines/net_model.hh"
+#include "machines/registry.hh"
 
 namespace absim::mach {
 
 class ComposedMachine : public Machine
 {
   public:
-    using NetFactory = std::function<std::unique_ptr<NetModel>()>;
-    /** Builds the memory model against the just-built network model and
-     *  the machine's stats block. */
-    using MemFactory = std::function<std::unique_ptr<MemModel>(
-        NetModel &, MachineStats &)>;
-
-    ComposedMachine(MachineKind kind, std::uint32_t nodes,
-                    const mem::HomeMap &homes, const NetFactory &make_net,
-                    const MemFactory &make_mem);
+    /**
+     * Build the network model named by @p spec.netModel and the memory
+     * model named by @p spec.memModel; coherence failures name the
+     * machine @p spec.name.
+     * @throws std::invalid_argument if the row names no buildable model
+     *         on either axis (the None row).
+     */
+    ComposedMachine(const MachineSpec &spec, sim::EventQueue &eq,
+                    net::TopologyKind topo, std::uint32_t nodes,
+                    const mem::HomeMap &homes, logp::GapPolicy policy,
+                    const CacheConfig &cache, ProtocolKind protocol);
 
     bool
     probe(MemClient &client, mem::Addr addr, AccessType type,

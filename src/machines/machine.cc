@@ -35,24 +35,4 @@ toString(ProtocolKind kind)
     return "?";
 }
 
-std::string
-toString(MachineKind kind)
-{
-    switch (kind) {
-      case MachineKind::Target:
-        return "target";
-      case MachineKind::LogP:
-        return "logp";
-      case MachineKind::LogPC:
-        return "logp+c";
-      case MachineKind::TargetIC:
-        return "target+ic";
-      case MachineKind::LogPDir:
-        return "logp+dir";
-      case MachineKind::None:
-        return "none";
-    }
-    return "?";
-}
-
 } // namespace absim::mach

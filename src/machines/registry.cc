@@ -3,11 +3,6 @@
 #include <stdexcept>
 
 #include "machines/composed_machine.hh"
-#include "machines/directory_mem.hh"
-#include "machines/ideal_mem.hh"
-#include "machines/logp_c_machine.hh"
-#include "machines/logp_machine.hh"
-#include "machines/target_machine.hh"
 
 namespace absim::mach {
 
@@ -44,6 +39,12 @@ specFor(MachineKind kind)
         if (spec.kind == kind)
             return spec;
     throw std::invalid_argument("machine kind missing from registry");
+}
+
+std::string
+toString(MachineKind kind)
+{
+    return specFor(kind).name;
 }
 
 bool
@@ -94,44 +95,9 @@ makeMachine(MachineKind kind, sim::EventQueue &eq, net::TopologyKind topo,
             logp::GapPolicy policy, const CacheConfig &cache,
             ProtocolKind protocol)
 {
-    switch (kind) {
-      case MachineKind::Target:
-        return std::make_unique<TargetMachine>(eq, topo, nodes, homes,
-                                               cache, protocol);
-      case MachineKind::LogP:
-        return std::make_unique<LogPMachine>(eq, topo, nodes, homes,
-                                             policy);
-      case MachineKind::LogPC:
-        return std::make_unique<LogPCMachine>(eq, topo, nodes, homes,
-                                              policy, cache);
-      case MachineKind::TargetIC:
-        // Off-diagonal quadrant: real network, ideal cache.
-        return std::make_unique<ComposedMachine>(
-            MachineKind::TargetIC, nodes, homes,
-            [&] {
-                return std::make_unique<DetailedNetModel>(eq, topo, nodes);
-            },
-            [&](NetModel &net, MachineStats &stats) {
-                return std::make_unique<IdealCacheMem>(
-                    net, nodes, homes, stats, cache, "target+ic");
-            });
-      case MachineKind::LogPDir:
-        // Off-diagonal quadrant: LogP network, real protocol.
-        return std::make_unique<ComposedMachine>(
-            MachineKind::LogPDir, nodes, homes,
-            [&] {
-                return std::make_unique<LogPNetModel>(eq, topo, nodes,
-                                                      policy);
-            },
-            [&](NetModel &net, MachineStats &stats) {
-                return std::make_unique<DirectoryMem>(
-                    eq, net, nodes, homes, stats, cache, protocol,
-                    "logp+dir");
-            });
-      case MachineKind::None:
-        break; // Message-passing platforms are driven directly.
-    }
-    throw std::invalid_argument("unsupported machine kind");
+    return std::make_unique<ComposedMachine>(specFor(kind), eq, topo, nodes,
+                                             homes, policy, cache,
+                                             protocol);
 }
 
 } // namespace absim::mach

@@ -18,7 +18,8 @@
  * network, real protocol) — the two factors the ablation bench
  * decomposes.  Everything that enumerates machines (the CLI's --machine
  * flag, figure sweeps, benches) derives its list from this table rather
- * than hard-coding names.
+ * than hard-coding names, and makeMachine() builds every machine from
+ * its row: a new composition is one MachineKind enumerator plus one row.
  */
 
 #ifndef ABSIM_MACHINES_REGISTRY_HH
@@ -48,10 +49,12 @@ struct MachineSpec
      *  byte-compatibility. */
     const char *column;
 
-    /** Network-axis model: "detailed", "logp" or "none". */
+    /** Network-axis model, as NetModel::name() spells it: "detailed",
+     *  "logp" or "none". */
     const char *netModel;
 
-    /** Memory-axis model: "directory", "ideal", "uncached" or "none". */
+    /** Memory-axis model, as MemModel::name() spells it: "directory",
+     *  "ideal", "uncached" or "none". */
     const char *memModel;
 
     /** One-line description for --help and docs. */
@@ -87,7 +90,8 @@ std::vector<MachineKind> defaultFigureMachines();
 std::vector<MachineKind> allQuadrants();
 
 /**
- * Assemble the machine for @p kind from its registry composition.
+ * Assemble the machine for @p kind: a ComposedMachine of the network
+ * and memory models named by specFor(kind).
  *
  * @throws std::invalid_argument for non-runnable kinds (None).
  */

@@ -12,10 +12,9 @@
 #include <vector>
 
 #include "machines/composed_machine.hh"
-#include "machines/logp_c_machine.hh"
-#include "machines/logp_machine.hh"
+#include "machines/directory_mem.hh"
+#include "machines/ideal_mem.hh"
 #include "machines/registry.hh"
-#include "machines/target_machine.hh"
 #include "runtime/context.hh"
 #include "runtime/shared.hh"
 #include "sim/event_queue.hh"
@@ -27,10 +26,13 @@ class MachineHarness
   public:
     MachineHarness(mach::MachineKind kind, net::TopologyKind topo,
                    std::uint32_t procs,
-                   logp::GapPolicy policy = logp::GapPolicy::Single)
+                   logp::GapPolicy policy = logp::GapPolicy::Single,
+                   const mach::CacheConfig &cache = {},
+                   mach::ProtocolKind protocol = mach::ProtocolKind::Berkeley)
         : heap(procs)
     {
-        machine = mach::makeMachine(kind, eq, topo, procs, heap, policy);
+        machine = mach::makeMachine(kind, eq, topo, procs, heap, policy,
+                                    cache, protocol);
         runtime = std::make_unique<rt::Runtime>(eq, *machine, procs);
     }
 
@@ -42,23 +44,25 @@ class MachineHarness
         runtime->run();
     }
 
-    mach::TargetMachine &
-    target()
-    {
-        return dynamic_cast<mach::TargetMachine &>(*machine);
-    }
-
-    mach::LogPCMachine &
-    logpc()
-    {
-        return dynamic_cast<mach::LogPCMachine &>(*machine);
-    }
-
     /** Any registry-built machine, for model-level accessors. */
     mach::ComposedMachine &
     composed()
     {
         return dynamic_cast<mach::ComposedMachine &>(*machine);
+    }
+
+    /** The directory protocol of a target (or logp+dir) machine. */
+    mach::DirectoryMem &
+    target()
+    {
+        return dynamic_cast<mach::DirectoryMem &>(composed().memModel());
+    }
+
+    /** The ideal coherent cache of a logp+c (or target+ic) machine. */
+    mach::IdealCacheMem &
+    logpc()
+    {
+        return dynamic_cast<mach::IdealCacheMem &>(composed().memModel());
     }
 
     sim::EventQueue eq;

@@ -22,6 +22,20 @@ namespace {
 
 using namespace absim;
 
+/** Write @p path through a JournalWriter: @p header, then @p records. */
+void
+writeJournal(const std::string &path, const core::JournalHeader &header,
+             const std::vector<core::JournalRecord> &records = {},
+             const std::vector<std::string> &columns =
+                 core::defaultJournalColumns())
+{
+    core::JournalWriter writer;
+    EXPECT_TRUE(writer.start(path, header));
+    for (const core::JournalRecord &record : records)
+        writer.append(record, columns);
+    writer.close();
+}
+
 TEST(Journal, EscapeRoundTripsControlAndQuoteCharacters)
 {
     const std::string nasty = "a \"quoted\\path\"\nwith\ttabs\rand \x01";
@@ -165,7 +179,7 @@ TEST(Journal, HeaderStampsShardSpecAndKeepsLegacyBytes)
     const std::string path = testing::TempDir() + "absim_shard_hdr.jsonl";
 
     // An unsharded classic-trio header keeps the exact legacy line.
-    core::startJournal(path, {"t", "fft", "full", "exec_time"});
+    writeJournal(path, {"t", "fft", "full", "exec_time"});
     std::ifstream in(path);
     std::string line;
     ASSERT_TRUE(std::getline(in, line));
@@ -178,7 +192,7 @@ TEST(Journal, HeaderStampsShardSpecAndKeepsLegacyBytes)
     core::JournalHeader header{"t", "fft", "full", "exec_time",
                                {"target", "logp", "logpc"},
                                core::ShardSpec{1, 2}};
-    core::startJournal(path, header);
+    writeJournal(path, header);
     std::ifstream in2(path);
     ASSERT_TRUE(std::getline(in2, line));
     core::JournalHeader decoded;
@@ -191,8 +205,7 @@ TEST(Journal, LoadSkipsTornTrailingWrite)
 {
     const std::string path = testing::TempDir() + "absim_torn.jsonl";
     const core::JournalHeader header{"t", "fft", "full", "exec_time"};
-    core::startJournal(path, header);
-    core::appendJournal(path, {4, false, {1.5, 2.5, 3.5}, "", "", ""});
+    writeJournal(path, header, {{4, false, {1.5, 2.5, 3.5}, "", "", ""}});
     {
         // Simulate a crash mid-write: a truncated trailing line.
         std::ofstream out(path, std::ios::app);
@@ -208,8 +221,7 @@ TEST(Journal, LoadReportsTornTailAndResumeTruncatesIt)
 {
     const std::string path = testing::TempDir() + "absim_tear.jsonl";
     const core::JournalHeader header{"t", "fft", "full", "exec_time"};
-    core::startJournal(path, header);
-    core::appendJournal(path, {4, false, {1.5, 2.5, 3.5}, "", "", ""});
+    writeJournal(path, header, {{4, false, {1.5, 2.5, 3.5}, "", "", ""}});
 
     std::uint64_t intact = 0;
     {
@@ -250,9 +262,9 @@ TEST(Journal, UnterminatedFinalRecordIsTornEvenIfParseable)
 {
     const std::string path = testing::TempDir() + "absim_noeol.jsonl";
     const core::JournalHeader header{"t", "fft", "full", "exec_time"};
-    core::startJournal(path, header);
-    core::appendJournal(path, {4, false, {1.0, 2.0, 3.0}, "", "", ""});
-    core::appendJournal(path, {8, false, {4.0, 5.0, 6.0}, "", "", ""});
+    writeJournal(path, header,
+                 {{4, false, {1.0, 2.0, 3.0}, "", "", ""},
+                  {8, false, {4.0, 5.0, 6.0}, "", "", ""}});
 
     // Chop the final newline: the last record still parses, but without
     // its terminator it may be half of a longer write — drop it.
@@ -282,8 +294,8 @@ TEST(Journal, UnterminatedFinalRecordIsTornEvenIfParseable)
 TEST(Journal, HeaderMismatchIgnoresJournal)
 {
     const std::string path = testing::TempDir() + "absim_header.jsonl";
-    core::startJournal(path, {"t", "fft", "full", "exec_time"});
-    core::appendJournal(path, {4, false, {1.0, 2.0, 3.0}, "", "", ""});
+    writeJournal(path, {"t", "fft", "full", "exec_time"},
+                 {{4, false, {1.0, 2.0, 3.0}, "", "", ""}});
     std::vector<core::JournalRecord> records;
     EXPECT_FALSE(core::loadJournal(
         path, {"t", "cg", "full", "exec_time"}, records));
@@ -428,9 +440,8 @@ TEST(SweepSafe, MismatchedJournalIsRewrittenNotTrusted)
     const std::string path = testing::TempDir() + "absim_stale.jsonl";
     // A journal from a different figure, with a bogus cached point that
     // must NOT leak into this sweep.
-    core::startJournal(path, {"other", "fft", "cube", "latency"});
-    core::appendJournal(path,
-                        {1, false, {999.0, 999.0, 999.0}, "", "", ""});
+    writeJournal(path, {"other", "fft", "cube", "latency"},
+                 {{1, false, {999.0, 999.0, 999.0}, "", "", ""}});
 
     core::SweepOptions options;
     options.journalPath = path;
@@ -521,12 +532,12 @@ TEST(JournalMerge, ReassemblesSerialJournalBytes)
         testing::TempDir() + "absim_merge_serial.jsonl";
     core::JournalHeader serial = oneColumnHeader(0, 1);
     serial.shard = {};
-    core::startJournal(serial_path, serial);
-    const std::vector<std::pair<std::uint32_t, double>> points = {
-        {1, 0.5}, {2, 1.0}, {4, 1.5}, {8, 2.0}};
-    for (const auto &[p, v] : points)
-        core::appendJournal(serial_path, {p, false, {v}, "", "", ""},
-                            {"m1"});
+    writeJournal(serial_path, serial,
+                 {{1, false, {0.5}, "", "", ""},
+                  {2, false, {1.0}, "", "", ""},
+                  {4, false, {1.5}, "", "", ""},
+                  {8, false, {2.0}, "", "", ""}},
+                 {"m1"});
     EXPECT_EQ(slurp(merged_path), slurp(serial_path));
 }
 
@@ -559,11 +570,9 @@ TEST(JournalMerge, ClassicTrioMergeRestoresLegacyHeader)
 
     const std::string serial_path =
         testing::TempDir() + "absim_trio_serial.jsonl";
-    core::startJournal(serial_path, {"t", "is", "full", "exec_time"});
-    core::appendJournal(serial_path,
-                        {2, false, {1.0, 2.0, 3.0}, "", "", ""});
-    core::appendJournal(serial_path,
-                        {4, false, {4.0, 5.0, 6.0}, "", "", ""});
+    writeJournal(serial_path, {"t", "is", "full", "exec_time"},
+                 {{2, false, {1.0, 2.0, 3.0}, "", "", ""},
+                  {4, false, {4.0, 5.0, 6.0}, "", "", ""}});
     EXPECT_EQ(slurp(merged_path), slurp(serial_path));
 }
 

@@ -13,8 +13,6 @@
 #include "check/check.hh"
 #include "core/figures.hh"
 #include "machine_fixture.hh"
-#include "machines/directory_mem.hh"
-#include "machines/ideal_mem.hh"
 #include "machines/registry.hh"
 
 namespace {
@@ -62,6 +60,18 @@ TEST(MachineRegistry, TableIsConsistent)
         EXPECT_FALSE(column.empty());
         EXPECT_EQ(column.find('+'), std::string::npos);
         EXPECT_EQ(&mach::specFor(spec.kind), &spec);
+    }
+    // makeMachine builds every runnable row as the row says.
+    for (const mach::MachineSpec &spec : mach::machineRegistry()) {
+        if (!spec.runnable)
+            continue;
+        sim::EventQueue eq;
+        rt::SharedHeap heap(2);
+        const auto machine = mach::makeMachine(spec.kind, eq,
+                                               TopologyKind::Full, 2, heap);
+        EXPECT_EQ(machine->kind(), spec.kind) << spec.name;
+        EXPECT_STREQ(machine->netModelName(), spec.netModel) << spec.name;
+        EXPECT_STREQ(machine->memModelName(), spec.memModel) << spec.name;
     }
     // The diagnostic list names every runnable machine.
     const std::string names = mach::machineNames();
@@ -118,14 +128,13 @@ TEST(QuadrantMachines, TargetIcComposesDetailedNetAndIdealCache)
 {
     MachineHarness h(MachineKind::TargetIC, TopologyKind::Mesh2D, 4);
     EXPECT_EQ(h.machine->kind(), MachineKind::TargetIC);
-    EXPECT_EQ(h.machine->netModelName(), "detailed");
-    EXPECT_EQ(h.machine->memModelName(), "ideal");
+    EXPECT_STREQ(h.machine->netModelName(), "detailed");
+    EXPECT_STREQ(h.machine->memModelName(), "ideal");
     const mem::Addr base =
         h.heap.allocate(64 * 8, rt::Placement::Interleaved);
     h.run([base](rt::Proc &p) { contendedWorkload(p, base, 64); });
     EXPECT_NO_THROW(h.machine->checkInvariants());
-    auto &ideal =
-        dynamic_cast<mach::IdealCacheMem &>(h.composed().memModel());
+    auto &ideal = h.logpc();
     EXPECT_GT(ideal.checker().blocksChecked(), 64u);
     EXPECT_GT(h.machine->stats().cacheHits, 0u);
     EXPECT_GT(h.machine->stats().memTime, 0u);
@@ -135,14 +144,13 @@ TEST(QuadrantMachines, LogPDirComposesLogPNetAndRealDirectory)
 {
     MachineHarness h(MachineKind::LogPDir, TopologyKind::Full, 4);
     EXPECT_EQ(h.machine->kind(), MachineKind::LogPDir);
-    EXPECT_EQ(h.machine->netModelName(), "logp");
-    EXPECT_EQ(h.machine->memModelName(), "directory");
+    EXPECT_STREQ(h.machine->netModelName(), "logp");
+    EXPECT_STREQ(h.machine->memModelName(), "directory");
     const mem::Addr base =
         h.heap.allocate(64 * 8, rt::Placement::Interleaved);
     h.run([base](rt::Proc &p) { contendedWorkload(p, base, 64); });
     EXPECT_NO_THROW(h.machine->checkInvariants());
-    auto &dir =
-        dynamic_cast<mach::DirectoryMem &>(h.composed().memModel());
+    auto &dir = h.target();
     EXPECT_GT(dir.checker().blocksChecked(), 64u);
     // The real protocol ran: invalidations happened over the LogP net.
     EXPECT_GT(h.machine->stats().invalidations, 0u);
@@ -162,8 +170,7 @@ TEST(QuadrantMachines, CheckerFiresOnForgedOwnerInLogPDir)
     // Forge a second ownership copy behind the directory's back: SWMR
     // is violated regardless of which network model carried the
     // protocol traffic.
-    auto &dir =
-        dynamic_cast<mach::DirectoryMem &>(h.composed().memModel());
+    auto &dir = h.target();
     dir.cacheForTest(1).install(mem::blockOf(addr),
                                 mem::LineState::Dirty);
     check::ScopedThrowOnFailure guard;
@@ -182,8 +189,7 @@ TEST(QuadrantMachines, CheckerFiresOnStaleOracleInTargetIc)
 
     // The ideal-cache oracle is exact; a phantom sharer bit must trip
     // the exact-sharers sweep.
-    auto &ideal =
-        dynamic_cast<mach::IdealCacheMem &>(h.composed().memModel());
+    auto &ideal = h.logpc();
     ideal.oracleForTest(mem::blockOf(addr)).sharers |= 1u << 1;
     check::ScopedThrowOnFailure guard;
     EXPECT_THROW(h.machine->checkInvariants(), check::CheckFailure);
@@ -199,7 +205,7 @@ TEST(QuadrantSweep, AllFiveStacksSweepThroughTheParallelEngine)
     core::SweepOptions options;
     options.jobs = 2;
     options.machines = mach::allQuadrants();
-    const core::SweepResult result = core::sweepFigureParallel(
+    const core::SweepResult result = core::sweepFigureSafe(
         "quadrants", base, TopologyKind::Full, core::Metric::ExecTime,
         {1, 2, 4}, options);
     ASSERT_TRUE(result.complete()) << result.failures.size()
@@ -236,7 +242,7 @@ TEST(QuadrantSweep, SingleAxisQuadrantsBracketTheTrio)
     base.params.n = 64;
     core::SweepOptions options;
     options.machines = mach::allQuadrants();
-    const core::SweepResult result = core::sweepFigureParallel(
+    const core::SweepResult result = core::sweepFigureSafe(
         "quadrants-p1", base, TopologyKind::Full, core::Metric::ExecTime,
         {1}, options);
     ASSERT_TRUE(result.complete());

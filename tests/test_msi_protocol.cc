@@ -21,26 +21,15 @@ using net::TopologyKind;
 constexpr std::uint64_t kAfter = 1'000'000;
 
 /** Harness with an MSI target machine. */
-struct MsiHarness
+struct MsiHarness : absim::test::MachineHarness
 {
-    MsiHarness(std::uint32_t procs, TopologyKind topo = TopologyKind::Full)
-        : heap(procs), machine(eq, topo, procs, heap, {},
-                               ProtocolKind::Msi),
-          runtime(eq, machine, procs)
+    explicit MsiHarness(std::uint32_t procs,
+                        TopologyKind topo = TopologyKind::Full)
+        : MachineHarness(MachineKind::Target, topo, procs,
+                         logp::GapPolicy::Single, {},
+                         ProtocolKind::Msi)
     {
     }
-
-    void
-    run(std::function<void(rt::Proc &)> body)
-    {
-        runtime.spawn(std::move(body));
-        runtime.run();
-    }
-
-    sim::EventQueue eq;
-    rt::SharedHeap heap;
-    mach::TargetMachine machine;
-    rt::Runtime runtime;
 };
 
 TEST(MsiProtocol, ReadMissRecallsThroughMemory)
@@ -57,14 +46,14 @@ TEST(MsiProtocol, ReadMissRecallsThroughMemory)
         }
     });
     // Ex-owner keeps a *clean* copy; no owner remains.
-    EXPECT_EQ(h.machine.cache(1).stateOf(blk), LineState::Valid);
-    EXPECT_EQ(h.machine.cache(0).stateOf(blk), LineState::Valid);
-    ASSERT_NE(h.machine.directory().peek(blk), nullptr);
-    EXPECT_EQ(h.machine.directory().peek(blk)->owner,
+    EXPECT_EQ(h.target().cache(1).stateOf(blk), LineState::Valid);
+    EXPECT_EQ(h.target().cache(0).stateOf(blk), LineState::Valid);
+    ASSERT_NE(h.target().directory().peek(blk), nullptr);
+    EXPECT_EQ(h.target().directory().peek(blk)->owner,
               mem::DirectoryEntry::kNoOwner);
 
     // Recall chain: req(8) + recall(8) + wb(32) + data(32).
-    const auto &reader = h.runtime.proc(0).stats();
+    const auto &reader = h.runtime->proc(0).stats();
     EXPECT_EQ(reader.latency, 400u + 400u + 1600u + 1600u);
 }
 
@@ -73,17 +62,12 @@ TEST(MsiProtocol, ReadMissCostsMoreThanBerkeley)
     // The same scenario under Berkeley is a 3-hop owner-supply: MSI's
     // recall through memory is strictly slower.
     auto latency_for = [](ProtocolKind protocol) {
-        absim::test::MachineHarness dummy(MachineKind::LogP,
-                                          TopologyKind::Full, 1);
-        (void)dummy;
-        sim::EventQueue eq;
-        rt::SharedHeap heap(4);
-        mach::TargetMachine machine(eq, TopologyKind::Full, 4, heap, {},
-                                    protocol);
-        rt::Runtime runtime(eq, machine, 4);
-        rt::SharedArray<std::uint64_t> a(heap, 4, rt::Placement::OnNode,
+        absim::test::MachineHarness h(MachineKind::Target,
+                                      TopologyKind::Full, 4,
+                                      logp::GapPolicy::Single, {}, protocol);
+        rt::SharedArray<std::uint64_t> a(h.heap, 4, rt::Placement::OnNode,
                                          2);
-        runtime.spawn([&](rt::Proc &p) {
+        h.run([&](rt::Proc &p) {
             if (p.node() == 1) {
                 a.write(p, 0, 7);
             } else if (p.node() == 0) {
@@ -91,8 +75,7 @@ TEST(MsiProtocol, ReadMissCostsMoreThanBerkeley)
                 a.read(p, 0);
             }
         });
-        runtime.run();
-        return runtime.proc(0).stats().latency;
+        return h.runtime->proc(0).stats().latency;
     };
     EXPECT_GT(latency_for(ProtocolKind::Msi),
               latency_for(ProtocolKind::Berkeley));
@@ -111,12 +94,12 @@ TEST(MsiProtocol, WriteMissRecallsThroughMemory)
             a.write(p, 0, 4);
         }
     });
-    EXPECT_EQ(h.machine.cache(0).stateOf(blk), LineState::Dirty);
-    EXPECT_EQ(h.machine.cache(1).stateOf(blk), LineState::Invalid);
-    EXPECT_EQ(h.machine.directory().peek(blk)->owner, 0);
+    EXPECT_EQ(h.target().cache(0).stateOf(blk), LineState::Dirty);
+    EXPECT_EQ(h.target().cache(1).stateOf(blk), LineState::Invalid);
+    EXPECT_EQ(h.target().directory().peek(blk)->owner, 0);
     EXPECT_EQ(a.raw(0), 4u);
     // req(8) + recall(8) + wb(32) + data(32) + grant(8).
-    EXPECT_EQ(h.runtime.proc(0).stats().latency,
+    EXPECT_EQ(h.runtime->proc(0).stats().latency,
               400u + 400u + 1600u + 1600u + 400u);
 }
 
@@ -137,7 +120,7 @@ TEST(MsiProtocol, SharedDirtyNeverAppears)
     });
     for (std::uint32_t n = 0; n < 4; ++n)
         for (const auto &[blk, state] :
-             h.machine.cache(n).residentLines())
+             h.target().cache(n).residentLines())
             EXPECT_NE(state, LineState::SharedDirty)
                 << "node " << n << " blk " << blk;
 }

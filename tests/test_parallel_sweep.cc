@@ -1,7 +1,7 @@
 /**
  * @file
  * Tests for the parallel sweep engine: core::runManySafe and
- * core::sweepFigureParallel.  The headline guarantee under test is
+ * core::sweepFigureSafe.  The headline guarantee under test is
  * determinism — any --jobs value must produce byte-identical figure
  * JSON and journal contents to the serial sweep, and journal resume
  * must compose with parallel execution.
@@ -122,7 +122,7 @@ TEST(ParallelSweep, ByteIdenticalJsonAndJournalAcrossJobCounts)
     parallel_options.journalPath =
         testing::TempDir() + "parallel_sweep_jobs8.journal.jsonl";
     std::remove(parallel_options.journalPath.c_str());
-    const auto parallel = core::sweepFigureParallel(
+    const auto parallel = core::sweepFigureSafe(
         "determinism", base, net::TopologyKind::Full,
         core::Metric::ExecTime, procs, parallel_options);
 
@@ -159,7 +159,7 @@ TEST(ParallelSweep, JournalResumeComposesWithParallelExecution)
 
     // ...and a parallel re-run completes the rest from the checkpoint.
     resumed_options.jobs = 8;
-    const auto resumed = core::sweepFigureParallel(
+    const auto resumed = core::sweepFigureSafe(
         "resume", base, net::TopologyKind::Full, core::Metric::ExecTime,
         all, resumed_options);
 
@@ -187,9 +187,8 @@ runShard(const std::string &tag, const core::RunConfig &base,
                           std::to_string(index) + "of" +
                           std::to_string(count) + ".journal.jsonl";
     std::remove(options.journalPath.c_str());
-    (void)core::sweepFigureParallel(tag, base, net::TopologyKind::Full,
-                                    core::Metric::ExecTime, procs,
-                                    options);
+    (void)core::sweepFigureSafe(tag, base, net::TopologyKind::Full,
+                                core::Metric::ExecTime, procs, options);
     return options.journalPath;
 }
 
@@ -204,9 +203,8 @@ runSerial(const std::string &tag, const core::RunConfig &base,
     options.journalPath = testing::TempDir() + tag + ".journal.jsonl";
     std::remove(options.journalPath.c_str());
     path = options.journalPath;
-    return core::sweepFigureParallel(tag, base, net::TopologyKind::Full,
-                                     core::Metric::ExecTime, procs,
-                                     options);
+    return core::sweepFigureSafe(tag, base, net::TopologyKind::Full,
+                                 core::Metric::ExecTime, procs, options);
 }
 
 } // namespace
@@ -238,7 +236,7 @@ TEST(ShardedSweep, TwoShardsMergeByteIdenticalToSerial)
     // the artifact the figure writers emit — is byte-identical.
     core::SweepOptions replay_options;
     replay_options.journalPath = merged_path;
-    const auto replayed = core::sweepFigureParallel(
+    const auto replayed = core::sweepFigureSafe(
         "sharded", base, net::TopologyKind::Full, core::Metric::ExecTime,
         procs, replay_options);
     ASSERT_TRUE(replayed.complete());
@@ -316,7 +314,7 @@ TEST(ShardedSweep, InvalidShardSpecThrows)
 {
     core::SweepOptions options;
     options.shard = {2, 2};
-    EXPECT_THROW((void)core::sweepFigureParallel(
+    EXPECT_THROW((void)core::sweepFigureSafe(
                      "bad", smallConfig(1), net::TopologyKind::Full,
                      core::Metric::ExecTime, {1}, options),
                  std::invalid_argument);

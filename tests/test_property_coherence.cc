@@ -118,35 +118,19 @@ TEST_P(CoherenceProperty, AllMachinesCountAllIncrements)
 TEST_P(CoherenceProperty, MsiProtocolCountsAllIncrementsToo)
 {
     const Workload load(GetParam());
-    sim::EventQueue eq;
-    rt::SharedHeap heap(kProcs);
-    mach::TargetMachine machine(eq, TopologyKind::Mesh2D, kProcs, heap,
-                                {}, mach::ProtocolKind::Msi);
-    rt::Runtime runtime(eq, machine, kProcs);
-    rt::SharedArray<std::uint64_t> words(heap, kWords,
+    MachineHarness h(MachineKind::Target, TopologyKind::Mesh2D, kProcs,
+                     logp::GapPolicy::Single, {},
+                     mach::ProtocolKind::Msi);
+    rt::SharedArray<std::uint64_t> words(h.heap, kWords,
                                          rt::Placement::Interleaved);
     for (std::size_t i = 0; i < kWords; ++i)
         words.raw(i) = 0;
-    runtime.spawn([&](rt::Proc &p) {
-        for (const auto &op : load.ops[p.node()]) {
-            switch (op.kind) {
-              case 0:
-                words.read(p, op.addr);
-                break;
-              case 1:
-                words.write(p, op.addr, 0x55);
-                break;
-              default:
-                words.fetchAdd(p, op.addr, 1);
-            }
-            p.compute(op.compute);
-        }
-    });
-    runtime.run();
+    runWorkload(h, words, load);
     for (std::size_t i = 0; i < kWords / 2; ++i)
         ASSERT_EQ(words.raw(i), load.expected[i]) << "word " << i;
     // MSI never leaves an owner after reads settle it... but at drain an
     // owner may legitimately remain; just assert single-owner.
+    const auto &machine = h.target();
     for (std::size_t i = 0; i < kWords; ++i) {
         const auto blk = mem::blockOf(words.addrOf(i));
         const auto *entry = machine.directory().peek(blk);

@@ -237,36 +237,33 @@ TEST(TargetMachine, ConfigurableCacheGeometry)
 {
     // A 4 KB cache can only hold 128 blocks: streaming 256 distinct
     // blocks must evict, while the default 64 KB cache holds them all.
-    rt::SharedHeap heap_small(2), heap_big(2);
-    sim::EventQueue eq_small, eq_big;
-    mach::TargetMachine small(eq_small, TopologyKind::Full, 2, heap_small,
-                              {.bytes = 4 * 1024, .ways = 2});
-    mach::TargetMachine big(eq_big, TopologyKind::Full, 2, heap_big, {});
-    EXPECT_EQ(small.cache(0).sets() * small.cache(0).ways(), 128u);
-    EXPECT_EQ(big.cache(0).sets() * big.cache(0).ways(), 2048u);
+    MachineHarness small(MachineKind::Target, TopologyKind::Full, 2,
+                         logp::GapPolicy::Single,
+                         {.bytes = 4 * 1024, .ways = 2});
+    MachineHarness big(MachineKind::Target, TopologyKind::Full, 2);
+    const auto &small_cache = small.target().cache(0);
+    const auto &big_cache = big.target().cache(0);
+    EXPECT_EQ(small_cache.sets() * small_cache.ways(), 128u);
+    EXPECT_EQ(big_cache.sets() * big_cache.ways(), 2048u);
 }
 
 TEST(TargetMachine, SmallCacheEvictsWorkingSet)
 {
-    sim::EventQueue eq;
-    rt::SharedHeap heap(2);
-    mach::TargetMachine machine(eq, TopologyKind::Full, 2, heap,
-                                {.bytes = 1024, .ways = 2});
-    rt::Runtime runtime(eq, machine, 2);
+    MachineHarness h(MachineKind::Target, TopologyKind::Full, 2,
+                     logp::GapPolicy::Single, {.bytes = 1024, .ways = 2});
     // 64 blocks stream through a 32-line cache, twice: the second pass
     // misses again (capacity), unlike the default geometry.
-    rt::SharedArray<std::uint64_t> a(heap, 64 * 4,
+    rt::SharedArray<std::uint64_t> a(h.heap, 64 * 4,
                                      rt::Placement::OnNode, 0);
-    runtime.spawn([&](rt::Proc &p) {
+    h.run([&](rt::Proc &p) {
         if (p.node() != 0)
             return;
         for (int pass = 0; pass < 2; ++pass)
             for (std::size_t b = 0; b < 64; ++b)
                 a.read(p, b * 4);
     });
-    runtime.run();
-    EXPECT_EQ(machine.stats().readMisses, 128u);
-    EXPECT_EQ(machine.stats().cacheHits, 0u);
+    EXPECT_EQ(h.machine->stats().readMisses, 128u);
+    EXPECT_EQ(h.machine->stats().cacheHits, 0u);
 }
 
 TEST(TargetMachine, TimingInvariantBusyLatencyContention)

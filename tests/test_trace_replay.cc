@@ -714,7 +714,7 @@ TEST(TraceReplay, ReplayedFigureJsonIsByteIdentical)
         const std::vector<std::uint32_t> procs = {2, 4, 8};
         core::SweepOptions options;
 
-        const core::SweepResult exec = core::sweepFigureParallel(
+        const core::SweepResult exec = core::sweepFigureSafe(
             "replay-pin " + app, base, net::TopologyKind::Full,
             core::Metric::Latency, procs, options);
         ASSERT_TRUE(exec.complete());
@@ -724,7 +724,7 @@ TEST(TraceReplay, ReplayedFigureJsonIsByteIdentical)
         // First replay sweep records on miss, second replays from the
         // trace store; both must serialize identically.
         for (int round = 0; round < 2; ++round) {
-            const core::SweepResult rep = core::sweepFigureParallel(
+            const core::SweepResult rep = core::sweepFigureSafe(
                 "replay-pin " + app, base, net::TopologyKind::Full,
                 core::Metric::Latency, procs, options);
             ASSERT_TRUE(rep.complete());

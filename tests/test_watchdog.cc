@@ -25,7 +25,7 @@
 #include "core/experiment.hh"
 #include "core/figures.hh"
 #include "fault/fault.hh"
-#include "machines/target_machine.hh"
+#include "machines/registry.hh"
 #include "runtime/context.hh"
 #include "runtime/shared.hh"
 #include "sim/event_queue.hh"
@@ -54,8 +54,9 @@ TEST(Watchdog, LockOrderInversionIsDiagnosed)
 {
     sim::EventQueue eq;
     rt::SharedHeap heap(2);
-    mach::TargetMachine machine(eq, net::TopologyKind::Full, 2, heap);
-    rt::Runtime runtime(eq, machine, 2);
+    const auto machine = mach::makeMachine(mach::MachineKind::Target, eq,
+                                           net::TopologyKind::Full, 2, heap);
+    rt::Runtime runtime(eq, *machine, 2);
     sim::FifoMutex a;
     sim::FifoMutex b;
 
@@ -87,8 +88,9 @@ TEST(Watchdog, GateNobodyOpensIsDiagnosed)
 {
     sim::EventQueue eq;
     rt::SharedHeap heap(2);
-    mach::TargetMachine machine(eq, net::TopologyKind::Full, 2, heap);
-    rt::Runtime runtime(eq, machine, 2);
+    const auto machine = mach::makeMachine(mach::MachineKind::Target, eq,
+                                           net::TopologyKind::Full, 2, heap);
+    rt::Runtime runtime(eq, *machine, 2);
     sim::Condition gate;
 
     // Worker 1 waits on a condition nobody will ever notify.
