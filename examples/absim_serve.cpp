@@ -44,6 +44,7 @@
 #include <unistd.h>
 
 #include "core/env.hh"
+#include "serve/connection.hh"
 #include "serve/service.hh"
 
 namespace {
@@ -69,64 +70,6 @@ usage(const char *argv0)
         argv0, static_cast<int>(std::strlen(argv0)), "",
         static_cast<int>(std::strlen(argv0)), "", argv0, argv0);
     return 2;
-}
-
-bool
-writeAll(int fd, const std::string &data)
-{
-    std::size_t off = 0;
-    while (off < data.size()) {
-        const ssize_t n =
-            ::write(fd, data.data() + off, data.size() - off);
-        if (n <= 0)
-            return false;
-        off += static_cast<std::size_t>(n);
-    }
-    return true;
-}
-
-/** Buffered newline-delimited reader over a socket fd. */
-class LineReader
-{
-  public:
-    explicit LineReader(int fd) : fd_(fd) {}
-
-    [[nodiscard]] bool
-    next(std::string &line)
-    {
-        for (;;) {
-            const auto newline = buffer_.find('\n');
-            if (newline != std::string::npos) {
-                line = buffer_.substr(0, newline);
-                buffer_.erase(0, newline + 1);
-                return true;
-            }
-            char chunk[4096];
-            const ssize_t n = ::read(fd_, chunk, sizeof(chunk));
-            if (n <= 0)
-                return false;
-            buffer_.append(chunk, static_cast<std::size_t>(n));
-        }
-    }
-
-  private:
-    int fd_;
-    std::string buffer_;
-};
-
-/** One connection: request line in, response line out, until EOF. */
-void
-serveConnection(absim::serve::Service &service, int fd)
-{
-    LineReader reader(fd);
-    std::string line;
-    while (reader.next(line)) {
-        if (line.empty())
-            continue;
-        if (!writeAll(fd, service.handle(line) + "\n"))
-            break;
-    }
-    ::close(fd);
 }
 
 int
@@ -183,7 +126,7 @@ runDaemon(const absim::serve::ServiceConfig &config,
         }
         active.fetch_add(1);
         connections.emplace_back([&service, &active, fd] {
-            serveConnection(service, fd);
+            absim::serve::serveConnection(service, fd);
             active.fetch_sub(1);
         });
     }
@@ -231,13 +174,15 @@ runClient(const std::string &socketPath)
     }
     std::signal(SIGPIPE, SIG_IGN);
 
+    using absim::serve::LineReader;
     LineReader reader(fd);
     std::string request;
     std::string response;
     while (std::getline(std::cin, request)) {
         if (request.empty())
             continue;
-        if (!writeAll(fd, request + "\n") || !reader.next(response)) {
+        if (!absim::serve::writeAll(fd, request + "\n") ||
+            reader.next(response) != LineReader::Status::Line) {
             std::fprintf(stderr, "error: connection closed by daemon\n");
             ::close(fd);
             return 1;

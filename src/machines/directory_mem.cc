@@ -17,23 +17,8 @@ DirectoryMem::DirectoryMem(sim::EventQueue &eq, NetModel &net,
                            const CacheConfig &cache_config,
                            ProtocolKind protocol, std::string checker_name)
     : MemModel(net, nodes, homes, stats), eq_(eq), protocol_(protocol),
-      checker_(
-          std::move(checker_name), /*exact_sharers=*/false, caches_,
-          [this](BlockId blk) {
-              check::DirInfo info;
-              if (const mem::DirectoryEntry *e = dir_.peek(blk)) {
-                  info.tracked = true;
-                  info.sharers = e->sharers;
-                  info.owner = e->owner;
-              }
-              return info;
-          },
-          [this](const std::function<void(BlockId)> &fn) {
-              dir_.forEach(
-                  [&fn](BlockId blk, const mem::DirectoryEntry &) {
-                      fn(blk);
-                  });
-          })
+      checker_(std::move(checker_name), /*exact_sharers=*/false, caches_,
+               *this)
 {
     ABSIM_CHECK(nodes <= mem::kMaxNodes,
                 nodes << " nodes exceed the " << mem::kMaxNodes
@@ -41,7 +26,30 @@ DirectoryMem::DirectoryMem(sim::EventQueue &eq, NetModel &net,
     caches_.reserve(nodes);
     for (std::uint32_t i = 0; i < nodes; ++i)
         caches_.push_back(std::make_unique<mem::SetAssocCache>(
-            cache_config.bytes, cache_config.ways));
+            cache_config.bytes, cache_config.ways, checker_.presence(),
+            i));
+}
+
+check::DirInfo
+DirectoryMem::dirInfo(BlockId blk) const
+{
+    check::DirInfo info;
+    if (const mem::DirectoryEntry *e = dir_.peek(blk)) {
+        info.tracked = true;
+        info.sharers = e->sharers;
+        info.owner = e->owner;
+    }
+    return info;
+}
+
+std::vector<BlockId>
+DirectoryMem::trackedBlocks() const
+{
+    std::vector<BlockId> blocks;
+    dir_.forEach([&blocks](BlockId blk, const mem::DirectoryEntry &) {
+        blocks.push_back(blk);
+    });
+    return blocks;
 }
 
 DirectoryMem::Charged

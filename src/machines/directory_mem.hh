@@ -32,7 +32,7 @@
 
 namespace absim::mach {
 
-class DirectoryMem : public MemModel
+class DirectoryMem : public MemModel, private check::DirectoryView
 {
   public:
     /**
@@ -84,6 +84,14 @@ class DirectoryMem : public MemModel
     /// @{
     mem::SetAssocCache &cacheForTest(net::NodeId n) { return *caches_[n]; }
     mem::Directory &directoryForTest() { return dir_; }
+    /// @}
+
+  protected:
+    /** @name The checker's view of the directory (protected so a test
+     *  can derive to watch every check). */
+    /// @{
+    check::DirInfo dirInfo(mem::BlockId blk) const override;
+    std::vector<mem::BlockId> trackedBlocks() const override;
     /// @}
 
   private:

@@ -15,22 +15,8 @@ IdealCacheMem::IdealCacheMem(NetModel &net, std::uint32_t nodes,
                              const CacheConfig &cache_config,
                              std::string checker_name)
     : MemModel(net, nodes, homes, stats),
-      checker_(
-          std::move(checker_name), /*exact_sharers=*/true, caches_,
-          [this](BlockId blk) {
-              check::DirInfo info;
-              auto it = oracle_.find(blk);
-              if (it != oracle_.end()) {
-                  info.tracked = true;
-                  info.sharers = it->second.sharers;
-                  info.owner = it->second.owner;
-              }
-              return info;
-          },
-          [this](const std::function<void(BlockId)> &fn) {
-              for (const auto &kv : oracle_)
-                  fn(kv.first);
-          })
+      checker_(std::move(checker_name), /*exact_sharers=*/true, caches_,
+               *this)
 {
     ABSIM_CHECK(nodes <= mem::kMaxNodes,
                 nodes << " nodes exceed the " << mem::kMaxNodes
@@ -38,7 +24,30 @@ IdealCacheMem::IdealCacheMem(NetModel &net, std::uint32_t nodes,
     caches_.reserve(nodes);
     for (std::uint32_t i = 0; i < nodes; ++i)
         caches_.push_back(std::make_unique<mem::SetAssocCache>(
-            cache_config.bytes, cache_config.ways));
+            cache_config.bytes, cache_config.ways, checker_.presence(),
+            i));
+}
+
+check::DirInfo
+IdealCacheMem::dirInfo(BlockId blk) const
+{
+    check::DirInfo info;
+    if (const auto it = oracle_.find(blk); it != oracle_.end()) {
+        info.tracked = true;
+        info.sharers = it->second.sharers;
+        info.owner = it->second.owner;
+    }
+    return info;
+}
+
+std::vector<BlockId>
+IdealCacheMem::trackedBlocks() const
+{
+    std::vector<BlockId> blocks;
+    blocks.reserve(oracle_.size());
+    for (const auto &kv : oracle_)
+        blocks.push_back(kv.first);
+    return blocks;
 }
 
 void

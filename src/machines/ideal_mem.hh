@@ -31,7 +31,7 @@
 
 namespace absim::mach {
 
-class IdealCacheMem : public MemModel
+class IdealCacheMem : public MemModel, private check::DirectoryView
 {
   public:
     /** Zero-cost global coherence bookkeeping for one block. */
@@ -79,6 +79,14 @@ class IdealCacheMem : public MemModel
     /// @{
     mem::SetAssocCache &cacheForTest(net::NodeId n) { return *caches_[n]; }
     OracleEntry &oracleForTest(mem::BlockId blk) { return entryOf(blk); }
+    /// @}
+
+  protected:
+    /** @name The checker's view of the directory (protected so a test
+     *  can derive to watch every check). */
+    /// @{
+    check::DirInfo dirInfo(mem::BlockId blk) const override;
+    std::vector<mem::BlockId> trackedBlocks() const override;
     /// @}
 
   private:

@@ -6,9 +6,95 @@
 
 namespace absim::mem {
 
+namespace {
+constexpr std::size_t kInitialSlots = 256;
+} // namespace
+
+PresenceTable::PresenceTable()
+    : slots_(new Slot[kInitialSlots]), mask_(kInitialSlots - 1)
+{
+}
+
+std::size_t
+PresenceTable::probe(BlockId blk) const
+{
+    std::size_t idx = home(blk);
+    while (slots_[idx].blk != blk && slots_[idx].blk != kEmpty)
+        idx = (idx + 1) & mask_;
+    return idx;
+}
+
+Presence
+PresenceTable::find(BlockId blk) const
+{
+    return slots_[probe(blk)].presence; // An empty slot's is all zero.
+}
+
+void
+PresenceTable::update(BlockId blk, std::uint32_t node, LineState state)
+{
+    std::size_t idx = probe(blk);
+    Slot *slot = &slots_[idx];
+    if (slot->blk == kEmpty) {
+        if (state == LineState::Invalid)
+            return; // No record, and none needed.
+        if ((size_ + 1) * 4 > (mask_ + 1) * 3) { // Load factor 3/4.
+            grow();
+            idx = probe(blk);
+            slot = &slots_[idx];
+        }
+        slot->blk = blk;
+        ++size_;
+    }
+    const std::uint64_t bit = std::uint64_t{1} << node;
+    Presence &p = slot->presence;
+    p.holders &= ~bit;
+    p.owners &= ~bit;
+    p.dirty &= ~bit;
+    if (state != LineState::Invalid)
+        p.holders |= bit;
+    if (isOwned(state))
+        p.owners |= bit;
+    if (state == LineState::Dirty)
+        p.dirty |= bit;
+    if (p.holders == 0)
+        erase(idx);
+}
+
+void
+PresenceTable::erase(std::size_t idx)
+{
+    // Backward-shift deletion: pull each later member of the probe run
+    // into the hole unless the hole lies before its home slot.
+    --size_;
+    std::size_t hole = idx;
+    for (std::size_t next = (hole + 1) & mask_;
+         slots_[next].blk != kEmpty; next = (next + 1) & mask_) {
+        const std::size_t want = home(slots_[next].blk);
+        if (((next - want) & mask_) >= ((next - hole) & mask_)) {
+            slots_[hole] = slots_[next];
+            hole = next;
+        }
+    }
+    slots_[hole] = Slot{};
+}
+
+void
+PresenceTable::grow()
+{
+    const std::size_t old_capacity = mask_ + 1;
+    std::unique_ptr<Slot[]> old = std::move(slots_);
+    slots_.reset(new Slot[old_capacity * 2]);
+    mask_ = old_capacity * 2 - 1;
+    for (std::size_t i = 0; i < old_capacity; ++i)
+        if (old[i].blk != kEmpty)
+            slots_[probe(old[i].blk)] = old[i];
+}
+
 SetAssocCache::SetAssocCache(std::uint32_t capacity_bytes,
-                             std::uint32_t associativity)
-    : ways_(associativity)
+                             std::uint32_t associativity,
+                             PresenceTable *presence, std::uint32_t node)
+    : ways_(associativity), presence_(presence), node_(node)
 {
     const std::uint32_t line_count = capacity_bytes / kBlockBytes;
     if (associativity == 0 || line_count % associativity != 0)
@@ -76,9 +162,10 @@ SetAssocCache::install(BlockId blk, LineState state)
         ++stats_.evictions;
         if (isOwned(slot->state))
             ++stats_.dirtyEvictions;
+        setLine(*slot, LineState::Invalid);
     }
     slot->tag = blk;
-    slot->state = state;
+    setLine(*slot, state);
     slot->lastUse = ++useClock_;
     ++stats_.misses;
 }
@@ -88,11 +175,7 @@ SetAssocCache::setState(BlockId blk, LineState state)
 {
     Line *line = find(blk);
     ABSIM_DCHECK(line != nullptr, "setState of absent block " << blk);
-    if (state == LineState::Invalid) {
-        line->state = LineState::Invalid;
-        return;
-    }
-    line->state = state;
+    setLine(*line, state);
 }
 
 std::vector<std::pair<BlockId, LineState>>
@@ -111,7 +194,7 @@ SetAssocCache::invalidate(BlockId blk)
     Line *line = find(blk);
     if (line == nullptr)
         return false;
-    line->state = LineState::Invalid;
+    setLine(*line, LineState::Invalid);
     ++stats_.invalidationsReceived;
     return true;
 }

@@ -16,12 +16,20 @@
  * and the ideal-cache abstraction (mach::IdealCacheMem, behind logp+c
  * and target+ic, which performs the identical state transitions but
  * charges nothing for coherence traffic).
+ *
+ * The caches of one checked memory model share a PresenceTable: for
+ * every block with a resident copy, which nodes hold it and in which
+ * states.  The cache's own mutators keep it current, so the coherence
+ * checker reads a block's state across all P caches in O(1) instead of
+ * scanning them.  A model built with the checker off keeps no table.
  */
 
 #ifndef ABSIM_MEM_CACHE_HH
 #define ABSIM_MEM_CACHE_HH
 
+#include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -53,6 +61,78 @@ canService(LineState s, bool write)
     return write ? s == LineState::Dirty : s != LineState::Invalid;
 }
 
+/** Which nodes hold one block, and in which states: bit n of each mask
+ *  is node n's copy. */
+struct Presence
+{
+    std::uint64_t holders = 0; ///< Any valid state.
+    std::uint64_t owners = 0;  ///< SharedDirty or Dirty.
+    std::uint64_t dirty = 0;   ///< Dirty.
+
+    bool operator==(const Presence &) const = default;
+};
+
+/**
+ * The presence records of one set of caches: a flat open-addressed
+ * table (linear probing, backward-shift deletion) from block to
+ * Presence.  A block's record exists exactly while some cache holds
+ * it, so the table is bounded by resident lines, not by the blocks a
+ * run ever touched.
+ */
+class PresenceTable
+{
+  public:
+    PresenceTable();
+
+    /** The record of @p blk (all zero if no cache holds it). */
+    Presence find(BlockId blk) const;
+
+    /** Node @p node's copy of @p blk is now in @p state (Invalid:
+     *  gone). */
+    void update(BlockId blk, std::uint32_t node, LineState state);
+
+    /** Blocks with a record. */
+    std::size_t size() const { return size_; }
+
+    /** Call @p fn(blk, presence) for every record, in table order. */
+    template <typename Fn>
+    void
+    forEach(Fn &&fn) const
+    {
+        for (std::size_t i = 0; i <= mask_; ++i)
+            if (slots_[i].blk != kEmpty)
+                fn(slots_[i].blk, slots_[i].presence);
+    }
+
+  private:
+    /** No block id reaches this (ids are addresses over kBlockBytes). */
+    static constexpr BlockId kEmpty = ~BlockId{0};
+
+    struct Slot
+    {
+        BlockId blk = kEmpty;
+        Presence presence;
+    };
+
+    std::size_t
+    home(BlockId blk) const
+    {
+        return static_cast<std::size_t>(
+                   (blk * 0x9e3779b97f4a7c15ULL) >> 32) &
+               mask_;
+    }
+
+    /** Slot index of @p blk, or of the empty slot that ends its probe. */
+    std::size_t probe(BlockId blk) const;
+
+    void erase(std::size_t idx);
+    void grow();
+
+    std::unique_ptr<Slot[]> slots_;
+    std::size_t mask_ = 0; ///< Capacity - 1 (capacity a power of two).
+    std::size_t size_ = 0;
+};
+
 /** Per-cache hit/miss/eviction counters. */
 struct CacheStats
 {
@@ -71,9 +151,18 @@ struct CacheStats
 class SetAssocCache
 {
   public:
-    /** Paper defaults: 64 KB, 2-way, 32 B blocks. */
+    /**
+     * Paper defaults: 64 KB, 2-way, 32 B blocks.
+     *
+     * @param presence  Records this cache keeps as node @p node (shared
+     *                  with its peers; must outlive the cache), or
+     *                  nullptr for a cache nobody checks (a model
+     *                  built with the coherence checker off).
+     */
     SetAssocCache(std::uint32_t capacity_bytes = 64 * 1024,
-                  std::uint32_t associativity = 2);
+                  std::uint32_t associativity = 2,
+                  PresenceTable *presence = nullptr,
+                  std::uint32_t node = 0);
 
     /** State of @p blk, Invalid if absent. Does not touch LRU. */
     LineState stateOf(BlockId blk) const;
@@ -187,8 +276,19 @@ class SetAssocCache
         return static_cast<std::uint32_t>(blk) & (sets_ - 1);
     }
 
+    /** Every line-state change goes through here. */
+    void
+    setLine(Line &line, LineState state)
+    {
+        line.state = state;
+        if (presence_ != nullptr)
+            presence_->update(line.tag, node_, state);
+    }
+
     std::uint32_t sets_;
     std::uint32_t ways_;
+    PresenceTable *presence_;
+    std::uint32_t node_;
     std::vector<Line> lines_; // sets_ x ways_, row-major by set.
     std::uint64_t useClock_ = 0;
     CacheStats stats_;

@@ -58,6 +58,14 @@ Service::~Service()
 }
 
 std::string
+Service::rejectLine(const std::string &message)
+{
+    received_.fetch_add(1);
+    badRequests_.fetch_add(1);
+    return errorResponse("?", "bad-request", message);
+}
+
+std::string
 Service::handle(const std::string &line)
 {
     received_.fetch_add(1);

@@ -95,6 +95,13 @@ class Service
      */
     std::string handle(const std::string &line);
 
+    /**
+     * Answer a request the transport could not deliver (e.g. a line
+     * over the length cap): count it as received and bad, and return
+     * its bad-request error response.
+     */
+    std::string rejectLine(const std::string &message);
+
     /** Stop admitting compute work (idempotent). */
     void beginDrain();
 

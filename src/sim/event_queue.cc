@@ -10,6 +10,12 @@
 
 namespace absim::sim {
 
+namespace {
+/** The wall-clock budget is sampled on dispatch counts with these low
+ *  bits clear. */
+constexpr std::uint64_t kWallSampleMask = 0x3ff;
+} // namespace
+
 EventQueue::EventQueue()
     : buckets_(new Bucket[kBuckets]),
       words_(new std::uint64_t[kBucketWords]())
@@ -90,7 +96,8 @@ EventQueue::enforceBudget()
         throw DeadlockError(oss.str(), dispatched_, now_,
                             blockedProcesses());
     }
-    if (budget_.maxWallSeconds > 0.0 && (dispatched_ & 0x3ff) == 0) {
+    if (budget_.maxWallSeconds > 0.0 &&
+        (dispatched_ & kWallSampleMask) == 0) {
         const auto host_now = std::chrono::steady_clock::now();
         if (!wallArmed_) {
             wallArmed_ = true;
@@ -358,9 +365,9 @@ EventQueue::popFront()
 }
 
 void
-EventQueue::dispatch(EventNode *node)
+EventQueue::advanceClock(Tick when)
 {
-    now_ = node->when;
+    now_ = when;
     if (now_ > windowBase_) {
         // Slide the calendar with the clock, so near-now events keep
         // landing in buckets instead of the overflow heap.  Every
@@ -372,6 +379,12 @@ EventQueue::dispatch(EventNode *node)
         windowLimit_ = now_ > kTickMax - Tick{kBuckets} ? kTickMax
                                                           : now_ + kBuckets;
     }
+}
+
+void
+EventQueue::dispatch(EventNode *node)
+{
+    advanceClock(node->when);
     ++dispatched_;
     if (fault::armed() &&
         fault::injector().shouldStallQueue(dispatched_)) [[unlikely]]
@@ -387,17 +400,66 @@ EventQueue::dispatch(EventNode *node)
     node->invoke(node->storage);
 }
 
-void
-EventQueue::run()
+bool
+EventQueue::advanceInPlace(Tick when)
 {
+    // The wake-up must be the event runLoop() dispatches next: strictly
+    // before the front (a same-tick event was queued first, so it goes
+    // first), within the loop's limit, and not in the past.
+    if (!running_ || stopRequested_ || when < now_ || when > runLimit_ ||
+        (front_ != nullptr && when >= front_->when))
+        return false;
+    // Every check runLoop() and dispatch() make before the callback
+    // must pass untouched; anything that could trip or act (a budget,
+    // the wall-clock sample, the fault hook) stays with the scheduler.
+    if ((budget_.maxEvents != 0 && dispatched_ >= budget_.maxEvents) ||
+        (budget_.stallDispatchLimit != 0 &&
+         dispatched_ - lastProgressDispatch_ >=
+             budget_.stallDispatchLimit) ||
+        (budget_.maxWallSeconds > 0.0 &&
+         (dispatched_ & kWallSampleMask) == 0) ||
+        (budget_.maxSimTime != 0 && when > budget_.maxSimTime) ||
+        fault::armed())
+        return false;
+    if (when > now_)
+        lastProgressDispatch_ = dispatched_;
+    advanceClock(when);
+    ++dispatched_;
+    ++advancedInPlace_;
+    return true;
+}
+
+bool
+EventQueue::runLoop(Tick limit, bool enforce_sim_time)
+{
+    // advanceInPlace() stands in for this loop's next iteration, so it
+    // must know the loop is live and where it stops (nested loops
+    // restore the outer one's on exit, thrown or not).
+    struct Running
+    {
+        EventQueue *q;
+        bool running;
+        Tick limit;
+        ~Running()
+        {
+            q->running_ = running;
+            q->runLimit_ = limit;
+        }
+    } restore{this, running_, runLimit_};
+    running_ = true;
+    runLimit_ = limit;
+
     while (size_ != 0 && !stopRequested_) {
         enforceBudget();
         const EventNode *next = front_;
+        if (next->when > limit)
+            return false;
         if (check::options().causality)
             ABSIM_CHECK(next->when >= now_,
                         "engine clock would run backwards: now=" << now_
                             << " next event at " << next->when);
-        if (budget_.maxSimTime != 0 && next->when > budget_.maxSimTime) {
+        if (enforce_sim_time && budget_.maxSimTime != 0 &&
+            next->when > budget_.maxSimTime) {
             std::ostringstream oss;
             oss << "sim-time budget exceeded: next event at "
                 << next->when << " ns passes the " << budget_.maxSimTime
@@ -409,25 +471,19 @@ EventQueue::run()
             lastProgressDispatch_ = dispatched_;
         dispatch(popFront());
     }
+    return size_ == 0;
+}
+
+void
+EventQueue::run()
+{
+    runLoop(kTickMax, /*enforce_sim_time=*/true);
 }
 
 bool
 EventQueue::runUntil(Tick limit)
 {
-    while (size_ != 0 && !stopRequested_) {
-        enforceBudget();
-        const EventNode *next = front_;
-        if (next->when > limit)
-            return false;
-        if (check::options().causality)
-            ABSIM_CHECK(next->when >= now_,
-                        "engine clock would run backwards: now=" << now_
-                            << " next event at " << next->when);
-        if (next->when > now_)
-            lastProgressDispatch_ = dispatched_;
-        dispatch(popFront());
-    }
-    return size_ == 0;
+    return runLoop(limit, /*enforce_sim_time=*/false);
 }
 
 } // namespace absim::sim

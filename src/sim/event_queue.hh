@@ -33,6 +33,14 @@
  *    nextEventTime() — asked before every shared access by both the
  *    runtime and the trace replay — is a load, and run() never scans
  *    twice per event.
+ *  - A delay whose wake-up would be the very next dispatch skips the
+ *    queue: advanceInPlace() does in place what run() and dispatch()
+ *    would do for that event (mark progress, move the clock, slide the
+ *    window, count the dispatch), so the blocked process or coroutine
+ *    just carries on.  It declines — and the caller schedules the
+ *    wake-up as usual — whenever the event would not be next or its
+ *    dispatch could trip a budget, so event counts, budget trips and
+ *    their messages are the same either way.
  *
  * The engine also hosts the run watchdog: a RunBudget bounds events,
  * simulated time, wall-clock time and clock stalls, and every Process
@@ -132,6 +140,27 @@ class EventQueue
 
     /** Total number of events dispatched so far (simulation-cost metric). */
     std::uint64_t dispatched() const { return dispatched_; }
+
+    /** How many of dispatched() were advanced in place (no queue trip). */
+    std::uint64_t advancedInPlace() const { return advancedInPlace_; }
+
+    /**
+     * Dispatch a wake-up at @p when without queueing it, if run() would
+     * dispatch it next anyway: mark progress, set now() to @p when,
+     * slide the window and count the dispatch, exactly as run() and
+     * dispatch() would.  The caller then continues in place of the
+     * event's callback, so it must do nothing that callback would not.
+     *
+     * @return false, with nothing changed, unless a run()/runUntil()
+     *         dispatch is in progress, no stop is requested, no fault
+     *         plan is armed, @p when is in [now(), limit] and strictly
+     *         before every pending event (a same-tick event was queued
+     *         first), and the dispatch could not trip maxEvents, the
+     *         stall limit, the wall-clock sample or maxSimTime.  The
+     *         caller then schedules the event, and the scheduler
+     *         raises whatever trips, off the caller's stack.
+     */
+    bool advanceInPlace(Tick when);
 
     /**
      * Install a run budget; run()/runUntil() raise BudgetExceededError
@@ -292,6 +321,13 @@ class EventQueue
     /** Dispatch @p node: advance the clock, invoke, recycle. */
     void dispatch(EventNode *node);
 
+    /** Set the clock to @p when and slide the calendar with it. */
+    void advanceClock(Tick when);
+
+    /** The dispatch loop shared by run() (limit kTickMax, simulated-time
+     *  budget enforced) and runUntil(). */
+    bool runLoop(Tick limit, bool enforce_sim_time);
+
     /** Throw if the budget (events / wall clock / stall) has tripped. */
     void enforceBudget();
 
@@ -309,7 +345,13 @@ class EventQueue
     Tick now_ = 0;
     std::uint64_t nextSeq_ = 0;
     std::uint64_t dispatched_ = 0;
+    std::uint64_t advancedInPlace_ = 0;
     std::size_t size_ = 0;
+
+    /** True while run()/runUntil() dispatches; runLimit_ is the tick
+     *  the active loop stops after. */
+    bool running_ = false;
+    Tick runLimit_ = 0;
 
     /** Calendar tier: buckets cover [windowBase_, windowLimit_); the
      *  base follows the clock forward (dispatch) and jumps to the

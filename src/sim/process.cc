@@ -97,6 +97,11 @@ Process::delayUntil(Tick when)
     ABSIM_CHECK(when >= eq_.now(),
                 "process \"" << name_ << "\" delayed into the past ("
                     << when << " < " << eq_.now() << ")");
+    // Our resume event would be the next dispatch: take it in place.
+    // Nothing runs after a resume event's fiber switch but this
+    // process, so carrying on here is the same run.
+    if (eq_.advanceInPlace(when))
+        return;
     scheduleResume(when);
     state_ = ProcState::Delayed;
     delayedUntil_ = when;

@@ -18,8 +18,9 @@
  *    coroutine resumed by the EventQueue): it suspends the coroutine
  *    and schedules its resumption on the same EventQueue.
  *
- * Either way a blocking point makes the same single engine call, so
- * both drivers produce the same event schedule from the same code.
+ * Either way a blocking point costs the same one dispatch (scheduled,
+ * or advanced in place when it would be the next one), so both drivers
+ * produce the same event schedule from the same code.
  *
  * Task frames churn at cache-miss rate, so they come from a per-thread
  * segregated freelist (FramePool) instead of the general heap.
@@ -298,8 +299,18 @@ detail::Promise<void>::get_return_object()
 
 /**
  * co_await Delay{eq, when}: Process::delayUntil(when) for a fiber
- * caller, otherwise suspend and resume at @p when.  Either way exactly
- * one resume event is scheduled, even for when == now.
+ * caller; otherwise the coroutine carries on at @p when in place
+ * (EventQueue::advanceInPlace) when its resume event would be the very
+ * next dispatch, and else suspends and one resume event is scheduled
+ * at @p when.  Both count the same one dispatch.
+ *
+ * Carrying on in place is the same run because a suspended coroutine
+ * is resumed only from a detail::Resume event or, the first time, from
+ * spawn()'s start event via body().detach(), and neither does anything
+ * a simulation can observe after control comes back to it: Resume
+ * returns, detach() marks the frame detached.  So the code that would
+ * have run in the resume event runs now, and nothing else runs in
+ * between either way.  A new resumption site must keep that property.
  */
 struct [[nodiscard]] Delay
 {
@@ -313,7 +324,7 @@ struct [[nodiscard]] Delay
             self->delayUntil(when);
             return true;
         }
-        return false;
+        return eq.advanceInPlace(when);
     }
 
     void

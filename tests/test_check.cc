@@ -161,6 +161,25 @@ TEST(ConservationChecker, CanBeDisabledForForensics)
 
 // ----------------------------------------------------------- Coherence
 
+/** Expect @p fn to fail a check whose message ends with @p message
+ *  (the text after the failed expression). */
+template <typename Fn>
+void
+expectCheckMessage(Fn &&fn, const std::string &message)
+{
+    check::ScopedThrowOnFailure guard;
+    try {
+        fn();
+        ADD_FAILURE() << "no check failed; expected: " << message;
+    } catch (const check::CheckFailure &e) {
+        const std::string what = e.what();
+        EXPECT_TRUE(what.size() >= message.size() &&
+                    what.compare(what.size() - message.size(),
+                                 message.size(), message) == 0)
+            << what << "\nexpected to end with: " << message;
+    }
+}
+
 /** Shared-array workload with real sharing: everyone reads everything,
  *  then writes a private slice (forcing upgrades + invalidations). */
 void
@@ -213,8 +232,9 @@ TEST(CoherenceChecker, DetectsSecondOwnerInTargetMachine)
     // now violated (two caches believe they own the block).
     h.target().cacheForTest(1).install(mem::blockOf(addr),
                                        mem::LineState::Dirty);
-    check::ScopedThrowOnFailure guard;
-    EXPECT_THROW(h.machine->checkInvariants(), check::CheckFailure);
+    expectCheckMessage([&] { h.machine->checkInvariants(); },
+                       "target: node 1 holds block 1 without a sharer bit "
+                       "(sharers=0x1)");
 }
 
 TEST(CoherenceChecker, DetectsDirectoryCacheDisagreement)
@@ -232,8 +252,9 @@ TEST(CoherenceChecker, DetectsDirectoryCacheDisagreement)
     // block Dirty: directory and cache now disagree.
     h.target().directoryForTest().entry(mem::blockOf(addr)).owner =
         mem::DirectoryEntry::kNoOwner;
-    check::ScopedThrowOnFailure guard;
-    EXPECT_THROW(h.machine->checkInvariants(), check::CheckFailure);
+    expectCheckMessage([&] { h.machine->checkInvariants(); },
+                       "target: node 0 owns block 1 but the directory "
+                       "names owner -1");
 }
 
 TEST(CoherenceChecker, DetectsStaleOracleSharerInLogPC)
@@ -250,8 +271,9 @@ TEST(CoherenceChecker, DetectsStaleOracleSharerInLogPC)
     // The LogP+C oracle is exact: a sharer bit for a node with no
     // resident copy is a bookkeeping bug, not a tolerated staleness.
     h.logpc().oracleForTest(mem::blockOf(addr)).sharers |= 1u << 1;
-    check::ScopedThrowOnFailure guard;
-    EXPECT_THROW(h.machine->checkInvariants(), check::CheckFailure);
+    expectCheckMessage([&] { h.machine->checkInvariants(); },
+                       "logp+c: stale sharer bit, node 1 listed for block "
+                       "1 but holds no copy");
 }
 
 TEST(CoherenceChecker, CanBeDisabledForForensics)
@@ -268,8 +290,28 @@ TEST(CoherenceChecker, CanBeDisabledForForensics)
     check::options().coherence = false;
     EXPECT_NO_THROW(h.machine->checkInvariants());
     check::options().coherence = true;
-    check::ScopedThrowOnFailure guard;
-    EXPECT_THROW(h.machine->checkInvariants(), check::CheckFailure);
+    expectCheckMessage([&] { h.machine->checkInvariants(); },
+                       "target: node 1 holds block 1 without a sharer bit "
+                       "(sharers=0x1)");
+}
+
+TEST(CoherenceChecker, SwitchedOnAfterAnUncheckedBuildIsANamedFailure)
+{
+    // Built with the checker off, the model keeps no presence records,
+    // so switching the checker on later must fail by name rather than
+    // check against records that were never kept.
+    check::options().coherence = false;
+    test::MachineHarness h(mach::MachineKind::Target,
+                           net::TopologyKind::Full, 2);
+    check::options().coherence = true;
+    const mem::Addr addr = h.heap.allocate(8, rt::Placement::OnNode, 0);
+    const std::string message =
+        "target: coherence checking was switched on after the model was "
+        "built without it, so no presence records were kept";
+    expectCheckMessage(
+        [&] { h.target().checker().checkBlock(mem::blockOf(addr)); },
+        message);
+    expectCheckMessage([&] { h.machine->checkInvariants(); }, message);
 }
 
 // -------------------------------------------------------- Fiber misuse

@@ -12,19 +12,32 @@
  * implementations *if and only if* they dispatch in the same order.
  * Any divergence (bucket-window bug, overflow re-base bug, FIFO-tie
  * break) desynchronizes the logs at the first wrong event.
+ *
+ * The second half runs fiber processes and coroutines whose delays the
+ * queue may advance in place (EventQueue::advanceInPlace) against the
+ * same reference heap, in which every delay is a scheduled event, and
+ * against a real run in which an armed fault plan that never fires
+ * makes every delay take the scheduled path.  Logs, budget trips,
+ * dispatch counts, clocks and blocked-process dumps must all agree.
  */
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <queue>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "check/check.hh"
+#include "fault/fault.hh"
 #include "sim/event_queue.hh"
+#include "sim/process.hh"
 #include "sim/rng.hh"
+#include "sim/task.hh"
+#include "sim/watchdog.hh"
 
 namespace {
 
@@ -544,6 +557,641 @@ TEST(EventQueueDiff, WindowStraddlingWorkloadMatchesReference)
     }
     EXPECT_EQ(real_log.size(), kEvents);
     expectSameLogs(real_log, ref_log);
+}
+
+// ---------------------------------------------------------------------------
+// Processes and coroutines: delays the queue may advance in place.
+//
+// Actors log a step, sometimes schedule plain events, and delay.  Fiber
+// actors are sim::Process (Process::delay), coroutine actors co_await
+// sim::Delay: some created before run() starts (their first delay is
+// necessarily scheduled), some spawned by plain events through
+// sim::spawn (the detach path).  Delays mix self-next ticks, same-tick
+// ties, ticks near the calendar window and overflow ticks.
+// ---------------------------------------------------------------------------
+
+namespace sim = absim::sim;
+namespace fault = absim::fault;
+
+struct ActorWorkload
+{
+    std::uint64_t seed = 1;
+    std::uint32_t fibers = 6;
+    std::uint32_t coroutines = 6;
+    std::uint32_t steps = 300;
+    std::uint64_t maxPlain = 20'000;
+    std::uint64_t maxSpawned = 0; ///< Coroutine actors plain events spawn.
+    /** From this step on, actor 0 only delays zero ticks: a livelock
+     *  whose wake-ups are all strictly first.  0: never. */
+    std::uint64_t spinFrom = 0;
+    std::uint64_t stopAt = 0;       ///< requestStop at this log length.
+    std::uint64_t stallAt = 0;      ///< StallQueue fault dispatch; 0: none.
+    sim::RunBudget budget;
+};
+
+constexpr std::uint64_t kActorTag = std::uint64_t{1} << 63;
+
+std::uint64_t
+actorTag(std::uint64_t actor, std::uint64_t step)
+{
+    return kActorTag | actor << 32 | step;
+}
+
+Rng
+drawFor(const ActorWorkload &w, std::uint64_t salt, std::uint64_t a,
+        std::uint64_t b)
+{
+    return Rng(w.seed ^ (salt * 0xd6e8feb86659fd93ULL) ^
+               (a * 0x9e3779b97f4a7c15ULL) ^ (b * 0xc2b2ae3d27d4eb4fULL));
+}
+
+Tick
+actorRoot(const ActorWorkload &w, std::uint64_t a)
+{
+    return drawFor(w, 1, a, 0).below(2048);
+}
+
+Tick
+actorDelay(const ActorWorkload &w, std::uint64_t a, std::uint64_t s)
+{
+    if (a == 0 && w.spinFrom != 0 && s >= w.spinFrom)
+        return 0;
+    Rng rng = drawFor(w, 2, a, s);
+    const std::uint64_t shape = rng.below(100);
+    if (shape < 20)
+        return 0;
+    if (shape < 50)
+        return 1 + rng.below(7);
+    if (shape < 70)
+        return 8 + rng.below(504);
+    if (shape < 85)
+        return kWindow - 6 + rng.below(12); // Straddles the window.
+    return kWindow + 6 + rng.below(200'000); // Overflow tier.
+}
+
+/** Plain events an actor step schedules (tick deltas). */
+std::vector<Tick>
+stepChildren(const ActorWorkload &w, std::uint64_t a, std::uint64_t s)
+{
+    Rng rng = drawFor(w, 3, a, s);
+    std::vector<Tick> out;
+    if (rng.below(3) == 0)
+        out.push_back(rng.below(2) == 0 ? rng.below(8) : rng.below(6000));
+    return out;
+}
+
+/** What a plain event does: children, and maybe spawn an actor. */
+struct PlainFate
+{
+    std::vector<Tick> children;
+    bool spawn = false;
+    Tick spawnDelay = 0;
+};
+
+PlainFate
+plainFate(const ActorWorkload &w, std::uint64_t id)
+{
+    Rng rng = drawFor(w, 4, id, 0);
+    PlainFate fate;
+    if (rng.below(3) == 0)
+        fate.children.push_back(rng.below(16));
+    fate.spawn = rng.below(16) == 0;
+    fate.spawnDelay = rng.below(64);
+    return fate;
+}
+
+/** How a run ended, in the terms both implementations can report. */
+struct Outcome
+{
+    std::vector<LogEntry> log;
+    std::string trip; ///< "", "budget", "deadlock" or "sim-time".
+    std::uint64_t dispatched = 0;
+    Tick now = 0;
+    std::size_t pending = 0;
+    std::vector<std::string> blocked; ///< "name state until".
+};
+
+std::string
+tripKind(const std::string &what)
+{
+    if (what.rfind("deadlock", 0) == 0)
+        return "deadlock";
+    if (what.rfind("sim-time", 0) == 0)
+        return "sim-time";
+    return "budget";
+}
+
+/** The real engine running the actor workload. */
+struct LiveActors
+{
+    explicit LiveActors(const ActorWorkload &workload) : w(workload)
+    {
+        eq.setBudget(w.budget);
+        for (std::uint32_t a = 0; a < w.fibers; ++a) {
+            procs.push_back(std::make_unique<sim::Process>(
+                eq, "actor-" + std::to_string(a), [this, a] { fiber(a); }));
+            procs.back()->start(actorRoot(w, a));
+        }
+        for (std::uint32_t a = w.fibers; a < w.fibers + w.coroutines; ++a)
+            tasks.push_back(actor(a, /*from_root=*/true));
+    }
+
+    void
+    note(std::uint64_t tag)
+    {
+        log.emplace_back(eq.now(), tag);
+        if (w.stopAt != 0 && log.size() == w.stopAt)
+            eq.requestStop();
+    }
+
+    void
+    plain(Tick when)
+    {
+        const std::uint64_t id = nextPlain++;
+        eq.schedule(when, [this, id] { onPlain(id); });
+    }
+
+    void
+    onPlain(std::uint64_t id)
+    {
+        note(id);
+        const PlainFate fate = plainFate(w, id);
+        for (const Tick d : fate.children)
+            if (nextPlain < w.maxPlain)
+                plain(eq.now() + d);
+        if (fate.spawn && spawned < w.maxSpawned) {
+            const std::uint64_t a = w.fibers + w.coroutines + spawned++;
+            sim::spawn(eq, "spawned", eq.now() + fate.spawnDelay,
+                       [this, a] { return actor(a, false); });
+        }
+    }
+
+    void
+    step(std::uint64_t a, std::uint64_t s)
+    {
+        note(actorTag(a, s));
+        for (const Tick d : stepChildren(w, a, s))
+            if (nextPlain < w.maxPlain)
+                plain(eq.now() + d);
+    }
+
+    void
+    fiber(std::uint64_t a)
+    {
+        for (std::uint64_t s = 0; s < w.steps; ++s) {
+            step(a, s);
+            sim::Process::current()->delay(actorDelay(w, a, s));
+        }
+    }
+
+    sim::Task<>
+    actor(std::uint64_t a, bool from_root)
+    {
+        if (from_root)
+            co_await sim::Delay{eq, actorRoot(w, a)};
+        for (std::uint64_t s = 0; s < w.steps; ++s) {
+            step(a, s);
+            co_await sim::Delay{eq, eq.now() + actorDelay(w, a, s)};
+        }
+    }
+
+    Outcome
+    outcome(const std::string &trip,
+            const std::vector<sim::BlockedProcessInfo> &blocked) const
+    {
+        Outcome out;
+        out.log = log;
+        out.trip = trip;
+        out.dispatched = eq.dispatched();
+        out.now = eq.now();
+        out.pending = eq.pending();
+        for (const sim::BlockedProcessInfo &b : blocked)
+            out.blocked.push_back(b.name + " " + b.state + " " +
+                                  std::to_string(b.delayedUntil));
+        return out;
+    }
+
+    const ActorWorkload &w;
+    sim::EventQueue eq;
+    std::vector<std::unique_ptr<sim::Process>> procs;
+    std::vector<sim::Task<>> tasks;
+    std::vector<LogEntry> log;
+    std::uint64_t nextPlain = 0;
+    std::uint64_t spawned = 0;
+};
+
+/**
+ * Run @p w on the real engine.  @p all_scheduled arms a fault plan that
+ * never fires, so every delay is scheduled (as with w.stallAt, which
+ * arms one that does).  @p in_place receives advancedInPlace().
+ */
+Outcome
+runLive(const ActorWorkload &w, bool all_scheduled,
+        std::uint64_t *in_place = nullptr)
+{
+    std::unique_ptr<fault::ScopedPlan> plan;
+    if (w.stallAt != 0)
+        plan = std::make_unique<fault::ScopedPlan>(
+            fault::Plan::parse("stall@" + std::to_string(w.stallAt)));
+    else if (all_scheduled)
+        plan = std::make_unique<fault::ScopedPlan>(
+            fault::Plan::parse("stall@1000000000000"));
+    LiveActors live(w);
+    Outcome out;
+    try {
+        live.eq.run();
+        out = live.outcome("", {});
+    } catch (const sim::WatchdogError &e) {
+        out = live.outcome(tripKind(e.what()), e.blocked());
+        EXPECT_EQ(e.eventsDispatched(), live.eq.dispatched());
+        EXPECT_EQ(e.simTime(), live.eq.now());
+    }
+    if (in_place != nullptr)
+        *in_place = live.eq.advancedInPlace();
+    return out;
+}
+
+/** The reference heap running the same workload: every delay is one
+ *  scheduled (tick, seq) event, and the budget rules of run(). */
+struct RefActors
+{
+    enum class Kind : std::uint8_t
+    {
+        Plain,
+        Resume,
+        Stall,
+    };
+    struct Event
+    {
+        Tick when;
+        std::uint64_t seq;
+        Kind kind;
+        std::uint64_t id;
+    };
+    struct Later
+    {
+        bool
+        operator()(const Event &a, const Event &b) const
+        {
+            return a.when > b.when ||
+                   (a.when == b.when && a.seq > b.seq);
+        }
+    };
+    struct Actor
+    {
+        std::uint64_t next = 0;
+        bool started = false;
+        bool finished = false;
+        Tick until = 0;
+    };
+
+    explicit RefActors(const ActorWorkload &workload) : w(workload)
+    {
+        actors.resize(w.fibers + w.coroutines);
+        for (std::uint32_t a = 0; a < w.fibers + w.coroutines; ++a)
+            push(actorRoot(w, a), Kind::Resume, a);
+    }
+
+    void
+    push(Tick when, Kind kind, std::uint64_t id)
+    {
+        queue.push(Event{when, nextSeq++, kind, id});
+    }
+
+    void
+    note(std::uint64_t tag)
+    {
+        log.emplace_back(now, tag);
+        if (w.stopAt != 0 && log.size() == w.stopAt)
+            stopped = true;
+    }
+
+    void
+    plain(Tick when)
+    {
+        push(when, Kind::Plain, nextPlain++);
+    }
+
+    void
+    handle(const Event &ev)
+    {
+        if (ev.kind == Kind::Stall) {
+            push(now, Kind::Stall, 0);
+            return;
+        }
+        if (ev.kind == Kind::Plain) {
+            note(ev.id);
+            const PlainFate fate = plainFate(w, ev.id);
+            for (const Tick d : fate.children)
+                if (nextPlain < w.maxPlain)
+                    plain(now + d);
+            if (fate.spawn && spawned < w.maxSpawned) {
+                ++spawned;
+                actors.emplace_back();
+                push(now + fate.spawnDelay, Kind::Resume,
+                     actors.size() - 1);
+            }
+            return;
+        }
+        Actor &actor = actors[ev.id];
+        actor.started = true;
+        if (actor.next == w.steps) {
+            actor.finished = true;
+            return;
+        }
+        const std::uint64_t s = actor.next++;
+        note(actorTag(ev.id, s));
+        for (const Tick d : stepChildren(w, ev.id, s))
+            if (nextPlain < w.maxPlain)
+                plain(now + d);
+        actor.until = now + actorDelay(w, ev.id, s);
+        // The delay the real queue may take in place: the resume would
+        // be strictly first, and nothing in run() could trip on it.
+        if ((queue.empty() || actor.until < queue.top().when) && !stopped)
+            ++selfNext;
+        push(actor.until, Kind::Resume, ev.id);
+    }
+
+    /** run() / runUntil(limit): the same checks in the same order. */
+    bool
+    run(Tick limit = sim::kTickMax, bool enforce_sim_time = true)
+    {
+        const sim::RunBudget &b = w.budget;
+        while (!queue.empty() && !stopped) {
+            if (b.maxEvents != 0 && dispatched >= b.maxEvents) {
+                trip = "budget";
+                return false;
+            }
+            if (b.stallDispatchLimit != 0 &&
+                dispatched - lastProgress >= b.stallDispatchLimit) {
+                trip = "deadlock";
+                return false;
+            }
+            // A wall-clock budget shorter than any 1024 dispatches: the
+            // sample at 0 arms it, the next one trips.
+            if (b.maxWallSeconds > 0.0 && dispatched != 0 &&
+                dispatched % 1024 == 0) {
+                trip = "budget";
+                return false;
+            }
+            const Event ev = queue.top();
+            if (ev.when > limit)
+                return false;
+            if (enforce_sim_time && b.maxSimTime != 0 &&
+                ev.when > b.maxSimTime) {
+                trip = "sim-time";
+                return false;
+            }
+            if (ev.when > now)
+                lastProgress = dispatched;
+            queue.pop();
+            now = ev.when;
+            ++dispatched;
+            if (w.stallAt != 0 && !stallFired && dispatched >= w.stallAt) {
+                stallFired = true;
+                push(now, Kind::Stall, 0);
+            }
+            handle(ev);
+        }
+        return queue.empty();
+    }
+
+    Outcome
+    outcome() const
+    {
+        Outcome out;
+        out.log = log;
+        out.trip = trip;
+        out.dispatched = dispatched;
+        out.now = now;
+        out.pending = queue.size();
+        if (!trip.empty())
+            for (std::uint32_t a = 0; a < w.fibers; ++a) {
+                const Actor &actor = actors[a];
+                if (actor.finished)
+                    continue;
+                out.blocked.push_back(
+                    "actor-" + std::to_string(a) +
+                    (actor.started
+                         ? " delayed " + std::to_string(actor.until)
+                         : std::string(" runnable 0")));
+            }
+        return out;
+    }
+
+    const ActorWorkload &w;
+    std::priority_queue<Event, std::vector<Event>, Later> queue;
+    std::vector<Actor> actors;
+    std::vector<LogEntry> log;
+    std::string trip;
+    std::uint64_t nextSeq = 0;
+    std::uint64_t nextPlain = 0;
+    std::uint64_t spawned = 0;
+    std::uint64_t dispatched = 0;
+    std::uint64_t lastProgress = 0;
+    std::uint64_t selfNext = 0; ///< Delays strictly before the front.
+    Tick now = 0;
+    bool stopped = false;
+    bool stallFired = false;
+};
+
+void
+expectSameOutcome(const Outcome &got, const Outcome &want)
+{
+    EXPECT_EQ(got.trip, want.trip);
+    EXPECT_EQ(got.dispatched, want.dispatched);
+    EXPECT_EQ(got.now, want.now);
+    EXPECT_EQ(got.pending, want.pending);
+    EXPECT_EQ(got.blocked, want.blocked);
+    expectSameLogs(got.log, want.log);
+}
+
+TEST(EventQueueDiff, ActorDelaysMatchReference)
+{
+    ActorWorkload w;
+    w.seed = 0xAC7;
+    w.maxSpawned = 40;
+
+    std::uint64_t in_place = 0;
+    const Outcome live = runLive(w, false, &in_place);
+    RefActors ref(w);
+    ref.run();
+    expectSameOutcome(live, ref.outcome());
+    EXPECT_EQ(ref.spawned, w.maxSpawned);
+    EXPECT_EQ(live.trip, "");
+    EXPECT_EQ(live.pending, 0u);
+
+    // The counter is exact: every delay that was strictly first, and
+    // only those, skipped the queue.
+    EXPECT_EQ(in_place, ref.selfNext);
+    EXPECT_GT(in_place, live.dispatched / 10);
+
+    // With every delay scheduled, the same run.
+    std::uint64_t scheduled_in_place = 1;
+    const Outcome scheduled = runLive(w, true, &scheduled_in_place);
+    EXPECT_EQ(scheduled_in_place, 0u);
+    expectSameOutcome(scheduled, live);
+}
+
+/** A budget or stop case: the in-place run, the all-scheduled run and
+ *  the reference must end at the same point with the same dump. */
+void
+expectSameTrip(const ActorWorkload &w, const std::string &trip)
+{
+    SCOPED_TRACE("actors " + std::to_string(w.fibers) + "+" +
+                 std::to_string(w.coroutines));
+    std::uint64_t in_place = 0;
+    const Outcome live = runLive(w, false, &in_place);
+    const Outcome scheduled = runLive(w, true);
+    RefActors ref(w);
+    ref.run();
+    EXPECT_EQ(live.trip, trip);
+    expectSameOutcome(live, ref.outcome());
+    expectSameOutcome(scheduled, live);
+    if (w.stallAt == 0) {
+        EXPECT_GT(in_place, 0u); // The fast path ran up to the trip.
+    } else {
+        EXPECT_EQ(in_place, 0u); // An armed plan turns it off.
+    }
+    if (!trip.empty())
+        EXPECT_FALSE(live.blocked.empty());
+    EXPECT_GT(live.dispatched, 100u); // Well into the run.
+}
+
+/** One fiber actor and nothing else: every delay after the first is
+ *  strictly first, so the trip lands on a delay the queue would
+ *  otherwise advance in place. */
+ActorWorkload
+alone(ActorWorkload w)
+{
+    w.fibers = 1;
+    w.coroutines = 0;
+    w.maxPlain = 0;
+    return w;
+}
+
+TEST(EventQueueDiff, ActorEventBudgetTripsAtTheSamePoint)
+{
+    ActorWorkload w;
+    w.seed = 0xB0D1;
+    w.budget.maxEvents = 2500;
+    expectSameTrip(w, "budget");
+    w.budget.maxEvents = 250;
+    expectSameTrip(alone(w), "budget");
+}
+
+TEST(EventQueueDiff, ActorStallLimitTripsAtTheSamePoint)
+{
+    // One actor spins on zero-tick delays, each strictly first, so the
+    // clock stops while every dispatch is an in-place advance.  Alone,
+    // the steps before the spin advance the clock in place too.
+    ActorWorkload w;
+    w.seed = 0x57A1;
+    w.spinFrom = 100;
+    w.budget.stallDispatchLimit = 50;
+    expectSameTrip(w, "deadlock");
+    w.spinFrom = 150;
+    expectSameTrip(alone(w), "deadlock");
+}
+
+TEST(EventQueueDiff, ActorSimTimeBudgetTripsAtTheSamePoint)
+{
+    ActorWorkload w;
+    w.seed = 0x51E7;
+    w.budget.maxSimTime = 400'000;
+    expectSameTrip(w, "sim-time");
+    w.budget.maxSimTime = 3'000'000;
+    expectSameTrip(alone(w), "sim-time");
+}
+
+TEST(EventQueueDiff, ActorRequestStopHaltsAtTheSamePoint)
+{
+    ActorWorkload w;
+    w.seed = 0x5709;
+    w.stopAt = 4321;
+    expectSameTrip(w, "");
+    w.stopAt = 150;
+    expectSameTrip(alone(w), "");
+}
+
+TEST(EventQueueDiff, ActorStallFaultTripsAtTheSamePoint)
+{
+    // An armed StallQueue fault: the in-place advance stays off, and the
+    // zero-delay chain it starts trips the stall limit.
+    ActorWorkload w;
+    w.seed = 0xFA17;
+    w.stallAt = 3000;
+    w.budget.stallDispatchLimit = 200;
+    expectSameTrip(w, "deadlock");
+}
+
+TEST(EventQueueDiff, ActorWallClockSampleTripsAtTheSamePoint)
+{
+    // A wall-clock budget shorter than any 1024 dispatches: the sample
+    // at dispatch 0 arms it and the one at 1024 trips.  Every 1024th
+    // dispatch is a sampling slot the in-place advance leaves to the
+    // scheduler, so the trip lands on exactly 1024 either way.
+    ActorWorkload w;
+    w.seed = 0x3A11;
+    w.budget.maxWallSeconds = 1e-9;
+    expectSameTrip(w, "budget");
+    w.steps = 2000;
+    expectSameTrip(alone(w), "budget");
+}
+
+TEST(EventQueueDiff, ActorRunUntilWindowsMatchReference)
+{
+    ActorWorkload w;
+    w.seed = 0x7E11;
+    w.maxSpawned = 20;
+    LiveActors live(w);
+    RefActors ref(w);
+    constexpr Tick kStep = 2500;
+    bool drained = false;
+    for (Tick limit = kStep; !drained; limit += kStep) {
+        drained = live.eq.runUntil(limit);
+        EXPECT_EQ(ref.run(limit, /*enforce_sim_time=*/false), drained);
+        ASSERT_EQ(live.eq.pending(), ref.queue.size());
+        ASSERT_EQ(live.eq.now(), ref.now);
+        ASSERT_EQ(live.eq.dispatched(), ref.dispatched);
+        if (!ref.queue.empty())
+            ASSERT_EQ(live.eq.nextEventTime(), ref.queue.top().when);
+    }
+    expectSameLogs(live.log, ref.log);
+    EXPECT_GT(live.eq.advancedInPlace(), 0u);
+}
+
+TEST(EventQueueDiff, AdvanceInPlaceDeclinesOutsideADispatch)
+{
+    // Before run() (how trace replay starts its interpreters) and
+    // between runUntil() windows nothing is dispatching, so a delay is
+    // always scheduled; inside a dispatch a strictly-first one is not.
+    sim::EventQueue eq;
+    EXPECT_FALSE(eq.advanceInPlace(0));
+    EXPECT_FALSE(eq.advanceInPlace(5));
+    bool tie = true;
+    bool inside = false;
+    eq.schedule(10, [&] {
+        eq.schedule(20, [] {});
+        tie = eq.advanceInPlace(20); // Queued first: it goes first.
+        inside = eq.advanceInPlace(15);
+    });
+    EXPECT_FALSE(eq.runUntil(5));
+    EXPECT_FALSE(eq.advanceInPlace(7));
+    eq.run();
+    EXPECT_FALSE(tie);
+    EXPECT_TRUE(inside);
+    EXPECT_EQ(eq.advancedInPlace(), 1u);
+    EXPECT_EQ(eq.dispatched(), 3u);
+    EXPECT_EQ(eq.now(), 20u);
+
+    // Past the active runUntil() limit: the loop would stop first.
+    sim::EventQueue limited;
+    bool beyond = true;
+    limited.schedule(10, [&] { beyond = limited.advanceInPlace(15); });
+    limited.runUntil(12);
+    EXPECT_FALSE(beyond);
+    EXPECT_EQ(limited.now(), 10u);
 }
 
 } // namespace

@@ -11,14 +11,20 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
+
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include "core/cache_key.hh"
 #include "core/journal.hh"
 #include "json/json.hh"
+#include "serve/connection.hh"
 #include "serve/protocol.hh"
 #include "serve/result_cache.hh"
 #include "serve/service.hh"
@@ -454,6 +460,76 @@ TEST(ServeService, StatsResponseCountsEveryOutcomeClass)
     EXPECT_NE(stats.find("\"draining\":false"), std::string::npos);
     EXPECT_NE(stats.find("\"torn_tail_recovered\":false"),
               std::string::npos);
+}
+
+// ------------------------------------------------------- The socket
+
+TEST(ServeConnection, LineReaderCapsALineAtItsLimit)
+{
+    int fds[2];
+    ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+    // A line of exactly kMaxLineBytes, then one byte over it.  The
+    // writer runs beside the reader, as the lines outgrow the socket
+    // buffer; it stops when the reader hangs up.
+    const std::string at_cap(serve::kMaxLineBytes, 'a');
+    const std::string over_cap(serve::kMaxLineBytes + 1, 'b');
+    std::thread writer([&at_cap, &over_cap, fd = fds[1]] {
+        const std::string input = at_cap + "\n" + over_cap + "\n";
+        std::size_t sent = 0;
+        while (sent < input.size()) {
+            const ssize_t n = ::send(fd, input.data() + sent,
+                                     input.size() - sent, MSG_NOSIGNAL);
+            if (n <= 0)
+                break;
+            sent += static_cast<std::size_t>(n);
+        }
+    });
+    serve::LineReader reader(fds[0]);
+    std::string line;
+    EXPECT_EQ(reader.next(line), serve::LineReader::Status::Line);
+    EXPECT_EQ(line, at_cap);
+    EXPECT_EQ(reader.next(line), serve::LineReader::Status::TooLong);
+    ::close(fds[0]);
+    writer.join();
+    ::close(fds[1]);
+}
+
+TEST(ServeConnection, NewlineFreeFloodIsABadRequestAndHangsUp)
+{
+    serve::Service service(smallConfig());
+    int fds[2];
+    ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+    std::thread daemon([&service, fd = fds[0]] {
+        serve::serveConnection(service, fd);
+    });
+
+    // 2 MiB, never a newline.  The daemon stops reading past 1 MiB and
+    // hangs up, so the rest of the flood fails to send.
+    const std::string chunk(64 * 1024, 'x');
+    std::size_t sent = 0;
+    while (sent < 2 * serve::kMaxLineBytes) {
+        const ssize_t n =
+            ::send(fds[1], chunk.data(), chunk.size(), MSG_NOSIGNAL);
+        if (n <= 0)
+            break;
+        sent += static_cast<std::size_t>(n);
+    }
+    std::string reply;
+    char buf[4096];
+    for (ssize_t n; (n = ::read(fds[1], buf, sizeof(buf))) > 0;)
+        reply.append(buf, static_cast<std::size_t>(n));
+    daemon.join();
+    ::close(fds[1]);
+
+    EXPECT_LT(sent, 2 * serve::kMaxLineBytes);
+    EXPECT_EQ(std::count(reply.begin(), reply.end(), '\n'), 1) << reply;
+    EXPECT_NE(reply.find("\"error\":\"bad-request\""), std::string::npos)
+        << reply;
+    EXPECT_NE(reply.find("request line exceeds 1048576 bytes"),
+              std::string::npos)
+        << reply;
+    EXPECT_EQ(service.stats().badRequests, 1u);
+    EXPECT_EQ(service.stats().received, 1u);
 }
 
 } // namespace

@@ -312,6 +312,13 @@ TEST(Chaos, CorruptedTransitionFailsCoherenceCheck)
     ASSERT_FALSE(result.ok());
     EXPECT_EQ(result.error().kind, core::RunErrorKind::CheckFailed)
         << result.error().summary();
+    // Caught at the corrupted transition itself, naming the node whose
+    // line was flipped.
+    EXPECT_NE(result.error().message.find(
+                  "target: node 1 owns block 9 but the directory names "
+                  "owner -1"),
+              std::string::npos)
+        << result.error().summary();
     EXPECT_EQ(fault::injector().fired(fault::Kind::CorruptTransition),
               1u);
 }
