@@ -126,7 +126,8 @@ runDaemon(const absim::serve::ServiceConfig &config,
         }
         active.fetch_add(1);
         connections.emplace_back([&service, &active, fd] {
-            absim::serve::serveConnection(service, fd);
+            absim::serve::serveConnection(service, fd, fd);
+            ::close(fd);
             active.fetch_sub(1);
         });
     }
@@ -175,19 +176,29 @@ runClient(const std::string &socketPath)
     std::signal(SIGPIPE, SIG_IGN);
 
     using absim::serve::LineReader;
-    LineReader reader(fd);
+    LineReader requests(STDIN_FILENO);
+    LineReader responses(fd);
     std::string request;
     std::string response;
-    while (std::getline(std::cin, request)) {
+    for (;;) {
+        const LineReader::Status status = requests.next(request);
+        if (status == LineReader::Status::Closed)
+            break;
+        if (status == LineReader::Status::TooLong) {
+            std::fprintf(stderr, "error: request line exceeds %zu bytes\n",
+                         absim::serve::kMaxLineBytes);
+            ::close(fd);
+            return 1;
+        }
         if (request.empty())
             continue;
         if (!absim::serve::writeAll(fd, request + "\n") ||
-            reader.next(response) != LineReader::Status::Line) {
+            responses.next(response) != LineReader::Status::Line) {
             std::fprintf(stderr, "error: connection closed by daemon\n");
             ::close(fd);
             return 1;
         }
-        std::cout << response << "\n";
+        std::cout << response << "\n" << std::flush;
     }
     ::close(fd);
     return 0;
@@ -197,12 +208,7 @@ int
 runOneshot(const absim::serve::ServiceConfig &config)
 {
     absim::serve::Service service(config);
-    std::string line;
-    while (std::getline(std::cin, line)) {
-        if (line.empty())
-            continue;
-        std::cout << service.handle(line) << "\n";
-    }
+    absim::serve::serveConnection(service, STDIN_FILENO, STDOUT_FILENO);
     service.drain();
     return 0;
 }

@@ -2,8 +2,7 @@
 
 #include <cstdio>
 #include <iomanip>
-#include <map>
-#include <optional>
+#include <span>
 #include <ostream>
 #include <stdexcept>
 
@@ -116,14 +115,6 @@ sweepFigure(const std::string &title, const RunConfig &base,
 
 namespace {
 
-/** What one sweep point produced: a complete SeriesPoint, or the
- *  per-machine failures that kept it out of the curve. */
-struct PointOutcome
-{
-    SeriesPoint point;
-    std::vector<FailedPoint> failures;
-};
-
 /** Resolve SweepOptions::jobs: 0 = auto (ABSIM_JOBS, else serial). */
 unsigned
 resolveJobs(unsigned jobs)
@@ -133,203 +124,13 @@ resolveJobs(unsigned jobs)
     return static_cast<unsigned>(envUint("ABSIM_JOBS", 1, 1, 4096));
 }
 
-/** Open the sweep's journal for appending: resume an intact matching
- *  journal (truncating any torn tail away first), start a fresh one
- *  otherwise.  A journal that cannot be opened disables checkpointing
- *  for the run with a warning rather than failing the sweep. */
-void
-openJournal(JournalWriter &writer, const std::string &path, bool resumed,
-            const JournalResume &info, const JournalHeader &header)
+/** Where an owned work item's record came from. */
+enum class ItemState : std::uint8_t
 {
-    const bool ok = resumed ? writer.resume(path, info.cleanBytes)
-                            : writer.start(path, header);
-    if (!ok)
-        std::fprintf(stderr,
-                     "warning: cannot write journal '%s'; sweeping "
-                     "without checkpoints\n",
-                     path.c_str());
-}
-
-/**
- * The sharded executor: runs only the (point x machine) work items the
- * shard owns and journals one positional single-column record per item
- * (see SweepOptions::shard).  Same pool, policy, and in-order-frontier
- * guarantees as the unsharded path, applied per item instead of per
- * point.
- */
-SweepResult
-sweepFigureSharded(const std::string &title, const RunConfig &base,
-                   net::TopologyKind topology, Metric metric,
-                   const std::vector<std::uint32_t> &proc_counts,
-                   const SweepOptions &options)
-{
-    const ShardSpec shard = options.shard;
-    const std::vector<mach::MachineKind> machines =
-        resolveMachines(options.machines);
-    const std::vector<std::string> columns = machineColumns(machines);
-    const std::size_t machine_count = machines.size();
-
-    SweepResult result;
-    result.figure.title = title;
-    result.figure.app = base.app;
-    result.figure.topology = topology;
-    result.figure.metric = metric;
-    result.figure.machines = machines;
-
-    // Owned work items, in row-major order.  Item g = p_idx * M + m_idx.
-    std::vector<std::size_t> owned;
-    for (std::size_t g = 0; g < proc_counts.size() * machine_count; ++g)
-        if (shard.owns(g))
-            owned.push_back(g);
-
-    // Shard journal headers always stamp the machine columns and the
-    // shard spec, so a resume can never cross shards or machine sets.
-    JournalHeader header{title, base.app, net::toString(topology),
-                         toString(metric), columns, shard};
-
-    /** What one owned item produced (journal replay or fresh run). */
-    struct ItemOutcome
-    {
-        bool failed = false;
-        double value = 0.0;
-        std::string machine;
-        std::string error;
-        std::string message;
-        std::string trace;
-    };
-    std::vector<std::optional<ItemOutcome>> items(owned.size());
-
-    // Resume: shard records are positional — the r-th record is owned
-    // item r.  A journal that holds more records than the shard owns,
-    // or whose procs disagree with the grid, belongs to a different
-    // sweep shape and is rewritten from scratch.
-    const bool journaling = !options.journalPath.empty();
-    JournalWriter writer;
-    std::size_t replayed = 0;
-    if (journaling) {
-        std::vector<JournalRecord> records;
-        JournalResume info;
-        bool resumed = loadShardJournal(options.journalPath, header,
-                                        columns, records, &info);
-        if (resumed && records.size() <= owned.size()) {
-            for (std::size_t r = 0; resumed && r < records.size(); ++r)
-                if (records[r].procs !=
-                    proc_counts[owned[r] / machine_count])
-                    resumed = false;
-        } else {
-            resumed = false;
-        }
-        if (resumed) {
-            for (std::size_t r = 0; r < records.size(); ++r) {
-                const JournalRecord &rec = records[r];
-                ItemOutcome outcome;
-                outcome.failed = rec.failed;
-                if (rec.failed) {
-                    outcome.machine = rec.machine;
-                    outcome.error = rec.error;
-                    outcome.message = rec.message;
-                    outcome.trace = rec.trace;
-                } else {
-                    outcome.value =
-                        rec.values.empty() ? 0.0 : rec.values[0];
-                }
-                items[r] = outcome;
-            }
-            replayed = records.size();
-        }
-        openJournal(writer, options.journalPath, resumed, info, header);
-    }
-
-    // Fresh runs for the owned items the journal does not answer.
-    std::vector<RunConfig> configs;
-    configs.reserve(owned.size() - replayed);
-    for (std::size_t r = replayed; r < owned.size(); ++r) {
-        RunConfig config = base;
-        config.topology = topology;
-        config.procs = proc_counts[owned[r] / machine_count];
-        config.machine = machines[owned[r] % machine_count];
-        configs.push_back(config);
-    }
-
-    // In-order frontier, per item: records land in positional order
-    // whatever order the pool finishes in, so a crash always leaves a
-    // resumable positional prefix.
-    std::size_t frontier = replayed;
-    auto commitItem = [&](std::size_t r) {
-        if (!writer.isOpen())
-            return;
-        const ItemOutcome &outcome = *items[r];
-        const std::size_t g = owned[r];
-        const std::uint32_t procs = proc_counts[g / machine_count];
-        if (outcome.failed)
-            writer.append(JournalRecord{procs, true, {}, outcome.machine,
-                                        outcome.error, outcome.message,
-                                        outcome.trace},
-                          columns);
-        else
-            writer.append(JournalRecord{procs, false, {outcome.value},
-                                        "", "", ""},
-                          {columns[g % machine_count]});
-    };
-
-    const RunManyCallback onResult = [&](std::size_t i,
-                                         const RunResult &run) {
-        const std::size_t r = replayed + i;
-        ItemOutcome outcome;
-        if (run.ok()) {
-            outcome.value = metricValue(run.value(), metric);
-        } else {
-            outcome.failed = true;
-            outcome.machine =
-                mach::specFor(machines[owned[r] % machine_count]).name;
-            outcome.error = toString(run.error().kind);
-            outcome.message = run.error().message;
-            outcome.trace = run.error().traceExcerpt;
-        }
-        items[r] = outcome;
-        while (frontier < owned.size() && items[frontier]) {
-            commitItem(frontier);
-            ++frontier;
-        }
-    };
-
-    (void)runManySafe(configs, options.policy, resolveJobs(options.jobs),
-                      onResult);
-    writer.close();
-
-    // Partial figure: a point appears once every owned run of it
-    // succeeded (unowned columns read 0.0); owned failures go to the
-    // manifest and drop the point, and a point with no owned items is
-    // simply absent.  The merged journal — not this figure — is the
-    // sharded sweep's canonical product.
-    for (std::size_t pi = 0; pi < proc_counts.size(); ++pi) {
-        SeriesPoint point;
-        point.procs = proc_counts[pi];
-        point.values.assign(machine_count, 0.0);
-        bool any_owned = false;
-        bool any_failed = false;
-        for (std::size_t mi = 0; mi < machine_count; ++mi) {
-            const std::size_t g = pi * machine_count + mi;
-            if (!shard.owns(g))
-                continue;
-            any_owned = true;
-            const ItemOutcome &outcome =
-                *items[(g - shard.index) / shard.count];
-            if (outcome.failed) {
-                any_failed = true;
-                result.failures.push_back(
-                    FailedPoint{point.procs, outcome.machine,
-                                outcome.error, outcome.message,
-                                outcome.trace});
-            } else {
-                point.values[mi] = outcome.value;
-            }
-        }
-        if (any_owned && !any_failed)
-            result.figure.points.push_back(std::move(point));
-    }
-    return result;
-}
+    Pending,   ///< Not answered yet: runs in this sweep.
+    Journaled, ///< Answered by the resumed journal.
+    Fresh,     ///< Ran in this sweep.
+};
 
 } // namespace
 
@@ -339,12 +140,9 @@ sweepFigureSafe(const std::string &title, const RunConfig &base,
                 const std::vector<std::uint32_t> &proc_counts,
                 const SweepOptions &options)
 {
-    if (!options.shard.valid())
-        throw std::invalid_argument("invalid shard spec " +
-                                    options.shard.str());
-    if (options.shard.sharded())
-        return sweepFigureSharded(title, base, topology, metric,
-                                  proc_counts, options);
+    const ShardSpec shard = options.shard;
+    if (!shard.valid())
+        throw std::invalid_argument("invalid shard spec " + shard.str());
     const std::vector<mach::MachineKind> machines =
         resolveMachines(options.machines);
     const std::vector<std::string> columns = machineColumns(machines);
@@ -357,144 +155,216 @@ sweepFigureSafe(const std::string &title, const RunConfig &base,
     result.figure.metric = metric;
     result.figure.machines = machines;
 
-    // Resume: replay every point the journal already holds.  Journals
-    // for the classic trio keep the legacy header (no machine list) so
-    // existing checkpoints stay resumable; any other machine set is
-    // stamped into the header and never resumes a mismatched sweep.
-    JournalHeader header{title, base.app, net::toString(topology),
-                         toString(metric), {}, {}};
-    if (!isDefaultMachineSet(machines))
-        header.machines = columns;
-    const bool journaling = !options.journalPath.empty();
-    JournalWriter writer;
-    std::map<std::uint32_t, SeriesPoint> done;
-    std::map<std::uint32_t, std::vector<FailedPoint>> failed;
-    if (journaling) {
-        std::vector<JournalRecord> records;
-        JournalResume info;
-        const bool resumed = loadJournal(options.journalPath, header,
-                                         columns, records, &info);
-        if (resumed) {
-            for (JournalRecord &r : records) {
-                if (r.failed) {
-                    failed[r.procs].push_back(FailedPoint{
-                        r.procs, r.machine, r.error, r.message, r.trace});
-                } else {
-                    done[r.procs] =
-                        SeriesPoint{r.procs, std::move(r.values)};
-                }
+    // The owned work items, row-major: item g is point g / M, machine
+    // g % M, and shard K/N owns the items with g % N == K (the unsharded
+    // sweep is shard 0/1 and owns them all).  Each item keeps only its
+    // shard-layout record: its metric value or its failure.
+    std::vector<std::size_t> owned;
+    for (std::size_t g = 0; g < proc_counts.size() * machine_count; ++g)
+        if (shard.owns(g))
+            owned.push_back(g);
+    std::vector<JournalRecord> items(owned.size());
+    std::vector<ItemState> state(owned.size(), ItemState::Pending);
+    const auto procsOf = [&](std::size_t r) {
+        return proc_counts[owned[r] / machine_count];
+    };
+
+    // A shard journal resumes positionally: record r is owned item r.
+    // More records than owned items, or a procs off the grid, belong to
+    // a different sweep shape.
+    const auto resumeShard = [&](std::vector<JournalRecord> &records) {
+        if (records.size() > owned.size())
+            return false;
+        for (std::size_t r = 0; r < records.size(); ++r) {
+            if (records[r].procs != procsOf(r))
+                return false;
+            items[r] = std::move(records[r]);
+            state[r] = ItemState::Journaled;
+        }
+        return true;
+    };
+
+    // A serial journal answers whole points, keyed by procs: a success
+    // record every machine, a failure record its named machine.  A
+    // failed point journals its failures one record at a time, in
+    // machine order, and points commit in sweep order, so only the
+    // journal's final point can be cut short: its machines after the
+    // last journaled failure run again.  An earlier machine without a
+    // record succeeded, and every other failed point keeps its verdict
+    // (delete the journal to retry it).  A failure naming a machine
+    // outside the sweep belongs to a different sweep.  Unsharded, every
+    // item is owned, so owned index r is item g.
+    const auto resumeSerial = [&](const std::vector<JournalRecord> &records) {
+        for (const JournalRecord &rec : records) {
+            std::size_t named = 0;
+            while (rec.failed && named < machine_count &&
+                   mach::specFor(machines[named]).name != rec.machine)
+                ++named;
+            if (named == machine_count)
+                return false;
+            for (std::size_t g = 0; g < owned.size(); ++g) {
+                if (procsOf(g) != rec.procs ||
+                    (rec.failed && g % machine_count != named))
+                    continue;
+                items[g] = rec;
+                if (!rec.failed)
+                    items[g].values = {rec.values[g % machine_count]};
+                state[g] = ItemState::Journaled;
             }
         }
-        openJournal(writer, options.journalPath, resumed, info, header);
+        for (std::size_t first = 0; first < owned.size();
+             first += machine_count) {
+            std::size_t answered = 0;
+            for (std::size_t mi = 0; mi < machine_count; ++mi)
+                if (items[first + mi].failed)
+                    answered = mi + 1;
+            if (answered != 0 && procsOf(first) != records.back().procs)
+                answered = machine_count;
+            for (std::size_t g = first; g < first + answered; ++g)
+                if (state[g] == ItemState::Pending) {
+                    items[g].procs = procsOf(g);
+                    state[g] = ItemState::Journaled;
+                }
+        }
+        return true;
+    };
+
+    // The header stamps the machine columns for a shard or a non-default
+    // machine set (classic-trio journals keep the legacy header) and the
+    // shard spec for a shard, so a journal never resumes a sweep with
+    // other columns or another shard's items; such a journal, like one
+    // the resume rejects, is rewritten from scratch.
+    JournalHeader header{title, base.app, net::toString(topology),
+                         toString(metric), {}, shard};
+    if (shard.sharded() || !isDefaultMachineSet(machines))
+        header.machines = columns;
+    JournalWriter writer;
+    if (!options.journalPath.empty()) {
+        const std::string &path = options.journalPath;
+        std::vector<JournalRecord> records;
+        JournalResume info;
+        const bool resumed =
+            shard.sharded()
+                ? loadShardJournal(path, header, columns, records, &info) &&
+                      resumeShard(records)
+                : loadJournal(path, header, columns, records, &info) &&
+                      resumeSerial(records);
+        if (!resumed) {
+            items.assign(owned.size(), JournalRecord{});
+            state.assign(owned.size(), ItemState::Pending);
+        }
+        // A journal that cannot be opened disables checkpointing with a
+        // warning rather than failing the sweep.
+        if (!(resumed ? writer.resume(path, info.cleanBytes)
+                      : writer.start(path, header)))
+            std::fprintf(stderr,
+                         "warning: cannot write journal '%s'; sweeping "
+                         "without checkpoints\n",
+                         path.c_str());
     }
 
-    // Points the journal does not already answer, in sweep order; one
-    // work item per (point, machine) so the pool load-balances across
-    // the (much) slower target-machine runs.
-    std::vector<std::uint32_t> pending;
-    for (const std::uint32_t p : proc_counts)
-        if (done.find(p) == done.end() && failed.find(p) == failed.end())
-            pending.push_back(p);
-
+    // One run per owned item the journal does not answer, in sweep
+    // order.
+    std::vector<std::size_t> pending;
     std::vector<RunConfig> configs;
-    configs.reserve(pending.size() * machine_count);
-    for (const std::uint32_t p : pending) {
+    for (std::size_t r = 0; r < owned.size(); ++r) {
+        if (state[r] != ItemState::Pending)
+            continue;
         RunConfig config = base;
         config.topology = topology;
-        config.procs = p;
-        for (const mach::MachineKind kind : machines) {
-            config.machine = kind;
-            configs.push_back(config);
-        }
+        config.procs = procsOf(r);
+        config.machine = machines[owned[r] % machine_count];
+        pending.push_back(r);
+        configs.push_back(config);
     }
 
-    std::vector<std::optional<PointOutcome>> outcomes(pending.size());
-
-    // Completion bookkeeping (serialized by runManySafe's callback
-    // mutex): assemble a point once all its machine runs are in, and
-    // commit journal records through an in-order frontier so the
-    // journal's bytes — and its crash-safe prefix property — match the
-    // serial sweep's exactly, whatever order the pool finishes in.
-    std::vector<std::optional<RunResult>> collected(configs.size());
-    std::vector<std::size_t> runsDone(pending.size(), 0);
-    std::size_t frontier = 0;
-
-    auto assemblePoint = [&](std::size_t idx) {
-        PointOutcome outcome;
-        outcome.point.procs = pending[idx];
-        outcome.point.values.assign(machine_count, 0.0);
-        for (std::size_t mi = 0; mi < machine_count; ++mi) {
-            const RunResult &run = *collected[idx * machine_count + mi];
-            if (run.ok())
-                outcome.point.values[mi] =
-                    metricValue(run.value(), metric);
-            else
-                outcome.failures.push_back(FailedPoint{
-                    pending[idx], mach::specFor(machines[mi]).name,
-                    toString(run.error().kind), run.error().message,
-                    run.error().traceExcerpt});
-        }
-        return outcome;
-    };
-
-    auto commitPoint = [&](std::size_t idx) {
-        const PointOutcome &outcome = *outcomes[idx];
-        if (!writer.isOpen())
+    // In-order frontier over the owned items: records land in sweep
+    // order whatever order the pool finishes in, so a crash always
+    // leaves a resumable prefix.  A shard appends one record per fresh
+    // item.  The unsharded sweep (r == g) appends a point's serial
+    // records when its last item passes, less the failures the journal
+    // already holds (they lead the point's records, as its fresh items
+    // follow them).
+    const auto commit = [&](std::size_t r) {
+        const std::size_t g = owned[r];
+        if (shard.sharded()) {
+            if (state[r] == ItemState::Fresh)
+                writer.append(items[r], {columns[g % machine_count]});
             return;
-        if (outcome.failures.empty()) {
-            writer.append(JournalRecord{outcome.point.procs, false,
-                                        outcome.point.values, "", "", ""},
-                          columns);
-        } else {
-            for (const FailedPoint &f : outcome.failures)
-                writer.append(JournalRecord{f.procs, true, {}, f.machine,
-                                            f.error, f.message, f.trace},
-                              columns);
         }
+        if (g % machine_count != machine_count - 1)
+            return;
+        const std::size_t first = g + 1 - machine_count;
+        bool fresh = false;
+        std::size_t journaled = 0;
+        for (std::size_t k = first; k <= g; ++k) {
+            if (state[k] == ItemState::Fresh)
+                fresh = true;
+            else if (items[k].failed)
+                ++journaled;
+        }
+        if (!fresh)
+            return;
+        const std::vector<JournalRecord> records = serialPointRecords(
+            std::span(items).subspan(first, machine_count));
+        for (std::size_t k = journaled; k < records.size(); ++k)
+            writer.append(records[k], columns);
     };
 
+    std::size_t frontier = 0;
     const RunManyCallback onResult = [&](std::size_t i,
                                          const RunResult &run) {
-        collected[i] = run;
-        const std::size_t idx = i / machine_count;
-        if (++runsDone[idx] < machine_count)
-            return;
-        outcomes[idx] = assemblePoint(idx);
-        // Release the per-run results as the frontier passes: a long
-        // sweep holds at most the out-of-order window's profiles.
-        while (frontier < pending.size() && outcomes[frontier]) {
-            commitPoint(frontier);
-            for (std::size_t mi = 0; mi < machine_count; ++mi)
-                collected[frontier * machine_count + mi].reset();
-            ++frontier;
+        const std::size_t r = pending[i];
+        JournalRecord &item = items[r];
+        item.procs = procsOf(r);
+        if (run.ok()) {
+            item.values = {metricValue(run.value(), metric)};
+        } else {
+            item.failed = true;
+            item.machine =
+                mach::specFor(machines[owned[r] % machine_count]).name;
+            item.error = toString(run.error().kind);
+            item.message = run.error().message;
+            item.trace = run.error().traceExcerpt;
         }
+        state[r] = ItemState::Fresh;
+        for (; frontier < owned.size() &&
+               state[frontier] != ItemState::Pending;
+             ++frontier)
+            commit(frontier);
     };
 
     (void)runManySafe(configs, options.policy, resolveJobs(options.jobs),
                       onResult);
+    writer.close();
 
-    // Assemble the figure in sweep order: journal replays and fresh
-    // outcomes interleave exactly as the serial sweep emitted them.
-    std::size_t next_pending = 0;
-    for (const std::uint32_t p : proc_counts) {
-        if (const auto it = done.find(p); it != done.end()) {
-            result.figure.points.push_back(it->second);
-            continue;
+    // The figure in sweep order: a point appears once all its owned
+    // items succeeded (unowned columns read 0.0), and owned failures go
+    // to the manifest.  A shard's figure is partial: the merged shard
+    // journals are the sharded sweep's product.
+    for (std::size_t pi = 0; pi < proc_counts.size(); ++pi) {
+        SeriesPoint point{proc_counts[pi],
+                          std::vector<double>(machine_count, 0.0)};
+        bool any_owned = false;
+        bool any_failed = false;
+        for (std::size_t mi = 0; mi < machine_count; ++mi) {
+            const std::size_t g = pi * machine_count + mi;
+            if (!shard.owns(g))
+                continue;
+            any_owned = true;
+            const JournalRecord &item =
+                items[(g - shard.index) / shard.count];
+            if (item.failed) {
+                any_failed = true;
+                result.failures.push_back(
+                    FailedPoint{item.procs, item.machine, item.error,
+                                item.message, item.trace});
+            } else if (!item.values.empty()) {
+                point.values[mi] = item.values[0];
+            }
         }
-        if (const auto it = failed.find(p); it != failed.end()) {
-            // The journal says this point failed; keep the verdict
-            // (delete the journal to retry failed points).
-            result.failures.insert(result.failures.end(),
-                                   it->second.begin(), it->second.end());
-            continue;
-        }
-        const PointOutcome &outcome = *outcomes[next_pending++];
-        if (outcome.failures.empty())
-            result.figure.points.push_back(outcome.point);
-        else
-            result.failures.insert(result.failures.end(),
-                                   outcome.failures.begin(),
-                                   outcome.failures.end());
+        if (any_owned && !any_failed)
+            result.figure.points.push_back(std::move(point));
     }
     return result;
 }

@@ -115,11 +115,11 @@ struct SweepOptions
     RunPolicy policy;
 
     /**
-     * Checkpoint journal path; "" disables checkpointing.  Completed
-     * points (successes and failures) are appended after each point
-     * and skipped on re-run, so an interrupted sweep resumes instead
-     * of starting over (see core/journal.hh for the format and the
-     * byte-identical-resume guarantee).
+     * Checkpoint journal path; "" disables checkpointing.  Finished
+     * work (successes and failures) is appended as it passes the
+     * in-order frontier and skipped on re-run, so an interrupted sweep
+     * resumes instead of starting over (see core/journal.hh for the
+     * format and the byte-identical-resume guarantee).
      */
     std::string journalPath;
 
@@ -129,7 +129,7 @@ struct SweepOptions
      * variable, else run serially; 1 pins the sweep serial.  Any value
      * produces byte-identical figure JSON and journal contents
      * (results are keyed by sweep position and the journal commits
-     * points in sweep order; see docs/PARALLELISM.md).  Note an armed
+     * them in sweep order; see docs/PARALLELISM.md).  Note an armed
      * fault plan only applies to a serial sweep: plans are per-thread
      * and do not propagate to pool workers.
      */
@@ -148,7 +148,8 @@ struct SweepOptions
      * ABSIM_SHARD).  Work items are the (point x machine) runs indexed
      * row-major (point-major, machine-minor) over the full grid; shard
      * {K, N} runs exactly the items whose index is congruent to K mod
-     * N.  The default {0, 1} runs the whole sweep.
+     * N.  The default {0, 1} is the unsharded sweep: it owns every
+     * item.
      *
      * A sharded sweep returns a partial figure (only the points whose
      * owned runs all succeeded; unowned columns read 0.0) — its real
@@ -162,18 +163,27 @@ struct SweepOptions
 };
 
 /**
- * Resilient sweep: like sweepFigure(), but each point runs under
- * runOneSafe().  A failed point is recorded in the failure manifest
- * and the sweep continues; with a journal path set, completed points
- * checkpoint to disk and re-runs resume from the journal.
+ * Resilient sweep: like sweepFigure(), but each run goes through
+ * runOneSafe().  A failed run is recorded in the failure manifest and
+ * drops its point from the figure, and the sweep continues; with a
+ * journal path set, finished work checkpoints to disk and re-runs
+ * resume from the journal.
  *
- * One (point x machine) run per work item, executed by a fixed pool of
- * options.jobs threads (see core::runManySafe for the isolation model).
+ * One executor for every shard spec: the work items options.shard owns
+ * (all of them unsharded) run on a fixed pool of options.jobs threads
+ * (see core::runManySafe for the isolation model), and each item keeps
+ * only its metric value or its failure.  Only two steps depend on the
+ * shard count:
+ *   - resume: a shard journal answers its items positionally, a serial
+ *     journal answers whole points keyed by procs (a failed point cut
+ *     short by a crash finishes its unjournaled machines);
+ *   - commit: a shard appends one record per item, the unsharded sweep
+ *     a point's serial records (core::serialPointRecords) once its last
+ *     item passes the in-order frontier.
  * Output — figure, failure manifest, journal bytes, exit semantics — is
- * byte-identical for every jobs value: results assemble in sweep order
- * and journal records commit through an in-order frontier, so even a
- * crash leaves a serial-compatible journal prefix.  Composes with
- * journal resume exactly like a serial run.
+ * byte-identical for every jobs value and every crash-and-resume point:
+ * results assemble in sweep order and records commit in sweep order, so
+ * even a crash leaves a resumable journal prefix.
  */
 SweepResult sweepFigureSafe(const std::string &title, const RunConfig &base,
                             net::TopologyKind topology, Metric metric,

@@ -151,6 +151,24 @@ encodeRecord(const JournalRecord &record,
     return out + "}";
 }
 
+std::vector<JournalRecord>
+serialPointRecords(std::span<const JournalRecord> items)
+{
+    std::vector<JournalRecord> out;
+    for (const JournalRecord &item : items)
+        if (item.failed)
+            out.push_back(item);
+    if (!out.empty() || items.empty())
+        return out;
+    JournalRecord point;
+    point.procs = items.front().procs;
+    point.values.reserve(items.size());
+    for (const JournalRecord &item : items)
+        point.values.push_back(item.values.empty() ? 0.0 : item.values[0]);
+    out.push_back(std::move(point));
+    return out;
+}
+
 bool
 decodeRecord(const std::string &line, JournalRecord &out,
              const std::vector<std::string> &columns)

@@ -3,14 +3,15 @@
  * Sweep checkpoint journal: crash-safe JSONL persistence for figure
  * sweeps.
  *
- * Each figure sweep appends one JSON line per finished point (success
- * or failure) to a journal file, flushing after every record and
- * fsyncing periodically (see JournalWriter).  When a figure binary is
- * re-run — after a crash, a SIGKILL between points, or an interactive
- * interrupt — the sweep reloads the journal, skips every point already
- * recorded, and completes only the remainder.  Because the simulator is
- * deterministic and doubles round-trip through "%.17g", a resumed sweep
- * produces byte-identical final JSON to an uninterrupted one.
+ * Each figure sweep appends one JSON line per successful point, or one
+ * per failed machine run of a failed point, to a journal file, flushing
+ * after every record and fsyncing periodically (see JournalWriter).
+ * When a figure binary is re-run — after a crash, a SIGKILL, or an
+ * interactive interrupt — the sweep reloads the journal, skips every
+ * run already recorded, and completes only the remainder.  Because the
+ * simulator is deterministic and doubles round-trip through "%.17g", a
+ * resumed sweep produces byte-identical final JSON to an uninterrupted
+ * one.
  *
  * File format (one JSON object per line):
  *
@@ -50,6 +51,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -126,6 +128,15 @@ struct JournalRecord
     std::string message; ///< One-line failure summary.
     std::string trace;   ///< Bounded trace excerpt ("" = none captured).
 };
+
+/**
+ * The serial journal layout of one point, from its M per-machine item
+ * records in machine order (the shard layout: a success carries its one
+ * value): one success record with every column when no item failed,
+ * else the failed items' records in machine order.
+ */
+std::vector<JournalRecord>
+serialPointRecords(std::span<const JournalRecord> items);
 
 /** The JSON string escape and the round-trip "%.17g" double formatter
  *  every journal and figure writer shares (json/json.hh). */

@@ -24,10 +24,11 @@ quoted(const std::string &path)
 }
 
 /**
- * Read a shard journal's header and record lines.  A torn trailing
- * line (malformed or missing its newline) is dropped with a warning —
- * the same clean-resume-point rule loadJournal() applies; whether the
- * drop matters surfaces later as a merge-gap against the other shards.
+ * Read a shard journal's header and record lines.  A trailing line
+ * missing its newline is dropped with a shard-torn-tail warning; whether
+ * the drop matters surfaces later as a merge-gap against the other
+ * shards.  A malformed terminated line is kept here and reported by the
+ * merge as merge-record-malformed.
  */
 bool
 readShardFile(const std::string &path, ShardFile &out,
@@ -228,37 +229,19 @@ mergeJournals(const std::vector<std::string> &paths)
     if (!errors.empty())
         return result;
 
-    // Reassemble the serial per-point layout: one success record with
-    // every column, or the point's failure records in machine order.
+    // Reassemble the serial per-point layout.
     result.records.reserve(points);
     for (std::uint64_t p = 0; p < points; ++p) {
         const std::uint32_t procs = grid[p][0].procs;
-        bool any_failed = false;
-        for (std::size_t mi = 0; mi < machine_count; ++mi) {
-            if (grid[p][mi].procs != procs)
+        for (const JournalRecord &item : grid[p])
+            if (item.procs != procs)
                 errors.push_back(
                     "merge-procs-mismatch: point " + std::to_string(p) +
                     " records procs=" + std::to_string(procs) +
-                    " and procs=" + std::to_string(grid[p][mi].procs) +
+                    " and procs=" + std::to_string(item.procs) +
                     " — the shards swept different grids");
-            any_failed = any_failed || grid[p][mi].failed;
-        }
-        if (!errors.empty())
-            continue;
-        if (any_failed) {
-            for (std::size_t mi = 0; mi < machine_count; ++mi)
-                if (grid[p][mi].failed)
-                    result.records.push_back(std::move(grid[p][mi]));
-        } else {
-            JournalRecord record;
-            record.procs = procs;
-            record.values.reserve(machine_count);
-            for (std::size_t mi = 0; mi < machine_count; ++mi)
-                record.values.push_back(grid[p][mi].values.empty()
-                                            ? 0.0
-                                            : grid[p][mi].values[0]);
+        for (JournalRecord &record : serialPointRecords(grid[p]))
             result.records.push_back(std::move(record));
-        }
     }
     if (!errors.empty())
         result.records.clear();

@@ -37,35 +37,40 @@ LineReader::next(std::string &line)
             return Status::TooLong;
         char chunk[4096];
         const ssize_t n = ::read(fd_, chunk, sizeof(chunk));
-        if (n <= 0)
+        if (n <= 0 && buffer_.empty())
             return Status::Closed;
+        if (n <= 0) {
+            line = std::move(buffer_);
+            buffer_.clear();
+            scanned_ = 0;
+            return Status::Unterminated;
+        }
         buffer_.append(chunk, static_cast<std::size_t>(n));
     }
 }
 
 void
-serveConnection(Service &service, int fd)
+serveConnection(Service &service, int in, int out)
 {
-    LineReader reader(fd);
+    LineReader reader(in);
     std::string line;
     for (;;) {
         const LineReader::Status status = reader.next(line);
         if (status == LineReader::Status::Closed)
             break;
         if (status == LineReader::Status::TooLong) {
-            (void)writeAll(fd, service.rejectLine(
-                                   "request line exceeds " +
-                                   std::to_string(kMaxLineBytes) +
-                                   " bytes") +
-                                   "\n");
+            (void)writeAll(out, service.rejectLine(
+                                    "request line exceeds " +
+                                    std::to_string(kMaxLineBytes) +
+                                    " bytes") +
+                                    "\n");
             break;
         }
         if (line.empty())
             continue;
-        if (!writeAll(fd, service.handle(line) + "\n"))
+        if (!writeAll(out, service.handle(line) + "\n"))
             break;
     }
-    ::close(fd);
 }
 
 } // namespace absim::serve

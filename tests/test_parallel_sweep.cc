@@ -310,6 +310,116 @@ TEST(ShardedSweep, MergeReproducesSerialFailureRecords)
     EXPECT_EQ(slurp(merged_path), slurp(serial_path));
 }
 
+// ---- Resume from every crash point ------------------------------------
+
+namespace {
+
+/** Every crash point of a journal: each line torn halfway through, and
+ *  each whole-line prefix. */
+std::vector<std::string>
+crashPrefixes(const std::string &journal)
+{
+    std::vector<std::string> prefixes;
+    for (std::size_t begin = 0, end;
+         (end = journal.find('\n', begin)) != std::string::npos;
+         begin = end + 1) {
+        prefixes.push_back(journal.substr(0, begin + (end - begin) / 2));
+        prefixes.push_back(journal.substr(0, end + 1));
+    }
+    return prefixes;
+}
+
+void
+overwrite(const std::string &path, const std::string &bytes)
+{
+    std::ofstream out(path, std::ios::trunc | std::ios::binary);
+    out << bytes;
+}
+
+std::string
+manifestFor(const core::SweepResult &result)
+{
+    std::ostringstream os;
+    core::writeFailureManifest(os, result.figure, result.failures);
+    return os.str();
+}
+
+} // namespace
+
+TEST(ParallelSweep, ResumeFromEveryJournalCrashPointIsByteIdentical)
+{
+    // A 100-event budget fails IS n=512 on the target machine alone at
+    // P=1 and on every machine at P=2 and P=4, so a crash can cut the
+    // journal inside a failed point.
+    const core::RunConfig base = smallConfig(1);
+    const std::vector<std::uint32_t> procs{1, 2, 4};
+    core::RunPolicy policy;
+    policy.budget.maxEvents = 100;
+    policy.maxAttempts = 1;
+    const auto sweep = [&](const std::string &path, unsigned jobs,
+                           core::ShardSpec shard) {
+        core::SweepOptions options;
+        options.policy = policy;
+        options.journalPath = path;
+        options.jobs = jobs;
+        options.shard = shard;
+        return core::sweepFigureSafe("crash", base, net::TopologyKind::Full,
+                                     core::Metric::ExecTime, procs,
+                                     options);
+    };
+
+    std::string serial_path;
+    const auto reference =
+        runSerial("crash", base, procs, serial_path, policy);
+    ASSERT_EQ(reference.failures.size(), 7u);
+    EXPECT_EQ(reference.failures[0].procs, 1u);
+    EXPECT_EQ(reference.failures[0].machine, "target");
+    EXPECT_EQ(reference.failures[1].procs, 2u);
+    EXPECT_EQ(reference.figure.points.size(), 0u);
+    const std::string journal = slurp(serial_path);
+
+    const std::string path = testing::TempDir() + "crash_resume.journal.jsonl";
+    for (const std::string &prefix : crashPrefixes(journal))
+        for (const unsigned jobs : {1u, 4u}) {
+            SCOPED_TRACE("serial, jobs " + std::to_string(jobs) +
+                         ", resumed from:\n" + prefix);
+            overwrite(path, prefix);
+            const auto resumed = sweep(path, jobs, {});
+            EXPECT_EQ(jsonFor(resumed), jsonFor(reference));
+            EXPECT_EQ(manifestFor(resumed), manifestFor(reference));
+            EXPECT_EQ(slurp(path), journal);
+        }
+
+    // Each shard resumed from each of its crash points, then merged with
+    // its uninterrupted sibling.
+    const std::vector<std::string> shards{
+        runShard("crash", base, procs, 0, 2, policy),
+        runShard("crash", base, procs, 1, 2, policy)};
+    const std::string merged_path =
+        testing::TempDir() + "crash_resume_merged.journal.jsonl";
+    for (std::uint32_t s = 0; s < 2; ++s) {
+        const std::string shard_journal = slurp(shards[s]);
+        const std::string shard_path = testing::TempDir() +
+                                       "crash_resume.shard" +
+                                       std::to_string(s) + ".journal.jsonl";
+        std::vector<std::string> paths = shards;
+        paths[s] = shard_path;
+        for (const std::string &prefix : crashPrefixes(shard_journal))
+            for (const unsigned jobs : {1u, 4u}) {
+                SCOPED_TRACE("shard " + std::to_string(s) + "/2, jobs " +
+                             std::to_string(jobs) + ", resumed from:\n" +
+                             prefix);
+                overwrite(shard_path, prefix);
+                (void)sweep(shard_path, jobs, {s, 2});
+                EXPECT_EQ(slurp(shard_path), shard_journal);
+                const core::MergeResult merge = core::mergeJournals(paths);
+                ASSERT_TRUE(merge.ok()) << merge.errors[0];
+                ASSERT_TRUE(core::writeMergedJournal(merged_path, merge));
+                EXPECT_EQ(slurp(merged_path), journal);
+            }
+    }
+}
+
 TEST(ShardedSweep, InvalidShardSpecThrows)
 {
     core::SweepOptions options;

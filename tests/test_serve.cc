@@ -494,13 +494,32 @@ TEST(ServeConnection, LineReaderCapsALineAtItsLimit)
     ::close(fds[1]);
 }
 
+TEST(ServeConnection, LineReaderReturnsAnUnterminatedFinalLine)
+{
+    int fds[2];
+    ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+    const std::string input = "first\nlast";
+    ASSERT_EQ(::write(fds[1], input.data(), input.size()),
+              static_cast<ssize_t>(input.size()));
+    ::close(fds[1]);
+    serve::LineReader reader(fds[0]);
+    std::string line;
+    EXPECT_EQ(reader.next(line), serve::LineReader::Status::Line);
+    EXPECT_EQ(line, "first");
+    EXPECT_EQ(reader.next(line), serve::LineReader::Status::Unterminated);
+    EXPECT_EQ(line, "last");
+    EXPECT_EQ(reader.next(line), serve::LineReader::Status::Closed);
+    ::close(fds[0]);
+}
+
 TEST(ServeConnection, NewlineFreeFloodIsABadRequestAndHangsUp)
 {
     serve::Service service(smallConfig());
     int fds[2];
     ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
     std::thread daemon([&service, fd = fds[0]] {
-        serve::serveConnection(service, fd);
+        serve::serveConnection(service, fd, fd);
+        ::close(fd);
     });
 
     // 2 MiB, never a newline.  The daemon stops reading past 1 MiB and
