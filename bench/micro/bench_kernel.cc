@@ -14,16 +14,22 @@
 ///   far_schedule_ns      mixed near/far ticks (exercises the overflow
 ///                        tier of the calendar queue)
 ///   fiber_switch_ns      one resume+yield round trip
+///   fiber_handoff_ns     one dispatch of processes delaying round-robin,
+///                        each a direct fiber hand-off (schedule, pop,
+///                        one stack switch)
 ///   dirmem_access_ns     host cost per memory access of a full IS run
 ///                        on the detailed target machine (DirectoryMem)
 #include <algorithm>
 #include <cstdint>
+#include <memory>
+#include <vector>
 
 #include "bench_common.hh"
 #include "check/check.hh"
 #include "core/experiment.hh"
 #include "sim/event_queue.hh"
 #include "sim/fiber.hh"
+#include "sim/process.hh"
 
 namespace {
 
@@ -31,6 +37,7 @@ using absim::bench::MicroSuite;
 using absim::bench::wallNow;
 using absim::sim::EventQueue;
 using absim::sim::Fiber;
+using absim::sim::Process;
 using absim::sim::Tick;
 
 /// Self-rescheduling chains: kChains events alive at once, each hop
@@ -104,6 +111,36 @@ fiberSwitch(std::uint64_t switches)
     return elapsed * 1e9 / static_cast<double>(switches);
 }
 
+/// Processes that delay round-robin on one queue: process i wakes at
+/// ticks i, i + N, i + 2N, ..., so each block finds the next process's
+/// wake-up at the front and hands off to it.  ns per dispatch.
+double
+fiberHandoff(std::uint64_t dispatches)
+{
+    constexpr std::uint64_t kProcs = 8;
+    const std::uint64_t rounds = dispatches / kProcs;
+    EventQueue eq;
+    std::vector<std::unique_ptr<Process>> procs;
+    for (std::uint64_t i = 0; i < kProcs; ++i) {
+        procs.push_back(std::make_unique<Process>(
+            eq, "handoff", [rounds] {
+                for (std::uint64_t r = 1; r < rounds; ++r)
+                    Process::current()->delay(kProcs);
+            }));
+        procs.back()->start(i);
+    }
+    const double begin = wallNow();
+    eq.run();
+    const double elapsed = wallNow() - begin;
+    // Only the first entries, and the last round's wake-ups after a
+    // process finishes, come from the scheduler.
+    ABSIM_CHECK(eq.handedOff() + 2 * kProcs - 1 == eq.dispatched(),
+                "hand-off bench: " << eq.handedOff() << " of "
+                                   << eq.dispatched()
+                                   << " dispatches handed off");
+    return elapsed * 1e9 / static_cast<double>(eq.dispatched());
+}
+
 } // namespace
 
 int
@@ -133,6 +170,10 @@ main(int argc, char **argv)
     suite.setCounter("switches", static_cast<double>(switches));
     suite.run("fiber_switch_ns", "ns/switch", false,
               [&] { return fiberSwitch(switches); });
+
+    suite.setCounter("dispatches", static_cast<double>(switches));
+    suite.run("fiber_handoff_ns", "ns/dispatch", false,
+              [&] { return fiberHandoff(switches); });
 
     // Full IS run on the detailed target machine: DirectoryMem owns the
     // op path.  Per-access host cost folds in the queue, fibers and the

@@ -7,7 +7,7 @@
 ///   exec_sweep_s      execution-driven sweep wall time
 ///   replay_sweep_s    same sweep replayed from the trace store
 ///   replay_speedup_x  exec / replay (higher is better; the gate pins
-///                     the committed baseline's 2.45x within its band)
+///                     the committed baseline's ratio within its band)
 /// The simulated figure values are published as counters on both
 /// benches (their sum) and must agree exactly: replay byte-identity is
 /// enforced inside the bench before the speedup means anything.  The

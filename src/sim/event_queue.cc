@@ -382,10 +382,18 @@ EventQueue::advanceClock(Tick when)
 }
 
 void
+EventQueue::countDispatch(Tick when)
+{
+    if (when > now_)
+        lastProgressDispatch_ = dispatched_;
+    advanceClock(when);
+    ++dispatched_;
+}
+
+void
 EventQueue::dispatch(EventNode *node)
 {
-    advanceClock(node->when);
-    ++dispatched_;
+    countDispatch(node->when);
     if (fault::armed() &&
         fault::injector().shouldStallQueue(dispatched_)) [[unlikely]]
         stallStep();
@@ -401,40 +409,53 @@ EventQueue::dispatch(EventNode *node)
 }
 
 bool
+EventQueue::quietDispatch(Tick when) const
+{
+    // run() must be dispatching, and take an event at @p when next: not
+    // past its limit and not in the past.  Every check runLoop() and
+    // dispatch() make before the callback must pass untouched; anything
+    // that could trip or act (a budget, the wall-clock sample, the fault
+    // hook) stays with the scheduler.
+    return running_ && !stopRequested_ && when >= now_ &&
+           when <= runLimit_ &&
+           !(budget_.maxEvents != 0 && dispatched_ >= budget_.maxEvents) &&
+           !(budget_.stallDispatchLimit != 0 &&
+             dispatched_ - lastProgressDispatch_ >=
+                 budget_.stallDispatchLimit) &&
+           !(budget_.maxWallSeconds > 0.0 &&
+             (dispatched_ & kWallSampleMask) == 0) &&
+           !(budget_.maxSimTime != 0 && when > budget_.maxSimTime) &&
+           !fault::armed();
+}
+
+bool
 EventQueue::advanceInPlace(Tick when)
 {
     // The wake-up must be the event runLoop() dispatches next: strictly
     // before the front (a same-tick event was queued first, so it goes
-    // first), within the loop's limit, and not in the past.
-    if (!running_ || stopRequested_ || when < now_ || when > runLimit_ ||
-        (front_ != nullptr && when >= front_->when))
+    // first).
+    if ((front_ != nullptr && when >= front_->when) || !quietDispatch(when))
         return false;
-    // Every check runLoop() and dispatch() make before the callback
-    // must pass untouched; anything that could trip or act (a budget,
-    // the wall-clock sample, the fault hook) stays with the scheduler.
-    if ((budget_.maxEvents != 0 && dispatched_ >= budget_.maxEvents) ||
-        (budget_.stallDispatchLimit != 0 &&
-         dispatched_ - lastProgressDispatch_ >=
-             budget_.stallDispatchLimit) ||
-        (budget_.maxWallSeconds > 0.0 &&
-         (dispatched_ & kWallSampleMask) == 0) ||
-        (budget_.maxSimTime != 0 && when > budget_.maxSimTime) ||
-        fault::armed())
-        return false;
-    if (when > now_)
-        lastProgressDispatch_ = dispatched_;
-    advanceClock(when);
-    ++dispatched_;
+    countDispatch(when);
     ++advancedInPlace_;
     return true;
+}
+
+void
+EventQueue::handOffFront()
+{
+    EventNode *node = popFront();
+    countDispatch(node->when);
+    ++handedOff_;
+    destroyNode(node);
 }
 
 bool
 EventQueue::runLoop(Tick limit, bool enforce_sim_time)
 {
-    // advanceInPlace() stands in for this loop's next iteration, so it
-    // must know the loop is live and where it stops (nested loops
-    // restore the outer one's on exit, thrown or not).
+    // advanceInPlace() and handOffFront() stand in for this loop's next
+    // iteration, so they must know the loop is live and where it stops
+    // (nested loops restore the outer one's on exit, thrown or not).
     struct Running
     {
         EventQueue *q;
@@ -467,8 +488,6 @@ EventQueue::runLoop(Tick limit, bool enforce_sim_time)
             throw BudgetExceededError(oss.str(), dispatched_, now_,
                                       blockedProcesses());
         }
-        if (next->when > now_)
-            lastProgressDispatch_ = dispatched_;
         dispatch(popFront());
     }
     return size_ == 0;

@@ -41,6 +41,13 @@
  *    wake-up as usual — whenever the event would not be next or its
  *    dispatch could trip a budget, so event counts, budget trips and
  *    their messages are the same either way.
+ *  - A fiber process that blocks while the next dispatch resumes another
+ *    started process takes that event itself: quietFront() recognises
+ *    it (by its callable's type, so EventNode carries no tag) under the
+ *    guard advanceInPlace() applies, and handOffFront() does its
+ *    bookkeeping, after which the process switches straight into the
+ *    other fiber (see Process).  One stack switch per such event
+ *    instead of a yield and a resume.
  *
  * The engine also hosts the run watchdog: a RunBudget bounds events,
  * simulated time, wall-clock time and clock stalls, and every Process
@@ -144,6 +151,10 @@ class EventQueue
     /** How many of dispatched() were advanced in place (no queue trip). */
     std::uint64_t advancedInPlace() const { return advancedInPlace_; }
 
+    /** How many of dispatched() were taken by a fiber hand-off
+     *  (handOffFront()) rather than invoked by run(). */
+    std::uint64_t handedOff() const { return handedOff_; }
+
     /**
      * Dispatch a wake-up at @p when without queueing it, if run() would
      * dispatch it next anyway: mark progress, set now() to @p when,
@@ -161,6 +172,35 @@ class EventQueue
      *         raises whatever trips, off the caller's stack.
      */
     bool advanceInPlace(Tick when);
+
+    /**
+     * The callable of the event run() dispatches next, if it is an @p F
+     * and the dispatch passes advanceInPlace()'s guard (a dispatch in
+     * progress, no stop, no armed fault plan, within the loop's limit,
+     * nothing that could trip a budget); nullptr otherwise.  The caller
+     * may then take the event with handOffFront() and run in place of
+     * its callable.  @p F must be a type schedule() stores inline.
+     */
+    template <typename F>
+    const F *
+    quietFront() const
+    {
+        static_assert(sizeof(F) <= kInlineBytes &&
+                      alignof(F) <= alignof(std::max_align_t));
+        if (front_ == nullptr || front_->invoke != &invokeAs<F> ||
+            !quietDispatch(front_->when))
+            return nullptr;
+        return std::launder(
+            reinterpret_cast<const F *>(front_->storage));
+    }
+
+    /**
+     * Dispatch the front event without invoking it: mark progress, pop,
+     * move the clock and count the dispatch as run() and dispatch()
+     * would, then recycle the node and count it in handedOff().
+     * Precondition: quietFront() just returned non-null.
+     */
+    void handOffFront();
 
     /**
      * Install a run budget; run()/runUntil() raise BudgetExceededError
@@ -321,6 +361,14 @@ class EventQueue
     /** Dispatch @p node: advance the clock, invoke, recycle. */
     void dispatch(EventNode *node);
 
+    /** The bookkeeping of one dispatch at @p when: mark progress, move
+     *  the clock, count it. */
+    void countDispatch(Tick when);
+
+    /** The guard shared by advanceInPlace() and quietFront(): would
+     *  run()'s next dispatch, at @p when, pass every check untouched? */
+    bool quietDispatch(Tick when) const;
+
     /** Set the clock to @p when and slide the calendar with it. */
     void advanceClock(Tick when);
 
@@ -346,6 +394,7 @@ class EventQueue
     std::uint64_t nextSeq_ = 0;
     std::uint64_t dispatched_ = 0;
     std::uint64_t advancedInPlace_ = 0;
+    std::uint64_t handedOff_ = 0;
     std::size_t size_ = 0;
 
     /** True while run()/runUntil() dispatches; runLimit_ is the tick

@@ -7,7 +7,7 @@
 #include "check/check.hh"
 #include "check/sanitizer.hh"
 
-#if defined(__x86_64__)
+#if ABSIM_FIBER_RAW_SWITCH
 
 extern "C" void absimFiberSwitch(void **save_sp, void *restore_sp);
 
@@ -50,13 +50,16 @@ absimFiberSwitch:
         .size   absimFiberSwitch, .-absimFiberSwitch
 )");
 
-#endif // __x86_64__
+#endif // ABSIM_FIBER_RAW_SWITCH
 
 namespace absim::sim {
 
 namespace {
 
 /// The fiber currently executing on this thread (nullptr = scheduler).
+/// A fiber switching back to the scheduler leaves itself here, and
+/// resume() takes it: with hand-offs, the fiber that comes back need
+/// not be the one resume() entered.
 thread_local Fiber *tl_current = nullptr;
 
 /**
@@ -157,7 +160,7 @@ Fiber::corruptStackCanaryForTest()
 void
 Fiber::initContext()
 {
-#if defined(__x86_64__)
+#if ABSIM_FIBER_RAW_SWITCH
     // Build the frame absimFiberSwitch restores from, so the first
     // switch in "returns" into trampoline() on this stack.  Matching
     // the switch's save layout, from the top down: a null fake return
@@ -184,29 +187,36 @@ Fiber::initContext()
     getcontext(&context_);
     context_.uc_stack.ss_sp = stack_.get();
     context_.uc_stack.ss_size = stackBytes_;
-    context_.uc_link = &returnContext_;
+    // trampoline() never returns: it switches to the scheduler itself.
+    context_.uc_link = nullptr;
     makecontext(&context_, reinterpret_cast<void (*)()>(&trampoline), 0);
-#endif
-}
-
-void
-Fiber::switchToFiber()
-{
-#if defined(__x86_64__)
-    absimFiberSwitch(&schedulerSp_, fiberSp_);
-#else
-    swapcontext(&returnContext_, &context_);
 #endif
 }
 
 void
 Fiber::switchToScheduler()
 {
-#if defined(__x86_64__)
-    absimFiberSwitch(&fiberSp_, schedulerSp_);
+#if ABSIM_FIBER_RAW_SWITCH
+    absimFiberSwitch(&fiberSp_, link_.sp);
 #else
-    swapcontext(&context_, &returnContext_);
+    swapcontext(&context_, link_.context);
 #endif
+}
+
+void
+Fiber::arrive(void *fake_stack)
+{
+    const void *bottom = nullptr;
+    std::size_t size = 0;
+    check::annotateSwitchFinish(fake_stack, &bottom, &size);
+    // resume() cleared the bounds, so the stack just left is the
+    // scheduler's; after a hand-off it is the fiber that handed off,
+    // and the scheduler's bounds already came with the link.
+    if (link_.asanBottom == nullptr) {
+        link_.asanBottom = bottom;
+        link_.asanSize = size;
+    }
+    ABSIM_DCHECK(tl_current == this, "resume handshake out of sync");
 }
 
 void
@@ -216,16 +226,16 @@ Fiber::trampoline()
     ABSIM_CHECK(self != nullptr, "fiber trampoline without a current fiber");
     // First instruction on this stack: finish the switch resume() began
     // and learn the scheduler stack's bounds for the switches back.
-    check::annotateSwitchFinish(nullptr, &self->switchFromBottom_,
-                                &self->switchFromSize_);
+    check::annotateSwitchFinish(nullptr, &self->link_.asanBottom,
+                                &self->link_.asanSize);
     self->entry_();
     self->finished_ = true;
-    // Return to the resumer for good.  The nullptr handle tells ASan
-    // this stack is abandoned.
-    tl_current = nullptr;
-    check::annotateSwitchStart(nullptr, self->switchFromBottom_,
-                               self->switchFromSize_);
-    check::tsanSwitchFiber(self->tsanReturnFiber_);
+    // Return to the scheduler for good, naming this fiber in tl_current
+    // for resume().  The nullptr handle tells ASan this stack is
+    // abandoned.
+    check::annotateSwitchStart(nullptr, self->link_.asanBottom,
+                               self->link_.asanSize);
+    check::tsanSwitchFiber(self->link_.tsanFiber);
     self->switchToScheduler();
     // Never reached.
     std::abort();
@@ -244,17 +254,24 @@ Fiber::resume()
         tsanFiber_ = check::tsanCreateFiber();
     }
     tl_current = this;
-    tsanReturnFiber_ = check::tsanCurrentFiber();
+    link_.asanBottom = nullptr; // Captured by the fiber on arrival.
+    link_.tsanFiber = check::tsanCurrentFiber();
     void *fake_stack = nullptr;
     check::annotateSwitchStart(&fake_stack, stack_.get(), stackBytes_);
     check::tsanSwitchFiber(tsanFiber_);
-    switchToFiber();
+#if ABSIM_FIBER_RAW_SWITCH
+    absimFiberSwitch(&link_.sp, fiberSp_);
+#else
+    ucontext_t scheduler;
+    link_.context = &scheduler;
+    swapcontext(&scheduler, &context_);
+#endif
     check::annotateSwitchFinish(fake_stack, nullptr, nullptr);
-    // Back in the scheduler: either the fiber yielded (tl_current reset in
-    // yield()) or it finished (reset in trampoline()).
-    checkCanary();
-    ABSIM_DCHECK(tl_current == nullptr,
-                 "fiber switch left a stale current fiber");
+    // Back in the scheduler: this fiber, or one reached from it by
+    // hand-off, yielded or finished.
+    Fiber *back = std::exchange(tl_current, nullptr);
+    ABSIM_DCHECK(back != nullptr, "fiber switch lost the current fiber");
+    back->checkCanary();
 }
 
 void
@@ -263,16 +280,34 @@ Fiber::yield()
     Fiber *self = tl_current;
     ABSIM_CHECK(self != nullptr, "yield() called outside any fiber");
     self->checkCanary();
-    tl_current = nullptr;
     void *fake_stack = nullptr;
-    check::annotateSwitchStart(&fake_stack, self->switchFromBottom_,
-                               self->switchFromSize_);
-    check::tsanSwitchFiber(self->tsanReturnFiber_);
+    check::annotateSwitchStart(&fake_stack, self->link_.asanBottom,
+                               self->link_.asanSize);
+    check::tsanSwitchFiber(self->link_.tsanFiber);
     self->switchToScheduler();
-    check::annotateSwitchFinish(fake_stack, &self->switchFromBottom_,
-                                &self->switchFromSize_);
-    // Resumed again.
-    ABSIM_DCHECK(tl_current == self, "resume handshake out of sync");
+    self->arrive(fake_stack);
+}
+
+void
+Fiber::handOff(Fiber &next)
+{
+    Fiber *self = tl_current;
+    ABSIM_CHECK(self != nullptr, "handOff() called outside any fiber");
+    ABSIM_CHECK(next.started_ && !next.finished_ && &next != self,
+                "hand-off needs another started, unfinished fiber");
+    self->checkCanary();
+    next.link_ = self->link_;
+    tl_current = &next;
+    void *fake_stack = nullptr;
+    check::annotateSwitchStart(&fake_stack, next.stack_.get(),
+                               next.stackBytes_);
+    check::tsanSwitchFiber(next.tsanFiber_);
+#if ABSIM_FIBER_RAW_SWITCH
+    absimFiberSwitch(&self->fiberSp_, next.fiberSp_);
+#else
+    swapcontext(&self->context_, &next.context_);
+#endif
+    self->arrive(fake_stack);
 }
 
 Fiber *

@@ -4,22 +4,30 @@
  *
  * Each simulated process runs on its own fiber so that application code can
  * make *blocking* calls into the memory system and network (the CSIM
- * process-oriented style the paper's SPASM simulator is built on).  Fibers
- * only ever switch to/from the scheduler fiber owned by the engine, never
- * directly between each other; this keeps the switching discipline trivial
- * to reason about.
+ * process-oriented style the paper's SPASM simulator is built on).  The
+ * scheduler (the engine's own stack) enters a fiber with resume(); the
+ * fiber leaves with yield(), back to the scheduler, or with handOff(),
+ * straight into another suspended fiber.  A fiber reached by hand-off
+ * inherits the scheduler link of the fiber that handed off, so whichever
+ * fiber of such a chain next yields or finishes returns into the one
+ * resume() call that entered the chain.  A fiber's first entry is always
+ * a resume(), and a finishing fiber always returns to the scheduler.
  *
  * On x86-64 the switch is a hand-rolled save/restore of the callee-saved
  * register set (see absimFiberSwitch in fiber.cc): swapcontext() makes two
  * sigprocmask() system calls per switch, which dominated the cost of the
  * millions of switches a detailed-machine sweep performs.  Other
- * architectures keep the portable ucontext path.
+ * architectures, and builds configured with ABSIM_FIBER_BACKEND=ucontext,
+ * take the portable ucontext path.
  */
 
 #ifndef ABSIM_SIM_FIBER_HH
 #define ABSIM_SIM_FIBER_HH
 
-#if !defined(__x86_64__)
+#if defined(__x86_64__) && !defined(ABSIM_FIBER_UCONTEXT)
+#define ABSIM_FIBER_RAW_SWITCH 1
+#else
+#define ABSIM_FIBER_RAW_SWITCH 0
 #include <ucontext.h>
 #endif
 
@@ -88,7 +96,8 @@ class FiberStackPool
  * The fiber starts executing its entry function on the first resume() and
  * must eventually return from it; after that it is finished() and may not
  * be resumed again.  Inside the entry function, Fiber::yield() suspends
- * the fiber and returns control to whoever called resume().
+ * the fiber and returns control to whoever called resume(), and
+ * Fiber::handOff() suspends it and switches into another started fiber.
  */
 class Fiber
 {
@@ -106,7 +115,8 @@ class Fiber
 
     /**
      * Switch from the calling context into this fiber.  Returns when the
-     * fiber yields or its entry function returns.  Must not be called from
+     * fiber, or a fiber it handed off to, yields or finishes; the stack
+     * canary checked on return is that fiber's.  Must not be called from
      * inside any fiber other than the scheduler context.
      */
     void resume();
@@ -117,8 +127,21 @@ class Fiber
      */
     static void yield();
 
+    /**
+     * Suspend the currently running fiber and switch straight into
+     * @p next, one stack switch instead of a yield and a resume.  @p next
+     * must be started, unfinished and not the caller; it inherits the
+     * caller's link to the scheduler (saved stack pointer or context,
+     * ASan bounds of the scheduler stack, TSan return fiber), so its next
+     * yield or finish returns into the resume() that entered the caller.
+     */
+    static void handOff(Fiber &next);
+
     /** The fiber currently executing, or nullptr if in the scheduler. */
     static Fiber *current();
+
+    /** True once the first resume() has entered the fiber. */
+    bool started() const { return started_; }
 
     /** True once the entry function has returned. */
     bool finished() const { return finished_; }
@@ -138,44 +161,57 @@ class Fiber
     /** Prepare the suspended context for the first switch in. */
     void initContext();
 
-    /** Scheduler side of the switch: save here, enter the fiber. */
-    void switchToFiber();
-
     /** Fiber side of the switch: save here, reenter the scheduler. */
     void switchToScheduler();
+
+    /**
+     * First action after a yield or hand-off switches back in: complete
+     * the ASan switch and, when the scheduler resumed us, learn its
+     * stack's bounds for the way back.
+     */
+    void arrive(void *fake_stack);
+
+    /**
+     * Everything a running fiber needs to return to the scheduler.
+     * resume() fills it; handOff() copies it into the next fiber.
+     */
+    struct SchedulerLink
+    {
+#if ABSIM_FIBER_RAW_SWITCH
+        void *sp = nullptr; ///< Scheduler's saved stack pointer.
+#else
+        /** Scheduler's saved context (a local of the resume() frame the
+         *  chain returns into). */
+        ucontext_t *context = nullptr;
+#endif
+        /** Bounds of the scheduler stack, from the ASan annotations;
+         *  resume() clears them and the fiber captures them on arrival.
+         *  Unused (but cheap) when ASan is off. */
+        const void *asanBottom = nullptr;
+        std::size_t asanSize = 0;
+        /** TSan's fiber object for the scheduler; null when TSan is
+         *  off. */
+        void *tsanFiber = nullptr;
+    };
 
     std::function<void()> entry_;
     std::size_t stackBytes_;
     std::unique_ptr<unsigned char[]> stack_;
-#if defined(__x86_64__)
+#if ABSIM_FIBER_RAW_SWITCH
     /**
      * With the raw switch, all callee-saved state lives on the owning
      * stack; a suspended context is nothing but its stack pointer.
      */
-    void *fiberSp_ = nullptr;     ///< Fiber's sp while suspended.
-    void *schedulerSp_ = nullptr; ///< Scheduler's sp while fiber runs.
+    void *fiberSp_ = nullptr; ///< Fiber's sp while suspended.
 #else
     ucontext_t context_;
-    ucontext_t returnContext_;
 #endif
+    SchedulerLink link_;
     bool started_ = false;
     bool finished_ = false;
 
-    /**
-     * Bounds of the stack this fiber last switched from, captured by the
-     * ASan fiber annotations so the return switch can name its target.
-     * Unused (but cheap) when ASan is off.
-     */
-    const void *switchFromBottom_ = nullptr;
-    std::size_t switchFromSize_ = 0;
-
-    /**
-     * TSan's fiber objects: this fiber's own context and the scheduler
-     * context that resumed it, so yield/finish can announce the switch
-     * back.  Null (and unused) when TSan is off.
-     */
+    /** TSan's fiber object for this fiber; null when TSan is off. */
     void *tsanFiber_ = nullptr;
-    void *tsanReturnFiber_ = nullptr;
 };
 
 } // namespace absim::sim

@@ -6,6 +6,13 @@
 
 namespace absim::sim {
 
+namespace {
+/** The process whose fiber just finished, named for the scheduler:
+ *  after hand-offs, the fiber that returns from a resume need not be
+ *  the resumed process's own. */
+thread_local Process *tl_finished = nullptr;
+} // namespace
+
 std::string
 WaitReason::str() const
 {
@@ -53,6 +60,7 @@ Process::Process(EventQueue &eq, std::string name,
           detail::tl_current_process = this;
           entry();
           detail::tl_current_process = nullptr;
+          tl_finished = this;
       })
 {
     eq_.registerProcess(this);
@@ -73,20 +81,50 @@ Process::start(Tick when)
 void
 Process::scheduleResume(Tick when)
 {
-    eq_.schedule(when, [this] {
-        Process *prev = detail::tl_current_process;
-        state_ = ProcState::Running;
-        fiber_.resume();
-        detail::tl_current_process = prev;
-        if (fiber_.finished()) {
-            state_ = ProcState::Finished;
-            if (onFinish_) {
-                auto fin = std::move(onFinish_);
-                onFinish_ = nullptr;
-                fin(this); // May delete this; no member access after.
-            }
+    eq_.schedule(when, Resume{this});
+}
+
+void
+Process::resumeFromScheduler()
+{
+    Process *prev = detail::tl_current_process;
+    state_ = ProcState::Running;
+    // A check failure thrown out of an earlier resume (a clobbered
+    // canary, under a throwing handler) may have left a name here.
+    tl_finished = nullptr;
+    fiber_.resume();
+    detail::tl_current_process = prev;
+    // The fiber that came back is this process's or, after hand-offs,
+    // another's.  A finished one named itself; its onFinish runs here,
+    // on the scheduler stack, where it may delete the process.
+    if (Process *done = std::exchange(tl_finished, nullptr)) {
+        done->state_ = ProcState::Finished;
+        if (done->onFinish_) {
+            auto fin = std::move(done->onFinish_);
+            done->onFinish_ = nullptr;
+            fin(done); // May delete done; no member access after.
         }
-    });
+    }
+}
+
+void
+Process::block()
+{
+    detail::tl_current_process = nullptr;
+    // When run()'s next dispatch resumes another started process, take
+    // that event here and switch straight into its fiber: one stack
+    // switch instead of a yield and a resume.  A first entry, and any
+    // dispatch that could trip or act, stay with the scheduler.
+    const Resume *next = eq_.quietFront<Resume>();
+    if (next != nullptr && next->proc->fiber_.started()) {
+        Process *target = next->proc;
+        eq_.handOffFront();
+        target->state_ = ProcState::Running;
+        Fiber::handOff(target->fiber_);
+    } else {
+        Fiber::yield();
+    }
+    detail::tl_current_process = this;
 }
 
 void
@@ -105,9 +143,7 @@ Process::delayUntil(Tick when)
     scheduleResume(when);
     state_ = ProcState::Delayed;
     delayedUntil_ = when;
-    detail::tl_current_process = nullptr;
-    Fiber::yield();
-    detail::tl_current_process = this;
+    block();
 }
 
 void
@@ -118,9 +154,7 @@ Process::suspend(WaitReason reason)
     suspended_ = true;
     state_ = ProcState::Suspended;
     waitReason_ = reason;
-    detail::tl_current_process = nullptr;
-    Fiber::yield();
-    detail::tl_current_process = this;
+    block();
     waitReason_ = WaitReason{};
     ABSIM_DCHECK(!suspended_, "woken process still marked suspended");
 }

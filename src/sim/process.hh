@@ -6,6 +6,16 @@
  * the fiber can block in simulated time (delay, suspend) and be woken by
  * events.  This is the process-oriented simulation primitive that CSIM
  * provided to SPASM.
+ *
+ * A process that blocks while run()'s next dispatch is another started
+ * process's resume event takes that event itself (EventQueue::quietFront
+ * and handOffFront) and switches straight into the other fiber
+ * (Fiber::handOff): one stack switch per event instead of a yield to the
+ * scheduler and a resume out of it.  Dispatch order, dispatched(),
+ * budget trips and their messages are the same either way; everything
+ * that could trip, and every first entry, stays with the scheduler, and
+ * a finishing fiber always returns there, where onFinish may delete its
+ * process.
  */
 
 #ifndef ABSIM_SIM_PROCESS_HH
@@ -173,7 +183,26 @@ class Process
     /// @}
 
   private:
+    /**
+     * A resume event's callable.  A named type, so a blocking process
+     * can recognise another process's resume event at the front of the
+     * queue (EventQueue::quietFront) and hand off to it.
+     */
+    struct Resume
+    {
+        Process *proc;
+        void operator()() const { proc->resumeFromScheduler(); }
+    };
+
     void scheduleResume(Tick when);
+
+    /** The scheduler dispatched our resume event: enter the fiber, and
+     *  finish whichever process's fiber comes back finished. */
+    void resumeFromScheduler();
+
+    /** Give up the CPU until resumed: hand off to the process the next
+     *  dispatch resumes, or yield to the scheduler. */
+    void block();
 
     EventQueue &eq_;
     std::string name_;

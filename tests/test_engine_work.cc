@@ -5,7 +5,8 @@
  *
  * The goldens pin simulated results; these pins add the work the
  * engine did to produce them: Profile::engineEvents (every dispatch,
- * including the ones a delay advances in place) and the coherence
+ * including the ones a delay advances in place and the ones a blocking
+ * process takes by hand-off) and the coherence
  * checker's blocksChecked() (every per-transition check plus the
  * drain-time sweep).  A kernel change that forgot to count a dispatch,
  * or a checker change that skipped a transition, keeps every simulated
@@ -38,6 +39,7 @@ struct Work
     std::uint64_t engineEvents = 0;
     std::uint64_t blocksChecked = 0; ///< 0 for the uncached machine.
     std::uint64_t advancedInPlace = 0;
+    std::uint64_t handedOff = 0;
 };
 
 /** One golden cell, run the way core::runOne executes it. */
@@ -61,6 +63,7 @@ runIsCell(mach::MachineKind kind, std::uint32_t procs, std::uint64_t n)
     Work work;
     work.engineEvents = runtime.collect().engineEvents;
     work.advancedInPlace = eq.advancedInPlace();
+    work.handedOff = eq.handedOff();
     const mach::MemModel &mem =
         dynamic_cast<const mach::ComposedMachine &>(*machine).memModel();
     if (const auto *dir = dynamic_cast<const mach::DirectoryMem *>(&mem))
@@ -111,8 +114,9 @@ TEST(EngineWork, LargerIsCellsArePinned)
 {
     // Sixteen processors on a 4096-key sort: enough sharing that every
     // per-transition check path runs, and enough delays that some are
-    // advanced in place.  If that fast path ever stopped firing, the
-    // counts above would still hold; the last check would not.
+    // advanced in place and some blocks hand off.  If either fast path
+    // ever stopped firing, the counts above would still hold; the last
+    // checks would not.
     const Cell cells[] = {
         {mach::MachineKind::Target, 16, 96117, 16249},
         {mach::MachineKind::LogP, 16, 70181, 0},
@@ -121,7 +125,8 @@ TEST(EngineWork, LargerIsCellsArePinned)
     for (const Cell &cell : cells) {
         const Work got = expectPinned(cell, 4096);
         EXPECT_GT(got.advancedInPlace, 0u) << toString(cell.kind);
-        EXPECT_LT(got.advancedInPlace, got.engineEvents)
+        EXPECT_GT(got.handedOff, 0u) << toString(cell.kind);
+        EXPECT_LT(got.advancedInPlace + got.handedOff, got.engineEvents)
             << toString(cell.kind);
     }
 }

@@ -14,11 +14,14 @@
  * break) desynchronizes the logs at the first wrong event.
  *
  * The second half runs fiber processes and coroutines whose delays the
- * queue may advance in place (EventQueue::advanceInPlace) against the
- * same reference heap, in which every delay is a scheduled event, and
- * against a real run in which an armed fault plan that never fires
- * makes every delay take the scheduled path.  Logs, budget trips,
- * dispatch counts, clocks and blocked-process dumps must all agree.
+ * queue may advance in place (EventQueue::advanceInPlace), and whose
+ * blocking fibers may hand off straight to the next process to resume
+ * (EventQueue::handOffFront), against the same reference heap, in which
+ * every delay is a scheduled event, and against a real run in which an
+ * armed fault plan that never fires makes every delay take the
+ * scheduled path and every block yield to the scheduler.  Logs, budget
+ * trips, dispatch counts, clocks and blocked-process dumps must all
+ * agree, and the reference predicts both fast paths' counts exactly.
  */
 
 #include <cstdint>
@@ -780,14 +783,22 @@ struct LiveActors
     std::uint64_t spawned = 0;
 };
 
+/** How a live run's dispatches bypassed the scheduler. */
+struct FastPaths
+{
+    std::uint64_t inPlace = 0;   ///< advancedInPlace()
+    std::uint64_t handedOff = 0; ///< handedOff()
+};
+
 /**
  * Run @p w on the real engine.  @p all_scheduled arms a fault plan that
- * never fires, so every delay is scheduled (as with w.stallAt, which
- * arms one that does).  @p in_place receives advancedInPlace().
+ * never fires, so every delay is scheduled and every block yields to the
+ * scheduler (as with w.stallAt, which arms one that does).  @p fast
+ * receives the fast-path counters.
  */
 Outcome
 runLive(const ActorWorkload &w, bool all_scheduled,
-        std::uint64_t *in_place = nullptr)
+        FastPaths *fast = nullptr)
 {
     std::unique_ptr<fault::ScopedPlan> plan;
     if (w.stallAt != 0)
@@ -806,8 +817,8 @@ runLive(const ActorWorkload &w, bool all_scheduled,
         EXPECT_EQ(e.eventsDispatched(), live.eq.dispatched());
         EXPECT_EQ(e.simTime(), live.eq.now());
     }
-    if (in_place != nullptr)
-        *in_place = live.eq.advancedInPlace();
+    if (fast != nullptr)
+        *fast = {live.eq.advancedInPlace(), live.eq.handedOff()};
     return out;
 }
 
@@ -905,11 +916,47 @@ struct RefActors
             if (nextPlain < w.maxPlain)
                 plain(now + d);
         actor.until = now + actorDelay(w, ev.id, s);
-        // The delay the real queue may take in place: the resume would
-        // be strictly first, and nothing in run() could trip on it.
-        if ((queue.empty() || actor.until < queue.top().when) && !stopped)
+        // The delay the real queue takes in place: the resume would be
+        // strictly first, and nothing in run() could trip on it.
+        const bool in_place =
+            (queue.empty() || actor.until < queue.top().when) &&
+            quiet(actor.until);
+        if (in_place) {
             ++selfNext;
+            bypassSeq = nextSeq;
+        }
         push(actor.until, Kind::Resume, ev.id);
+        if (in_place || !isFiber(ev.id))
+            return;
+        // A fiber actor then blocks, and hands off when the next
+        // dispatch resumes another fiber actor that has started.
+        const Event &next = queue.top();
+        if (next.kind == Kind::Resume && isFiber(next.id) &&
+            next.id != ev.id && actors[next.id].started &&
+            quiet(next.when)) {
+            ++handOffs;
+            bypassSeq = next.seq;
+        }
+    }
+
+    bool
+    isFiber(std::uint64_t id) const
+    {
+        return id < w.fibers;
+    }
+
+    /** EventQueue's guard on both fast paths, in reference terms. */
+    bool
+    quiet(Tick when) const
+    {
+        const sim::RunBudget &b = w.budget;
+        return !stopped && w.stallAt == 0 && when >= now &&
+               when <= runLimit &&
+               !(b.maxEvents != 0 && dispatched >= b.maxEvents) &&
+               !(b.stallDispatchLimit != 0 &&
+                 dispatched - lastProgress >= b.stallDispatchLimit) &&
+               !(b.maxWallSeconds > 0.0 && dispatched % 1024 == 0) &&
+               !(b.maxSimTime != 0 && when > b.maxSimTime);
     }
 
     /** run() / runUntil(limit): the same checks in the same order. */
@@ -917,6 +964,7 @@ struct RefActors
     run(Tick limit = sim::kTickMax, bool enforce_sim_time = true)
     {
         const sim::RunBudget &b = w.budget;
+        runLimit = limit;
         while (!queue.empty() && !stopped) {
             if (b.maxEvents != 0 && dispatched >= b.maxEvents) {
                 trip = "budget";
@@ -947,6 +995,10 @@ struct RefActors
             queue.pop();
             now = ev.when;
             ++dispatched;
+            if (ev.seq == bypassSeq)
+                bypassSeq = kNoBypass;
+            else
+                ++schedulerDispatched;
             if (w.stallAt != 0 && !stallFired && dispatched >= w.stallAt) {
                 stallFired = true;
                 push(now, Kind::Stall, 0);
@@ -989,7 +1041,14 @@ struct RefActors
     std::uint64_t spawned = 0;
     std::uint64_t dispatched = 0;
     std::uint64_t lastProgress = 0;
-    std::uint64_t selfNext = 0; ///< Delays strictly before the front.
+    std::uint64_t selfNext = 0; ///< Delays the queue takes in place.
+    std::uint64_t handOffs = 0; ///< Blocks that hand off.
+    /** Dispatches the real run() invokes itself: neither of the above. */
+    std::uint64_t schedulerDispatched = 0;
+    static constexpr std::uint64_t kNoBypass = ~std::uint64_t{0};
+    /** The next dispatch, when a fast path takes it instead. */
+    std::uint64_t bypassSeq = kNoBypass;
+    Tick runLimit = sim::kTickMax;
     Tick now = 0;
     bool stopped = false;
     bool stallFired = false;
@@ -1006,14 +1065,26 @@ expectSameOutcome(const Outcome &got, const Outcome &want)
     expectSameLogs(got.log, want.log);
 }
 
+/** The live fast-path counters equal the reference's predictions, and
+ *  with the dispatches run() invoked itself they make up dispatched(). */
+void
+expectSameFastPaths(const FastPaths &fast, const RefActors &ref,
+                    const Outcome &live)
+{
+    EXPECT_EQ(fast.inPlace, ref.selfNext);
+    EXPECT_EQ(fast.handedOff, ref.handOffs);
+    EXPECT_EQ(fast.handedOff + fast.inPlace + ref.schedulerDispatched,
+              live.dispatched);
+}
+
 TEST(EventQueueDiff, ActorDelaysMatchReference)
 {
     ActorWorkload w;
     w.seed = 0xAC7;
     w.maxSpawned = 40;
 
-    std::uint64_t in_place = 0;
-    const Outcome live = runLive(w, false, &in_place);
+    FastPaths fast;
+    const Outcome live = runLive(w, false, &fast);
     RefActors ref(w);
     ref.run();
     expectSameOutcome(live, ref.outcome());
@@ -1021,37 +1092,78 @@ TEST(EventQueueDiff, ActorDelaysMatchReference)
     EXPECT_EQ(live.trip, "");
     EXPECT_EQ(live.pending, 0u);
 
-    // The counter is exact: every delay that was strictly first, and
-    // only those, skipped the queue.
-    EXPECT_EQ(in_place, ref.selfNext);
-    EXPECT_GT(in_place, live.dispatched / 10);
+    // The counters are exact: every delay that was strictly first, and
+    // only those, skipped the queue; every block whose next dispatch
+    // resumed another started fiber, and only those, handed off.
+    expectSameFastPaths(fast, ref, live);
+    EXPECT_GT(fast.inPlace, live.dispatched / 10);
+    EXPECT_GT(fast.handedOff, 0u);
 
-    // With every delay scheduled, the same run.
-    std::uint64_t scheduled_in_place = 1;
-    const Outcome scheduled = runLive(w, true, &scheduled_in_place);
-    EXPECT_EQ(scheduled_in_place, 0u);
+    // With every delay scheduled and every block yielding, the same run.
+    FastPaths scheduled_fast{1, 1};
+    const Outcome scheduled = runLive(w, true, &scheduled_fast);
+    EXPECT_EQ(scheduled_fast.inPlace, 0u);
+    EXPECT_EQ(scheduled_fast.handedOff, 0u);
     expectSameOutcome(scheduled, live);
 }
 
-/** A budget or stop case: the in-place run, the all-scheduled run and
+TEST(EventQueueDiff, FiberHandOffsMatchReference)
+{
+    // Fiber actors only, with few plain events between them: a block
+    // that is not advanced in place mostly finds another fiber's resume
+    // next and hands off, down chains of fibers before one yields.
+    ActorWorkload w;
+    w.seed = 0xF1BE;
+    w.fibers = 16;
+    w.coroutines = 0;
+    w.maxPlain = 500;
+
+    FastPaths fast;
+    const Outcome live = runLive(w, false, &fast);
+    RefActors ref(w);
+    ref.run();
+    expectSameOutcome(live, ref.outcome());
+    EXPECT_EQ(live.trip, "");
+    expectSameFastPaths(fast, ref, live);
+    EXPECT_GT(fast.handedOff, ref.schedulerDispatched);
+
+    FastPaths scheduled_fast{1, 1};
+    const Outcome scheduled = runLive(w, true, &scheduled_fast);
+    EXPECT_EQ(scheduled_fast.handedOff, 0u);
+    expectSameOutcome(scheduled, live);
+}
+
+/** A budget or stop case: the fast-path run, the all-scheduled run and
  *  the reference must end at the same point with the same dump. */
 void
 expectSameTrip(const ActorWorkload &w, const std::string &trip)
 {
     SCOPED_TRACE("actors " + std::to_string(w.fibers) + "+" +
                  std::to_string(w.coroutines));
-    std::uint64_t in_place = 0;
-    const Outcome live = runLive(w, false, &in_place);
-    const Outcome scheduled = runLive(w, true);
+    FastPaths fast;
+    const Outcome live = runLive(w, false, &fast);
+    FastPaths scheduled_fast{1, 1};
+    const Outcome scheduled = runLive(w, true, &scheduled_fast);
     RefActors ref(w);
     ref.run();
     EXPECT_EQ(live.trip, trip);
     expectSameOutcome(live, ref.outcome());
     expectSameOutcome(scheduled, live);
+    expectSameFastPaths(fast, ref, live);
+    EXPECT_EQ(scheduled_fast.inPlace, 0u);
+    EXPECT_EQ(scheduled_fast.handedOff, 0u);
     if (w.stallAt == 0) {
-        EXPECT_GT(in_place, 0u); // The fast path ran up to the trip.
+        // The fast paths ran up to the trip; a lone fiber has nobody
+        // to hand off to.
+        EXPECT_GT(fast.inPlace, 0u);
+        if (w.fibers > 1)
+            EXPECT_GT(fast.handedOff, 0u);
+        else
+            EXPECT_EQ(fast.handedOff, 0u);
     } else {
-        EXPECT_EQ(in_place, 0u); // An armed plan turns it off.
+        // An armed plan turns both off.
+        EXPECT_EQ(fast.inPlace, 0u);
+        EXPECT_EQ(fast.handedOff, 0u);
     }
     if (!trip.empty())
         EXPECT_FALSE(live.blocked.empty());
@@ -1154,11 +1266,14 @@ TEST(EventQueueDiff, ActorRunUntilWindowsMatchReference)
         ASSERT_EQ(live.eq.pending(), ref.queue.size());
         ASSERT_EQ(live.eq.now(), ref.now);
         ASSERT_EQ(live.eq.dispatched(), ref.dispatched);
+        ASSERT_EQ(live.eq.advancedInPlace(), ref.selfNext);
+        ASSERT_EQ(live.eq.handedOff(), ref.handOffs);
         if (!ref.queue.empty())
             ASSERT_EQ(live.eq.nextEventTime(), ref.queue.top().when);
     }
     expectSameLogs(live.log, ref.log);
     EXPECT_GT(live.eq.advancedInPlace(), 0u);
+    EXPECT_GT(live.eq.handedOff(), 0u);
 }
 
 TEST(EventQueueDiff, AdvanceInPlaceDeclinesOutsideADispatch)

@@ -6,8 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
 #include <vector>
 
+#include "check/check.hh"
+#include "machine_fixture.hh"
 #include "sim/event_queue.hh"
 #include "sim/fiber.hh"
 #include "sim/process.hh"
@@ -124,6 +128,30 @@ TEST(Fiber, CurrentTracksExecution)
     EXPECT_EQ(Fiber::current(), nullptr);
 }
 
+TEST(Fiber, HandOffSwitchesStraightIntoTheNextFiber)
+{
+    std::vector<int> trace;
+    Fiber b([&] {
+        trace.push_back(2);
+        Fiber::yield();
+        trace.push_back(4);
+    });
+    Fiber a([&] {
+        trace.push_back(1);
+        Fiber::handOff(b);
+        trace.push_back(5);
+    });
+    b.resume();
+    a.resume(); // a hands off to b, which finishes: back here, not in a.
+    EXPECT_EQ(trace, (std::vector<int>{2, 1, 4}));
+    EXPECT_TRUE(b.finished());
+    EXPECT_FALSE(a.finished());
+    EXPECT_EQ(Fiber::current(), nullptr);
+    a.resume();
+    EXPECT_EQ(trace, (std::vector<int>{2, 1, 4, 5}));
+    EXPECT_TRUE(a.finished());
+}
+
 TEST(Process, DelayAdvancesSimulatedTime)
 {
     EventQueue eq;
@@ -168,6 +196,138 @@ TEST(Process, SpawnDetachedSelfCleans)
     }, 0);
     eq.run();
     EXPECT_EQ(ran, 1);
+}
+
+TEST(Process, BlockHandsOffToTheNextStartedProcess)
+{
+    // Both first entries come from the scheduler.  Then second blocks
+    // behind first's wake-up at 10 and switches straight into it, and
+    // first blocks behind second's same-tick wake-up (queued first) and
+    // switches back.  Second finishes, so first@20 comes from the
+    // scheduler again.
+    EventQueue eq;
+    std::vector<std::string> trace;
+    Process first(eq, "first", [&] {
+        Process::current()->delay(10);
+        trace.push_back("first@" + std::to_string(eq.now()));
+        Process::current()->delay(10);
+        trace.push_back("first@" + std::to_string(eq.now()));
+    });
+    Process second(eq, "second", [&] {
+        Process::current()->delay(10);
+        trace.push_back("second@" + std::to_string(eq.now()));
+    });
+    first.start(0);
+    second.start(0);
+    eq.run();
+    EXPECT_EQ(trace, (std::vector<std::string>{"first@10", "second@10",
+                                               "first@20"}));
+    EXPECT_EQ(eq.handedOff(), 2u);
+    EXPECT_EQ(eq.advancedInPlace(), 0u);
+    EXPECT_EQ(eq.dispatched(), 5u);
+    EXPECT_TRUE(first.finished());
+    EXPECT_TRUE(second.finished());
+}
+
+TEST(Process, HandedOffDetachedProcessIsDeletedOnTheSchedulerStack)
+{
+    EventQueue eq;
+    bool on_scheduler = false;
+    bool main_done = false;
+    Process *helper = spawnDetached(eq, "helper", [&] {
+        Process::current()->delay(10);
+    }, 0);
+    helper->setOnFinish([&](Process *p) {
+        on_scheduler =
+            Fiber::current() == nullptr && Process::current() == nullptr;
+        delete p;
+    });
+    // main blocks at 10 behind helper's wake-up and hands off to it; the
+    // helper finishes on a fiber it was handed, which still returns to
+    // the scheduler, where onFinish deletes it.
+    Process main(eq, "main", [&] {
+        Process::current()->delay(10);
+        main_done = true;
+    });
+    main.start(0);
+    eq.run();
+    EXPECT_EQ(eq.handedOff(), 1u);
+    EXPECT_TRUE(on_scheduler);
+    EXPECT_TRUE(main_done);
+    EXPECT_TRUE(eq.blockedProcesses().empty());
+}
+
+TEST(Process, ClobberedCanaryOnAHandedOffFiberIsACheckFailure)
+{
+    EventQueue eq;
+    Fiber *victim_fiber = nullptr;
+    int victim_finishes = 0;
+    Process victim(eq, "victim", [&] {
+        victim_fiber = Fiber::current();
+        Process::current()->delay(10);
+    });
+    victim.setOnFinish([&](Process *) { ++victim_finishes; });
+    // main clobbers the suspended victim's canary, then hands off to
+    // it.  The victim finishes and returns to the scheduler inside
+    // main's resume: the canary checked there must be the victim's.
+    Process main(eq, "main", [&] {
+        victim_fiber->corruptStackCanaryForTest();
+        Process::current()->delay(10);
+    });
+    victim.start(0);
+    main.start(0);
+    absim::check::ScopedThrowOnFailure guard;
+    try {
+        eq.run();
+        ADD_FAILURE() << "the clobbered canary went unnoticed";
+    } catch (const absim::check::CheckFailure &e) {
+        EXPECT_NE(std::string(e.what()).find("fiber stack overflow"),
+                  std::string::npos)
+            << e.what();
+    }
+    EXPECT_EQ(eq.handedOff(), 1u);
+    EXPECT_TRUE(victim.finished());
+
+    // The failure left nothing behind for the next run on this thread:
+    // its first resume that yields (behind the event at 1) must not
+    // finish the victim.
+    EventQueue next;
+    next.schedule(1, [] {});
+    int finished = 0;
+    Process *p = spawnDetached(next, "after", [] {
+        Process::current()->delay(5);
+    }, 0);
+    p->setOnFinish([&](Process *q) {
+        ++finished;
+        delete q;
+    });
+    next.run();
+    EXPECT_EQ(finished, 1);
+    EXPECT_EQ(victim_finishes, 0);
+}
+
+TEST(Process, WorkerExceptionOnAHandedOffFiberSurfacesFromRun)
+{
+    // Worker 0 blocks first and yields; worker 1 then blocks behind
+    // worker 0's wake-up and hands off to it, and worker 0 throws on
+    // the fiber it was handed.
+    absim::test::MachineHarness h(absim::mach::MachineKind::LogP,
+                                  absim::net::TopologyKind::Full, 2);
+    std::uint64_t handed_at_throw = 0;
+    try {
+        h.run([&](absim::rt::Proc &p) {
+            p.compute(10 + 10 * p.node());
+            p.syncNow();
+            if (p.node() == 0) {
+                handed_at_throw = h.eq.handedOff();
+                throw std::runtime_error("worker 0 failed");
+            }
+        });
+        ADD_FAILURE() << "the worker's exception was lost";
+    } catch (const std::runtime_error &e) {
+        EXPECT_STREQ(e.what(), "worker 0 failed");
+    }
+    EXPECT_EQ(handed_at_throw, 1u);
 }
 
 TEST(FifoMutex, UncontendedAcquireIsFree)

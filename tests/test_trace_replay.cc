@@ -686,7 +686,8 @@ TEST(TraceReplay, ReplaySpeedupIsReal)
 {
     // The whole point: replay must be much cheaper than execution.
     // This asserts only a conservative > 1x here (CI noise); the
-    // committed benchmark baseline pins the 2.45x sweep-level speedup.
+    // committed benchmark baseline (bench/baselines/BENCH_replay.json)
+    // pins the sweep-level speedup.
     TempTraceDir dir;
     core::RunConfig config =
         smallConfig("ep", 65536, 8, mach::MachineKind::Target);
