@@ -1,6 +1,5 @@
 #include "runtime/context.hh"
 
-#include <algorithm>
 #include <sstream>
 #include <string>
 
@@ -11,7 +10,10 @@
 
 namespace absim::rt {
 
-Proc::Proc(Runtime &rt, net::NodeId id) : MemClient(id), rt_(rt) {}
+Proc::Proc(Runtime &rt, net::NodeId id)
+    : ProcCore(rt.engine(), id), rt_(rt)
+{
+}
 
 std::uint32_t
 Proc::procs() const
@@ -26,12 +28,12 @@ Proc::syncToEngine()
                     sim::Process::current() == process_,
                 "syncToEngine outside processor " << node()
                                                   << "'s own process");
-    ABSIM_CHECK(localTime_ >= rt_.engine().now(),
+    ABSIM_CHECK(localTime_ >= eq_.now(),
                 "processor " << node() << " local clock " << localTime_
                              << " fell behind the engine at "
-                             << rt_.engine().now());
+                             << eq_.now());
     syncedThisAccess_ = true;
-    return sim::Delay{rt_.engine(), localTime_};
+    return ProcCore::syncToEngine();
 }
 
 void
@@ -46,7 +48,7 @@ Proc::maybeYield()
 {
     // The local clock may run ahead of the engine between shared events;
     // before touching shared state, let every earlier global event fire.
-    if (localTime_ >= rt_.engine().nextEventTime())
+    if (localTime_ >= eq_.nextEventTime())
         syncNow();
 }
 
@@ -61,8 +63,7 @@ Proc::computeNs(sim::Duration ns)
 {
     if (sink_ != nullptr) [[unlikely]]
         sink_->onCompute(node(), ns);
-    localTime_ += ns;
-    stats_.busy += ns;
+    chargeCompute(ns);
 }
 
 void
@@ -82,7 +83,7 @@ Proc::access(mem::Addr addr, mach::AccessType type, std::uint32_t bytes)
             rt_.machine().corruptStateForFault(fault::injector().seed());
     }
     maybeYield();
-    ABSIM_DCHECK(localTime_ >= rt_.engine().now(),
+    ABSIM_DCHECK(localTime_ >= eq_.now(),
                  "processor " << node() << " issued an access with its local "
                               << "clock behind the engine");
     const sim::Tick began = localTime_;
@@ -105,7 +106,7 @@ Proc::access(mem::Addr addr, mach::AccessType type, std::uint32_t bytes)
                     "synchronizing to the engine first");
         if (syncedThisAccess_)
             ABSIM_CHECK_EQ(t.latency + t.contention,
-                           rt_.engine().now() - began,
+                           eq_.now() - began,
                            "overhead buckets must partition the engine "
                            "time this access blocked for");
         else
@@ -114,42 +115,7 @@ Proc::access(mem::Addr addr, mach::AccessType type, std::uint32_t bytes)
                             << t.latency << " contention="
                             << t.contention);
     }
-    // If the machine blocked, the engine clock carries the completion
-    // time; otherwise the engine is behind our private clock.  Either
-    // way the trailing local cost is added on top.
-    localTime_ = std::max(localTime_, rt_.engine().now()) + t.busy;
-    stats_.busy += t.busy;
-    stats_.latency += t.latency;
-    stats_.contention += t.contention;
-    ++stats_.accesses;
-    if (t.networked) {
-        ++stats_.networkAccesses;
-        remoteHist_.record(t.latency + t.contention);
-    }
-}
-
-void
-Proc::memRead(mem::Addr addr, std::uint32_t bytes)
-{
-    access(addr, mach::AccessType::Read, bytes);
-}
-
-void
-Proc::memWrite(mem::Addr addr, std::uint32_t bytes)
-{
-    access(addr, mach::AccessType::Write, bytes);
-}
-
-void
-Proc::memRmw(mem::Addr addr, std::uint32_t bytes)
-{
-    access(addr, mach::AccessType::Rmw, bytes);
-}
-
-void
-Proc::flushPhase()
-{
-    stats::flushPhase(stats_, phaseSnapshot_, currentPhase_, phases_);
+    chargeAccess(t);
 }
 
 void
@@ -157,15 +123,14 @@ Proc::beginPhase(const std::string &name)
 {
     if (sink_ != nullptr) [[unlikely]]
         sink_->onPhase(node(), name);
-    flushPhase();
-    currentPhase_ = name;
+    enterPhase(name);
 }
 
 void
 Proc::absorbEngineTime(sim::Duration latency, sim::Duration contention,
                        sim::Duration wait)
 {
-    const sim::Tick now = rt_.engine().now();
+    const sim::Tick now = eq_.now();
     ABSIM_CHECK(now >= localTime_,
                 "absorbEngineTime with processor " << node()
                     << " ahead of the engine");
@@ -255,24 +220,6 @@ Runtime::run()
     // simulation has drained (full sweep; per-transaction checks ran
     // incrementally during the run).
     machine_.checkInvariants();
-}
-
-stats::Profile
-Runtime::collect() const
-{
-    stats::Profile profile;
-    profile.procs.reserve(p_);
-    profile.procPhases.reserve(p_);
-    for (const auto &proc : procs_) {
-        profile.procs.push_back(proc->stats());
-        profile.procPhases.push_back(proc->phases());
-        profile.remoteLatency.merge(proc->remoteLatencyHistogram());
-    }
-    profile.machine = machine_.stats();
-    profile.netModel = machine_.netModelName();
-    profile.memModel = machine_.memModelName();
-    profile.engineEvents = eq_.dispatched();
-    return profile;
 }
 
 } // namespace absim::rt

@@ -16,10 +16,12 @@
 #ifndef ABSIM_RUNTIME_CONTEXT_HH
 #define ABSIM_RUNTIME_CONTEXT_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <exception>
 #include <functional>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "machines/machine.hh"
@@ -31,17 +33,125 @@
 namespace absim::rt {
 
 class Runtime;
+class Spin;
+
+/**
+ * One simulated processor's clock and accounts, for both drivers:
+ * execution's Proc (application code on a fiber) and trace replay's
+ * worker (a recorded op stream on a coroutine).
+ */
+class ProcCore : public mach::MemClient
+{
+  public:
+    ProcCore(sim::EventQueue &eq, net::NodeId id) : MemClient(id), eq_(eq) {}
+
+    sim::Tick localTime() const final { return localTime_; }
+    sim::Delay syncToEngine() override { return sim::Delay{eq_, localTime_}; }
+
+    const stats::ProcStats &stats() const { return stats_; }
+
+    /** Distribution of networked-access completion times (ns). */
+    const stats::Histogram &remoteLatencyHistogram() const
+    {
+        return remoteHist_;
+    }
+
+    /** Per-phase breakdown in first-use order (finalized at exit). */
+    const std::vector<stats::PhaseStats> &phases() const
+    {
+        return phases_;
+    }
+
+    /** Charge @p ns of computation. */
+    void
+    chargeCompute(sim::Duration ns)
+    {
+        localTime_ += ns;
+        stats_.busy += ns;
+    }
+
+    /** Fold one completed access's timing in.  If the machine blocked,
+     *  the engine clock carries the completion time, else the local
+     *  clock does; the trailing local cost is added on top. */
+    void
+    chargeAccess(const mach::AccessTiming &t)
+    {
+        localTime_ = std::max(localTime_, eq_.now()) + t.busy;
+        stats_.busy += t.busy;
+        stats_.latency += t.latency;
+        stats_.contention += t.contention;
+        ++stats_.accesses;
+        if (t.networked) {
+            ++stats_.networkAccesses;
+            remoteHist_.record(t.latency + t.contention);
+        }
+    }
+
+    /** Attribute the overhead accrued so far to the current phase and
+     *  make @p name the current one (repeated names accumulate). */
+    void
+    enterPhase(const std::string &name)
+    {
+        stats::flushPhase(stats_, phaseSnapshot_, currentPhase_, phases_);
+        currentPhase_ = name;
+    }
+
+    /**
+     * A poll of @p spin failed: charge its next backoff pause.
+     * @return false, charging nothing, if no event is pending: nothing
+     *         can then change the word, and the spin would hit in the
+     *         cache forever, out of any budget's reach (a livelock).
+     */
+    [[nodiscard]] bool spinFailed(Spin &spin);
+
+    /** Stamp the finish time and close the last phase. */
+    void
+    recordFinish()
+    {
+        stats_.finishTime = localTime_;
+        enterPhase(currentPhase_);
+    }
+
+  protected:
+    sim::EventQueue &eq_;
+    sim::Tick localTime_ = 0;
+    stats::ProcStats stats_;
+
+  private:
+    stats::ProcStats phaseSnapshot_;
+    stats::Histogram remoteHist_;
+    std::string currentPhase_ = "main";
+    std::vector<stats::PhaseStats> phases_;
+};
+
+/** The run profile from the processors' accounts (@p procs: pointers,
+ *  in node order), the machine's counters and the engine's. */
+template <typename Procs>
+stats::Profile
+collectProfile(const Procs &procs, const mach::Machine &machine,
+               const sim::EventQueue &eq)
+{
+    stats::Profile profile;
+    for (const auto &proc : procs) {
+        profile.procs.push_back(proc->stats());
+        profile.procPhases.push_back(proc->phases());
+        profile.remoteLatency.merge(proc->remoteLatencyHistogram());
+    }
+    profile.machine = machine.stats();
+    profile.netModel = machine.netModelName();
+    profile.memModel = machine.memModelName();
+    profile.engineEvents = eq.dispatched();
+    return profile;
+}
 
 /**
  * One simulated processor, as seen by application code.
  */
-class Proc final : public mach::MemClient
+class Proc final : public ProcCore
 {
   public:
     Proc(Runtime &rt, net::NodeId id);
 
-    // MemClient interface (called back by machine models).
-    sim::Tick localTime() const override { return localTime_; }
     sim::Delay syncToEngine() override;
 
     /** Block this processor's process until the engine clock reaches
@@ -54,21 +164,26 @@ class Proc final : public mach::MemClient
     /** Charge @p ns nanoseconds of computation. */
     void computeNs(sim::Duration ns);
 
-    /** Simulated shared-memory read of @p bytes at @p addr. */
-    void memRead(mem::Addr addr, std::uint32_t bytes);
+    /** Simulated shared-memory access of @p bytes at @p addr. */
+    void access(mem::Addr addr, mach::AccessType type, std::uint32_t bytes);
 
-    /** Simulated shared-memory write. */
-    void memWrite(mem::Addr addr, std::uint32_t bytes);
+    void
+    memRead(mem::Addr addr, std::uint32_t bytes)
+    {
+        access(addr, mach::AccessType::Read, bytes);
+    }
+
+    void
+    memWrite(mem::Addr addr, std::uint32_t bytes)
+    {
+        access(addr, mach::AccessType::Write, bytes);
+    }
 
     /** Simulated atomic read-modify-write. */
-    void memRmw(mem::Addr addr, std::uint32_t bytes);
-
-    const stats::ProcStats &stats() const { return stats_; }
-
-    /** Distribution of networked-access completion times (ns). */
-    const stats::Histogram &remoteLatencyHistogram() const
+    void
+    memRmw(mem::Addr addr, std::uint32_t bytes)
     {
-        return remoteHist_;
+        access(addr, mach::AccessType::Rmw, bytes);
     }
 
     /**
@@ -78,12 +193,6 @@ class Proc final : public mach::MemClient
      * beginPhase() everything lands in an implicit "main" phase.
      */
     void beginPhase(const std::string &name);
-
-    /** Per-phase breakdown in first-use order (finalized at exit). */
-    const std::vector<stats::PhaseStats> &phases() const
-    {
-        return phases_;
-    }
 
     Runtime &runtime() { return rt_; }
 
@@ -98,13 +207,6 @@ class Proc final : public mach::MemClient
     RefSink *sink() const { return sink_; }
 
     void bindSink(RefSink *sink) { sink_ = sink; }
-
-    void
-    recordFinish()
-    {
-        stats_.finishTime = localTime_;
-        flushPhase();
-    }
     /// @}
 
     /** @name Message-passing support (used by msg::MsgWorld).
@@ -127,26 +229,15 @@ class Proc final : public mach::MemClient
     /// @}
 
   private:
-    void access(mem::Addr addr, mach::AccessType type, std::uint32_t bytes);
     void maybeYield();
-
-    /** Attribute overhead accrued since the last snapshot to the
-     *  current phase. */
-    void flushPhase();
 
     Runtime &rt_;
     sim::Process *process_ = nullptr;
     RefSink *sink_ = nullptr;
-    sim::Tick localTime_ = 0;
 
     /** Set by syncToEngine(); reset at the top of every access so the
      *  conservation checker knows whether the machine blocked. */
     bool syncedThisAccess_ = false;
-    stats::ProcStats stats_;
-    stats::ProcStats phaseSnapshot_;
-    stats::Histogram remoteHist_;
-    std::string currentPhase_ = "main";
-    std::vector<stats::PhaseStats> phases_;
 };
 
 /**
@@ -187,7 +278,10 @@ class Runtime
     void run();
 
     /** Gather the SPASM profile after run(). */
-    stats::Profile collect() const;
+    stats::Profile collect() const
+    {
+        return collectProfile(procs_, machine_, eq_);
+    }
 
     sim::EventQueue &engine() { return eq_; }
     mach::Machine &machine() { return machine_; }

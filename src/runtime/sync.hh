@@ -20,8 +20,10 @@
 #ifndef ABSIM_RUNTIME_SYNC_HH
 #define ABSIM_RUNTIME_SYNC_HH
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
-#include <vector>
+#include <utility>
 
 #include "runtime/shared.hh"
 
@@ -33,12 +35,14 @@ struct Backoff
     std::uint64_t cycles = 4;
     static constexpr std::uint64_t kCap = 256;
 
-    void
-    pause(Proc &p)
+    /** The next pause, in cycles. */
+    std::uint64_t
+    next()
     {
-        p.compute(cycles);
-        cycles = std::min<std::uint64_t>(cycles * 2, kCap);
+        return std::exchange(cycles, std::min(cycles * 2, kCap));
     }
+
+    void pause(Proc &p) { p.compute(next()); }
 };
 
 /** Flavor of spin lock (the paper notes TTS degenerates to TS on LogP). */
@@ -46,6 +50,80 @@ enum class LockKind
 {
     TestAndSet,
     TestTestAndSet,
+};
+
+/** A sense-reversing barrier's words, parties and per-processor senses. */
+struct BarrierWords
+{
+    mem::Addr count = 0;
+    mem::Addr sense = 0;
+    std::uint32_t parties = 0;
+    std::array<std::uint64_t, mem::kMaxNodes> localSense{};
+};
+
+/**
+ * One synchronization operation's spin protocol, as a value: it names
+ * the next access and, given the accessed word, applies the access's
+ * effect and says what comes next.  The one definition of each
+ * protocol: rt::SpinLock, rt::Barrier and rt::Flag drive it through a
+ * Proc's accesses on their native words, and trace replay drives it
+ * against its value store, so replay regenerates execution's spins on
+ * every machine by running the same code.
+ */
+class Spin
+{
+  public:
+    /** What comes after an access. */
+    enum class Next : std::uint8_t
+    {
+        Access, ///< Issue the next access.
+        Done,   ///< The operation completed.
+        Failed, ///< A poll failed: ProcCore::spinFailed, then the access.
+    };
+
+    static Spin lock(mem::Addr word, LockKind kind);
+
+    /** Processor @p node's arrival (flips its sense). */
+    static Spin arrive(BarrierWords &barrier, net::NodeId node);
+
+    /** Wait until @p word holds exactly @p value. */
+    static Spin waitFor(mem::Addr word, std::uint64_t value);
+
+    /** The next access. */
+    mem::Addr word() const { return word_; }
+    mach::AccessType type() const { return type_; }
+
+    /** The next access completed on its word, now holding @p value:
+     *  apply the access's effect to it and step. */
+    Next complete(std::uint64_t &value);
+
+    Backoff backoff;
+
+  private:
+    enum class Step : std::uint8_t
+    {
+        LockTest,       ///< TTS: read the lock word until it looks free.
+        LockSet,        ///< Test&set the lock word.
+        BarrierArrive,  ///< Fetch&add the count word.
+        BarrierReset,   ///< Last arriver: count word := 0.
+        BarrierRelease, ///< Last arriver: sense word := target_.
+        Poll,           ///< Read the word until it holds target_.
+    };
+
+    void
+    next(Step step, mem::Addr word, mach::AccessType type)
+    {
+        step_ = step;
+        word_ = word;
+        type_ = type;
+    }
+
+    Step step_ = Step::Poll;
+    mem::Addr word_ = 0;
+    mach::AccessType type_ = mach::AccessType::Read;
+    bool testFirst_ = false;   ///< Lock: test-test&set.
+    std::uint64_t target_ = 0; ///< Flag value, or the barrier's new sense.
+    const BarrierWords *barrier_ = nullptr;
 };
 
 /**
@@ -61,13 +139,9 @@ class SpinLock
     void lock(Proc &p);
     void unlock(Proc &p);
 
-    /** Acquisition attempts that found the lock held (diagnostics). */
-    std::uint64_t contendedAcquires() const { return contended_; }
-
   private:
     SharedArray<std::uint64_t> word_;
     LockKind kind_;
-    std::uint64_t contended_ = 0;
 };
 
 /**
@@ -83,10 +157,9 @@ class Barrier
     void arrive(Proc &p);
 
   private:
-    std::uint32_t parties_;
     SharedArray<std::uint64_t> count_;
     SharedArray<std::uint64_t> sense_;
-    std::vector<std::uint64_t> localSense_; // Per-processor, private.
+    BarrierWords words_;
 };
 
 /**

@@ -1,14 +1,11 @@
 #include "trace_replay/replay.hh"
 
-#include <algorithm>
-#include <array>
 #include <chrono>
 #include <cstdint>
 #include <exception>
 #include <memory>
 #include <string>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "machines/registry.hh"
@@ -16,7 +13,6 @@
 #include "runtime/sync.hh"
 #include "sim/event_queue.hh"
 #include "sim/task.hh"
-#include "stats/histogram.hh"
 
 namespace absim::trace {
 
@@ -26,98 +22,24 @@ using mach::AccessTiming;
 using mach::AccessType;
 using net::NodeId;
 
-/** A barrier's words and parties, rebuilt from its setup record. */
-struct BarrierInfo
-{
-    std::uint32_t parties = 0;
-    mem::Addr senseAddr = 0;
-    std::array<std::uint64_t, mem::kMaxNodes> localSense{};
-};
-
-/** Which access of the current op the interpreter issues next; the
- *  sync ops are small state machines over these steps, regenerating
- *  the spin loops of rt::SpinLock, rt::Barrier and rt::Flag. */
-enum class Step : std::uint8_t
-{
-    Plain,          ///< The op's one access; its value effect follows.
-    LockTest,       ///< TTS: read of the lock word until it looks free.
-    LockSet,        ///< Test&set of the lock word.
-    BarrierArrive,  ///< Fetch&add of the count word.
-    BarrierReset,   ///< Last arriver: count word := 0.
-    BarrierRelease, ///< Last arriver: sense word := my sense.
-    BarrierSpin,    ///< Read of the sense word until it flips.
-    FlagSpin,       ///< Read of the flag word until it holds the value.
-};
-
-/**
- * One replayed processor: what rt::Proc keeps (local clock, overhead
- * accounts, phases) plus the interpreter's cursor.  As the machine's
- * MemClient it synchronizes through the replay's event queue.
- */
-class Worker final : public mach::MemClient
+/** One replayed processor: rt::ProcCore plus the interpreter's cursor. */
+class Worker final : public rt::ProcCore
 {
   public:
-    Worker(sim::EventQueue &eq, NodeId id) : MemClient(id), eq_(eq) {}
+    using ProcCore::ProcCore;
 
-    sim::Tick localTime() const override { return local; }
-    sim::Delay syncToEngine() override { return sim::Delay{eq_, local}; }
-
-    /** Proc::computeNs. */
+    /** Make @p addr / @p type the op's next access. */
     void
-    compute(sim::Duration ns)
+    next(mem::Addr addr, AccessType type)
     {
-        local += ns;
-        stats.busy += ns;
-    }
-
-    /** The Proc::access postlude: fold one access's timing in. */
-    void
-    charge(const AccessTiming &t)
-    {
-        local = std::max(local, eq_.now()) + t.busy;
-        stats.busy += t.busy;
-        stats.latency += t.latency;
-        stats.contention += t.contention;
-        ++stats.accesses;
-        if (t.networked) {
-            ++stats.networkAccesses;
-            hist.record(t.latency + t.contention);
-        }
-    }
-
-    void
-    flushPhase()
-    {
-        stats::flushPhase(stats, phaseSnapshot_, currentPhase, phases);
-    }
-
-    /** Make @p addr / @p type the next access, in step @p s. */
-    void
-    next(Step s, mem::Addr addr, AccessType type)
-    {
-        step = s;
         this->addr = addr;
         this->type = type;
     }
 
-    sim::Tick local = 0;
-    stats::ProcStats stats;
-    stats::Histogram hist;
-    std::string currentPhase = "main";
-    std::vector<stats::PhaseStats> phases;
-
-    // Interpreter cursor.
     std::uint64_t lastRmwOld = 0;
-    Step step = Step::Plain;
     mem::Addr addr = 0;
     AccessType type = AccessType::Read;
-    rt::Backoff backoff;
-    std::uint64_t mySense = 0;
-    const BarrierInfo *barrier = nullptr;
-
-  private:
-    sim::EventQueue &eq_;
-    stats::ProcStats phaseSnapshot_;
+    rt::Spin spin; ///< The current sync op's protocol.
 };
 
 /**
@@ -152,10 +74,10 @@ class ValueStore
             slot.value = v;
     }
 
-    std::uint64_t
+    std::uint64_t &
     load(mem::Addr a)
     {
-        const Slot &slot = probe(a);
+        Slot &slot = probe(a);
         if (!slot.used)
             throw ReplayError(
                 "trace: value word " + std::to_string(a) +
@@ -218,15 +140,14 @@ class Replayer
     sim::Task<> interpret(Worker &w, const std::vector<Op> &ops);
     bool begin(Worker &w, const Op &op);
     bool advance(Worker &w, const Op &op);
-    void spinFailed(Worker &w);
 
     const Trace &trace_;
     sim::EventQueue eq_;
     rt::SharedHeap heap_;
     std::unique_ptr<mach::Machine> machine_;
     ValueStore values_;
-    std::unordered_map<mem::Addr, BarrierInfo> barriers_;
-    std::vector<Worker> workers_;
+    std::unordered_map<mem::Addr, rt::BarrierWords> barriers_;
+    std::vector<std::unique_ptr<Worker>> workers_;
     std::uint32_t unfinished_ = 0;
     std::exception_ptr error_;
 };
@@ -246,13 +167,10 @@ Replayer::rebuildSetup()
                     "different heap discipline?)");
             break;
           }
-          case SetupOp::Barrier: {
-            BarrierInfo b;
-            b.parties = static_cast<std::uint32_t>(op.c);
-            b.senseAddr = op.b;
-            barriers_[op.a] = b;
+          case SetupOp::Barrier:
+            barriers_[op.a] = rt::BarrierWords{
+                op.a, op.b, static_cast<std::uint32_t>(op.c), {}};
             break;
-          }
           case SetupOp::InitValue:
             values_.store(op.a, op.b);
             break;
@@ -275,17 +193,15 @@ Replayer::interpret(Worker &w, const std::vector<Op> &ops)
             if (!begin(w, op))
                 continue;
             do {
-                if (w.local >= eq_.nextEventTime())
-                    co_await sim::Delay{eq_, w.local};
+                if (w.localTime() >= eq_.nextEventTime())
+                    co_await w.syncToEngine();
                 AccessTiming t;
                 if (!machine_->probe(w, w.addr, w.type, t))
                     t = co_await machine_->miss(w, w.addr, w.type);
-                w.charge(t);
+                w.chargeAccess(t);
             } while (advance(w, op));
         }
-        // Proc::recordFinish.
-        w.stats.finishTime = w.local;
-        w.flushPhase();
+        w.recordFinish();
         --unfinished_;
     } catch (...) {
         if (!error_)
@@ -299,53 +215,49 @@ Replayer::interpret(Worker &w, const std::vector<Op> &ops)
 bool
 Replayer::begin(Worker &w, const Op &op)
 {
-    w.backoff = rt::Backoff{};
     switch (op.kind) {
       case OpKind::Compute:
-        w.compute(op.value);
+        w.chargeCompute(op.value);
         return false;
       case OpKind::Phase:
-        w.flushPhase();
-        w.currentPhase = trace_.phaseNames[op.aux];
+        w.enterPhase(trace_.phaseNames[op.aux]);
         return false;
       case OpKind::Read:
-        w.next(Step::Plain, op.addr, AccessType::Read);
+        w.next(op.addr, AccessType::Read);
         return true;
       case OpKind::Write:
-        w.next(Step::Plain, op.addr, AccessType::Write);
+        w.next(op.addr, AccessType::Write);
         return true;
       case OpKind::DepWrite:
         // Slot re-derived from the *replayed* RMW result.
-        w.next(Step::Plain, op.addr + w.lastRmwOld * op.bytes,
-               AccessType::Write);
+        w.next(op.addr + w.lastRmwOld * op.bytes, AccessType::Write);
         return true;
       case OpKind::RmwFetchAdd:
       case OpKind::RmwTestAndSet:
-        w.next(Step::Plain, op.addr, AccessType::Rmw);
+        w.next(op.addr, AccessType::Rmw);
         return true;
       case OpKind::SyncLockTS:
-        w.next(Step::LockSet, op.addr, AccessType::Rmw);
-        return true;
+        w.spin = rt::Spin::lock(op.addr, rt::LockKind::TestAndSet);
+        break;
       case OpKind::SyncLockTTS:
-        w.next(Step::LockTest, op.addr, AccessType::Read);
-        return true;
+        w.spin = rt::Spin::lock(op.addr, rt::LockKind::TestTestAndSet);
+        break;
       case OpKind::SyncBarrier: {
-        // Sense reversal (rt::Barrier::arrive).
         const auto it = barriers_.find(op.addr);
         if (it == barriers_.end())
             throw ReplayError("trace: barrier arrival without a barrier "
                               "setup record");
-        w.barrier = &it->second;
-        w.mySense = 1 - it->second.localSense[w.node()];
-        it->second.localSense[w.node()] = w.mySense;
-        w.next(Step::BarrierArrive, op.addr, AccessType::Rmw);
-        return true;
+        w.spin = rt::Spin::arrive(it->second, w.node());
+        break;
       }
       case OpKind::SyncFlagWait:
-        w.next(Step::FlagSpin, op.addr, AccessType::Read);
-        return true;
+        w.spin = rt::Spin::waitFor(op.addr, op.value);
+        break;
+      default:
+        throw ReplayError("trace: unknown op kind");
     }
-    throw ReplayError("trace: unknown op kind");
+    w.next(w.spin.word(), w.spin.type());
+    return true;
 }
 
 /** The access at the cursor completed: apply its value effect and aim
@@ -353,99 +265,34 @@ Replayer::begin(Worker &w, const Op &op)
 bool
 Replayer::advance(Worker &w, const Op &op)
 {
-    switch (w.step) {
-      case Step::Plain:
-        switch (op.kind) {
-          case OpKind::Write:
-          case OpKind::DepWrite:
-            values_.store(w.addr, op.value);
-            break;
-          case OpKind::RmwFetchAdd: {
-            const std::uint64_t old = values_.load(w.addr);
-            values_.store(w.addr, maskTo(old + op.value, op.bytes));
-            w.lastRmwOld = old;
-            break;
-          }
-          case OpKind::RmwTestAndSet:
-            w.lastRmwOld = values_.load(w.addr);
-            values_.store(w.addr, 1);
-            break;
-          default:
-            break;
-        }
+    switch (op.kind) {
+      case OpKind::Write:
+      case OpKind::DepWrite:
+        values_.store(w.addr, op.value);
         return false;
-
-      case Step::LockTest:
-        if (values_.load(w.addr) == 0)
-            w.next(Step::LockSet, w.addr, AccessType::Rmw);
-        else
-            spinFailed(w);
-        return true;
-
-      case Step::LockSet: {
+      case OpKind::RmwFetchAdd: {
         const std::uint64_t old = values_.load(w.addr);
-        values_.store(w.addr, 1);
-        if (old == 0)
-            return false;
-        spinFailed(w);
-        if (op.kind == OpKind::SyncLockTTS)
-            w.next(Step::LockTest, w.addr, AccessType::Read);
-        return true;
-      }
-
-      case Step::BarrierArrive: {
-        const std::uint64_t arrived = values_.load(w.addr);
-        values_.store(w.addr, arrived + 1);
-        if (arrived == w.barrier->parties - 1)
-            w.next(Step::BarrierReset, w.addr, AccessType::Write);
-        else
-            w.next(Step::BarrierSpin, w.barrier->senseAddr,
-                   AccessType::Read);
-        return true;
-      }
-
-      case Step::BarrierReset:
-        // The last arriver resets the counter and releases everyone.
-        values_.store(w.addr, 0);
-        w.next(Step::BarrierRelease, w.barrier->senseAddr,
-               AccessType::Write);
-        return true;
-
-      case Step::BarrierRelease:
-        values_.store(w.addr, w.mySense);
+        values_.store(w.addr, maskTo(old + op.value, op.bytes));
+        w.lastRmwOld = old;
         return false;
-
-      case Step::BarrierSpin:
-        if (values_.load(w.addr) == w.mySense)
-            return false;
-        spinFailed(w);
-        return true;
-
-      case Step::FlagSpin:
-        if (values_.load(w.addr) == op.value)
-            return false;
-        spinFailed(w);
-        return true;
+      }
+      case OpKind::RmwTestAndSet:
+        w.lastRmwOld = values_.load(w.addr);
+        values_.store(w.addr, 1);
+        return false;
+      case OpKind::Read:
+        return false;
+      default: // A sync op (compute and phase ops issue no access).
+        break;
     }
-    return false;
-}
-
-/**
- * A spin iteration failed: back off (rt::Backoff::pause).  With no
- * event pending, nothing else can ever run and change the word, so the
- * spin would hit in the cache forever without dispatching an event —
- * out of any budget's reach.  That trace is hostile or torn.
- */
-void
-Replayer::spinFailed(Worker &w)
-{
-    if (eq_.pending() == 0)
+    const rt::Spin::Next next = w.spin.complete(values_.load(w.addr));
+    if (next == rt::Spin::Next::Failed && !w.spinFailed(w.spin))
         throw ReplayError(
             "replay livelock: processor " + std::to_string(w.node()) +
             " spins on word " + std::to_string(w.addr) +
             " that no pending event can change (hostile or torn trace?)");
-    w.compute(sim::cycles(w.backoff.cycles));
-    w.backoff.cycles = std::min(w.backoff.cycles * 2, rt::Backoff::kCap);
+    w.next(w.spin.word(), w.spin.type());
+    return next != rt::Spin::Next::Done;
 }
 
 stats::Profile
@@ -463,8 +310,9 @@ Replayer::run(const sim::RunBudget *budget)
     tasks.reserve(trace_.procs);
     unfinished_ = trace_.procs;
     for (std::uint32_t i = 0; i < trace_.procs; ++i) {
-        workers_.emplace_back(eq_, static_cast<NodeId>(i));
-        tasks.push_back(interpret(workers_.back(), trace_.streams[i]));
+        workers_.push_back(
+            std::make_unique<Worker>(eq_, static_cast<NodeId>(i)));
+        tasks.push_back(interpret(*workers_.back(), trace_.streams[i]));
     }
 
     eq_.run();
@@ -477,19 +325,7 @@ Replayer::run(const sim::RunBudget *budget)
             " worker streams unfinished (torn or cross-machine-invalid "
             "trace?)");
 
-    stats::Profile profile;
-    profile.procs.reserve(trace_.procs);
-    profile.procPhases.reserve(trace_.procs);
-    for (const Worker &w : workers_) {
-        profile.procs.push_back(w.stats);
-        profile.procPhases.push_back(w.phases);
-        profile.remoteLatency.merge(w.hist);
-    }
-    profile.machine = machine_->stats();
-    profile.netModel = machine_->netModelName();
-    profile.memModel = machine_->memModelName();
-    profile.engineEvents = eq_.dispatched();
-    return profile;
+    return rt::collectProfile(workers_, *machine_, eq_);
 }
 
 } // namespace

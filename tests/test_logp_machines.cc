@@ -20,7 +20,7 @@ using net::TopologyKind;
 
 constexpr std::uint64_t kAfter = 1'000'000;
 
-TEST(LogPMachine, LocalReferencesNeverTouchTheNetwork)
+TEST(LogPStack, LocalReferencesNeverTouchTheNetwork)
 {
     MachineHarness h(MachineKind::LogP, TopologyKind::Full, 2);
     rt::SharedArray<std::uint64_t> a(h.heap, 8, rt::Placement::OnNode, 0);
@@ -36,7 +36,7 @@ TEST(LogPMachine, LocalReferencesNeverTouchTheNetwork)
               8 * mach::kLocalMemNs);
 }
 
-TEST(LogPMachine, EveryRemoteReferenceIsARoundTrip)
+TEST(LogPStack, EveryRemoteReferenceIsARoundTrip)
 {
     // No cache: 8 reads of the same remote word are 8 round trips —
     // the paper's NUMA (Butterfly GP-1000) behaviour.
@@ -54,7 +54,7 @@ TEST(LogPMachine, EveryRemoteReferenceIsARoundTrip)
     EXPECT_EQ(h.runtime->proc(0).stats().latency, 8 * 3200u);
 }
 
-TEST(LogPMachine, RoundTripGatedBySinglePolicy)
+TEST(LogPStack, RoundTripGatedBySinglePolicy)
 {
     // Full network at P=2: g = 1600.  Reply send waits g after the
     // receive at the same node.
@@ -69,7 +69,7 @@ TEST(LogPMachine, RoundTripGatedBySinglePolicy)
     EXPECT_EQ(s.contention, 1600u); // g between recv and reply send.
 }
 
-TEST(LogPMachine, PerDirectionPolicyRemovesReplyGate)
+TEST(LogPStack, PerDirectionPolicyRemovesReplyGate)
 {
     MachineHarness h(MachineKind::LogP, TopologyKind::Full, 2,
                      logp::GapPolicy::PerDirection);
@@ -202,7 +202,7 @@ TEST(LogPCMachine, TimingInvariantHolds)
     }
 }
 
-TEST(LogPMachine, TimingInvariantHolds)
+TEST(LogPStack, TimingInvariantHolds)
 {
     MachineHarness h(MachineKind::LogP, TopologyKind::Mesh2D, 4);
     rt::SharedArray<std::uint64_t> a(h.heap, 64,

@@ -23,6 +23,7 @@
 #include <unistd.h>
 
 #include "apps/app.hh"
+#include "machine_fixture.hh"
 #include "core/experiment.hh"
 #include "core/figures.hh"
 #include "machines/null_machine.hh"
@@ -30,6 +31,7 @@
 #include "msg/msg_world.hh"
 #include "runtime/context.hh"
 #include "runtime/shared.hh"
+#include "runtime/sync.hh"
 #include "stats/overheads.hh"
 #include "trace_replay/divergence.hh"
 #include "trace_replay/format.hh"
@@ -211,6 +213,61 @@ TEST(TraceReplay, ValueStoreAppsMatchExecutionOnEveryMachine)
         roundTrip("cholesky", 64, 8, machine);
         for (const char *app : {"radix", "synthetic", "fft"})
             roundTrip(app, 256, 8, machine);
+    }
+}
+
+TEST(TraceReplay, EverySpinProtocolMatchesExecutionOnEveryMachine)
+{
+    // A hand-written program over all four spin protocols, including the
+    // plain test&set lock no app uses: replay must regenerate each
+    // protocol's spins exactly as execution ran them, on every stack.
+    constexpr std::uint32_t kProcs = 4;
+    for (const mach::MachineKind machine : kAllMachines) {
+        test::MachineHarness h(machine, net::TopologyKind::Mesh2D, kProcs);
+        trace::Recorder recorder(kProcs);
+        h.heap.bindSink(&recorder);
+        h.runtime->bindSink(&recorder);
+        rt::SpinLock ts(h.heap, 1, rt::LockKind::TestAndSet);
+        rt::SpinLock tts(h.heap, 2, rt::LockKind::TestTestAndSet);
+        rt::Barrier barrier(h.heap, kProcs, 3);
+        rt::Flag flag(h.heap, 0);
+        // One counter per lock, each bumped by a read and a write only
+        // its lock makes atomic.
+        rt::SharedArray<std::uint64_t> counters(h.heap, 2,
+                                                rt::Placement::OnNode, 1);
+        counters.raw(0) = 0;
+        counters.raw(1) = 0;
+        h.run([&](rt::Proc &p) {
+            for (int round = 0; round < 3; ++round) {
+                for (const std::size_t i : {0, 1}) {
+                    rt::SpinLock &lock = i == 0 ? ts : tts;
+                    lock.lock(p);
+                    const std::uint64_t v = counters.read(p, i);
+                    p.compute(20);
+                    counters.write(p, i, v + 1);
+                    lock.unlock(p);
+                }
+                barrier.arrive(p);
+            }
+            if (p.node() == 0) {
+                p.compute(5000);
+                flag.set(p, 7);
+            } else {
+                flag.waitFor(p, 7);
+            }
+            barrier.arrive(p);
+        });
+        EXPECT_EQ(counters.raw(0), 3u * kProcs);
+        EXPECT_EQ(counters.raw(1), 3u * kProcs);
+        const stats::Profile exec = h.runtime->collect();
+
+        const trace::Trace recorded = recorder.take("spin", {});
+        ASSERT_TRUE(recorded.replayable) << recorded.untraceableWhy;
+        trace::ReplaySpec spec;
+        spec.machine = machine;
+        spec.topology = net::TopologyKind::Mesh2D;
+        expectProfilesEqual(exec, trace::replayTrace(recorded, spec),
+                            mach::toString(machine));
     }
 }
 

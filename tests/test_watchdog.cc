@@ -304,6 +304,26 @@ TEST(Chaos, WedgedFiberIsCaughtAndNamed)
     EXPECT_EQ(fault::injector().fired(fault::Kind::WedgeFiber), 1u);
 }
 
+TEST(Chaos, WedgedPeerLeavesASpinThatIsANamedLivelock)
+{
+    // With two workers, the wedge leaves worker 0 alone at a barrier:
+    // its polls hit in the cache and no event is pending, so no budget
+    // can trip.  The failed-spin path must name the livelock as a
+    // deadlock with the wedged worker in the dump, not spin forever.
+    fault::ScopedPlan scoped(fault::Plan::parse("wedge@20:node=1"));
+    core::RunConfig config = chaosConfig();
+    config.procs = 2;
+    const auto result = core::runOneSafe(config, chaosPolicy());
+    ASSERT_FALSE(result.ok());
+    const core::RunError &err = result.error();
+    EXPECT_EQ(err.kind, core::RunErrorKind::Deadlock) << err.summary();
+    EXPECT_NE(err.message.find("livelock: processor 0 spins on word"),
+              std::string::npos)
+        << err.summary();
+    EXPECT_TRUE(dumpNames(err.blockedFibers, "worker-1", "wedged fiber"))
+        << err.summary();
+}
+
 TEST(Chaos, CorruptedTransitionFailsCoherenceCheck)
 {
     fault::ScopedPlan scoped(
