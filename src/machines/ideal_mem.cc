@@ -32,10 +32,10 @@ check::DirInfo
 IdealCacheMem::dirInfo(BlockId blk) const
 {
     check::DirInfo info;
-    if (const auto it = oracle_.find(blk); it != oracle_.end()) {
+    if (const OracleEntry *e = oracle_.peek(blk)) {
         info.tracked = true;
-        info.sharers = it->second.sharers;
-        info.owner = it->second.owner;
+        info.sharers = e->sharers;
+        info.owner = e->owner;
     }
     return info;
 }
@@ -44,9 +44,10 @@ std::vector<BlockId>
 IdealCacheMem::trackedBlocks() const
 {
     std::vector<BlockId> blocks;
-    blocks.reserve(oracle_.size());
-    for (const auto &kv : oracle_)
-        blocks.push_back(kv.first);
+    blocks.reserve(oracle_.entryCount());
+    oracle_.forEach([&blocks](BlockId blk, const OracleEntry &) {
+        blocks.push_back(blk);
+    });
     return blocks;
 }
 
@@ -125,7 +126,9 @@ IdealCacheMem::miss(MemClient &client, mem::Addr addr, AccessType type)
     mem::SetAssocCache &cache = *caches_[node];
     const bool is_read = (type == AccessType::Read);
 
-    // True miss: find where the data lives.
+    // True miss: find where the data lives.  The home lookup validates
+    // the address before any per-block state is made for it.
+    const NodeId home = homes_.homeOf(addr);
     if (is_read)
         ++stats_.readMisses;
     else
@@ -133,7 +136,6 @@ IdealCacheMem::miss(MemClient &client, mem::Addr addr, AccessType type)
     makeRoom(node, blk);
 
     OracleEntry &entry = entryOf(blk);
-    const NodeId home = homes_.homeOf(addr);
     NodeId source = home;
     if (entry.owner >= 0 &&
         entry.owner != static_cast<std::int32_t>(node)) {

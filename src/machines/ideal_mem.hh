@@ -22,11 +22,11 @@
 
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "check/coherence.hh"
 #include "machines/mem_model.hh"
+#include "mem/block_table.hh"
 #include "mem/cache.hh"
 
 namespace absim::mach {
@@ -68,6 +68,7 @@ class IdealCacheMem : public MemModel, private check::DirectoryView
     {
         return *caches_[n];
     }
+    const mem::BlockTable<OracleEntry> &oracle() const { return oracle_; }
     const check::CoherenceChecker &checker() const { return checker_; }
 
     /** @name Test-only hooks.
@@ -90,7 +91,7 @@ class IdealCacheMem : public MemModel, private check::DirectoryView
     /// @}
 
   private:
-    OracleEntry &entryOf(mem::BlockId blk) { return oracle_[blk]; }
+    OracleEntry &entryOf(mem::BlockId blk) { return oracle_.entry(blk); }
 
     /** Silent, free eviction of the LRU victim (data teleports home). */
     void makeRoom(net::NodeId node, mem::BlockId blk);
@@ -100,7 +101,7 @@ class IdealCacheMem : public MemModel, private check::DirectoryView
                           OracleEntry &entry);
 
     std::vector<std::unique_ptr<mem::SetAssocCache>> caches_;
-    std::unordered_map<mem::BlockId, OracleEntry> oracle_;
+    mem::BlockTable<OracleEntry> oracle_;
     check::CoherenceChecker checker_;
 };
 

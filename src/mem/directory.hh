@@ -17,9 +17,9 @@
 #define ABSIM_MEM_DIRECTORY_HH
 
 #include <cstdint>
-#include <unordered_map>
 
 #include "mem/addr.hh"
+#include "mem/block_table.hh"
 #include "sim/resource.hh"
 
 namespace absim::mem {
@@ -57,45 +57,14 @@ struct DirectoryEntry
 };
 
 /**
- * The machine-wide directory.  Entries are created on first reference and
- * are never removed (state survives silent clean replacements, exactly
- * like a real full-map directory whose information can only go stale
+ * The machine-wide directory: one entry per block ever referenced, in a
+ * BlockTable so entries never move (a transaction holds its entry, and
+ * waits on the entry's lock, across simulated time).  Entries are never
+ * removed (state survives silent clean replacements, exactly like a real
+ * full-map directory whose information can only go stale
  * conservatively).
  */
-class Directory
-{
-  public:
-    /** Entry for @p blk, created unowned/unshared if new. */
-    DirectoryEntry &
-    entry(BlockId blk)
-    {
-        return entries_[blk];
-    }
-
-    /** Entry for @p blk if it exists. */
-    const DirectoryEntry *
-    peek(BlockId blk) const
-    {
-        auto it = entries_.find(blk);
-        return it == entries_.end() ? nullptr : &it->second;
-    }
-
-    std::size_t entryCount() const { return entries_.size(); }
-
-    /** Visit every tracked block (invariant sweeps, statistics). */
-    template <typename Fn>
-    void
-    forEach(Fn &&fn) const
-    {
-        for (const auto &[blk, entry] : entries_)
-            fn(blk, entry);
-    }
-
-  private:
-    // unordered_map guarantees reference stability, which the per-entry
-    // FifoMutex requires.
-    std::unordered_map<BlockId, DirectoryEntry> entries_;
-};
+using Directory = BlockTable<DirectoryEntry>;
 
 } // namespace absim::mem
 

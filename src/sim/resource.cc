@@ -19,12 +19,11 @@ FifoMutex::acquire()
 {
     Process *self = Process::current();
     ABSIM_CHECK(self != nullptr, "FifoMutex::acquire outside a process");
-    if (!locked_ && waiters_.empty()) {
-        locked_ = true;
+    if (tryTake())
         return 0;
-    }
     Tick began = self->engine().now();
-    waiters_.push_back(Waiter{self, {}, nullptr});
+    Waiter node{self, {}, nullptr};
+    enqueue(node);
     self->suspend("fifo-mutex acquire");
     // Woken by release(): the mutex was handed to us directly.
     ABSIM_DCHECK(locked_, "FifoMutex hand-off lost the lock");
@@ -37,13 +36,17 @@ void
 FifoMutex::release()
 {
     ABSIM_CHECK(locked_, "release of an unlocked FifoMutex");
-    if (waiters_.empty()) {
+    if (head_ == nullptr) {
         locked_ = false;
         return;
     }
-    // Hand-off: stays locked, next waiter becomes the owner.
-    const Waiter next = waiters_.front();
-    waiters_.pop_front();
+    // Hand-off: stays locked, next waiter becomes the owner.  Unlink the
+    // node before the wake: once its party runs, its frame may be gone.
+    const Waiter next = *head_;
+    head_ = next.next;
+    if (head_ == nullptr)
+        tail_ = nullptr;
+    --count_;
     next.wake();
 }
 

@@ -27,12 +27,14 @@
 namespace absim::sim {
 
 /** One blocked party: a fiber process, or a coroutine that its engine
- *  resumes. */
+ *  resumes.  A FifoMutex queues waiters in place: the node lives in the
+ *  waiting party's own frame, and @c next links it into the queue. */
 struct Waiter
 {
     Process *process = nullptr;
     std::coroutine_handle<> handle;
     EventQueue *eq = nullptr;
+    Waiter *next = nullptr;
 
     explicit operator bool() const { return process != nullptr || handle; }
 
@@ -47,6 +49,11 @@ struct Waiter
  * acquire() blocks the calling process until the mutex is free and every
  * earlier requester has been served.  The return value reports how long the
  * caller waited, which the network uses as its contention measure.
+ *
+ * The wait queue is intrusive: each waiter's node is a local of acquire()
+ * on the fiber's stack, or a member of the Acquire awaiter in the
+ * coroutine's frame, and stays put until release() unlinks it.  So a
+ * mutex owns no memory, and constructing one allocates nothing.
  */
 class FifoMutex
 {
@@ -71,21 +78,50 @@ class FifoMutex
     void release();
 
     bool locked() const { return locked_; }
-    std::size_t waiters() const { return waiters_.size(); }
+    std::size_t waiters() const { return count_; }
 
     /** Cumulative ticks all acquirers have spent waiting. */
     Duration totalWait() const { return totalWait_; }
 
   private:
-    bool locked_ = false;
-    std::deque<Waiter> waiters_;
+    /** Take the mutex if it is free and nobody is queued. */
+    bool
+    tryTake()
+    {
+        if (locked_ || head_ != nullptr)
+            return false;
+        locked_ = true;
+        return true;
+    }
+
+    /** Queue @p w last; it must stay put until release() unlinks it. */
+    void
+    enqueue(Waiter &w)
+    {
+        w.next = nullptr;
+        if (tail_ != nullptr)
+            tail_->next = &w;
+        else
+            head_ = &w;
+        tail_ = &w;
+        ++count_;
+    }
+
+    Waiter *head_ = nullptr;
+    Waiter *tail_ = nullptr;
     Duration totalWait_ = 0;
+    std::uint32_t count_ = 0;
+    bool locked_ = false;
 };
 
+/** The awaiter of FifoMutex::lock.  Its queue node is a member, so it
+ *  can be neither copied nor moved. */
 class [[nodiscard]] FifoMutex::Acquire
 {
   public:
     Acquire(FifoMutex &m, EventQueue &eq) : m_(m), eq_(eq) {}
+    Acquire(const Acquire &) = delete;
+    Acquire &operator=(const Acquire &) = delete;
 
     bool
     await_ready()
@@ -94,26 +130,23 @@ class [[nodiscard]] FifoMutex::Acquire
             waited_ = m_.acquire();
             return true;
         }
-        if (!m_.locked_ && m_.waiters_.empty()) {
-            m_.locked_ = true;
-            return true;
-        }
-        return false;
+        return m_.tryTake();
     }
 
     void
     await_suspend(std::coroutine_handle<> h)
     {
         began_ = eq_.now();
-        suspended_ = true;
-        m_.waiters_.push_back(Waiter{nullptr, h, &eq_});
+        node_.handle = h;
+        node_.eq = &eq_;
+        m_.enqueue(node_);
     }
 
     Duration
     await_resume()
     {
         // Woken by release(): the mutex was handed to us directly.
-        if (suspended_) {
+        if (node_.handle) {
             waited_ = eq_.now() - began_;
             m_.totalWait_ += waited_;
         }
@@ -123,9 +156,9 @@ class [[nodiscard]] FifoMutex::Acquire
   private:
     FifoMutex &m_;
     EventQueue &eq_;
+    Waiter node_;
     Tick began_ = 0;
     Duration waited_ = 0;
-    bool suspended_ = false;
 };
 
 inline FifoMutex::Acquire

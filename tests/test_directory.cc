@@ -1,9 +1,14 @@
 /**
  * @file
- * Unit tests for the full-map directory and the LogP parameter helpers.
+ * Unit tests for the full-map directory, the block table that stores it,
+ * and the LogP parameter helpers.
  */
 
 #include <gtest/gtest.h>
+
+#include <stdexcept>
+#include <utility>
+#include <vector>
 
 #include "logp/params.hh"
 #include "mem/directory.hh"
@@ -48,6 +53,60 @@ TEST(Directory, ReferencesStableAcrossGrowth)
         dir.entry(b);
     EXPECT_TRUE(dir.entry(0).isSharer(7));
     EXPECT_EQ(&dir.entry(0), &first);
+}
+
+TEST(BlockTable, UntouchedBlockInAllocatedPagePeeksNull)
+{
+    mem::BlockTable<int> table;
+    table.entry(5) = 42;
+    EXPECT_EQ(table.pageCount(), 1u);
+    // Blocks 4 and 6 share block 5's page but were never referenced.
+    EXPECT_EQ(table.peek(4), nullptr);
+    EXPECT_EQ(table.peek(6), nullptr);
+    ASSERT_NE(table.peek(5), nullptr);
+    EXPECT_EQ(*table.peek(5), 42);
+    // A block in a page never allocated, and one past the last page.
+    EXPECT_EQ(table.peek(mem::BlockTable<int>::kPageBlocks), nullptr);
+    EXPECT_EQ(table.peek(~mem::BlockId{0}), nullptr);
+    EXPECT_EQ(table.entryCount(), 1u);
+    EXPECT_EQ(table.pageCount(), 1u);
+}
+
+TEST(BlockTable, ForEachVisitsTrackedBlocksInAscendingOrder)
+{
+    constexpr mem::BlockId kPage = mem::BlockTable<int>::kPageBlocks;
+    const std::vector<mem::BlockId> touched = {
+        5 * kPage + 3, 1, kPage - 1, 64, 63, 5 * kPage, 2 * kPage + 65};
+    mem::BlockTable<int> table;
+    for (const mem::BlockId blk : touched)
+        table.entry(blk) = static_cast<int>(blk % 1000);
+    table.entry(64); // A second reference adds nothing.
+
+    std::vector<std::pair<mem::BlockId, int>> seen;
+    table.forEach([&seen](mem::BlockId blk, const int &value) {
+        seen.emplace_back(blk, value);
+    });
+    std::vector<std::pair<mem::BlockId, int>> expected;
+    for (const mem::BlockId blk :
+         {mem::BlockId{1}, mem::BlockId{63}, mem::BlockId{64}, kPage - 1,
+          2 * kPage + 65, 5 * kPage, 5 * kPage + 3})
+        expected.emplace_back(blk, static_cast<int>(blk % 1000));
+    EXPECT_EQ(seen, expected);
+    EXPECT_EQ(table.entryCount(), touched.size());
+    EXPECT_EQ(table.pageCount(), 3u); // Pages 0, 2 and 5.
+}
+
+TEST(BlockTable, BlockPastTheLimitIsRefusedWithoutAPage)
+{
+    // An address a hostile trace could make valid with one giant
+    // allocation must not size the page vector.
+    mem::Directory dir;
+    EXPECT_THROW(dir.entry(mem::Directory::kMaxBlocks), std::out_of_range);
+    EXPECT_THROW(dir.entry(~mem::BlockId{0}), std::out_of_range);
+    EXPECT_EQ(dir.pageCount(), 0u);
+    EXPECT_EQ(dir.entryCount(), 0u);
+    dir.entry(mem::Directory::kMaxBlocks - 1).addSharer(3);
+    EXPECT_EQ(dir.pageCount(), 1u);
 }
 
 // --- LogP g derivation (paper Section 5 closed forms) -------------------

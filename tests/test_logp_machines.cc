@@ -81,7 +81,7 @@ TEST(LogPStack, PerDirectionPolicyRemovesReplyGate)
     EXPECT_EQ(h.runtime->proc(0).stats().contention, 0u);
 }
 
-TEST(LogPCMachine, CacheHitsAfterFirstMiss)
+TEST(LogPCStack, CacheHitsAfterFirstMiss)
 {
     MachineHarness h(MachineKind::LogPC, TopologyKind::Full, 2);
     rt::SharedArray<std::uint64_t> a(h.heap, 8, rt::Placement::OnNode, 1);
@@ -98,7 +98,7 @@ TEST(LogPCMachine, CacheHitsAfterFirstMiss)
     EXPECT_EQ(h.machine->stats().readMisses, 1u);
 }
 
-TEST(LogPCMachine, PaperUpgradeExampleNoNetworkAccess)
+TEST(LogPCStack, PaperUpgradeExampleNoNetworkAccess)
 {
     // Section 3.2's example: a block valid in two caches; one processor
     // writes.  Target sends invalidations; LogP+C performs the same
@@ -132,7 +132,7 @@ TEST(LogPCMachine, PaperUpgradeExampleNoNetworkAccess)
     EXPECT_EQ(h.logpc().cache(1).stateOf(blk), LineState::Valid);
 }
 
-TEST(LogPCMachine, LocalMissCostsLocalMemoryOnly)
+TEST(LogPCStack, LocalMissCostsLocalMemoryOnly)
 {
     MachineHarness h(MachineKind::LogPC, TopologyKind::Full, 2);
     rt::SharedArray<std::uint64_t> a(h.heap, 4, rt::Placement::OnNode, 0);
@@ -145,7 +145,7 @@ TEST(LogPCMachine, LocalMissCostsLocalMemoryOnly)
     EXPECT_EQ(h.runtime->proc(0).stats().latency, 0u);
 }
 
-TEST(LogPCMachine, RemoteDirtyFetchIsChargedEvenFromHomeNode)
+TEST(LogPCStack, RemoteDirtyFetchIsChargedEvenFromHomeNode)
 {
     // True communication must cost even in the ideal model: the home
     // node's own miss goes to the remote owner.
@@ -164,7 +164,7 @@ TEST(LogPCMachine, RemoteDirtyFetchIsChargedEvenFromHomeNode)
     EXPECT_EQ(h.runtime->proc(0).stats().latency, 3200u);
 }
 
-TEST(LogPCMachine, WritebacksAreFreeAndSilent)
+TEST(LogPCStack, WritebacksAreFreeAndSilent)
 {
     MachineHarness h(MachineKind::LogPC, TopologyKind::Full, 2);
     const std::uint64_t stride = 64 * 1024 / 8;
@@ -185,7 +185,7 @@ TEST(LogPCMachine, WritebacksAreFreeAndSilent)
     EXPECT_EQ(h.machine->stats().writebacks, 0u);
 }
 
-TEST(LogPCMachine, TimingInvariantHolds)
+TEST(LogPCStack, TimingInvariantHolds)
 {
     MachineHarness h(MachineKind::LogPC, TopologyKind::Hypercube, 4);
     rt::SharedArray<std::uint64_t> a(h.heap, 128,

@@ -8,6 +8,7 @@
 
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "check/check.hh"
@@ -16,6 +17,7 @@
 #include "sim/fiber.hh"
 #include "sim/process.hh"
 #include "sim/resource.hh"
+#include "sim/task.hh"
 
 namespace {
 
@@ -382,6 +384,96 @@ TEST(FifoMutex, GrantsInFifoOrderWithWaitTimes)
     EXPECT_EQ(waits[1], 90u);  // Requested at 10, granted at 100.
     EXPECT_EQ(waits[2], 180u); // Requested at 20, granted at 200.
     EXPECT_EQ(m.totalWait(), 270u);
+}
+
+// A mutex owns no memory (its waiters queue in their own frames), so a
+// directory entry or a link needs no destructor; and a queued awaiter
+// must never move.
+static_assert(std::is_trivially_destructible_v<FifoMutex>);
+static_assert(!std::is_copy_constructible_v<FifoMutex::Acquire> &&
+              !std::is_move_constructible_v<FifoMutex::Acquire>);
+static_assert(!std::is_copy_assignable_v<FifoMutex::Acquire> &&
+              !std::is_move_assignable_v<FifoMutex::Acquire>);
+
+/** A coroutine that requests @p m at tick @p at, holds it for @p hold
+ *  ticks, and records its grant and wait. */
+Task<>
+coHolder(EventQueue &eq, FifoMutex &m, Tick at, Duration hold, int id,
+         std::vector<int> &grant_order, std::vector<Duration> &waits)
+{
+    co_await Delay{eq, at};
+    waits[id] = co_await m.lock(eq);
+    grant_order.push_back(id);
+    co_await Delay{eq, eq.now() + hold};
+    m.release();
+}
+
+TEST(FifoMutex, CoroutineWaitersGrantInFifoOrderWithWaitTimes)
+{
+    // GrantsInFifoOrderWithWaitTimes with every party a coroutine.
+    EventQueue eq;
+    FifoMutex m;
+    std::vector<int> grant_order;
+    std::vector<Duration> waits(3, 99);
+    const Tick at[] = {0, 10, 20};
+    const Duration hold[] = {100, 100, 0};
+    for (int id = 0; id < 3; ++id)
+        spawn(eq, "holder", 0, [&, id] {
+            return coHolder(eq, m, at[id], hold[id], id, grant_order,
+                            waits);
+        });
+    eq.run();
+
+    EXPECT_EQ(grant_order, (std::vector<int>{0, 1, 2}));
+    EXPECT_EQ(waits, (std::vector<Duration>{0, 90, 180}));
+    EXPECT_EQ(m.totalWait(), 270u);
+    EXPECT_FALSE(m.locked());
+    EXPECT_EQ(m.waiters(), 0u);
+}
+
+TEST(FifoMutex, MixedFiberAndCoroutineWaitersShareOneFifo)
+{
+    // Fibers (ids 0, 2) and coroutines (ids 1, 3) alternate in one
+    // queue: each is served in request order, each waits as long as it
+    // would among its own kind.
+    EventQueue eq;
+    FifoMutex m;
+    std::vector<int> grant_order;
+    std::vector<Duration> waits(4, 99);
+    std::size_t queued_at_50 = 0;
+    Process p0(eq, "p0", [&] {
+        waits[0] = m.acquire();
+        grant_order.push_back(0);
+        Process::current()->delay(100);
+        m.release();
+    });
+    Process p2(eq, "p2", [&] {
+        Process::current()->delay(20);
+        waits[2] = m.acquire();
+        grant_order.push_back(2);
+        Process::current()->delay(100);
+        m.release();
+    });
+    Process probe(eq, "probe", [&] {
+        Process::current()->delay(50);
+        queued_at_50 = m.waiters();
+    });
+    p0.start(0);
+    spawn(eq, "c1", 0, [&] {
+        return coHolder(eq, m, 10, 100, 1, grant_order, waits);
+    });
+    p2.start(0);
+    spawn(eq, "c3", 0, [&] {
+        return coHolder(eq, m, 30, 0, 3, grant_order, waits);
+    });
+    probe.start(0);
+    eq.run();
+
+    EXPECT_EQ(grant_order, (std::vector<int>{0, 1, 2, 3}));
+    EXPECT_EQ(waits, (std::vector<Duration>{0, 90, 180, 270}));
+    EXPECT_EQ(m.totalWait(), 540u);
+    EXPECT_EQ(queued_at_50, 3u);
+    EXPECT_FALSE(m.locked());
 }
 
 TEST(Condition, NotifyAllWakesEveryWaiter)

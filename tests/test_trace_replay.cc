@@ -17,6 +17,7 @@
 #include <iterator>
 #include <set>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -676,6 +677,62 @@ TEST(TraceReplay, UnsatisfiableSpinIsANamedLivelock)
                           std::string::npos)
                     << e.what();
             }
+        }
+    }
+}
+
+TEST(TraceReplay, AddressPastTheHeapIsANamedErrorWithoutAPage)
+{
+    // A hostile trace reads a word far past the heap's one segment.  The
+    // home lookup must refuse it before any per-block state is made for
+    // it: a table indexed by block number would otherwise size its page
+    // vector by the address.
+    constexpr mem::Addr kFar = mem::Addr{1} << 60;
+    trace::Trace t;
+    t.procs = 2;
+    t.app = "hostile";
+    trace::SetupOp alloc;
+    alloc.kind = trace::SetupOp::Alloc;
+    alloc.a = 8;
+    alloc.b = static_cast<std::uint64_t>(rt::Placement::OnNode);
+    alloc.c = 0;
+    alloc.d = rt::SharedHeap(2).allocate(8, rt::Placement::OnNode, 0);
+    t.setup.push_back(alloc);
+    trace::Op read;
+    read.kind = trace::OpKind::Read;
+    read.bytes = 8;
+    read.addr = kFar;
+    t.streams = {{read}, {}};
+
+    for (const mach::MachineKind machine : kAllMachines) {
+        SCOPED_TRACE(mach::toString(machine));
+        trace::ReplaySpec spec;
+        spec.machine = machine;
+        try {
+            (void)trace::replayTrace(t, spec);
+            ADD_FAILURE() << "expected the replayed read to fail";
+        } catch (const std::out_of_range &e) {
+            EXPECT_STREQ(e.what(), "address past its segment");
+        }
+
+        // The same read executed, where the machine can be inspected.
+        test::MachineHarness h(machine, net::TopologyKind::Full, 2);
+        (void)h.heap.allocate(8, rt::Placement::OnNode, 0);
+        try {
+            h.run([](rt::Proc &p) {
+                if (p.node() == 0)
+                    p.memRead(kFar, 8);
+            });
+            ADD_FAILURE() << "expected the executed read to fail";
+        } catch (const std::out_of_range &e) {
+            EXPECT_STREQ(e.what(), "address past its segment");
+        }
+        mach::MemModel &mem = h.composed().memModel();
+        if (auto *dir = dynamic_cast<mach::DirectoryMem *>(&mem)) {
+            EXPECT_EQ(dir->directory().pageCount(), 0u);
+        }
+        if (auto *ideal = dynamic_cast<mach::IdealCacheMem *>(&mem)) {
+            EXPECT_EQ(ideal->oracle().pageCount(), 0u);
         }
     }
 }
