@@ -10,7 +10,7 @@
 ///     target+ic  (detailed network, ideal cache)  — locality error only
 ///     logp+dir   (LogP network, real directory)   — network error only
 ///
-/// This bench sweeps all five runnable compositions on EP (computation
+/// This bench sweeps all five compositions on EP (computation
 /// bound; every abstraction should agree) and IS (communication bound;
 /// the errors separate) and prints, per point, the relative error of
 /// each single-axis quadrant against the target plus the combined

@@ -1,7 +1,9 @@
 /**
  * @file
  * Message-passing platform demo: the same explicit-communication program
- * on the detailed circuit-switched network and on the LogP abstraction.
+ * on the detailed circuit-switched network and on the LogP abstraction,
+ * each taken from a registry row (target, logp) like a shared-memory
+ * run's.
  *
  * Two classic microkernels:
  *  - ping-pong: round-trip time between two nodes (the direct analogue
@@ -13,7 +15,7 @@
 #include <cstdio>
 #include <memory>
 
-#include "machines/null_machine.hh"
+#include "machines/registry.hh"
 #include "msg/msg_world.hh"
 #include "runtime/shared.hh"
 
@@ -25,20 +27,14 @@ constexpr std::uint32_t kProcs = 8;
 constexpr int kRounds = 16;
 
 void
-runPlatform(const char *label, bool logp)
+runPlatform(const char *label, mach::MachineKind kind)
 {
     sim::EventQueue eq;
     rt::SharedHeap heap(kProcs);
-    mach::NullMachine machine(kProcs, heap);
-    std::unique_ptr<msg::Transport> transport;
-    if (logp)
-        transport = std::make_unique<msg::LogPTransport>(
-            eq, net::TopologyKind::Hypercube, kProcs);
-    else
-        transport = std::make_unique<msg::DetailedTransport>(
-            eq, net::TopologyKind::Hypercube, kProcs);
-    msg::MsgWorld world(eq, *transport, kProcs);
-    rt::Runtime runtime(eq, machine, kProcs);
+    const auto machine = mach::makeMachine(
+        kind, eq, net::TopologyKind::Hypercube, kProcs, heap);
+    msg::MsgWorld world(eq, machine->netModel(), kProcs);
+    rt::Runtime runtime(eq, *machine, kProcs);
 
     sim::Tick pingpong_ns = 0;
     double allreduce_result = 0.0;
@@ -100,8 +96,8 @@ int
 main()
 {
     std::printf("Message-passing platform on an 8-node hypercube\n\n");
-    runPlatform("detailed", false);
-    runPlatform("logp", true);
+    runPlatform("detailed", mach::MachineKind::Target);
+    runPlatform("logp", mach::MachineKind::LogP);
     std::printf(
         "\nExpected: 4-byte ping-pong RTT ~0.4 us on the detailed serial\n"
         "network vs ~2L + 2g = 6.4 us under LogP: L charges every message\n"

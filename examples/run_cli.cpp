@@ -40,8 +40,6 @@ usage(std::FILE *out, const char *argv0)
 {
     std::string machines;
     for (const mach::MachineSpec &spec : mach::machineRegistry()) {
-        if (!spec.runnable)
-            continue;
         if (!machines.empty())
             machines += '|';
         machines += spec.name;
@@ -174,9 +172,8 @@ main(int argc, char **argv)
             config.app = v;
         } else if (arg == "--machine") {
             const std::string v = next(i);
-            mach::MachineKind kind = mach::MachineKind::None;
-            if (!mach::parseMachineKind(v, kind) ||
-                kind == mach::MachineKind::None)
+            mach::MachineKind kind{};
+            if (!mach::parseMachineKind(v, kind))
                 badFlag(argv0, "unknown machine '" + v + "' (valid: " +
                                    mach::machineNames() + ")");
             config.machine = kind;

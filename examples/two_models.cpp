@@ -10,7 +10,8 @@
  *  - shared memory: the STENCIL application on the target machine
  *    (coherent caches fetch boundary rows on demand), and
  *  - message passing: a halo-exchange implementation over msg::MsgWorld
- *    (boundary rows shipped explicitly every sweep).
+ *    on the target row's network model (boundary rows shipped
+ *    explicitly every sweep).
  */
 
 #include <cstdio>
@@ -20,7 +21,7 @@
 
 #include "apps/stencil.hh"
 #include "core/experiment.hh"
-#include "machines/null_machine.hh"
+#include "machines/registry.hh"
 #include "msg/msg_world.hh"
 #include "runtime/shared.hh"
 #include "sim/rng.hh"
@@ -51,11 +52,11 @@ runMessagePassing(double &exec_us)
 {
     sim::EventQueue eq;
     rt::SharedHeap heap(kProcs);
-    mach::NullMachine machine(kProcs, heap);
-    msg::DetailedTransport transport(eq, net::TopologyKind::Hypercube,
-                                     kProcs);
-    msg::MsgWorld world(eq, transport, kProcs);
-    rt::Runtime runtime(eq, machine, kProcs);
+    const auto machine = mach::makeMachine(
+        mach::MachineKind::Target, eq, net::TopologyKind::Hypercube, kProcs,
+        heap);
+    msg::MsgWorld world(eq, machine->netModel(), kProcs);
+    rt::Runtime runtime(eq, *machine, kProcs);
 
     const std::uint64_t rows = kGrid / kProcs;
     const auto init = initialGrid();

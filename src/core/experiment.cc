@@ -29,7 +29,7 @@ makeMachine(const RunConfig &config, sim::EventQueue &eq,
 {
     // Registry-driven: any (network model x memory model) composition in
     // the table — including the off-diagonal quadrants — runs through
-    // the same experiment machinery.  Throws for non-runnable kinds.
+    // the same experiment machinery.
     return mach::makeMachine(config.machine, eq, config.topology,
                              config.procs, homes, config.gapPolicy,
                              config.cache, config.protocol);

@@ -6,6 +6,7 @@
 
 #include "machines/directory_mem.hh"
 #include "machines/ideal_mem.hh"
+#include "machines/registry.hh"
 
 namespace absim::mach {
 

@@ -18,9 +18,10 @@
 
 #include "machines/mem_model.hh"
 #include "machines/net_model.hh"
-#include "machines/registry.hh"
 
 namespace absim::mach {
+
+struct MachineSpec;
 
 class ComposedMachine : public Machine
 {
@@ -29,8 +30,8 @@ class ComposedMachine : public Machine
      * Build the network model named by @p spec.netModel and the memory
      * model named by @p spec.memModel; coherence failures name the
      * machine @p spec.name.
-     * @throws std::invalid_argument if the row names no buildable model
-     *         on either axis (the None row).
+     * @throws std::invalid_argument if the row names an unknown model
+     *         on either axis.
      */
     ComposedMachine(const MachineSpec &spec, sim::EventQueue &eq,
                     net::TopologyKind topo, std::uint32_t nodes,

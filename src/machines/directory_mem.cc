@@ -1,5 +1,6 @@
 #include "machines/directory_mem.hh"
 
+#include <bit>
 #include <utility>
 
 #include "check/check.hh"
@@ -273,26 +274,23 @@ DirectoryMem::invalidateSharers(NodeId node, BlockId blk,
 
     // Apply the state flips immediately: the home lock is held, so this is
     // the transaction's serialization point.
-    std::vector<NodeId> remote_targets;
-    for (NodeId s = 0; s < nodes_; ++s) {
-        if (s == node || !entry.isSharer(s))
-            continue;
-        caches_[s]->invalidate(blk);
-        ++stats_.invalidations;
-        if (s != home)
-            remote_targets.push_back(s);
-        // An invalidation for the home node itself costs no network
-        // traffic (directory and cache are co-located).
-    }
+    const std::uint64_t invalidated =
+        entry.sharers & ~(std::uint64_t{1} << node);
+    for (std::uint64_t rest = invalidated; rest != 0; rest &= rest - 1)
+        caches_[std::countr_zero(rest)]->invalidate(blk);
+    stats_.invalidations += std::popcount(invalidated);
     entry.sharers = 0;
 
-    if (remote_targets.empty())
+    // An invalidation for the home node itself costs no network traffic
+    // (directory and cache are co-located).
+    const std::uint64_t remote = invalidated & ~(std::uint64_t{1} << home);
+    if (remote == 0)
         return charge(NetWait{}, t);
 
     // Parallel invalidation/ack round trips from the home; the requester
     // waits for the slowest.  The NetModel partitions the elapsed wait
     // into critical latency and contention.
-    return charge(net_.fanOutRoundTrips(home, remote_targets), t);
+    return charge(net_.fanOutRoundTrips(home, remote), t);
 }
 
 bool

@@ -37,7 +37,7 @@ class DirectoryMem : public MemModel, private check::DirectoryView
   public:
     /**
      * @param eq       Engine (protocol tracing).
-     * @param net      Transport the protocol messages are charged to.
+     * @param net      Network model the protocol messages are charged to.
      * @param checker_name  Machine name used in coherence-failure
      *                 messages (the composition's registry name).
      */

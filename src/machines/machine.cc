@@ -7,9 +7,8 @@ namespace absim::mach {
 sim::Task<AccessTiming>
 Machine::miss(MemClient &, mem::Addr, AccessType)
 {
-    throw std::logic_error(
-        "shared-memory access on a machine without a memory system "
-        "(a message-passing platform)");
+    throw std::logic_error("miss() on a machine that implements no "
+                           "miss transaction");
 }
 
 AccessTiming

@@ -49,7 +49,6 @@ enum class MachineKind
     LogPC,    ///< LogP network + ideal coherent cache.
     TargetIC, ///< Detailed network + ideal coherent cache.
     LogPDir,  ///< LogP network + real directory caches.
-    None,     ///< No shared memory (message-passing platforms).
 };
 
 std::string toString(MachineKind kind);
@@ -199,7 +198,8 @@ class Machine
      * declined.  It co_awaits client.syncToEngine() before blocking; on
      * completion the engine clock is the access completion time and a
      * networked result has networked == true.
-     * @throws std::logic_error on a machine without a memory system.
+     * @throws std::logic_error by default: a machine that overrides
+     *         access() alone has no transaction to run.
      */
     virtual sim::Task<AccessTiming> miss(MemClient &client, mem::Addr addr,
                                          AccessType type);

@@ -1,5 +1,10 @@
 #include "machines/net_model.hh"
 
+#include <bit>
+
+#include "check/check.hh"
+#include "sim/process.hh"
+
 namespace absim::mach {
 
 using net::NodeId;
@@ -26,27 +31,27 @@ DetailedNetModel::roundTrip(NodeId src, NodeId dst,
 }
 
 NetWait
-DetailedNetModel::fanOutRoundTrips(NodeId center,
-                                   const std::vector<NodeId> &targets)
+DetailedNetModel::fanOutRoundTrips(NodeId center, std::uint64_t targets)
 {
     return NetWait{fanOut(center, targets),
-                   2 * static_cast<std::uint32_t>(targets.size())};
+                   2 * static_cast<std::uint32_t>(std::popcount(targets))};
 }
 
 sim::Task<net::TransferResult>
-DetailedNetModel::fanOut(NodeId center, const std::vector<NodeId> &targets)
+DetailedNetModel::fanOut(NodeId center, std::uint64_t targets)
 {
     // One detached helper per target runs the inv/ack round trip; the
-    // caller waits on the latch for the slowest.  Results and latch live
-    // in this frame, which resumes only after the last helper's count.
-    std::vector<HelperResult> results(targets.size());
-    sim::Latch latch(static_cast<std::uint32_t>(targets.size()));
+    // caller waits on the latch for the slowest.  The critical record
+    // and latch live in this frame, which resumes only after the last
+    // helper's count.
+    Critical critical;
+    sim::Latch latch(static_cast<std::uint32_t>(std::popcount(targets)));
     const sim::Tick began = eq_.now();
-    for (std::size_t i = 0; i < targets.size(); ++i) {
-        HelperResult *result = &results[i];
+    for (std::uint64_t rest = targets; rest != 0; rest &= rest - 1) {
+        const auto target = static_cast<NodeId>(std::countr_zero(rest));
         sim::spawn(eq_, "inv-helper", began,
-                   [this, center, target = targets[i], result, &latch] {
-                       return invalidate(center, target, *result, latch);
+                   [this, center, target, &critical, &latch] {
+                       return invalidate(center, target, critical, latch);
                    });
     }
     co_await latch.wait(eq_);
@@ -55,27 +60,38 @@ DetailedNetModel::fanOut(NodeId center, const std::vector<NodeId> &targets)
     // contention-free time as latency and the remainder as contention,
     // which partitions the elapsed wait exactly.
     const sim::Tick elapsed = eq_.now() - began;
-    sim::Duration critical_latency = 0;
-    sim::Tick latest = 0;
-    for (const HelperResult &r : results) {
-        if (r.doneAt >= latest) {
-            latest = r.doneAt;
-            critical_latency = r.latency;
-        }
-    }
-    co_return net::TransferResult{critical_latency,
-                                  elapsed - critical_latency};
+    co_return net::TransferResult{critical.latency,
+                                  elapsed - critical.latency};
 }
 
 sim::Task<>
 DetailedNetModel::invalidate(NodeId center, NodeId target,
-                             HelperResult &result, sim::Latch &latch)
+                             Critical &critical, sim::Latch &latch)
 {
     const net::TransferResult r =
         co_await net_->send(center, target, kCtrlBytes, kCtrlBytes);
-    result.latency = r.latency;
-    result.doneAt = eq_.now();
+    const sim::Tick done = eq_.now();
+    if (done > critical.doneAt ||
+        (done == critical.doneAt && target >= critical.target))
+        critical = Critical{done, target, r.latency};
     latch.countDown();
+}
+
+SendTiming
+DetailedNetModel::send(NodeId src, NodeId dst, std::uint32_t bytes)
+{
+    ABSIM_CHECK(sim::Process::current() != nullptr,
+                "send outside a simulated process");
+    // Circuit switching holds the sender for the whole transfer: the
+    // payload is delivered exactly when the sender is freed, and all
+    // cost lands on the sender.
+    const net::TransferResult r = net_->send(src, dst, bytes).get();
+    SendTiming t;
+    t.senderFreeAt = eq_.now();
+    t.deliveredAt = eq_.now();
+    t.senderLatency = r.latency;
+    t.senderContention = r.contention;
+    return t;
 }
 
 LogPNetModel::LogPNetModel(sim::EventQueue &eq, net::TopologyKind topo,
@@ -104,8 +120,7 @@ LogPNetModel::roundTrip(NodeId src, NodeId dst, std::uint32_t reply_bytes)
 }
 
 NetWait
-LogPNetModel::fanOutRoundTrips(NodeId center,
-                               const std::vector<NodeId> &targets)
+LogPNetModel::fanOutRoundTrips(NodeId center, std::uint64_t targets)
 {
     // All round trips start now; g-gates at the center serialize the
     // sends, which is exactly LogP's model of an invalidation fan-out.
@@ -113,7 +128,8 @@ LogPNetModel::fanOutRoundTrips(NodeId center,
     const sim::Tick began = eq_.now();
     sim::Tick latest = began;
     sim::Duration critical_latency = 0;
-    for (const NodeId tgt : targets) {
+    for (std::uint64_t rest = targets; rest != 0; rest &= rest - 1) {
+        const auto tgt = static_cast<NodeId>(std::countr_zero(rest));
         const logp::LogPTiming rt = net_->roundTrip(center, tgt, began);
         t.messages += rt.messages;
         if (rt.deliveredAt >= latest) {
@@ -124,6 +140,35 @@ LogPNetModel::fanOutRoundTrips(NodeId center,
     t.latency = critical_latency;
     t.contention = (latest - began) - critical_latency;
     return NetWait{eq_, latest, t};
+}
+
+SendTiming
+LogPNetModel::send(NodeId src, NodeId dst, std::uint32_t bytes)
+{
+    (void)bytes; // LogP messages are fixed-size; L already assumes 32 B.
+    sim::Process *self = sim::Process::current();
+    ABSIM_CHECK(self != nullptr, "send outside a simulated process");
+
+    const sim::Tick now = eq_.now();
+    const logp::LogPTiming m = net_->message(src, dst, now);
+
+    // The sender is occupied only until its send slot is granted (plus
+    // the o overhead); the L flight time and the receive-gate wait
+    // belong to the message and are charged to a blocked receiver.
+    SendTiming t;
+    t.senderFreeAt = now + m.sourceWait + net_->params().o;
+    t.deliveredAt = m.deliveredAt;
+    // The o overhead is processor time spent injecting the message;
+    // charge it on the latency side so sender buckets exactly cover the
+    // blocked interval (o is zero for the paper's shared-memory NI).
+    t.senderLatency = net_->params().o;
+    t.senderContention = m.sourceWait;
+    t.msgLatency = m.latency;
+    t.msgContention = m.sinkWait;
+
+    if (t.senderFreeAt > now)
+        self->delayUntil(t.senderFreeAt);
+    return t;
 }
 
 } // namespace absim::mach

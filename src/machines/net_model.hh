@@ -9,19 +9,23 @@
  * against this interface only, so any memory system composes with any
  * network — the independent-axes variation at the heart of the paper.
  *
- * Every operation returns a NetWait to co_await: it blocks until the
- * transfer completes in simulated time (see sim/task.hh for how that
- * serves a fiber and a coroutine caller alike).  The caller must have
- * synchronized its local clock with the engine (MemClient::syncToEngine)
- * first.
+ * The same two models time the messages of a message-passing program
+ * (msg::MsgWorld) through send(), so both programming paradigms run on
+ * one network axis.
+ *
+ * Every memory-model operation returns a NetWait to co_await: it blocks
+ * until the transfer completes in simulated time (see sim/task.hh for
+ * how that serves a fiber and a coroutine caller alike).  The caller
+ * must have synchronized its local clock with the engine
+ * (MemClient::syncToEngine) first.
  */
 
 #ifndef ABSIM_MACHINES_NET_MODEL_HH
 #define ABSIM_MACHINES_NET_MODEL_HH
 
 #include <coroutine>
+#include <cstdint>
 #include <memory>
-#include <vector>
 
 #include "logp/logp_net.hh"
 #include "machines/machine.hh"
@@ -100,6 +104,22 @@ class [[nodiscard]] NetWait
     NetTiming timing_;
 };
 
+/**
+ * Timing of one message-passing message, split into the sender's view
+ * (when its processor is free again and what it waited for) and the
+ * message's view (when the payload reaches the receiver and what a
+ * blocked receiver should be charged).
+ */
+struct SendTiming
+{
+    sim::Tick senderFreeAt = 0;     ///< Sender may continue here.
+    sim::Tick deliveredAt = 0;      ///< Payload available at receiver.
+    sim::Duration senderLatency = 0;
+    sim::Duration senderContention = 0;
+    sim::Duration msgLatency = 0;   ///< Chargeable to a blocked receiver.
+    sim::Duration msgContention = 0;
+};
+
 class NetModel
 {
   public:
@@ -122,16 +142,28 @@ class NetModel
 
     /**
      * Parallel invalidation/ack round trips (control-sized both ways)
-     * from @p center to every node in @p targets, complete when the
-     * slowest does.  The result partitions the elapsed wait exactly:
-     * latency is the critical (last-delivered) trip's contention-free
-     * time, contention is the remainder.  @p targets is read before the
-     * first suspension only.
+     * from @p center to every node set in the bit mask @p targets
+     * (bit n = node n, mem::kMaxNodes wide), visited in ascending node
+     * order; complete when the slowest trip does.  The result
+     * partitions the elapsed wait exactly: latency is the critical
+     * (last-delivered) trip's contention-free time, contention is the
+     * remainder.
      *
-     * @pre !targets.empty()
+     * @pre targets != 0 and the bit of @p center is clear
      */
-    virtual NetWait fanOutRoundTrips(
-        net::NodeId center, const std::vector<net::NodeId> &targets) = 0;
+    virtual NetWait fanOutRoundTrips(net::NodeId center,
+                                     std::uint64_t targets) = 0;
+
+    /**
+     * One message-passing message of @p bytes from @p src to @p dst.
+     * Called from inside the sending processor's simulated process, it
+     * blocks that process until SendTiming::senderFreeAt: the detailed
+     * network holds the sender for the whole circuit transfer, LogP
+     * only until its send slot (L and the receive gate are the
+     * message's, charged to a blocked receiver).
+     */
+    virtual SendTiming send(net::NodeId src, net::NodeId dst,
+                            std::uint32_t bytes) = 0;
 };
 
 /** The detailed circuit-switched interconnect (paper Section 5). */
@@ -147,26 +179,29 @@ class DetailedNetModel : public NetModel
                      std::uint32_t bytes) override;
     NetWait roundTrip(net::NodeId src, net::NodeId dst,
                       std::uint32_t reply_bytes) override;
-    NetWait fanOutRoundTrips(
-        net::NodeId center,
-        const std::vector<net::NodeId> &targets) override;
+    NetWait fanOutRoundTrips(net::NodeId center,
+                             std::uint64_t targets) override;
+    SendTiming send(net::NodeId src, net::NodeId dst,
+                    std::uint32_t bytes) override;
 
     const net::DetailedNetwork &network() const { return *net_; }
 
   private:
-    /** What one invalidation helper reports back to the fan-out. */
-    struct HelperResult
+    /** The fan-out's critical round trip so far: the last delivered,
+     *  a tie going to the higher node. */
+    struct Critical
     {
-        sim::Duration latency = 0;
         sim::Tick doneAt = 0;
+        net::NodeId target = 0;
+        sim::Duration latency = 0;
     };
 
-    sim::Task<net::TransferResult>
-    fanOut(net::NodeId center, const std::vector<net::NodeId> &targets);
+    sim::Task<net::TransferResult> fanOut(net::NodeId center,
+                                          std::uint64_t targets);
 
     /** One helper's inv/ack round trip; counts @p latch down. */
     sim::Task<> invalidate(net::NodeId center, net::NodeId target,
-                           HelperResult &result, sim::Latch &latch);
+                           Critical &critical, sim::Latch &latch);
 
     sim::EventQueue &eq_;
     std::unique_ptr<net::DetailedNetwork> net_;
@@ -185,9 +220,10 @@ class LogPNetModel : public NetModel
                      std::uint32_t bytes) override;
     NetWait roundTrip(net::NodeId src, net::NodeId dst,
                       std::uint32_t reply_bytes) override;
-    NetWait fanOutRoundTrips(
-        net::NodeId center,
-        const std::vector<net::NodeId> &targets) override;
+    NetWait fanOutRoundTrips(net::NodeId center,
+                             std::uint64_t targets) override;
+    SendTiming send(net::NodeId src, net::NodeId dst,
+                    std::uint32_t bytes) override;
 
     const logp::LogPNetwork &network() const { return *net_; }
 

@@ -2,8 +2,6 @@
 
 #include <stdexcept>
 
-#include "machines/composed_machine.hh"
-
 namespace absim::mach {
 
 const std::vector<MachineSpec> &
@@ -11,23 +9,17 @@ machineRegistry()
 {
     static const std::vector<MachineSpec> table = {
         {MachineKind::Target, "target", "target", "detailed", "directory",
-         "detailed network + Berkeley directory caches (the real machine)",
-         true},
+         "detailed network + Berkeley directory caches (the real machine)"},
         {MachineKind::LogP, "logp", "logp", "logp", "uncached",
-         "LogP network, no caches (every remote reference is a round trip)",
-         true},
+         "LogP network, no caches (every remote reference is a round trip)"},
         {MachineKind::LogPC, "logp+c", "logpc", "logp", "ideal",
-         "LogP network + ideal coherent cache (free coherence)", true},
+         "LogP network + ideal coherent cache (free coherence)"},
         {MachineKind::TargetIC, "target+ic", "targetic", "detailed",
          "ideal",
          "detailed network + ideal coherent cache (isolates locality "
-         "error)",
-         true},
+         "error)"},
         {MachineKind::LogPDir, "logp+dir", "logpdir", "logp", "directory",
-         "LogP network + real directory caches (isolates network error)",
-         true},
-        {MachineKind::None, "none", "none", "none", "none",
-         "no shared memory (message-passing platforms)", false},
+         "LogP network + real directory caches (isolates network error)"},
     };
     return table;
 }
@@ -64,8 +56,6 @@ machineNames()
 {
     std::string names;
     for (const MachineSpec &spec : machineRegistry()) {
-        if (!spec.runnable)
-            continue;
         if (!names.empty())
             names += ", ";
         names += spec.name;
@@ -84,12 +74,11 @@ allQuadrants()
 {
     std::vector<MachineKind> kinds;
     for (const MachineSpec &spec : machineRegistry())
-        if (spec.runnable)
-            kinds.push_back(spec.kind);
+        kinds.push_back(spec.kind);
     return kinds;
 }
 
-std::unique_ptr<Machine>
+std::unique_ptr<ComposedMachine>
 makeMachine(MachineKind kind, sim::EventQueue &eq, net::TopologyKind topo,
             std::uint32_t nodes, const mem::HomeMap &homes,
             logp::GapPolicy policy, const CacheConfig &cache,

@@ -2,7 +2,7 @@
  * @file
  * The machine registry: the composition table mapping every MachineKind
  * to its (network model x memory model) pair, plus the factory that
- * assembles a runnable Machine from the table.
+ * assembles a Machine from the table.
  *
  * The paper's three machines occupy three cells of the 2x3 grid of
  * {detailed, logp} networks x {directory, ideal, uncached} memory
@@ -20,6 +20,10 @@
  * flag, figure sweeps, benches) derives its list from this table rather
  * than hard-coding names, and makeMachine() builds every machine from
  * its row: a new composition is one MachineKind enumerator plus one row.
+ *
+ * A row is also the network axis of a message-passing program:
+ * msg::MsgWorld runs on makeMachine(kind, ...)->netModel(), so both
+ * programming paradigms pick their network the same way.
  */
 
 #ifndef ABSIM_MACHINES_REGISTRY_HH
@@ -31,7 +35,7 @@
 #include <vector>
 
 #include "logp/logp_net.hh"
-#include "machines/machine.hh"
+#include "machines/composed_machine.hh"
 #include "sim/event_queue.hh"
 
 namespace absim::mach {
@@ -49,20 +53,16 @@ struct MachineSpec
      *  byte-compatibility. */
     const char *column;
 
-    /** Network-axis model, as NetModel::name() spells it: "detailed",
-     *  "logp" or "none". */
+    /** Network-axis model, as NetModel::name() spells it: "detailed"
+     *  or "logp". */
     const char *netModel;
 
     /** Memory-axis model, as MemModel::name() spells it: "directory",
-     *  "ideal", "uncached" or "none". */
+     *  "ideal" or "uncached". */
     const char *memModel;
 
     /** One-line description for --help and docs. */
     const char *summary;
-
-    /** False for MachineKind::None (message-passing platforms have no
-     *  shared-memory machine to construct). */
-    bool runnable;
 };
 
 /** The full table, one row per MachineKind, in enum order. */
@@ -72,30 +72,28 @@ const std::vector<MachineSpec> &machineRegistry();
 const MachineSpec &specFor(MachineKind kind);
 
 /**
- * Parse a machine name.  Accepts each runnable row's canonical name and
- * its column alias ("logp+c" / "logpc"), plus "none"; case-sensitive.
+ * Parse a machine name.  Accepts each row's canonical name and its
+ * column alias ("logp+c" / "logpc"); case-sensitive.
  *
  * @return true and set @p out on a match, false otherwise.
  */
 bool parseMachineKind(std::string_view text, MachineKind &out);
 
-/** Comma-separated canonical names of all runnable machines, for CLI
+/** Comma-separated canonical names of all machines, for CLI
  *  diagnostics ("valid: target, logp, ..."). */
 std::string machineNames();
 
 /** The paper's three machines, in the classic figure column order. */
 std::vector<MachineKind> defaultFigureMachines();
 
-/** All five runnable compositions, for the quadrant ablation. */
+/** All five compositions, for the quadrant ablation. */
 std::vector<MachineKind> allQuadrants();
 
 /**
  * Assemble the machine for @p kind: a ComposedMachine of the network
  * and memory models named by specFor(kind).
- *
- * @throws std::invalid_argument for non-runnable kinds (None).
  */
-std::unique_ptr<Machine>
+std::unique_ptr<ComposedMachine>
 makeMachine(MachineKind kind, sim::EventQueue &eq, net::TopologyKind topo,
             std::uint32_t nodes, const mem::HomeMap &homes,
             logp::GapPolicy policy = logp::GapPolicy::Single,

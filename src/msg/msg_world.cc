@@ -7,9 +7,9 @@
 
 namespace absim::msg {
 
-MsgWorld::MsgWorld(sim::EventQueue &eq, Transport &transport,
+MsgWorld::MsgWorld(sim::EventQueue &eq, mach::NetModel &net,
                    std::uint32_t nodes)
-    : eq_(eq), transport_(transport), nodes_(nodes)
+    : eq_(eq), net_(net), nodes_(nodes)
 {
 }
 
@@ -24,13 +24,13 @@ MsgWorld::send(rt::Proc &p, net::NodeId dst, Tag tag, const void *data,
     p.syncNow();
     const sim::Tick began = eq_.now();
 
-    const SendTiming timing = transport_.send(p.node(), dst, bytes);
+    const mach::SendTiming timing = net_.send(p.node(), dst, bytes);
     ++sent_;
 
-    // Sender accounting: the transport blocked us until senderFreeAt,
+    // Sender accounting: the network blocked us until senderFreeAt,
     // and its buckets must partition that interval (conservation).
     ABSIM_CHECK_EQ(eq_.now(), timing.senderFreeAt,
-                   "transport did not block the sender until its free "
+                   "network did not block the sender until its free "
                    "time");
     const sim::Duration elapsed = eq_.now() - began;
     if (check::options().conservation)

@@ -1,18 +1,25 @@
 /**
  * @file
  * The message-passing runtime: typed, tagged, point-to-point blocking
- * SEND/RECV over a Transport, for SPASM-style message-passing platform
- * studies.
+ * SEND/RECV for SPASM-style message-passing platform studies.
+ *
+ * SPASM simulated both shared-memory and message-passing platforms (the
+ * paper's companion study, its reference [27]) over the same network
+ * abstractions.  Here too: messages are priced by a registry row's
+ * network model (mach::NetModel::send), the same object that prices the
+ * row's shared-memory traffic, so a program picks its network axis by
+ * picking a row and may mix both paradigms on it.
  *
  * Semantics:
- *  - send(p, dst, tag, data) blocks the sender until the transport frees
- *    it (whole transfer on the detailed network; send slot on LogP) and
- *    deposits the payload at the receiver at the delivery time.
+ *  - send(p, dst, tag, data) blocks the sender until the network model
+ *    frees it (whole transfer on the detailed network; send slot on
+ *    LogP) and deposits the payload at the receiver at the delivery
+ *    time.
  *  - recv(p, src, tag) blocks until a matching message has been
  *    delivered.  Messages on the same (src, dst, tag) channel are
  *    FIFO-ordered by delivery time.
  *
- * Accounting: the sender is charged the transport's sender-side
+ * Accounting: the sender is charged the network's sender-side
  * latency/contention.  A receiver that blocks is charged the message's
  * in-flight latency/contention up to its actual blocked interval, and
  * the remainder of the interval to the wait bucket (idle, waiting for
@@ -30,7 +37,7 @@
 #include <vector>
 
 #include "check/check.hh"
-#include "msg/transport.hh"
+#include "machines/net_model.hh"
 #include "runtime/context.hh"
 
 namespace absim::msg {
@@ -41,12 +48,11 @@ using Tag = std::uint32_t;
 class MsgWorld
 {
   public:
-    MsgWorld(sim::EventQueue &eq, Transport &transport,
-             std::uint32_t nodes);
+    MsgWorld(sim::EventQueue &eq, mach::NetModel &net, std::uint32_t nodes);
 
     /**
      * Send @p bytes of @p data to node @p dst on channel @p tag.  Blocks
-     * the calling processor per the transport's sender semantics.
+     * the calling processor per the network model's sender semantics.
      */
     void send(rt::Proc &p, net::NodeId dst, Tag tag, const void *data,
               std::uint32_t bytes);
@@ -108,7 +114,7 @@ class MsgWorld
     };
 
     sim::EventQueue &eq_;
-    Transport &transport_;
+    mach::NetModel &net_;
     std::uint32_t nodes_;
     std::map<Key, Channel> channels_;
     std::uint64_t sent_ = 0;

@@ -11,9 +11,9 @@
  * contention; the transmission time itself is its latency — precisely the
  * SPASM overhead split the paper relies on.
  *
- * Machine compositions reach this network through mach::DetailedNetModel
- * (the "detailed" rows of the registry grid: target, target+ic); see
- * docs/MACHINES.md.
+ * Machine compositions and message-passing programs reach this network
+ * through mach::DetailedNetModel (the "detailed" rows of the registry
+ * grid: target, target+ic); see docs/MACHINES.md.
  */
 
 #ifndef ABSIM_NET_NETWORK_HH
@@ -54,7 +54,7 @@ struct NetworkStats
  *
  * send() is the one implementation: a coroutine (sim/task.hh) that
  * waits in simulated time for the full circuit set-up, transmission,
- * and tear-down.  transfer() is its fiber form.
+ * and tear-down.  A fiber caller blocks on it with send(...).get().
  */
 class DetailedNetwork
 {
@@ -66,18 +66,6 @@ class DetailedNetwork
 
     DetailedNetwork(const DetailedNetwork &) = delete;
     DetailedNetwork &operator=(const DetailedNetwork &) = delete;
-
-    /**
-     * Send @p bytes from @p src to @p dst, blocking the calling process
-     * for the whole transfer.
-     *
-     * @return The latency/contention split for this message.
-     */
-    TransferResult
-    transfer(NodeId src, NodeId dst, std::uint32_t bytes)
-    {
-        return send(src, dst, bytes).get();
-    }
 
     /**
      * Send @p bytes from @p src to @p dst as a task; with a non-zero

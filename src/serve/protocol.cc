@@ -88,8 +88,7 @@ parseRequest(const std::string &line, const core::RunPolicy &defaults,
         } else if (f.key == "variant") {
             out.config.params.variant = value;
         } else if (f.key == "machine") {
-            if (!mach::parseMachineKind(value, out.config.machine) ||
-                !mach::specFor(out.config.machine).runnable)
+            if (!mach::parseMachineKind(value, out.config.machine))
                 return fail(error, "unknown machine '" + value +
                                        "' (valid: " + mach::machineNames() +
                                        ")");

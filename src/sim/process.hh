@@ -219,7 +219,7 @@ class Process
  *
  * Used for concurrent activities with no owner that must outlive the
  * spawning call frame (e.g. parallel invalidation messages).  The caller
- * can rendezvous with helpers via Counter / Condition primitives.
+ * can rendezvous with helpers via a Latch.
  *
  * @return A non-owning pointer, valid until the entry function returns.
  */

@@ -51,24 +51,6 @@ FifoMutex::release()
 }
 
 void
-Condition::wait()
-{
-    Process *self = Process::current();
-    ABSIM_CHECK(self != nullptr, "Condition::wait outside a process");
-    waiters_.push_back(self);
-    self->suspend("condition wait");
-}
-
-void
-Condition::notifyAll()
-{
-    std::deque<Process *> woken;
-    woken.swap(waiters_);
-    for (Process *p : woken)
-        p->wake();
-}
-
-void
 Latch::countDown()
 {
     ABSIM_CHECK(count_ > 0, "countDown of an exhausted Latch");

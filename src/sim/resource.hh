@@ -1,7 +1,7 @@
 /**
  * @file
- * Blocking resources in simulated time: a FIFO mutex, a condition, and a
- * countdown latch.  These are *simulator* primitives (used by the network
+ * Blocking resources in simulated time: a FIFO mutex and a countdown
+ * latch.  These are *simulator* primitives (used by the network
  * and coherence protocol); application-level synchronization (spin locks,
  * barriers) is built on simulated shared memory in src/runtime instead, so
  * that its cost is visible to the machine models exactly as the paper
@@ -18,7 +18,6 @@
 
 #include <coroutine>
 #include <cstdint>
-#include <deque>
 
 #include "check/check.hh"
 #include "sim/process.hh"
@@ -166,25 +165,6 @@ FifoMutex::lock(EventQueue &eq)
 {
     return Acquire{*this, eq};
 }
-
-/**
- * A broadcast condition: processes block on wait() until someone calls
- * notifyAll().  There is no predicate; callers re-check their own state.
- */
-class Condition
-{
-  public:
-    /** Block the calling process until the next notifyAll(). */
-    void wait();
-
-    /** Wake every currently blocked process. */
-    void notifyAll();
-
-    std::size_t waiters() const { return waiters_.size(); }
-
-  private:
-    std::deque<Process *> waiters_;
-};
 
 /**
  * Countdown latch: await() blocks until the internal count reaches zero.

@@ -342,10 +342,6 @@ replayTrace(const Trace &trace, const ReplaySpec &spec,
                           trace.untraceableWhy + ")");
     if (trace.procs == 0 || trace.streams.size() != trace.procs)
         throw ReplayError("trace has no usable processor streams");
-    if (!mach::specFor(spec.machine).runnable)
-        throw ReplayError("machine '" +
-                          std::string(mach::specFor(spec.machine).name) +
-                          "' has no shared memory to replay");
 
     Replayer replayer(trace, spec);
     stats::Profile profile = replayer.run(budget);

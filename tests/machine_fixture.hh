@@ -44,30 +44,23 @@ class MachineHarness
         runtime->run();
     }
 
-    /** Any registry-built machine, for model-level accessors. */
-    mach::ComposedMachine &
-    composed()
-    {
-        return dynamic_cast<mach::ComposedMachine &>(*machine);
-    }
-
     /** The directory protocol of a target (or logp+dir) machine. */
     mach::DirectoryMem &
     target()
     {
-        return dynamic_cast<mach::DirectoryMem &>(composed().memModel());
+        return dynamic_cast<mach::DirectoryMem &>(machine->memModel());
     }
 
     /** The ideal coherent cache of a logp+c (or target+ic) machine. */
     mach::IdealCacheMem &
     logpc()
     {
-        return dynamic_cast<mach::IdealCacheMem &>(composed().memModel());
+        return dynamic_cast<mach::IdealCacheMem &>(machine->memModel());
     }
 
     sim::EventQueue eq;
     rt::SharedHeap heap;
-    std::unique_ptr<mach::Machine> machine;
+    std::unique_ptr<mach::ComposedMachine> machine;
     std::unique_ptr<rt::Runtime> runtime;
 };
 

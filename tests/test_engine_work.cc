@@ -64,8 +64,7 @@ runIsCell(mach::MachineKind kind, std::uint32_t procs, std::uint64_t n)
     work.engineEvents = runtime.collect().engineEvents;
     work.advancedInPlace = eq.advancedInPlace();
     work.handedOff = eq.handedOff();
-    const mach::MemModel &mem =
-        dynamic_cast<const mach::ComposedMachine &>(*machine).memModel();
+    const mach::MemModel &mem = machine->memModel();
     if (const auto *dir = dynamic_cast<const mach::DirectoryMem *>(&mem))
         work.blocksChecked = dir->checker().blocksChecked();
     else if (const auto *ideal =

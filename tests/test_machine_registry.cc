@@ -29,8 +29,7 @@ TEST(MachineRegistry, ToStringParseRoundTripsEveryKind)
 {
     for (const MachineKind kind :
          {MachineKind::Target, MachineKind::LogP, MachineKind::LogPC,
-          MachineKind::TargetIC, MachineKind::LogPDir,
-          MachineKind::None}) {
+          MachineKind::TargetIC, MachineKind::LogPDir}) {
         MachineKind parsed{};
         ASSERT_TRUE(mach::parseMachineKind(mach::toString(kind), parsed))
             << mach::toString(kind);
@@ -50,6 +49,7 @@ TEST(MachineRegistry, ParseAcceptsColumnAliases)
     EXPECT_FALSE(mach::parseMachineKind("logp+x", kind));
     EXPECT_FALSE(mach::parseMachineKind("", kind));
     EXPECT_FALSE(mach::parseMachineKind("Target", kind));
+    EXPECT_FALSE(mach::parseMachineKind("none", kind));
 }
 
 TEST(MachineRegistry, TableIsConsistent)
@@ -62,10 +62,8 @@ TEST(MachineRegistry, TableIsConsistent)
         EXPECT_EQ(column.find('+'), std::string::npos);
         EXPECT_EQ(&mach::specFor(spec.kind), &spec);
     }
-    // makeMachine builds every runnable row as the row says.
+    // makeMachine builds every row as the row says.
     for (const mach::MachineSpec &spec : mach::machineRegistry()) {
-        if (!spec.runnable)
-            continue;
         sim::EventQueue eq;
         rt::SharedHeap heap(2);
         const auto machine = mach::makeMachine(spec.kind, eq,
@@ -74,16 +72,10 @@ TEST(MachineRegistry, TableIsConsistent)
         EXPECT_STREQ(machine->netModelName(), spec.netModel) << spec.name;
         EXPECT_STREQ(machine->memModelName(), spec.memModel) << spec.name;
     }
-    // The diagnostic list names every runnable machine.
+    // The diagnostic list names every machine.
     const std::string names = mach::machineNames();
-    for (const mach::MachineSpec &spec : mach::machineRegistry()) {
-        if (spec.runnable)
-            EXPECT_NE(names.find(spec.name), std::string::npos)
-                << spec.name;
-        else
-            EXPECT_EQ(names.find(spec.name), std::string::npos)
-                << spec.name;
-    }
+    for (const mach::MachineSpec &spec : mach::machineRegistry())
+        EXPECT_NE(names.find(spec.name), std::string::npos) << spec.name;
 }
 
 TEST(MachineRegistry, QuadrantListsMatchTheGrid)
@@ -95,21 +87,8 @@ TEST(MachineRegistry, QuadrantListsMatchTheGrid)
     EXPECT_EQ(trio[2], MachineKind::LogPC);
     const auto all = mach::allQuadrants();
     ASSERT_EQ(all.size(), 5u);
-    for (const MachineKind kind : all)
-        EXPECT_TRUE(mach::specFor(kind).runnable);
-}
-
-TEST(MachineRegistry, MakeMachineRejectsNone)
-{
-    struct Node0Homes : mem::HomeMap
-    {
-        net::NodeId homeOf(mem::Addr) const override { return 0; }
-    };
-    sim::EventQueue eq;
-    const Node0Homes homes;
-    EXPECT_THROW(mach::makeMachine(MachineKind::None, eq,
-                                   TopologyKind::Full, 2, homes),
-                 std::invalid_argument);
+    for (std::size_t i = 0; i < all.size(); ++i)
+        EXPECT_EQ(all[i], mach::machineRegistry()[i].kind);
 }
 
 // --------------------------------------------- The new quadrants, E2E

@@ -1,37 +1,35 @@
 /**
  * @file
- * Tests for the message-passing substrate: transports, blocking
- * send/recv semantics, FIFO channels, typed helpers, and the
- * wait-bucket accounting.
+ * Tests for the message-passing substrate: messages priced by a
+ * registry row's network model, blocking send/recv semantics, FIFO
+ * channels, typed helpers, and the wait-bucket accounting.
  */
 
 #include <gtest/gtest.h>
 
 #include <memory>
 
-#include "machines/null_machine.hh"
+#include "machines/registry.hh"
 #include "msg/msg_world.hh"
 #include "runtime/shared.hh"
 
 namespace {
 
 using namespace absim;
+using mach::MachineKind;
 
-/** Message-passing fixture: null machine + transport + world. */
+/** Message-passing fixture: a registry row's machine, whose network
+ *  model prices the messages, + world. */
 struct MsgHarness
 {
-    MsgHarness(std::uint32_t nodes, bool logp,
+    MsgHarness(std::uint32_t nodes, MachineKind kind,
                net::TopologyKind topo = net::TopologyKind::Full)
-        : heap(nodes), machine(nodes, heap)
+        : heap(nodes),
+          machine(mach::makeMachine(kind, eq, topo, nodes, heap))
     {
-        if (logp)
-            transport =
-                std::make_unique<msg::LogPTransport>(eq, topo, nodes);
-        else
-            transport = std::make_unique<msg::DetailedTransport>(eq, topo,
-                                                                 nodes);
-        world = std::make_unique<msg::MsgWorld>(eq, *transport, nodes);
-        runtime = std::make_unique<rt::Runtime>(eq, machine, nodes);
+        world = std::make_unique<msg::MsgWorld>(eq, machine->netModel(),
+                                                nodes);
+        runtime = std::make_unique<rt::Runtime>(eq, *machine, nodes);
     }
 
     void
@@ -43,16 +41,15 @@ struct MsgHarness
 
     sim::EventQueue eq;
     rt::SharedHeap heap;
-    mach::NullMachine machine;
-    std::unique_ptr<msg::Transport> transport;
+    std::unique_ptr<mach::ComposedMachine> machine;
     std::unique_ptr<msg::MsgWorld> world;
     std::unique_ptr<rt::Runtime> runtime;
 };
 
 TEST(MsgWorld, ValueRoundTrip)
 {
-    for (const bool logp : {false, true}) {
-        MsgHarness h(2, logp);
+    for (const MachineKind kind : mach::allQuadrants()) {
+        MsgHarness h(2, kind);
         std::uint64_t got = 0;
         h.run([&](rt::Proc &p) {
             if (p.node() == 0)
@@ -60,53 +57,61 @@ TEST(MsgWorld, ValueRoundTrip)
             else
                 got = h.world->recvValue<std::uint64_t>(p, 0, 7);
         });
-        EXPECT_EQ(got, 0xDEADBEEFu) << (logp ? "logp" : "detailed");
+        EXPECT_EQ(got, 0xDEADBEEFu) << mach::toString(kind);
         EXPECT_EQ(h.world->messagesSent(), 1u);
     }
 }
 
 TEST(MsgWorld, DetailedSenderBlockedForFullTransfer)
 {
-    MsgHarness h(2, false);
-    sim::Tick sender_done = 0;
-    h.run([&](rt::Proc &p) {
-        if (p.node() == 0) {
-            std::uint8_t data[32] = {};
-            h.world->send(p, 1, 0, data, 32);
-            sender_done = p.localTime();
-        } else {
-            h.world->recv(p, 0, 0);
-        }
-    });
-    EXPECT_EQ(sender_done, 1600u); // 32 B at 20 MB/s.
-    const auto &s = h.runtime->proc(0).stats();
-    EXPECT_EQ(s.latency, 1600u);
-    EXPECT_EQ(s.wait, 0u);
+    for (const MachineKind kind :
+         {MachineKind::Target, MachineKind::TargetIC}) {
+        MsgHarness h(2, kind);
+        sim::Tick sender_done = 0;
+        h.run([&](rt::Proc &p) {
+            if (p.node() == 0) {
+                std::uint8_t data[32] = {};
+                h.world->send(p, 1, 0, data, 32);
+                sender_done = p.localTime();
+            } else {
+                h.world->recv(p, 0, 0);
+            }
+        });
+        // 32 B at 20 MB/s.
+        EXPECT_EQ(sender_done, 1600u) << mach::toString(kind);
+        const auto &s = h.runtime->proc(0).stats();
+        EXPECT_EQ(s.latency, 1600u) << mach::toString(kind);
+        EXPECT_EQ(s.wait, 0u) << mach::toString(kind);
+    }
 }
 
 TEST(MsgWorld, LogPSenderFreedAtSendSlot)
 {
-    MsgHarness h(2, true);
-    sim::Tick sender_done = 0;
-    h.run([&](rt::Proc &p) {
-        if (p.node() == 0) {
-            std::uint8_t data[32] = {};
-            h.world->send(p, 1, 0, data, 32);
-            sender_done = p.localTime();
-        } else {
-            h.world->recv(p, 0, 0);
-        }
-    });
-    // First message: no gate wait, o = 0: the sender continues at once
-    // while the message is in flight for L.
-    EXPECT_EQ(sender_done, 0u);
-    // The blocked receiver absorbs the flight time as latency.
-    EXPECT_EQ(h.runtime->proc(1).stats().latency, 1600u);
+    for (const MachineKind kind :
+         {MachineKind::LogP, MachineKind::LogPC, MachineKind::LogPDir}) {
+        MsgHarness h(2, kind);
+        sim::Tick sender_done = 0;
+        h.run([&](rt::Proc &p) {
+            if (p.node() == 0) {
+                std::uint8_t data[32] = {};
+                h.world->send(p, 1, 0, data, 32);
+                sender_done = p.localTime();
+            } else {
+                h.world->recv(p, 0, 0);
+            }
+        });
+        // First message: no gate wait, o = 0: the sender continues at
+        // once while the message is in flight for L.
+        EXPECT_EQ(sender_done, 0u) << mach::toString(kind);
+        // The blocked receiver absorbs the flight time as latency.
+        EXPECT_EQ(h.runtime->proc(1).stats().latency, 1600u)
+            << mach::toString(kind);
+    }
 }
 
 TEST(MsgWorld, ReceiverWaitsForLateSender)
 {
-    MsgHarness h(2, false);
+    MsgHarness h(2, MachineKind::Target);
     h.run([&](rt::Proc &p) {
         if (p.node() == 0) {
             p.compute(10000); // 300 us of work before sending.
@@ -127,7 +132,7 @@ TEST(MsgWorld, ReceiverWaitsForLateSender)
 
 TEST(MsgWorld, EarlyMessageCostsReceiverNothing)
 {
-    MsgHarness h(2, false);
+    MsgHarness h(2, MachineKind::Target);
     h.run([&](rt::Proc &p) {
         if (p.node() == 0) {
             std::uint8_t data[8] = {};
@@ -144,7 +149,7 @@ TEST(MsgWorld, EarlyMessageCostsReceiverNothing)
 
 TEST(MsgWorld, ChannelsAreFifoAndTagSeparated)
 {
-    MsgHarness h(2, false);
+    MsgHarness h(2, MachineKind::Target);
     std::vector<std::uint64_t> got;
     h.run([&](rt::Proc &p) {
         if (p.node() == 0) {
@@ -164,8 +169,8 @@ TEST(MsgWorld, ChannelsAreFifoAndTagSeparated)
 
 TEST(MsgWorld, RingPassesTokenAroundAllNodes)
 {
-    for (const bool logp : {false, true}) {
-        MsgHarness h(8, logp, net::TopologyKind::Hypercube);
+    for (const MachineKind kind : {MachineKind::Target, MachineKind::LogP}) {
+        MsgHarness h(8, kind, net::TopologyKind::Hypercube);
         std::uint64_t final_token = 0;
         h.run([&](rt::Proc &p) {
             const std::uint32_t n = p.procs();
@@ -188,7 +193,7 @@ TEST(MsgWorld, RingPassesTokenAroundAllNodes)
 
 TEST(MsgWorld, AccountingInvariantAcrossBusyTraffic)
 {
-    MsgHarness h(4, true, net::TopologyKind::Mesh2D);
+    MsgHarness h(4, MachineKind::LogP, net::TopologyKind::Mesh2D);
     h.run([&](rt::Proc &p) {
         // All-to-all exchange rounds with skewed compute.
         for (int round = 0; round < 5; ++round) {
@@ -215,14 +220,6 @@ TEST(MsgWorld, AccountingInvariantAcrossBusyTraffic)
                   s.busy + s.latency + s.contention + s.wait)
             << "proc " << n;
     }
-}
-
-TEST(NullMachine, RejectsSharedMemoryAccess)
-{
-    MsgHarness h(2, false);
-    rt::SharedArray<std::uint64_t> a(h.heap, 4, rt::Placement::OnNode, 0);
-    EXPECT_THROW(h.run([&](rt::Proc &p) { a.read(p, 0); }),
-                 std::logic_error);
 }
 
 } // namespace

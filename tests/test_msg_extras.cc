@@ -1,7 +1,7 @@
 /**
  * @file
  * Additional message-passing coverage: large payloads, many concurrent
- * channels, transport counters, and LogP gate interaction between
+ * channels, network counters, and LogP gate interaction between
  * successive sends.
  */
 
@@ -10,28 +10,25 @@
 #include <memory>
 #include <numeric>
 
-#include "machines/null_machine.hh"
+#include "machines/registry.hh"
 #include "msg/msg_world.hh"
 #include "runtime/shared.hh"
 
 namespace {
 
 using namespace absim;
+using mach::MachineKind;
 
 struct Harness
 {
-    Harness(std::uint32_t nodes, bool logp,
+    Harness(std::uint32_t nodes, MachineKind kind,
             net::TopologyKind topo = net::TopologyKind::Full)
-        : heap(nodes), machine(nodes, heap)
+        : heap(nodes),
+          machine(mach::makeMachine(kind, eq, topo, nodes, heap))
     {
-        if (logp)
-            transport =
-                std::make_unique<msg::LogPTransport>(eq, topo, nodes);
-        else
-            transport = std::make_unique<msg::DetailedTransport>(eq, topo,
-                                                                 nodes);
-        world = std::make_unique<msg::MsgWorld>(eq, *transport, nodes);
-        runtime = std::make_unique<rt::Runtime>(eq, machine, nodes);
+        world = std::make_unique<msg::MsgWorld>(eq, machine->netModel(),
+                                                nodes);
+        runtime = std::make_unique<rt::Runtime>(eq, *machine, nodes);
     }
 
     void
@@ -43,15 +40,14 @@ struct Harness
 
     sim::EventQueue eq;
     rt::SharedHeap heap;
-    mach::NullMachine machine;
-    std::unique_ptr<msg::Transport> transport;
+    std::unique_ptr<mach::ComposedMachine> machine;
     std::unique_ptr<msg::MsgWorld> world;
     std::unique_ptr<rt::Runtime> runtime;
 };
 
 TEST(MsgExtras, LargePayloadTimedBySizeOnDetailed)
 {
-    Harness h(2, false);
+    Harness h(2, MachineKind::Target);
     std::vector<double> got;
     h.run([&](rt::Proc &p) {
         if (p.node() == 0) {
@@ -75,7 +71,7 @@ TEST(MsgExtras, LargePayloadTimedBySizeOnDetailed)
 
 TEST(MsgExtras, ManyConcurrentChannelsDoNotInterfere)
 {
-    Harness h(8, false, net::TopologyKind::Hypercube);
+    Harness h(8, MachineKind::Target, net::TopologyKind::Hypercube);
     std::vector<std::uint64_t> sums(8, 0);
     h.run([&](rt::Proc &p) {
         // Everyone sends one tagged value to everyone else, then
@@ -102,12 +98,17 @@ TEST(MsgExtras, ManyConcurrentChannelsDoNotInterfere)
         EXPECT_EQ(sums[n], expect) << "node " << n;
     }
     EXPECT_EQ(h.world->messagesSent(), 56u);
-    EXPECT_EQ(h.transport->messages(), 56u);
+    EXPECT_EQ(dynamic_cast<const mach::DetailedNetModel &>(
+                  h.machine->netModel())
+                  .network()
+                  .stats()
+                  .messages,
+              56u);
 }
 
 TEST(MsgExtras, LogPBackToBackSendsSpacedByG)
 {
-    Harness h(4, true, net::TopologyKind::Hypercube); // g = 1600.
+    Harness h(4, MachineKind::LogP, net::TopologyKind::Hypercube); // g = 1600.
     h.run([&](rt::Proc &p) {
         if (p.node() == 0) {
             const std::uint32_t v = 1;
@@ -127,7 +128,7 @@ TEST(MsgExtras, WaitBucketExcludedFromSharedMemoryPath)
 {
     // The shared-memory machines never use the wait bucket; only
     // message-passing receivers do.
-    Harness h(2, false);
+    Harness h(2, MachineKind::Target);
     h.run([&](rt::Proc &p) {
         if (p.node() == 0) {
             p.compute(50000);

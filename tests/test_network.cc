@@ -29,7 +29,7 @@ TEST(DetailedNetwork, SingleTransferTiming)
     sim::EventQueue eq;
     DetailedNetwork net(eq, Topology::make(TopologyKind::Full, 4));
     TransferResult r;
-    sim::Process p(eq, "p", [&] { r = net.transfer(0, 1, 32); });
+    sim::Process p(eq, "p", [&] { r = net.send(0, 1, 32).get(); });
     p.start(0);
     eq.run();
     EXPECT_EQ(r.latency, 1600u);
@@ -45,7 +45,7 @@ TEST(DetailedNetwork, HopCountDoesNotAddLatency)
     sim::EventQueue eq;
     DetailedNetwork net(eq, Topology::make(TopologyKind::Mesh2D, 16));
     TransferResult r;
-    sim::Process p(eq, "p", [&] { r = net.transfer(0, 15, 32); });
+    sim::Process p(eq, "p", [&] { r = net.send(0, 15, 32).get(); });
     p.start(0);
     eq.run();
     EXPECT_EQ(r.latency, 1600u); // 6 hops, same time as 1.
@@ -57,8 +57,8 @@ TEST(DetailedNetwork, SharedLinkSerializesAndChargesContention)
     // 1x2 mesh: one link each way between nodes 0 and 1.
     DetailedNetwork net(eq, Topology::make(TopologyKind::Mesh2D, 2));
     TransferResult r1, r2;
-    sim::Process a(eq, "a", [&] { r1 = net.transfer(0, 1, 32); });
-    sim::Process b(eq, "b", [&] { r2 = net.transfer(0, 1, 32); });
+    sim::Process a(eq, "a", [&] { r1 = net.send(0, 1, 32).get(); });
+    sim::Process b(eq, "b", [&] { r2 = net.send(0, 1, 32).get(); });
     a.start(0);
     b.start(0);
     eq.run();
@@ -72,8 +72,8 @@ TEST(DetailedNetwork, OppositeDirectionsDoNotConflict)
     sim::EventQueue eq;
     DetailedNetwork net(eq, Topology::make(TopologyKind::Mesh2D, 2));
     TransferResult r1, r2;
-    sim::Process a(eq, "a", [&] { r1 = net.transfer(0, 1, 32); });
-    sim::Process b(eq, "b", [&] { r2 = net.transfer(1, 0, 32); });
+    sim::Process a(eq, "a", [&] { r1 = net.send(0, 1, 32).get(); });
+    sim::Process b(eq, "b", [&] { r2 = net.send(1, 0, 32).get(); });
     a.start(0);
     b.start(0);
     eq.run();
@@ -90,7 +90,7 @@ TEST(DetailedNetwork, FullNetworkNeverContendsAcrossPairs)
     std::vector<std::unique_ptr<sim::Process>> procs;
     for (NodeId s = 0; s < 4; ++s) {
         procs.push_back(std::make_unique<sim::Process>(
-            eq, "p", [&, s] { results[s] = net.transfer(s, s + 4, 32); }));
+            eq, "p", [&, s] { results[s] = net.send(s, s + 4, 32).get(); }));
         procs.back()->start(0);
     }
     eq.run();
@@ -105,8 +105,8 @@ TEST(DetailedNetwork, MeshPathOverlapCreatesContention)
     // 2x2 mesh: 0 1 / 2 3.  Routes 0->1 and 0->3 share link 0->east.
     DetailedNetwork net(eq, Topology::make(TopologyKind::Mesh2D, 4));
     TransferResult r1, r2;
-    sim::Process a(eq, "a", [&] { r1 = net.transfer(0, 1, 32); });
-    sim::Process b(eq, "b", [&] { r2 = net.transfer(0, 3, 32); });
+    sim::Process a(eq, "a", [&] { r1 = net.send(0, 1, 32).get(); });
+    sim::Process b(eq, "b", [&] { r2 = net.send(0, 3, 32).get(); });
     a.start(0);
     b.start(0);
     eq.run();
@@ -121,10 +121,10 @@ TEST(DetailedNetwork, CircuitHoldsWholePath)
     sim::EventQueue eq;
     DetailedNetwork net(eq, Topology::make(TopologyKind::Mesh2D, 4));
     TransferResult cross, blocked;
-    sim::Process a(eq, "a", [&] { cross = net.transfer(0, 3, 32); });
+    sim::Process a(eq, "a", [&] { cross = net.send(0, 3, 32).get(); });
     sim::Process b(eq, "b", [&] {
         sim::Process::current()->delay(100);
-        blocked = net.transfer(1, 3, 32);
+        blocked = net.send(1, 3, 32).get();
     });
     a.start(0);
     b.start(0);
@@ -146,7 +146,7 @@ TEST(DetailedNetwork, ManyConcurrentTransfersDrainDeadlockFree)
             procs.push_back(std::make_unique<sim::Process>(
                 eq, "p", [&, s] {
                     for (int i = 0; i < 4; ++i)
-                        net.transfer(s, 0, 32);
+                        net.send(s, 0, 32).get();
                     ++done;
                 }));
             procs.back()->start(0);

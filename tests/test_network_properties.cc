@@ -54,7 +54,7 @@ TEST_P(NetworkStorm, ConservationAndBounds)
         procs.push_back(std::make_unique<sim::Process>(
             eq, "p", [&network, &results, plan, s] {
                 for (const auto &[dst, bytes] : plan)
-                    results.push_back(network.transfer(s, dst, bytes));
+                    results.push_back(network.send(s, dst, bytes).get());
             }));
         procs.back()->start(0);
     }

@@ -99,6 +99,26 @@ TEST(ServeProtocol, RequestDiagnosticsNameTheOffendingField)
     EXPECT_NE(error.find("unknown machine 'cray'"), std::string::npos)
         << error;
 
+    // The retired message-passing row is an unknown machine like any
+    // other name.
+    EXPECT_FALSE(serve::parseRequest(
+        "{\"op\":\"run\",\"machine\":\"none\"}", defaults, request,
+        error));
+    EXPECT_NE(error.find("unknown machine 'none'"), std::string::npos)
+        << error;
+
+    EXPECT_FALSE(serve::parseRequest(
+        "{\"op\":\"run\",\"topology\":\"torus\"}", defaults, request,
+        error));
+    EXPECT_NE(error.find("unknown topology 'torus'"), std::string::npos)
+        << error;
+
+    EXPECT_FALSE(serve::parseRequest(
+        "{\"op\":\"run\",\"gap\":\"double\"}", defaults, request,
+        error));
+    EXPECT_NE(error.find("unknown gap policy 'double'"), std::string::npos)
+        << error;
+
     EXPECT_FALSE(serve::parseRequest(
         "{\"op\":\"run\",\"procs\":\"many\"}", defaults, request, error));
     EXPECT_NE(error.find("procs"), std::string::npos) << error;

@@ -476,26 +476,6 @@ TEST(FifoMutex, MixedFiberAndCoroutineWaitersShareOneFifo)
     EXPECT_FALSE(m.locked());
 }
 
-TEST(Condition, NotifyAllWakesEveryWaiter)
-{
-    EventQueue eq;
-    Condition cond;
-    int woken = 0;
-    for (int i = 0; i < 3; ++i) {
-        spawnDetached(eq, "waiter", [&] {
-            cond.wait();
-            ++woken;
-        }, 0);
-    }
-    Process notifier(eq, "notifier", [&] {
-        Process::current()->delay(10);
-        cond.notifyAll();
-    });
-    notifier.start(0);
-    eq.run();
-    EXPECT_EQ(woken, 3);
-}
-
 TEST(Latch, AwaitBlocksUntilZero)
 {
     EventQueue eq;

@@ -27,7 +27,6 @@
 #include "machine_fixture.hh"
 #include "core/experiment.hh"
 #include "core/figures.hh"
-#include "machines/null_machine.hh"
 #include "machines/registry.hh"
 #include "msg/msg_world.hh"
 #include "runtime/context.hh"
@@ -727,7 +726,7 @@ TEST(TraceReplay, AddressPastTheHeapIsANamedErrorWithoutAPage)
         } catch (const std::out_of_range &e) {
             EXPECT_STREQ(e.what(), "address past its segment");
         }
-        mach::MemModel &mem = h.composed().memModel();
+        mach::MemModel &mem = h.machine->memModel();
         if (auto *dir = dynamic_cast<mach::DirectoryMem *>(&mem)) {
             EXPECT_EQ(dir->directory().pageCount(), 0u);
         }
@@ -758,15 +757,16 @@ TEST(TraceReplay, UnindexedValueWordIsANamedError)
 
 TEST(TraceReplay, MessagePassingRunsRecordAsNonReplayable)
 {
-    // Message-passing platforms run outside the shared-memory driver
-    // (null machine + transport + MsgWorld); a recorder observing such
-    // a run must mark the trace non-replayable at the first send/recv.
+    // Message-passing programs run outside the shared-memory driver
+    // (a registry row's network model + MsgWorld); a recorder observing
+    // such a run must mark the trace non-replayable at the first
+    // send/recv.
     sim::EventQueue eq;
     rt::SharedHeap heap(2);
-    mach::NullMachine machine(2, heap);
-    msg::LogPTransport transport(eq, net::TopologyKind::Full, 2);
-    msg::MsgWorld world(eq, transport, 2);
-    rt::Runtime runtime(eq, machine, 2);
+    const auto machine = mach::makeMachine(mach::MachineKind::LogP, eq,
+                                           net::TopologyKind::Full, 2, heap);
+    msg::MsgWorld world(eq, machine->netModel(), 2);
+    rt::Runtime runtime(eq, *machine, 2);
 
     trace::Recorder recorder(2);
     heap.bindSink(&recorder);

@@ -91,12 +91,12 @@ TEST(Watchdog, GateNobodyOpensIsDiagnosed)
     const auto machine = mach::makeMachine(mach::MachineKind::Target, eq,
                                            net::TopologyKind::Full, 2, heap);
     rt::Runtime runtime(eq, *machine, 2);
-    sim::Condition gate;
+    sim::Latch gate(1);
 
-    // Worker 1 waits on a condition nobody will ever notify.
+    // Worker 1 waits on a latch nobody will ever count down.
     runtime.spawn([&](rt::Proc &p) {
         if (p.node() == 1)
-            gate.wait();
+            gate.await();
     });
 
     try {
@@ -106,7 +106,7 @@ TEST(Watchdog, GateNobodyOpensIsDiagnosed)
         EXPECT_NE(std::string(e.what()).find("1 of 2 workers"),
                   std::string::npos)
             << e.what();
-        EXPECT_TRUE(dumpNames(e.blocked(), "worker-1", "condition wait"))
+        EXPECT_TRUE(dumpNames(e.blocked(), "worker-1", "latch await"))
             << e.what();
     }
 }

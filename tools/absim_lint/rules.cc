@@ -358,7 +358,7 @@ layerTable()
         {"runtime",
          {"check", "fault", "logp", "machines", "mem", "net", "sim",
           "stats"}},
-        {"msg", {"check", "logp", "mem", "net", "runtime", "sim"}},
+        {"msg", {"check", "machines", "mem", "net", "runtime", "sim"}},
         {"apps", {"check", "msg", "runtime", "sim", "stats"}},
         {"trace_replay",
          {"apps", "check", "fault", "json", "logp", "machines", "mem",
