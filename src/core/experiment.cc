@@ -107,15 +107,20 @@ executeAndRecord(const RunConfig &config, const sim::RunBudget *budget)
 }
 
 /**
- * Process-wide cache of loaded traces, keyed by (path, mtime, size).
- *
- * A figure sweep replays the trace of each processor count once per
- * machine column; without the cache every column re-parses the same
- * multi-megabyte op stream, and that load dominates the low-P replay
- * cells.  The cache is tiny (a sweep touches one trace per P) and
- * validates freshness against the file's stat, so a re-recorded trace
- * is never replayed stale.  Returns nullptr when the file is missing
- * or torn — the record-on-miss path handles it.
+ * The trace cache's bound, in encoded trace bytes.  A figure sweep
+ * replays the trace of each processor count once per machine column;
+ * the six FFT n=4096 traces of a P=1..32 sweep take about 3.6 MB
+ * together, so a whole figure's traces stay cached and a sweep after
+ * the first reloads none.
+ */
+constexpr std::size_t kTraceCacheBytes = std::size_t{64} << 20;
+
+/**
+ * Process-wide cache of loaded traces, keyed by (path, mtime, size),
+ * least recently used first out once their bytes would pass
+ * kTraceCacheBytes.  It validates freshness against the file's stat,
+ * so a re-recorded trace is never replayed stale.  Returns nullptr when
+ * the file is missing or torn — the record-on-miss path handles it.
  */
 std::shared_ptr<const trace::Trace>
 loadTraceShared(const std::string &path)
@@ -127,9 +132,9 @@ loadTraceShared(const std::string &path)
         std::uintmax_t size = 0;
         std::shared_ptr<const trace::Trace> trace;
     };
-    constexpr std::size_t kMaxEntries = 4;
     static std::mutex mu;
-    static std::vector<Entry> cache;
+    static std::vector<Entry> cache; // Back = most recently used.
+    static std::size_t cachedBytes = 0;
 
     std::error_code ec;
     const auto mtime = std::filesystem::last_write_time(path, ec);
@@ -147,7 +152,7 @@ loadTraceShared(const std::string &path)
                 Entry hit = std::move(cache[i]);
                 cache.erase(cache.begin() +
                             static_cast<std::ptrdiff_t>(i));
-                cache.push_back(std::move(hit)); // LRU: back = newest.
+                cache.push_back(std::move(hit));
                 return cache.back().trace;
             }
         }
@@ -160,10 +165,20 @@ loadTraceShared(const std::string &path)
     if (!trace::loadTrace(path, *loaded))
         return nullptr;
 
+    const std::size_t bytes = loaded->bytes.size();
+    if (bytes > kTraceCacheBytes)
+        return loaded; // Replayed, never cached.
     const std::lock_guard<std::mutex> lock(mu);
-    if (cache.size() >= kMaxEntries)
-        cache.erase(cache.begin());
+    const auto evict = [](std::vector<Entry>::iterator it) {
+        cachedBytes -= it->trace->bytes.size();
+        return cache.erase(it);
+    };
+    for (auto it = cache.begin(); it != cache.end();)
+        it = it->path == path ? evict(it) : it + 1; // A stale version.
+    while (cachedBytes + bytes > kTraceCacheBytes)
+        evict(cache.begin());
     cache.push_back(Entry{path, mtime, size, loaded});
+    cachedBytes += bytes;
     return loaded;
 }
 

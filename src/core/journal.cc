@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <fstream>
 #include <limits>
+#include <memory>
 
 #include <unistd.h> // fsync, truncate
 
@@ -96,21 +97,27 @@ loadJournalImpl(const std::string &path, const JournalHeader &expect,
     std::ifstream in(path, std::ios::binary);
     if (!in)
         return false;
+    // Capped reads: a line longer than kMaxJournalLineBytes fails the
+    // read without its eof bit, and is never held whole.
+    const std::unique_ptr<char[]> buf(new char[kMaxJournalLineBytes + 1]);
     std::string line;
     // The header must be intact *and* newline-terminated; a journal
     // torn inside its header holds nothing usable.
-    if (!std::getline(in, line) || in.eof())
+    if (!in.getline(buf.get(), kMaxJournalLineBytes + 1) || in.eof())
         return false;
+    line.assign(buf.get(), static_cast<std::size_t>(in.gcount()) - 1);
     JournalHeader found;
     if (!decodeHeader(line, found) || !(found == expect))
         return false;
     std::uint64_t bytes = line.size() + 1;
     bool torn = false;
-    while (std::getline(in, line)) {
+    while (in.getline(buf.get(), kMaxJournalLineBytes + 1)) {
         // A final line that lost its newline is treated as torn even if
         // it parses: appending after it would weld two records into one
         // unreadable line.  The resume point is the last intact record.
         const bool terminated = !in.eof();
+        line.assign(buf.get(), static_cast<std::size_t>(in.gcount()) -
+                                   (terminated ? 1 : 0));
         JournalRecord record;
         if (!terminated || !decodeRecord(line, record, columnsFor(out.size()))) {
             torn = true;
@@ -119,6 +126,8 @@ loadJournalImpl(const std::string &path, const JournalHeader &expect,
         bytes += line.size() + 1;
         out.push_back(std::move(record));
     }
+    if (!in.eof())
+        torn = true; // An over-long line stopped the read.
     if (resume) {
         resume->tornTail = torn;
         resume->cleanBytes = bytes;

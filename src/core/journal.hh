@@ -183,6 +183,18 @@ struct JournalResume
 };
 
 /**
+ * The longest line the append-only loaders read: loadJournal, the shard
+ * merge (journal_merge.hh) and the serve result cache.  A line is read
+ * through a buffer of this size and never grown past it, so a hostile
+ * newline-free file costs one bounded buffer, not a giant allocation:
+ * the journal and the cache treat a longer line as a torn tail, and the
+ * merge names it (shard-line-too-long).  Real lines are far shorter; the
+ * longest is a cache line, one run's canonical key and response, whose
+ * request line serve caps at 1 MiB before escaping.
+ */
+inline constexpr std::size_t kMaxJournalLineBytes = std::size_t{8} << 20;
+
+/**
  * Load a journal.
  *
  * @return true and the usable records if @p path exists and its header

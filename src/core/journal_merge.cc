@@ -1,6 +1,7 @@
 #include "core/journal_merge.hh"
 
 #include <fstream>
+#include <memory>
 #include <optional>
 #include <set>
 #include <utility>
@@ -28,7 +29,8 @@ quoted(const std::string &path)
  * missing its newline is dropped with a shard-torn-tail warning; whether
  * the drop matters surfaces later as a merge-gap against the other
  * shards.  A malformed terminated line is kept here and reported by the
- * merge as merge-record-malformed.
+ * merge as merge-record-malformed.  A line longer than
+ * kMaxJournalLineBytes is a shard-line-too-long error.
  */
 bool
 readShardFile(const std::string &path, ShardFile &out,
@@ -41,26 +43,41 @@ readShardFile(const std::string &path, ShardFile &out,
         errors.push_back("shard-unreadable: cannot open " + quoted(path));
         return false;
     }
-    std::string line;
-    if (!std::getline(in, line) || in.eof()) {
+    // Capped reads (kMaxJournalLineBytes): an over-long line fails the
+    // read without its eof bit, and is never held whole.
+    const std::unique_ptr<char[]> buf(new char[kMaxJournalLineBytes + 1]);
+    const auto tooLong = [&](std::size_t lineNo) {
+        errors.push_back("shard-line-too-long: " + quoted(path) + " line " +
+                         std::to_string(lineNo) + " exceeds " +
+                         std::to_string(kMaxJournalLineBytes) + " bytes");
+        return false;
+    };
+    if (!in.getline(buf.get(), kMaxJournalLineBytes + 1) || in.eof()) {
+        if (in.fail() && !in.eof())
+            return tooLong(1);
         errors.push_back("shard-header-missing: " + quoted(path) +
                          " has no terminated journal header line");
         return false;
     }
-    if (!decodeHeader(line, out.header)) {
+    if (!decodeHeader(
+            std::string(buf.get(), static_cast<std::size_t>(in.gcount()) - 1),
+            out.header)) {
         errors.push_back("shard-header-malformed: " + quoted(path) +
                          " line 1 is not a journal header");
         return false;
     }
-    while (std::getline(in, line)) {
+    while (in.getline(buf.get(), kMaxJournalLineBytes + 1)) {
         if (in.eof()) {
             warnings.push_back("shard-torn-tail: " + quoted(path) +
                                " ends in an unterminated record "
                                "(dropped)");
             break;
         }
-        out.lines.push_back(line);
+        out.lines.emplace_back(buf.get(),
+                               static_cast<std::size_t>(in.gcount()) - 1);
     }
+    if (!in.eof())
+        return tooLong(out.lines.size() + 2);
     return true;
 }
 

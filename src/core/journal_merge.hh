@@ -14,6 +14,7 @@
  *   shard-unreadable        a journal cannot be opened
  *   shard-header-missing    a journal has no (terminated) header line
  *   shard-header-malformed  a header line does not parse
+ *   shard-line-too-long     a line exceeds kMaxJournalLineBytes
  *   shard-header-mismatch   journals belong to different sweeps
  *   shard-count-mismatch    a header stamps a different shard count
  *   shard-duplicate-index   two journals stamp the same shard index

@@ -1,6 +1,8 @@
 #include "serve/result_cache.hh"
 
 #include <fstream>
+#include <memory>
+#include <string_view>
 
 #include "core/cache_key.hh"
 #include "json/json.hh"
@@ -9,7 +11,7 @@ namespace absim::serve {
 
 namespace {
 
-constexpr const char *kCacheHeader = "{\"absim_cache\":1}";
+constexpr std::string_view kCacheHeader = "{\"absim_cache\":1}";
 
 /** Decode one cache record line; false = torn/foreign line. */
 bool
@@ -46,15 +48,26 @@ ResultCache::open(const std::string &path)
     bool haveHeader = false;
     {
         std::ifstream in(path, std::ios::binary);
+        // Capped reads, as a sweep journal's: an over-long line fails
+        // the read without its eof bit, and is never held whole.
+        const std::unique_ptr<char[]> buf(
+            new char[core::kMaxJournalLineBytes + 1]);
+        constexpr auto kBuf =
+            static_cast<std::streamsize>(core::kMaxJournalLineBytes + 1);
         std::string line;
         // The header must be intact and newline-terminated, exactly
         // like a sweep journal; anything else starts a fresh cache.
-        if (in && std::getline(in, line) && !in.eof() &&
-            line == kCacheHeader) {
+        if (in && in.getline(buf.get(), kBuf) && !in.eof() &&
+            std::string_view(buf.get(),
+                             static_cast<std::size_t>(in.gcount()) - 1) ==
+                kCacheHeader) {
             haveHeader = true;
-            cleanBytes = line.size() + 1;
-            while (std::getline(in, line)) {
+            cleanBytes = kCacheHeader.size() + 1;
+            while (in.getline(buf.get(), kBuf)) {
                 const bool terminated = !in.eof();
+                line.assign(buf.get(),
+                            static_cast<std::size_t>(in.gcount()) -
+                                (terminated ? 1 : 0));
                 std::uint64_t key = 0;
                 std::string payload;
                 if (!terminated || !decodeEntry(line, key, payload)) {
@@ -66,11 +79,14 @@ ResultCache::open(const std::string &path)
                 cleanBytes += line.size() + 1;
                 entries_.emplace(key, std::move(payload));
             }
+            if (!in.eof())
+                torn_ = true; // An over-long line stopped the read.
             recovered_ = entries_.size();
         }
     }
-    const bool ok = haveHeader ? writer_.resume(path, cleanBytes)
-                               : writer_.startLine(path, kCacheHeader);
+    const bool ok =
+        haveHeader ? writer_.resume(path, cleanBytes)
+                   : writer_.startLine(path, std::string(kCacheHeader));
     return ok;
 }
 

@@ -76,31 +76,159 @@ readsValue(OpKind kind)
     }
 }
 
+/** The op byte's width code for @p op (see StreamReader), given the
+ *  delta from the stream's previous address. */
+std::uint8_t
+widthCode(const Op &op, std::uint64_t delta)
+{
+    if (op.bytes == 0)
+        return 0;
+    for (std::uint8_t w = 1; w < 7; ++w)
+        if (op.bytes == 1u << (w - 1))
+            return delta % op.bytes == 0 ? w : 7;
+    return 7;
+}
+
+/** True if @p op's encoding carries its value (see StreamReader). */
+bool
+keepsValue(const Op &op, const std::vector<mem::Addr> &valueWords)
+{
+    if (op.value == 0)
+        return false; // Decodes as 0.
+    switch (op.kind) {
+      case OpKind::Compute:
+      case OpKind::RmwFetchAdd:
+      case OpKind::DepWrite:
+      case OpKind::SyncFlagWait:
+        return true;
+      case OpKind::Write:
+        // Replay drops a store to any word but a value word.
+        return std::binary_search(valueWords.begin(), valueWords.end(),
+                                  op.addr);
+      default:
+        return false;
+    }
+}
+
+/** Append @p op to an encoded stream whose previous address is
+ *  @p prev. */
+void
+putOp(std::string &out, mem::Addr &prev, const Op &op,
+      const std::vector<mem::Addr> &valueWords)
+{
+    const bool value = keepsValue(op, valueWords);
+    const bool addressed =
+        op.kind != OpKind::Compute && op.kind != OpKind::Phase;
+    const std::uint64_t delta = addressed ? op.addr - prev : 0;
+    const std::uint8_t width = widthCode(op, delta);
+    out += static_cast<char>(static_cast<std::uint8_t>(op.kind) |
+                             width << 4 | (value ? 0x80 : 0));
+    if (width == 7)
+        out += static_cast<char>(op.bytes);
+    if (op.kind == OpKind::Phase)
+        putVarint(out, op.aux);
+    if (addressed) {
+        // An arithmetic shift: the delta is signed, and a multiple of
+        // the width unless the code is 0 or 7.
+        const unsigned shift = width == 0 || width == 7 ? 0 : width - 1;
+        const std::int64_t units = static_cast<std::int64_t>(delta) >> shift;
+        putVarint(out, (static_cast<std::uint64_t>(units) << 1) ^
+                           static_cast<std::uint64_t>(units >> 63));
+        prev = op.addr;
+    }
+    if (value)
+        putVarint(out, op.value);
+}
+
+/** The barrier sense words of @p setup: value words replay reads. */
+std::vector<mem::Addr>
+setupValueWords(const std::vector<SetupOp> &setup)
+{
+    std::vector<mem::Addr> words;
+    for (const SetupOp &op : setup)
+        if (op.kind == SetupOp::Barrier)
+            words.push_back(op.b);
+    return words;
+}
+
+void
+sortUnique(std::vector<mem::Addr> &words)
+{
+    std::sort(words.begin(), words.end());
+    words.erase(std::unique(words.begin(), words.end()), words.end());
+}
+
 } // namespace
 
 void
-indexValueWords(Trace &trace)
+encodeStreams(Trace &trace, const std::vector<std::vector<Op>> &ops)
 {
-    std::vector<mem::Addr> words;
-    for (const SetupOp &op : trace.setup)
-        if (op.kind == SetupOp::Barrier)
-            words.push_back(op.b);
-    for (const std::vector<Op> &stream : trace.streams)
+    std::vector<mem::Addr> words = setupValueWords(trace.setup);
+    for (const std::vector<Op> &stream : ops)
         for (const Op &op : stream)
             if (readsValue(op.kind))
                 words.push_back(op.addr);
-    std::sort(words.begin(), words.end());
-    words.erase(std::unique(words.begin(), words.end()), words.end());
+    sortUnique(words);
+
+    trace.bytes.clear();
+    trace.streams.clear();
+    for (const std::vector<Op> &stream : ops) {
+        Stream encoded;
+        encoded.offset = trace.bytes.size();
+        encoded.ops = stream.size();
+        mem::Addr prev = 0;
+        for (const Op &op : stream)
+            putOp(trace.bytes, prev, op, words);
+        encoded.size = trace.bytes.size() - encoded.offset;
+        trace.streams.push_back(encoded);
+    }
     trace.valueWords = std::move(words);
+}
+
+bool
+indexValueWords(Trace &trace)
+{
+    std::vector<mem::Addr> words = setupValueWords(trace.setup);
+    for (const Stream &stream : trace.streams) {
+        if (stream.offset > trace.bytes.size() ||
+            stream.size > trace.bytes.size() - stream.offset)
+            return false;
+        StreamReader reader(
+            std::string_view(trace.bytes).substr(stream.offset, stream.size));
+        Op op;
+        // Every op takes at least one byte, so a hostile count stops at
+        // the end of the span.
+        for (std::uint64_t i = 0; i < stream.ops; ++i) {
+            if (!reader.next(op))
+                return false;
+            if (op.kind == OpKind::Phase &&
+                op.aux >= trace.phaseNames.size())
+                return false;
+            if (readsValue(op.kind))
+                words.push_back(op.addr);
+        }
+        if (!reader.atEnd())
+            return false;
+    }
+    sortUnique(words);
+    trace.valueWords = std::move(words);
+    return true;
 }
 
 std::uint64_t
 Trace::opCount() const
 {
     std::uint64_t total = 0;
-    for (const std::vector<Op> &stream : streams)
-        total += stream.size();
+    for (const Stream &stream : streams)
+        total += stream.ops;
     return total;
+}
+
+std::string_view
+Trace::streamBytes(std::size_t p) const
+{
+    return std::string_view(bytes).substr(streams[p].offset,
+                                          streams[p].size);
 }
 
 std::string
@@ -160,15 +288,11 @@ saveTrace(const Trace &trace, const std::string &path)
         putVarint(blob, op.c);
         putVarint(blob, op.d);
     }
-    for (const std::vector<Op> &stream : trace.streams) {
-        putVarint(blob, stream.size());
-        for (const Op &op : stream) {
-            blob += static_cast<char>(op.kind);
-            blob += static_cast<char>(op.bytes);
-            putVarint(blob, op.aux);
-            putVarint(blob, op.addr);
-            putVarint(blob, op.value);
-        }
+    for (std::size_t p = 0; p < trace.streams.size(); ++p) {
+        const std::string_view ops = trace.streamBytes(p);
+        putVarint(blob, trace.streams[p].ops);
+        putVarint(blob, ops.size());
+        blob += ops;
     }
     const std::uint64_t sum = fnv1a(blob);
     for (unsigned i = 0; i < 8; ++i)
@@ -285,42 +409,26 @@ loadTrace(const std::string &path, Trace &out)
             return false;
         trace.setup.push_back(op);
     }
+    // Each stream is its op count, its byte length and its ops, which
+    // stay where they are: the file's bytes become the trace's.
     trace.streams.resize(trace.procs);
     std::uint64_t totalOps = 0;
-    for (std::uint32_t p = 0; p < trace.procs; ++p) {
-        std::uint64_t count = 0;
-        if (!getVarint(body, at, count))
-            return false;
-        if (count > (body.size() - at) / kMinRecordBytes)
-            return false;
-        std::vector<Op> &stream = trace.streams[p];
-        stream.reserve(count);
-        for (std::uint64_t i = 0; i < count; ++i) {
-            if (at + 2 > body.size())
-                return false;
-            Op op;
-            const std::uint8_t kind = static_cast<std::uint8_t>(body[at++]);
-            if (kind >= kOpKinds)
-                return false;
-            op.kind = static_cast<OpKind>(kind);
-            op.bytes = static_cast<std::uint8_t>(body[at++]);
-            std::uint64_t aux = 0;
-            if (!getVarint(body, at, aux) ||
-                !getVarint(body, at, op.addr) ||
-                !getVarint(body, at, op.value) || aux > UINT32_MAX)
-                return false;
-            op.aux = static_cast<std::uint32_t>(aux);
-            if (op.kind == OpKind::Phase &&
-                op.aux >= trace.phaseNames.size())
-                return false;
-            stream.push_back(op);
-        }
-        totalOps += count;
+    for (Stream &stream : trace.streams) {
+        std::uint64_t size = 0;
+        if (!getVarint(body, at, stream.ops) || !getVarint(body, at, size) ||
+            size > body.size() - at || stream.ops > size)
+            return false; // Every op takes at least one byte.
+        stream.offset = at;
+        stream.size = size;
+        at += size;
+        totalOps += stream.ops;
     }
     if (at != body.size() || totalOps != ops)
         return false;
 
-    indexValueWords(trace);
+    trace.bytes = std::move(blob);
+    if (!indexValueWords(trace))
+        return false;
     out = std::move(trace);
     return true;
 }

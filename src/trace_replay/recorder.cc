@@ -215,13 +215,17 @@ Recorder::take(const std::string &app, const apps::AppParams &params)
         op.b = value;
         trace.setup.push_back(op);
     }
-    trace.streams.reserve(streams_.size());
+    // The streams stay Op vectors until here: onWriteValue and onRmw
+    // rewrite the latest op, and which write values replay can drop is
+    // only known once every stream's value words are.
+    std::vector<std::vector<Op>> ops;
+    ops.reserve(streams_.size());
     for (Stream &s : streams_) {
         ABSIM_CHECK(s.suppress == 0, "worker ended inside a sync op");
         flushCompute(s);
-        trace.streams.push_back(std::move(s.ops));
+        ops.push_back(std::move(s.ops));
     }
-    indexValueWords(trace);
+    encodeStreams(trace, ops);
     return trace;
 }
 

@@ -58,7 +58,8 @@ class Recorder final : public rt::RefSink
 
     /**
      * Finalize into a Trace (flushes pending computation, appends the
-     * InitValue setup records).  The recorder is spent afterwards.
+     * InitValue setup records, encodes the streams).  The recorder is
+     * spent afterwards.
      */
     Trace take(const std::string &app, const apps::AppParams &params);
 

@@ -22,7 +22,8 @@ using mach::AccessTiming;
 using mach::AccessType;
 using net::NodeId;
 
-/** One replayed processor: rt::ProcCore plus the interpreter's cursor. */
+/** One replayed processor: rt::ProcCore plus the interpreter's cursors
+ *  into its encoded stream and into the op being replayed. */
 class Worker final : public rt::ProcCore
 {
   public:
@@ -36,6 +37,7 @@ class Worker final : public rt::ProcCore
         this->type = type;
     }
 
+    StreamReader stream; ///< Decodes each op as replay reaches it.
     std::uint64_t lastRmwOld = 0;
     mem::Addr addr = 0;
     AccessType type = AccessType::Read;
@@ -81,8 +83,8 @@ class ValueStore
         if (!slot.used)
             throw ReplayError(
                 "trace: value word " + std::to_string(a) +
-                " is not indexed (a hand-built trace must call "
-                "trace::indexValueWords)");
+                " is not indexed (a hand-built trace must be encoded "
+                "by trace::encodeStreams)");
         return slot.value;
     }
 
@@ -137,7 +139,7 @@ class Replayer
 
   private:
     void rebuildSetup();
-    sim::Task<> interpret(Worker &w, const std::vector<Op> &ops);
+    sim::Task<> interpret(Worker &w);
     bool begin(Worker &w, const Op &op);
     bool advance(Worker &w, const Op &op);
 
@@ -158,6 +160,11 @@ Replayer::rebuildSetup()
     for (const SetupOp &op : trace_.setup) {
         switch (op.kind) {
           case SetupOp::Alloc: {
+            // What no recording run can ask of the heap is a hostile
+            // record: named here rather than thrown by the heap.
+            if (op.a == 0 || op.c >= trace_.procs ||
+                op.b > static_cast<std::uint64_t>(rt::Placement::OnNode))
+                throw ReplayError("trace: malformed allocation record");
             const mem::Addr base = heap_.allocate(
                 op.a, static_cast<rt::Placement>(op.b),
                 static_cast<NodeId>(op.c));
@@ -185,11 +192,16 @@ Replayer::rebuildSetup()
  * majority, never leave this frame.
  */
 sim::Task<>
-Replayer::interpret(Worker &w, const std::vector<Op> &ops)
+Replayer::interpret(Worker &w)
 {
     try {
         co_await sim::Delay{eq_, 0}; // Process::start(0): the spawn event.
-        for (const Op &op : ops) {
+        Op op;
+        while (!w.stream.atEnd()) {
+            if (!w.stream.next(op))
+                throw ReplayError("trace: malformed op in the stream of "
+                                  "processor " +
+                                  std::to_string(w.node()));
             if (!begin(w, op))
                 continue;
             do {
@@ -312,7 +324,8 @@ Replayer::run(const sim::RunBudget *budget)
     for (std::uint32_t i = 0; i < trace_.procs; ++i) {
         workers_.push_back(
             std::make_unique<Worker>(eq_, static_cast<NodeId>(i)));
-        tasks.push_back(interpret(*workers_.back(), trace_.streams[i]));
+        workers_.back()->stream = StreamReader(trace_.streamBytes(i));
+        tasks.push_back(interpret(*workers_.back()));
     }
 
     eq_.run();

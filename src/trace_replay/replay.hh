@@ -8,7 +8,8 @@
  * Replay builds its machine with mach::makeMachine and its engine is a
  * sim::EventQueue, exactly as execution does.  Only the driver differs:
  * instead of application code on fiber processes, a coroutine per
- * processor interprets the recorded op stream, calling the machine's
+ * processor interprets the recorded op stream, decoding each op from
+ * the trace's encoded bytes as it reaches it and calling the machine's
  * probe() and, when it declines, awaiting its miss() task — the same two
  * phases Machine::access runs under a fiber.  Every blocking point in
  * the models is an awaitable sim primitive that schedules the same

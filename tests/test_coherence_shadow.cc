@@ -24,6 +24,7 @@
 #include <map>
 #include <memory>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -404,11 +405,17 @@ class ScanMachine final : public mach::Machine
                 Verdicts &v)
         : Machine(nodes, homes), kind_(spec.kind)
     {
-        if (std::string(spec.netModel) == "detailed")
+        // Every model name is matched explicitly: a row naming a model
+        // this scan does not know fails here instead of being scanned
+        // as some other stack.
+        const std::string network = spec.netModel;
+        if (network == "detailed")
             net_ = std::make_unique<mach::DetailedNetModel>(eq, topo, nodes);
-        else
+        else if (network == "logp")
             net_ = std::make_unique<mach::LogPNetModel>(
                 eq, topo, nodes, logp::GapPolicy::Single);
+        else
+            unknownModel(spec, "network", network);
         const std::string model = spec.memModel;
         v.name = spec.name;
         if (model == "directory") {
@@ -426,9 +433,11 @@ class ScanMachine final : public mach::Machine
             for (std::uint32_t n = 0; n < nodes; ++n)
                 v.caches.push_back(&m->cache(n));
             mem_ = std::move(m);
-        } else {
+        } else if (model == "uncached") {
             mem_ = std::make_unique<mach::UncachedMem>(*net_, nodes, homes,
                                                        stats_);
+        } else {
+            unknownModel(spec, "memory", model);
         }
     }
 
@@ -456,6 +465,17 @@ class ScanMachine final : public mach::Machine
     }
 
   private:
+    [[noreturn]] static void
+    unknownModel(const mach::MachineSpec &spec, const char *axis,
+                 const std::string &name)
+    {
+        ADD_FAILURE() << "machine " << spec.name << " names " << axis
+                      << " model '" << name
+                      << "', which the shadow scan does not build";
+        throw std::invalid_argument(std::string("unknown ") + axis +
+                                    " model " + name);
+    }
+
     mach::MachineKind kind_;
     std::unique_ptr<mach::NetModel> net_;
     std::unique_ptr<mach::MemModel> mem_;

@@ -291,6 +291,31 @@ TEST(Journal, UnterminatedFinalRecordIsTornEvenIfParseable)
     EXPECT_LT(info.cleanBytes, bytes.size());
 }
 
+TEST(Journal, OverLongLineIsATornTailNotAnAllocation)
+{
+    const std::string path = testing::TempDir() + "absim_long.jsonl";
+    const core::JournalHeader header{"t", "fft", "full", "exec_time"};
+    writeJournal(path, header, {{4, false, {1.0, 2.0, 3.0}, "", "", ""}});
+    std::uint64_t intact = 0;
+    {
+        std::ifstream in(path, std::ios::binary | std::ios::ate);
+        intact = static_cast<std::uint64_t>(in.tellg());
+    }
+    {
+        // A newline-free line one byte over the cap.
+        std::ofstream out(path, std::ios::app | std::ios::binary);
+        out << std::string(core::kMaxJournalLineBytes + 1, 'x');
+    }
+    std::vector<core::JournalRecord> records;
+    core::JournalResume info;
+    ASSERT_TRUE(core::loadJournal(path, header,
+                                  core::defaultJournalColumns(), records,
+                                  &info));
+    ASSERT_EQ(records.size(), 1u);
+    EXPECT_TRUE(info.tornTail);
+    EXPECT_EQ(info.cleanBytes, intact);
+}
+
 TEST(Journal, HeaderMismatchIgnoresJournal)
 {
     const std::string path = testing::TempDir() + "absim_header.jsonl";
@@ -718,6 +743,109 @@ TEST(JournalMerge, TornTailIsAWarningWhenNothingIsMissing)
               std::string::npos)
         << merge.warnings[0];
     EXPECT_EQ(merge.records.size(), 4u);
+}
+
+/** The first merge error, or "" when the merge succeeded. */
+std::string
+firstError(const core::MergeResult &merge)
+{
+    return merge.errors.empty() ? "" : merge.errors[0];
+}
+
+TEST(JournalMerge, NamesAShardWithoutAHeaderLine)
+{
+    const std::string s0 = testing::TempDir() + "absim_nohdr_s0.jsonl";
+    std::ofstream(s0, std::ios::binary | std::ios::trunc)
+        << "{\"absim_journal\":1"; // No terminating newline.
+    const std::string s1 = writeShard("absim_nohdr_s1.jsonl",
+                                      oneColumnHeader(1, 2),
+                                      {{2, false, {1.0}, "", "", ""}},
+                                      {"m1"});
+    const core::MergeResult merge = core::mergeJournals({s0, s1});
+    ASSERT_FALSE(merge.ok());
+    EXPECT_NE(firstError(merge).find("shard-header-missing"),
+              std::string::npos)
+        << firstError(merge);
+}
+
+TEST(JournalMerge, NamesAMalformedHeaderLine)
+{
+    const std::string s0 = testing::TempDir() + "absim_badhdr_s0.jsonl";
+    std::ofstream(s0, std::ios::binary | std::ios::trunc)
+        << "not a journal header\n";
+    const std::string s1 = writeShard("absim_badhdr_s1.jsonl",
+                                      oneColumnHeader(1, 2),
+                                      {{2, false, {1.0}, "", "", ""}},
+                                      {"m1"});
+    const core::MergeResult merge = core::mergeJournals({s0, s1});
+    ASSERT_FALSE(merge.ok());
+    EXPECT_NE(firstError(merge).find("shard-header-malformed"),
+              std::string::npos)
+        << firstError(merge);
+}
+
+TEST(JournalMerge, NamesAnOverLongLine)
+{
+    const std::string s0 = writeShard("absim_long_s0.jsonl",
+                                      oneColumnHeader(0, 2),
+                                      {{1, false, {0.5}, "", "", ""}},
+                                      {"m1"});
+    {
+        // A newline-free line one byte over the cap.
+        std::ofstream out(s0, std::ios::app | std::ios::binary);
+        out << std::string(core::kMaxJournalLineBytes + 1, 'x');
+    }
+    const std::string s1 = writeShard("absim_long_s1.jsonl",
+                                      oneColumnHeader(1, 2),
+                                      {{2, false, {1.0}, "", "", ""}},
+                                      {"m1"});
+    const core::MergeResult merge = core::mergeJournals({s0, s1});
+    ASSERT_FALSE(merge.ok());
+    EXPECT_NE(firstError(merge).find("shard-line-too-long"),
+              std::string::npos)
+        << firstError(merge);
+}
+
+TEST(JournalMerge, NamesAnIncompleteTrailingPoint)
+{
+    // Two machines, items 0..2 over two shards: the second point holds
+    // m1's record but not m2's, and no shard has a gap.
+    core::JournalHeader h0{"t", "fft", "full", "exec_time",
+                           {"m1", "m2"}, core::ShardSpec{0, 2}};
+    core::JournalHeader h1{"t", "fft", "full", "exec_time",
+                           {"m1", "m2"}, core::ShardSpec{1, 2}};
+    const std::string s0 = writeShard(
+        "absim_inc_s0.jsonl", h0,
+        {{1, false, {0.5}, "", "", ""}, {2, false, {1.5}, "", "", ""}},
+        {"m1", "m1"});
+    const std::string s1 = writeShard("absim_inc_s1.jsonl", h1,
+                                      {{1, false, {1.0}, "", "", ""}},
+                                      {"m2"});
+    const core::MergeResult merge = core::mergeJournals({s0, s1});
+    ASSERT_FALSE(merge.ok());
+    EXPECT_NE(firstError(merge).find("merge-incomplete-point"),
+              std::string::npos)
+        << firstError(merge);
+}
+
+TEST(JournalMerge, NamesAMisplacedRecord)
+{
+    // Item 0 belongs to m1, but shard 0's first line carries m2.
+    core::JournalHeader h0{"t", "fft", "full", "exec_time",
+                           {"m1", "m2"}, core::ShardSpec{0, 2}};
+    core::JournalHeader h1{"t", "fft", "full", "exec_time",
+                           {"m1", "m2"}, core::ShardSpec{1, 2}};
+    const std::string s0 = writeShard("absim_mis_s0.jsonl", h0,
+                                      {{1, false, {0.5}, "", "", ""}},
+                                      {"m2"});
+    const std::string s1 = writeShard("absim_mis_s1.jsonl", h1,
+                                      {{1, false, {1.0}, "", "", ""}},
+                                      {"m2"});
+    const core::MergeResult merge = core::mergeJournals({s0, s1});
+    ASSERT_FALSE(merge.ok());
+    EXPECT_NE(firstError(merge).find("merge-misplaced-record"),
+              std::string::npos)
+        << firstError(merge);
 }
 
 TEST(SweepSafe, FigureJsonIsWellFormedAndDeterministic)

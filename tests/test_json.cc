@@ -332,7 +332,7 @@ TEST(JsonMutation, TraceHeader)
     t.variant = "v\"1";
     t.untraceableWhy = "why\n";
     t.phaseNames = {"main", "sort"};
-    t.streams = {{trace::Op{}}};
+    trace::encodeStreams(t, {{trace::Op{}}});
     const std::string path =
         testing::TempDir() + "absim_json_mutation_trace.abt";
     trace::saveTrace(t, path);

@@ -302,6 +302,35 @@ TEST(ServeCache, RecordWhoseCanonMismatchesItsKeyIsATear)
     EXPECT_FALSE(cache.lookup(0x00000000deadbeefull, payload));
 }
 
+TEST(ServeCache, OverLongLineIsATornTailNotAnAllocation)
+{
+    const std::string path = testing::TempDir() + "absim_cache_long.jsonl";
+    std::remove(path.c_str());
+    {
+        serve::ResultCache cache;
+        ASSERT_TRUE(cache.open(path));
+        cache.insert(core::fnv1a64("kept"), "kept", "before");
+        cache.close();
+    }
+    {
+        // A newline-free line one byte over the cap.
+        std::ofstream out(path, std::ios::app | std::ios::binary);
+        out << std::string(core::kMaxJournalLineBytes + 1, 'x');
+    }
+    {
+        serve::ResultCache cache;
+        ASSERT_TRUE(cache.open(path));
+        EXPECT_TRUE(cache.recoveredTornTail());
+        EXPECT_EQ(cache.size(), 1u);
+        cache.insert(core::fnv1a64("after"), "after", "appended");
+        cache.close();
+    }
+    serve::ResultCache cache;
+    ASSERT_TRUE(cache.open(path));
+    EXPECT_FALSE(cache.recoveredTornTail());
+    EXPECT_EQ(cache.size(), 2u);
+}
+
 TEST(ServeCache, FirstWriteWinsOnDuplicateKeys)
 {
     serve::ResultCache cache;

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
@@ -32,6 +33,7 @@
 #include "runtime/context.hh"
 #include "runtime/shared.hh"
 #include "runtime/sync.hh"
+#include "sim/rng.hh"
 #include "stats/overheads.hh"
 #include "trace_replay/divergence.hh"
 #include "trace_replay/format.hh"
@@ -385,6 +387,18 @@ TEST(TraceReplay, TornTraceFileIsACacheMiss)
     EXPECT_FALSE(trace::loadTrace(path, corrupt));
 }
 
+/** Every op of @p t's stream @p p, decoded. */
+std::vector<trace::Op>
+decodeStream(const trace::Trace &t, std::size_t p)
+{
+    trace::StreamReader reader(t.streamBytes(p));
+    std::vector<trace::Op> ops(t.streams[p].ops);
+    for (trace::Op &op : ops)
+        EXPECT_TRUE(reader.next(op));
+    EXPECT_TRUE(reader.atEnd());
+    return ops;
+}
+
 TEST(TraceReplay, FormatRoundTripPreservesEverything)
 {
     TempTraceDir dir;
@@ -419,11 +433,11 @@ TEST(TraceReplay, FormatRoundTripPreservesEverything)
         EXPECT_TRUE(a.setup[i] == b.setup[i]) << "setup op " << i;
     ASSERT_EQ(a.streams.size(), b.streams.size());
     for (std::size_t p = 0; p < a.streams.size(); ++p) {
-        ASSERT_EQ(a.streams[p].size(), b.streams[p].size())
-            << "proc " << p;
-        for (std::size_t i = 0; i < a.streams[p].size(); ++i)
-            EXPECT_TRUE(a.streams[p][i] == b.streams[p][i])
-                << "proc " << p << " op " << i;
+        const std::vector<trace::Op> aOps = decodeStream(a, p);
+        const std::vector<trace::Op> bOps = decodeStream(b, p);
+        ASSERT_EQ(aOps.size(), bOps.size()) << "proc " << p;
+        for (std::size_t i = 0; i < aOps.size(); ++i)
+            EXPECT_TRUE(aOps[i] == bOps[i]) << "proc " << p << " op " << i;
     }
 }
 
@@ -489,7 +503,7 @@ tinyTrace()
     t.setup.push_back(init);
     trace::Op compute;
     compute.value = 10;
-    t.streams = {{compute, compute}};
+    trace::encodeStreams(t, {{compute, compute}});
     return t;
 }
 
@@ -501,8 +515,8 @@ scanValueWords(const trace::Trace &t)
     for (const trace::SetupOp &op : t.setup)
         if (op.kind == trace::SetupOp::Barrier)
             words.insert(op.b);
-    for (const std::vector<trace::Op> &stream : t.streams)
-        for (const trace::Op &op : stream)
+    for (std::size_t p = 0; p < t.streams.size(); ++p)
+        for (const trace::Op &op : decodeStream(t, p))
             if (op.kind == trace::OpKind::RmwFetchAdd ||
                 op.kind == trace::OpKind::RmwTestAndSet ||
                 op.kind == trace::OpKind::SyncLockTS ||
@@ -555,6 +569,142 @@ TEST(TraceFormat, RecordedAndLoadedTracesIndexTheSameWords)
         trace::Trace loaded;
         ASSERT_TRUE(trace::loadTrace(path, loaded));
         EXPECT_EQ(loaded.valueWords, taken.valueWords);
+    }
+}
+
+TEST(TraceFormat, VersionOneFileInTheStoreIsARecordOnMiss)
+{
+    TempTraceDir dir;
+    core::RunConfig config =
+        smallConfig("ep", 2048, 4, mach::MachineKind::LogPC);
+    config.mode = core::RunMode::Record;
+    config.traceDir = dir.path();
+    const stats::Profile exec = core::runOne(config);
+    const std::string name =
+        trace::traceFileName(config.app, config.params, config.procs);
+    EXPECT_EQ(name.rfind("trace-v2-", 0), 0u) << name;
+
+    // The same file stamped version 1, sealed with a valid checksum.
+    const std::string path = dir.path() + "/" + name;
+    std::string body = readBody(path);
+    const std::size_t at = body.find("\"version\":2");
+    ASSERT_LT(at, body.find('\n'));
+    body.replace(at, 11, "\"version\":1");
+    writeSealed(path, body);
+    trace::Trace loaded;
+    EXPECT_FALSE(trace::loadTrace(path, loaded));
+
+    // Replay mode executes, re-records as version 2, then replays.
+    config.mode = core::RunMode::Replay;
+    expectProfilesEqual(exec, core::runOne(config), "v1 file: record");
+    ASSERT_TRUE(trace::loadTrace(path, loaded));
+    EXPECT_NE(readBody(path).find("\"version\":2"), std::string::npos);
+    expectProfilesEqual(exec, core::runOne(config), "re-recorded: replay");
+}
+
+TEST(TraceFormat, FftEncodesInAtMostFourBytesPerOp)
+{
+    // Kind and width share a byte, addresses are per-stream deltas, and
+    // only the values replay reads are kept.
+    TempTraceDir dir;
+    for (const std::uint32_t procs : {1u, 8u}) {
+        core::RunConfig config =
+            smallConfig("fft", 1024, procs, mach::MachineKind::Target);
+        config.mode = core::RunMode::Record;
+        config.traceDir = dir.path();
+        core::runOne(config);
+        const std::string path =
+            dir.path() + "/" +
+            trace::traceFileName(config.app, config.params, procs);
+        trace::Trace loaded;
+        ASSERT_TRUE(trace::loadTrace(path, loaded));
+        EXPECT_LE(std::filesystem::file_size(path), 4 * loaded.opCount())
+            << "P=" << procs;
+    }
+}
+
+TEST(TraceFormat, OnlyWriteValuesReplayReadsAreKept)
+{
+    // Word 64 is a value word (a fetch&add reads it), word 128 is not:
+    // the plain write to 128 loses its value, the one to 64 keeps it,
+    // and a DepWrite, whose slot is only known at replay, always does.
+    trace::Trace t;
+    t.procs = 1;
+    const auto op = [](trace::OpKind kind, mem::Addr addr,
+                       std::uint64_t value) {
+        trace::Op o;
+        o.kind = kind;
+        o.bytes = 8;
+        o.addr = addr;
+        o.value = value;
+        return o;
+    };
+    const std::vector<trace::Op> ops = {
+        op(trace::OpKind::RmwFetchAdd, 64, 1),
+        op(trace::OpKind::Write, 128, 7),
+        op(trace::OpKind::Write, 64, 9),
+        op(trace::OpKind::DepWrite, 256, 11),
+        op(trace::OpKind::Read, 8, 0),
+    };
+    trace::encodeStreams(t, {ops});
+    EXPECT_EQ(t.valueWords, std::vector<mem::Addr>{64});
+    std::vector<trace::Op> expected = ops;
+    expected[1].value = 0;
+    const std::vector<trace::Op> decoded = decodeStream(t, 0);
+    ASSERT_EQ(decoded.size(), expected.size());
+    for (std::size_t i = 0; i < decoded.size(); ++i)
+        EXPECT_TRUE(decoded[i] == expected[i]) << "op " << i;
+}
+
+TEST(TraceFormat, EveryKindWidthAndDeltaRoundTrips)
+{
+    // Random ops of every kind and width — zero, the powers of two, and
+    // widths the op byte cannot code — at aligned, unaligned and
+    // far-apart addresses: each decodes as encoded, but for the values
+    // the encoder leaves out (they decode as 0).
+    sim::Rng rng(99);
+    constexpr std::uint8_t kWidths[] = {0, 1, 2, 4, 8, 16, 32, 3, 12, 255};
+    std::vector<trace::Op> ops;
+    for (int i = 0; i < 5000; ++i) {
+        trace::Op op;
+        op.kind = static_cast<trace::OpKind>(rng.below(trace::kOpKinds));
+        op.bytes = kWidths[rng.below(std::size(kWidths))];
+        op.addr = rng.below(4) == 0
+                      ? rng.next()
+                      : 4096 + 8 * rng.below(1000) + rng.below(2);
+        op.value = rng.next() >> rng.below(64);
+        switch (op.kind) {
+          case trace::OpKind::Phase:
+            op.aux = static_cast<std::uint32_t>(rng.below(3));
+            op.addr = 0;
+            op.value = 0;
+            break;
+          case trace::OpKind::Compute:
+            op.addr = 0;
+            break;
+          case trace::OpKind::Write:
+          case trace::OpKind::RmwFetchAdd:
+          case trace::OpKind::DepWrite:
+          case trace::OpKind::SyncFlagWait:
+            break;
+          default:
+            op.value = 0; // Kinds that carry no value.
+            break;
+        }
+        ops.push_back(op);
+    }
+    trace::Trace t;
+    t.procs = 1;
+    trace::encodeStreams(t, {ops});
+    const std::vector<trace::Op> decoded = decodeStream(t, 0);
+    ASSERT_EQ(decoded.size(), ops.size());
+    for (std::size_t i = 0; i < ops.size(); ++i) {
+        trace::Op expected = ops[i];
+        if (expected.kind == trace::OpKind::Write &&
+            !std::binary_search(t.valueWords.begin(), t.valueWords.end(),
+                                expected.addr))
+            expected.value = 0;
+        EXPECT_TRUE(decoded[i] == expected) << "op " << i;
     }
 }
 
@@ -650,8 +800,7 @@ unsatisfiableTrace(trace::OpKind kind, std::uint64_t init)
     wait.bytes = 8;
     wait.addr = alloc.d;
     wait.value = 1; // A flag value nobody writes.
-    t.streams = {{wait}, {}};
-    trace::indexValueWords(t);
+    trace::encodeStreams(t, {{wait}, {}});
     return t;
 }
 
@@ -701,7 +850,7 @@ TEST(TraceReplay, AddressPastTheHeapIsANamedErrorWithoutAPage)
     read.kind = trace::OpKind::Read;
     read.bytes = 8;
     read.addr = kFar;
-    t.streams = {{read}, {}};
+    trace::encodeStreams(t, {{read}, {}});
 
     for (const mach::MachineKind machine : kAllMachines) {
         SCOPED_TRACE(mach::toString(machine));
@@ -741,7 +890,7 @@ TEST(TraceReplay, UnindexedValueWordIsANamedError)
     // Without the index, the flag wait's load must fail loudly and name
     // the word, not read a silent 0.
     trace::Trace t = unsatisfiableTrace(trace::OpKind::SyncFlagWait, 0);
-    const std::uint64_t word = t.streams[0][0].addr;
+    const std::uint64_t word = decodeStream(t, 0)[0].addr;
     t.valueWords.clear();
     trace::ReplaySpec spec;
     try {
