@@ -7,9 +7,8 @@
  *
  * The shards may be listed in any order — each stamps its own K/N in
  * its header.  On success the merged journal is byte-identical to the
- * one an unsharded serial sweep would have written, so re-running the
- * bench with it replays every point and emits byte-identical figure
- * output.
+ * one the unsharded sweep would have written, so re-running the bench
+ * with it replays every point and emits byte-identical figure output.
  *
  * Exit status: 0 on success, 1 if the shards do not merge (each named
  * diagnostic on stderr), 2 on a bad command line.  Warnings (e.g. a

@@ -77,9 +77,6 @@ usage(std::FILE *out, const char *argv0)
         "                   three-machine figure\n"
         "  --jobs N         sweep worker threads (default 1; output is\n"
         "                   identical for any value)\n"
-        "  --shard K/N      with --sweep: run only shard K of N (the\n"
-        "                   (point x machine) items with index = K mod\n"
-        "                   N; merge journals with journal_merge)\n"
         "  --record         execute and record the reference trace into\n"
         "                   the trace store (see docs/TRACING.md)\n"
         "  --replay         replay stored traces instead of executing\n"
@@ -144,7 +141,6 @@ main(int argc, char **argv)
     bool sweep = false;
     core::Metric metric = core::Metric::ExecTime;
     unsigned jobs = 1;
-    core::ShardSpec shard;
     const char *argv0 = argv[0];
 
     auto next = [&](int &i) -> const char * {
@@ -271,12 +267,6 @@ main(int argc, char **argv)
                                    std::to_string(n) +
                                    "' (valid: 1..256)");
             jobs = static_cast<unsigned>(n);
-        } else if (arg == "--shard") {
-            const char *spec = next(i);
-            if (!core::ShardSpec::parse(spec, shard))
-                badFlag(argv0, std::string("invalid --shard value '") +
-                                   spec +
-                                   "' (expected K/N with 0 <= K < N)");
         } else if (arg == "--record") {
             config.mode = core::RunMode::Record;
         } else if (arg == "--replay") {
@@ -287,9 +277,6 @@ main(int argc, char **argv)
             badFlag(argv0, "unknown option '" + arg + "'");
         }
     }
-
-    if (shard.sharded() && !sweep)
-        badFlag(argv0, "--shard requires --sweep");
 
     fault::ScopedPlan armed(plan); // Inert when the plan is empty.
 
@@ -306,7 +293,6 @@ main(int argc, char **argv)
         core::SweepOptions options;
         options.policy = policy;
         options.jobs = jobs;
-        options.shard = shard;
         const core::SweepResult result = core::sweepFigureSafe(
             "Sweep: " + config.app + " on " +
                 net::toString(config.topology) + ": " +

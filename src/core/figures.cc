@@ -1,8 +1,8 @@
 #include "core/figures.hh"
 
+#include <algorithm>
 #include <cstdio>
 #include <iomanip>
-#include <span>
 #include <ostream>
 #include <stdexcept>
 
@@ -63,39 +63,14 @@ metricValue(const stats::Profile &profile, Metric metric)
     return 0.0;
 }
 
-namespace {
-
-/** Resolve the empty machine-list default in one place. */
-std::vector<mach::MachineKind>
-resolveMachines(const std::vector<mach::MachineKind> &machines)
-{
-    if (machines.empty())
-        return mach::defaultFigureMachines();
-    return machines;
-}
-
-/** True if @p machines is the classic trio (whose journals stay in the
- *  legacy header layout for byte-compatible resume). */
-bool
-isDefaultMachineSet(const std::vector<mach::MachineKind> &machines)
-{
-    return machines == mach::defaultFigureMachines();
-}
-
-} // namespace
-
 Figure
 sweepFigure(const std::string &title, const RunConfig &base,
             net::TopologyKind topology, Metric metric,
             const std::vector<std::uint32_t> &proc_counts,
             const std::vector<mach::MachineKind> &machines)
 {
-    Figure figure;
-    figure.title = title;
-    figure.app = base.app;
-    figure.topology = topology;
-    figure.metric = metric;
-    figure.machines = resolveMachines(machines);
+    Figure figure{title, base.app, topology, metric, machines, {}};
+    figure.machines = figureMachines(figure);
 
     for (const std::uint32_t p : proc_counts) {
         SeriesPoint point;
@@ -124,14 +99,6 @@ resolveJobs(unsigned jobs)
     return static_cast<unsigned>(envUint("ABSIM_JOBS", 1, 1, 4096));
 }
 
-/** Where an owned work item's record came from. */
-enum class ItemState : std::uint8_t
-{
-    Pending,   ///< Not answered yet: runs in this sweep.
-    Journaled, ///< Answered by the resumed journal.
-    Fresh,     ///< Ran in this sweep.
-};
-
 } // namespace
 
 SweepResult
@@ -143,115 +110,51 @@ sweepFigureSafe(const std::string &title, const RunConfig &base,
     const ShardSpec shard = options.shard;
     if (!shard.valid())
         throw std::invalid_argument("invalid shard spec " + shard.str());
-    const std::vector<mach::MachineKind> machines =
-        resolveMachines(options.machines);
-    const std::vector<std::string> columns = machineColumns(machines);
-    const std::size_t machine_count = machines.size();
-
     SweepResult result;
-    result.figure.title = title;
-    result.figure.app = base.app;
-    result.figure.topology = topology;
-    result.figure.metric = metric;
-    result.figure.machines = machines;
+    result.figure = {title, base.app, topology, metric, options.machines, {}};
+    result.figure.machines = figureMachines(result.figure);
+    const std::vector<mach::MachineKind> &machines = result.figure.machines;
+    const std::size_t machine_count = machines.size();
+    std::vector<std::string> names;
+    for (const mach::MachineKind kind : machines)
+        names.emplace_back(mach::specFor(kind).name);
 
     // The owned work items, row-major: item g is point g / M, machine
     // g % M, and shard K/N owns the items with g % N == K (the unsharded
     // sweep is shard 0/1 and owns them all).  Each item keeps only its
-    // shard-layout record: its metric value or its failure.
+    // journal record: its metric value or its failure.
     std::vector<std::size_t> owned;
     for (std::size_t g = 0; g < proc_counts.size() * machine_count; ++g)
         if (shard.owns(g))
             owned.push_back(g);
     std::vector<JournalRecord> items(owned.size());
-    std::vector<ItemState> state(owned.size(), ItemState::Pending);
-    const auto procsOf = [&](std::size_t r) {
-        return proc_counts[owned[r] / machine_count];
-    };
+    for (std::size_t r = 0; r < owned.size(); ++r) {
+        items[r].procs = proc_counts[owned[r] / machine_count];
+        items[r].machine = names[owned[r] % machine_count];
+    }
 
-    // A shard journal resumes positionally: record r is owned item r.
-    // More records than owned items, or a procs off the grid, belong to
-    // a different sweep shape.
-    const auto resumeShard = [&](std::vector<JournalRecord> &records) {
-        if (records.size() > owned.size())
-            return false;
-        for (std::size_t r = 0; r < records.size(); ++r) {
-            if (records[r].procs != procsOf(r))
-                return false;
-            items[r] = std::move(records[r]);
-            state[r] = ItemState::Journaled;
-        }
-        return true;
-    };
-
-    // A serial journal answers whole points, keyed by procs: a success
-    // record every machine, a failure record its named machine.  A
-    // failed point journals its failures one record at a time, in
-    // machine order, and points commit in sweep order, so only the
-    // journal's final point can be cut short: its machines after the
-    // last journaled failure run again.  An earlier machine without a
-    // record succeeded, and every other failed point keeps its verdict
-    // (delete the journal to retry it).  A failure naming a machine
-    // outside the sweep belongs to a different sweep.  Unsharded, every
-    // item is owned, so owned index r is item g.
-    const auto resumeSerial = [&](const std::vector<JournalRecord> &records) {
-        for (const JournalRecord &rec : records) {
-            std::size_t named = 0;
-            while (rec.failed && named < machine_count &&
-                   mach::specFor(machines[named]).name != rec.machine)
-                ++named;
-            if (named == machine_count)
-                return false;
-            for (std::size_t g = 0; g < owned.size(); ++g) {
-                if (procsOf(g) != rec.procs ||
-                    (rec.failed && g % machine_count != named))
-                    continue;
-                items[g] = rec;
-                if (!rec.failed)
-                    items[g].values = {rec.values[g % machine_count]};
-                state[g] = ItemState::Journaled;
-            }
-        }
-        for (std::size_t first = 0; first < owned.size();
-             first += machine_count) {
-            std::size_t answered = 0;
-            for (std::size_t mi = 0; mi < machine_count; ++mi)
-                if (items[first + mi].failed)
-                    answered = mi + 1;
-            if (answered != 0 && procsOf(first) != records.back().procs)
-                answered = machine_count;
-            for (std::size_t g = first; g < first + answered; ++g)
-                if (state[g] == ItemState::Pending) {
-                    items[g].procs = procsOf(g);
-                    state[g] = ItemState::Journaled;
-                }
-        }
-        return true;
-    };
-
-    // The header stamps the machine columns for a shard or a non-default
-    // machine set (classic-trio journals keep the legacy header) and the
-    // shard spec for a shard, so a journal never resumes a sweep with
-    // other columns or another shard's items; such a journal, like one
-    // the resume rejects, is rewritten from scratch.
-    JournalHeader header{title, base.app, net::toString(topology),
-                         toString(metric), {}, shard};
-    if (shard.sharded() || !isDefaultMachineSet(machines))
-        header.machines = columns;
+    // The journal answers a prefix of the owned items positionally:
+    // record r is owned item r.  The header stamps the machines and the
+    // shard spec, so a journal never resumes another sweep's or another
+    // shard's items; a record off this sweep's grid (too many records,
+    // another procs or machine) rejects the journal too, and a rejected
+    // journal is rewritten from scratch.
+    std::size_t journaled = 0;
     JournalWriter writer;
     if (!options.journalPath.empty()) {
         const std::string &path = options.journalPath;
+        const JournalHeader header{title, base.app, net::toString(topology),
+                                   toString(metric), names, shard};
         std::vector<JournalRecord> records;
         JournalResume info;
-        const bool resumed =
-            shard.sharded()
-                ? loadShardJournal(path, header, columns, records, &info) &&
-                      resumeShard(records)
-                : loadJournal(path, header, columns, records, &info) &&
-                      resumeSerial(records);
-        if (!resumed) {
-            items.assign(owned.size(), JournalRecord{});
-            state.assign(owned.size(), ItemState::Pending);
+        bool resumed = loadJournal(path, header, records, &info) &&
+                       records.size() <= owned.size();
+        for (std::size_t r = 0; resumed && r < records.size(); ++r)
+            resumed = records[r].procs == items[r].procs &&
+                      records[r].machine == items[r].machine;
+        if (resumed) {
+            journaled = records.size();
+            std::move(records.begin(), records.end(), items.begin());
         }
         // A journal that cannot be opened disables checkpointing with a
         // warning rather than failing the sweep.
@@ -263,75 +166,35 @@ sweepFigureSafe(const std::string &title, const RunConfig &base,
                          path.c_str());
     }
 
-    // One run per owned item the journal does not answer, in sweep
-    // order.
-    std::vector<std::size_t> pending;
+    // One run per owned item after the journaled prefix, in sweep order.
     std::vector<RunConfig> configs;
-    for (std::size_t r = 0; r < owned.size(); ++r) {
-        if (state[r] != ItemState::Pending)
-            continue;
+    for (std::size_t r = journaled; r < owned.size(); ++r) {
         RunConfig config = base;
         config.topology = topology;
-        config.procs = procsOf(r);
+        config.procs = items[r].procs;
         config.machine = machines[owned[r] % machine_count];
-        pending.push_back(r);
         configs.push_back(config);
     }
 
-    // In-order frontier over the owned items: records land in sweep
-    // order whatever order the pool finishes in, so a crash always
-    // leaves a resumable prefix.  A shard appends one record per fresh
-    // item.  The unsharded sweep (r == g) appends a point's serial
-    // records when its last item passes, less the failures the journal
-    // already holds (they lead the point's records, as its fresh items
-    // follow them).
-    const auto commit = [&](std::size_t r) {
-        const std::size_t g = owned[r];
-        if (shard.sharded()) {
-            if (state[r] == ItemState::Fresh)
-                writer.append(items[r], {columns[g % machine_count]});
-            return;
-        }
-        if (g % machine_count != machine_count - 1)
-            return;
-        const std::size_t first = g + 1 - machine_count;
-        bool fresh = false;
-        std::size_t journaled = 0;
-        for (std::size_t k = first; k <= g; ++k) {
-            if (state[k] == ItemState::Fresh)
-                fresh = true;
-            else if (items[k].failed)
-                ++journaled;
-        }
-        if (!fresh)
-            return;
-        const std::vector<JournalRecord> records = serialPointRecords(
-            std::span(items).subspan(first, machine_count));
-        for (std::size_t k = journaled; k < records.size(); ++k)
-            writer.append(records[k], columns);
-    };
-
+    // In-order frontier over the fresh items: each record is appended
+    // once every item before it is, whatever order the pool finishes
+    // in, so a crash always leaves a resumable prefix.
+    std::vector<bool> done(configs.size(), false);
     std::size_t frontier = 0;
     const RunManyCallback onResult = [&](std::size_t i,
                                          const RunResult &run) {
-        const std::size_t r = pending[i];
-        JournalRecord &item = items[r];
-        item.procs = procsOf(r);
+        JournalRecord &item = items[journaled + i];
         if (run.ok()) {
-            item.values = {metricValue(run.value(), metric)};
+            item.value = metricValue(run.value(), metric);
         } else {
             item.failed = true;
-            item.machine =
-                mach::specFor(machines[owned[r] % machine_count]).name;
             item.error = toString(run.error().kind);
             item.message = run.error().message;
             item.trace = run.error().traceExcerpt;
         }
-        state[r] = ItemState::Fresh;
-        for (; frontier < owned.size() &&
-               state[frontier] != ItemState::Pending;
-             ++frontier)
-            commit(frontier);
+        done[i] = true;
+        for (; frontier < done.size() && done[frontier]; ++frontier)
+            writer.append(items[journaled + frontier]);
     };
 
     (void)runManySafe(configs, options.policy, resolveJobs(options.jobs),
@@ -359,8 +222,8 @@ sweepFigureSafe(const std::string &title, const RunConfig &base,
                 result.failures.push_back(
                     FailedPoint{item.procs, item.machine, item.error,
                                 item.message, item.trace});
-            } else if (!item.values.empty()) {
-                point.values[mi] = item.values[0];
+            } else {
+                point.values[mi] = item.value;
             }
         }
         if (any_owned && !any_failed)

@@ -63,7 +63,7 @@ struct Figure
 /** @p figure's machine list with the empty default resolved. */
 std::vector<mach::MachineKind> figureMachines(const Figure &figure);
 
-/** The JSON/CSV/journal column keys for @p machines (registry column
+/** The JSON/CSV column keys for @p machines (registry column
  *  names, e.g. "logpc"). */
 std::vector<std::string>
 machineColumns(const std::vector<mach::MachineKind> &machines);
@@ -137,9 +137,8 @@ struct SweepOptions
 
     /**
      * Machines to sweep, in column order.  Empty (the default) means
-     * the paper's classic trio; journals written for a non-default set
-     * carry the machine list in their header, so a journal never
-     * resumes a sweep with different columns.
+     * the paper's classic trio.  The journal header stamps the machine
+     * list, so a journal never resumes a sweep of other machines.
      */
     std::vector<mach::MachineKind> machines;
 
@@ -153,11 +152,11 @@ struct SweepOptions
      *
      * A sharded sweep returns a partial figure (only the points whose
      * owned runs all succeeded; unowned columns read 0.0) — its real
-     * product is the shard journal, which records one single-column
-     * record per owned item and stamps "shard":"K/N" in its header.
-     * core::mergeJournals() reassembles the N shard journals into a
-     * journal byte-identical to the unsharded serial sweep's, from
-     * which a replaying re-run emits byte-identical figure JSON/CSV.
+     * product is the shard journal, which holds one record per owned
+     * item and stamps "shard":"K/N" in its header.
+     * core::mergeJournals() interleaves the N shard journals into the
+     * 0/1 journal, byte-identical to the unsharded sweep's, from which
+     * a replaying re-run emits byte-identical figure JSON/CSV.
      */
     ShardSpec shard;
 };
@@ -169,21 +168,17 @@ struct SweepOptions
  * journal path set, finished work checkpoints to disk and re-runs
  * resume from the journal.
  *
- * One executor for every shard spec: the work items options.shard owns
- * (all of them unsharded) run on a fixed pool of options.jobs threads
- * (see core::runManySafe for the isolation model), and each item keeps
- * only its metric value or its failure.  Only two steps depend on the
- * shard count:
- *   - resume: a shard journal answers its items positionally, a serial
- *     journal answers whole points keyed by procs (a failed point cut
- *     short by a crash finishes its unjournaled machines);
- *   - commit: a shard appends one record per item, the unsharded sweep
- *     a point's serial records (core::serialPointRecords) once its last
- *     item passes the in-order frontier.
- * Output — figure, failure manifest, journal bytes, exit semantics — is
- * byte-identical for every jobs value and every crash-and-resume point:
- * results assemble in sweep order and records commit in sweep order, so
- * even a crash leaves a resumable journal prefix.
+ * One executor for every shard spec (the unsharded sweep is shard
+ * 0/1): the work items options.shard owns run on a fixed pool of
+ * options.jobs threads (see core::runManySafe for the isolation model),
+ * and each item keeps only its journal record, its metric value or its
+ * failure.  The journal answers a prefix of the owned items
+ * positionally, and each fresh item appends one record once it passes
+ * the in-order frontier.  Output — figure, failure manifest, journal
+ * bytes, exit semantics — is byte-identical for every jobs value and
+ * every crash-and-resume point: results assemble in sweep order and
+ * records commit in sweep order, so even a crash leaves a resumable
+ * journal prefix.
  */
 SweepResult sweepFigureSafe(const std::string &title, const RunConfig &base,
                             net::TopologyKind topology, Metric metric,

@@ -11,14 +11,6 @@
 
 namespace absim::core {
 
-const std::vector<std::string> &
-defaultJournalColumns()
-{
-    static const std::vector<std::string> columns = {"target", "logp",
-                                                     "logpc"};
-    return columns;
-}
-
 unsigned
 journalFsyncInterval()
 {
@@ -59,37 +51,88 @@ std::string
 encodeHeader(const JournalHeader &header)
 {
     std::string out =
-        "{\"absim_journal\":1,\"title\":\"" + jsonEscape(header.title) +
+        "{\"absim_journal\":2,\"title\":\"" + jsonEscape(header.title) +
         "\",\"app\":\"" + jsonEscape(header.app) + "\",\"topology\":\"" +
         jsonEscape(header.topology) + "\",\"metric\":\"" +
-        jsonEscape(header.metric) + "\"";
-    // The classic trio keeps the legacy header line (no machine list)
-    // so pre-existing journals remain resumable byte-for-byte.
-    if (!header.machines.empty()) {
-        out += ",\"machines\":[";
-        for (std::size_t i = 0; i < header.machines.size(); ++i) {
-            if (i != 0)
-                out += ',';
-            out += '"';
-            out += jsonEscape(header.machines[i]);
-            out += '"';
-        }
-        out += "]";
+        jsonEscape(header.metric) + "\",\"machines\":[";
+    for (std::size_t i = 0; i < header.machines.size(); ++i) {
+        if (i != 0)
+            out += ',';
+        out += '"';
+        out += jsonEscape(header.machines[i]);
+        out += '"';
     }
-    if (header.shard.sharded())
-        out += ",\"shard\":\"" + header.shard.str() + "\"";
+    return out + "],\"shard\":\"" + header.shard.str() + "\"}";
+}
+
+} // namespace
+
+std::string
+encodeRecord(const JournalRecord &record)
+{
+    std::string out = "{\"procs\":" + std::to_string(record.procs) +
+                      ",\"machine\":\"" + jsonEscape(record.machine) + "\"";
+    if (!record.failed)
+        return out + ",\"value\":" + formatDouble(record.value) + "}";
+    out += ",\"error\":\"" + jsonEscape(record.error) +
+           "\",\"message\":\"" + jsonEscape(record.message) + "\"";
+    // Only stamped when captured: journals written without trace sinks
+    // carry no empty field.
+    if (!record.trace.empty())
+        out += ",\"trace\":\"" + jsonEscape(record.trace) + "\"";
     return out + "}";
 }
 
-/**
- * The shared body of loadJournal/loadShardJournal: @p columnsFor yields
- * the column layout record r must decode against.
- */
-template <typename ColumnsFor>
 bool
-loadJournalImpl(const std::string &path, const JournalHeader &expect,
-                ColumnsFor &&columnsFor, std::vector<JournalRecord> &out,
-                JournalResume *resume)
+decodeRecord(const std::string &line, JournalRecord &out)
+{
+    json::Value doc;
+    std::uint64_t procs = 0;
+    out = JournalRecord{};
+    if (!json::parse(line, doc) || !json::getUint(doc, "procs", procs) ||
+        procs > std::numeric_limits<std::uint32_t>::max() ||
+        !json::getString(doc, "machine", out.machine))
+        return false;
+    out.procs = static_cast<std::uint32_t>(procs);
+    if (!json::getString(doc, "error", out.error))
+        return json::getDouble(doc, "value", out.value);
+    out.failed = true;
+    // "trace" is optional (only captured failures carry it).
+    (void)json::getString(doc, "trace", out.trace);
+    return json::getString(doc, "message", out.message);
+}
+
+bool
+decodeHeader(const std::string &line, JournalHeader &out)
+{
+    out = JournalHeader{};
+    json::Value doc;
+    std::uint64_t version = 0;
+    std::string shard;
+    if (!json::parse(line, doc) ||
+        !json::getUint(doc, "absim_journal", version) || version != 2 ||
+        !json::getString(doc, "title", out.title) ||
+        !json::getString(doc, "app", out.app) ||
+        !json::getString(doc, "topology", out.topology) ||
+        !json::getString(doc, "metric", out.metric) ||
+        !json::getString(doc, "shard", shard) ||
+        !ShardSpec::parse(shard, out.shard))
+        return false;
+    const json::Value *machines = doc.find("machines");
+    if (machines == nullptr || machines->type != json::Type::Array ||
+        machines->items.empty())
+        return false;
+    for (const json::Value &name : machines->items) {
+        if (!name.isString())
+            return false;
+        out.machines.push_back(name.text);
+    }
+    return true;
+}
+
+bool
+loadJournal(const std::string &path, const JournalHeader &expect,
+            std::vector<JournalRecord> &out, JournalResume *resume)
 {
     out.clear();
     if (resume)
@@ -119,7 +162,7 @@ loadJournalImpl(const std::string &path, const JournalHeader &expect,
         line.assign(buf.get(), static_cast<std::size_t>(in.gcount()) -
                                    (terminated ? 1 : 0));
         JournalRecord record;
-        if (!terminated || !decodeRecord(line, record, columnsFor(out.size()))) {
+        if (!terminated || !decodeRecord(line, record)) {
             torn = true;
             break;
         }
@@ -133,144 +176,6 @@ loadJournalImpl(const std::string &path, const JournalHeader &expect,
         resume->cleanBytes = bytes;
     }
     return true;
-}
-
-} // namespace
-
-std::string
-encodeRecord(const JournalRecord &record,
-             const std::vector<std::string> &columns)
-{
-    std::string out = "{\"procs\":" + std::to_string(record.procs);
-    if (record.failed) {
-        out += ",\"machine\":\"" + jsonEscape(record.machine) +
-               "\",\"error\":\"" + jsonEscape(record.error) +
-               "\",\"message\":\"" + jsonEscape(record.message) + "\"";
-        // Only stamped when captured: journals written without trace
-        // sinks keep their historical bytes.
-        if (!record.trace.empty())
-            out += ",\"trace\":\"" + jsonEscape(record.trace) + "\"";
-    } else {
-        for (std::size_t i = 0; i < columns.size(); ++i) {
-            const double v =
-                i < record.values.size() ? record.values[i] : 0.0;
-            out += ",\"" + columns[i] + "\":" + formatDouble(v);
-        }
-    }
-    return out + "}";
-}
-
-std::vector<JournalRecord>
-serialPointRecords(std::span<const JournalRecord> items)
-{
-    std::vector<JournalRecord> out;
-    for (const JournalRecord &item : items)
-        if (item.failed)
-            out.push_back(item);
-    if (!out.empty() || items.empty())
-        return out;
-    JournalRecord point;
-    point.procs = items.front().procs;
-    point.values.reserve(items.size());
-    for (const JournalRecord &item : items)
-        point.values.push_back(item.values.empty() ? 0.0 : item.values[0]);
-    out.push_back(std::move(point));
-    return out;
-}
-
-bool
-decodeRecord(const std::string &line, JournalRecord &out,
-             const std::vector<std::string> &columns)
-{
-    json::Value doc;
-    std::uint64_t procs = 0;
-    if (!json::parse(line, doc) || !json::getUint(doc, "procs", procs) ||
-        procs > std::numeric_limits<std::uint32_t>::max())
-        return false;
-    out = JournalRecord{};
-    out.procs = static_cast<std::uint32_t>(procs);
-    if (json::getString(doc, "error", out.error)) {
-        out.failed = true;
-        // "trace" is optional (only captured failures carry it).
-        (void)json::getString(doc, "trace", out.trace);
-        return json::getString(doc, "machine", out.machine) &&
-               json::getString(doc, "message", out.message);
-    }
-    out.values.assign(columns.size(), 0.0);
-    for (std::size_t i = 0; i < columns.size(); ++i)
-        if (!json::getDouble(doc, columns[i], out.values[i]))
-            return false;
-    return true;
-}
-
-bool
-decodeHeader(const std::string &line, JournalHeader &out)
-{
-    out = JournalHeader{};
-    json::Value doc;
-    std::uint64_t version = 0;
-    if (!json::parse(line, doc) ||
-        !json::getUint(doc, "absim_journal", version) || version != 1 ||
-        !json::getString(doc, "title", out.title) ||
-        !json::getString(doc, "app", out.app) ||
-        !json::getString(doc, "topology", out.topology) ||
-        !json::getString(doc, "metric", out.metric))
-        return false;
-    // "machines" is absent for the classic trio.
-    if (const json::Value *machines = doc.find("machines")) {
-        if (machines->type != json::Type::Array)
-            return false;
-        for (const json::Value &name : machines->items) {
-            if (!name.isString())
-                return false;
-            out.machines.push_back(name.text);
-        }
-    }
-    std::string shard;
-    if (json::getString(doc, "shard", shard))
-        return ShardSpec::parse(shard, out.shard);
-    return true;
-}
-
-bool
-loadJournal(const std::string &path, const JournalHeader &expect,
-            const std::vector<std::string> &columns,
-            std::vector<JournalRecord> &out, JournalResume *resume)
-{
-    return loadJournalImpl(
-        path, expect,
-        [&](std::size_t) -> const std::vector<std::string> & {
-            return columns;
-        },
-        out, resume);
-}
-
-bool
-loadJournal(const std::string &path, const JournalHeader &expect,
-            std::vector<JournalRecord> &out)
-{
-    return loadJournal(path, expect, defaultJournalColumns(), out);
-}
-
-bool
-loadShardJournal(const std::string &path, const JournalHeader &expect,
-                 const std::vector<std::string> &columns,
-                 std::vector<JournalRecord> &out, JournalResume *resume)
-{
-    out.clear();
-    if (!expect.shard.valid() || columns.empty())
-        return false;
-    const ShardSpec shard = expect.shard;
-    return loadJournalImpl(
-        path, expect,
-        [&](std::size_t r) -> std::vector<std::string> {
-            // Record r covers row-major item index + r*count; its one
-            // success column is that item's machine.
-            const std::uint64_t item =
-                shard.index + static_cast<std::uint64_t>(r) * shard.count;
-            return {columns[item % columns.size()]};
-        },
-        out, resume);
 }
 
 bool
@@ -313,10 +218,9 @@ JournalWriter::resume(const std::string &path, std::uint64_t cleanBytes,
 }
 
 void
-JournalWriter::append(const JournalRecord &record,
-                      const std::vector<std::string> &columns)
+JournalWriter::append(const JournalRecord &record)
 {
-    appendLine(encodeRecord(record, columns));
+    appendLine(encodeRecord(record));
 }
 
 void

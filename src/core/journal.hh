@@ -15,29 +15,25 @@
  *
  * File format (one JSON object per line):
  *
- *   {"absim_journal":1,"title":...,"app":...,"topology":...,"metric":...}
- *   {"procs":8,"target":1.25e+03,"logp":...,"logpc":...}
+ *   {"absim_journal":2,"title":...,"app":...,"topology":...,"metric":...,
+ *    "machines":["target","logp","logp+c"],"shard":"0/1"}
+ *   {"procs":8,"machine":"logp+c","value":1.25e+03}
  *   {"procs":16,"machine":"logp","error":"Deadlock","message":"..."}
  *
- * Success records carry one numeric field per swept machine, keyed by
- * the machine's registry column name.  Sweeps of the classic trio
- * (target, logp, logp+c) use exactly the layout above; a sweep of any
- * other machine set adds a "machines" array to its header line, so a
- * journal can never resume a sweep with different columns.
- *
- * Sharded sweeps (SweepOptions::shard, --shard K/N) write one record
- * per owned (point x machine) work item instead of one per point: a
- * success record carries a single column (the item's machine), failures
- * keep the per-machine failure layout.  The header stamps both the
- * machine columns and the shard spec ("shard":"K/N"), so a shard
- * journal never resumes a mismatched shard, and records are strictly
- * positional — the r-th record of shard K/N is row-major work item
- * K + r*N.  core/journal_merge.hh reassembles N shard journals into the
- * canonical serial journal.
+ * A sweep is a grid of (point x machine) work items, indexed row-major
+ * (point-major, machine-minor), and every journal holds one record per
+ * item: its metric value or its failure, naming the item's machine by
+ * registry name.  The header stamps the swept machines and the shard
+ * spec (SweepOptions::shard, "0/1" for the unsharded sweep), so a
+ * journal never resumes a sweep with other machines or another shard's
+ * items.  Records are strictly positional: the r-th record of shard K/N
+ * is item K + r*N, and the unsharded journal lists every item in order.
+ * core/journal_merge.hh interleaves N shard journals into the 0/1
+ * journal.
  *
  * The first line identifies the sweep; a journal whose header does not
  * match the running sweep is ignored and rewritten (it belongs to a
- * different figure or an older layout).  A torn trailing line (the
+ * different sweep, or predates format 2).  A torn trailing line (the
  * process died mid-write, or the line lost its newline) is discarded
  * along with anything after it, and the loader reports the length of
  * the clean prefix so a resume can truncate the tear away before
@@ -51,17 +47,12 @@
 
 #include <cstdint>
 #include <cstdio>
-#include <span>
 #include <string>
 #include <vector>
 
 #include "json/json.hh"
 
 namespace absim::core {
-
-/** The classic trio's record columns, the layout every journal used
- *  before machine sets became configurable. */
-const std::vector<std::string> &defaultJournalColumns();
 
 /**
  * Deterministic shard of a sweep's (point x machine) work grid.
@@ -99,77 +90,58 @@ struct JournalHeader
     std::string topology;
     std::string metric;
 
-    /** Column names of the swept machines; empty for the classic trio
-     *  (kept out of the header line for byte-compatibility).  Shard
-     *  journals always stamp the columns. */
+    /** Registry names of the swept machines, in item order (never
+     *  empty in a decoded header). */
     std::vector<std::string> machines;
 
-    /** Which shard of the sweep this journal holds; unsharded journals
-     *  keep the default (and their legacy header bytes). */
+    /** Which shard of the sweep this journal holds; {0, 1} is the
+     *  unsharded whole. */
     ShardSpec shard;
 
     bool operator==(const JournalHeader &other) const = default;
 };
 
-/** One journaled point: per-machine values or one failure. */
+/** One journaled (point x machine) item: its value or its failure. */
 struct JournalRecord
 {
     std::uint32_t procs = 0;
 
     bool failed = false;
 
-    /** Success payload (failed == false), in sweep column order.  A
-     *  shard journal's success records hold exactly one value. */
-    std::vector<double> values;
+    /** Success payload (failed == false): the item's metric value. */
+    double value = 0.0;
+
+    std::string machine; ///< The item's machine (registry name).
 
     /** Failure payload (failed == true). */
-    std::string machine; ///< Which machine's run failed.
     std::string error;   ///< RunErrorKind name.
     std::string message; ///< One-line failure summary.
     std::string trace;   ///< Bounded trace excerpt ("" = none captured).
 };
-
-/**
- * The serial journal layout of one point, from its M per-machine item
- * records in machine order (the shard layout: a success carries its one
- * value): one success record with every column when no item failed,
- * else the failed items' records in machine order.
- */
-std::vector<JournalRecord>
-serialPointRecords(std::span<const JournalRecord> items);
 
 /** The JSON string escape and the round-trip "%.17g" double formatter
  *  every journal and figure writer shares (json/json.hh). */
 using json::formatDouble;
 using json::jsonEscape;
 
-/**
- * Render one record as its journal line (no trailing newline).
- * Success records emit record.values keyed by @p columns (the two must
- * be the same length).
- */
-std::string encodeRecord(const JournalRecord &record,
-                         const std::vector<std::string> &columns =
-                             defaultJournalColumns());
+/** Render one record as its journal line (no trailing newline). */
+std::string encodeRecord(const JournalRecord &record);
 
 /**
- * Parse one journal line; success records must carry every column in
- * @p columns.
+ * Parse one journal line.
  * @return false if the line is malformed (e.g. torn by a crash).
  */
 [[nodiscard]] bool decodeRecord(const std::string &line,
-                                JournalRecord &out,
-                                const std::vector<std::string> &columns =
-                                    defaultJournalColumns());
+                                JournalRecord &out);
 
 /**
- * Parse a journal header line (the "absim_journal":1 line).
+ * Parse a journal header line (the "absim_journal":2 line).
  * @return false if the line is not a well-formed header.
  */
 [[nodiscard]] bool decodeHeader(const std::string &line,
                                 JournalHeader &out);
 
-/** What loadJournal()/loadShardJournal() found at the end of the file:
+/** What loadJournal() found at the end of the file:
  *  where the valid prefix ends, and whether a torn tail was dropped. */
 struct JournalResume
 {
@@ -205,26 +177,8 @@ inline constexpr std::size_t kMaxJournalLineBytes = std::size_t{8} << 20;
  */
 [[nodiscard]] bool loadJournal(const std::string &path,
                                const JournalHeader &expect,
-                               const std::vector<std::string> &columns,
                                std::vector<JournalRecord> &out,
                                JournalResume *resume = nullptr);
-
-/** Classic-trio overload of loadJournal. */
-[[nodiscard]] bool loadJournal(const std::string &path,
-                               const JournalHeader &expect,
-                               std::vector<JournalRecord> &out);
-
-/**
- * Load a shard journal (one record per owned (point x machine) item).
- * @p expect.shard must be a valid spec; record r decodes against the
- * single column of row-major item expect.shard.index + r*count.  Same
- * header-match and torn-tail semantics as loadJournal().
- */
-[[nodiscard]] bool
-loadShardJournal(const std::string &path, const JournalHeader &expect,
-                 const std::vector<std::string> &columns,
-                 std::vector<JournalRecord> &out,
-                 JournalResume *resume = nullptr);
 
 /** Default records-between-fsyncs in JournalWriter: the bounded window
  *  an OS crash (not a process crash — every record is flushed) may
@@ -288,9 +242,7 @@ class JournalWriter
 
     /** Append one record: written + flushed immediately, fsynced every
      *  fsyncEvery records (no-op when the writer is not open). */
-    void append(const JournalRecord &record,
-                const std::vector<std::string> &columns =
-                    defaultJournalColumns());
+    void append(const JournalRecord &record);
 
     /** Append one caller-rendered record line (no trailing newline);
      *  same flush/fsync discipline as append(). */

@@ -131,7 +131,8 @@ mergeJournals(const std::vector<std::string> &paths)
     if (!errors.empty())
         return result;
 
-    // All shards must identify the same sweep once the spec is stripped.
+    // All shards must identify the same sweep once the spec is stripped;
+    // the merge is the unsharded 0/1 journal.
     JournalHeader canonical = shards[0]->header;
     canonical.shard = ShardSpec{};
     for (std::uint32_t s = 1; s < count; ++s) {
@@ -146,15 +147,9 @@ mergeJournals(const std::vector<std::string> &paths)
     if (!errors.empty())
         return result;
 
-    result.columns = canonical.machines.empty() ? defaultJournalColumns()
-                                                : canonical.machines;
-    const std::size_t machine_count = result.columns.size();
-
-    // Serial journals stamp the machine list only for non-default sets;
-    // restore that layout so the merged bytes match the serial sweep's.
-    if (canonical.machines == defaultJournalColumns())
-        canonical.machines.clear();
     result.header = canonical;
+    const std::vector<std::string> &machines = canonical.machines;
+    const std::size_t machine_count = machines.size();
 
     // Shard s holds items s, s+N, s+2N, ... in order, so the furthest
     // item any shard recorded pins the total and every other shard's
@@ -189,10 +184,8 @@ mergeJournals(const std::vector<std::string> &paths)
     if (!errors.empty())
         return result;
 
-    // Decode every record into its row-major (point, machine) slot.
-    const std::uint64_t points = total / machine_count;
-    std::vector<std::vector<JournalRecord>> grid(
-        points, std::vector<JournalRecord>(machine_count));
+    // Decode every record into its row-major item slot.
+    result.records.resize(total);
     // Duplicate detection: each (procs, machine) item resolves once.
     std::set<std::pair<std::uint64_t, std::string>> seen;
     for (std::uint32_t s = 0; s < count; ++s) {
@@ -200,66 +193,43 @@ mergeJournals(const std::vector<std::string> &paths)
         for (std::size_t r = 0; r < file.lines.size(); ++r) {
             const std::uint64_t item =
                 s + static_cast<std::uint64_t>(r) * count;
-            const std::size_t mi = item % machine_count;
-            const std::string &line = file.lines[r];
-            JournalRecord record;
-            std::string key = result.columns[mi];
-            if (!decodeRecord(line, record, {result.columns[mi]})) {
-                // Not this item's machine: either a record that drifted
-                // out of place (e.g. a duplicated line shifting the
-                // tail) or plain corruption.
-                bool misplaced = false;
-                for (std::size_t other = 0;
-                     other < machine_count && !misplaced; ++other) {
-                    if (other == mi)
-                        continue;
-                    if (decodeRecord(line, record,
-                                     {result.columns[other]})) {
-                        misplaced = true;
-                        key = result.columns[other];
-                    }
-                }
-                if (!misplaced) {
-                    errors.push_back("merge-record-malformed: " +
-                                     quoted(file.path) + " line " +
-                                     std::to_string(r + 2) +
-                                     " does not parse");
-                    continue;
-                }
-                errors.push_back(
-                    "merge-misplaced-record: " + quoted(file.path) +
-                    " line " + std::to_string(r + 2) + " carries '" +
-                    key + "' where item " + std::to_string(item) +
-                    " expects '" + result.columns[mi] + "'");
+            const std::string where =
+                quoted(file.path) + " line " + std::to_string(r + 2);
+            JournalRecord &record = result.records[item];
+            if (!decodeRecord(file.lines[r], record)) {
+                errors.push_back("merge-record-malformed: " + where +
+                                 " does not parse");
+                continue;
             }
-            if (record.failed)
-                key = "fail:" + record.machine;
-            if (!seen.insert({record.procs, key}).second)
-                errors.push_back(
-                    "merge-duplicate: " + quoted(file.path) + " line " +
-                    std::to_string(r + 2) + " records procs=" +
-                    std::to_string(record.procs) + " '" + key +
-                    "' a second time");
-            grid[item / machine_count][mi] = std::move(record);
+            // A record that drifted out of place, e.g. a duplicated
+            // line shifting the tail.
+            const std::string &expected = machines[item % machine_count];
+            if (record.machine != expected)
+                errors.push_back("merge-misplaced-record: " + where +
+                                 " carries '" + record.machine +
+                                 "' where item " + std::to_string(item) +
+                                 " expects '" + expected + "'");
+            if (!seen.insert({record.procs, record.machine}).second)
+                errors.push_back("merge-duplicate: " + where +
+                                 " records procs=" +
+                                 std::to_string(record.procs) + " '" +
+                                 record.machine + "' a second time");
         }
     }
-    if (!errors.empty())
-        return result;
 
-    // Reassemble the serial per-point layout.
-    result.records.reserve(points);
-    for (std::uint64_t p = 0; p < points; ++p) {
-        const std::uint32_t procs = grid[p][0].procs;
-        for (const JournalRecord &item : grid[p])
-            if (item.procs != procs)
+    // Every item of a point must sweep the same P.
+    const bool decoded = errors.empty();
+    for (std::uint64_t first = 0; decoded && first < total;
+         first += machine_count)
+        for (std::uint64_t g = first + 1; g < first + machine_count; ++g)
+            if (result.records[g].procs != result.records[first].procs)
                 errors.push_back(
-                    "merge-procs-mismatch: point " + std::to_string(p) +
-                    " records procs=" + std::to_string(procs) +
-                    " and procs=" + std::to_string(item.procs) +
+                    "merge-procs-mismatch: point " +
+                    std::to_string(first / machine_count) +
+                    " records procs=" +
+                    std::to_string(result.records[first].procs) +
+                    " and procs=" + std::to_string(result.records[g].procs) +
                     " — the shards swept different grids");
-        for (JournalRecord &record : serialPointRecords(grid[p]))
-            result.records.push_back(std::move(record));
-    }
     if (!errors.empty())
         result.records.clear();
     return result;
@@ -274,7 +244,7 @@ writeMergedJournal(const std::string &path, const MergeResult &merge)
     if (!writer.start(path, merge.header))
         return false;
     for (const JournalRecord &record : merge.records)
-        writer.append(record, merge.columns);
+        writer.append(record);
     writer.close();
     return true;
 }

@@ -7,9 +7,8 @@
  * per-(point x machine) records of the row-major work items that shard
  * owns (item g belongs to shard g % N).  mergeJournals() validates the
  * N journals against a common header, interleaves their records back
- * into canonical row-major order, reassembles the per-point records of
- * the serial journal layout, and reports every inconsistency with a
- * named diagnostic:
+ * into row-major order — the unsharded 0/1 journal — and reports every
+ * inconsistency with a named diagnostic:
  *
  *   shard-unreadable        a journal cannot be opened
  *   shard-header-missing    a journal has no (terminated) header line
@@ -28,9 +27,9 @@
  *   merge-incomplete-point  the trailing point lacks machine records
  *
  * A merged journal written by writeMergedJournal() is byte-identical to
- * the journal an unsharded serial sweep would have produced, so the
- * existing figure JSON/CSV writers — via a resume that replays the
- * merged journal — emit byte-identical final outputs.
+ * the journal the unsharded sweep (shard 0/1) would have produced, so
+ * the figure JSON/CSV writers — via a resume that replays the merged
+ * journal — emit byte-identical final outputs.
  */
 
 #ifndef ABSIM_CORE_JOURNAL_MERGE_HH
@@ -46,15 +45,10 @@ namespace absim::core {
 /** Outcome of mergeJournals(): the canonical journal + diagnostics. */
 struct MergeResult
 {
-    /** Canonical header: shard spec stripped, machine list restored to
-     *  the serial layout (empty for the classic trio). */
+    /** The 0/1 journal's header: the shards' header, spec stripped. */
     JournalHeader header;
 
-    /** Column names of the swept machines (never empty). */
-    std::vector<std::string> columns;
-
-    /** Per-point records in canonical row-major order, exactly as the
-     *  serial sweep would have journaled them. */
+    /** One record per item, in row-major order. */
     std::vector<JournalRecord> records;
 
     /** Named diagnostics (see the file comment); empty means the merge
@@ -77,7 +71,7 @@ mergeJournals(const std::vector<std::string> &paths);
 
 /**
  * Write @p merge as one journal file (fsynced).  The bytes match the
- * unsharded serial sweep's journal exactly.
+ * unsharded sweep's journal exactly.
  * @return false if the merge has errors or the file cannot be written.
  */
 [[nodiscard]] bool writeMergedJournal(const std::string &path,

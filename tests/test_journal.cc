@@ -10,6 +10,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <sstream>
 #include <string>
 
@@ -17,6 +18,7 @@
 #include "core/journal.hh"
 #include "core/journal_merge.hh"
 #include "json/json.hh"
+#include "sim/rng.hh"
 
 namespace {
 
@@ -25,15 +27,39 @@ using namespace absim;
 /** Write @p path through a JournalWriter: @p header, then @p records. */
 void
 writeJournal(const std::string &path, const core::JournalHeader &header,
-             const std::vector<core::JournalRecord> &records = {},
-             const std::vector<std::string> &columns =
-                 core::defaultJournalColumns())
+             const std::vector<core::JournalRecord> &records = {})
 {
     core::JournalWriter writer;
     EXPECT_TRUE(writer.start(path, header));
     for (const core::JournalRecord &record : records)
-        writer.append(record, columns);
+        writer.append(record);
     writer.close();
+}
+
+/** The classic trio's machines, as a journal header names them. */
+const std::vector<std::string> kTrio = {"target", "logp", "logp+c"};
+
+/** A success record: @p machine's run at @p procs measured @p value. */
+core::JournalRecord
+item(std::uint32_t procs, const std::string &machine, double value)
+{
+    core::JournalRecord record;
+    record.procs = procs;
+    record.machine = machine;
+    record.value = value;
+    return record;
+}
+
+/** A failure record of @p machine's run at @p procs. */
+core::JournalRecord
+failedItem(std::uint32_t procs, const std::string &machine,
+           const std::string &error, const std::string &message)
+{
+    core::JournalRecord record = item(procs, machine, 0.0);
+    record.failed = true;
+    record.error = error;
+    record.message = message;
+    return record;
 }
 
 TEST(Journal, EscapeRoundTripsControlAndQuoteCharacters)
@@ -58,12 +84,17 @@ TEST(Journal, RecordEncodeDecodeRoundTrips)
 {
     core::JournalRecord success;
     success.procs = 8;
-    success.values = {1.0 / 3.0, 2.75, 1e-9};
+    success.machine = "logp+c";
+    success.value = 1.0 / 3.0;
     core::JournalRecord out;
     ASSERT_TRUE(core::decodeRecord(core::encodeRecord(success), out));
+    EXPECT_EQ(core::encodeRecord(success),
+              "{\"procs\":8,\"machine\":\"logp+c\",\"value\":" +
+                  core::formatDouble(1.0 / 3.0) + "}");
     EXPECT_FALSE(out.failed);
     EXPECT_EQ(out.procs, 8u);
-    EXPECT_EQ(out.values, success.values);
+    EXPECT_EQ(out.machine, "logp+c");
+    EXPECT_EQ(out.value, success.value);
 
     core::JournalRecord failure;
     failure.procs = 16;
@@ -118,6 +149,10 @@ TEST(Journal, DecodeRejectsTornLines)
     EXPECT_FALSE(core::decodeRecord("{\"procs\":8}", out));
     EXPECT_FALSE(
         core::decodeRecord("{\"procs\":8,\"machine\":\"logp", out));
+    // A record names its item's machine, and a success its value.
+    EXPECT_FALSE(core::decodeRecord("{\"procs\":8,\"value\":1.5}", out));
+    EXPECT_FALSE(
+        core::decodeRecord("{\"procs\":8,\"machine\":\"logp\"}", out));
 }
 
 TEST(Journal, DecodeRejectsWeldedLines)
@@ -144,8 +179,9 @@ TEST(Journal, DecodeRejectsDuplicateKeys)
         out));
     core::JournalHeader header;
     EXPECT_FALSE(core::decodeHeader(
-        "{\"absim_journal\":1,\"title\":\"a\",\"app\":\"is\","
-        "\"topology\":\"full\",\"metric\":\"exec\",\"app\":\"ep\"}",
+        "{\"absim_journal\":2,\"title\":\"a\",\"app\":\"is\","
+        "\"topology\":\"full\",\"metric\":\"exec\","
+        "\"machines\":[\"target\"],\"shard\":\"0/1\",\"app\":\"ep\"}",
         header));
 }
 
@@ -174,23 +210,24 @@ TEST(ShardSpec, ParsesValidSpecsAndRejectsGarbage)
         EXPECT_FALSE(core::ShardSpec::parse(bad, spec)) << bad;
 }
 
-TEST(Journal, HeaderStampsShardSpecAndKeepsLegacyBytes)
+TEST(Journal, HeaderStampsMachinesAndShardSpec)
 {
     const std::string path = testing::TempDir() + "absim_shard_hdr.jsonl";
 
-    // An unsharded classic-trio header keeps the exact legacy line.
-    writeJournal(path, {"t", "fft", "full", "exec_time"});
+    // The unsharded sweep is shard 0/1, and says so.
+    writeJournal(path, {"t", "fft", "full", "exec_time", kTrio, {}});
     std::ifstream in(path);
     std::string line;
     ASSERT_TRUE(std::getline(in, line));
     EXPECT_EQ(line,
-              "{\"absim_journal\":1,\"title\":\"t\",\"app\":\"fft\","
-              "\"topology\":\"full\",\"metric\":\"exec_time\"}");
+              "{\"absim_journal\":2,\"title\":\"t\",\"app\":\"fft\","
+              "\"topology\":\"full\",\"metric\":\"exec_time\","
+              "\"machines\":[\"target\",\"logp\",\"logp+c\"],"
+              "\"shard\":\"0/1\"}");
     in.close();
 
     // A shard header round-trips machines and the spec.
-    core::JournalHeader header{"t", "fft", "full", "exec_time",
-                               {"target", "logp", "logpc"},
+    core::JournalHeader header{"t", "fft", "full", "exec_time", kTrio,
                                core::ShardSpec{1, 2}};
     writeJournal(path, header);
     std::ifstream in2(path);
@@ -204,12 +241,13 @@ TEST(Journal, HeaderStampsShardSpecAndKeepsLegacyBytes)
 TEST(Journal, LoadSkipsTornTrailingWrite)
 {
     const std::string path = testing::TempDir() + "absim_torn.jsonl";
-    const core::JournalHeader header{"t", "fft", "full", "exec_time"};
-    writeJournal(path, header, {{4, false, {1.5, 2.5, 3.5}, "", "", ""}});
+    const core::JournalHeader header{"t", "fft", "full", "exec_time",
+                                     kTrio, {}};
+    writeJournal(path, header, {item(4, "target", 1.5)});
     {
         // Simulate a crash mid-write: a truncated trailing line.
         std::ofstream out(path, std::ios::app);
-        out << "{\"procs\":8,\"target\":9";
+        out << "{\"procs\":4,\"machine\":\"logp\",\"val";
     }
     std::vector<core::JournalRecord> records;
     ASSERT_TRUE(core::loadJournal(path, header, records));
@@ -220,8 +258,9 @@ TEST(Journal, LoadSkipsTornTrailingWrite)
 TEST(Journal, LoadReportsTornTailAndResumeTruncatesIt)
 {
     const std::string path = testing::TempDir() + "absim_tear.jsonl";
-    const core::JournalHeader header{"t", "fft", "full", "exec_time"};
-    writeJournal(path, header, {{4, false, {1.5, 2.5, 3.5}, "", "", ""}});
+    const core::JournalHeader header{"t", "fft", "full", "exec_time",
+                                     kTrio, {}};
+    writeJournal(path, header, {item(4, "target", 1.5)});
 
     std::uint64_t intact = 0;
     {
@@ -230,14 +269,12 @@ TEST(Journal, LoadReportsTornTailAndResumeTruncatesIt)
     }
     {
         std::ofstream out(path, std::ios::app | std::ios::binary);
-        out << "{\"procs\":8,\"target\":9";
+        out << "{\"procs\":4,\"machine\":\"logp\",\"val";
     }
 
     std::vector<core::JournalRecord> records;
     core::JournalResume info;
-    ASSERT_TRUE(core::loadJournal(path, header,
-                                  core::defaultJournalColumns(), records,
-                                  &info));
+    ASSERT_TRUE(core::loadJournal(path, header, records, &info));
     ASSERT_EQ(records.size(), 1u);
     EXPECT_TRUE(info.tornTail);
     EXPECT_EQ(info.cleanBytes, intact);
@@ -246,25 +283,23 @@ TEST(Journal, LoadReportsTornTailAndResumeTruncatesIt)
     // clean prefix before appending.
     core::JournalWriter writer;
     ASSERT_TRUE(writer.resume(path, info.cleanBytes));
-    writer.append({8, false, {4.5, 5.5, 6.5}, "", "", ""});
+    writer.append(item(4, "logp", 4.5));
     writer.close();
 
     records.clear();
-    ASSERT_TRUE(core::loadJournal(path, header,
-                                  core::defaultJournalColumns(), records,
-                                  &info));
+    ASSERT_TRUE(core::loadJournal(path, header, records, &info));
     ASSERT_EQ(records.size(), 2u);
     EXPECT_FALSE(info.tornTail);
-    EXPECT_EQ(records[1].procs, 8u);
+    EXPECT_EQ(records[1].machine, "logp");
 }
 
 TEST(Journal, UnterminatedFinalRecordIsTornEvenIfParseable)
 {
     const std::string path = testing::TempDir() + "absim_noeol.jsonl";
-    const core::JournalHeader header{"t", "fft", "full", "exec_time"};
+    const core::JournalHeader header{"t", "fft", "full", "exec_time",
+                                     kTrio, {}};
     writeJournal(path, header,
-                 {{4, false, {1.0, 2.0, 3.0}, "", "", ""},
-                  {8, false, {4.0, 5.0, 6.0}, "", "", ""}});
+                 {item(4, "target", 1.0), item(4, "logp", 2.0)});
 
     // Chop the final newline: the last record still parses, but without
     // its terminator it may be half of a longer write — drop it.
@@ -283,9 +318,7 @@ TEST(Journal, UnterminatedFinalRecordIsTornEvenIfParseable)
 
     std::vector<core::JournalRecord> records;
     core::JournalResume info;
-    ASSERT_TRUE(core::loadJournal(path, header,
-                                  core::defaultJournalColumns(), records,
-                                  &info));
+    ASSERT_TRUE(core::loadJournal(path, header, records, &info));
     ASSERT_EQ(records.size(), 1u);
     EXPECT_TRUE(info.tornTail);
     EXPECT_LT(info.cleanBytes, bytes.size());
@@ -294,8 +327,9 @@ TEST(Journal, UnterminatedFinalRecordIsTornEvenIfParseable)
 TEST(Journal, OverLongLineIsATornTailNotAnAllocation)
 {
     const std::string path = testing::TempDir() + "absim_long.jsonl";
-    const core::JournalHeader header{"t", "fft", "full", "exec_time"};
-    writeJournal(path, header, {{4, false, {1.0, 2.0, 3.0}, "", "", ""}});
+    const core::JournalHeader header{"t", "fft", "full", "exec_time",
+                                     kTrio, {}};
+    writeJournal(path, header, {item(4, "target", 1.0)});
     std::uint64_t intact = 0;
     {
         std::ifstream in(path, std::ios::binary | std::ios::ate);
@@ -308,9 +342,7 @@ TEST(Journal, OverLongLineIsATornTailNotAnAllocation)
     }
     std::vector<core::JournalRecord> records;
     core::JournalResume info;
-    ASSERT_TRUE(core::loadJournal(path, header,
-                                  core::defaultJournalColumns(), records,
-                                  &info));
+    ASSERT_TRUE(core::loadJournal(path, header, records, &info));
     ASSERT_EQ(records.size(), 1u);
     EXPECT_TRUE(info.tornTail);
     EXPECT_EQ(info.cleanBytes, intact);
@@ -319,14 +351,16 @@ TEST(Journal, OverLongLineIsATornTailNotAnAllocation)
 TEST(Journal, HeaderMismatchIgnoresJournal)
 {
     const std::string path = testing::TempDir() + "absim_header.jsonl";
-    writeJournal(path, {"t", "fft", "full", "exec_time"},
-                 {{4, false, {1.0, 2.0, 3.0}, "", "", ""}});
+    writeJournal(path, {"t", "fft", "full", "exec_time", kTrio, {}},
+                 {item(4, "target", 1.0)});
     std::vector<core::JournalRecord> records;
     EXPECT_FALSE(core::loadJournal(
-        path, {"t", "cg", "full", "exec_time"}, records));
+        path, {"t", "cg", "full", "exec_time", kTrio, {}}, records));
     EXPECT_TRUE(records.empty());
+    EXPECT_FALSE(core::loadJournal(
+        path, {"t", "fft", "full", "exec_time", kTrio, {1, 2}}, records));
     EXPECT_FALSE(core::loadJournal(path + ".does-not-exist",
-                                   {"t", "fft", "full", "exec_time"},
+                                   {"t", "fft", "full", "exec_time", kTrio, {}},
                                    records));
 }
 
@@ -378,7 +412,8 @@ TEST(SweepSafe, InterruptedSweepResumesByteIdentical)
     core::writeFigureJson(json_full, full);
 
     // Simulate a SIGKILL after the first completed point: keep the
-    // journal's header and first record, drop the rest.
+    // journal's header and the point's three item records, drop the
+    // rest.
     std::vector<std::string> lines;
     {
         std::ifstream in(path);
@@ -386,10 +421,11 @@ TEST(SweepSafe, InterruptedSweepResumesByteIdentical)
         while (std::getline(in, line))
             lines.push_back(line);
     }
-    ASSERT_EQ(lines.size(), 4u); // Header + three points.
+    ASSERT_EQ(lines.size(), 10u); // Header + 3 points x 3 machines.
     {
         std::ofstream out(path, std::ios::trunc);
-        out << lines[0] << "\n" << lines[1] << "\n";
+        for (std::size_t i = 0; i < 4; ++i)
+            out << lines[i] << "\n";
     }
 
     // Re-run: points 2 and 4 are recomputed, point 1 is replayed.
@@ -406,8 +442,8 @@ TEST(SweepSafe, InterruptedSweepResumesByteIdentical)
     // now holds all three points again.
     std::vector<core::JournalRecord> records;
     ASSERT_TRUE(core::loadJournal(
-        path, {"resume", base.app, "full", "exec_time"}, records));
-    EXPECT_EQ(records.size(), 3u);
+        path, {"resume", base.app, "full", "exec_time", kTrio, {}}, records));
+    EXPECT_EQ(records.size(), 9u);
 }
 
 TEST(SweepSafe, TornTailResumesByteIdentical)
@@ -463,25 +499,54 @@ TEST(SweepSafe, MismatchedJournalIsRewrittenNotTrusted)
 {
     const core::RunConfig base = smallConfig();
     const std::string path = testing::TempDir() + "absim_stale.jsonl";
-    // A journal from a different figure, with a bogus cached point that
-    // must NOT leak into this sweep.
-    writeJournal(path, {"other", "fft", "cube", "latency"},
-                 {{1, false, {999.0, 999.0, 999.0}, "", "", ""}});
+    // Journals of another sweep, each with a bogus cached point that must
+    // NOT leak into this sweep: a different figure, this sweep's header
+    // over records whose machines are out of item order, and a format-1
+    // journal (one record per point) under this sweep's own title.
+    const std::vector<std::function<void()>> stale = {
+        [&] {
+            writeJournal(path, {"other", "fft", "cube", "latency", kTrio, {}},
+                         {item(1, "target", 999.0),
+                          item(1, "logp", 999.0),
+                          item(1, "logp+c", 999.0)});
+        },
+        [&] {
+            writeJournal(path, {"stale", "is", "full", "exec_time", kTrio, {}},
+                         {item(1, "logp", 999.0),
+                          item(1, "target", 999.0),
+                          item(1, "logp+c", 999.0)});
+        },
+        [&] {
+            std::ofstream(path, std::ios::binary | std::ios::trunc)
+                << "{\"absim_journal\":1,\"title\":\"stale\","
+                   "\"app\":\"is\",\"topology\":\"full\","
+                   "\"metric\":\"exec_time\"}\n"
+                   "{\"procs\":1,\"target\":999.0,\"logp\":999.0,"
+                   "\"logpc\":999.0}\n";
+        }};
+    for (const std::function<void()> &writeStale : stale) {
+        writeStale();
+        core::SweepOptions options;
+        options.journalPath = path;
+        const auto result = core::sweepFigureSafe(
+            "stale", base, net::TopologyKind::Full, core::Metric::ExecTime,
+            {1}, options);
+        ASSERT_TRUE(result.complete());
+        ASSERT_EQ(result.figure.points.size(), 1u);
+        for (const double v : result.figure.points[0].values)
+            EXPECT_NE(v, 999.0);
 
-    core::SweepOptions options;
-    options.journalPath = path;
-    const auto result = core::sweepFigureSafe(
-        "stale", base, net::TopologyKind::Full, core::Metric::ExecTime,
-        {1}, options);
-    ASSERT_TRUE(result.complete());
-    ASSERT_EQ(result.figure.points.size(), 1u);
-    EXPECT_NE(result.figure.points[0].values[0], 999.0);
-
-    // The stale journal was replaced by this sweep's own.
-    std::vector<core::JournalRecord> records;
-    ASSERT_TRUE(core::loadJournal(
-        path, {"stale", base.app, "full", "exec_time"}, records));
-    ASSERT_EQ(records.size(), 1u);
+        // The stale journal was replaced by this sweep's own, format 2.
+        std::ifstream in(path);
+        std::string line;
+        ASSERT_TRUE(std::getline(in, line));
+        EXPECT_EQ(line.rfind("{\"absim_journal\":2,", 0), 0u) << line;
+        std::vector<core::JournalRecord> records;
+        ASSERT_TRUE(core::loadJournal(
+            path, {"stale", base.app, "full", "exec_time", kTrio, {}},
+            records));
+        ASSERT_EQ(records.size(), 3u);
+    }
 }
 
 // ---- Shard-journal merge ----------------------------------------------
@@ -497,21 +562,13 @@ slurp(const std::string &path)
     return buf.str();
 }
 
-/** Write a shard journal: header + one single-column record per line. */
+/** Write a shard journal: header + one item record per line. */
 std::string
 writeShard(const std::string &name, const core::JournalHeader &header,
-           const std::vector<core::JournalRecord> &records,
-           const std::vector<std::string> &record_columns)
+           const std::vector<core::JournalRecord> &records)
 {
     const std::string path = testing::TempDir() + name;
-    core::JournalWriter writer;
-    EXPECT_TRUE(writer.start(path, header));
-    for (std::size_t i = 0; i < records.size(); ++i)
-        writer.append(records[i],
-                      records[i].failed
-                          ? core::defaultJournalColumns()
-                          : std::vector<std::string>{record_columns[i]});
-    writer.close();
+    writeJournal(path, header, records);
     return path;
 }
 
@@ -530,12 +587,10 @@ TEST(JournalMerge, ReassemblesSerialJournalBytes)
     // One machine, points P = 1,2,4,8 split across two shards.
     const std::string s0 = writeShard(
         "absim_merge_s0.jsonl", oneColumnHeader(0, 2),
-        {{1, false, {0.5}, "", "", ""}, {4, false, {1.5}, "", "", ""}},
-        {"m1", "m1"});
+        {item(1, "m1", 0.5), item(4, "m1", 1.5)});
     const std::string s1 = writeShard(
         "absim_merge_s1.jsonl", oneColumnHeader(1, 2),
-        {{2, false, {1.0}, "", "", ""}, {8, false, {2.0}, "", "", ""}},
-        {"m1", "m1"});
+        {item(2, "m1", 1.0), item(8, "m1", 2.0)});
 
     // Shard order on the command line must not matter.
     const core::MergeResult merge = core::mergeJournals({s1, s0});
@@ -555,49 +610,11 @@ TEST(JournalMerge, ReassemblesSerialJournalBytes)
     // The serial sweep would have journaled the same bytes.
     const std::string serial_path =
         testing::TempDir() + "absim_merge_serial.jsonl";
-    core::JournalHeader serial = oneColumnHeader(0, 1);
-    serial.shard = {};
-    writeJournal(serial_path, serial,
-                 {{1, false, {0.5}, "", "", ""},
-                  {2, false, {1.0}, "", "", ""},
-                  {4, false, {1.5}, "", "", ""},
-                  {8, false, {2.0}, "", "", ""}},
-                 {"m1"});
-    EXPECT_EQ(slurp(merged_path), slurp(serial_path));
-}
-
-TEST(JournalMerge, ClassicTrioMergeRestoresLegacyHeader)
-{
-    // The classic trio, points P = 2,4: six items interleaved mod 2.
-    const std::vector<std::string> trio = core::defaultJournalColumns();
-    core::JournalHeader h0{"t", "is", "full", "exec_time", trio,
-                           core::ShardSpec{0, 2}};
-    core::JournalHeader h1{"t", "is", "full", "exec_time", trio,
-                           core::ShardSpec{1, 2}};
-    const std::string s0 = writeShard(
-        "absim_trio_s0.jsonl", h0,
-        {{2, false, {1.0}, "", "", ""}, {2, false, {3.0}, "", "", ""},
-         {4, false, {5.0}, "", "", ""}},
-        {"target", "logpc", "logp"});
-    const std::string s1 = writeShard(
-        "absim_trio_s1.jsonl", h1,
-        {{2, false, {2.0}, "", "", ""}, {4, false, {4.0}, "", "", ""},
-         {4, false, {6.0}, "", "", ""}},
-        {"logp", "target", "logpc"});
-
-    const core::MergeResult merge = core::mergeJournals({s0, s1});
-    ASSERT_TRUE(merge.ok()) << (merge.errors.empty()
-                                    ? ""
-                                    : merge.errors[0]);
-    const std::string merged_path =
-        testing::TempDir() + "absim_trio_out.jsonl";
-    ASSERT_TRUE(core::writeMergedJournal(merged_path, merge));
-
-    const std::string serial_path =
-        testing::TempDir() + "absim_trio_serial.jsonl";
-    writeJournal(serial_path, {"t", "is", "full", "exec_time"},
-                 {{2, false, {1.0, 2.0, 3.0}, "", "", ""},
-                  {4, false, {4.0, 5.0, 6.0}, "", "", ""}});
+    writeJournal(serial_path, oneColumnHeader(0, 1),
+                 {item(1, "m1", 0.5),
+                  item(2, "m1", 1.0),
+                  item(4, "m1", 1.5),
+                  item(8, "m1", 2.0)});
     EXPECT_EQ(slurp(merged_path), slurp(serial_path));
 }
 
@@ -605,13 +622,10 @@ TEST(JournalMerge, ReproducesSerialFailureRecordLayout)
 {
     const std::string s0 = writeShard(
         "absim_fail_s0.jsonl", oneColumnHeader(0, 2),
-        {{1, false, {0.5}, "", "", ""},
-         {4, true, {}, "logp", "Deadlock", "stuck"}},
-        {"m1", "m1"});
+        {item(1, "m1", 0.5), failedItem(4, "m1", "Deadlock", "stuck")});
     const std::string s1 = writeShard("absim_fail_s1.jsonl",
                                       oneColumnHeader(1, 2),
-                                      {{2, false, {1.0}, "", "", ""}},
-                                      {"m1"});
+                                      {item(2, "m1", 1.0)});
 
     const core::MergeResult merge = core::mergeJournals({s0, s1});
     ASSERT_TRUE(merge.ok()) << (merge.errors.empty()
@@ -619,7 +633,7 @@ TEST(JournalMerge, ReproducesSerialFailureRecordLayout)
                                     : merge.errors[0]);
     ASSERT_EQ(merge.records.size(), 3u);
     EXPECT_TRUE(merge.records[2].failed);
-    EXPECT_EQ(merge.records[2].machine, "logp");
+    EXPECT_EQ(merge.records[2].machine, "m1");
     EXPECT_EQ(merge.records[2].error, "Deadlock");
 }
 
@@ -629,11 +643,9 @@ TEST(JournalMerge, RejectsMismatchedHeaders)
     other.app = "cg";
     const std::string s0 = writeShard("absim_mm_s0.jsonl",
                                       oneColumnHeader(0, 2),
-                                      {{1, false, {0.5}, "", "", ""}},
-                                      {"m1"});
+                                      {item(1, "m1", 0.5)});
     const std::string s1 = writeShard("absim_mm_s1.jsonl", other,
-                                      {{2, false, {1.0}, "", "", ""}},
-                                      {"m1"});
+                                      {item(2, "m1", 1.0)});
     const core::MergeResult merge = core::mergeJournals({s0, s1});
     ASSERT_FALSE(merge.ok());
     EXPECT_NE(merge.errors[0].find("shard-header-mismatch"),
@@ -645,8 +657,7 @@ TEST(JournalMerge, RejectsWrongShardCountAndDuplicateIndex)
 {
     const std::string s0 = writeShard("absim_cnt_s0.jsonl",
                                       oneColumnHeader(0, 2),
-                                      {{1, false, {0.5}, "", "", ""}},
-                                      {"m1"});
+                                      {item(1, "m1", 0.5)});
     const core::MergeResult alone = core::mergeJournals({s0});
     ASSERT_FALSE(alone.ok());
     EXPECT_NE(alone.errors[0].find("shard-count-mismatch"),
@@ -666,12 +677,10 @@ TEST(JournalMerge, DetectsGapInShortShard)
     // is missing — shard 0 must be rerun, not papered over.
     const std::string s0 = writeShard("absim_gap_s0.jsonl",
                                       oneColumnHeader(0, 2),
-                                      {{1, false, {0.5}, "", "", ""}},
-                                      {"m1"});
+                                      {item(1, "m1", 0.5)});
     const std::string s1 = writeShard(
         "absim_gap_s1.jsonl", oneColumnHeader(1, 2),
-        {{2, false, {1.0}, "", "", ""}, {8, false, {2.0}, "", "", ""}},
-        {"m1", "m1"});
+        {item(2, "m1", 1.0), item(8, "m1", 2.0)});
     const core::MergeResult merge = core::mergeJournals({s0, s1});
     ASSERT_FALSE(merge.ok());
     EXPECT_NE(merge.errors[0].find("merge-gap"), std::string::npos)
@@ -681,17 +690,14 @@ TEST(JournalMerge, DetectsGapInShortShard)
 
 TEST(JournalMerge, DetectsDuplicatedRecord)
 {
-    // A duplicated line in a one-machine shard still *parses* at every
-    // position — only the (procs, machine) seen-set can catch it.
+    // A duplicated line in a one-machine shard names the right machine
+    // at every position — only the (procs, machine) seen-set catches it.
     const std::string s0 = writeShard(
         "absim_dup_s0.jsonl", oneColumnHeader(0, 2),
-        {{1, false, {0.5}, "", "", ""}, {4, false, {1.5}, "", "", ""},
-         {4, false, {1.5}, "", "", ""}},
-        {"m1", "m1", "m1"});
+        {item(1, "m1", 0.5), item(4, "m1", 1.5), item(4, "m1", 1.5)});
     const std::string s1 = writeShard(
         "absim_dup_s1.jsonl", oneColumnHeader(1, 2),
-        {{2, false, {1.0}, "", "", ""}, {8, false, {2.0}, "", "", ""}},
-        {"m1", "m1"});
+        {item(2, "m1", 1.0), item(8, "m1", 2.0)});
     const core::MergeResult merge = core::mergeJournals({s0, s1});
     ASSERT_FALSE(merge.ok());
     EXPECT_NE(merge.errors[0].find("merge-duplicate"), std::string::npos)
@@ -707,11 +713,9 @@ TEST(JournalMerge, DetectsProcsMismatchAcrossShards)
     core::JournalHeader h1{"t", "fft", "full", "exec_time",
                            {"m1", "m2"}, core::ShardSpec{1, 2}};
     const std::string s0 = writeShard("absim_pm_s0.jsonl", h0,
-                                      {{1, false, {0.5}, "", "", ""}},
-                                      {"m1"});
+                                      {item(1, "m1", 0.5)});
     const std::string s1 = writeShard("absim_pm_s1.jsonl", h1,
-                                      {{2, false, {1.0}, "", "", ""}},
-                                      {"m2"});
+                                      {item(2, "m2", 1.0)});
     const core::MergeResult merge = core::mergeJournals({s0, s1});
     ASSERT_FALSE(merge.ok());
     EXPECT_NE(merge.errors[0].find("merge-procs-mismatch"),
@@ -723,16 +727,14 @@ TEST(JournalMerge, TornTailIsAWarningWhenNothingIsMissing)
 {
     const std::string s0 = writeShard(
         "absim_warn_s0.jsonl", oneColumnHeader(0, 2),
-        {{1, false, {0.5}, "", "", ""}, {4, false, {1.5}, "", "", ""}},
-        {"m1", "m1"});
+        {item(1, "m1", 0.5), item(4, "m1", 1.5)});
     const std::string s1 = writeShard(
         "absim_warn_s1.jsonl", oneColumnHeader(1, 2),
-        {{2, false, {1.0}, "", "", ""}, {8, false, {2.0}, "", "", ""}},
-        {"m1", "m1"});
+        {item(2, "m1", 1.0), item(8, "m1", 2.0)});
     {
         // A crash left half a record beyond shard 0's complete set.
         std::ofstream out(s0, std::ios::app | std::ios::binary);
-        out << "{\"procs\":16,\"m1\":9";
+        out << "{\"procs\":16,\"machine\":\"m1\",\"val";
     }
     const core::MergeResult merge = core::mergeJournals({s0, s1});
     ASSERT_TRUE(merge.ok()) << (merge.errors.empty()
@@ -756,11 +758,10 @@ TEST(JournalMerge, NamesAShardWithoutAHeaderLine)
 {
     const std::string s0 = testing::TempDir() + "absim_nohdr_s0.jsonl";
     std::ofstream(s0, std::ios::binary | std::ios::trunc)
-        << "{\"absim_journal\":1"; // No terminating newline.
+        << "{\"absim_journal\":2"; // No terminating newline.
     const std::string s1 = writeShard("absim_nohdr_s1.jsonl",
                                       oneColumnHeader(1, 2),
-                                      {{2, false, {1.0}, "", "", ""}},
-                                      {"m1"});
+                                      {item(2, "m1", 1.0)});
     const core::MergeResult merge = core::mergeJournals({s0, s1});
     ASSERT_FALSE(merge.ok());
     EXPECT_NE(firstError(merge).find("shard-header-missing"),
@@ -775,8 +776,7 @@ TEST(JournalMerge, NamesAMalformedHeaderLine)
         << "not a journal header\n";
     const std::string s1 = writeShard("absim_badhdr_s1.jsonl",
                                       oneColumnHeader(1, 2),
-                                      {{2, false, {1.0}, "", "", ""}},
-                                      {"m1"});
+                                      {item(2, "m1", 1.0)});
     const core::MergeResult merge = core::mergeJournals({s0, s1});
     ASSERT_FALSE(merge.ok());
     EXPECT_NE(firstError(merge).find("shard-header-malformed"),
@@ -788,8 +788,7 @@ TEST(JournalMerge, NamesAnOverLongLine)
 {
     const std::string s0 = writeShard("absim_long_s0.jsonl",
                                       oneColumnHeader(0, 2),
-                                      {{1, false, {0.5}, "", "", ""}},
-                                      {"m1"});
+                                      {item(1, "m1", 0.5)});
     {
         // A newline-free line one byte over the cap.
         std::ofstream out(s0, std::ios::app | std::ios::binary);
@@ -797,8 +796,7 @@ TEST(JournalMerge, NamesAnOverLongLine)
     }
     const std::string s1 = writeShard("absim_long_s1.jsonl",
                                       oneColumnHeader(1, 2),
-                                      {{2, false, {1.0}, "", "", ""}},
-                                      {"m1"});
+                                      {item(2, "m1", 1.0)});
     const core::MergeResult merge = core::mergeJournals({s0, s1});
     ASSERT_FALSE(merge.ok());
     EXPECT_NE(firstError(merge).find("shard-line-too-long"),
@@ -816,11 +814,9 @@ TEST(JournalMerge, NamesAnIncompleteTrailingPoint)
                            {"m1", "m2"}, core::ShardSpec{1, 2}};
     const std::string s0 = writeShard(
         "absim_inc_s0.jsonl", h0,
-        {{1, false, {0.5}, "", "", ""}, {2, false, {1.5}, "", "", ""}},
-        {"m1", "m1"});
+        {item(1, "m1", 0.5), item(2, "m1", 1.5)});
     const std::string s1 = writeShard("absim_inc_s1.jsonl", h1,
-                                      {{1, false, {1.0}, "", "", ""}},
-                                      {"m2"});
+                                      {item(1, "m2", 1.0)});
     const core::MergeResult merge = core::mergeJournals({s0, s1});
     ASSERT_FALSE(merge.ok());
     EXPECT_NE(firstError(merge).find("merge-incomplete-point"),
@@ -836,16 +832,151 @@ TEST(JournalMerge, NamesAMisplacedRecord)
     core::JournalHeader h1{"t", "fft", "full", "exec_time",
                            {"m1", "m2"}, core::ShardSpec{1, 2}};
     const std::string s0 = writeShard("absim_mis_s0.jsonl", h0,
-                                      {{1, false, {0.5}, "", "", ""}},
-                                      {"m2"});
+                                      {item(1, "m2", 0.5)});
     const std::string s1 = writeShard("absim_mis_s1.jsonl", h1,
-                                      {{1, false, {1.0}, "", "", ""}},
-                                      {"m2"});
+                                      {item(1, "m2", 1.0)});
     const core::MergeResult merge = core::mergeJournals({s0, s1});
     ASSERT_FALSE(merge.ok());
     EXPECT_NE(firstError(merge).find("merge-misplaced-record"),
               std::string::npos)
         << firstError(merge);
+}
+
+namespace {
+
+/** The lines of @p text, each without its newline; an unterminated tail
+ *  is kept as a last line flagged by @p torn. */
+std::vector<std::string>
+splitLines(const std::string &text, bool &torn)
+{
+    std::vector<std::string> lines;
+    std::size_t begin = 0;
+    for (std::size_t end; (end = text.find('\n', begin)) != std::string::npos;
+         begin = end + 1)
+        lines.push_back(text.substr(begin, end - begin));
+    torn = begin < text.size();
+    if (torn)
+        lines.push_back(text.substr(begin));
+    return lines;
+}
+
+/** One seeded mutation of a journal's bytes: a byte flip, a truncation,
+ *  or a dropped, duplicated or swapped line. */
+std::string
+mutateJournal(sim::Rng &rng, const std::string &journal)
+{
+    if (journal.empty())
+        return journal;
+    bool torn = false;
+    std::vector<std::string> lines = splitLines(journal, torn);
+    const auto pick = [&] {
+        return static_cast<std::size_t>(rng.below(lines.size()));
+    };
+    switch (rng.below(5)) {
+      case 0: {
+        std::string out = journal;
+        const auto at = static_cast<std::size_t>(rng.below(out.size()));
+        out[at] = static_cast<char>(out[at] ^
+                                    static_cast<char>(1u << rng.below(8)));
+        return out;
+      }
+      case 1:
+        return journal.substr(
+            0, static_cast<std::size_t>(rng.below(journal.size())));
+      case 2:
+        lines.erase(lines.begin() + static_cast<std::ptrdiff_t>(pick()));
+        break;
+      case 3: {
+        const std::size_t at = pick();
+        lines.insert(lines.begin() + static_cast<std::ptrdiff_t>(at),
+                     lines[at]);
+        break;
+      }
+      default:
+        std::swap(lines[pick()], lines[pick()]);
+        break;
+    }
+    std::string out;
+    for (std::size_t i = 0; i < lines.size(); ++i)
+        out += lines[i] + (torn && i + 1 == lines.size() ? "" : "\n");
+    return out;
+}
+
+} // namespace
+
+TEST(JournalMerge, MutatedShardSetsFailWithNamedDiagnostics)
+{
+    // The 2- and 3-shard journals of a sweep with failures: a 100-event
+    // budget fails IS n=512 on the target at P=1 and everywhere at P=2
+    // and P=4.
+    core::RunConfig base;
+    base.app = "is";
+    base.params.n = 512;
+    core::SweepOptions options;
+    options.policy.budget.maxEvents = 100;
+    options.policy.maxAttempts = 1;
+    std::vector<std::vector<std::string>> sets;
+    for (const std::uint32_t count : {2u, 3u}) {
+        std::vector<std::string> journals;
+        for (std::uint32_t index = 0; index < count; ++index) {
+            options.shard = {index, count};
+            options.journalPath = testing::TempDir() + "absim_mut_src.jsonl";
+            std::remove(options.journalPath.c_str());
+            (void)core::sweepFigureSafe("mutants", base,
+                                        net::TopologyKind::Full,
+                                        core::Metric::ExecTime, {1, 2, 4},
+                                        options);
+            journals.push_back(slurp(options.journalPath));
+        }
+        sets.push_back(std::move(journals));
+    }
+
+    // The 15 diagnostics journal_merge.hh names.
+    static const char *const kNames[] = {
+        "shard-unreadable",       "shard-header-missing",
+        "shard-header-malformed", "shard-line-too-long",
+        "shard-header-mismatch",  "shard-count-mismatch",
+        "shard-duplicate-index",  "shard-missing-index",
+        "shard-torn-tail",        "merge-record-malformed",
+        "merge-misplaced-record", "merge-duplicate",
+        "merge-procs-mismatch",   "merge-gap",
+        "merge-incomplete-point"};
+    const auto named = [&](const std::string &diagnostic) {
+        for (const char *name : kNames)
+            if (diagnostic.rfind(std::string(name) + ":", 0) == 0)
+                return true;
+        return false;
+    };
+
+    sim::Rng rng(0x6a6f75726e616cULL);
+    int failed = 0;
+    for (int m = 0; m < 300; ++m) {
+        const std::vector<std::string> &set =
+            sets[static_cast<std::size_t>(rng.below(sets.size()))];
+        // Mutate one or two of the set's journals.
+        std::vector<std::string> bytes = set;
+        for (std::uint64_t e = 1 + rng.below(2); e > 0; --e) {
+            std::string &target =
+                bytes[static_cast<std::size_t>(rng.below(bytes.size()))];
+            target = mutateJournal(rng, target);
+        }
+        std::vector<std::string> paths;
+        for (std::size_t s = 0; s < bytes.size(); ++s) {
+            paths.push_back(testing::TempDir() + "absim_mut_" +
+                            std::to_string(s) + ".jsonl");
+            std::ofstream(paths.back(), std::ios::binary | std::ios::trunc)
+                << bytes[s];
+        }
+        core::MergeResult merge;
+        ASSERT_NO_THROW(merge = core::mergeJournals(paths)) << m;
+        for (const std::string &error : merge.errors)
+            EXPECT_TRUE(named(error)) << "mutant " << m << ": " << error;
+        for (const std::string &warning : merge.warnings)
+            EXPECT_TRUE(named(warning)) << "mutant " << m << ": " << warning;
+        failed += merge.ok() ? 0 : 1;
+    }
+    // Most mutants break the set; a flip inside a value may not.
+    EXPECT_GT(failed, 150);
 }
 
 TEST(SweepSafe, FigureJsonIsWellFormedAndDeterministic)

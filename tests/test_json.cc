@@ -256,7 +256,8 @@ TEST(JsonMutation, JournalHeaderAndRecords)
 
     core::JournalRecord success;
     success.procs = 8;
-    success.values = {1.0 / 3.0, 2.75e-9, 1290.43};
+    success.machine = "logp+c";
+    success.value = 1.0 / 3.0;
     sweep(2, core::encodeRecord(success), [](const std::string &line) {
         core::JournalRecord out;
         return core::decodeRecord(line, out);
