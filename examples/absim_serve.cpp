@@ -20,9 +20,10 @@
  *                                       stdout in-process (smoke tests)
  *
  * Daemon flags: --workers N, --queue N (admission bound beyond the
- * workers), --cache PATH (result-cache journal), --deadline S
- * (default per-request wall-clock budget), --max-events N,
- * --stall-limit N, --retries N, --backoff-ms N.
+ * workers), --cache PATH (result-cache journal), and the policy rows
+ * of the run-settings table (core/run_settings.hh) as service defaults
+ * a request may override: --deadline-s, --max-events, --max-sim-time,
+ * --stall-limit, --retries and --trace.
  *
  * Exit status: 0 on clean shutdown/drain, 1 on a socket failure, 2 on
  * a bad command line.
@@ -44,6 +45,7 @@
 #include <unistd.h>
 
 #include "core/env.hh"
+#include "core/run_settings.hh"
 #include "serve/connection.hh"
 #include "serve/service.hh"
 
@@ -60,15 +62,18 @@ onSignal(int)
 int
 usage(const char *argv0)
 {
-    std::fprintf(
-        stderr,
-        "usage: %s --socket PATH [--workers N] [--queue N]\n"
-        "       %*s [--cache PATH] [--deadline S] [--max-events N]\n"
-        "       %*s [--stall-limit N] [--retries N] [--backoff-ms N]\n"
-        "       %s --connect PATH\n"
-        "       %s --oneshot [daemon flags]\n",
-        argv0, static_cast<int>(std::strlen(argv0)), "",
-        static_cast<int>(std::strlen(argv0)), "", argv0, argv0);
+    std::fprintf(stderr,
+                 "usage: %s --socket PATH [daemon flags]\n"
+                 "       %s --connect PATH\n"
+                 "       %s --oneshot [daemon flags]\n"
+                 "daemon flags:\n"
+                 "  --workers N        worker threads (default 2)\n"
+                 "  --queue N          admission bound beyond the workers "
+                 "(default 16)\n"
+                 "  --cache PATH       result-cache journal\n"
+                 "request defaults:\n%s",
+                 argv0, argv0, argv0,
+                 absim::core::runSettingsUsage(true).c_str());
     return 2;
 }
 
@@ -228,79 +233,51 @@ main(int argc, char **argv)
         const auto value = [&]() -> const char * {
             return i + 1 < argc ? argv[++i] : nullptr;
         };
-        const auto uintFlag = [&](std::uint64_t &out, std::uint64_t min,
-                                  std::uint64_t max) {
+        const auto count = [&](std::uint64_t &out, std::uint64_t min,
+                               std::uint64_t max) {
             const char *v = value();
-            std::uint64_t parsed = 0;
-            if (v == nullptr || !absim::core::parseUint(v, parsed) ||
-                parsed < min || parsed > max) {
-                std::fprintf(stderr, "error: invalid %s value '%s'\n",
-                             arg.c_str(), v == nullptr ? "" : v);
-                return false;
-            }
-            out = parsed;
-            return true;
+            if (v != nullptr && absim::core::parseUint(v, out) &&
+                out >= min && out <= max)
+                return true;
+            std::fprintf(stderr, "error: invalid %s value '%s'\n",
+                         arg.c_str(), v == nullptr ? "" : v);
+            return false;
         };
+        const absim::core::RunSetting *setting =
+            absim::core::findRunSettingFlag(arg);
+        std::uint64_t n = 0;
         if (arg == "--help" || arg == "-h") {
             usage(argv[0]);
             return 0;
-        } else if (arg == "--socket") {
-            const char *v = value();
-            if (v == nullptr)
-                return usage(argv[0]);
-            socketPath = v;
-        } else if (arg == "--connect") {
-            const char *v = value();
-            if (v == nullptr)
-                return usage(argv[0]);
-            connectPath = v;
         } else if (arg == "--oneshot") {
             oneshot = true;
-        } else if (arg == "--cache") {
+        } else if (arg == "--socket" || arg == "--connect" ||
+                   arg == "--cache") {
             const char *v = value();
             if (v == nullptr)
                 return usage(argv[0]);
-            config.cachePath = v;
+            (arg == "--socket"    ? socketPath
+             : arg == "--connect" ? connectPath
+                                  : config.cachePath) = v;
         } else if (arg == "--workers") {
-            std::uint64_t v = 0;
-            if (!uintFlag(v, 1, 256))
+            if (!count(n, 1, 256))
                 return 2;
-            config.workers = static_cast<unsigned>(v);
+            config.workers = static_cast<unsigned>(n);
         } else if (arg == "--queue") {
-            std::uint64_t v = 0;
-            if (!uintFlag(v, 0, 1u << 20))
+            if (!count(n, 0, 1u << 20))
                 return 2;
-            config.maxQueue = static_cast<std::size_t>(v);
-        } else if (arg == "--deadline") {
+            config.maxQueue = static_cast<std::size_t>(n);
+        } else if (setting != nullptr && setting->policy) {
             const char *v = value();
-            double parsed = 0.0;
-            if (v == nullptr || !absim::core::parseDouble(v, parsed) ||
-                parsed < 0.0) {
-                std::fprintf(stderr,
-                             "error: invalid --deadline value '%s'\n",
-                             v == nullptr ? "" : v);
+            absim::core::RunConfig unused;
+            if (v == nullptr)
+                return usage(argv[0]);
+            if (!setting->apply(v, unused, config.policy)) {
+                std::fprintf(stderr, "error: %s\n",
+                             absim::core::invalidValue(arg, v, setting->valid)
+                                 .c_str());
                 return 2;
             }
-            config.policy.budget.maxWallSeconds = parsed;
-        } else if (arg == "--max-events") {
-            if (!uintFlag(config.policy.budget.maxEvents, 0,
-                          std::numeric_limits<std::uint64_t>::max()))
-                return 2;
-        } else if (arg == "--stall-limit") {
-            if (!uintFlag(config.policy.budget.stallDispatchLimit, 0,
-                          std::numeric_limits<std::uint64_t>::max()))
-                return 2;
-        } else if (arg == "--retries") {
-            std::uint64_t v = 0;
-            if (!uintFlag(v, 1, 100))
-                return 2;
-            config.policy.maxAttempts = static_cast<int>(v);
-        } else if (arg == "--backoff-ms") {
-            std::uint64_t v = 0;
-            if (!uintFlag(v, 0, 60'000))
-                return 2;
-            config.policy.retryBackoffMs =
-                static_cast<std::uint32_t>(v);
         } else {
             std::fprintf(stderr, "error: unknown option '%s'\n",
                          arg.c_str());

@@ -15,34 +15,27 @@
 #include <cstdlib>
 #include <string>
 
-#include "core/env.hh"
 #include "core/experiment.hh"
+#include "core/run_settings.hh"
 
 using namespace absim;
 
 int
 main(int argc, char **argv)
 {
-    std::uint32_t procs = 8;
-    if (argc > 1) {
-        std::uint64_t v = 0;
-        if (!core::parseUint(argv[1], v) || v == 0) {
-            std::fprintf(stderr,
-                         "error: invalid procs value '%s' (expected a "
-                         "positive integer)\n"
-                         "usage: %s [procs]\n",
-                         argv[1], argv[0]);
-            return 2;
-        }
-        procs = static_cast<std::uint32_t>(v);
-    }
-
     core::RunConfig config;
+    core::RunPolicy unused;
+    const core::RunSetting &row = *core::findRunSetting("procs");
+    if (argc > 1 && !row.apply(argv[1], config, unused)) {
+        std::fprintf(stderr, "error: %s\nusage: %s [procs]\n",
+                     core::invalidValue(row.key, argv[1], row.valid).c_str(),
+                     argv[0]);
+        return 2;
+    }
     config.topology = net::TopologyKind::Full;
-    config.procs = procs;
 
     std::printf("Locality study at P=%u on the fully connected network\n\n",
-                procs);
+                config.procs);
     std::printf("%-10s %28s %28s\n", "", "network messages",
                 "exec time (us)");
     std::printf("%-10s %9s %9s %8s %9s %9s %8s\n", "app", "target", "logp",

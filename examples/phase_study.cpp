@@ -16,8 +16,8 @@
 #include <cstdio>
 #include <string>
 
-#include "core/env.hh"
 #include "core/experiment.hh"
+#include "core/run_settings.hh"
 
 using namespace absim;
 
@@ -49,19 +49,18 @@ int
 main(int argc, char **argv)
 {
     core::RunConfig config;
-    config.app = argc > 1 ? argv[1] : "is";
-    config.procs = 8;
-    if (argc > 2) {
-        std::uint64_t procs = 0;
-        if (!core::parseUint(argv[2], procs) || procs == 0) {
-            std::fprintf(stderr,
-                         "error: invalid procs value '%s' (expected a "
-                         "positive integer)\n"
-                         "usage: %s [app] [procs]\n",
-                         argv[2], argv[0]);
+    core::RunPolicy unused;
+    config.app = "is";
+    const char *keys[] = {"app", "procs"}; // Parsed by their settings rows.
+    for (int i = 1; i < argc && i <= 2; ++i) {
+        const core::RunSetting &row = *core::findRunSetting(keys[i - 1]);
+        if (!row.apply(argv[i], config, unused)) {
+            std::fprintf(
+                stderr, "error: %s\nusage: %s [app] [procs]\n",
+                core::invalidValue(row.key, argv[i], row.valid).c_str(),
+                argv[0]);
             return 2;
         }
-        config.procs = static_cast<std::uint32_t>(procs);
     }
     config.topology = net::TopologyKind::Hypercube;
 

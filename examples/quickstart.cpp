@@ -13,26 +13,25 @@
 #include <iostream>
 #include <string>
 
-#include "core/env.hh"
 #include "core/experiment.hh"
+#include "core/run_settings.hh"
 
 int
 main(int argc, char **argv)
 {
-    absim::core::RunConfig config;
-    config.app = argc > 1 ? argv[1] : "fft";
-    config.procs = 8;
-    if (argc > 2) {
-        std::uint64_t procs = 0;
-        if (!absim::core::parseUint(argv[2], procs) || procs == 0) {
-            std::fprintf(stderr,
-                         "error: invalid procs value '%s' (expected a "
-                         "positive integer)\n"
-                         "usage: %s [app] [procs]\n",
-                         argv[2], argv[0]);
+    namespace core = absim::core;
+    core::RunConfig config;
+    core::RunPolicy unused;
+    const char *keys[] = {"app", "procs"}; // Parsed by their settings rows.
+    for (int i = 1; i < argc && i <= 2; ++i) {
+        const core::RunSetting &row = *core::findRunSetting(keys[i - 1]);
+        if (!row.apply(argv[i], config, unused)) {
+            std::fprintf(
+                stderr, "error: %s\nusage: %s [app] [procs]\n",
+                core::invalidValue(row.key, argv[i], row.valid).c_str(),
+                argv[0]);
             return 2;
         }
-        config.procs = static_cast<std::uint32_t>(procs);
     }
     config.topology = absim::net::TopologyKind::Full;
 

@@ -4,12 +4,15 @@
  * one (app, machine, topology, P) combination and dump the full SPASM
  * profile.  The closest thing to SPASM's own command line.
  *
- *   run_cli --app cg --machine target --topo mesh --procs 16 \
- *           --size 512 --iters 5 --cache-kb 64 --policy single
+ *   run_cli --app cg --machine target --topology mesh --procs 16 \
+ *           --size 512 --iterations 5 --cache-kb 64 --gap single
  *
- * With --sweep METRIC the driver instead sweeps the processor counts
- * (powers of two up to --procs) and prints the three-machine figure for
- * that metric; --jobs N runs the sweep's points on a worker pool with
+ * Every run setting is a row of the run-settings table
+ * (core/run_settings.hh): its flag is the serve request's key with '_'
+ * spelled '-', and it takes the same values and ranges there.  With
+ * --sweep METRIC the driver instead sweeps the processor counts (powers
+ * of two up to --procs) and prints the three-machine figure for that
+ * metric; --jobs N runs the sweep's points on a worker pool with
  * byte-identical output (see docs/PARALLELISM.md).
  *
  * Bad flags print a diagnostic naming the offending value plus the
@@ -20,14 +23,13 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <iostream>
-#include <sstream>
 #include <string>
 
 #include "core/env.hh"
 #include "core/experiment.hh"
 #include "core/figures.hh"
+#include "core/run_settings.hh"
 #include "fault/fault.hh"
 #include "machines/registry.hh"
 
@@ -38,53 +40,26 @@ namespace {
 void
 usage(std::FILE *out, const char *argv0)
 {
-    std::string machines;
-    for (const mach::MachineSpec &spec : mach::machineRegistry()) {
-        if (!machines.empty())
-            machines += '|';
-        machines += spec.name;
-    }
     std::fprintf(
         out,
-        "usage: %s [options]\n"
-        "  --app NAME       ep|is|cg|cholesky|fft|stencil|radix|"
-        "synthetic (default fft)\n"
-        "  --machine KIND   %s (default target)\n"
-        "  --topo NAME      full|cube|mesh (default full)\n"
-        "  --procs P        1..64 (default 8)\n"
-        "  --size N         problem size (default: app-specific)\n"
-        "  --iters K        iteration count where applicable\n"
-        "  --seed S         workload seed (default 12345)\n"
-        "  --policy NAME    single|per-direction|bisection (default "
-        "single)\n"
-        "  --protocol NAME  berkeley|msi (target machine; default "
-        "berkeley)\n"
-        "  --cache-kb KB    cache size per node (default 64)\n"
-        "  --no-check       skip result validation\n"
-        "  --max-events N   abort after N engine events (0 = unlimited)\n"
-        "  --wall-seconds S abort after S wall-clock seconds (0 = "
-        "unlimited)\n"
-        "  --stall-limit N  deadlock watchdog: dispatches without "
-        "sim-time\n"
-        "                   progress before aborting (default 10000000)\n"
-        "  --retries N      total attempts for retryable failures "
-        "(default 2)\n"
-        "  --fault-plan S   arm the fault injector, e.g.\n"
-        "                   'wedge@120:node=2; corrupt@80; seed=7'\n"
-        "                   (see docs/ROBUSTNESS.md)\n"
-        "  --sweep METRIC   exec|latency|contention: sweep P over the\n"
-        "                   powers of two up to --procs and print the\n"
-        "                   three-machine figure\n"
-        "  --jobs N         sweep worker threads (default 1; output is\n"
-        "                   identical for any value)\n"
-        "  --record         execute and record the reference trace into\n"
-        "                   the trace store (see docs/TRACING.md)\n"
-        "  --replay         replay stored traces instead of executing\n"
-        "                   (record-on-miss: a missing trace executes\n"
-        "                   and records)\n"
-        "  --trace-dir DIR  trace store directory (default 'traces';\n"
-        "                   env ABSIM_TRACE_DIR)\n",
-        argv0, machines.c_str());
+        "usage: %s [options]\n%s"
+        "  --fault-plan S     arm the fault injector, e.g.\n"
+        "                     'wedge@120:node=2; corrupt@80; seed=7'\n"
+        "                     (see docs/ROBUSTNESS.md)\n"
+        "  --sweep METRIC     sweep P over the powers of two up to --procs\n"
+        "                     and print the three-machine figure\n"
+        "                     valid: %s\n"
+        "  --jobs N           sweep worker threads (default 1; output is\n"
+        "                     identical for any value)\n"
+        "  --record           execute and record the reference trace into\n"
+        "                     the trace store (see docs/TRACING.md)\n"
+        "  --replay           replay stored traces instead of executing\n"
+        "                     (record-on-miss: a missing trace executes\n"
+        "                     and records)\n"
+        "  --trace-dir DIR    trace store directory (default 'traces';\n"
+        "                     env ABSIM_TRACE_DIR)\n",
+        argv0, core::runSettingsUsage().c_str(),
+        core::metricNames().c_str());
 }
 
 [[noreturn]] void
@@ -93,39 +68,6 @@ badFlag(const char *argv0, const std::string &what)
     std::fprintf(stderr, "error: %s\n\n", what.c_str());
     usage(stderr, argv0);
     std::exit(2);
-}
-
-std::string
-joinNames(const std::vector<std::string> &names)
-{
-    std::string out;
-    for (const std::string &name : names) {
-        if (!out.empty())
-            out += ", ";
-        out += name;
-    }
-    return out;
-}
-
-/** Parse a non-negative integer flag value; reject trailing garbage. */
-std::uint64_t
-parseUint(const char *argv0, const std::string &flag, const char *text)
-{
-    std::uint64_t v = 0;
-    if (!core::parseUint(text, v))
-        badFlag(argv0, "invalid " + flag + " value '" + text +
-                           "' (expected a non-negative integer)");
-    return v;
-}
-
-double
-parseDouble(const char *argv0, const std::string &flag, const char *text)
-{
-    double v = 0.0;
-    if (!core::parseDouble(text, v) || v < 0.0)
-        badFlag(argv0, "invalid " + flag + " value '" + text +
-                           "' (expected a non-negative number)");
-    return v;
 }
 
 } // namespace
@@ -155,90 +97,11 @@ main(int argc, char **argv)
         if (arg == "--help" || arg == "-h") {
             usage(stdout, argv0);
             return 0;
-        } else if (arg == "--app") {
-            const std::string v = next(i);
-            try {
-                (void)apps::makeApp(v);
-            } catch (const std::invalid_argument &) {
-                badFlag(argv0,
-                        "unknown app '" + v + "' (valid: " +
-                            joinNames(apps::appNames()) + ", " +
-                            joinNames(apps::extensionAppNames()) + ")");
-            }
-            config.app = v;
-        } else if (arg == "--machine") {
-            const std::string v = next(i);
-            mach::MachineKind kind{};
-            if (!mach::parseMachineKind(v, kind))
-                badFlag(argv0, "unknown machine '" + v + "' (valid: " +
-                                   mach::machineNames() + ")");
-            config.machine = kind;
-        } else if (arg == "--topo") {
-            const std::string v = next(i);
-            if (v == "full")
-                config.topology = net::TopologyKind::Full;
-            else if (v == "cube")
-                config.topology = net::TopologyKind::Hypercube;
-            else if (v == "mesh")
-                config.topology = net::TopologyKind::Mesh2D;
-            else
-                badFlag(argv0, "unknown topology '" + v +
-                                   "' (valid: full, cube, mesh)");
-        } else if (arg == "--procs") {
-            const std::uint64_t p = parseUint(argv0, arg, next(i));
-            if (p < 1 || p > 64)
-                badFlag(argv0, "invalid --procs value '" +
-                                   std::to_string(p) +
-                                   "' (valid: 1..64)");
-            config.procs = static_cast<std::uint32_t>(p);
-        } else if (arg == "--size") {
-            config.params.n = parseUint(argv0, arg, next(i));
-        } else if (arg == "--iters") {
-            config.params.iterations =
-                static_cast<std::uint32_t>(parseUint(argv0, arg, next(i)));
-        } else if (arg == "--seed") {
-            config.params.seed = parseUint(argv0, arg, next(i));
-        } else if (arg == "--policy") {
-            const std::string v = next(i);
-            if (v == "single")
-                config.gapPolicy = logp::GapPolicy::Single;
-            else if (v == "per-direction")
-                config.gapPolicy = logp::GapPolicy::PerDirection;
-            else if (v == "bisection")
-                config.gapPolicy = logp::GapPolicy::BisectionOnly;
-            else
-                badFlag(argv0,
-                        "unknown gap policy '" + v +
-                            "' (valid: single, per-direction, bisection)");
-        } else if (arg == "--protocol") {
-            const std::string v = next(i);
-            if (v == "berkeley")
-                config.protocol = mach::ProtocolKind::Berkeley;
-            else if (v == "msi")
-                config.protocol = mach::ProtocolKind::Msi;
-            else
-                badFlag(argv0, "unknown protocol '" + v +
-                                   "' (valid: berkeley, msi)");
-        } else if (arg == "--cache-kb") {
-            config.cache.bytes = static_cast<std::uint32_t>(
-                parseUint(argv0, arg, next(i)) * 1024);
-        } else if (arg == "--no-check") {
-            config.checkResult = false;
-        } else if (arg == "--max-events") {
-            policy.budget.maxEvents = parseUint(argv0, arg, next(i));
-        } else if (arg == "--wall-seconds") {
-            policy.budget.maxWallSeconds =
-                parseDouble(argv0, arg, next(i));
-        } else if (arg == "--stall-limit") {
-            policy.budget.stallDispatchLimit =
-                parseUint(argv0, arg, next(i));
-        } else if (arg == "--retries") {
-            const std::uint64_t n = parseUint(argv0, arg, next(i));
-            if (n < 1 || n > 100)
-                badFlag(argv0, "invalid --retries value '" +
-                                   std::to_string(n) +
-                                   "' (valid: 1..100)");
-            policy.maxAttempts = static_cast<int>(n);
+        } else if (const core::RunSetting *setting =
+                       core::findRunSettingFlag(arg)) {
+            const char *text = next(i);
+            if (!setting->apply(text, config, policy))
+                badFlag(argv0, core::invalidValue(arg, text, setting->valid));
         } else if (arg == "--fault-plan") {
             const char *spec = next(i);
             try {
@@ -248,24 +111,15 @@ main(int argc, char **argv)
                                    e.what());
             }
         } else if (arg == "--sweep") {
-            const std::string v = next(i);
+            std::string error;
             sweep = true;
-            if (v == "exec")
-                metric = core::Metric::ExecTime;
-            else if (v == "latency")
-                metric = core::Metric::Latency;
-            else if (v == "contention")
-                metric = core::Metric::Contention;
-            else
-                badFlag(argv0,
-                        "unknown sweep metric '" + v +
-                            "' (valid: exec, latency, contention)");
+            if (!core::parseMetric(next(i), arg, metric, error))
+                badFlag(argv0, error);
         } else if (arg == "--jobs") {
-            const std::uint64_t n = parseUint(argv0, arg, next(i));
-            if (n < 1 || n > 256)
-                badFlag(argv0, "invalid --jobs value '" +
-                                   std::to_string(n) +
-                                   "' (valid: 1..256)");
+            const char *text = next(i);
+            std::uint64_t n = 0;
+            if (!core::parseUint(text, n) || n < 1 || n > 256)
+                badFlag(argv0, core::invalidValue(arg, text, "1..256"));
             jobs = static_cast<unsigned>(n);
         } else if (arg == "--record") {
             config.mode = core::RunMode::Record;

@@ -1,27 +1,11 @@
 #include "core/cache_key.hh"
 
+#include <charconv>
+
 #include "core/journal.hh"
 #include "machines/registry.hh"
 
 namespace absim::core {
-
-namespace {
-
-const char *
-gapPolicyName(logp::GapPolicy policy)
-{
-    switch (policy) {
-      case logp::GapPolicy::Single:
-        return "single";
-      case logp::GapPolicy::PerDirection:
-        return "per-direction";
-      case logp::GapPolicy::BisectionOnly:
-        return "bisection";
-    }
-    return "?";
-}
-
-} // namespace
 
 std::string
 canonicalRunKey(const RunConfig &config, const sim::RunBudget &budget)
@@ -41,8 +25,7 @@ canonicalRunKey(const RunConfig &config, const sim::RunBudget &budget)
     key += mach::specFor(config.machine).name;
     key += ";topology=" + net::toString(config.topology);
     key += ";procs=" + std::to_string(config.procs);
-    key += ";gap=";
-    key += gapPolicyName(config.gapPolicy);
+    key += ";gap=" + logp::toString(config.gapPolicy);
     key += ";cache_bytes=" + std::to_string(config.cache.bytes);
     key += ";cache_ways=" + std::to_string(config.cache.ways);
     key += ";protocol=" + mach::toString(config.protocol);
@@ -89,20 +72,11 @@ formatKeyHex(std::uint64_t key)
 bool
 parseKeyHex(const std::string &text, std::uint64_t &out)
 {
-    if (text.size() != 16)
-        return false;
-    std::uint64_t value = 0;
-    for (const char c : text) {
-        value <<= 4;
-        if (c >= '0' && c <= '9')
-            value |= static_cast<std::uint64_t>(c - '0');
-        else if (c >= 'a' && c <= 'f')
-            value |= static_cast<std::uint64_t>(c - 'a' + 10);
-        else
-            return false;
-    }
-    out = value;
-    return true;
+    // from_chars alone would also take upper case and a shorter key.
+    return text.size() == 16 &&
+           text.find_first_not_of("0123456789abcdef") == std::string::npos &&
+           std::from_chars(text.data(), text.data() + 16, out, 16).ec ==
+               std::errc();
 }
 
 } // namespace absim::core

@@ -1,39 +1,9 @@
 #include "core/env.hh"
 
-#include <cerrno>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 
 namespace absim::core {
-
-bool
-parseUint(const char *text, std::uint64_t &out)
-{
-    if (text == nullptr || *text < '0' || *text > '9')
-        return false;
-    errno = 0;
-    char *end = nullptr;
-    const unsigned long long v = std::strtoull(text, &end, 10);
-    if (errno == ERANGE || end == text || *end != '\0')
-        return false;
-    out = v;
-    return true;
-}
-
-bool
-parseDouble(const char *text, double &out)
-{
-    if (text == nullptr || *text == '\0')
-        return false;
-    errno = 0;
-    char *end = nullptr;
-    const double v = std::strtod(text, &end);
-    if (end == text || *end != '\0' || !std::isfinite(v))
-        return false;
-    out = v;
-    return true;
-}
 
 std::uint64_t
 envUint(const char *name, std::uint64_t fallback, std::uint64_t min,

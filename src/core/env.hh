@@ -18,18 +18,18 @@
 #include <limits>
 
 #include "core/journal.hh" // ShardSpec
+#include "json/json.hh"
 
 namespace absim::core {
 
 /**
- * Parse a base-10 unsigned integer.  Rejects empty strings, signs,
- * leading/trailing garbage and overflow.
- * @return true and @p out on success.
+ * Argv and environment numbers follow the JSON reader's rule: the whole
+ * text is one JSON number token that converts exactly (see
+ * json::parseUint), so a flag, a knob and a serve request field accept
+ * the same texts.
  */
-[[nodiscard]] bool parseUint(const char *text, std::uint64_t &out);
-
-/** Parse a finite decimal number; rejects empty/garbage/trailing junk. */
-[[nodiscard]] bool parseDouble(const char *text, double &out);
+using json::parseDouble;
+using json::parseUint;
 
 /**
  * Read an unsigned integer environment knob.  Unset/empty yields

@@ -23,6 +23,13 @@ namespace absim::core {
 
 namespace {
 
+/** Added to params.seed on each retry (the 64-bit golden-ratio
+ *  increment; any nonzero value works). */
+constexpr std::uint64_t kRetrySeedPerturbation = 0x9e3779b97f4a7c15ull;
+
+/** Tail bound of a failed attempt's captured trace. */
+constexpr std::size_t kTraceExcerptBytes = 4096;
+
 std::unique_ptr<mach::Machine>
 makeMachine(const RunConfig &config, sim::EventQueue &eq,
             const mem::HomeMap &homes)
@@ -275,7 +282,7 @@ runOneSafe(const RunConfig &config, const RunPolicy &policy)
         std::optional<sim::Trace> capture_trace;
         std::optional<sim::ScopedTrace> capture_scope;
         if (policy.traceMask != 0) {
-            capture.emplace(policy.traceLimit);
+            capture.emplace(kTraceExcerptBytes);
             capture_trace.emplace();
             capture_trace->setMask(policy.traceMask);
             capture_trace->setSink(&capture->stream());
@@ -291,11 +298,10 @@ runOneSafe(const RunConfig &config, const RunPolicy &policy)
             err = watchdogError(RunErrorKind::BudgetExceeded, e, attempt);
         } catch (const check::CheckFailure &e) {
             err = plainError(RunErrorKind::CheckFailed, e.what(), attempt);
-            retryable = policy.retryCheckFailures;
+            retryable = true;
         } catch (const AppValidationError &e) {
             err = plainError(RunErrorKind::AppValidationFailed, e.what(),
                              attempt);
-            retryable = policy.retryAppValidation;
         } catch (const std::exception &e) {
             err = plainError(RunErrorKind::Panic, e.what(), attempt);
         }
@@ -305,17 +311,7 @@ runOneSafe(const RunConfig &config, const RunPolicy &policy)
             // Degrade gracefully: re-roll the workload RNG and re-run
             // the point rather than losing the whole sweep to one
             // (possibly transient) failed invariant.
-            if (policy.retryBackoffMs != 0) {
-                // Capped exponential, deterministic (no jitter): damps
-                // retry storms without breaking reproducibility.
-                const int shift = std::min(attempt - 1, 20);
-                const std::uint64_t ms = std::min<std::uint64_t>(
-                    static_cast<std::uint64_t>(policy.retryBackoffMs)
-                        << shift,
-                    policy.retryBackoffCapMs);
-                std::this_thread::sleep_for(std::chrono::milliseconds(ms));
-            }
-            attempt_config.params.seed += policy.seedPerturbation;
+            attempt_config.params.seed += kRetrySeedPerturbation;
             continue;
         }
         return err;

@@ -96,42 +96,21 @@ struct RunPolicy
                           /*maxWallSeconds=*/0.0,
                           /*stallDispatchLimit=*/10'000'000};
 
-    /** Total attempts (first run + retries). */
-    int maxAttempts = 2;
-
-    /** Retry CheckFailed runs with a perturbed workload seed. */
-    bool retryCheckFailures = true;
-
-    /** Also retry AppValidationFailed runs. */
-    bool retryAppValidation = false;
-
-    /** Added to params.seed on each retry (any nonzero value works;
-     *  this one is the 64-bit golden-ratio increment). */
-    std::uint64_t seedPerturbation = 0x9e3779b97f4a7c15ull;
-
     /**
-     * Backoff before each retry: attempt k sleeps
-     * min(retryBackoffMs << (k-1), retryBackoffCapMs) milliseconds —
-     * capped deterministic exponential, no jitter (the simulator is
-     * deterministic; a retry storm against a shared host is the only
-     * thing being damped).  0 (the default) retries immediately.
+     * Total attempts (first run + retries).  Only a CheckFailed run is
+     * retried, at once and with its workload seed perturbed; any other
+     * failure is returned as it is.
      */
-    std::uint32_t retryBackoffMs = 0;
-
-    /** Upper bound of the exponential backoff. */
-    std::uint32_t retryBackoffCapMs = 1000;
+    int maxAttempts = 2;
 
     /**
      * Trace categories (sim::TraceCategory bits) captured per attempt
-     * into a bounded tail sink; on failure the excerpt lands in
+     * into a bounded (4 KiB) tail sink; on failure the excerpt lands in
      * RunError::traceExcerpt (and from there in failure manifests and
      * serve error responses).  0 (the default) captures nothing and
      * leaves the thread's ambient trace in charge.
      */
     std::uint32_t traceMask = 0;
-
-    /** Tail bound (bytes) of the captured trace. */
-    std::size_t traceLimit = 4096;
 };
 
 using RunResult = Result<stats::Profile, RunError>;

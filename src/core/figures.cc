@@ -14,15 +14,8 @@ namespace absim::core {
 std::string
 toString(Metric metric)
 {
-    switch (metric) {
-      case Metric::ExecTime:
-        return "exec_time";
-      case Metric::Latency:
-        return "latency";
-      case Metric::Contention:
-        return "contention";
-    }
-    return "?";
+    const auto i = static_cast<std::size_t>(metric);
+    return i < kMetricNames.size() ? std::string(kMetricNames[i]) : "?";
 }
 
 std::vector<mach::MachineKind>

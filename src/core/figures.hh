@@ -17,8 +17,10 @@
 #ifndef ABSIM_CORE_FIGURES_HH
 #define ABSIM_CORE_FIGURES_HH
 
+#include <array>
 #include <iosfwd>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/experiment.hh"
@@ -35,6 +37,12 @@ enum class Metric
     Contention, ///< Per-processor mean contention overhead.
 };
 
+/** Each Metric's name, indexed by enumerator: what toString() prints
+ *  and what parseMetric() (core/run_settings.hh) reads. */
+inline constexpr std::array<std::string_view, 3> kMetricNames = {
+    "exec_time", "latency", "contention"};
+
+/** The metric's name from kMetricNames. */
 std::string toString(Metric metric);
 
 /** One point of a figure: the metric for every swept machine at P,

@@ -49,6 +49,13 @@ class Parser
         return at_ == text_.size() || fail("trailing bytes after the value");
     }
 
+    /** The whole text is one number token, with nothing around it. */
+    bool
+    numberToken()
+    {
+        return scanNumber() && at_ == text_.size();
+    }
+
     const char *why = "";
 
   private:
@@ -221,9 +228,20 @@ class Parser
         return at_ > start;
     }
 
-    /** -?(0|[1-9][0-9]*)(.[0-9]+)?([eE][+-]?[0-9]+)? */
     bool
     number(Value &out)
+    {
+        const std::size_t start = at_;
+        if (!scanNumber())
+            return false;
+        out.type = Type::Number;
+        out.text.assign(text_.substr(start, at_ - start));
+        return true;
+    }
+
+    /** -?(0|[1-9][0-9]*)(.[0-9]+)?([eE][+-]?[0-9]+)? */
+    bool
+    scanNumber()
     {
         const std::size_t start = at_;
         if (peek('-'))
@@ -245,8 +263,6 @@ class Parser
             if (!digits())
                 return fail("malformed number");
         }
-        out.type = Type::Number;
-        out.text.assign(text_.substr(start, at_ - start));
         return true;
     }
 
@@ -275,6 +291,19 @@ parse(std::string_view text, Value &out, std::string *why)
     if (why != nullptr)
         *why = parser.why;
     return false;
+}
+
+bool
+parseUint(std::string_view text, std::uint64_t &out)
+{
+    // from_chars takes digits only; the JSON grammar adds no leading 0.
+    return (text.size() <= 1 || text[0] != '0') && fromChars(text, out);
+}
+
+bool
+parseDouble(std::string_view text, double &out)
+{
+    return Parser(text).numberToken() && fromChars(text, out);
 }
 
 bool

@@ -87,6 +87,15 @@ struct Member
 /** A Number converted to the nearest double; false if it overflows. */
 [[nodiscard]] bool toDouble(const Value &value, double &out);
 
+/**
+ * The same conversions for a bare text (argv, environment): all of
+ * @p text must be one JSON number token — no whitespace, no '+', no
+ * hex, no leading zero, no inf or nan — so every boundary accepts the
+ * same number texts.
+ */
+[[nodiscard]] bool parseUint(std::string_view text, std::uint64_t &out);
+[[nodiscard]] bool parseDouble(std::string_view text, double &out);
+
 /** Member @p key of @p object, converted; false when it is absent or
  *  of another type. */
 [[nodiscard]] bool getString(const Value &object, std::string_view key,

@@ -6,6 +6,14 @@
 
 namespace absim::logp {
 
+std::string
+toString(GapPolicy policy)
+{
+    const auto i = static_cast<std::size_t>(policy);
+    return i < kGapPolicyNames.size() ? std::string(kGapPolicyNames[i])
+                                      : "?";
+}
+
 GateSet::GateSet(std::uint32_t nodes, sim::Duration g, GapPolicy policy)
     : g_(g), policy_(policy), gates_(nodes)
 {

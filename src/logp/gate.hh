@@ -17,7 +17,10 @@
 #ifndef ABSIM_LOGP_GATE_HH
 #define ABSIM_LOGP_GATE_HH
 
+#include <array>
 #include <cstdint>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "net/topology.hh"
@@ -45,6 +48,14 @@ enum class GapPolicy
      */
     BisectionOnly,
 };
+
+/** Each GapPolicy's name, indexed by enumerator: what toString()
+ *  prints and what the run settings parse. */
+inline constexpr std::array<std::string_view, 3> kGapPolicyNames = {
+    "single", "per-direction", "bisection"};
+
+/** The policy's name from kGapPolicyNames. */
+std::string toString(GapPolicy policy);
 
 /** Outcome of reserving a gate. */
 struct Reservation

@@ -25,13 +25,8 @@ Machine::access(MemClient &client, mem::Addr addr, AccessType type,
 std::string
 toString(ProtocolKind kind)
 {
-    switch (kind) {
-      case ProtocolKind::Berkeley:
-        return "berkeley";
-      case ProtocolKind::Msi:
-        return "msi";
-    }
-    return "?";
+    const auto i = static_cast<std::size_t>(kind);
+    return i < kProtocolNames.size() ? std::string(kProtocolNames[i]) : "?";
 }
 
 } // namespace absim::mach

@@ -22,8 +22,10 @@
 #ifndef ABSIM_MACHINES_MACHINE_HH
 #define ABSIM_MACHINES_MACHINE_HH
 
+#include <array>
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "mem/addr.hh"
 #include "net/topology.hh"
@@ -104,6 +106,12 @@ enum class ProtocolKind
     Msi,
 };
 
+/** Each ProtocolKind's name, indexed by enumerator: what toString()
+ *  prints and what the run settings parse. */
+inline constexpr std::array<std::string_view, 2> kProtocolNames = {
+    "berkeley", "msi"};
+
+/** The protocol's name from kProtocolNames. */
 std::string toString(ProtocolKind kind);
 
 /**

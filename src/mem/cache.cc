@@ -97,7 +97,10 @@ SetAssocCache::SetAssocCache(std::uint32_t capacity_bytes,
     : ways_(associativity), presence_(presence), node_(node)
 {
     const std::uint32_t line_count = capacity_bytes / kBlockBytes;
-    if (associativity == 0 || line_count % associativity != 0)
+    // No line (a capacity under one block) means no set; 0 would pass
+    // the power-of-two test below.
+    if (associativity == 0 || line_count == 0 ||
+        line_count % associativity != 0)
         throw std::invalid_argument("bad cache geometry");
     sets_ = line_count / associativity;
     if ((sets_ & (sets_ - 1)) != 0)

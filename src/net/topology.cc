@@ -28,15 +28,8 @@ log2u(std::uint32_t x)
 std::string
 toString(TopologyKind kind)
 {
-    switch (kind) {
-      case TopologyKind::Full:
-        return "full";
-      case TopologyKind::Hypercube:
-        return "cube";
-      case TopologyKind::Mesh2D:
-        return "mesh";
-    }
-    return "?";
+    const auto i = static_cast<std::size_t>(kind);
+    return i < kTopologyNames.size() ? std::string(kTopologyNames[i]) : "?";
 }
 
 std::unique_ptr<Topology>

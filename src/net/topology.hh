@@ -12,9 +12,11 @@
 #ifndef ABSIM_NET_TOPOLOGY_HH
 #define ABSIM_NET_TOPOLOGY_HH
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -34,7 +36,12 @@ enum class TopologyKind
     Mesh2D,    ///< 2-D mesh, Intel Touchstone Delta style.
 };
 
-/** Human-readable topology name ("full", "cube", "mesh"). */
+/** Each TopologyKind's name, indexed by enumerator: what toString()
+ *  prints and what the run settings parse. */
+inline constexpr std::array<std::string_view, 3> kTopologyNames = {
+    "full", "cube", "mesh"};
+
+/** The topology's name from kTopologyNames. */
 std::string toString(TopologyKind kind);
 
 /**

@@ -1,12 +1,11 @@
 #include "serve/protocol.hh"
 
-#include <limits>
 #include <stdexcept>
 
 #include "core/journal.hh"
+#include "core/run_settings.hh"
 #include "json/json.hh"
 #include "machines/registry.hh"
-#include "sim/trace.hh"
 
 namespace absim::serve {
 
@@ -26,20 +25,6 @@ fail(std::string &error, const std::string &what)
 {
     error = what;
     return false;
-}
-
-bool
-invalid(const json::Member &f, std::string &error)
-{
-    return fail(error, "invalid " + f.key + " value '" + f.value.text + "'");
-}
-
-bool
-parseUintField(const json::Member &f, std::uint64_t &out, std::string &error,
-               std::uint64_t min, std::uint64_t max)
-{
-    return (json::toUint(f.value, out) && out >= min && out <= max) ||
-           invalid(f, error);
 }
 
 } // namespace
@@ -62,126 +47,19 @@ parseRequest(const std::string &line, const core::RunPolicy &defaults,
         if (f.value.type == json::Type::Array ||
             f.value.type == json::Type::Object)
             return fail(error, "field '" + f.key + "' must be a scalar");
-        // String fields take a number's raw token too, so "op":1 is an
-        // unknown op '1', not a silent default.
         const std::string &value = f.value.text;
-        std::uint64_t u = 0;
         if (f.key == "op") {
             out.op = value;
             sawOp = true;
-        } else if (f.key == "app") {
-            out.config.app = value;
-        } else if (f.key == "size") {
-            if (!parseUintField(f, u, error, 1, 1u << 26))
-                return false;
-            out.config.params.n = u;
-        } else if (f.key == "seed") {
-            if (!parseUintField(f, u, error, 0,
-                                std::numeric_limits<std::uint64_t>::max()))
-                return false;
-            out.config.params.seed = u;
-        } else if (f.key == "iterations") {
-            if (!parseUintField(f, u, error, 0, 1u << 20))
-                return false;
-            out.config.params.iterations =
-                static_cast<std::uint32_t>(u);
-        } else if (f.key == "variant") {
-            out.config.params.variant = value;
-        } else if (f.key == "machine") {
-            if (!mach::parseMachineKind(value, out.config.machine))
-                return fail(error, "unknown machine '" + value +
-                                       "' (valid: " + mach::machineNames() +
-                                       ")");
-        } else if (f.key == "topology") {
-            if (value == "full")
-                out.config.topology = net::TopologyKind::Full;
-            else if (value == "cube")
-                out.config.topology = net::TopologyKind::Hypercube;
-            else if (value == "mesh")
-                out.config.topology = net::TopologyKind::Mesh2D;
-            else
-                return fail(error, "unknown topology '" + value +
-                                       "' (valid: full, cube, mesh)");
-        } else if (f.key == "procs") {
-            if (!parseUintField(f, u, error, 1, 1u << 20))
-                return false;
-            out.config.procs = static_cast<std::uint32_t>(u);
-        } else if (f.key == "max_procs") {
-            if (!parseUintField(f, u, error, 1, 1u << 20))
-                return false;
-            out.maxProcs = static_cast<std::uint32_t>(u);
-        } else if (f.key == "gap") {
-            if (value == "single")
-                out.config.gapPolicy = logp::GapPolicy::Single;
-            else if (value == "per-direction")
-                out.config.gapPolicy = logp::GapPolicy::PerDirection;
-            else if (value == "bisection")
-                out.config.gapPolicy = logp::GapPolicy::BisectionOnly;
-            else
-                return fail(error,
-                            "unknown gap policy '" + value +
-                                "' (valid: single, per-direction, "
-                                "bisection)");
-        } else if (f.key == "protocol") {
-            if (value == "berkeley")
-                out.config.protocol = mach::ProtocolKind::Berkeley;
-            else if (value == "msi")
-                out.config.protocol = mach::ProtocolKind::Msi;
-            else
-                return fail(error, "unknown protocol '" + value +
-                                       "' (valid: berkeley, msi)");
-        } else if (f.key == "cache_kb") {
-            if (!parseUintField(f, u, error, 1, 1u << 20))
-                return false;
-            out.config.cache.bytes =
-                static_cast<std::uint32_t>(u) * 1024u;
-        } else if (f.key == "check") {
-            if (f.value.type != json::Type::Bool)
-                return invalid(f, error);
-            out.config.checkResult = value == "true";
         } else if (f.key == "metric") {
-            if (value == "exec" || value == "exec_time")
-                out.metric = core::Metric::ExecTime;
-            else if (value == "latency")
-                out.metric = core::Metric::Latency;
-            else if (value == "contention")
-                out.metric = core::Metric::Contention;
-            else
+            if (!core::parseMetric(value, f.key, out.metric, error))
+                return false;
+        } else if (f.key == "max_procs") {
+            std::uint64_t u = 0;
+            if (!json::toUint(f.value, u) || u < 1 || u > (1u << 20))
                 return fail(error,
-                            "unknown metric '" + value +
-                                "' (valid: exec, latency, contention)");
-        } else if (f.key == "deadline_s") {
-            if (!json::toDouble(f.value, out.policy.budget.maxWallSeconds) ||
-                out.policy.budget.maxWallSeconds < 0.0)
-                return invalid(f, error);
-        } else if (f.key == "max_events") {
-            if (!parseUintField(f, out.policy.budget.maxEvents, error, 0,
-                                std::numeric_limits<std::uint64_t>::max()))
-                return false;
-        } else if (f.key == "max_sim_time") {
-            if (!parseUintField(f, u, error, 0,
-                                std::numeric_limits<std::uint64_t>::max()))
-                return false;
-            out.policy.budget.maxSimTime = static_cast<sim::Tick>(u);
-        } else if (f.key == "stall_limit") {
-            if (!parseUintField(f, out.policy.budget.stallDispatchLimit,
-                                error, 0,
-                                std::numeric_limits<std::uint64_t>::max()))
-                return false;
-        } else if (f.key == "retries") {
-            if (!parseUintField(f, u, error, 1, 100))
-                return false;
-            out.policy.maxAttempts = static_cast<int>(u);
-        } else if (f.key == "backoff_ms") {
-            if (!parseUintField(f, u, error, 0, 60'000))
-                return false;
-            out.policy.retryBackoffMs = static_cast<std::uint32_t>(u);
-        } else if (f.key == "trace") {
-            if (!sim::parseTraceMask(value, out.policy.traceMask))
-                return fail(error,
-                            "invalid trace categories '" + value +
-                                "' (valid: protocol, network, logp, "
-                                "runtime, all)");
+                            core::invalidValue(f.key, value, "1..1048576"));
+            out.maxProcs = static_cast<std::uint32_t>(u);
         } else if (f.key == "fault_plan") {
             try {
                 out.faultPlan = fault::Plan::parse(value);
@@ -190,6 +68,15 @@ parseRequest(const std::string &line, const core::RunPolicy &defaults,
                 return fail(error, "invalid fault_plan: " +
                                        std::string(e.what()));
             }
+        } else if (const core::RunSetting *setting =
+                       core::findRunSetting(f.key)) {
+            // A String setting, like op, takes any scalar's raw token,
+            // so "app":1 is an invalid app '1', never a silent default.
+            if ((setting->type != json::Type::String &&
+                 setting->type != f.value.type) ||
+                !setting->apply(value, out.config, out.policy))
+                return fail(error, core::invalidValue(f.key, value,
+                                                      setting->valid));
         } else {
             return fail(error, "unknown field '" + f.key + "'");
         }
@@ -201,25 +88,6 @@ parseRequest(const std::string &line, const core::RunPolicy &defaults,
         return fail(error, "unknown op '" + out.op +
                                "' (valid: ping, run, sweep, stats, "
                                "drain, shutdown)");
-    if (out.op == "run" || out.op == "sweep") {
-        try {
-            (void)apps::makeApp(out.config.app);
-        } catch (const std::invalid_argument &) {
-            return fail(error, "unknown app '" + out.config.app +
-                                   "' (valid: " +
-                                   [] {
-                                       std::string names;
-                                       for (const std::string &n :
-                                            apps::appNames()) {
-                                           if (!names.empty())
-                                               names += ", ";
-                                           names += n;
-                                       }
-                                       return names;
-                                   }() +
-                                   ")");
-        }
-    }
     return true;
 }
 

@@ -25,13 +25,15 @@
  *   {"op":"drain"}         begin graceful drain (keep serving hits)
  *   {"op":"shutdown"}      drain, then ask the daemon to exit
  *
- * Optional run/sweep fields: "size" (problem size), "seed",
- * "iterations", "variant", "topology", "gap", "protocol", "cache_kb",
- * "check" (bool), "deadline_s" (wall-clock budget, watchdog-enforced),
- * "max_events", "max_sim_time", "stall_limit", "retries" (total
- * attempts), "backoff_ms" (capped deterministic retry backoff),
+ * Optional run/sweep fields are the rows of the run-settings table
+ * (core/run_settings.hh), which holds each one's range: "app", "size",
+ * "seed", "iterations", "variant", "machine", "topology", "procs",
+ * "gap", "protocol", "cache_kb", "check" (bool), "deadline_s"
+ * (wall-clock budget, watchdog-enforced), "max_events",
+ * "max_sim_time", "stall_limit", "retries" (total attempts) and
  * "trace" (comma-separated sim trace categories captured into error
- * responses), "fault_plan" (deterministic chaos plan, tests only).
+ * responses).  Besides them: "metric" and "max_procs" (sweep only) and
+ * "fault_plan" (deterministic chaos plan, tests only).
  *
  * Response statuses: "ok", "error" (named RunError kind, or
  * "DeadlineExceeded" / "bad-request"), "shed" (admission reject),

@@ -14,8 +14,8 @@
  *    RunBudget, so a stuck simulation is bounded by the PR 2 watchdog;
  *    "deadline_s" maps to budget.maxWallSeconds and surfaces as a
  *    named DeadlineExceeded error response.
- *  - Transient failures retry per policy with seed perturbation and
- *    capped deterministic backoff (RunPolicy::retryBackoffMs).
+ *  - A tripped invariant (CheckFailed) retries at once with its seed
+ *    perturbed, up to RunPolicy::maxAttempts attempts.
  *  - beginDrain() (SIGTERM) finishes admitted work, keeps serving
  *    cache hits, answers everything else with the draining response;
  *    drain() additionally waits for in-flight work and flushes the

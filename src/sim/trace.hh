@@ -14,6 +14,8 @@
 #ifndef ABSIM_SIM_TRACE_HH
 #define ABSIM_SIM_TRACE_HH
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
 #include <iostream>
 #include <sstream>
@@ -36,10 +38,15 @@ enum class TraceCategory : std::uint32_t
 /** All four category bits, the "all" spelling of parseTraceMask(). */
 inline constexpr std::uint32_t kAllTraceCategories = 0xf;
 
+/** Each category's name, indexed by its bit: what parseTraceMask()
+ *  reads besides "all". */
+inline constexpr std::array<std::string_view, 4> kTraceCategoryNames = {
+    "protocol", "network", "logp", "runtime"};
+
 /**
  * Parse a comma-separated category list ("protocol,logp", or "all")
- * into a bitmask.  Used by the ABSIM_FAIL_TRACE env knob, run_cli's
- * --trace-fail and the serve request "trace" field.
+ * into a bitmask.  Used by the ABSIM_FAIL_TRACE env knob and the
+ * run-settings "trace" row (run_cli --trace, a serve request's "trace").
  * @return false on an empty list or an unknown name.
  */
 [[nodiscard]] inline bool
@@ -49,16 +56,12 @@ parseTraceMask(std::string_view text, std::uint32_t &mask)
     while (!text.empty()) {
         const auto comma = text.find(',');
         const std::string_view name = text.substr(0, comma);
-        if (name == "protocol")
-            out |= static_cast<std::uint32_t>(TraceCategory::Protocol);
-        else if (name == "network")
-            out |= static_cast<std::uint32_t>(TraceCategory::Network);
-        else if (name == "logp")
-            out |= static_cast<std::uint32_t>(TraceCategory::LogP);
-        else if (name == "runtime")
-            out |= static_cast<std::uint32_t>(TraceCategory::Runtime);
-        else if (name == "all")
+        const auto it = std::find(kTraceCategoryNames.begin(),
+                                  kTraceCategoryNames.end(), name);
+        if (name == "all")
             out |= kAllTraceCategories;
+        else if (it != kTraceCategoryNames.end())
+            out |= 1u << (it - kTraceCategoryNames.begin());
         else
             return false;
         if (comma == std::string_view::npos)

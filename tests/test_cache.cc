@@ -25,6 +25,15 @@ TEST(Cache, RejectsBadGeometry)
     EXPECT_THROW(SetAssocCache(128, 3), std::invalid_argument);
     // 6 lines / 2 ways = 3 sets: not a power of two.
     EXPECT_THROW(SetAssocCache(192, 2), std::invalid_argument);
+    // Zero sets: no capacity, or less than one block.
+    for (const std::uint32_t bytes : {0u, kBlockBytes - 1}) {
+        try {
+            SetAssocCache cache(bytes, 2);
+            ADD_FAILURE() << bytes << " bytes built a cache";
+        } catch (const std::invalid_argument &e) {
+            EXPECT_STREQ(e.what(), "bad cache geometry");
+        }
+    }
 }
 
 TEST(Cache, MissOnCold)

@@ -90,13 +90,13 @@ TEST(ServeProtocol, RequestDiagnosticsNameTheOffendingField)
 
     EXPECT_FALSE(serve::parseRequest(
         "{\"op\":\"run\",\"app\":\"barnes\"}", defaults, request, error));
-    EXPECT_NE(error.find("unknown app 'barnes'"), std::string::npos)
+    EXPECT_NE(error.find("invalid app value 'barnes'"), std::string::npos)
         << error;
 
     EXPECT_FALSE(serve::parseRequest(
         "{\"op\":\"run\",\"machine\":\"cray\"}", defaults, request,
         error));
-    EXPECT_NE(error.find("unknown machine 'cray'"), std::string::npos)
+    EXPECT_NE(error.find("invalid machine value 'cray'"), std::string::npos)
         << error;
 
     // The retired message-passing row is an unknown machine like any
@@ -104,19 +104,19 @@ TEST(ServeProtocol, RequestDiagnosticsNameTheOffendingField)
     EXPECT_FALSE(serve::parseRequest(
         "{\"op\":\"run\",\"machine\":\"none\"}", defaults, request,
         error));
-    EXPECT_NE(error.find("unknown machine 'none'"), std::string::npos)
+    EXPECT_NE(error.find("invalid machine value 'none'"), std::string::npos)
         << error;
 
     EXPECT_FALSE(serve::parseRequest(
         "{\"op\":\"run\",\"topology\":\"torus\"}", defaults, request,
         error));
-    EXPECT_NE(error.find("unknown topology 'torus'"), std::string::npos)
+    EXPECT_NE(error.find("invalid topology value 'torus'"), std::string::npos)
         << error;
 
     EXPECT_FALSE(serve::parseRequest(
         "{\"op\":\"run\",\"gap\":\"double\"}", defaults, request,
         error));
-    EXPECT_NE(error.find("unknown gap policy 'double'"), std::string::npos)
+    EXPECT_NE(error.find("invalid gap value 'double'"), std::string::npos)
         << error;
 
     EXPECT_FALSE(serve::parseRequest(
@@ -132,6 +132,11 @@ TEST(ServeProtocol, RequestDiagnosticsNameTheOffendingField)
         "{\"op\":\"run\",\"trace\":\"everything\"}", defaults, request,
         error));
     EXPECT_NE(error.find("trace"), std::string::npos) << error;
+
+    // The retired retry backoff is an unknown field like any other.
+    EXPECT_FALSE(serve::parseRequest(
+        "{\"op\":\"run\",\"backoff_ms\":10}", defaults, request, error));
+    EXPECT_EQ(error, "unknown field 'backoff_ms'");
 }
 
 TEST(ServeProtocol, RequestFieldsOverrideServiceDefaults)
@@ -144,13 +149,12 @@ TEST(ServeProtocol, RequestFieldsOverrideServiceDefaults)
     std::string error;
     ASSERT_TRUE(serve::parseRequest(
         "{\"op\":\"run\",\"app\":\"ep\",\"deadline_s\":2.5,"
-        "\"retries\":3,\"backoff_ms\":10,\"seed\":99,"
+        "\"retries\":3,\"seed\":99,"
         "\"trace\":\"logp,runtime\"}",
         defaults, request, error))
         << error;
     EXPECT_EQ(request.policy.budget.maxWallSeconds, 2.5);
     EXPECT_EQ(request.policy.maxAttempts, 3);
-    EXPECT_EQ(request.policy.retryBackoffMs, 10u);
     EXPECT_EQ(request.config.params.seed, 99u);
     EXPECT_EQ(request.policy.traceMask,
               static_cast<std::uint32_t>(sim::TraceCategory::LogP) |

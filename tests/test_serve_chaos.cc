@@ -114,8 +114,7 @@ TEST(ServeChaos, PolicyRetryRecoversATransientFaultThroughTheService)
     // a plain success.
     serve::Service service(chaosServiceConfig());
     const std::string response = service.handle(chaosRun(
-        "\"fault_plan\":\"corrupt@30; seed=5\",\"retries\":2,"
-        "\"backoff_ms\":1"));
+        "\"fault_plan\":\"corrupt@30; seed=5\",\"retries\":2"));
     EXPECT_NE(response.find("\"status\":\"ok\""), std::string::npos)
         << response;
     EXPECT_EQ(service.stats().completed, 1u);
