@@ -36,8 +36,8 @@ constexpr AppSweep kApps[] = {{"fft", 2048}, {"cg", 512}};
 int
 main(int argc, char **argv)
 {
-    unsigned jobs = 1;
-    if (!bench::parseJobs(argc, argv, jobs))
+    core::Settings settings;
+    if (!bench::parseSettings(core::kAblation, argc, argv, settings))
         return 2;
 
     std::vector<core::RunConfig> configs;
@@ -55,7 +55,7 @@ main(int argc, char **argv)
         }
     }
 
-    const auto results = core::runManySafe(configs, {}, jobs);
+    const auto results = core::runManySafe(configs, {}, settings.jobs);
 
     int rc = 0;
     std::size_t i = 0;

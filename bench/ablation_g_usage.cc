@@ -40,8 +40,8 @@ constexpr std::size_t kColumnCount = std::size(kColumns);
 int
 main(int argc, char **argv)
 {
-    unsigned jobs = 1;
-    if (!bench::parseJobs(argc, argv, jobs))
+    core::Settings settings;
+    if (!bench::parseSettings(core::kAblation, argc, argv, settings))
         return 2;
 
     core::RunConfig base;
@@ -60,7 +60,7 @@ main(int argc, char **argv)
         }
     }
 
-    const auto results = core::runManySafe(configs, {}, jobs);
+    const auto results = core::runManySafe(configs, {}, settings.jobs);
 
     std::printf("# Section 7 ablation: g-usage policy, FFT on Cube, "
                 "contention overhead (us, per-proc mean)\n");

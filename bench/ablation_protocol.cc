@@ -49,8 +49,8 @@ struct Row
 int
 main(int argc, char **argv)
 {
-    unsigned jobs = 1;
-    if (!bench::parseJobs(argc, argv, jobs))
+    core::Settings settings;
+    if (!bench::parseSettings(core::kAblation, argc, argv, settings))
         return 2;
 
     const auto apps = apps::appNames();
@@ -67,7 +67,7 @@ main(int argc, char **argv)
         }
     }
 
-    const auto results = core::runManySafe(configs, {}, jobs);
+    const auto results = core::runManySafe(configs, {}, settings.jobs);
 
     std::printf("# Coherence-protocol sensitivity, P=8, full network\n");
     std::printf("%-10s %22s %22s %22s\n", "", "target/berkeley",

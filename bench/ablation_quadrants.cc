@@ -16,12 +16,11 @@
 /// each single-axis quadrant against the target plus the combined
 /// logp+c error.
 ///
-/// Supports --jobs N / ABSIM_JOBS (worker pool, byte-identical output),
-/// --shard K/N / ABSIM_SHARD (run one shard of each sweep; the error
-/// table needs the full grid and is skipped), ABSIM_JOURNAL_DIR
-/// (checkpoint each app's sweep) and the ABSIM_MAX_PROCS / ABSIM_SIZE
-/// knobs of the figure benches.  Malformed numeric values exit 2 with
-/// a diagnostic.
+/// Each app's sweep is a figure bench's sweep (fig_common.hh) over the
+/// five compositions, so it takes the figure benches' settings and
+/// output directories; its artifacts are named
+/// quadrants_<app>_full_exec_time, and max_procs defaults to 16.  A shard (--shard K/N)
+/// skips the error table, which needs the full grid.
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -57,48 +56,20 @@ errorPct(double value, double reference)
 }
 
 int
-runApp(const std::string &app, unsigned jobs, core::ShardSpec shard)
+runApp(const std::string &app, core::Settings settings)
 {
-    core::RunConfig base;
-    base.app = app;
-    base.params.n = core::envUint("ABSIM_SIZE", base.params.n, 1);
-
-    const std::uint32_t max_procs = static_cast<std::uint32_t>(
-        core::envUint("ABSIM_MAX_PROCS", 16, 1, 1u << 20));
-
-    std::vector<std::uint32_t> procs;
-    for (const std::uint32_t p : core::defaultProcCounts())
-        if (p <= max_procs)
-            procs.push_back(p);
-
-    core::SweepOptions options;
-    options.jobs = jobs;
-    options.shard = shard;
-    options.machines = mach::allQuadrants();
-    if (const char *dir = core::envString("ABSIM_JOURNAL_DIR")) {
-        std::string stem = "quadrants_" + app + "_full_exec_time";
-        if (shard.sharded())
-            stem += ".shard" + std::to_string(shard.index) + "of" +
-                    std::to_string(shard.count);
-        options.journalPath =
-            std::string(dir) + "/" + stem + ".journal.jsonl";
-    }
-
-    const core::SweepResult result = core::sweepFigureSafe(
-        "Quadrant ablation: " + app + " on full: execution time", base,
-        net::TopologyKind::Full, core::Metric::ExecTime, procs, options);
-    core::printFigure(std::cout, result.figure);
-    for (const core::FailedPoint &f : result.failures)
-        std::fprintf(stderr,
-                     "failed point: procs=%u machine=%s error=%s: %s\n",
-                     f.procs, f.machine.c_str(), f.error.c_str(),
-                     f.message.c_str());
+    settings.config.app = app;
+    const core::SweepResult result = bench::runFigure(
+        "Quadrant ablation: " + app + " on full: execution time",
+        "quadrants_" + app + "_full_exec_time", settings,
+        net::TopologyKind::Full, core::Metric::ExecTime,
+        mach::allQuadrants());
     if (!result.complete())
         return 3;
 
     // A shard's figure is partial (unowned cells read 0.0); the error
     // table only means something on the merged full grid.
-    if (shard.sharded())
+    if (settings.shard.sharded())
         return 0;
 
     const auto machines = core::figureMachines(result.figure);
@@ -128,18 +99,18 @@ runApp(const std::string &app, unsigned jobs, core::ShardSpec shard)
 int
 main(int argc, char **argv)
 {
-    unsigned jobs = 1;
-    core::ShardSpec shard;
-    if (!bench::parseSweepFlags(argc, argv, jobs, shard))
+    core::Settings settings;
+    settings.maxProcs = 16;
+    if (!bench::parseSettings(core::kFigure, argc, argv, settings))
         return 2;
 
     int rc = 0;
     for (const char *app : {"ep", "is"}) {
-        const int app_rc = runApp(app, jobs, shard);
+        const int app_rc = runApp(app, settings);
         if (app_rc != 0)
             rc = app_rc;
     }
-    if (rc == 0 && !shard.sharded())
+    if (rc == 0 && !settings.shard.sharded())
         std::printf("# Reading: EP (computation bound) keeps every error"
                     " near zero; on IS the\n# single-axis quadrants"
                     " attribute logp+c's disagreement between the\n"

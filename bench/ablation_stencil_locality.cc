@@ -42,8 +42,8 @@ constexpr std::uint32_t kProcs[] = {2u, 4u, 8u, 16u, 32u};
 int
 main(int argc, char **argv)
 {
-    unsigned jobs = 1;
-    if (!bench::parseJobs(argc, argv, jobs))
+    core::Settings settings;
+    if (!bench::parseSettings(core::kAblation, argc, argv, settings))
         return 2;
 
     core::RunConfig base;
@@ -62,7 +62,7 @@ main(int argc, char **argv)
         }
     }
 
-    const auto results = core::runManySafe(configs, {}, jobs);
+    const auto results = core::runManySafe(configs, {}, settings.jobs);
 
     std::printf("# Stencil (near-neighbor) on Mesh: contention overhead "
                 "(us, per-proc mean)\n");

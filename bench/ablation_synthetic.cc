@@ -41,8 +41,8 @@ constexpr const char *kVariants[] = {"private", "neighbor", "uniform",
 int
 main(int argc, char **argv)
 {
-    unsigned jobs = 1;
-    if (!bench::parseJobs(argc, argv, jobs))
+    core::Settings settings;
+    if (!bench::parseSettings(core::kAblation, argc, argv, settings))
         return 2;
 
     std::vector<core::RunConfig> configs;
@@ -59,7 +59,7 @@ main(int argc, char **argv)
         }
     }
 
-    const auto results = core::runManySafe(configs, {}, jobs);
+    const auto results = core::runManySafe(configs, {}, settings.jobs);
 
     std::printf("# Synthetic access patterns on a 4x4 mesh, P=16: "
                 "contention overhead (us, per-proc mean)\n");

@@ -23,7 +23,7 @@
  * workers), --cache PATH (result-cache journal), and the policy rows
  * of the run-settings table (core/run_settings.hh) as service defaults
  * a request may override: --deadline-s, --max-events, --max-sim-time,
- * --stall-limit, --retries and --trace.
+ * --stall-limit, --retries and --trace, or their ABSIM_* variables.
  *
  * Exit status: 0 on clean shutdown/drain, 1 on a socket failure, 2 on
  * a bad command line.
@@ -73,7 +73,7 @@ usage(const char *argv0)
                  "  --cache PATH       result-cache journal\n"
                  "request defaults:\n%s",
                  argv0, argv0, argv0,
-                 absim::core::runSettingsUsage(true).c_str());
+                 absim::core::runSettingsUsage(absim::core::kServe).c_str());
     return 2;
 }
 
@@ -228,10 +228,19 @@ main(int argc, char **argv)
     std::string connectPath;
     bool oneshot = false;
 
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
+    absim::core::Settings defaults;
+    std::vector<std::string> rest;
+    std::string error;
+    if (!absim::core::applySettings(absim::core::kServe, argc, argv,
+                                    defaults, error, &rest)) {
+        std::fprintf(stderr, "error: %s\n", error.c_str());
+        return 2;
+    }
+    config.policy = defaults.policy;
+    for (std::size_t i = 0; i < rest.size(); ++i) {
+        const std::string &arg = rest[i];
         const auto value = [&]() -> const char * {
-            return i + 1 < argc ? argv[++i] : nullptr;
+            return i + 1 < rest.size() ? rest[++i].c_str() : nullptr;
         };
         const auto count = [&](std::uint64_t &out, std::uint64_t min,
                                std::uint64_t max) {
@@ -243,8 +252,6 @@ main(int argc, char **argv)
                          arg.c_str(), v == nullptr ? "" : v);
             return false;
         };
-        const absim::core::RunSetting *setting =
-            absim::core::findRunSettingFlag(arg);
         std::uint64_t n = 0;
         if (arg == "--help" || arg == "-h") {
             usage(argv[0]);
@@ -267,17 +274,6 @@ main(int argc, char **argv)
             if (!count(n, 0, 1u << 20))
                 return 2;
             config.maxQueue = static_cast<std::size_t>(n);
-        } else if (setting != nullptr && setting->policy) {
-            const char *v = value();
-            absim::core::RunConfig unused;
-            if (v == nullptr)
-                return usage(argv[0]);
-            if (!setting->apply(v, unused, config.policy)) {
-                std::fprintf(stderr, "error: %s\n",
-                             absim::core::invalidValue(arg, v, setting->valid)
-                                 .c_str());
-                return 2;
-            }
         } else {
             std::fprintf(stderr, "error: unknown option '%s'\n",
                          arg.c_str());

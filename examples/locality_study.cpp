@@ -23,12 +23,12 @@ using namespace absim;
 int
 main(int argc, char **argv)
 {
-    core::RunConfig config;
-    core::RunPolicy unused;
+    core::Settings settings;
+    core::RunConfig &config = settings.config;
     const core::RunSetting &row = *core::findRunSetting("procs");
-    if (argc > 1 && !row.apply(argv[1], config, unused)) {
+    if (argc > 1 && !row.apply(argv[1], settings)) {
         std::fprintf(stderr, "error: %s\nusage: %s [procs]\n",
-                     core::invalidValue(row.key, argv[1], row.valid).c_str(),
+                     core::invalidValue(row.key, argv[1], row).c_str(),
                      argv[0]);
         return 2;
     }

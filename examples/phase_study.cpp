@@ -48,16 +48,16 @@ printBreakdown(const stats::Profile &profile)
 int
 main(int argc, char **argv)
 {
-    core::RunConfig config;
-    core::RunPolicy unused;
+    core::Settings settings;
+    core::RunConfig &config = settings.config;
     config.app = "is";
     const char *keys[] = {"app", "procs"}; // Parsed by their settings rows.
     for (int i = 1; i < argc && i <= 2; ++i) {
         const core::RunSetting &row = *core::findRunSetting(keys[i - 1]);
-        if (!row.apply(argv[i], config, unused)) {
+        if (!row.apply(argv[i], settings)) {
             std::fprintf(
                 stderr, "error: %s\nusage: %s [app] [procs]\n",
-                core::invalidValue(row.key, argv[i], row.valid).c_str(),
+                core::invalidValue(row.key, argv[i], row).c_str(),
                 argv[0]);
             return 2;
         }

@@ -7,13 +7,14 @@
  *   run_cli --app cg --machine target --topology mesh --procs 16 \
  *           --size 512 --iterations 5 --cache-kb 64 --gap single
  *
- * Every run setting is a row of the run-settings table
- * (core/run_settings.hh): its flag is the serve request's key with '_'
- * spelled '-', and it takes the same values and ranges there.  With
- * --sweep METRIC the driver instead sweeps the processor counts (powers
- * of two up to --procs) and prints the three-machine figure for that
- * metric; --jobs N runs the sweep's points on a worker pool with
- * byte-identical output (see docs/PARALLELISM.md).
+ * Every option but --sweep and --help is a row of the run-settings
+ * table (core/run_settings.hh): its flag is the serve request's key
+ * with '_' spelled '-', its variable ABSIM_ plus the key in capitals,
+ * and it takes the same values and ranges everywhere.  With --sweep
+ * the driver instead sweeps the processor counts (powers of two up to
+ * --procs) and prints the three-machine figure for --metric; --jobs N
+ * runs the sweep's points on a worker pool with byte-identical output
+ * (see docs/PARALLELISM.md).
  *
  * Bad flags print a diagnostic naming the offending value plus the
  * valid choices, then the usage text, and exit 2.  Simulation failures
@@ -25,12 +26,9 @@
 #include <cstdlib>
 #include <iostream>
 #include <string>
+#include <vector>
 
-#include "core/env.hh"
-#include "core/experiment.hh"
-#include "core/figures.hh"
 #include "core/run_settings.hh"
-#include "fault/fault.hh"
 #include "machines/registry.hh"
 
 using namespace absim;
@@ -40,26 +38,13 @@ namespace {
 void
 usage(std::FILE *out, const char *argv0)
 {
-    std::fprintf(
-        out,
-        "usage: %s [options]\n%s"
-        "  --fault-plan S     arm the fault injector, e.g.\n"
-        "                     'wedge@120:node=2; corrupt@80; seed=7'\n"
-        "                     (see docs/ROBUSTNESS.md)\n"
-        "  --sweep METRIC     sweep P over the powers of two up to --procs\n"
-        "                     and print the three-machine figure\n"
-        "                     valid: %s\n"
-        "  --jobs N           sweep worker threads (default 1; output is\n"
-        "                     identical for any value)\n"
-        "  --record           execute and record the reference trace into\n"
-        "                     the trace store (see docs/TRACING.md)\n"
-        "  --replay           replay stored traces instead of executing\n"
-        "                     (record-on-miss: a missing trace executes\n"
-        "                     and records)\n"
-        "  --trace-dir DIR    trace store directory (default 'traces';\n"
-        "                     env ABSIM_TRACE_DIR)\n",
-        argv0, core::runSettingsUsage().c_str(),
-        core::metricNames().c_str());
+    std::fprintf(out,
+                 "usage: %s [options]\n"
+                 "  --sweep            sweep P over the powers of two up to "
+                 "--procs and print\n"
+                 "                     the three-machine figure of --metric\n"
+                 "%s",
+                 argv0, core::runSettingsUsage(core::kRunCli).c_str());
 }
 
 [[noreturn]] void
@@ -75,67 +60,27 @@ badFlag(const char *argv0, const std::string &what)
 int
 main(int argc, char **argv)
 {
-    core::RunConfig config;
-    if (const char *dir = core::envString("ABSIM_TRACE_DIR"))
-        config.traceDir = dir;
-    core::RunPolicy policy;
-    fault::Plan plan;
+    core::Settings settings;
+    std::vector<std::string> rest;
+    std::string error;
+    if (!core::applySettings(core::kRunCli, argc, argv, settings, error,
+                             &rest))
+        badFlag(argv[0], error);
     bool sweep = false;
-    core::Metric metric = core::Metric::ExecTime;
-    unsigned jobs = 1;
-    const char *argv0 = argv[0];
-
-    auto next = [&](int &i) -> const char * {
-        if (++i >= argc)
-            badFlag(argv0, std::string("missing value after ") +
-                               argv[i - 1]);
-        return argv[i];
-    };
-
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
+    for (const std::string &arg : rest) {
         if (arg == "--help" || arg == "-h") {
-            usage(stdout, argv0);
+            usage(stdout, argv[0]);
             return 0;
-        } else if (const core::RunSetting *setting =
-                       core::findRunSettingFlag(arg)) {
-            const char *text = next(i);
-            if (!setting->apply(text, config, policy))
-                badFlag(argv0, core::invalidValue(arg, text, setting->valid));
-        } else if (arg == "--fault-plan") {
-            const char *spec = next(i);
-            try {
-                plan = fault::Plan::parse(spec);
-            } catch (const std::invalid_argument &e) {
-                badFlag(argv0, std::string("invalid --fault-plan: ") +
-                                   e.what());
-            }
-        } else if (arg == "--sweep") {
-            std::string error;
-            sweep = true;
-            if (!core::parseMetric(next(i), arg, metric, error))
-                badFlag(argv0, error);
-        } else if (arg == "--jobs") {
-            const char *text = next(i);
-            std::uint64_t n = 0;
-            if (!core::parseUint(text, n) || n < 1 || n > 256)
-                badFlag(argv0, core::invalidValue(arg, text, "1..256"));
-            jobs = static_cast<unsigned>(n);
-        } else if (arg == "--record") {
-            config.mode = core::RunMode::Record;
-        } else if (arg == "--replay") {
-            config.mode = core::RunMode::Replay;
-        } else if (arg == "--trace-dir") {
-            config.traceDir = next(i);
-        } else {
-            badFlag(argv0, "unknown option '" + arg + "'");
         }
+        if (arg != "--sweep")
+            badFlag(argv[0], "unknown option '" + arg + "'");
+        sweep = true;
     }
-
-    fault::ScopedPlan armed(plan); // Inert when the plan is empty.
+    const core::RunConfig &config = settings.config;
+    fault::ScopedPlan armed(settings.faultPlan); // Inert when empty.
 
     if (sweep) {
-        if (!plan.faults.empty() && jobs > 1)
+        if (!settings.faultPlan.empty() && settings.jobs > 1)
             std::fprintf(stderr,
                          "warning: --fault-plan does not propagate to "
                          "--jobs worker threads (fault state is "
@@ -145,13 +90,13 @@ main(int argc, char **argv)
             if (p <= config.procs)
                 procs.push_back(p);
         core::SweepOptions options;
-        options.policy = policy;
-        options.jobs = jobs;
+        options.policy = settings.policy;
+        options.jobs = settings.jobs;
         const core::SweepResult result = core::sweepFigureSafe(
             "Sweep: " + config.app + " on " +
                 net::toString(config.topology) + ": " +
-                core::toString(metric),
-            config, config.topology, metric, procs, options);
+                core::toString(settings.metric),
+            config, config.topology, settings.metric, procs, options);
         core::printFigure(std::cout, result.figure);
         for (const core::FailedPoint &f : result.failures)
             std::fprintf(stderr,
@@ -162,7 +107,7 @@ main(int argc, char **argv)
         return result.complete() ? 0 : 3;
     }
 
-    const core::RunResult result = core::runOneSafe(config, policy);
+    const core::RunResult result = core::runOneSafe(config, settings.policy);
     if (!result.ok()) {
         std::cerr << result.error() << "\n";
         return 1;

@@ -31,45 +31,11 @@ envUint(const char *name, std::uint64_t fallback, std::uint64_t min,
     return v;
 }
 
-double
-envDouble(const char *name, double fallback, double min)
-{
-    const char *text = std::getenv(name);
-    if (text == nullptr || *text == '\0')
-        return fallback;
-    double v = 0.0;
-    if (!parseDouble(text, v) || v < min) {
-        std::fprintf(stderr,
-                     "error: invalid %s value '%s' (expected a number "
-                     ">= %g)\n",
-                     name, text, min);
-        std::exit(2);
-    }
-    return v;
-}
-
 const char *
 envString(const char *name)
 {
     const char *text = std::getenv(name);
     return (text == nullptr || *text == '\0') ? nullptr : text;
-}
-
-ShardSpec
-envShard(const char *name)
-{
-    const char *text = std::getenv(name);
-    if (text == nullptr || *text == '\0')
-        return {};
-    ShardSpec spec;
-    if (!ShardSpec::parse(text, spec)) {
-        std::fprintf(stderr,
-                     "error: invalid %s value '%s' (expected K/N with "
-                     "0 <= K < N)\n",
-                     name, text);
-        std::exit(2);
-    }
-    return spec;
 }
 
 } // namespace absim::core

@@ -1,14 +1,16 @@
 /**
  * @file
- * Checked numeric parsing for environment knobs and simple argv values.
+ * Checked reading of environment knobs and the argv number rule.
  *
- * Every ABSIM_* environment variable that used to go through atoi() or
- * a bare strtol() funnels through these helpers instead: garbage,
- * negative or out-of-range values produce a named diagnostic
- * ("error: invalid ABSIM_MAX_PROCS value 'abc' ...") and exit status 2,
- * matching the run_cli flag-validation contract, instead of silently
- * becoming 0 and capping a sweep to nothing.  An unset (or empty)
- * variable always yields the caller's fallback.
+ * Every ABSIM_* run or sweep setting is a row of the run-settings
+ * table (core/run_settings.hh), which reads its variable through
+ * envString() and checks it against the row.  The knobs that are not
+ * run settings (output directories, ABSIM_FSYNC_INTERVAL, the
+ * ABSIM_BENCH_* measurement knobs) go through envUint() and
+ * envString(): garbage, negative or out-of-range values produce a
+ * named diagnostic ("error: invalid ABSIM_FSYNC_INTERVAL value 'abc'
+ * ...") and exit status 2 instead of silently becoming 0.  An unset or
+ * empty variable always means "not set".
  */
 
 #ifndef ABSIM_CORE_ENV_HH
@@ -17,7 +19,6 @@
 #include <cstdint>
 #include <limits>
 
-#include "core/journal.hh" // ShardSpec
 #include "json/json.hh"
 
 namespace absim::core {
@@ -40,11 +41,6 @@ using json::parseUint;
 envUint(const char *name, std::uint64_t fallback, std::uint64_t min = 0,
         std::uint64_t max = std::numeric_limits<std::uint64_t>::max());
 
-/** Read a non-negative floating-point environment knob (same contract
- *  as envUint). */
-[[nodiscard]] double envDouble(const char *name, double fallback,
-                               double min = 0.0);
-
 /**
  * Read a string environment knob (directory paths, feature toggles).
  * The one sanctioned getenv() outside this funnel's own implementation
@@ -52,13 +48,6 @@ envUint(const char *name, std::uint64_t fallback, std::uint64_t min = 0,
  * @return nullptr when the variable is unset or empty.
  */
 [[nodiscard]] const char *envString(const char *name);
-
-/**
- * Read a shard spec ("K/N", 0 <= K < N) environment knob, e.g.
- * ABSIM_SHARD=1/4.  Unset/empty yields the unsharded default; a
- * malformed spec prints a diagnostic and exits 2.
- */
-[[nodiscard]] ShardSpec envShard(const char *name);
 
 } // namespace absim::core
 

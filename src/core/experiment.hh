@@ -17,9 +17,11 @@
 #ifndef ABSIM_CORE_EXPERIMENT_HH
 #define ABSIM_CORE_EXPERIMENT_HH
 
+#include <array>
 #include <functional>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "apps/app.hh"
@@ -49,6 +51,10 @@ enum class RunMode : std::uint8_t
     Record,
     Replay,
 };
+
+/** Each RunMode's name, indexed by enumerator (the `mode` setting). */
+inline constexpr std::array<std::string_view, 3> kRunModeNames = {
+    "execute", "record", "replay"};
 
 /** Everything needed to reproduce one simulation run. */
 struct RunConfig

@@ -6,7 +6,6 @@
 #include <ostream>
 #include <stdexcept>
 
-#include "core/env.hh"
 #include "machines/registry.hh"
 
 namespace absim::core {
@@ -80,19 +79,6 @@ sweepFigure(const std::string &title, const RunConfig &base,
     }
     return figure;
 }
-
-namespace {
-
-/** Resolve SweepOptions::jobs: 0 = auto (ABSIM_JOBS, else serial). */
-unsigned
-resolveJobs(unsigned jobs)
-{
-    if (jobs != 0)
-        return jobs;
-    return static_cast<unsigned>(envUint("ABSIM_JOBS", 1, 1, 4096));
-}
-
-} // namespace
 
 SweepResult
 sweepFigureSafe(const std::string &title, const RunConfig &base,
@@ -190,7 +176,7 @@ sweepFigureSafe(const std::string &title, const RunConfig &base,
             writer.append(items[journaled + frontier]);
     };
 
-    (void)runManySafe(configs, options.policy, resolveJobs(options.jobs),
+    (void)runManySafe(configs, options.policy, options.jobs,
                       onResult);
     writer.close();
 

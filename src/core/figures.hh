@@ -38,7 +38,7 @@ enum class Metric
 };
 
 /** Each Metric's name, indexed by enumerator: what toString() prints
- *  and what parseMetric() (core/run_settings.hh) reads. */
+ *  and what the `metric` setting (core/run_settings.hh) reads. */
 inline constexpr std::array<std::string_view, 3> kMetricNames = {
     "exec_time", "latency", "contention"};
 
@@ -132,16 +132,15 @@ struct SweepOptions
     std::string journalPath;
 
     /**
-     * Worker threads running the sweep's (point x machine) runs.
-     * 0 (the default) = auto: honor the ABSIM_JOBS environment
-     * variable, else run serially; 1 pins the sweep serial.  Any value
-     * produces byte-identical figure JSON and journal contents
-     * (results are keyed by sweep position and the journal commits
-     * them in sweep order; see docs/PARALLELISM.md).  Note an armed
+     * Worker threads running the sweep's (point x machine) runs; 0 or
+     * 1 runs serially.  Any value produces byte-identical figure JSON
+     * and journal contents (results are keyed by sweep position and
+     * the journal commits them in sweep order; see
+     * docs/PARALLELISM.md).  Note an armed
      * fault plan only applies to a serial sweep: plans are per-thread
      * and do not propagate to pool workers.
      */
-    unsigned jobs = 0;
+    unsigned jobs = 1;
 
     /**
      * Machines to sweep, in column order.  Empty (the default) means
@@ -151,8 +150,8 @@ struct SweepOptions
     std::vector<mach::MachineKind> machines;
 
     /**
-     * Which shard of the sweep this process runs (--shard K/N,
-     * ABSIM_SHARD).  Work items are the (point x machine) runs indexed
+     * Which shard of the sweep this process runs (the `shard`
+     * setting).  Work items are the (point x machine) runs indexed
      * row-major (point-major, machine-minor) over the full grid; shard
      * {K, N} runs exactly the items whose index is congruent to K mod
      * N.  The default {0, 1} is the unsharded sweep: it owns every

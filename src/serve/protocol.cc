@@ -1,9 +1,6 @@
 #include "serve/protocol.hh"
 
-#include <stdexcept>
-
 #include "core/journal.hh"
-#include "core/run_settings.hh"
 #include "json/json.hh"
 #include "machines/registry.hh"
 
@@ -51,32 +48,17 @@ parseRequest(const std::string &line, const core::RunPolicy &defaults,
         if (f.key == "op") {
             out.op = value;
             sawOp = true;
-        } else if (f.key == "metric") {
-            if (!core::parseMetric(value, f.key, out.metric, error))
-                return false;
-        } else if (f.key == "max_procs") {
-            std::uint64_t u = 0;
-            if (!json::toUint(f.value, u) || u < 1 || u > (1u << 20))
-                return fail(error,
-                            core::invalidValue(f.key, value, "1..1048576"));
-            out.maxProcs = static_cast<std::uint32_t>(u);
-        } else if (f.key == "fault_plan") {
-            try {
-                out.faultPlan = fault::Plan::parse(value);
-                out.faultPlanText = value;
-            } catch (const std::invalid_argument &e) {
-                return fail(error, "invalid fault_plan: " +
-                                       std::string(e.what()));
-            }
         } else if (const core::RunSetting *setting =
-                       core::findRunSetting(f.key)) {
+                       core::findRunSetting(f.key);
+                   setting != nullptr &&
+                   (setting->takers & core::kRequest) != 0) {
             // A String setting, like op, takes any scalar's raw token,
             // so "app":1 is an invalid app '1', never a silent default.
             if ((setting->type != json::Type::String &&
                  setting->type != f.value.type) ||
-                !setting->apply(value, out.config, out.policy))
-                return fail(error, core::invalidValue(f.key, value,
-                                                      setting->valid));
+                !setting->apply(value, out))
+                return fail(error,
+                            core::invalidValue(f.key, value, *setting));
         } else {
             return fail(error, "unknown field '" + f.key + "'");
         }

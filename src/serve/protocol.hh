@@ -26,14 +26,15 @@
  *   {"op":"shutdown"}      drain, then ask the daemon to exit
  *
  * Optional run/sweep fields are the rows of the run-settings table
- * (core/run_settings.hh), which holds each one's range: "app", "size",
- * "seed", "iterations", "variant", "machine", "topology", "procs",
- * "gap", "protocol", "cache_kb", "check" (bool), "deadline_s"
- * (wall-clock budget, watchdog-enforced), "max_events",
- * "max_sim_time", "stall_limit", "retries" (total attempts) and
- * "trace" (comma-separated sim trace categories captured into error
- * responses).  Besides them: "metric" and "max_procs" (sweep only) and
- * "fault_plan" (deterministic chaos plan, tests only).
+ * that a request may set (core/run_settings.hh, which holds each one's
+ * range; docs/API.md tables them): "app", "size", "seed",
+ * "iterations", "variant", "machine", "topology", "procs", "gap",
+ * "protocol", "cache_kb", "check" (bool), "deadline_s" (wall-clock
+ * budget, watchdog-enforced), "max_events", "max_sim_time",
+ * "stall_limit", "retries" (total attempts), "trace" (comma-separated
+ * sim trace categories captured into error responses), "fault_plan"
+ * (deterministic chaos plan, tests only), and for a sweep "metric" and
+ * "max_procs".
  *
  * Response statuses: "ok", "error" (named RunError kind, or
  * "DeadlineExceeded" / "bad-request"), "shed" (admission reject),
@@ -48,8 +49,7 @@
 #include <cstdint>
 #include <string>
 
-#include "core/figures.hh"
-#include "fault/fault.hh"
+#include "core/run_settings.hh"
 
 namespace absim::serve {
 
@@ -58,27 +58,16 @@ namespace absim::serve {
 [[nodiscard]] bool extractNumber(const std::string &line,
                                  const std::string &key, double &out);
 
-/** A parsed request, ready for the service to execute. */
-struct Request
+/**
+ * A parsed request, ready for the service to execute: the settings
+ * its fields wrote (config is the target run, procs the point of a
+ * "run"; policy starts from the service's defaults, deadline_s landing
+ * in budget.maxWallSeconds; metric and maxProcs shape a "sweep";
+ * faultPlan is the deterministic chaos plan, empty for none).
+ */
+struct Request : core::Settings
 {
     std::string op;
-
-    /** run/sweep: the target run (procs is the point for "run"). */
-    core::RunConfig config;
-
-    /** Per-request policy: defaults from the service, overridden by
-     *  request fields (deadline_s lands in budget.maxWallSeconds). */
-    core::RunPolicy policy;
-
-    /** sweep only: which metric the curve plots. */
-    core::Metric metric = core::Metric::ExecTime;
-
-    /** sweep only: sweep the default proc counts up to this cap. */
-    std::uint32_t maxProcs = 32;
-
-    /** Deterministic chaos plan ("" = none); parsed into faultPlan. */
-    std::string faultPlanText;
-    fault::Plan faultPlan;
 };
 
 /**

@@ -45,8 +45,8 @@ inline constexpr std::array<std::string_view, 4> kTraceCategoryNames = {
 
 /**
  * Parse a comma-separated category list ("protocol,logp", or "all")
- * into a bitmask.  Used by the ABSIM_FAIL_TRACE env knob and the
- * run-settings "trace" row (run_cli --trace, a serve request's "trace").
+ * into a bitmask.  Used by the run-settings "trace" row (--trace,
+ * ABSIM_TRACE, a serve request's "trace").
  * @return false on an empty list or an unknown name.
  */
 [[nodiscard]] inline bool

@@ -38,7 +38,10 @@ goldenPath(const std::string &name)
     return std::string(ABSIM_GOLDEN_DIR) + "/" + name + ".json";
 }
 
-/** Run one small three-machine sweep and render its figure JSON. */
+/** Run one small three-machine sweep and render its figure JSON.  It
+ *  runs on a 4-worker pool: the JSON is byte-identical for any job
+ *  count, so the goldens also pin the pool's output (and the sanitizer
+ *  job sees the pool run real figures). */
 std::string
 sweepJson(const std::string &app, std::uint64_t size,
           net::TopologyKind topology, core::Metric metric)
@@ -46,10 +49,12 @@ sweepJson(const std::string &app, std::uint64_t size,
     core::RunConfig base;
     base.app = app;
     base.params.n = size;
+    core::SweepOptions options;
+    options.jobs = 4;
     const core::SweepResult result = core::sweepFigureSafe(
         "Golden: " + app + " on " + net::toString(topology) + ": " +
             core::toString(metric),
-        base, topology, metric, {1, 2, 4});
+        base, topology, metric, {1, 2, 4}, options);
     std::ostringstream os;
     core::writeFigureJson(os, result);
     return os.str();

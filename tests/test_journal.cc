@@ -528,6 +528,7 @@ TEST(SweepSafe, MismatchedJournalIsRewrittenNotTrusted)
         writeStale();
         core::SweepOptions options;
         options.journalPath = path;
+        options.jobs = 4; // The pool's journal replaces the stale one too.
         const auto result = core::sweepFigureSafe(
             "stale", base, net::TopologyKind::Full, core::Metric::ExecTime,
             {1}, options);
@@ -915,6 +916,7 @@ TEST(JournalMerge, MutatedShardSetsFailWithNamedDiagnostics)
     core::SweepOptions options;
     options.policy.budget.maxEvents = 100;
     options.policy.maxAttempts = 1;
+    options.jobs = 4; // Shard journals are identical for any job count.
     std::vector<std::vector<std::string>> sets;
     for (const std::uint32_t count : {2u, 3u}) {
         std::vector<std::string> journals;
@@ -977,6 +979,20 @@ TEST(JournalMerge, MutatedShardSetsFailWithNamedDiagnostics)
     }
     // Most mutants break the set; a flip inside a value may not.
     EXPECT_GT(failed, 150);
+}
+
+TEST(JournalMerge, NoJournalsIsShardMissingIndex)
+{
+    // journal_merge refuses an empty list before merging, so only the
+    // library call reaches this diagnostic.
+    const core::MergeResult merge = core::mergeJournals({});
+    EXPECT_FALSE(merge.ok());
+    ASSERT_EQ(merge.errors.size(), 1u);
+    const std::string &error = merge.errors.front();
+    EXPECT_EQ(error.substr(0, error.find(':')), "shard-missing-index")
+        << error;
+    EXPECT_TRUE(merge.warnings.empty());
+    EXPECT_TRUE(merge.records.empty());
 }
 
 TEST(SweepSafe, FigureJsonIsWellFormedAndDeterministic)

@@ -1,14 +1,16 @@
 /**
  * @file
  * The run-settings table (core/run_settings.hh) is the one parser of a
- * run setting: every row takes the same texts to the same values when
- * applied directly (the argv path of run_cli and absim_serve) and as a
- * serve request field, and every rejection names its key.
+ * run or sweep setting: every row takes the same texts to the same
+ * values as a flag, as an ABSIM_* variable and as a serve request
+ * field, and every rejection names the setting as its surface spells
+ * it.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdlib>
 #include <random>
 #include <set>
 #include <string>
@@ -46,7 +48,7 @@ samples()
         {"procs", "16", "128"},
         {"gap", "per-direction", "per-directions"},
         {"protocol", "msi", "msix"},
-        {"cache_kb", "256", "2097152"},
+        {"cache_kb", "256", "2048"},
         {"check", "false", "falsey"},
         {"deadline_s", "2.5", "-0.5"},
         {"max_events", "300", "18446744073709551616"},
@@ -54,6 +56,13 @@ samples()
         {"stall_limit", "20000", "18446744073709551616"},
         {"retries", "3", "101"},
         {"trace", "logp,runtime", "logp,"},
+        {"fault_plan", "wedge@120:node=2; seed=7", "wedge@120:node=x"},
+        {"metric", "latency", "latencies"},
+        {"max_procs", "16", "1048577"},
+        {"jobs", "4", "257"},
+        {"shard", "1/4", "4/4"},
+        {"mode", "replay", "replays"},
+        {"trace_dir", "traces-x", ""},
     };
     return kSamples;
 }
@@ -127,17 +136,57 @@ mutants(const std::string &text, std::mt19937_64 &rng, int count)
     return out;
 }
 
-/** Every settable value of a (RunConfig, RunPolicy), exactly. */
+/** Every settable value of a Settings, exactly. */
 std::string
-settingsOf(const core::RunConfig &config, const core::RunPolicy &policy)
+settingsOf(const core::Settings &s)
 {
+    const core::RunConfig &config = s.config;
+    const core::RunPolicy &policy = s.policy;
     return core::canonicalRunKey(config, policy.budget) +
            ";machine_kind=" +
            std::to_string(static_cast<int>(config.machine)) +
            ";variant_bytes=" + config.params.variant +
            ";wall=" + json::formatDouble(policy.budget.maxWallSeconds) +
            ";attempts=" + std::to_string(policy.maxAttempts) +
-           ";trace=" + std::to_string(policy.traceMask);
+           ";trace=" + std::to_string(policy.traceMask) +
+           ";metric=" + core::toString(s.metric) +
+           ";max_procs=" + std::to_string(s.maxProcs) +
+           ";jobs=" + std::to_string(s.jobs) + ";shard=" + s.shard.str() +
+           ";fault_plan=" + s.faultPlan.toString() +
+           ";mode=" + std::to_string(static_cast<int>(config.mode)) +
+           ";trace_dir=" + config.traceDir;
+}
+
+/** Unset every row's variable, so only what a test sets is read. */
+void
+clearSettingsEnv()
+{
+    for (const core::RunSetting &row : core::runSettings())
+        ::unsetenv(core::envName(row.key).c_str());
+}
+
+/** @p text as the value of @p row's flag, through applySettings. */
+bool
+viaArgv(const core::RunSetting &row, const std::string &text,
+        core::Settings &out, std::string &error)
+{
+    const std::string flag = core::flagName(row.key);
+    const char *argv[] = {"prog", flag.c_str(), text.c_str()};
+    return core::applySettings(row.takers, 3, argv, out, error);
+}
+
+/** @p text as @p row's ABSIM_* variable, through applySettings.  An
+ *  empty variable is an unset one, so @p text must not be empty. */
+bool
+viaEnv(const core::RunSetting &row, const std::string &text,
+       core::Settings &out, std::string &error)
+{
+    const std::string name = core::envName(row.key);
+    ::setenv(name.c_str(), text.c_str(), 1);
+    const char *argv[] = {"prog"};
+    const bool ok = core::applySettings(row.takers, 1, argv, out, error);
+    ::unsetenv(name.c_str());
+    return ok;
 }
 
 /** The request field for @p text: a bare JSON number or bool when the
@@ -166,14 +215,17 @@ TEST(RunSettings, TableAndServeRequestAgreeOnEveryText)
         rows.insert(row.key);
     ASSERT_EQ(rows, sampled) << "every row needs a sample";
 
-    const std::string defaults =
-        settingsOf(core::RunConfig{}, core::RunPolicy{});
+    clearSettingsEnv();
+    const std::string defaults = settingsOf(core::Settings{});
     std::mt19937_64 rng(0x72756e5f73657473ull);
     int accepted = 0;
     int rejected = 0;
     for (const Sample &s : samples()) {
         const core::RunSetting *row = core::findRunSetting(s.key);
         ASSERT_NE(row, nullptr) << s.key;
+        const bool servable = (row->takers & core::kRequest) != 0;
+        const std::string flag = core::flagName(row->key);
+        const std::string var = core::envName(row->key);
         std::vector<std::string> texts = hostileTexts();
         texts.push_back(s.valid);
         texts.push_back(s.overRange);
@@ -181,9 +233,18 @@ TEST(RunSettings, TableAndServeRequestAgreeOnEveryText)
             texts.push_back(std::move(m));
 
         for (const std::string &text : texts) {
-            core::RunConfig config;
-            core::RunPolicy policy;
-            const bool directOk = row->apply(text, config, policy);
+            core::Settings byArgv;
+            std::string argvError;
+            const bool argvOk = viaArgv(*row, text, byArgv, argvError);
+            // "" sets no variable; every other text goes through the
+            // environment as well.
+            const bool byVar = !text.empty();
+            core::Settings byEnv;
+            std::string envError;
+            const bool envOk =
+                byVar ? viaEnv(*row, text, byEnv, envError) : argvOk;
+            if (!byVar)
+                byEnv = byArgv;
 
             serve::Request request;
             std::string served;
@@ -191,28 +252,42 @@ TEST(RunSettings, TableAndServeRequestAgreeOnEveryText)
             const bool servedOk = serve::parseRequest(
                 line, core::RunPolicy{}, request, served);
 
-            ASSERT_EQ(directOk, servedOk) << line << "\n served: " << served;
-            if (directOk) {
+            ASSERT_EQ(argvOk, envOk) << var << "='" << text << "'";
+            if (servable) {
+                ASSERT_EQ(argvOk, servedOk)
+                    << line << "\n served: " << served;
+            } else {
+                EXPECT_EQ(served, "unknown field '" + std::string(s.key) +
+                                      "'");
+            }
+            if (argvOk) {
                 ++accepted;
-                EXPECT_EQ(settingsOf(config, policy),
-                          settingsOf(request.config, request.policy))
-                    << line;
+                EXPECT_EQ(settingsOf(byArgv), settingsOf(byEnv)) << text;
+                if (servable) {
+                    EXPECT_EQ(settingsOf(byArgv), settingsOf(request))
+                        << line;
+                }
             } else {
                 ++rejected;
-                EXPECT_EQ(settingsOf(config, policy), defaults)
+                EXPECT_EQ(settingsOf(byArgv), defaults)
                     << "a rejected text wrote a value: " << line;
-                EXPECT_EQ(served,
-                          core::invalidValue(row->key, text, row->valid));
-                EXPECT_EQ(served.rfind("invalid " + std::string(row->key) +
-                                           " value '",
-                                       0),
-                          0u)
-                    << served;
+                EXPECT_EQ(settingsOf(byEnv), defaults)
+                    << "a rejected text wrote a value: " << line;
+                EXPECT_EQ(argvError, core::invalidValue(flag, text, *row));
+                if (byVar) {
+                    EXPECT_EQ(envError, core::invalidValue(var, text, *row));
+                    EXPECT_EQ(
+                        envError.rfind("invalid " + var + " value '", 0), 0u)
+                        << envError;
+                }
+                if (servable) {
+                    EXPECT_EQ(served,
+                              core::invalidValue(row->key, text, *row));
+                }
             }
         }
-        core::RunConfig config;
-        core::RunPolicy policy;
-        EXPECT_TRUE(row->apply(s.valid, config, policy)) << s.valid;
+        core::Settings settings;
+        EXPECT_TRUE(row->apply(s.valid, settings)) << s.valid;
     }
     // Both outcomes are well represented, so agreement means something.
     EXPECT_GT(accepted, 1000);
@@ -231,10 +306,12 @@ TEST(RunSettings, RangesAndSpellings)
         {"procs", "1", true},          {"procs", "64", true},
         {"procs", "3", false},         {"procs", "100", false},
         {"procs", "128", false},       {"procs", "0", false},
-        {"cache_kb", "1", true},       {"cache_kb", "1048576", true},
+        {"cache_kb", "1", true},       {"cache_kb", "1024", true},
+        {"cache_kb", "2048", false},   {"cache_kb", "1048576", false},
         {"cache_kb", "0", false},      {"cache_kb", "4194304", false},
         {"cache_kb", "96", false},     {"size", "0", false},
-        {"size", "67108864", true},    {"iterations", "0", true},
+        {"size", "67108864", true},    {"size", "67108865", false},
+        {"iterations", "0", true},
         {"retries", "0", false},       {"retries", "100", true},
         {"deadline_s", "0", true},     {"deadline_s", "1e3", true},
         {"deadline_s", "-1", false},   {"deadline_s", "1e999", false},
@@ -243,44 +320,163 @@ TEST(RunSettings, RangesAndSpellings)
         {"protocol", "berkeley", true}, {"machine", "logp+c", true},
         {"app", "synthetic", true},    {"check", "true", true},
         {"check", "1", false},         {"trace", "all", true},
+        {"fault_plan", "stall@500", true},
+        {"fault_plan", "explode@9", false},
+        {"metric", "exec", true},      {"metric", "speed", false},
+        {"max_procs", "1048576", true}, {"max_procs", "0", false},
+        {"jobs", "1", true},           {"jobs", "256", true},
+        {"jobs", "0", false},          {"jobs", "4096", false},
+        {"shard", "1/2", true},        {"shard", "2/2", false},
+        {"shard", "1", false},         {"mode", "record", true},
+        {"mode", "1", false},          {"trace_dir", "", false},
     };
     for (const Case &c : cases) {
         const core::RunSetting *row = core::findRunSetting(c.key);
         ASSERT_NE(row, nullptr) << c.key;
-        core::RunConfig config;
-        core::RunPolicy policy;
-        EXPECT_EQ(row->apply(c.text, config, policy), c.ok)
+        core::Settings settings;
+        EXPECT_EQ(row->apply(c.text, settings), c.ok)
             << c.key << "=" << c.text;
     }
 
-    // Flags follow the keys, with no aliases.
+    // Flags and variables follow the keys, with no aliases.
     EXPECT_EQ(core::flagName("cache_kb"), "--cache-kb");
+    EXPECT_EQ(core::envName("cache_kb"), "ABSIM_CACHE_KB");
     EXPECT_EQ(core::findRunSettingFlag("--deadline-s"),
               core::findRunSetting("deadline_s"));
     for (const char *gone : {"--topo", "--iters", "--policy",
                              "--wall-seconds", "--no-check", "--cache_kb",
-                             "--backoff-ms", "cache-kb"})
+                             "--backoff-ms", "cache-kb", "--replay",
+                             "--record", "-j", "--sweep"})
         EXPECT_EQ(core::findRunSettingFlag(gone), nullptr) << gone;
 
-    // The policy rows are exactly the RunPolicy's settable values.
-    std::set<std::string_view> policyRows;
-    for (const core::RunSetting &row : core::runSettings())
-        if (row.policy)
-            policyRows.insert(row.key);
-    EXPECT_EQ(policyRows,
-              (std::set<std::string_view>{"deadline_s", "max_events",
-                                          "max_sim_time", "stall_limit",
-                                          "retries", "trace"}));
+    // "exec" is exec_time.
+    core::Settings settings;
+    settings.metric = core::Metric::Latency;
+    ASSERT_TRUE(core::findRunSetting("metric")->apply("exec", settings));
+    EXPECT_EQ(settings.metric, core::Metric::ExecTime);
+}
 
-    core::Metric metric = core::Metric::Latency;
+TEST(RunSettings, EachProgramTakesItsRows)
+{
+    const auto takenBy = [](unsigned taker) {
+        std::set<std::string_view> keys;
+        for (const core::RunSetting &row : core::runSettings())
+            if ((row.takers & taker) != 0)
+                keys.insert(row.key);
+        return keys;
+    };
+    using Keys = std::set<std::string_view>;
+    std::set<std::string_view> all;
+    for (const core::RunSetting &row : core::runSettings())
+        all.insert(row.key);
+
+    Keys runCli = all;
+    for (const char *key : {"max_procs", "shard"})
+        runCli.erase(key);
+    EXPECT_EQ(takenBy(core::kRunCli), runCli);
+
+    Keys request = all;
+    for (const char *key : {"jobs", "shard", "mode", "trace_dir"})
+        request.erase(key);
+    EXPECT_EQ(takenBy(core::kRequest), request);
+
+    EXPECT_EQ(takenBy(core::kServe),
+              (Keys{"deadline_s", "max_events", "max_sim_time",
+                    "stall_limit", "retries", "trace"}));
+    EXPECT_EQ(takenBy(core::kFigure),
+              (Keys{"size", "deadline_s", "max_events", "stall_limit",
+                    "trace", "max_procs", "jobs", "shard", "mode",
+                    "trace_dir"}));
+    EXPECT_EQ(takenBy(core::kAblation), (Keys{"jobs"}));
+}
+
+TEST(RunSettings, FlagsOverrideVariablesOfTheProgramsRows)
+{
+    clearSettingsEnv();
+    ::setenv("ABSIM_JOBS", "3", 1);
+    ::setenv("ABSIM_SIZE", "512", 1);
+    const auto apply = [](unsigned takers, std::vector<const char *> argv,
+                          core::Settings &out, std::string &error,
+                          std::vector<std::string> *rest = nullptr) {
+        argv.insert(argv.begin(), "prog");
+        return core::applySettings(takers, static_cast<int>(argv.size()),
+                                   argv.data(), out, error, rest);
+    };
+    core::Settings s;
     std::string error;
-    EXPECT_TRUE(core::parseMetric("exec", "metric", metric, error));
-    EXPECT_EQ(metric, core::Metric::ExecTime);
-    metric = core::Metric::Latency;
-    EXPECT_TRUE(core::parseMetric("exec_time", "metric", metric, error));
-    EXPECT_EQ(metric, core::Metric::ExecTime);
-    EXPECT_FALSE(core::parseMetric("speed", "--sweep", metric, error));
-    EXPECT_EQ(error.rfind("invalid --sweep value 'speed'", 0), 0u) << error;
+    ASSERT_TRUE(apply(core::kFigure, {}, s, error)) << error;
+    EXPECT_EQ(s.jobs, 3u);
+    EXPECT_EQ(s.config.params.n, 512u);
+
+    s = {};
+    ASSERT_TRUE(apply(core::kFigure, {"--jobs", "2"}, s, error)) << error;
+    EXPECT_EQ(s.jobs, 2u);
+
+    // A program ignores the variables of rows it does not take, and
+    // their flags are unknown options.
+    s = {};
+    ASSERT_TRUE(apply(core::kAblation, {}, s, error)) << error;
+    EXPECT_EQ(s.config.params.n, core::Settings{}.config.params.n);
+    EXPECT_FALSE(apply(core::kAblation, {"--size", "64"}, s, error));
+    EXPECT_EQ(error, "unknown option '--size'");
+
+    // Other arguments go to rest, in order, when the caller takes them.
+    s = {};
+    std::vector<std::string> rest;
+    ASSERT_TRUE(apply(core::kRunCli,
+                      {"--sweep", "--metric", "latency", "-j", "4"}, s,
+                      error, &rest))
+        << error;
+    EXPECT_EQ(rest, (std::vector<std::string>{"--sweep", "-j", "4"}));
+    EXPECT_EQ(s.metric, core::Metric::Latency);
+
+    EXPECT_FALSE(apply(core::kRunCli, {"--procs"}, s, error, &rest));
+    EXPECT_EQ(error, "missing value after --procs");
+
+    // An empty variable is unset, as for every ABSIM_* variable.
+    ::setenv("ABSIM_SIZE", "", 1);
+    s = {};
+    ASSERT_TRUE(apply(core::kFigure, {}, s, error)) << error;
+    EXPECT_EQ(s.config.params.n, core::Settings{}.config.params.n);
+    clearSettingsEnv();
+}
+
+TEST(RunSettings, FaultPlanRejectionGivesTheParsersReason)
+{
+    clearSettingsEnv();
+    const core::RunSetting &row = *core::findRunSetting("fault_plan");
+    const struct
+    {
+        std::string text;
+        std::string why;
+    } cases[] = {
+        {"stall@5:node=1", "node= applies only to wedge faults"},
+        {"wedge@0", "trigger counts are 1-based (got 0)"},
+        {"explode@9", "unknown fault kind \"explode\""},
+    };
+    for (const auto &c : cases) {
+        core::Settings settings;
+        std::string error;
+        ASSERT_FALSE(viaArgv(row, c.text, settings, error)) << c.text;
+        EXPECT_EQ(error.rfind("invalid --fault-plan value '" + c.text +
+                                  "' (bad fault plan",
+                              0),
+                  0u)
+            << error;
+        EXPECT_NE(error.find(c.why), std::string::npos) << error;
+        EXPECT_NE(error.find("; valid: "), std::string::npos) << error;
+
+        serve::Request request;
+        std::string served;
+        ASSERT_FALSE(serve::parseRequest(requestLine(row, c.text),
+                                         core::RunPolicy{}, request, served));
+        EXPECT_NE(served.find(c.why), std::string::npos) << served;
+    }
+
+    // A row without a reason says only what is valid.
+    const core::RunSetting &procs = *core::findRunSetting("procs");
+    EXPECT_EQ(core::invalidValue("--procs", "3", procs),
+              "invalid --procs value '3' (valid: " + procs.valid + ")");
 }
 
 TEST(NumberText, ArgvEnvAndJsonAcceptTheSameTexts)

@@ -456,7 +456,7 @@ TEST(Chaos, SweepSurvivesFailedPointAndEmitsManifest)
     core::SweepOptions options;
     options.policy = chaosPolicy();
     // A fault-armed sweep must run serially: plans are per-thread and
-    // would not reach pool workers (pin past any ABSIM_JOBS setting).
+    // would not reach pool workers.
     options.jobs = 1;
     const auto result = core::sweepFigureSafe(
         "chaos sweep", base, net::TopologyKind::Full,

@@ -284,9 +284,10 @@ ruleG1(const FileUnit &unit, std::vector<Diagnostic> &out)
             "G1", unit.path, toks[i].line,
             "bare '" + toks[i].text +
                 "': route environment and number parsing through "
-                "core/env (envUint/envDouble/envString/parseUint/"
-                "parseDouble) so malformed input fails loudly with a "
-                "named diagnostic instead of silently becoming 0"});
+                "core/env (envUint/envString/parseUint/parseDouble) or "
+                "a core/run_settings row so malformed input fails "
+                "loudly with a named diagnostic instead of silently "
+                "becoming 0"});
     }
 }
 
