@@ -242,14 +242,21 @@ main(int argc, char **argv)
         const auto value = [&]() -> const char * {
             return i + 1 < rest.size() ? rest[++i].c_str() : nullptr;
         };
+        // The pool size and the admission bound belong to the service,
+        // not to a run, so they are not rows of the run-settings table
+        // (docs/API.md); they share its diagnostic.
         const auto count = [&](std::uint64_t &out, std::uint64_t min,
                                std::uint64_t max) {
             const char *v = value();
             if (v != nullptr && absim::core::parseUint(v, out) &&
                 out >= min && out <= max)
                 return true;
-            std::fprintf(stderr, "error: invalid %s value '%s'\n",
-                         arg.c_str(), v == nullptr ? "" : v);
+            std::fprintf(stderr, "error: %s\n",
+                         absim::core::invalidValue(
+                             arg, v == nullptr ? "" : v,
+                             std::to_string(min) + ".." +
+                                 std::to_string(max))
+                             .c_str());
             return false;
         };
         std::uint64_t n = 0;

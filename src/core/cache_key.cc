@@ -7,15 +7,19 @@
 
 namespace absim::core {
 
-std::string
-canonicalRunKey(const RunConfig &config, const sim::RunBudget &budget)
+namespace {
+
+/**
+ * Append a run's identity fields in their fixed order, every value
+ * spelled canonically (registry *name* for the machine, so "logpc" and
+ * "logp+c" collapse); procs only with @p withProcs, for the sweep key
+ * names its P list up front.  The jsonEscape guards the free-form
+ * variant string against embedding a field separator.
+ */
+void
+appendRunFields(std::string &key, const RunConfig &config,
+                const sim::RunBudget &budget, bool withProcs)
 {
-    // Fixed field order; every value spelled canonically (registry
-    // *name* for the machine, so "logpc" and "logp+c" collapse).  The
-    // jsonEscape guards the free-form variant string against embedding
-    // a field separator.
-    std::string key;
-    key.reserve(192);
     key += "app=" + jsonEscape(config.app);
     key += ";n=" + std::to_string(config.params.n);
     key += ";seed=" + std::to_string(config.params.seed);
@@ -24,7 +28,8 @@ canonicalRunKey(const RunConfig &config, const sim::RunBudget &budget)
     key += ";machine=";
     key += mach::specFor(config.machine).name;
     key += ";topology=" + net::toString(config.topology);
-    key += ";procs=" + std::to_string(config.procs);
+    if (withProcs)
+        key += ";procs=" + std::to_string(config.procs);
     key += ";gap=" + logp::toString(config.gapPolicy);
     key += ";cache_bytes=" + std::to_string(config.cache.bytes);
     key += ";cache_ways=" + std::to_string(config.cache.ways);
@@ -37,6 +42,33 @@ canonicalRunKey(const RunConfig &config, const sim::RunBudget &budget)
     key += ";max_events=" + std::to_string(budget.maxEvents);
     key += ";max_sim_time=" + std::to_string(budget.maxSimTime);
     key += ";stall_limit=" + std::to_string(budget.stallDispatchLimit);
+}
+
+} // namespace
+
+std::string
+canonicalRunKey(const RunConfig &config, const sim::RunBudget &budget)
+{
+    std::string key;
+    key.reserve(192);
+    appendRunFields(key, config, budget, true);
+    return key;
+}
+
+std::string
+canonicalSweepKey(const RunConfig &config, const sim::RunBudget &budget,
+                  Metric metric, const std::vector<std::uint32_t> &procs)
+{
+    std::string key;
+    key.reserve(256);
+    key += "op=sweep;metric=" + toString(metric) + ";procs=";
+    for (std::size_t i = 0; i < procs.size(); ++i) {
+        if (i != 0)
+            key += ',';
+        key += std::to_string(procs[i]);
+    }
+    key += ';';
+    appendRunFields(key, config, budget, false);
     return key;
 }
 

@@ -1,6 +1,6 @@
 /**
  * @file
- * Content-addressed cache keys for simulation runs.
+ * Content-addressed cache keys for simulation runs and sweeps.
  *
  * The simulator is deterministic by construction: two runs of the same
  * (app, input, machine, seed, budget) produce bit-identical profiles,
@@ -22,6 +22,9 @@
  *    budget fields (maxEvents, maxSimTime, stallDispatchLimit) are
  *    included because they can change the outcome (e.g. a budget
  *    failure vs a success).
+ *  - A sweep key (canonicalSweepKey) starts "op=sweep;", so it can
+ *    never equal a run key (which starts "app="), and names the P
+ *    list the sweep runs instead of one procs.
  */
 
 #ifndef ABSIM_CORE_CACHE_KEY_HH
@@ -29,8 +32,10 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "core/experiment.hh"
+#include "core/figures.hh"
 
 namespace absim::core {
 
@@ -42,6 +47,17 @@ namespace absim::core {
  */
 std::string canonicalRunKey(const RunConfig &config,
                             const sim::RunBudget &budget);
+
+/**
+ * The canonical rendering of a sweep's identity:
+ * "op=sweep;metric=<name>;procs=<P,...>;" and then canonicalRunKey's
+ * fields without procs.  Keyed by @p procs, the list the sweep runs,
+ * so config.procs (ignored by a sweep) and max_procs values that
+ * select the same list never split the cache.
+ */
+std::string canonicalSweepKey(const RunConfig &config,
+                              const sim::RunBudget &budget, Metric metric,
+                              const std::vector<std::uint32_t> &procs);
 
 /** FNV-1a 64-bit hash of @p text. */
 std::uint64_t fnv1a64(const std::string &text);

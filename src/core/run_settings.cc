@@ -277,12 +277,19 @@ std::string
 invalidValue(std::string_view name, std::string_view text,
              const RunSetting &row)
 {
+    return invalidValue(name, text, row.valid,
+                        row.why ? row.why(text) : std::string());
+}
+
+std::string
+invalidValue(std::string_view name, std::string_view text,
+             std::string_view valid, std::string_view why)
+{
     std::string out = "invalid ";
     out.append(name).append(" value '").append(text).append("' (");
-    if (row.why)
-        if (const std::string why = row.why(text); !why.empty())
-            out.append(why).append("; ");
-    return out.append("valid: ").append(row.valid).append(")");
+    if (!why.empty())
+        out.append(why).append("; ");
+    return out.append("valid: ").append(valid).append(")");
 }
 
 bool

@@ -92,6 +92,12 @@ std::string envName(std::string_view key);
 std::string invalidValue(std::string_view name, std::string_view text,
                          const RunSetting &row);
 
+/** The same diagnostic for a value no row bounds (absim_serve's
+ *  --workers and --queue), @p valid naming the accepted values and
+ *  @p why, when not empty, the reason before them. */
+std::string invalidValue(std::string_view name, std::string_view text,
+                         std::string_view valid, std::string_view why = {});
+
 /**
  * Apply the rows any of @p takers takes: first each row's environment
  * variable that is set and not empty, then each

@@ -38,9 +38,9 @@
  *
  * Response statuses: "ok", "error" (named RunError kind, or
  * "DeadlineExceeded" / "bad-request"), "shed" (admission reject),
- * "draining".  A run's success response is the byte-exact payload the
- * result cache stores, so a cache hit — in this process or after a
- * crash-restart — repeats the original bytes.
+ * "draining".  A run's success response, and a complete sweep's, is
+ * the byte-exact payload the result cache stores, so a cache hit — in
+ * this process or after a crash-restart — repeats the original bytes.
  */
 
 #ifndef ABSIM_SERVE_PROTOCOL_HH

@@ -2,9 +2,10 @@
  * @file
  * The serve daemon's content-addressed result cache.
  *
- * Maps a run's canonical key hash (core/cache_key.hh) to the byte-exact
- * response payload the run produced.  Because the simulator is
- * deterministic, a hit is exact — the cache never approximates.
+ * Maps a run's or a complete sweep's canonical key hash
+ * (core/cache_key.hh) to the byte-exact response payload it produced.
+ * Because the simulator is deterministic, a hit is exact — the cache
+ * never approximates.
  *
  * Persistence reuses the sweep journal discipline (core/journal.hh):
  * one JSON line per entry, flushed on every insert and fsynced every

@@ -26,6 +26,17 @@ responseErrorName(const core::RunError &err)
     return core::toString(err.kind);
 }
 
+/** The P list a sweep up to @p maxProcs runs. */
+std::vector<std::uint32_t>
+sweepProcs(std::uint32_t maxProcs)
+{
+    std::vector<std::uint32_t> procs;
+    for (const std::uint32_t p : core::defaultProcCounts())
+        if (p <= maxProcs)
+            procs.push_back(p);
+    return procs;
+}
+
 } // namespace
 
 Service::Service(const ServiceConfig &config) : config_(config)
@@ -91,15 +102,26 @@ Service::handle(const std::string &line)
         return "{\"status\":\"ok\",\"op\":\"shutdown\",\"draining\":true}";
     }
 
-    // Inline fast path: a cache hit is a map lookup, not work — served
-    // without admission charge, even while draining.
-    if (request.op == "run") {
-        const std::uint64_t key =
-            core::runKeyHash(request.config, request.policy.budget);
+    // Inline fast path: a hit of either op is one key and one lookup,
+    // not work — served without admission charge, even while draining.
+    // A sweep hit counts one hit per point, as its points would.
+    if (request.op == "run" || request.op == "sweep") {
+        std::uint64_t key = 0;
+        std::uint64_t points = 1;
+        if (request.op == "run") {
+            key = core::runKeyHash(request.config, request.policy.budget);
+        } else {
+            const std::vector<std::uint32_t> procs =
+                sweepProcs(request.maxProcs);
+            key = core::fnv1a64(core::canonicalSweepKey(
+                request.config, request.policy.budget, request.metric,
+                procs));
+            points = procs.size();
+        }
         std::string payload;
         const std::lock_guard<std::mutex> lock(cacheMutex_);
         if (cache_.lookup(key, payload)) {
-            cacheHits_.fetch_add(1);
+            cacheHits_.fetch_add(points);
             return payload;
         }
     }
@@ -226,10 +248,7 @@ Service::executeSweep(const Request &request)
 {
     // The sweep decomposes into per-P runs that warm — and reuse — the
     // same content-addressed cache the run op serves from.
-    std::vector<std::uint32_t> procs;
-    for (const std::uint32_t p : core::defaultProcCounts())
-        if (p <= request.maxProcs)
-            procs.push_back(p);
+    const std::vector<std::uint32_t> procs = sweepProcs(request.maxProcs);
 
     std::string points;
     std::string failures;
@@ -274,14 +293,23 @@ Service::executeSweep(const Request &request)
         completed_.fetch_add(1);
     else
         failed_.fetch_add(1);
-    return "{\"status\":\"ok\",\"op\":\"sweep\",\"app\":\"" +
-           core::jsonEscape(request.config.app) + "\",\"machine\":\"" +
-           mach::specFor(request.config.machine).name +
-           "\",\"topology\":\"" + net::toString(request.config.topology) +
-           "\",\"metric\":\"" + metricKey +
-           "\",\"complete\":" + (complete ? "true" : "false") +
-           ",\"points\":[" + points + "],\"failures\":[" + failures +
-           "]}";
+    const std::string response =
+        "{\"status\":\"ok\",\"op\":\"sweep\",\"app\":\"" +
+        core::jsonEscape(request.config.app) + "\",\"machine\":\"" +
+        mach::specFor(request.config.machine).name +
+        "\",\"topology\":\"" + net::toString(request.config.topology) +
+        "\",\"metric\":\"" + metricKey +
+        "\",\"complete\":" + (complete ? "true" : "false") +
+        ",\"points\":[" + points + "],\"failures\":[" + failures + "]}";
+    // Only a complete curve is cached whole: a failed point must not
+    // shadow a later clean run, exactly as a failed run is not cached.
+    if (complete) {
+        const std::string canon = core::canonicalSweepKey(
+            request.config, request.policy.budget, request.metric, procs);
+        const std::lock_guard<std::mutex> lock(cacheMutex_);
+        cache_.insert(core::fnv1a64(canon), canon, response);
+    }
+    return response;
 }
 
 void

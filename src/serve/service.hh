@@ -8,8 +8,9 @@
  *
  *  - A request beyond the queue bound gets the deterministic shed
  *    response immediately — admission never blocks, never hangs.
- *  - Cache hits are served inline (no queueing, no admission charge):
- *    a hit is a map lookup, not work.
+ *  - Cache hits of either op are served inline (no queueing, no
+ *    admission charge): a hit is one key and one map lookup, not work.
+ *    A complete sweep is cached whole, beside its points' run entries.
  *  - Every run executes under core::runOneSafe with the request's
  *    RunBudget, so a stuck simulation is bounded by the PR 2 watchdog;
  *    "deadline_s" maps to budget.maxWallSeconds and surfaces as a

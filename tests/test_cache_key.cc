@@ -3,12 +3,16 @@
  * Tests for the serve daemon's content-addressed cache key
  * (core/cache_key.hh): the canonical rendering must be stable under
  * request-field reordering and machine-name aliasing, and distinct
- * whenever any result-determining input differs.
+ * whenever any result-determining input differs.  Run keys are pinned
+ * to literal hashes, so a cache journal written by an earlier build
+ * keeps hitting; sweep keys must never collide with them.
  */
 
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "core/cache_key.hh"
 #include "core/figures.hh"
@@ -27,6 +31,26 @@ baseConfig()
     config.params.n = 256;
     config.procs = 8;
     return config;
+}
+
+/** Parse a request line with the service's default policy. */
+serve::Request
+parsed(const std::string &line)
+{
+    serve::Request request;
+    std::string error;
+    EXPECT_TRUE(serve::parseRequest(line, core::RunPolicy{}, request, error))
+        << line << ": " << error;
+    return request;
+}
+
+/** The sweep key of a parsed sweep request over @p procs. */
+std::string
+sweepKeyOf(const std::string &line, const std::vector<std::uint32_t> &procs)
+{
+    const serve::Request request = parsed(line);
+    return core::canonicalSweepKey(request.config, request.policy.budget,
+                                   request.metric, procs);
 }
 
 TEST(CacheKey, HashMatchesCanonicalString)
@@ -132,6 +156,138 @@ TEST(CacheKey, HexKeyFormatsAndParsesRoundTrip)
     EXPECT_FALSE(core::parseKeyHex("0123", parsed));
     EXPECT_FALSE(core::parseKeyHex("0123456789abcdeg", parsed));
     EXPECT_FALSE(core::parseKeyHex("0123456789abcdef0", parsed));
+}
+
+TEST(CacheKey, RunKeysArePinnedSoOldJournalsStillHit)
+{
+    // A cache journal stores each entry under its key hash; a run key
+    // that drifts by one byte turns every stored entry into a miss.
+    // These hashes were written by the run op before sweep keys existed.
+    const std::pair<const char *, const char *> pins[] = {
+        {"{\"op\":\"run\",\"app\":\"is\",\"machine\":\"logp+c\","
+         "\"procs\":4,\"size\":256}",
+         "b81127af5d745128"},
+        {"{\"op\":\"run\",\"app\":\"fft\",\"machine\":\"target\","
+         "\"topology\":\"mesh\",\"procs\":8,\"size\":1024,\"seed\":7,"
+         "\"gap\":\"bisection\",\"protocol\":\"msi\",\"cache_kb\":16,"
+         "\"check\":false,\"max_events\":100000000}",
+         "e805b3660f66bef4"},
+        {"{\"op\":\"run\",\"app\":\"ep\",\"machine\":\"logpc\","
+         "\"procs\":2,\"size\":128,\"iterations\":2,"
+         "\"max_sim_time\":5000000000000,\"stall_limit\":1234,"
+         "\"variant\":\"a;b\"}",
+         "c6fe2eeec34c5cc1"},
+    };
+    for (const auto &[line, hex] : pins) {
+        const serve::Request request = parsed(line);
+        EXPECT_EQ(core::formatKeyHex(core::runKeyHash(
+                      request.config, request.policy.budget)),
+                  hex)
+            << line;
+    }
+    const serve::Request first = parsed(pins[0].first);
+    EXPECT_EQ(core::canonicalRunKey(first.config, first.policy.budget),
+              "app=is;n=256;seed=12345;iterations=0;variant=;"
+              "machine=logp+c;topology=full;procs=4;gap=single;"
+              "cache_bytes=65536;cache_ways=2;protocol=berkeley;check=1;"
+              "max_events=0;max_sim_time=0;stall_limit=10000000");
+}
+
+TEST(CacheKey, SweepKeyNeverEqualsARunKey)
+{
+    // A run key starts "app=", a sweep key "op=sweep;", so no sweep —
+    // even one whose P list is the run's single procs — can ever
+    // answer a run request, or the other way round.
+    const sim::RunBudget budget;
+    const core::RunConfig config = baseConfig();
+    const std::string run = core::canonicalRunKey(config, budget);
+    for (const core::Metric metric :
+         {core::Metric::ExecTime, core::Metric::Latency,
+          core::Metric::Contention}) {
+        for (const std::vector<std::uint32_t> &procs :
+             {std::vector<std::uint32_t>{8},
+              std::vector<std::uint32_t>{1, 2, 4, 8}}) {
+            const std::string sweep =
+                core::canonicalSweepKey(config, budget, metric, procs);
+            EXPECT_EQ(sweep.rfind("op=sweep;metric=", 0), 0u) << sweep;
+            EXPECT_NE(sweep, run);
+            EXPECT_NE(core::fnv1a64(sweep), core::fnv1a64(run));
+        }
+    }
+    EXPECT_EQ(core::canonicalSweepKey(config, budget, core::Metric::Latency,
+                                      {1, 2, 4, 8}),
+              "op=sweep;metric=latency;procs=1,2,4,8;app=is;n=256;"
+              "seed=12345;iterations=0;variant=;machine=target;"
+              "topology=full;gap=single;cache_bytes=65536;cache_ways=2;"
+              "protocol=berkeley;check=1;max_events=0;max_sim_time=0;"
+              "stall_limit=0");
+}
+
+TEST(CacheKey, SweepKeyDoesNotSplitOnOrderAliasesOrRequestProcs)
+{
+    // Field order, the machine's alias, and the procs a sweep ignores
+    // all render to one key: the sweep is keyed by the P list it runs.
+    const std::vector<std::uint32_t> procs = {1, 2, 4, 8, 16};
+    const std::string base =
+        sweepKeyOf("{\"op\":\"sweep\",\"app\":\"fft\","
+                   "\"machine\":\"logp+c\",\"metric\":\"latency\","
+                   "\"size\":1024,\"max_procs\":16}",
+                   procs);
+    EXPECT_EQ(sweepKeyOf("{\"max_procs\":16,\"size\":1024,"
+                         "\"metric\":\"latency\",\"machine\":\"logpc\","
+                         "\"app\":\"fft\",\"op\":\"sweep\"}",
+                         procs),
+              base);
+    EXPECT_EQ(sweepKeyOf("{\"op\":\"sweep\",\"app\":\"fft\","
+                         "\"machine\":\"logp+c\",\"metric\":\"latency\","
+                         "\"size\":1024,\"max_procs\":16,\"procs\":32}",
+                         procs),
+              base);
+    EXPECT_EQ(base.find(";procs=1,2,4,8,16;"), base.find(";procs="));
+    EXPECT_EQ(base.find(";procs=", base.find(";procs=") + 1),
+              std::string::npos)
+        << "the run's own procs field must not follow: " << base;
+}
+
+TEST(CacheKey, SweepKeyKeysTheMetricThePListAndEveryRunField)
+{
+    const sim::RunBudget budget;
+    const core::RunConfig config = baseConfig();
+    const std::vector<std::uint32_t> procs = {1, 2, 4};
+    const std::string base =
+        core::canonicalSweepKey(config, budget, core::Metric::ExecTime, procs);
+    EXPECT_NE(core::canonicalSweepKey(config, budget, core::Metric::Latency,
+                                      procs),
+              base);
+    EXPECT_NE(core::canonicalSweepKey(config, budget,
+                                      core::Metric::Contention, procs),
+              base);
+    EXPECT_NE(core::canonicalSweepKey(config, budget, core::Metric::ExecTime,
+                                      {1, 2, 4, 8}),
+              base);
+    // "exec" is the exec_time metric's other spelling: one key.
+    EXPECT_EQ(sweepKeyOf("{\"op\":\"sweep\",\"app\":\"is\","
+                         "\"size\":256,\"metric\":\"exec\"}",
+                         procs),
+              sweepKeyOf("{\"op\":\"sweep\",\"app\":\"is\","
+                         "\"size\":256,\"metric\":\"exec_time\"}",
+                         procs));
+
+    core::RunConfig seeded = config;
+    seeded.params.seed += 1;
+    EXPECT_NE(core::canonicalSweepKey(seeded, budget, core::Metric::ExecTime,
+                                      procs),
+              base);
+    sim::RunBudget tight;
+    tight.maxEvents = 1000;
+    EXPECT_NE(core::canonicalSweepKey(config, tight, core::Metric::ExecTime,
+                                      procs),
+              base);
+    sim::RunBudget wall;
+    wall.maxWallSeconds = 5.0;
+    EXPECT_EQ(core::canonicalSweepKey(config, wall, core::Metric::ExecTime,
+                                      procs),
+              base);
 }
 
 } // namespace

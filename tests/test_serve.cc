@@ -445,6 +445,17 @@ TEST(ServeService, HostileEscapesAreBadRequestsNotFatal)
               std::string::npos);
 }
 
+/** A small IS sweep over P = 1, 2, 4 on LogP+C. */
+const std::string kSweep = "{\"op\":\"sweep\",\"app\":\"is\","
+                           "\"machine\":\"logpc\",\"size\":256,"
+                           "\"max_procs\":4}";
+
+/** kSweep spelled another way: shuffled fields, the canonical machine
+ *  name, an ignored procs and a max_procs that runs the same P list. */
+const std::string kSweepRespelled =
+    "{\"max_procs\":7,\"procs\":2,\"size\":256,"
+    "\"machine\":\"logp+c\",\"app\":\"is\",\"op\":\"sweep\"}";
+
 TEST(ServeService, DrainRefusesNewComputeButServesHits)
 {
     serve::Service service(smallConfig());
@@ -452,6 +463,8 @@ TEST(ServeService, DrainRefusesNewComputeButServesHits)
                                 "\"machine\":\"logpc\",\"procs\":4,"
                                 "\"size\":256}";
     const std::string cached = service.handle(request);
+    const std::string sweep = service.handle(kSweep);
+    ASSERT_NE(sweep.find("\"complete\":true"), std::string::npos) << sweep;
     const std::string drained = service.handle("{\"op\":\"drain\"}");
     EXPECT_NE(drained.find("\"draining\":true"), std::string::npos);
     EXPECT_TRUE(service.draining());
@@ -462,8 +475,10 @@ TEST(ServeService, DrainRefusesNewComputeButServesHits)
         "\"procs\":8,\"size\":256}");
     EXPECT_NE(refused.find("\"status\":\"draining\""), std::string::npos);
 
-    // A hit is a lookup, not work: still served, byte-identical.
+    // A hit of either op is a lookup, not work: still served,
+    // byte-identical.
     EXPECT_EQ(service.handle(request), cached);
+    EXPECT_EQ(service.handle(kSweepRespelled), sweep);
     EXPECT_EQ(service.stats().rejectedDraining, 1u);
 }
 
@@ -500,6 +515,71 @@ TEST(ServeService, SweepReusesTheRunCacheAndReportsPoints)
                   "{\"op\":\"sweep\",\"app\":\"is\","
                   "\"machine\":\"logpc\",\"size\":256,\"max_procs\":8}"),
               sweep);
+}
+
+TEST(ServeService, SweepHitAddsOneCacheHitPerPoint)
+{
+    serve::Service service(smallConfig());
+    const std::string first = service.handle(kSweep);
+    ASSERT_NE(first.find("\"complete\":true"), std::string::npos) << first;
+    serve::ServiceStats stats = service.stats();
+    EXPECT_EQ(stats.cacheMisses, 3u);
+    EXPECT_EQ(stats.cacheHits, 0u);
+    // Three run entries and the whole curve.
+    EXPECT_EQ(stats.cacheEntries, 4u);
+
+    // The whole curve is one lookup, counted as its three points.
+    EXPECT_EQ(service.handle(kSweepRespelled), first);
+    stats = service.stats();
+    EXPECT_EQ(stats.cacheMisses, 3u);
+    EXPECT_EQ(stats.cacheHits, 3u);
+    EXPECT_EQ(stats.cacheEntries, 4u);
+
+    // Another metric is another curve: computed from the run entries,
+    // one hit per point, and then an entry of its own.
+    const std::string latency = service.handle(
+        "{\"op\":\"sweep\",\"app\":\"is\",\"machine\":\"logpc\","
+        "\"size\":256,\"max_procs\":4,\"metric\":\"latency\"}");
+    EXPECT_NE(latency.find("\"metric\":\"latency\""), std::string::npos)
+        << latency;
+    stats = service.stats();
+    EXPECT_EQ(stats.cacheMisses, 3u);
+    EXPECT_EQ(stats.cacheHits, 6u);
+    EXPECT_EQ(stats.cacheEntries, 5u);
+}
+
+TEST(ServeService, SweepEntrySurvivesRestartByteIdentical)
+{
+    const std::string path =
+        testing::TempDir() + "absim_service_sweep_cache.jsonl";
+    std::remove(path.c_str());
+    std::string first;
+    {
+        serve::ServiceConfig config = smallConfig();
+        config.cachePath = path;
+        serve::Service service(config);
+        first = service.handle(kSweep);
+        ASSERT_NE(first.find("\"complete\":true"), std::string::npos)
+            << first;
+        service.drain();
+    }
+    // The curve is a journal entry of its own, keyed by its canon.
+    std::ifstream in(path);
+    std::string line;
+    int sweepEntries = 0;
+    while (std::getline(in, line))
+        if (line.find("\"canon\":\"op=sweep;metric=exec_time;"
+                      "procs=1,2,4;app=is;") != std::string::npos)
+            ++sweepEntries;
+    EXPECT_EQ(sweepEntries, 1);
+
+    serve::ServiceConfig config = smallConfig();
+    config.cachePath = path;
+    serve::Service service(config);
+    EXPECT_EQ(service.handle(kSweepRespelled), first);
+    EXPECT_EQ(service.stats().cacheHits, 3u);
+    EXPECT_EQ(service.stats().cacheMisses, 0u);
+    EXPECT_EQ(service.stats().cacheEntries, 4u);
 }
 
 TEST(ServeService, StatsResponseCountsEveryOutcomeClass)

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstdint>
 #include <string>
 #include <thread>
 
@@ -182,6 +183,76 @@ TEST(ServeChaos, OverloadShedsDeterministicallyWhileAWorkerIsBusy)
               std::string::npos)
         << slowResponse;
     EXPECT_EQ(service.stats().shed, 1u);
+}
+
+TEST(ServeChaos, SweepHitIsServedInlineWhileAdmissionIsFull)
+{
+    // One worker and one queue slot, both taken by slow requests: a
+    // new compute request sheds, a cached sweep is still one lookup on
+    // the caller's thread and repeats its bytes.
+    serve::Service service(chaosServiceConfig(1, 1));
+    const std::string sweep = "{\"op\":\"sweep\",\"app\":\"is\","
+                              "\"machine\":\"target\",\"size\":256,"
+                              "\"max_procs\":4}";
+    const std::string first = service.handle(sweep);
+    ASSERT_NE(first.find("\"complete\":true"), std::string::npos) << first;
+
+    const std::string slow = chaosRun(
+        "\"fault_plan\":\"stall@500\",\"stall_limit\":4000000000,"
+        "\"max_events\":0,\"deadline_s\":2");
+    std::string inFlight;
+    std::string queued;
+    std::thread running([&] { inFlight = service.handle(slow); });
+    ASSERT_TRUE(awaitInFlight(service));
+    std::thread waiting([&] { queued = service.handle(slow); });
+    for (int i = 0; i < 800 && service.stats().queued != 1; ++i)
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    ASSERT_EQ(service.stats().queued, 1u);
+
+    const std::string shed = service.handle(chaosRun("\"seed\":2"));
+    EXPECT_NE(shed.find("\"status\":\"shed\""), std::string::npos) << shed;
+    const std::uint64_t hits = service.stats().cacheHits;
+    EXPECT_EQ(service.handle(sweep), first);
+    EXPECT_EQ(service.stats().cacheHits, hits + 3);
+
+    running.join();
+    waiting.join();
+    EXPECT_NE(inFlight.find("\"error\":\"DeadlineExceeded\""),
+              std::string::npos)
+        << inFlight;
+    EXPECT_NE(queued.find("\"error\":\"DeadlineExceeded\""),
+              std::string::npos)
+        << queued;
+    EXPECT_EQ(service.stats().shed, 1u);
+}
+
+TEST(ServeChaos, SweepWithAFailedPointIsNeverCached)
+{
+    // An event budget that P=1 and P=2 fit and P=4 does not: the curve
+    // is incomplete, so it is not cached, and the identical request
+    // runs on a worker again — its failed point recomputes, its good
+    // points are run hits.
+    serve::Service service(chaosServiceConfig());
+    const std::string sweep = "{\"op\":\"sweep\",\"app\":\"is\","
+                              "\"machine\":\"target\",\"size\":256,"
+                              "\"max_procs\":4,\"max_events\":3000}";
+    const std::string first = service.handle(sweep);
+    ASSERT_NE(first.find("\"complete\":false"), std::string::npos) << first;
+    ASSERT_NE(first.find("\"points\":[{\"procs\":1,"), std::string::npos)
+        << first;
+    ASSERT_NE(first.find("\"failures\":[{\"procs\":4,"), std::string::npos)
+        << first;
+    serve::ServiceStats stats = service.stats();
+    EXPECT_EQ(stats.cacheMisses, 3u);
+    EXPECT_EQ(stats.cacheEntries, 2u);
+    EXPECT_EQ(stats.failed, 1u);
+
+    EXPECT_EQ(service.handle(sweep), first);
+    stats = service.stats();
+    EXPECT_EQ(stats.cacheMisses, 4u);
+    EXPECT_EQ(stats.cacheHits, 2u);
+    EXPECT_EQ(stats.cacheEntries, 2u);
+    EXPECT_EQ(stats.failed, 2u);
 }
 
 TEST(ServeChaos, GracefulDrainFinishesInFlightWorkAndRefusesNew)
