@@ -16,11 +16,12 @@
 /// each single-axis quadrant against the target plus the combined
 /// logp+c error.
 ///
-/// Each app's sweep is a figure bench's sweep (fig_common.hh) over the
-/// five compositions, so it takes the figure benches' settings and
-/// output directories; its artifacts are named
-/// quadrants_<app>_full_exec_time, and max_procs defaults to 16.  A shard (--shard K/N)
-/// skips the error table, which needs the full grid.
+/// Each app's sweep is the figure program's sweep (fig_common.hh) over
+/// the five compositions, so it takes the figure program's settings but
+/// --figure, and its output directories; its artifacts are named
+/// quadrants_<app>_full_exec_time, and max_procs defaults to 16.  A
+/// shard (--shard K/N) skips the error table, which needs the full
+/// grid.
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -101,7 +102,7 @@ main(int argc, char **argv)
 {
     core::Settings settings;
     settings.maxProcs = 16;
-    if (!bench::parseSettings(core::kFigure, argc, argv, settings))
+    if (!bench::parseSettings(core::kSweep, argc, argv, settings))
         return 2;
 
     int rc = 0;

@@ -1,25 +1,26 @@
 /**
  * @file
- * Shared main() body for the per-figure bench binaries.
+ * The sweep and settings parsing shared by the figure program
+ * (figure.cc) and the ablation benches.
  *
- * Every figure bench sweeps P over the paper's processor counts for one
- * (application, topology, metric) combination and prints the machine
- * curves.  The sweep runs under the resilient harness
- * (core::sweepFigureSafe): a failed point is reported and the rest of
- * the figure still completes, and with a journal directory set an
- * interrupted sweep resumes from its checkpoint.
+ * `figure --figure N` sweeps P over the paper's processor counts for
+ * one row of core::kFigures (an application, topology and metric) and
+ * prints the machine curves.  The sweep runs under the resilient
+ * harness (core::sweepFigureSafe): a failed point is reported and the
+ * rest of the figure still completes, and with a journal directory set
+ * an interrupted sweep resumes from its checkpoint.
  *
- * Settings (size, max_procs, the budgets, trace, jobs, shard, mode,
- * trace_dir) are rows of the run-settings table, each a --flag or an
- * ABSIM_* variable; docs/API.md tables them.  Output paths are not
- * settings:
+ * Settings (figure, size, max_procs, the budgets, trace, jobs, shard,
+ * mode, trace_dir) are rows of the run-settings table, each a --flag
+ * or an ABSIM_* variable; docs/API.md tables them.  Output paths are
+ * not settings:
  *   ABSIM_CSV_DIR       additionally write <dir>/<stem>.csv
  *   ABSIM_JSON_DIR      write <dir>/<stem>.json (figure + failures)
  *                       and, if any point failed, the failure manifest
  *                       <dir>/<stem>.failures.json
  *   ABSIM_JOURNAL_DIR   checkpoint to <dir>/<stem>.journal.jsonl
- * where <stem> is <app>_<net>_<metric>, suffixed .shard<K>of<N> for a
- * shard.
+ * where <stem> is <app>_<net>_<metric> (core::figureStem), suffixed
+ * .shard<K>of<N> for a shard.
  *
  * Exit status: 0 on a complete figure, 3 if any point failed, 2 on a
  * bad command line or environment value.
@@ -38,11 +39,22 @@
 
 namespace absim::bench {
 
+/** Print @p error and the usage of the rows @p takers take; main then
+ *  exits 2. */
+inline void
+printUsageError(const std::string &error, unsigned takers, int argc,
+                char **argv)
+{
+    std::cerr << "error: " << error << "\n\nusage: "
+              << (argc > 0 ? argv[0] : "bench") << " [options]\n"
+              << core::runSettingsUsage(takers);
+}
+
 /**
  * Apply the settings the @p takers programs take from the environment
  * and argv into @p out.  On a bad value or an unknown argument, print
  * the diagnostic and the usage and return false: main exits 2.  The
- * figure benches also refuse the variables they read before these were
+ * sweep benches also refuse the variables they read before these were
  * settings, rather than run without the budget, trace or mode asked
  * for.
  */
@@ -56,7 +68,7 @@ parseSettings(unsigned takers, int argc, char **argv, core::Settings &out)
     };
     std::string error;
     for (const auto &[old_name, new_name] : kRenamed)
-        if ((takers & core::kFigure) != 0 &&
+        if ((takers & core::kSweep) != 0 &&
             core::envString(old_name) != nullptr) {
             error = std::string(old_name) + " is no longer read; set " +
                     new_name + " instead";
@@ -65,9 +77,7 @@ parseSettings(unsigned takers, int argc, char **argv, core::Settings &out)
     if (error.empty() &&
         core::applySettings(takers, argc, argv, out, error))
         return true;
-    std::cerr << "error: " << error << "\n\nusage: "
-              << (argc > 0 ? argv[0] : "bench") << " [options]\n"
-              << core::runSettingsUsage(takers);
+    printUsageError(error, takers, argc, argv);
     return false;
 }
 
@@ -141,22 +151,6 @@ runFigure(const std::string &title, std::string stem,
         }
     }
     return result;
-}
-
-inline int
-runFigureMain(const std::string &title, const std::string &app,
-              net::TopologyKind topology, core::Metric metric, int argc,
-              char **argv)
-{
-    core::Settings settings;
-    if (!parseSettings(core::kFigure, argc, argv, settings))
-        return 2;
-    settings.config.app = app;
-    const std::string stem = app + "_" + net::toString(topology) + "_" +
-                             core::toString(metric);
-    return runFigure(title, stem, settings, topology, metric).complete()
-               ? 0
-               : 3;
 }
 
 } // namespace absim::bench

@@ -1,5 +1,6 @@
-/// Trace-replay macro-bench: wall time of the full fig14_is_full_exec
-/// sweep (IS on Full, execution time, classic machine trio at every P)
+/// Trace-replay macro-bench: wall time of the full Figure 14 sweep
+/// (`figure --figure 14`: IS on Full, execution time, classic machine
+/// trio at every P, read from its core::kFigures row)
 /// executed vs replayed from recorded traces — the number behind the
 /// ROADMAP's "replay makes model-space sweeps cheap" claim.
 ///
@@ -35,8 +36,9 @@ main(int argc, char **argv)
 
     MicroSuite suite("replay", argc, argv);
 
+    const absim::core::FigureSpec &fig14 = absim::core::kFigures[13];
     absim::core::RunConfig base;
-    base.app = "is";
+    base.app = fig14.app;
     base.params.n = static_cast<std::uint32_t>(
         absim::core::envUint("ABSIM_BENCH_SWEEP_SIZE", 16384, 256));
     base.checkResult = false; // Time the sweep, not the validator.
@@ -58,9 +60,8 @@ main(int argc, char **argv)
         config.mode = mode;
         config.traceDir = trace_dir.string();
         return absim::core::sweepFigure(
-            "bench: Figure 14 sweep", config,
-            absim::net::TopologyKind::Full,
-            absim::core::Metric::ExecTime, procs);
+            "bench: Figure 14 sweep", config, fig14.topology,
+            fig14.metric, procs);
     };
 
     auto valueSum = [](const absim::core::Figure &figure) {

@@ -1,6 +1,7 @@
-/// Sweep macro-bench: wall time of the full fig14_is_full_exec sweep
-/// (IS on the Full network, execution-time metric, the classic machine
-/// trio at every P) — the end-to-end number the trace-replay speedup
+/// Sweep macro-bench: wall time of the full Figure 14 sweep
+/// (`figure --figure 14`: IS on the Full network, execution-time
+/// metric, the classic machine trio at every P, read from its
+/// core::kFigures row) — the end-to-end number the trace-replay speedup
 /// (bench_replay) and the event-kernel claims are measured against.
 ///
 /// Emits BENCH_sweep.json via the shared bench_common harness.  The
@@ -24,8 +25,9 @@ main(int argc, char **argv)
 
     MicroSuite suite("sweep", argc, argv);
 
+    const absim::core::FigureSpec &fig14 = absim::core::kFigures[13];
     absim::core::RunConfig base;
-    base.app = "is";
+    base.app = fig14.app;
     base.params.n = static_cast<std::uint32_t>(
         absim::core::envUint("ABSIM_BENCH_SWEEP_SIZE", 16384, 256));
     base.checkResult = false; // Time the sweep, not the validator.
@@ -40,8 +42,8 @@ main(int argc, char **argv)
     suite.run("fig14_sweep_s", "s", false, [&] {
         const double begin = wallNow();
         const absim::core::Figure figure = absim::core::sweepFigure(
-            "bench: Figure 14 sweep", base, absim::net::TopologyKind::Full,
-            absim::core::Metric::ExecTime, procs);
+            "bench: Figure 14 sweep", base, fig14.topology, fig14.metric,
+            procs);
         const double elapsed = wallNow() - begin;
         // Checksum of the simulated results: byte-identity's first line
         // of defense inside the bench gate itself.

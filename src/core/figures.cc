@@ -1,6 +1,7 @@
 #include "core/figures.hh"
 
 #include <algorithm>
+#include <cctype>
 #include <cstdio>
 #include <iomanip>
 #include <ostream>
@@ -15,6 +16,105 @@ toString(Metric metric)
 {
     const auto i = static_cast<std::size_t>(metric);
     return i < kMetricNames.size() ? std::string(kMetricNames[i]) : "?";
+}
+
+namespace {
+using Net = net::TopologyKind;
+} // namespace
+
+const std::array<FigureSpec, 20> kFigures = {{
+    // LogP+C tracks the target closely (slightly pessimistic: L assumes
+    // full-size messages); plain LogP is ~4x (four 8-byte data items
+    // per 32-byte cache block).
+    {1, "fft", Net::Full, Metric::Latency},
+    // LogP+C tracks the target; plain LogP is far higher (no spatial or
+    // temporal locality on the irregular gather).
+    {2, "cg", Net::Full, Metric::Latency},
+    // Tiny absolute values; LogP inflated because every
+    // condition-variable poll is a remote reference.
+    {3, "ep", Net::Full, Metric::Latency},
+    // LogP+C close to the target, slightly favoured by ignoring
+    // coherence traffic.
+    {4, "is", Net::Full, Metric::Latency},
+    // LogP+C close to the target (optimistic side: no coherence
+    // traffic).
+    {5, "cholesky", Net::Full, Metric::Latency},
+    // Similar trend, pessimistic absolute values from the
+    // bisection-bandwidth g.
+    {6, "is", Net::Full, Metric::Contention},
+    // Pessimism grows as connectivity drops.
+    {7, "is", Net::Mesh2D, Metric::Contention},
+    // The configuration the Section 7 g-usage ablation revisits.
+    {8, "fft", Net::Hypercube, Metric::Contention},
+    // CHOLESKY's contention on the fully connected network, beside
+    // Figure 6's IS.
+    {9, "cholesky", Net::Full, Metric::Contention},
+    // Large disparity; EP's communication locality makes g very
+    // pessimistic, even changing the trend.
+    {10, "ep", Net::Full, Metric::Contention},
+    // The amplified pessimism of Figure 10.
+    {11, "ep", Net::Mesh2D, Metric::Contention},
+    // All three machines agree (computation dominates).
+    {12, "ep", Net::Full, Metric::ExecTime},
+    // LogP separates from LogP+C on the lowest-connectivity network.
+    {13, "fft", Net::Mesh2D, Metric::ExecTime},
+    // Pronounced LogP-vs-LogP+C gap on every network.
+    {14, "is", Net::Full, Metric::ExecTime},
+    // Large gap; locality of the dynamic gather cannot be ignored.
+    {15, "cg", Net::Full, Metric::ExecTime},
+    // Large LogP gap for the dynamic application.
+    {16, "cholesky", Net::Full, Metric::ExecTime},
+    // The LogP curve no longer even follows the target's shape.
+    {17, "cg", Net::Mesh2D, Metric::ExecTime},
+    // LogP shape lost, driven by mesh contention.
+    {18, "cholesky", Net::Mesh2D, Metric::ExecTime},
+    // Explains Figure 17.
+    {19, "cg", Net::Mesh2D, Metric::Contention},
+    // Explains Figure 18.
+    {20, "cholesky", Net::Mesh2D, Metric::Contention},
+}};
+
+std::string
+figureName(const FigureSpec &figure)
+{
+    return std::string(figure.app) + "_" + net::toString(figure.topology) +
+           "_" +
+           (figure.metric == Metric::ExecTime ? "exec"
+                                              : toString(figure.metric));
+}
+
+std::string
+figureTitle(const FigureSpec &figure)
+{
+    static constexpr std::array<std::string_view, 3> kMetricTitles = {
+        "Execution Time", "Latency", "Contention"};
+    const auto upper = [](char c) {
+        return static_cast<char>(std::toupper(static_cast<unsigned char>(c)));
+    };
+    std::string app(figure.app);
+    std::transform(app.begin(), app.end(), app.begin(), upper);
+    std::string network = net::toString(figure.topology);
+    network[0] = upper(network[0]);
+    return "Figure " + std::to_string(figure.number) + ": " + app + " on " +
+           network + ": " +
+           std::string(kMetricTitles[static_cast<std::size_t>(figure.metric)]);
+}
+
+std::string
+figureStem(const FigureSpec &figure)
+{
+    return std::string(figure.app) + "_" + net::toString(figure.topology) +
+           "_" + toString(figure.metric);
+}
+
+const FigureSpec *
+findFigure(std::string_view text)
+{
+    for (const FigureSpec &figure : kFigures)
+        if (text == std::to_string(figure.number) ||
+            text == figureName(figure))
+            return &figure;
+    return nullptr;
 }
 
 std::vector<mach::MachineKind>

@@ -45,6 +45,35 @@ inline constexpr std::array<std::string_view, 3> kMetricNames = {
 /** The metric's name from kMetricNames. */
 std::string toString(Metric metric);
 
+/** One figure of the paper's evaluation: one application on one
+ *  network, one metric swept over P for every machine. */
+struct FigureSpec
+{
+    std::uint32_t number; ///< The paper's figure number, 1..20.
+    std::string_view app;
+    net::TopologyKind topology;
+    Metric metric;
+};
+
+/** The paper's 20 figures: row i is Figure i + 1.  figures.cc gives
+ *  each row the curve shape the paper reports. */
+extern const std::array<FigureSpec, 20> kFigures;
+
+/** The figure's name, "<app>_<net>_<metric>" with exec_time spelled
+ *  exec: "is_full_exec". */
+std::string figureName(const FigureSpec &figure);
+
+/** The figure's title: "Figure 14: IS on Full: Execution Time". */
+std::string figureTitle(const FigureSpec &figure);
+
+/** The stem of the figure's output files, "<app>_<net>_<metric>":
+ *  "is_full_exec_time". */
+std::string figureStem(const FigureSpec &figure);
+
+/** The row @p text names by number ("14") or by figureName()
+ *  ("is_full_exec"); nullptr if none does. */
+const FigureSpec *findFigure(std::string_view text);
+
 /** One point of a figure: the metric for every swept machine at P,
  *  in the figure's machine order. */
 struct SeriesPoint

@@ -74,10 +74,20 @@ uintRow(std::string_view key, unsigned takers, std::string_view help,
 }
 
 // Who takes a row: every run setting is a run_cli flag and a request
-// field; the figure benches take the sweep's problem size and budgets;
+// field; the sweep benches take the sweep's problem size and budgets;
 // absim_serve's flags are the policy rows.
 constexpr unsigned kRun = kRunCli | kRequest;
-constexpr unsigned kBudget = kRun | kFigure | kServe;
+constexpr unsigned kBudget = kRun | kSweep | kServe;
+
+/** The figure row's valid values: every number and every name. */
+std::string
+figureChoices()
+{
+    std::string out = "1.." + std::to_string(kFigures.size());
+    for (const FigureSpec &figure : kFigures)
+        out += ", " + figureName(figure);
+    return out;
+}
 
 std::vector<RunSetting>
 makeTable()
@@ -88,6 +98,13 @@ makeTable()
     using U = std::uint32_t;
     using S = Settings;
     return {
+        {"figure", json::Type::String, kFigure,
+         "the paper figure to sweep, by number or name (required)",
+         figureChoices(),
+         [](std::string_view text, S &s) {
+             s.figure = findFigure(text);
+             return s.figure != nullptr;
+         }},
         {"app", json::Type::String, kRun, "application (default fft)",
          joinNames(apps),
          [apps](std::string_view text, S &s) {
@@ -97,7 +114,7 @@ makeTable()
              s.config.app = apps[i];
              return true;
          }},
-        uintRow("size", kRun | kFigure, "problem size (default: the app's)",
+        uintRow("size", kRun | kSweep, "problem size (default: the app's)",
                 1, 1u << 26, false,
                 [](auto v, S &s) { s.config.params.n = v; }),
         uintRow("seed", kRun, "workload seed (default 12345)", 0, kU64Max,
@@ -200,24 +217,24 @@ makeTable()
                      Metric::ExecTime)];
              return parseName(kMetricNames, text, s.metric);
          }},
-        uintRow("max_procs", kFigure | kRequest,
+        uintRow("max_procs", kSweep | kRequest,
                 "a sweep's largest P (default 32)", 1, 1u << 20, false,
                 [](auto v, S &s) { s.maxProcs = U(v); }),
-        uintRow("jobs", kRunCli | kFigure | kAblation,
+        uintRow("jobs", kRunCli | kSweep | kAblation,
                 "sweep worker threads; output is identical for any value "
                 "(default 1)",
                 1, 256, false, [](auto v, S &s) { s.jobs = unsigned(v); }),
-        {"shard", json::Type::String, kFigure,
+        {"shard", json::Type::String, kSweep,
          "run one shard of the sweep (default 0/1, the whole sweep)",
          "K/N with 0 <= K < N",
          [](std::string_view text, S &s) {
              return ShardSpec::parse(std::string(text), s.shard);
          }},
-        nameRow("mode", kRunCli | kFigure,
+        nameRow("mode", kRunCli | kSweep,
                 "how a run gets its references; replay records on a miss "
                 "(default execute)",
                 kRunModeNames, &RunConfig::mode),
-        {"trace_dir", json::Type::String, kRunCli | kFigure,
+        {"trace_dir", json::Type::String, kRunCli | kSweep,
          "trace store of record and replay (default traces)",
          "a non-empty path",
          [](std::string_view text, S &s) {

@@ -12,14 +12,21 @@
  *   ABSIM_REGEN_GOLDENS=1 ./absim_tests --gtest_filter='GoldenFigures.*'
  *
  * and audit the diff — a changed golden means changed simulated cycles.
+ *
+ * GoldenFiguresTable walks every row of core::kFigures at reduced size
+ * (P up to 4) and compares the figure JSON `figure --figure N` writes
+ * against tests/golden/figures/<stem>.json, captured from the 20
+ * per-figure programs the table replaced.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "core/env.hh"
 #include "core/figures.hh"
@@ -38,13 +45,14 @@ goldenPath(const std::string &name)
     return std::string(ABSIM_GOLDEN_DIR) + "/" + name + ".json";
 }
 
-/** Run one small three-machine sweep and render its figure JSON.  It
- *  runs on a 4-worker pool: the JSON is byte-identical for any job
- *  count, so the goldens also pin the pool's output (and the sanitizer
- *  job sees the pool run real figures). */
+/** Run one small three-machine sweep titled @p title and render its
+ *  figure JSON.  It runs on a 4-worker pool: the JSON is byte-identical
+ *  for any job count, so the goldens also pin the pool's output (and
+ *  the sanitizer job sees the pool run real figures). */
 std::string
-sweepJson(const std::string &app, std::uint64_t size,
-          net::TopologyKind topology, core::Metric metric)
+sweepJson(const std::string &title, const std::string &app,
+          std::uint64_t size, net::TopologyKind topology,
+          core::Metric metric)
 {
     core::RunConfig base;
     base.app = app;
@@ -52,12 +60,19 @@ sweepJson(const std::string &app, std::uint64_t size,
     core::SweepOptions options;
     options.jobs = 4;
     const core::SweepResult result = core::sweepFigureSafe(
-        "Golden: " + app + " on " + net::toString(topology) + ": " +
-            core::toString(metric),
-        base, topology, metric, {1, 2, 4}, options);
+        title, base, topology, metric, {1, 2, 4}, options);
     std::ostringstream os;
     core::writeFigureJson(os, result);
     return os.str();
+}
+
+std::string
+sweepJson(const std::string &app, std::uint64_t size,
+          net::TopologyKind topology, core::Metric metric)
+{
+    return sweepJson("Golden: " + app + " on " + net::toString(topology) +
+                         ": " + core::toString(metric),
+                     app, size, topology, metric);
 }
 
 void
@@ -105,6 +120,67 @@ TEST(GoldenFigures, CgCubeExec)
     expectGolden("cg_cube_exec",
                  sweepJson("cg", 64, net::TopologyKind::Hypercube,
                            core::Metric::ExecTime));
+}
+
+/** Each figure's app at the reduced size its golden was captured at. */
+const std::map<std::string, std::uint64_t, std::less<>> kReducedSize = {
+    {"fft", 128}, {"cg", 64}, {"ep", 1024}, {"is", 256}, {"cholesky", 64}};
+
+TEST(GoldenFiguresTable, EveryFigureMatchesItsGolden)
+{
+    for (const core::FigureSpec &figure : core::kFigures) {
+        SCOPED_TRACE(core::figureTitle(figure));
+        const auto size = kReducedSize.find(figure.app);
+        ASSERT_NE(size, kReducedSize.end()) << figure.app;
+        expectGolden("figures/" + core::figureStem(figure),
+                     sweepJson(core::figureTitle(figure),
+                               std::string(figure.app), size->second,
+                               figure.topology, figure.metric));
+    }
+}
+
+TEST(GoldenFiguresTable, NamesAreTheRetiredProgramNames)
+{
+    // One program per figure, as each was built before the table.
+    const std::vector<std::string> programs = {
+        "fig01_fft_full_latency",
+        "fig02_cg_full_latency",
+        "fig03_ep_full_latency",
+        "fig04_is_full_latency",
+        "fig05_cholesky_full_latency",
+        "fig06_is_full_contention",
+        "fig07_is_mesh_contention",
+        "fig08_fft_cube_contention",
+        "fig09_cholesky_full_contention",
+        "fig10_ep_full_contention",
+        "fig11_ep_mesh_contention",
+        "fig12_ep_full_exec",
+        "fig13_fft_mesh_exec",
+        "fig14_is_full_exec",
+        "fig15_cg_full_exec",
+        "fig16_cholesky_full_exec",
+        "fig17_cg_mesh_exec",
+        "fig18_cholesky_mesh_exec",
+        "fig19_cg_mesh_contention",
+        "fig20_cholesky_mesh_contention",
+    };
+    ASSERT_EQ(programs.size(), core::kFigures.size());
+    for (std::size_t i = 0; i < programs.size(); ++i) {
+        const core::FigureSpec &figure = core::kFigures[i];
+        EXPECT_EQ(figure.number, i + 1);
+        const std::string number = std::to_string(figure.number);
+        EXPECT_EQ((number.size() == 1 ? "fig0" : "fig") + number + "_" +
+                      core::figureName(figure),
+                  programs[i]);
+        EXPECT_EQ(core::findFigure(std::to_string(i + 1)), &figure);
+        EXPECT_EQ(core::findFigure(core::figureName(figure)), &figure);
+    }
+    EXPECT_EQ(core::figureTitle(core::kFigures[13]),
+              "Figure 14: IS on Full: Execution Time");
+    EXPECT_EQ(core::figureStem(core::kFigures[13]), "is_full_exec_time");
+    for (const char *text : {"0", "21", "014", "fig14", "is_full_exec_time",
+                             "IS_FULL_EXEC", "14 ", ""})
+        EXPECT_EQ(core::findFigure(text), nullptr) << text;
 }
 
 } // namespace

@@ -38,6 +38,7 @@ const std::vector<Sample> &
 samples()
 {
     static const std::vector<Sample> kSamples = {
+        {"figure", "is_full_exec", "21"},
         {"app", "cholesky", "fftw"},
         {"size", "4096", "67108865"},
         {"seed", "99", "18446744073709551616"},
@@ -152,6 +153,8 @@ settingsOf(const core::Settings &s)
            ";metric=" + core::toString(s.metric) +
            ";max_procs=" + std::to_string(s.maxProcs) +
            ";jobs=" + std::to_string(s.jobs) + ";shard=" + s.shard.str() +
+           ";figure=" +
+           (s.figure ? std::to_string(s.figure->number) : "none") +
            ";fault_plan=" + s.faultPlan.toString() +
            ";mode=" + std::to_string(static_cast<int>(config.mode)) +
            ";trace_dir=" + config.traceDir;
@@ -371,22 +374,23 @@ TEST(RunSettings, EachProgramTakesItsRows)
         all.insert(row.key);
 
     Keys runCli = all;
-    for (const char *key : {"max_procs", "shard"})
+    for (const char *key : {"figure", "max_procs", "shard"})
         runCli.erase(key);
     EXPECT_EQ(takenBy(core::kRunCli), runCli);
 
     Keys request = all;
-    for (const char *key : {"jobs", "shard", "mode", "trace_dir"})
+    for (const char *key : {"figure", "jobs", "shard", "mode", "trace_dir"})
         request.erase(key);
     EXPECT_EQ(takenBy(core::kRequest), request);
 
     EXPECT_EQ(takenBy(core::kServe),
               (Keys{"deadline_s", "max_events", "max_sim_time",
                     "stall_limit", "retries", "trace"}));
-    EXPECT_EQ(takenBy(core::kFigure),
+    EXPECT_EQ(takenBy(core::kSweep),
               (Keys{"size", "deadline_s", "max_events", "stall_limit",
                     "trace", "max_procs", "jobs", "shard", "mode",
                     "trace_dir"}));
+    EXPECT_EQ(takenBy(core::kFigure), (Keys{"figure"}));
     EXPECT_EQ(takenBy(core::kAblation), (Keys{"jobs"}));
 }
 
@@ -404,12 +408,12 @@ TEST(RunSettings, FlagsOverrideVariablesOfTheProgramsRows)
     };
     core::Settings s;
     std::string error;
-    ASSERT_TRUE(apply(core::kFigure, {}, s, error)) << error;
+    ASSERT_TRUE(apply(core::kSweep, {}, s, error)) << error;
     EXPECT_EQ(s.jobs, 3u);
     EXPECT_EQ(s.config.params.n, 512u);
 
     s = {};
-    ASSERT_TRUE(apply(core::kFigure, {"--jobs", "2"}, s, error)) << error;
+    ASSERT_TRUE(apply(core::kSweep, {"--jobs", "2"}, s, error)) << error;
     EXPECT_EQ(s.jobs, 2u);
 
     // A program ignores the variables of rows it does not take, and
@@ -436,7 +440,7 @@ TEST(RunSettings, FlagsOverrideVariablesOfTheProgramsRows)
     // An empty variable is unset, as for every ABSIM_* variable.
     ::setenv("ABSIM_SIZE", "", 1);
     s = {};
-    ASSERT_TRUE(apply(core::kFigure, {}, s, error)) << error;
+    ASSERT_TRUE(apply(core::kSweep, {}, s, error)) << error;
     EXPECT_EQ(s.config.params.n, core::Settings{}.config.params.n);
     clearSettingsEnv();
 }

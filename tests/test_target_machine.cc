@@ -23,7 +23,7 @@ using net::TopologyKind;
 
 constexpr std::uint64_t kAfter = 1'000'000; // Cycles: "act second".
 
-TEST(TargetMachine, LocalMissThenHit)
+TEST(TargetStack, LocalMissThenHit)
 {
     MachineHarness h(MachineKind::Target, TopologyKind::Full, 2);
     rt::SharedArray<std::uint64_t> a(h.heap, 8, rt::Placement::OnNode, 0);
@@ -44,7 +44,7 @@ TEST(TargetMachine, LocalMissThenHit)
               LineState::Valid);
 }
 
-TEST(TargetMachine, RemoteReadMissCostsRequestPlusData)
+TEST(TargetStack, RemoteReadMissCostsRequestPlusData)
 {
     MachineHarness h(MachineKind::Target, TopologyKind::Full, 2);
     rt::SharedArray<std::uint64_t> a(h.heap, 4, rt::Placement::OnNode, 1);
@@ -61,7 +61,7 @@ TEST(TargetMachine, RemoteReadMissCostsRequestPlusData)
     EXPECT_EQ(h.machine->stats().networkAccesses, 1u);
 }
 
-TEST(TargetMachine, SpatialLocalityFourItemsPerBlock)
+TEST(TargetStack, SpatialLocalityFourItemsPerBlock)
 {
     MachineHarness h(MachineKind::Target, TopologyKind::Full, 2);
     rt::SharedArray<std::uint64_t> a(h.heap, 8, rt::Placement::OnNode, 1);
@@ -75,7 +75,7 @@ TEST(TargetMachine, SpatialLocalityFourItemsPerBlock)
     EXPECT_EQ(h.machine->stats().cacheHits, 6u);
 }
 
-TEST(TargetMachine, BerkeleyOwnerSuppliesData)
+TEST(TargetStack, BerkeleyOwnerSuppliesData)
 {
     MachineHarness h(MachineKind::Target, TopologyKind::Full, 4);
     rt::SharedArray<std::uint64_t> a(h.heap, 4, rt::Placement::OnNode, 2);
@@ -101,7 +101,7 @@ TEST(TargetMachine, BerkeleyOwnerSuppliesData)
     EXPECT_EQ(reader.latency, 400u + 400u + 1600u);
 }
 
-TEST(TargetMachine, UpgradeInvalidatesSharers)
+TEST(TargetStack, UpgradeInvalidatesSharers)
 {
     MachineHarness h(MachineKind::Target, TopologyKind::Full, 4);
     rt::SharedArray<std::uint64_t> a(h.heap, 4, rt::Placement::OnNode, 3);
@@ -125,7 +125,7 @@ TEST(TargetMachine, UpgradeInvalidatesSharers)
     EXPECT_FALSE(entry->isSharer(1));
 }
 
-TEST(TargetMachine, WriteMissStealsOwnership)
+TEST(TargetStack, WriteMissStealsOwnership)
 {
     MachineHarness h(MachineKind::Target, TopologyKind::Full, 4);
     rt::SharedArray<std::uint64_t> a(h.heap, 4, rt::Placement::OnNode, 2);
@@ -144,7 +144,7 @@ TEST(TargetMachine, WriteMissStealsOwnership)
     EXPECT_EQ(a.raw(0), 6u);
 }
 
-TEST(TargetMachine, ConflictEvictionWritesBackDirtyVictim)
+TEST(TargetStack, ConflictEvictionWritesBackDirtyVictim)
 {
     MachineHarness h(MachineKind::Target, TopologyKind::Full, 2);
     // Three blocks 64 KB apart land in the same set of the 2-way cache.
@@ -169,7 +169,7 @@ TEST(TargetMachine, ConflictEvictionWritesBackDirtyVictim)
     EXPECT_EQ(h.target().cache(0).stateOf(blk0), LineState::Valid);
 }
 
-TEST(TargetMachine, RmwTakesExclusiveOwnership)
+TEST(TargetStack, RmwTakesExclusiveOwnership)
 {
     MachineHarness h(MachineKind::Target, TopologyKind::Full, 2);
     rt::SharedArray<std::uint64_t> a(h.heap, 4, rt::Placement::OnNode, 1);
@@ -183,7 +183,7 @@ TEST(TargetMachine, RmwTakesExclusiveOwnership)
     EXPECT_EQ(a.raw(0), 1u);
 }
 
-TEST(TargetMachine, SequentialConsistencySingleLocation)
+TEST(TargetStack, SequentialConsistencySingleLocation)
 {
     // Two writers, one location: the final value is the later write, and
     // an interleaved reader can never observe a value that was not
@@ -209,7 +209,7 @@ TEST(TargetMachine, SequentialConsistencySingleLocation)
         EXPECT_LE(seen[i - 1], seen[i]) << "reader saw values go back";
 }
 
-TEST(TargetMachine, InvalidationOfStaleSharerIsHarmless)
+TEST(TargetStack, InvalidationOfStaleSharerIsHarmless)
 {
     // A clean (silently replaced) sharer stays in the directory; a later
     // write sends it a spurious invalidation that must be a no-op.
@@ -233,7 +233,7 @@ TEST(TargetMachine, InvalidationOfStaleSharerIsHarmless)
               1);
 }
 
-TEST(TargetMachine, ConfigurableCacheGeometry)
+TEST(TargetStack, ConfigurableCacheGeometry)
 {
     // A 4 KB cache can only hold 128 blocks: streaming 256 distinct
     // blocks must evict, while the default 64 KB cache holds them all.
@@ -247,7 +247,7 @@ TEST(TargetMachine, ConfigurableCacheGeometry)
     EXPECT_EQ(big_cache.sets() * big_cache.ways(), 2048u);
 }
 
-TEST(TargetMachine, SmallCacheEvictsWorkingSet)
+TEST(TargetStack, SmallCacheEvictsWorkingSet)
 {
     MachineHarness h(MachineKind::Target, TopologyKind::Full, 2,
                      logp::GapPolicy::Single, {.bytes = 1024, .ways = 2});
@@ -266,7 +266,7 @@ TEST(TargetMachine, SmallCacheEvictsWorkingSet)
     EXPECT_EQ(h.machine->stats().cacheHits, 0u);
 }
 
-TEST(TargetMachine, TimingInvariantBusyLatencyContention)
+TEST(TargetStack, TimingInvariantBusyLatencyContention)
 {
     // Every tick of a processor's finish time is categorized.
     MachineHarness h(MachineKind::Target, TopologyKind::Mesh2D, 4);
