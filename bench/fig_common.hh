@@ -1,7 +1,8 @@
 /**
  * @file
  * The sweep and settings parsing shared by the figure program
- * (figure.cc) and the ablation benches.
+ * (figure.cc), the ablation program (ablation.cc) and
+ * ablation_quadrants.
  *
  * `figure --figure N` sweeps P over the paper's processor counts for
  * one row of core::kFigures (an application, topology and metric) and
@@ -95,11 +96,6 @@ runFigure(const std::string &title, std::string stem,
           core::Metric metric,
           const std::vector<mach::MachineKind> &machines = {})
 {
-    std::vector<std::uint32_t> procs;
-    for (const std::uint32_t p : core::defaultProcCounts())
-        if (p <= settings.maxProcs)
-            procs.push_back(p);
-
     const core::ShardSpec &shard = settings.shard;
     if (shard.sharded())
         stem += ".shard" + std::to_string(shard.index) + "of" +
@@ -115,7 +111,8 @@ runFigure(const std::string &title, std::string stem,
     options.shard = shard;
 
     core::SweepResult result = core::sweepFigureSafe(
-        title, settings.config, topology, metric, procs, options);
+        title, settings.config, topology, metric,
+        core::procCountsUpTo(settings.maxProcs), options);
     core::printFigure(std::cout, result.figure);
 
     for (const core::FailedPoint &f : result.failures)

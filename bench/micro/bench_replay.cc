@@ -43,12 +43,9 @@ main(int argc, char **argv)
         absim::core::envUint("ABSIM_BENCH_SWEEP_SIZE", 16384, 256));
     base.checkResult = false; // Time the sweep, not the validator.
 
-    const std::uint64_t max_procs =
-        absim::core::envUint("ABSIM_BENCH_SWEEP_PROCS", 32, 1, 1u << 10);
-    std::vector<std::uint32_t> procs;
-    for (std::uint32_t p : absim::core::defaultProcCounts())
-        if (p <= max_procs)
-            procs.push_back(p);
+    const std::vector<std::uint32_t> procs = absim::core::procCountsUpTo(
+        static_cast<std::uint32_t>(absim::core::envUint(
+            "ABSIM_BENCH_SWEEP_PROCS", 32, 1, 1u << 10)));
 
     const std::filesystem::path trace_dir =
         std::filesystem::temp_directory_path() /
@@ -59,9 +56,14 @@ main(int argc, char **argv)
         absim::core::RunConfig config = base;
         config.mode = mode;
         config.traceDir = trace_dir.string();
-        return absim::core::sweepFigure(
+        absim::core::SweepResult result = absim::core::sweepFigureSafe(
             "bench: Figure 14 sweep", config, fig14.topology,
             fig14.metric, procs);
+        ABSIM_CHECK(result.complete(), "fig14 sweep failed at P="
+                                           << result.failures[0].procs
+                                           << ": "
+                                           << result.failures[0].message);
+        return std::move(result.figure);
     };
 
     auto valueSum = [](const absim::core::Figure &figure) {

@@ -14,6 +14,7 @@
 #include <cstdint>
 
 #include "bench_common.hh"
+#include "check/check.hh"
 #include "core/experiment.hh"
 #include "core/figures.hh"
 
@@ -32,19 +33,22 @@ main(int argc, char **argv)
         absim::core::envUint("ABSIM_BENCH_SWEEP_SIZE", 16384, 256));
     base.checkResult = false; // Time the sweep, not the validator.
 
-    const std::uint64_t max_procs =
-        absim::core::envUint("ABSIM_BENCH_SWEEP_PROCS", 32, 1, 1u << 10);
-    std::vector<std::uint32_t> procs;
-    for (std::uint32_t p : absim::core::defaultProcCounts())
-        if (p <= max_procs)
-            procs.push_back(p);
+    const std::vector<std::uint32_t> procs = absim::core::procCountsUpTo(
+        static_cast<std::uint32_t>(absim::core::envUint(
+            "ABSIM_BENCH_SWEEP_PROCS", 32, 1, 1u << 10)));
 
     suite.run("fig14_sweep_s", "s", false, [&] {
         const double begin = wallNow();
-        const absim::core::Figure figure = absim::core::sweepFigure(
-            "bench: Figure 14 sweep", base, fig14.topology, fig14.metric,
-            procs);
+        const absim::core::SweepResult result =
+            absim::core::sweepFigureSafe("bench: Figure 14 sweep", base,
+                                         fig14.topology, fig14.metric,
+                                         procs);
         const double elapsed = wallNow() - begin;
+        ABSIM_CHECK(result.complete(), "fig14 sweep failed at P="
+                                           << result.failures[0].procs
+                                           << ": "
+                                           << result.failures[0].message);
+        const absim::core::Figure &figure = result.figure;
         // Checksum of the simulated results: byte-identity's first line
         // of defense inside the bench gate itself.
         double value_sum = 0.0;

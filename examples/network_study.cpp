@@ -33,10 +33,17 @@ main(int argc, char **argv)
           net::TopologyKind::Mesh2D}) {
         for (const auto metric :
              {core::Metric::Latency, core::Metric::Contention}) {
-            const auto figure = core::sweepFigure(
+            const core::SweepResult result = core::sweepFigureSafe(
                 app + " / " + net::toString(topo) + " / " +
                     core::toString(metric),
                 base, topo, metric, procs);
+            for (const core::FailedPoint &f : result.failures)
+                std::fprintf(stderr,
+                             "failed point: procs=%u machine=%s: %s\n",
+                             f.procs, f.machine.c_str(), f.message.c_str());
+            if (!result.complete())
+                return 1;
+            const core::Figure &figure = result.figure;
 
             // Classic machine order: target, logp, logp+c.
             std::vector<double> target, logpc;

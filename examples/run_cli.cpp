@@ -85,10 +85,6 @@ main(int argc, char **argv)
                          "warning: --fault-plan does not propagate to "
                          "--jobs worker threads (fault state is "
                          "per-thread); the sweep runs fault-free\n");
-        std::vector<std::uint32_t> procs;
-        for (const std::uint32_t p : core::defaultProcCounts())
-            if (p <= config.procs)
-                procs.push_back(p);
         core::SweepOptions options;
         options.policy = settings.policy;
         options.jobs = settings.jobs;
@@ -96,7 +92,8 @@ main(int argc, char **argv)
             "Sweep: " + config.app + " on " +
                 net::toString(config.topology) + ": " +
                 core::toString(settings.metric),
-            config, config.topology, settings.metric, procs, options);
+            config, config.topology, settings.metric,
+            core::procCountsUpTo(config.procs), options);
         core::printFigure(std::cout, result.figure);
         for (const core::FailedPoint &f : result.failures)
             std::fprintf(stderr,

@@ -4,6 +4,7 @@
 #include <cctype>
 #include <cstdio>
 #include <iomanip>
+#include <iterator>
 #include <ostream>
 #include <stdexcept>
 
@@ -135,10 +136,23 @@ machineColumns(const std::vector<mach::MachineKind> &machines)
     return columns;
 }
 
+namespace {
+constexpr std::uint32_t kProcCounts[] = {1, 2, 4, 8, 16, 32};
+} // namespace
+
 std::vector<std::uint32_t>
 defaultProcCounts()
 {
-    return {1, 2, 4, 8, 16, 32};
+    return {std::begin(kProcCounts), std::end(kProcCounts)};
+}
+
+std::vector<std::uint32_t>
+procCountsUpTo(std::uint32_t max)
+{
+    // kProcCounts ascends: the list is a prefix of it.
+    return {std::begin(kProcCounts),
+            std::upper_bound(std::begin(kProcCounts), std::end(kProcCounts),
+                             max)};
 }
 
 double
@@ -153,31 +167,6 @@ metricValue(const stats::Profile &profile, Metric metric)
         return profile.meanContention() / 1000.0;
     }
     return 0.0;
-}
-
-Figure
-sweepFigure(const std::string &title, const RunConfig &base,
-            net::TopologyKind topology, Metric metric,
-            const std::vector<std::uint32_t> &proc_counts,
-            const std::vector<mach::MachineKind> &machines)
-{
-    Figure figure{title, base.app, topology, metric, machines, {}};
-    figure.machines = figureMachines(figure);
-
-    for (const std::uint32_t p : proc_counts) {
-        SeriesPoint point;
-        point.procs = p;
-        RunConfig config = base;
-        config.topology = topology;
-        config.procs = p;
-
-        for (const mach::MachineKind kind : figure.machines) {
-            config.machine = kind;
-            point.values.push_back(metricValue(runOne(config), metric));
-        }
-        figure.points.push_back(std::move(point));
-    }
-    return figure;
 }
 
 SweepResult

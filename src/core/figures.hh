@@ -108,22 +108,11 @@ machineColumns(const std::vector<mach::MachineKind> &machines);
 /** The processor counts the benches sweep (paper: powers of two). */
 std::vector<std::uint32_t> defaultProcCounts();
 
+/** The defaultProcCounts() no larger than @p max: a sweep's P list. */
+std::vector<std::uint32_t> procCountsUpTo(std::uint32_t max);
+
 /** Extract the figure metric (in microseconds) from a profile. */
 double metricValue(const stats::Profile &profile, Metric metric);
-
-/**
- * Run the sweep for one figure: every machine in @p machines at each P
- * (empty = the classic trio).
- *
- * The raw sweep: any failed point aborts the whole figure by
- * exception.  Prefer sweepFigureSafe() for anything long-running.
- *
- * @param base  App/params template; machine, topology and P are overridden.
- */
-Figure sweepFigure(const std::string &title, const RunConfig &base,
-                   net::TopologyKind topology, Metric metric,
-                   const std::vector<std::uint32_t> &proc_counts,
-                   const std::vector<mach::MachineKind> &machines = {});
 
 /** One point (or machine run) the resilient sweep could not produce. */
 struct FailedPoint
@@ -198,11 +187,13 @@ struct SweepOptions
 };
 
 /**
- * Resilient sweep: like sweepFigure(), but each run goes through
- * runOneSafe().  A failed run is recorded in the failure manifest and
- * drops its point from the figure, and the sweep continues; with a
- * journal path set, finished work checkpoints to disk and re-runs
- * resume from the journal.
+ * Run the sweep for one figure: every machine in options.machines at
+ * each P of @p proc_counts (no machines = the classic trio), @p base
+ * giving the app and its params (machine, topology and P are
+ * overridden).  Each run goes through runOneSafe().  A failed run is
+ * recorded in the failure manifest and drops its point from the
+ * figure, and the sweep continues; with a journal path set, finished
+ * work checkpoints to disk and re-runs resume from the journal.
  *
  * One executor for every shard spec (the unsharded sweep is shard
  * 0/1): the work items options.shard owns run on a fixed pool of

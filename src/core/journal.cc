@@ -130,6 +130,29 @@ decodeHeader(const std::string &line, JournalHeader &out)
     return true;
 }
 
+LinesEnd
+readJournalLines(
+    const std::string &path,
+    const std::function<bool(const std::string &line, bool terminated)>
+        &onLine)
+{
+    std::ifstream in(path, std::ios::binary);
+    if (!in)
+        return LinesEnd::Unopened;
+    // Capped reads: a line longer than kMaxJournalLineBytes fails the
+    // read without its eof bit, and is never held whole.
+    const std::unique_ptr<char[]> buf(new char[kMaxJournalLineBytes + 1]);
+    std::string line;
+    while (in.getline(buf.get(), kMaxJournalLineBytes + 1)) {
+        const bool terminated = !in.eof();
+        line.assign(buf.get(), static_cast<std::size_t>(in.gcount()) -
+                                   (terminated ? 1 : 0));
+        if (!onLine(line, terminated))
+            return LinesEnd::Done;
+    }
+    return in.eof() ? LinesEnd::Done : LinesEnd::TooLong;
+}
+
 bool
 loadJournal(const std::string &path, const JournalHeader &expect,
             std::vector<JournalRecord> &out, JournalResume *resume)
@@ -137,42 +160,37 @@ loadJournal(const std::string &path, const JournalHeader &expect,
     out.clear();
     if (resume)
         *resume = JournalResume{};
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        return false;
-    // Capped reads: a line longer than kMaxJournalLineBytes fails the
-    // read without its eof bit, and is never held whole.
-    const std::unique_ptr<char[]> buf(new char[kMaxJournalLineBytes + 1]);
-    std::string line;
-    // The header must be intact *and* newline-terminated; a journal
-    // torn inside its header holds nothing usable.
-    if (!in.getline(buf.get(), kMaxJournalLineBytes + 1) || in.eof())
-        return false;
-    line.assign(buf.get(), static_cast<std::size_t>(in.gcount()) - 1);
-    JournalHeader found;
-    if (!decodeHeader(line, found) || !(found == expect))
-        return false;
-    std::uint64_t bytes = line.size() + 1;
+    bool matched = false;
     bool torn = false;
-    while (in.getline(buf.get(), kMaxJournalLineBytes + 1)) {
-        // A final line that lost its newline is treated as torn even if
-        // it parses: appending after it would weld two records into one
-        // unreadable line.  The resume point is the last intact record.
-        const bool terminated = !in.eof();
-        line.assign(buf.get(), static_cast<std::size_t>(in.gcount()) -
-                                   (terminated ? 1 : 0));
-        JournalRecord record;
-        if (!terminated || !decodeRecord(line, record)) {
-            torn = true;
-            break;
-        }
-        bytes += line.size() + 1;
-        out.push_back(std::move(record));
-    }
-    if (!in.eof())
-        torn = true; // An over-long line stopped the read.
+    std::uint64_t bytes = 0;
+    const LinesEnd end = readJournalLines(
+        path, [&](const std::string &line, bool terminated) {
+            if (bytes == 0) {
+                // The header must be intact *and* newline-terminated; a
+                // journal torn inside its header holds nothing usable.
+                JournalHeader found;
+                matched = terminated && decodeHeader(line, found) &&
+                          found == expect;
+                bytes = line.size() + 1;
+                return matched;
+            }
+            // A final line that lost its newline is treated as torn even
+            // if it parses: appending after it would weld two records
+            // into one unreadable line.  The resume point is the last
+            // intact record.
+            JournalRecord record;
+            if (!terminated || !decodeRecord(line, record)) {
+                torn = true;
+                return false;
+            }
+            bytes += line.size() + 1;
+            out.push_back(std::move(record));
+            return true;
+        });
+    if (!matched)
+        return false;
     if (resume) {
-        resume->tornTail = torn;
+        resume->tornTail = torn || end == LinesEnd::TooLong;
         resume->cleanBytes = bytes;
     }
     return true;

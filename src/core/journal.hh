@@ -47,6 +47,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -165,6 +166,27 @@ struct JournalResume
  * request line serve caps at 1 MiB before escaping.
  */
 inline constexpr std::size_t kMaxJournalLineBytes = std::size_t{8} << 20;
+
+/** How readJournalLines() ended. */
+enum class LinesEnd
+{
+    Done,     ///< Every line was delivered, or the callback stopped.
+    TooLong,  ///< A line longer than kMaxJournalLineBytes stopped the
+              ///< read; it was not delivered.
+    Unopened, ///< The file could not be opened.
+};
+
+/**
+ * Stream the lines of the append-only file at @p path to @p onLine in
+ * order, through one buffer of kMaxJournalLineBytes: the reader of the
+ * journal, the shard merge and the serve result cache.  @p onLine gets
+ * each line without its newline and whether it had one (only the last
+ * line can lack it); returning false stops the read.
+ */
+LinesEnd readJournalLines(
+    const std::string &path,
+    const std::function<bool(const std::string &line, bool terminated)>
+        &onLine);
 
 /**
  * Load a journal.

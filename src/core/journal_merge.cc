@@ -1,7 +1,5 @@
 #include "core/journal_merge.hh"
 
-#include <fstream>
-#include <memory>
 #include <optional>
 #include <set>
 #include <utility>
@@ -38,46 +36,45 @@ readShardFile(const std::string &path, ShardFile &out,
               std::vector<std::string> &warnings)
 {
     out.path = path;
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
+    std::size_t lines = 0;
+    bool terminatedHeader = false;
+    bool header = false;
+    const LinesEnd end = readJournalLines(
+        path, [&](const std::string &line, bool terminated) {
+            if (++lines == 1) {
+                terminatedHeader = terminated;
+                header = terminated && decodeHeader(line, out.header);
+                return header;
+            }
+            if (!terminated) {
+                warnings.push_back("shard-torn-tail: " + quoted(path) +
+                                   " ends in an unterminated record "
+                                   "(dropped)");
+                return false;
+            }
+            out.lines.push_back(line);
+            return true;
+        });
+    if (end == LinesEnd::Unopened) {
         errors.push_back("shard-unreadable: cannot open " + quoted(path));
         return false;
     }
-    // Capped reads (kMaxJournalLineBytes): an over-long line fails the
-    // read without its eof bit, and is never held whole.
-    const std::unique_ptr<char[]> buf(new char[kMaxJournalLineBytes + 1]);
-    const auto tooLong = [&](std::size_t lineNo) {
+    if (end == LinesEnd::TooLong) {
         errors.push_back("shard-line-too-long: " + quoted(path) + " line " +
-                         std::to_string(lineNo) + " exceeds " +
+                         std::to_string(lines + 1) + " exceeds " +
                          std::to_string(kMaxJournalLineBytes) + " bytes");
         return false;
-    };
-    if (!in.getline(buf.get(), kMaxJournalLineBytes + 1) || in.eof()) {
-        if (in.fail() && !in.eof())
-            return tooLong(1);
+    }
+    if (!terminatedHeader) {
         errors.push_back("shard-header-missing: " + quoted(path) +
                          " has no terminated journal header line");
         return false;
     }
-    if (!decodeHeader(
-            std::string(buf.get(), static_cast<std::size_t>(in.gcount()) - 1),
-            out.header)) {
+    if (!header) {
         errors.push_back("shard-header-malformed: " + quoted(path) +
                          " line 1 is not a journal header");
         return false;
     }
-    while (in.getline(buf.get(), kMaxJournalLineBytes + 1)) {
-        if (in.eof()) {
-            warnings.push_back("shard-torn-tail: " + quoted(path) +
-                               " ends in an unterminated record "
-                               "(dropped)");
-            break;
-        }
-        out.lines.emplace_back(buf.get(),
-                               static_cast<std::size_t>(in.gcount()) - 1);
-    }
-    if (!in.eof())
-        return tooLong(out.lines.size() + 2);
     return true;
 }
 

@@ -89,6 +89,16 @@ figureChoices()
     return out;
 }
 
+/** The ablation row's valid values: every name. */
+std::string
+ablationChoices()
+{
+    std::string out;
+    for (const AblationSpec &ablation : kAblations)
+        out.append(out.empty() ? "" : ", ").append(ablation.name);
+    return out;
+}
+
 std::vector<RunSetting>
 makeTable()
 {
@@ -104,6 +114,12 @@ makeTable()
          [](std::string_view text, S &s) {
              s.figure = findFigure(text);
              return s.figure != nullptr;
+         }},
+        {"ablation", json::Type::String, kAblation,
+         "the ablation to run, by name (required)", ablationChoices(),
+         [](std::string_view text, S &s) {
+             s.ablation = findAblation(text);
+             return s.ablation != nullptr;
          }},
         {"app", json::Type::String, kRun, "application (default fft)",
          joinNames(apps),

@@ -23,6 +23,7 @@
 #include <string_view>
 #include <vector>
 
+#include "core/ablations.hh"
 #include "core/experiment.hh"
 #include "core/figures.hh"
 #include "fault/fault.hh"
@@ -36,12 +37,13 @@ struct Settings
 {
     RunConfig config; ///< Includes the trace mode and directory.
     RunPolicy policy;
-    Metric metric = Metric::ExecTime;   ///< The metric a sweep plots.
-    std::uint32_t maxProcs = 32;        ///< A sweep's largest P.
-    unsigned jobs = 1;                  ///< Sweep worker threads.
-    ShardSpec shard;                    ///< The shard of a sweep to run.
-    const FigureSpec *figure = nullptr; ///< The kFigures row to sweep.
-    fault::Plan faultPlan;              ///< Armed around the run.
+    Metric metric = Metric::ExecTime;       ///< The metric a sweep plots.
+    std::uint32_t maxProcs = 32;            ///< A sweep's largest P.
+    unsigned jobs = 1;                      ///< Sweep worker threads.
+    ShardSpec shard;                        ///< The shard of a sweep to run.
+    const FigureSpec *figure = nullptr;     ///< The kFigures row to sweep.
+    const AblationSpec *ablation = nullptr; ///< The kAblations row to run.
+    fault::Plan faultPlan;                  ///< Armed around the run.
 };
 
 /** The programs that take a row: RunSetting::takers is a mask. */
@@ -49,7 +51,7 @@ enum Taker : unsigned
 {
     kRunCli = 1u << 0,   ///< run_cli
     kSweep = 1u << 1,    ///< the figure program and ablation_quadrants
-    kAblation = 1u << 2, ///< the other five ablations
+    kAblation = 1u << 2, ///< the ablation program
     kServe = 1u << 3,    ///< absim_serve's flags: the service defaults
     kRequest = 1u << 4,  ///< a serve request field
     kFigure = 1u << 5,   ///< the figure program alone: which figure

@@ -1,7 +1,5 @@
 #include "serve/result_cache.hh"
 
-#include <fstream>
-#include <memory>
 #include <string_view>
 
 #include "core/cache_key.hh"
@@ -46,44 +44,31 @@ ResultCache::open(const std::string &path)
 
     std::uint64_t cleanBytes = 0;
     bool haveHeader = false;
-    {
-        std::ifstream in(path, std::ios::binary);
-        // Capped reads, as a sweep journal's: an over-long line fails
-        // the read without its eof bit, and is never held whole.
-        const std::unique_ptr<char[]> buf(
-            new char[core::kMaxJournalLineBytes + 1]);
-        constexpr auto kBuf =
-            static_cast<std::streamsize>(core::kMaxJournalLineBytes + 1);
-        std::string line;
-        // The header must be intact and newline-terminated, exactly
-        // like a sweep journal; anything else starts a fresh cache.
-        if (in && in.getline(buf.get(), kBuf) && !in.eof() &&
-            std::string_view(buf.get(),
-                             static_cast<std::size_t>(in.gcount()) - 1) ==
-                kCacheHeader) {
-            haveHeader = true;
-            cleanBytes = kCacheHeader.size() + 1;
-            while (in.getline(buf.get(), kBuf)) {
-                const bool terminated = !in.eof();
-                line.assign(buf.get(),
-                            static_cast<std::size_t>(in.gcount()) -
-                                (terminated ? 1 : 0));
-                std::uint64_t key = 0;
-                std::string payload;
-                if (!terminated || !decodeEntry(line, key, payload)) {
-                    // Torn (or corrupt) tail: the clean prefix above
-                    // this line is the resume point.
-                    torn_ = true;
-                    break;
-                }
-                cleanBytes += line.size() + 1;
-                entries_.emplace(key, std::move(payload));
+    const core::LinesEnd end = core::readJournalLines(
+        path, [&](const std::string &line, bool terminated) {
+            if (cleanBytes == 0) {
+                // The header must be intact and newline-terminated,
+                // exactly like a sweep journal's; anything else starts a
+                // fresh cache.
+                haveHeader = terminated && line == kCacheHeader;
+                cleanBytes = line.size() + 1;
+                return haveHeader;
             }
-            if (!in.eof())
-                torn_ = true; // An over-long line stopped the read.
-            recovered_ = entries_.size();
-        }
-    }
+            std::uint64_t key = 0;
+            std::string payload;
+            if (!terminated || !decodeEntry(line, key, payload)) {
+                // Torn (or corrupt) tail: the clean prefix above this
+                // line is the resume point.
+                torn_ = true;
+                return false;
+            }
+            cleanBytes += line.size() + 1;
+            entries_.emplace(key, std::move(payload));
+            return true;
+        });
+    if (haveHeader && end == core::LinesEnd::TooLong)
+        torn_ = true;
+    recovered_ = entries_.size();
     const bool ok =
         haveHeader ? writer_.resume(path, cleanBytes)
                    : writer_.startLine(path, std::string(kCacheHeader));

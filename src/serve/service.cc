@@ -26,17 +26,6 @@ responseErrorName(const core::RunError &err)
     return core::toString(err.kind);
 }
 
-/** The P list a sweep up to @p maxProcs runs. */
-std::vector<std::uint32_t>
-sweepProcs(std::uint32_t maxProcs)
-{
-    std::vector<std::uint32_t> procs;
-    for (const std::uint32_t p : core::defaultProcCounts())
-        if (p <= maxProcs)
-            procs.push_back(p);
-    return procs;
-}
-
 } // namespace
 
 Service::Service(const ServiceConfig &config) : config_(config)
@@ -112,7 +101,7 @@ Service::handle(const std::string &line)
             key = core::runKeyHash(request.config, request.policy.budget);
         } else {
             const std::vector<std::uint32_t> procs =
-                sweepProcs(request.maxProcs);
+                core::procCountsUpTo(request.maxProcs);
             key = core::fnv1a64(core::canonicalSweepKey(
                 request.config, request.policy.budget, request.metric,
                 procs));
@@ -248,7 +237,8 @@ Service::executeSweep(const Request &request)
 {
     // The sweep decomposes into per-P runs that warm — and reuse — the
     // same content-addressed cache the run op serves from.
-    const std::vector<std::uint32_t> procs = sweepProcs(request.maxProcs);
+    const std::vector<std::uint32_t> procs =
+        core::procCountsUpTo(request.maxProcs);
 
     std::string points;
     std::string failures;

@@ -16,6 +16,19 @@ namespace {
 
 using namespace absim;
 
+/** sweepFigureSafe's figure; a failed point fails the test. */
+core::Figure
+completeSweep(const core::RunConfig &base, net::TopologyKind topology,
+              core::Metric metric, const std::vector<std::uint32_t> &procs)
+{
+    core::SweepResult result =
+        core::sweepFigureSafe("test", base, topology, metric, procs);
+    for (const core::FailedPoint &f : result.failures)
+        ADD_FAILURE() << "P=" << f.procs << " " << f.machine << ": "
+                      << f.message;
+    return std::move(result.figure);
+}
+
 TEST(Experiment, RunOneProducesConsistentProfile)
 {
     core::RunConfig config;
@@ -47,6 +60,12 @@ TEST(Figures, MetricNamesAndDefaults)
     ASSERT_EQ(procs.size(), 6u);
     EXPECT_EQ(procs.front(), 1u);
     EXPECT_EQ(procs.back(), 32u);
+    EXPECT_EQ(core::procCountsUpTo(32), procs);
+    EXPECT_EQ(core::procCountsUpTo(1000), procs);
+    EXPECT_EQ(core::procCountsUpTo(12),
+              (std::vector<std::uint32_t>{1, 2, 4, 8}));
+    EXPECT_EQ(core::procCountsUpTo(1), (std::vector<std::uint32_t>{1}));
+    EXPECT_TRUE(core::procCountsUpTo(0).empty());
 }
 
 TEST(Figures, SweepProducesThreeCurves)
@@ -54,9 +73,8 @@ TEST(Figures, SweepProducesThreeCurves)
     core::RunConfig base;
     base.app = "is";
     base.params.n = 512;
-    const auto figure =
-        core::sweepFigure("test", base, net::TopologyKind::Full,
-                          core::Metric::ExecTime, {1, 2, 4});
+    const auto figure = completeSweep(base, net::TopologyKind::Full,
+                                      core::Metric::ExecTime, {1, 2, 4});
     ASSERT_EQ(figure.points.size(), 3u);
     for (const auto &pt : figure.points) {
         ASSERT_EQ(pt.values.size(), 3u); // target, logp, logp+c.
@@ -98,7 +116,7 @@ class PaperClaims : public ::testing::Test
         core::RunConfig base;
         base.app = app;
         base.params.n = n;
-        return core::sweepFigure("claim", base, topo, metric, {2, 4, 8});
+        return completeSweep(base, topo, metric, {2, 4, 8});
     }
 
     // Column indices in the classic machine order.
@@ -154,12 +172,10 @@ TEST_F(PaperClaims, ContentionPessimisticAndWorseOnMesh)
     core::RunConfig base;
     base.app = "is";
     base.params.n = 1024;
-    const auto full =
-        core::sweepFigure("claim", base, net::TopologyKind::Full,
-                          core::Metric::Contention, {16});
-    const auto mesh =
-        core::sweepFigure("claim", base, net::TopologyKind::Mesh2D,
-                          core::Metric::Contention, {16});
+    const auto full = completeSweep(base, net::TopologyKind::Full,
+                                    core::Metric::Contention, {16});
+    const auto mesh = completeSweep(base, net::TopologyKind::Mesh2D,
+                                    core::Metric::Contention, {16});
     const double gap_full =
         full.points[0].values[2] - full.points[0].values[0];
     const double gap_mesh =

@@ -18,6 +18,7 @@
 #include "core/journal.hh"
 #include "core/journal_merge.hh"
 #include "json/json.hh"
+#include "machines/registry.hh"
 #include "sim/rng.hh"
 
 namespace {
@@ -382,17 +383,26 @@ smallConfig()
 TEST(SweepSafe, MatchesRawSweepWhenNothingFails)
 {
     const core::RunConfig base = smallConfig();
-    const auto raw = core::sweepFigure("t", base, net::TopologyKind::Full,
-                                       core::Metric::ExecTime, {1, 2});
     const auto safe =
         core::sweepFigureSafe("t", base, net::TopologyKind::Full,
                               core::Metric::ExecTime, {1, 2}, {});
     EXPECT_TRUE(safe.complete());
-    ASSERT_EQ(safe.figure.points.size(), raw.points.size());
-    for (std::size_t i = 0; i < raw.points.size(); ++i) {
-        EXPECT_EQ(safe.figure.points[i].procs, raw.points[i].procs);
-        EXPECT_EQ(safe.figure.points[i].values, raw.points[i].values);
+    ASSERT_EQ(safe.figure.points.size(), 2u);
+    // Each point holds the raw runs' metric, in the classic machine
+    // order.
+    for (const core::SeriesPoint &point : safe.figure.points) {
+        core::RunConfig config = base;
+        config.procs = point.procs;
+        std::vector<double> raw;
+        for (const mach::MachineKind kind : mach::defaultFigureMachines()) {
+            config.machine = kind;
+            raw.push_back(core::metricValue(core::runOne(config),
+                                            core::Metric::ExecTime));
+        }
+        EXPECT_EQ(point.values, raw) << "P=" << point.procs;
     }
+    EXPECT_EQ(safe.figure.points[0].procs, 1u);
+    EXPECT_EQ(safe.figure.points[1].procs, 2u);
 }
 
 TEST(SweepSafe, InterruptedSweepResumesByteIdentical)

@@ -39,6 +39,7 @@ samples()
 {
     static const std::vector<Sample> kSamples = {
         {"figure", "is_full_exec", "21"},
+        {"ablation", "protocol", "ablation_protocol"},
         {"app", "cholesky", "fftw"},
         {"size", "4096", "67108865"},
         {"seed", "99", "18446744073709551616"},
@@ -155,6 +156,8 @@ settingsOf(const core::Settings &s)
            ";jobs=" + std::to_string(s.jobs) + ";shard=" + s.shard.str() +
            ";figure=" +
            (s.figure ? std::to_string(s.figure->number) : "none") +
+           ";ablation=" +
+           (s.ablation ? std::string(s.ablation->name) : "none") +
            ";fault_plan=" + s.faultPlan.toString() +
            ";mode=" + std::to_string(static_cast<int>(config.mode)) +
            ";trace_dir=" + config.traceDir;
@@ -374,12 +377,13 @@ TEST(RunSettings, EachProgramTakesItsRows)
         all.insert(row.key);
 
     Keys runCli = all;
-    for (const char *key : {"figure", "max_procs", "shard"})
+    for (const char *key : {"figure", "ablation", "max_procs", "shard"})
         runCli.erase(key);
     EXPECT_EQ(takenBy(core::kRunCli), runCli);
 
     Keys request = all;
-    for (const char *key : {"figure", "jobs", "shard", "mode", "trace_dir"})
+    for (const char *key :
+         {"figure", "ablation", "jobs", "shard", "mode", "trace_dir"})
         request.erase(key);
     EXPECT_EQ(takenBy(core::kRequest), request);
 
@@ -391,7 +395,7 @@ TEST(RunSettings, EachProgramTakesItsRows)
                     "trace", "max_procs", "jobs", "shard", "mode",
                     "trace_dir"}));
     EXPECT_EQ(takenBy(core::kFigure), (Keys{"figure"}));
-    EXPECT_EQ(takenBy(core::kAblation), (Keys{"jobs"}));
+    EXPECT_EQ(takenBy(core::kAblation), (Keys{"ablation", "jobs"}));
 }
 
 TEST(RunSettings, FlagsOverrideVariablesOfTheProgramsRows)
