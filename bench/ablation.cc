@@ -4,10 +4,11 @@
 ///   ABSIM_ABLATION=protocol ablation --jobs 4
 ///
 /// Each ablation is a grid of runs (the paper's Section 7 g-usage
-/// experiment, or one of the extension studies around it) printed one
-/// line per row; src/core/ablations.cc lists the rows with the claim
-/// each one tests.  --jobs N / ABSIM_JOBS runs the cells on a worker
-/// pool and prints the same output for any N.
+/// experiment or simulation-speed table, the quadrant study, or one of
+/// the extension studies) printed one line per row;
+/// src/core/ablations.cc lists the rows with the claim each one tests.
+/// --jobs N / ABSIM_JOBS runs the cells on a worker pool and prints the
+/// same output for any N.
 ///
 /// Exit status: 0 when every cell ran, 3 if any failed (each named on
 /// stderr), 2 on a bad command line or environment value.

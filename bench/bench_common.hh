@@ -33,6 +33,7 @@
 #include <vector>
 
 #include "core/env.hh"
+#include "json/json.hh"
 
 namespace absim::bench {
 
@@ -151,7 +152,9 @@ class MicroSuite
         results_.push_back(std::move(r));
     }
 
-    /** Attach a machine-neutral counter to the bench being run. */
+    /** Attach a machine-neutral counter to the bench being run; the
+     *  JSON carries it exactly, so a value_sum* checksum compares every
+     *  bit. */
     void
     setCounter(const std::string &key, double value)
     {
@@ -189,7 +192,7 @@ class MicroSuite
             std::size_t k = 0;
             for (const auto &[key, value] : r.counters)
                 out << (k++ == 0 ? "" : ",") << "\"" << key
-                    << "\":" << fmt(value);
+                    << "\":" << json::formatDouble(value);
             out << "}}";
         }
         out << "\n]}\n";
@@ -214,6 +217,8 @@ class MicroSuite
         return v;
     }
 
+    /** A median or repeat: six significant digits are plenty for a
+     *  timing, and perfbench reads this layout. */
     static std::string
     fmt(double v)
     {

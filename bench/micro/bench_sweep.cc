@@ -9,12 +9,23 @@
 /// a kernel "optimization" that changes simulated results trips the
 /// comparison gate even before the golden tests run.
 ///
+/// It also times the paper's Section 7 speed table: for every app of
+/// the `sim_speed` row of core::kAblations, speed_ratio/<app>/<logp|
+/// logp+c> is the target cell's wall time over that machine's (higher
+/// is better), with the coherence and conservation checkers off, as
+/// the paper times the simulator and not its validators.  The two
+/// runs' engine events are the value_sum_events counter, pinned like
+/// the figure values.
+///
 /// Knobs: ABSIM_BENCH_SWEEP_SIZE (IS keys, default 16384),
-///        ABSIM_BENCH_SWEEP_PROCS (max P, default 32).
+///        ABSIM_BENCH_SWEEP_PROCS (max P, default 32); the speed cells
+///        run at the sizes their row sets.
 #include <cstdint>
+#include <string>
 
 #include "bench_common.hh"
 #include "check/check.hh"
+#include "core/ablations.hh"
 #include "core/experiment.hh"
 #include "core/figures.hh"
 
@@ -63,6 +74,34 @@ main(int argc, char **argv)
         suite.setCounter("is_keys", static_cast<double>(base.params.n));
         return elapsed;
     });
+
+    const absim::core::AblationSpec &speed =
+        *absim::core::findAblation("sim_speed");
+    absim::check::Options &checks = absim::check::options();
+    const absim::check::Options saved = checks;
+    checks.coherence = false;
+    checks.conservation = false;
+    for (std::size_t r = 0; r < speed.rows.size(); ++r) {
+        // Column 0 is the target every other column is timed against.
+        const absim::core::RunConfig target =
+            absim::core::ablationConfig(speed, r, 0);
+        for (std::size_t c = 1; c < speed.columns.size(); ++c) {
+            const absim::core::RunConfig config =
+                absim::core::ablationConfig(speed, r, c);
+            suite.run("speed_ratio/" + std::string(speed.rows[r].label) +
+                          "/" + std::string(speed.columns[c].label),
+                      "x", true, [&] {
+                          const auto base = absim::core::runOne(target);
+                          const auto run = absim::core::runOne(config);
+                          suite.setCounter(
+                              "value_sum_events",
+                              static_cast<double>(base.engineEvents +
+                                                  run.engineEvents));
+                          return base.wallSeconds / run.wallSeconds;
+                      });
+        }
+    }
+    checks = saved;
 
     return suite.finish();
 }

@@ -14,29 +14,41 @@ namespace absim::core {
 
 namespace {
 
-const AblationMeasure kExecUs{"exec(us)", 1,
-                              [](const stats::Profile &p) {
-                                  return metricValue(p, Metric::ExecTime);
-                              }};
+using stats::Profile;
+using Value = std::optional<double>;
+
+const AblationMeasure kExecUs{
+    "exec(us)", "%.1f", [](const Profile &p, const Profile *) -> Value {
+        return metricValue(p, Metric::ExecTime);
+    }};
 const AblationMeasure kContentionUs{
-    "contention(us)", 1, [](const stats::Profile &p) {
+    "contention(us)", "%.1f", [](const Profile &p, const Profile *) -> Value {
         return metricValue(p, Metric::Contention);
     }};
-const AblationMeasure kMessages{"msgs", 0, [](const stats::Profile &p) {
-                                    return static_cast<double>(
-                                        p.machine.messages);
-                                }};
-const AblationMeasure kMisses{"misses", 0, [](const stats::Profile &p) {
-                                  return static_cast<double>(
-                                      p.machine.readMisses +
-                                      p.machine.writeMisses);
-                              }};
-
-const AblationAxis kTarget{"target", {{"machine", "target"}}};
-const AblationAxis kLogPCSingle{"logp+c(single)",
-                                {{"machine", "logp+c"}, {"gap", "single"}}};
-const AblationAxis kLogPCBisect{
-    "logp+c(bisect)", {{"machine", "logp+c"}, {"gap", "bisection"}}};
+const AblationMeasure kMessages{
+    "msgs", "%.0f", [](const Profile &p, const Profile *) -> Value {
+        return static_cast<double>(p.machine.messages);
+    }};
+const AblationMeasure kMisses{
+    "misses", "%.0f", [](const Profile &p, const Profile *) -> Value {
+        return static_cast<double>(p.machine.readMisses +
+                                   p.machine.writeMisses);
+    }};
+const AblationMeasure kEvents{
+    "events", "%.0f", [](const Profile &p, const Profile *) -> Value {
+        return static_cast<double>(p.engineEvents);
+    }};
+/** The execution time's error against the row's first cell, percent. */
+const AblationMeasure kExecErrorPct{
+    "err(%)", "%+.2f", [](const Profile &p, const Profile *first) -> Value {
+        if (first == nullptr)
+            return std::nullopt;
+        const double reference = metricValue(*first, Metric::ExecTime);
+        if (reference == 0.0)
+            return 0.0;
+        return 100.0 * (metricValue(p, Metric::ExecTime) - reference) /
+               reference;
+    }};
 
 AblationAxis
 procsRow(std::string_view p)
@@ -44,9 +56,31 @@ procsRow(std::string_view p)
     return {p, {{"procs", p}}};
 }
 
+/** The row "APP P": application APP on P processors. */
+AblationAxis
+appProcsRow(std::string_view label)
+{
+    const std::size_t space = label.find(' ');
+    return {label,
+            {{"app", label.substr(0, space)},
+             {"procs", label.substr(space + 1)}}};
+}
+
+AblationAxis
+machineColumn(std::string_view machine)
+{
+    return {machine, {{"machine", machine}}};
+}
+
+const AblationAxis kTarget = machineColumn("target");
+const AblationAxis kLogPCSingle{"logp+c(single)",
+                                {{"machine", "logp+c"}, {"gap", "single"}}};
+const AblationAxis kLogPCBisect{
+    "logp+c(bisect)", {{"machine", "logp+c"}, {"gap", "bisection"}}};
+
 } // namespace
 
-const std::array<AblationSpec, 5> kAblations = {{
+const std::array<AblationSpec, 7> kAblations = {{
     // Section 7: the LogP definition precludes even simultaneous sends
     // and receives at one node.  Allowing the gap only between
     // identical communication events (per-direction) brings FFT's
@@ -120,7 +154,7 @@ const std::array<AblationSpec, 5> kAblations = {{
       {"cg 16KB", {{"app", "cg"}, {"size", "512"}, {"cache_kb", "16"}}},
       {"cg 64KB", {{"app", "cg"}, {"size", "512"}, {"cache_kb", "64"}}},
       {"cg 256KB", {{"app", "cg"}, {"size", "512"}, {"cache_kb", "256"}}}},
-     {kTarget, {"logp+c", {{"machine", "logp+c"}}}},
+     {kTarget, machineColumn("logp+c")},
      {kMisses, kExecUs},
      ""},
     // Section 3.2: the LogP+C ideal cache generates "the minimum number
@@ -143,6 +177,51 @@ const std::array<AblationSpec, 5> kAblations = {{
      {kMessages, kExecUs},
      "Expected: logp+c msgs <= berkeley msgs <= msi msgs;\n"
      "berkeley and msi execution times close (Wood et al.)."},
+    // Section 5's entanglement: the paper's three machines occupy three
+    // cells of the {detailed, logp} network x {directory, ideal,
+    // uncached} memory grid, so when logp+c disagrees with the target
+    // the error could come from the LogP network, the ideal cache, or
+    // both.  The registry's two off-diagonal compositions (columns in
+    // mach::allQuadrants() order) pull the factors apart: target+ic
+    // (detailed network, ideal cache) carries the locality error alone
+    // and logp+dir (LogP network, real directory) the network error
+    // alone.  EP is computation bound, so every error stays near zero;
+    // on communication-bound IS the errors separate.
+    {"quadrants",
+     "Quadrant ablation: EP and IS on full: execution time (us) and its "
+     "error vs target (%)",
+     {{"topology", "full"}},
+     {appProcsRow("ep 1"), appProcsRow("ep 2"), appProcsRow("ep 4"),
+      appProcsRow("ep 8"), appProcsRow("ep 16"), appProcsRow("is 1"),
+      appProcsRow("is 2"), appProcsRow("is 4"), appProcsRow("is 8"),
+      appProcsRow("is 16")},
+     {kTarget, machineColumn("logp"), machineColumn("logp+c"),
+      machineColumn("target+ic"), machineColumn("logp+dir")},
+     {kExecUs, kExecErrorPct},
+     "Reading: EP (computation bound) keeps every error near zero; on IS\n"
+     "the single-axis quadrants attribute logp+c's disagreement between\n"
+     "the network abstraction (logp+dir) and the locality abstraction\n"
+     "(target+ic)."},
+    // Section 7 "Speed of Simulation": the LogP+C simulation is faster
+    // than the detailed target's, while plain LogP can be slower
+    // (ignoring locality turns cache hits into network events).  Engine
+    // events and messages are the host-neutral cost, so this row pins
+    // them; bench_sweep's speed_ratio benches time the same cells.  EP
+    // is scaled up so its wall-clock ratio is not noise.
+    {"sim_speed",
+     "Section 7 simulation speed, P=8, full network: engine events and "
+     "messages",
+     {{"procs", "8"}, {"topology", "full"}, {"check", "false"}},
+     {{"fft", {{"app", "fft"}}},
+      {"is", {{"app", "is"}}},
+      {"cg", {{"app", "cg"}}},
+      {"cholesky", {{"app", "cholesky"}}},
+      {"ep", {{"app", "ep"}, {"size", "262144"}}}},
+     {kTarget, machineColumn("logp"), machineColumn("logp+c")},
+     {kEvents, kMessages},
+     "Reading: logp+c dispatches the fewest events on every app; logp\n"
+     "dispatches more than the target on EP, whose spinning turns cache\n"
+     "hits into network events.  bench_sweep times these cells."},
 }};
 
 const AblationSpec *
@@ -201,14 +280,18 @@ printAblation(std::ostream &os, const AblationSpec &spec,
     // Every value's text first, so each field is as wide as its widest
     // entry; field f = c * measures + m is column c's measure m.
     std::vector<std::string> text(grid.size() * measures, "-");
-    for (std::size_t i = 0; i < grid.size(); ++i)
+    for (std::size_t i = 0; i < grid.size(); ++i) {
+        const RunResult &first = grid[i - i % columns];
         for (std::size_t m = 0; m < measures && grid[i].ok(); ++m) {
-            const AblationMeasure &measure = spec.measures[m];
+            const std::optional<double> value = spec.measures[m].value(
+                grid[i].value(), first.ok() ? &first.value() : nullptr);
+            if (!value)
+                continue;
             char buf[64];
-            std::snprintf(buf, sizeof(buf), "%.*f", measure.precision,
-                          measure.value(grid[i].value()));
+            std::snprintf(buf, sizeof(buf), spec.measures[m].format, *value);
             text[i * measures + m] = buf;
         }
+    }
     std::vector<std::size_t> width(columns * measures, 0);
     for (std::size_t i = 0; i < text.size(); ++i) {
         std::size_t &w = width[i % width.size()];

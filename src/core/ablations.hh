@@ -4,7 +4,9 @@
  * extension studies built around it, as the rows of one table.
  *
  * An ablation is a grid of runs, one per (row, column) cell, and every
- * cell prints each of the ablation's measures.  A cell's RunConfig is a
+ * cell prints each of the ablation's measures.  The rows are the paper's
+ * Section 7 g-usage experiment and simulation-speed table, the quadrant
+ * study and the extension studies.  A cell's RunConfig is a
  * default RunConfig with the ablation's base settings, then its row's
  * settings, then its column's applied in that order.  Each setting is a
  * (key, text) pair applied through the run-settings row of that key
@@ -19,6 +21,7 @@
 #include <array>
 #include <cstddef>
 #include <iosfwd>
+#include <optional>
 #include <string_view>
 #include <vector>
 
@@ -42,13 +45,16 @@ struct AblationAxis
     std::vector<SettingText> settings;
 };
 
-/** One quantity a cell prints: its header, the digits printed after
- *  the point, and how a run's profile gives it. */
+/** One quantity a cell prints: its header, its printf format, and how
+ *  the cell's profile gives it.  @c first is the profile of the cell's
+ *  row's first cell, or nullptr if that cell failed; a value that
+ *  cannot be given is nullopt and prints "-". */
 struct AblationMeasure
 {
     std::string_view name;
-    int precision;
-    double (*value)(const stats::Profile &profile);
+    const char *format; ///< One value's printf format, e.g. "%.1f".
+    std::optional<double> (*value)(const stats::Profile &cell,
+                                   const stats::Profile *first);
 };
 
 /** One ablation: a grid of runs and how to print it. */
@@ -63,8 +69,8 @@ struct AblationSpec
     std::string_view note; ///< Printed after the grid; "" for none.
 };
 
-/** The five grid ablations; ablations.cc states each row's claim. */
-extern const std::array<AblationSpec, 5> kAblations;
+/** The seven grid ablations; ablations.cc states each row's claim. */
+extern const std::array<AblationSpec, 7> kAblations;
 
 /** The row named @p name exactly; nullptr if none is. */
 const AblationSpec *findAblation(std::string_view name);
@@ -89,7 +95,7 @@ RunConfig ablationConfig(const AblationSpec &spec, std::size_t row,
 /**
  * Print @p grid (runAblation's result): the title, the column labels
  * (and, with more than one measure, the measure names), one line per
- * row in which a failed cell reads "-", and the note.
+ * row in which a failed cell's measures read "-", and the note.
  * @throws std::invalid_argument if @p grid is not one result per cell.
  */
 void printAblation(std::ostream &os, const AblationSpec &spec,

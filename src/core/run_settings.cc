@@ -74,10 +74,10 @@ uintRow(std::string_view key, unsigned takers, std::string_view help,
 }
 
 // Who takes a row: every run setting is a run_cli flag and a request
-// field; the sweep benches take the sweep's problem size and budgets;
+// field; the figure program takes the sweep's problem size and budgets;
 // absim_serve's flags are the policy rows.
 constexpr unsigned kRun = kRunCli | kRequest;
-constexpr unsigned kBudget = kRun | kSweep | kServe;
+constexpr unsigned kBudget = kRun | kFigure | kServe;
 
 /** The figure row's valid values: every number and every name. */
 std::string
@@ -130,7 +130,7 @@ makeTable()
              s.config.app = apps[i];
              return true;
          }},
-        uintRow("size", kRun | kSweep, "problem size (default: the app's)",
+        uintRow("size", kRun | kFigure, "problem size (default: the app's)",
                 1, 1u << 26, false,
                 [](auto v, S &s) { s.config.params.n = v; }),
         uintRow("seed", kRun, "workload seed (default 12345)", 0, kU64Max,
@@ -233,24 +233,24 @@ makeTable()
                      Metric::ExecTime)];
              return parseName(kMetricNames, text, s.metric);
          }},
-        uintRow("max_procs", kSweep | kRequest,
+        uintRow("max_procs", kFigure | kRequest,
                 "a sweep's largest P (default 32)", 1, 1u << 20, false,
                 [](auto v, S &s) { s.maxProcs = U(v); }),
-        uintRow("jobs", kRunCli | kSweep | kAblation,
+        uintRow("jobs", kRunCli | kFigure | kAblation,
                 "sweep worker threads; output is identical for any value "
                 "(default 1)",
                 1, 256, false, [](auto v, S &s) { s.jobs = unsigned(v); }),
-        {"shard", json::Type::String, kSweep,
+        {"shard", json::Type::String, kFigure,
          "run one shard of the sweep (default 0/1, the whole sweep)",
          "K/N with 0 <= K < N",
          [](std::string_view text, S &s) {
              return ShardSpec::parse(std::string(text), s.shard);
          }},
-        nameRow("mode", kRunCli | kSweep,
+        nameRow("mode", kRunCli | kFigure,
                 "how a run gets its references; replay records on a miss "
                 "(default execute)",
                 kRunModeNames, &RunConfig::mode),
-        {"trace_dir", json::Type::String, kRunCli | kSweep,
+        {"trace_dir", json::Type::String, kRunCli | kFigure,
          "trace store of record and replay (default traces)",
          "a non-empty path",
          [](std::string_view text, S &s) {

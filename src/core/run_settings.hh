@@ -50,11 +50,10 @@ struct Settings
 enum Taker : unsigned
 {
     kRunCli = 1u << 0,   ///< run_cli
-    kSweep = 1u << 1,    ///< the figure program and ablation_quadrants
+    kFigure = 1u << 1,   ///< the figure program: which figure, its sweep
     kAblation = 1u << 2, ///< the ablation program
     kServe = 1u << 3,    ///< absim_serve's flags: the service defaults
     kRequest = 1u << 4,  ///< a serve request field
-    kFigure = 1u << 5,   ///< the figure program alone: which figure
 };
 
 /** One row of the table. */

@@ -4,8 +4,8 @@
  *
  * GoldenAblationsTable runs every row of core::kAblations at its own
  * size and compares the printed grid against
- * tests/golden/ablations/<name>.txt, the output of the five programs
- * the table replaced.  Column widths may differ; the numbers of every
+ * tests/golden/ablations/<name>.txt, numbers the programs the table
+ * replaced printed.  Column widths may differ; the numbers of every
  * data line, in order and as printed, may not.
  */
 
@@ -19,6 +19,7 @@
 
 #include "core/ablations.hh"
 #include "core/run_settings.hh"
+#include "machines/registry.hh"
 
 namespace {
 
@@ -28,11 +29,13 @@ using namespace absim;
 #error "ABSIM_GOLDEN_DIR must point at tests/golden"
 #endif
 
-/** Whether @p token is a whole decimal number: digits, optionally a
- *  point and more digits. */
+/** Whether @p token is a whole decimal number: an optional sign,
+ *  digits, optionally a point and more digits. */
 bool
-isNumber(const std::string &token)
+isNumber(std::string token)
 {
+    if (!token.empty() && (token[0] == '+' || token[0] == '-'))
+        token.erase(0, 1);
     const std::size_t point = token.find('.');
     const auto digits = [&](std::size_t from, std::size_t to) {
         return from < to &&
@@ -109,16 +112,18 @@ TEST(GoldenAblationsTable, FailedCellsReadADash)
 
 TEST(GoldenAblationsTable, NamesAreTheRetiredProgramNames)
 {
-    // One program per ablation, as each was built before the table.
+    // One program per ablation, as each was built before the table: its
+    // name after the first '_'.
     const std::vector<std::string> programs = {
-        "ablation_g_usage",   "ablation_stencil_locality",
-        "ablation_synthetic", "ablation_cache_size",
-        "ablation_protocol",
+        "ablation_g_usage",    "ablation_stencil_locality",
+        "ablation_synthetic",  "ablation_cache_size",
+        "ablation_protocol",   "ablation_quadrants",
+        "table_sim_speed",
     };
     ASSERT_EQ(programs.size(), core::kAblations.size());
     for (std::size_t i = 0; i < programs.size(); ++i) {
         const core::AblationSpec &spec = core::kAblations[i];
-        EXPECT_EQ("ablation_" + std::string(spec.name), programs[i]);
+        EXPECT_EQ(programs[i].substr(programs[i].find('_') + 1), spec.name);
         EXPECT_EQ(core::findAblation(spec.name), &spec);
 
         // Every setting text is one its run-settings row applies.
@@ -139,8 +144,56 @@ TEST(GoldenAblationsTable, NamesAreTheRetiredProgramNames)
                 EXPECT_NO_THROW((void)core::ablationConfig(spec, r, c));
     }
     for (const char *text : {"", "g_usage ", " g_usage", "G_USAGE",
-                             "ablation_g_usage", "quadrants", "g"})
+                             "ablation_g_usage", "table_sim_speed", "g"})
         EXPECT_EQ(core::findAblation(text), nullptr) << "'" << text << "'";
+}
+
+TEST(GoldenAblationsTable, QuadrantColumnsAreTheRegistryInOrder)
+{
+    const core::AblationSpec &spec = *core::findAblation("quadrants");
+    const std::vector<mach::MachineKind> kinds = mach::allQuadrants();
+    ASSERT_EQ(spec.columns.size(), kinds.size());
+    for (std::size_t c = 0; c < kinds.size(); ++c) {
+        EXPECT_EQ(spec.columns[c].label, mach::toString(kinds[c]));
+        for (std::size_t r = 0; r < spec.rows.size(); ++r)
+            EXPECT_EQ(core::ablationConfig(spec, r, c).machine, kinds[c]);
+    }
+}
+
+TEST(GoldenAblationsTable, AFailedFirstCellDashesOnlyTheError)
+{
+    // Row "ep 1" with its target cell failed: every other cell still
+    // prints its execution time, and no cell of that row an error.
+    const core::AblationSpec &spec = *core::findAblation("quadrants");
+    const std::size_t columns = spec.columns.size();
+    std::vector<core::RunResult> grid;
+    for (std::size_t r = 0; r < spec.rows.size(); ++r)
+        for (std::size_t c = 0; c < columns; ++c)
+            grid.push_back(r == 0 && c == 0
+                               ? core::RunResult(core::RunError{})
+                               : core::RunResult(core::runOne(
+                                     core::ablationConfig(spec, r, c))));
+    std::ostringstream out;
+    core::printAblation(out, spec, grid);
+    std::istringstream printed(out.str());
+    std::string line;
+    while (std::getline(printed, line) && line.rfind("ep 1 ", 0) != 0) {
+    }
+    std::istringstream tokens(line.substr(4));
+    std::vector<std::string> cells;
+    for (std::string token; tokens >> token;)
+        cells.push_back(token);
+    ASSERT_EQ(cells.size(), 2 * columns) << out.str();
+    for (std::size_t c = 0; c < columns; ++c) {
+        EXPECT_EQ(cells[2 * c] == "-", c == 0) << line;
+        EXPECT_EQ(cells[2 * c + 1], "-") << line;
+    }
+    // The next row's errors are against its own target.
+    std::getline(printed, line);
+    EXPECT_EQ(line.rfind("ep 2 ", 0), 0u) << line;
+    std::istringstream next(line);
+    for (std::string token; next >> token;)
+        EXPECT_NE(token, "-") << line;
 }
 
 } // namespace

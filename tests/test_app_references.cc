@@ -141,8 +141,9 @@ TEST(StencilReference, BoundaryIsFixed)
     const auto after = apps::StencilApp::reference(n, 5, 6);
     for (std::uint64_t i = 0; i < n; ++i) {
         for (std::uint64_t j = 0; j < n; ++j) {
-            if (i == 0 || j == 0 || i == n - 1 || j == n - 1)
+            if (i == 0 || j == 0 || i == n - 1 || j == n - 1) {
                 EXPECT_EQ(after[i * n + j], before[i * n + j]);
+            }
         }
     }
 }

@@ -91,8 +91,8 @@ struct RealRun
      *  requestStop() — a faithful mid-run stop.  0: never. */
     std::uint64_t stopAfter = 0;
 
-    EventQueue eq;
-    std::vector<LogEntry> log;
+    EventQueue eq{};
+    std::vector<LogEntry> log{};
     std::uint64_t nextId = 0;
 
     void
@@ -143,8 +143,8 @@ struct RefRun
 
     std::uint64_t seed;
     std::uint64_t maxEvents;
-    std::priority_queue<Event, std::vector<Event>, Later> queue;
-    std::vector<LogEntry> log;
+    std::priority_queue<Event, std::vector<Event>, Later> queue{};
+    std::vector<LogEntry> log{};
     std::uint64_t nextId = 0;
     std::uint64_t nextSeq = 0;
     Tick now = 0;
@@ -294,8 +294,9 @@ TEST(EventQueueDiff, RunUntilWindowsMatchReference)
 
         // Cross-check queue introspection at every window boundary.
         ASSERT_EQ(real.eq.pending(), ref.queue.size());
-        if (!ref.queue.empty())
+        if (!ref.queue.empty()) {
             ASSERT_EQ(real.eq.nextEventTime(), ref.queue.top().when);
+        }
         limit += kStep;
     }
     EXPECT_TRUE(ref.queue.empty());
@@ -495,8 +496,9 @@ TEST(EventQueueDiff, SlidingWindowBurstsMatchReference)
             ref_step();
         ASSERT_EQ(eq.pending(), ref.queue.size());
         ASSERT_EQ(eq.now(), ref.now);
-        if (!ref.queue.empty())
+        if (!ref.queue.empty()) {
             ASSERT_EQ(eq.nextEventTime(), ref.queue.top().when);
+        }
         if (!drained && limit < 12 * kWindow) {
             for (const Tick d : {kWindow - 1, kWindow, kWindow + 1}) {
                 real_spawn(eq.now() + d, false);
@@ -1165,8 +1167,9 @@ expectSameTrip(const ActorWorkload &w, const std::string &trip)
         EXPECT_EQ(fast.inPlace, 0u);
         EXPECT_EQ(fast.handedOff, 0u);
     }
-    if (!trip.empty())
+    if (!trip.empty()) {
         EXPECT_FALSE(live.blocked.empty());
+    }
     EXPECT_GT(live.dispatched, 100u); // Well into the run.
 }
 
@@ -1268,8 +1271,9 @@ TEST(EventQueueDiff, ActorRunUntilWindowsMatchReference)
         ASSERT_EQ(live.eq.dispatched(), ref.dispatched);
         ASSERT_EQ(live.eq.advancedInPlace(), ref.selfNext);
         ASSERT_EQ(live.eq.handedOff(), ref.handOffs);
-        if (!ref.queue.empty())
+        if (!ref.queue.empty()) {
             ASSERT_EQ(live.eq.nextEventTime(), ref.queue.top().when);
+        }
     }
     expectSameLogs(live.log, ref.log);
     EXPECT_GT(live.eq.advancedInPlace(), 0u);

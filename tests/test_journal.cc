@@ -1011,7 +1011,7 @@ TEST(SweepSafe, FigureJsonIsWellFormedAndDeterministic)
     result.figure.title = "fig \"X\"";
     result.figure.app = "fft";
     result.figure.points.push_back({2, {0.5, 1.0 / 3.0, 2.0}});
-    result.failures.push_back({4, "logp", "Deadlock", "stuck"});
+    result.failures.push_back({4, "logp", "Deadlock", "stuck", ""});
     std::ostringstream a;
     std::ostringstream b;
     core::writeFigureJson(a, result);

@@ -76,8 +76,9 @@ TEST_P(Litmus, MessagePassing)
             r1 = data.read(p, 0);
         }
     });
-    if (r0 == 1)
+    if (r0 == 1) {
         EXPECT_EQ(r1, 42u) << "MP violation at skew " << skew;
+    }
 }
 
 TEST_P(Litmus, CoherenceSameLocation)

@@ -200,8 +200,9 @@ TEST_P(GateSequence, GrantsRespectMinimumSpacing)
         const auto r = gates.reserveSend(0, ask);
         EXPECT_GE(r.when, ask);
         EXPECT_EQ(r.waited, r.when - ask);
-        if (!first)
+        if (!first) {
             EXPECT_GE(r.when - last, g);
+        }
         last = r.when;
         first = false;
     }

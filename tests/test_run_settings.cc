@@ -201,14 +201,16 @@ viaEnv(const core::RunSetting &row, const std::string &text,
 std::string
 requestLine(const core::RunSetting &row, const std::string &text)
 {
-    std::string field = "\"" + json::jsonEscape(text) + "\"";
+    std::string line = "{\"op\":\"run\",\"";
+    line.append(row.key).append("\":");
     json::Value v;
     if (row.type != json::Type::String && json::parse(text, v) &&
         (v.type == json::Type::Number || v.type == json::Type::Bool) &&
         v.text == text)
-        field = text;
-    return "{\"op\":\"run\",\"" + std::string(row.key) + "\":" + field +
-           "}";
+        line.append(text);
+    else
+        line.append("\"").append(json::jsonEscape(text)).append("\"");
+    return line.append("}");
 }
 
 TEST(RunSettings, TableAndServeRequestAgreeOnEveryText)
@@ -222,7 +224,8 @@ TEST(RunSettings, TableAndServeRequestAgreeOnEveryText)
     ASSERT_EQ(rows, sampled) << "every row needs a sample";
 
     clearSettingsEnv();
-    const std::string defaults = settingsOf(core::Settings{});
+    const core::Settings unset;
+    const std::string defaults = settingsOf(unset);
     std::mt19937_64 rng(0x72756e5f73657473ull);
     int accepted = 0;
     int rejected = 0;
@@ -390,11 +393,10 @@ TEST(RunSettings, EachProgramTakesItsRows)
     EXPECT_EQ(takenBy(core::kServe),
               (Keys{"deadline_s", "max_events", "max_sim_time",
                     "stall_limit", "retries", "trace"}));
-    EXPECT_EQ(takenBy(core::kSweep),
-              (Keys{"size", "deadline_s", "max_events", "stall_limit",
-                    "trace", "max_procs", "jobs", "shard", "mode",
-                    "trace_dir"}));
-    EXPECT_EQ(takenBy(core::kFigure), (Keys{"figure"}));
+    EXPECT_EQ(takenBy(core::kFigure),
+              (Keys{"figure", "size", "deadline_s", "max_events",
+                    "stall_limit", "trace", "max_procs", "jobs", "shard",
+                    "mode", "trace_dir"}));
     EXPECT_EQ(takenBy(core::kAblation), (Keys{"ablation", "jobs"}));
 }
 
@@ -410,26 +412,27 @@ TEST(RunSettings, FlagsOverrideVariablesOfTheProgramsRows)
         return core::applySettings(takers, static_cast<int>(argv.size()),
                                    argv.data(), out, error, rest);
     };
+    const core::Settings unset;
     core::Settings s;
     std::string error;
-    ASSERT_TRUE(apply(core::kSweep, {}, s, error)) << error;
+    ASSERT_TRUE(apply(core::kFigure, {}, s, error)) << error;
     EXPECT_EQ(s.jobs, 3u);
     EXPECT_EQ(s.config.params.n, 512u);
 
-    s = {};
-    ASSERT_TRUE(apply(core::kSweep, {"--jobs", "2"}, s, error)) << error;
+    s = unset;
+    ASSERT_TRUE(apply(core::kFigure, {"--jobs", "2"}, s, error)) << error;
     EXPECT_EQ(s.jobs, 2u);
 
     // A program ignores the variables of rows it does not take, and
     // their flags are unknown options.
-    s = {};
+    s = unset;
     ASSERT_TRUE(apply(core::kAblation, {}, s, error)) << error;
-    EXPECT_EQ(s.config.params.n, core::Settings{}.config.params.n);
+    EXPECT_EQ(s.config.params.n, unset.config.params.n);
     EXPECT_FALSE(apply(core::kAblation, {"--size", "64"}, s, error));
     EXPECT_EQ(error, "unknown option '--size'");
 
     // Other arguments go to rest, in order, when the caller takes them.
-    s = {};
+    s = unset;
     std::vector<std::string> rest;
     ASSERT_TRUE(apply(core::kRunCli,
                       {"--sweep", "--metric", "latency", "-j", "4"}, s,
@@ -443,9 +446,9 @@ TEST(RunSettings, FlagsOverrideVariablesOfTheProgramsRows)
 
     // An empty variable is unset, as for every ABSIM_* variable.
     ::setenv("ABSIM_SIZE", "", 1);
-    s = {};
-    ASSERT_TRUE(apply(core::kSweep, {}, s, error)) << error;
-    EXPECT_EQ(s.config.params.n, core::Settings{}.config.params.n);
+    s = unset;
+    ASSERT_TRUE(apply(core::kFigure, {}, s, error)) << error;
+    EXPECT_EQ(s.config.params.n, unset.config.params.n);
     clearSettingsEnv();
 }
 

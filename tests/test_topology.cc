@@ -207,8 +207,9 @@ TEST(RouteProperty, MeshXyNeverTurnsBackToX)
             bool seen_y = false;
             for (const LinkId link : path) {
                 const bool is_y = (link % 4) >= 2;
-                if (seen_y)
+                if (seen_y) {
                     EXPECT_TRUE(is_y) << "route turned back to X";
+                }
                 seen_y = seen_y || is_y;
             }
         }
