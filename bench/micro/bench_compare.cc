@@ -150,18 +150,19 @@ main(int argc, char **argv)
                     cur.unit.c_str(), -delta * 100.0);
         // Determinism tripwire: simulated-result checksums must match
         // exactly (same inputs => same figure values, byte for byte).
+        // The counters are written as the exact double, so one ulp is
+        // a changed result.
         for (const auto &[key, value] : base.counters) {
             if (key.rfind("value_sum", 0) != 0)
                 continue;
             const auto cit = cur.counters.find(key);
             if (cit == cur.counters.end())
                 continue;
-            const double rel = std::abs(cit->second - value) /
-                               std::max(1.0, std::abs(value));
-            if (rel > 1e-9) {
+            if (cit->second != value) {
                 std::cerr << "FAIL " << base.name << ": counter " << key
-                          << " drifted (base " << value << ", current "
-                          << cit->second
+                          << " drifted (base " << json::formatDouble(value)
+                          << ", current "
+                          << json::formatDouble(cit->second)
                           << ") — simulated results changed\n";
                 ++failures;
             }

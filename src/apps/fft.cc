@@ -47,33 +47,42 @@ FftApp::makeInput(std::uint64_t n, std::uint64_t seed)
     return input;
 }
 
+template <typename T>
+std::vector<std::complex<T>>
+FftApp::twiddles(std::uint64_t n)
+{
+    std::vector<std::complex<T>> table(n / 2);
+    for (std::uint64_t k = 0; k < n / 2; ++k) {
+        const T ang = static_cast<T>(-2.0 * std::numbers::pi *
+                                     static_cast<double>(k) /
+                                     static_cast<double>(n));
+        table[k] = {std::cos(ang), std::sin(ang)};
+    }
+    return table;
+}
+
+template std::vector<std::complex<float>> FftApp::twiddles(std::uint64_t);
+template std::vector<std::complex<double>> FftApp::twiddles(std::uint64_t);
+
 std::vector<std::complex<double>>
 FftApp::referenceFft(std::vector<std::complex<double>> a)
 {
     const std::uint64_t n = a.size();
     const std::uint32_t bits = log2u(n);
+    const auto twiddle = twiddles<double>(n);
     std::vector<std::complex<double>> b(n);
     for (std::uint64_t t = 0; t < n; ++t)
         b[t] = a[bitReverse(t, bits)];
     a.swap(b);
     for (std::uint64_t len = 2; len <= n; len <<= 1) {
         const std::uint64_t half = len / 2;
+        const std::uint64_t stride = n / len;
         for (std::uint64_t t = 0; t < n; ++t) {
             const std::uint64_t pos = t & (len - 1);
-            if (pos < half) {
-                const double ang =
-                    -2.0 * std::numbers::pi * static_cast<double>(pos) /
-                    static_cast<double>(len);
-                const std::complex<double> w{std::cos(ang), std::sin(ang)};
-                b[t] = a[t] + w * a[t + half];
-            } else {
-                const std::uint64_t j = pos - half;
-                const double ang =
-                    -2.0 * std::numbers::pi * static_cast<double>(j) /
-                    static_cast<double>(len);
-                const std::complex<double> w{std::cos(ang), std::sin(ang)};
-                b[t] = a[t - half] - w * a[t];
-            }
+            if (pos < half)
+                b[t] = a[t] + twiddle[pos * stride] * a[t + half];
+            else
+                b[t] = a[t - half] - twiddle[(pos - half) * stride] * a[t];
         }
         a.swap(b);
     }
@@ -95,6 +104,7 @@ FftApp::setup(rt::Runtime &rt, rt::SharedHeap &heap, const AppParams &params)
     bufA_ = rt::SharedArray<Cplx>(heap, n_, rt::Placement::Blocked);
     bufB_ = rt::SharedArray<Cplx>(heap, n_, rt::Placement::Blocked);
     barrier_ = std::make_unique<rt::Barrier>(heap, procs_);
+    twiddle_ = twiddles<float>(n_);
 
     const auto input = makeInput(n_, seed_);
     for (std::uint64_t i = 0; i < n_; ++i)
@@ -129,6 +139,7 @@ FftApp::worker(rt::Proc &p)
     p.beginPhase("butterflies");
     for (std::uint64_t len = 2; len <= n_; len <<= 1) {
         const std::uint64_t half = len / 2;
+        const std::uint64_t stride = n_ / len;
         for (std::uint64_t t = lo; t < hi; ++t) {
             const std::uint64_t pos = t & (len - 1);
             Cplx out;
@@ -137,20 +148,11 @@ FftApp::worker(rt::Proc &p)
                 // is a remote gather of consecutive items.
                 const Cplx u = src->read(p, t);
                 const Cplx v = src->read(p, t + half);
-                const float ang = static_cast<float>(
-                    -2.0 * std::numbers::pi * static_cast<double>(pos) /
-                    static_cast<double>(len));
-                const Cplx w{std::cos(ang), std::sin(ang)};
-                out = u + w * v;
+                out = u + twiddle_[pos * stride] * v;
             } else {
-                const std::uint64_t j = pos - half;
                 const Cplx u = src->read(p, t - half);
                 const Cplx v = src->read(p, t);
-                const float ang = static_cast<float>(
-                    -2.0 * std::numbers::pi * static_cast<double>(j) /
-                    static_cast<double>(len));
-                const Cplx w{std::cos(ang), std::sin(ang)};
-                out = u - w * v;
+                out = u - twiddle_[(pos - half) * stride] * v;
             }
             dst->write(p, t, out);
             p.compute(kCyclesPerButterfly);

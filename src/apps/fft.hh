@@ -47,6 +47,16 @@ class FftApp : public App
     static std::vector<std::complex<double>>
     referenceFft(std::vector<std::complex<double>> a);
 
+    /**
+     * The n/2 twiddles of an n-point transform in precision T: entry k
+     * is e^{-2πik/n}, its angle computed in double and rounded to T.
+     * A stage of length len reads entry pos·(n/len), which is bit for
+     * bit the twiddle it would compute from pos and len (scaling both
+     * by a power of two leaves the rounded quotient unchanged).
+     */
+    template <typename T>
+    static std::vector<std::complex<T>> twiddles(std::uint64_t n);
+
   private:
     std::uint64_t n_ = 0;
     std::uint64_t seed_ = 0;
@@ -56,6 +66,8 @@ class FftApp : public App
     rt::SharedArray<Cplx> bufA_;
     rt::SharedArray<Cplx> bufB_;
     std::unique_ptr<rt::Barrier> barrier_;
+    /// Host-side only: compute() still charges the twiddle each use.
+    std::vector<Cplx> twiddle_;
     bool resultInA_ = false; ///< Which buffer holds the final result.
 };
 

@@ -40,19 +40,18 @@ DetailedNetModel::fanOutRoundTrips(NodeId center, std::uint64_t targets)
 sim::Task<net::TransferResult>
 DetailedNetModel::fanOut(NodeId center, std::uint64_t targets)
 {
-    // One detached helper per target runs the inv/ack round trip; the
-    // caller waits on the latch for the slowest.  The critical record
-    // and latch live in this frame, which resumes only after the last
-    // helper's count.
+    // One detached helper coroutine per target runs the inv/ack round
+    // trip; the caller waits on the latch for the slowest.  The
+    // critical record and latch live in this frame, which resumes only
+    // after the last helper's count.
     Critical critical;
     sim::Latch latch(static_cast<std::uint32_t>(std::popcount(targets)));
     const sim::Tick began = eq_.now();
     for (std::uint64_t rest = targets; rest != 0; rest &= rest - 1) {
         const auto target = static_cast<NodeId>(std::countr_zero(rest));
-        sim::spawn(eq_, "inv-helper", began,
-                   [this, center, target, &critical, &latch] {
-                       return invalidate(center, target, critical, latch);
-                   });
+        sim::spawn(eq_, began, [this, center, target, &critical, &latch] {
+            return invalidate(center, target, critical, latch);
+        });
     }
     co_await latch.wait(eq_);
 

@@ -42,13 +42,12 @@ namespace absim::sim {
 /**
  * A bounded pool of recycled fiber stacks with reuse accounting.
  *
- * Simulations spawn thousands of short-lived helper processes (e.g.
- * parallel invalidations), and repeated runs in a sweep each spawn a
- * full machine's worth of workers; allocating + faulting a fresh stack
- * every time dominates simulation cost.  The pool lives per thread and
- * deliberately *outlives* individual runs — persistence across the
- * runs of a sweep is what turns stack allocation into reuse (see
- * core::RunContext, which snapshots the counters per run).
+ * Repeated runs in a sweep each spawn a full machine's worth of worker
+ * processes; allocating + faulting a fresh stack every time dominates
+ * simulation cost.  The pool lives per thread and deliberately
+ * *outlives* individual runs — persistence across the runs of a sweep
+ * is what turns stack allocation into reuse (see core::RunContext,
+ * which snapshots the counters per run).
  *
  * Only default-sized stacks are pooled; odd sizes are one-offs.
  */

@@ -217,9 +217,11 @@ class Process
 /**
  * Spawn a detached helper process that deletes itself on completion.
  *
- * Used for concurrent activities with no owner that must outlive the
- * spawning call frame (e.g. parallel invalidation messages).  The caller
- * can rendezvous with helpers via a Latch.
+ * For a concurrent activity with no owner that must outlive the
+ * spawning call frame and needs a stack of its own; one written as a
+ * coroutine is cheaper started with sim::spawn (sim/task.hh), as the
+ * machine models' invalidation fan-outs are.  The caller can
+ * rendezvous with helpers via a Latch.
  *
  * @return A non-owning pointer, valid until the entry function returns.
  */

@@ -168,8 +168,9 @@ FifoMutex::lock(EventQueue &eq)
 
 /**
  * Countdown latch: await() blocks until the internal count reaches zero.
- * Used to rendezvous with detached helper processes (e.g. a write miss
- * waiting for all its parallel invalidations to be acknowledged).
+ * Used to rendezvous with detached helpers, such as the coroutines
+ * sim::spawn starts (e.g. a write miss waiting for all its parallel
+ * invalidations to be acknowledged).
  */
 class Latch
 {

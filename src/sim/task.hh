@@ -15,8 +15,9 @@
  *    suspends — a task run from a fiber has completed by the time the
  *    call that created it returns;
  *  - anything else (trace replay, whose interpreter is itself a
- *    coroutine resumed by the EventQueue): it suspends the coroutine
- *    and schedules its resumption on the same EventQueue.
+ *    coroutine resumed by the EventQueue, and in either driver a
+ *    helper that spawn() started from an event): it suspends the
+ *    coroutine and schedules its resumption on the same EventQueue.
  *
  * Either way a blocking point costs the same one dispatch (scheduled,
  * or advanced in place when it would be the next one), so both drivers
@@ -337,21 +338,18 @@ struct [[nodiscard]] Delay
 };
 
 /**
- * Run the task @p body() as a detached activity starting at tick
- * @p when: a self-deleting helper process named @p name under a fiber
- * caller (spawnDetached), else a detached coroutine that one event at
- * @p when starts.  Both schedule the one start event.  Like a helper
- * fiber, a detached coroutine still suspended when its run is abandoned
- * (a tripped budget) is never unwound.
+ * Run the task @p body() as a detached coroutine that one event at
+ * tick @p when starts.  That event runs outside every process, so the
+ * task suspends at its blocking points whoever called spawn(); a fiber
+ * caller that needs it finished waits through a primitive such as
+ * Latch.  A detached coroutine still suspended when its run is
+ * abandoned (a tripped budget) is never unwound, and its frame is
+ * never freed.
  */
 template <typename Body>
 void
-spawn(EventQueue &eq, const char *name, Tick when, Body body)
+spawn(EventQueue &eq, Tick when, Body body)
 {
-    if (Process::current() != nullptr) {
-        spawnDetached(eq, name, [body] { body().get(); }, when);
-        return;
-    }
     eq.schedule(when, [body] { body().detach(); });
 }
 

@@ -7,9 +7,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <complex>
+#include <cstdint>
 #include <numbers>
+#include <type_traits>
 
 #include "apps/cg.hh"
 #include "apps/cholesky.hh"
@@ -53,6 +56,51 @@ TEST(FftReference, LinearityHolds)
     const auto fsum = apps::FftApp::referenceFft(sum);
     for (std::uint64_t i = 0; i < n; ++i)
         ASSERT_NEAR(std::abs(fsum[i] - (fa[i] + fb[i])), 0.0, 1e-9);
+}
+
+/** The twiddle a butterfly at @p pos of a @p len stage used to
+ *  compute for itself, in precision T. */
+template <typename T>
+std::complex<T>
+perButterflyTwiddle(std::uint64_t pos, std::uint64_t len)
+{
+    const T ang = static_cast<T>(-2.0 * std::numbers::pi *
+                                 static_cast<double>(pos) /
+                                 static_cast<double>(len));
+    return {std::cos(ang), std::sin(ang)};
+}
+
+template <typename T>
+void
+expectTwiddlesAreThePerButterflyOnes()
+{
+    using Bits = std::conditional_t<sizeof(T) == 4, std::uint32_t,
+                                    std::uint64_t>;
+    for (std::uint64_t n = 2; n <= 8192; n <<= 1) {
+        const auto table = apps::FftApp::twiddles<T>(n);
+        ASSERT_EQ(table.size(), n / 2);
+        for (std::uint64_t len = 2; len <= n; len <<= 1) {
+            for (std::uint64_t pos = 0; pos < len / 2; ++pos) {
+                const std::complex<T> got = table[pos * (n / len)];
+                const std::complex<T> want =
+                    perButterflyTwiddle<T>(pos, len);
+                ASSERT_EQ(std::bit_cast<Bits>(got.real()),
+                          std::bit_cast<Bits>(want.real()))
+                    << "n=" << n << " len=" << len << " pos=" << pos;
+                ASSERT_EQ(std::bit_cast<Bits>(got.imag()),
+                          std::bit_cast<Bits>(want.imag()))
+                    << "n=" << n << " len=" << len << " pos=" << pos;
+            }
+        }
+    }
+}
+
+TEST(FftReference, TwiddleTableIsBitForBitThePerButterflyTwiddle)
+{
+    // The app's float table and the reference's double table: a
+    // stage's lookup must be exactly the twiddle it once computed.
+    expectTwiddlesAreThePerButterflyOnes<float>();
+    expectTwiddlesAreThePerButterflyOnes<double>();
 }
 
 TEST(EpReference, SliceSumInvariantToProcessorCount)

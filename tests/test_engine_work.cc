@@ -40,6 +40,8 @@ struct Work
     std::uint64_t blocksChecked = 0; ///< 0 for the uncached machine.
     std::uint64_t advancedInPlace = 0;
     std::uint64_t handedOff = 0;
+    std::uint64_t fiberStacks = 0;   ///< Taken by the run's processes.
+    std::uint64_t invalidations = 0; ///< Machine::stats().invalidations.
 };
 
 /** One golden cell, run the way core::runOne executes it. */
@@ -64,6 +66,9 @@ runIsCell(mach::MachineKind kind, std::uint32_t procs, std::uint64_t n)
     work.engineEvents = runtime.collect().engineEvents;
     work.advancedInPlace = eq.advancedInPlace();
     work.handedOff = eq.handedOff();
+    work.fiberStacks = run_context.fiberStacksAllocated() +
+                       run_context.fiberStacksReused();
+    work.invalidations = machine->stats().invalidations;
     const mach::MemModel &mem = machine->memModel();
     if (const auto *dir = dynamic_cast<const mach::DirectoryMem *>(&mem))
         work.blocksChecked = dir->checker().blocksChecked();
@@ -128,6 +133,16 @@ TEST(EngineWork, LargerIsCellsArePinned)
         EXPECT_LT(got.advancedInPlace + got.handedOff, got.engineEvents)
             << toString(cell.kind);
     }
+}
+
+TEST(EngineWork, ExecutedFanOutsStartNoHelperProcesses)
+{
+    // The target machine's invalidation fan-outs run as detached
+    // coroutines in execution as in replay: every fiber stack the run
+    // takes is a worker's, however many sharers it invalidated.
+    const Work got = runIsCell(mach::MachineKind::Target, 16, 4096);
+    EXPECT_GT(got.invalidations, 1000u);
+    EXPECT_EQ(got.fiberStacks, 16u);
 }
 
 } // namespace

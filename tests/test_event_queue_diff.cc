@@ -726,7 +726,7 @@ struct LiveActors
                 plain(eq.now() + d);
         if (fate.spawn && spawned < w.maxSpawned) {
             const std::uint64_t a = w.fibers + w.coroutines + spawned++;
-            sim::spawn(eq, "spawned", eq.now() + fate.spawnDelay,
+            sim::spawn(eq, eq.now() + fate.spawnDelay,
                        [this, a] { return actor(a, false); });
         }
     }

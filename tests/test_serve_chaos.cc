@@ -46,12 +46,12 @@ chaosRun(const std::string &extra)
            (extra.empty() ? "" : "," + extra) + "}";
 }
 
-/** Wait until one request is executing (never longer than ~4s). */
+/** Wait until @p n requests are executing (never longer than ~4s). */
 bool
-awaitInFlight(serve::Service &service)
+awaitInFlight(serve::Service &service, std::uint64_t n = 1)
 {
     for (int i = 0; i < 800; ++i) {
-        if (service.stats().inFlight == 1)
+        if (service.stats().inFlight == n)
             return true;
         std::this_thread::sleep_for(std::chrono::milliseconds(5));
     }
@@ -167,7 +167,8 @@ TEST(ServeChaos, OverloadShedsDeterministicallyWhileAWorkerIsBusy)
         "\"fault_plan\":\"stall@500\",\"stall_limit\":4000000000,"
         "\"max_events\":0,\"deadline_s\":2");
     std::string slowResponse;
-    std::thread submitter(
+    // A jthread joins on every exit path, a failed ASSERT's included.
+    std::jthread submitter(
         [&] { slowResponse = service.handle(slow); });
     ASSERT_TRUE(awaitInFlight(service));
 
@@ -196,15 +197,20 @@ TEST(ServeChaos, SweepHitIsServedInlineWhileAdmissionIsFull)
                               "\"max_procs\":4}";
     const std::string first = service.handle(sweep);
     ASSERT_NE(first.find("\"complete\":true"), std::string::npos) << first;
+    // The worker hands the sweep's response over before it leaves the
+    // in-flight count; until it has left, that stale count would pass
+    // for the slow request below and shed the request meant to queue.
+    ASSERT_TRUE(awaitInFlight(service, 0));
 
     const std::string slow = chaosRun(
         "\"fault_plan\":\"stall@500\",\"stall_limit\":4000000000,"
         "\"max_events\":0,\"deadline_s\":2");
     std::string inFlight;
     std::string queued;
-    std::thread running([&] { inFlight = service.handle(slow); });
+    // jthreads join on every exit path, a failed ASSERT's included.
+    std::jthread running([&] { inFlight = service.handle(slow); });
     ASSERT_TRUE(awaitInFlight(service));
-    std::thread waiting([&] { queued = service.handle(slow); });
+    std::jthread waiting([&] { queued = service.handle(slow); });
     for (int i = 0; i < 800 && service.stats().queued != 1; ++i)
         std::this_thread::sleep_for(std::chrono::milliseconds(5));
     ASSERT_EQ(service.stats().queued, 1u);
@@ -262,7 +268,7 @@ TEST(ServeChaos, GracefulDrainFinishesInFlightWorkAndRefusesNew)
         "\"fault_plan\":\"stall@500\",\"stall_limit\":4000000000,"
         "\"max_events\":0,\"deadline_s\":2");
     std::string slowResponse;
-    std::thread submitter(
+    std::jthread submitter(
         [&] { slowResponse = service.handle(slow); });
     ASSERT_TRUE(awaitInFlight(service));
 

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <stdexcept>
 #include <string>
 #include <type_traits>
@@ -418,7 +419,7 @@ TEST(FifoMutex, CoroutineWaitersGrantInFifoOrderWithWaitTimes)
     const Tick at[] = {0, 10, 20};
     const Duration hold[] = {100, 100, 0};
     for (int id = 0; id < 3; ++id)
-        spawn(eq, "holder", 0, [&, id] {
+        spawn(eq, 0, [&, id] {
             return coHolder(eq, m, at[id], hold[id], id, grant_order,
                             waits);
         });
@@ -459,11 +460,11 @@ TEST(FifoMutex, MixedFiberAndCoroutineWaitersShareOneFifo)
         queued_at_50 = m.waiters();
     });
     p0.start(0);
-    spawn(eq, "c1", 0, [&] {
+    spawn(eq, 0, [&] {
         return coHolder(eq, m, 10, 100, 1, grant_order, waits);
     });
     p2.start(0);
-    spawn(eq, "c3", 0, [&] {
+    spawn(eq, 0, [&] {
         return coHolder(eq, m, 30, 0, 3, grant_order, waits);
     });
     probe.start(0);
@@ -494,6 +495,42 @@ TEST(Latch, AwaitBlocksUntilZero)
     waiter.start(0);
     eq.run();
     EXPECT_EQ(released_at, 30u);
+}
+
+Task<>
+coCountDown(EventQueue &eq, Latch &latch, Duration after,
+            bool &outside_any_process)
+{
+    outside_any_process = outside_any_process && !Process::current();
+    co_await Delay{eq, eq.now() + after};
+    outside_any_process = outside_any_process && !Process::current();
+    latch.countDown();
+}
+
+TEST(Latch, FiberAwaitsHelpersItSpawnsAsCoroutines)
+{
+    // A fiber's spawn() starts coroutines, not processes: the helpers
+    // run outside every process, and the only fiber stack the run
+    // takes is the waiter's.
+    EventQueue eq;
+    FiberStackPool &pool = FiberStackPool::forThisThread();
+    const std::uint64_t stacks_before = pool.allocated() + pool.reused();
+    Latch latch(3);
+    bool outside_any_process = true;
+    Tick released_at = 0;
+    Process waiter(eq, "waiter", [&] {
+        for (Duration i = 1; i <= 3; ++i)
+            spawn(eq, eq.now(), [&, i] {
+                return coCountDown(eq, latch, i * 10, outside_any_process);
+            });
+        latch.await();
+        released_at = eq.now();
+    });
+    waiter.start(0);
+    eq.run();
+    EXPECT_EQ(released_at, 30u);
+    EXPECT_TRUE(outside_any_process);
+    EXPECT_EQ(pool.allocated() + pool.reused() - stacks_before, 1u);
 }
 
 TEST(Latch, AwaitWithZeroCountReturnsImmediately)
