@@ -18,6 +18,7 @@
 #include "sim/trace.hh"
 #include "trace_replay/recorder.hh"
 #include "trace_replay/replay.hh"
+#include "trace_replay/trace_cache.hh"
 
 namespace absim::core {
 
@@ -122,71 +123,12 @@ executeAndRecord(const RunConfig &config, const sim::RunBudget *budget)
  */
 constexpr std::size_t kTraceCacheBytes = std::size_t{64} << 20;
 
-/**
- * Process-wide cache of loaded traces, keyed by (path, mtime, size),
- * least recently used first out once their bytes would pass
- * kTraceCacheBytes.  It validates freshness against the file's stat,
- * so a re-recorded trace is never replayed stale.  Returns nullptr when
- * the file is missing or torn — the record-on-miss path handles it.
- */
+/** The trace cache every replayed run in the process reads through. */
 std::shared_ptr<const trace::Trace>
 loadTraceShared(const std::string &path)
 {
-    struct Entry
-    {
-        std::string path;
-        std::filesystem::file_time_type mtime;
-        std::uintmax_t size = 0;
-        std::shared_ptr<const trace::Trace> trace;
-    };
-    static std::mutex mu;
-    static std::vector<Entry> cache; // Back = most recently used.
-    static std::size_t cachedBytes = 0;
-
-    std::error_code ec;
-    const auto mtime = std::filesystem::last_write_time(path, ec);
-    if (ec)
-        return nullptr;
-    const auto size = std::filesystem::file_size(path, ec);
-    if (ec)
-        return nullptr;
-
-    {
-        const std::lock_guard<std::mutex> lock(mu);
-        for (std::size_t i = 0; i < cache.size(); ++i) {
-            if (cache[i].path == path && cache[i].mtime == mtime &&
-                cache[i].size == size) {
-                Entry hit = std::move(cache[i]);
-                cache.erase(cache.begin() +
-                            static_cast<std::ptrdiff_t>(i));
-                cache.push_back(std::move(hit));
-                return cache.back().trace;
-            }
-        }
-    }
-
-    // Parse outside the lock: concurrent sweep shards loading
-    // *different* traces must not serialize (a duplicate concurrent
-    // load of the same path is wasteful but harmless).
-    auto loaded = std::make_shared<trace::Trace>();
-    if (!trace::loadTrace(path, *loaded))
-        return nullptr;
-
-    const std::size_t bytes = loaded->bytes.size();
-    if (bytes > kTraceCacheBytes)
-        return loaded; // Replayed, never cached.
-    const std::lock_guard<std::mutex> lock(mu);
-    const auto evict = [](std::vector<Entry>::iterator it) {
-        cachedBytes -= it->trace->bytes.size();
-        return cache.erase(it);
-    };
-    for (auto it = cache.begin(); it != cache.end();)
-        it = it->path == path ? evict(it) : it + 1; // A stale version.
-    while (cachedBytes + bytes > kTraceCacheBytes)
-        evict(cache.begin());
-    cache.push_back(Entry{path, mtime, size, loaded});
-    cachedBytes += bytes;
-    return loaded;
+    static trace::TraceCache cache(kTraceCacheBytes);
+    return cache.load(path);
 }
 
 stats::Profile

@@ -1,7 +1,6 @@
 #include "core/run_error.hh"
 
 #include <ostream>
-#include <sstream>
 
 namespace absim::core {
 
@@ -21,16 +20,6 @@ toString(RunErrorKind kind)
         return "Panic";
     }
     return "?";
-}
-
-std::string
-RunError::summary() const
-{
-    // Keep it one line: the journal and the failure manifest embed it.
-    const auto newline = message.find('\n');
-    return toString(kind) + ": " +
-           (newline == std::string::npos ? message
-                                         : message.substr(0, newline));
 }
 
 std::ostream &

@@ -64,9 +64,6 @@ struct RunError
     /** Bounded tail of the final attempt's trace, captured when the
      *  policy asked for it (RunPolicy::traceMask); "" otherwise. */
     std::string traceExcerpt;
-
-    /** One-line "Kind: message" summary. */
-    std::string summary() const;
 };
 
 /** Multi-line human-readable report (kind, engine state, fiber dump). */

@@ -10,8 +10,6 @@
 
 namespace absim::mach {
 
-namespace {
-
 std::unique_ptr<NetModel>
 makeNetModel(const MachineSpec &spec, sim::EventQueue &eq,
              net::TopologyKind topo, std::uint32_t nodes,
@@ -25,6 +23,8 @@ makeNetModel(const MachineSpec &spec, sim::EventQueue &eq,
     throw std::invalid_argument("machine " + std::string(spec.name) +
                                 " has no network model");
 }
+
+namespace {
 
 std::unique_ptr<MemModel>
 makeMemModel(const MachineSpec &spec, sim::EventQueue &eq, NetModel &net,
@@ -60,6 +60,17 @@ ComposedMachine::ComposedMachine(const MachineSpec &spec,
       mem_model_(makeMemModel(spec, eq, *net_model_, nodes, homes, stats_,
                               cache, protocol))
 {
+}
+
+AccessTiming
+ComposedMachine::access(MemClient &client, mem::Addr addr, AccessType type,
+                        std::uint32_t bytes)
+{
+    (void)bytes;
+    AccessTiming t;
+    if (probe(client, addr, type, t))
+        return t;
+    return miss(client, addr, type).get();
 }
 
 } // namespace absim::mach

@@ -9,6 +9,11 @@
  * forwards the Machine interface to them; the memory model keeps the
  * per-axis attribution (MachineStats::memTime) in the shell's stats
  * block.  mach::makeMachine() is the usual way to get one.
+ *
+ * An access runs in the memory model's two phases (mem_model.hh):
+ * access() is probe() || miss() for a fiber caller, and trace replay,
+ * a coroutine, calls probe() and miss() itself.  Both forward straight
+ * to the memory model.
  */
 
 #ifndef ABSIM_MACHINES_COMPOSED_MACHINE_HH
@@ -23,7 +28,18 @@ namespace absim::mach {
 
 struct MachineSpec;
 
-class ComposedMachine : public Machine
+/**
+ * Build the network model a registry row names (@p spec.netModel).
+ * @throws std::invalid_argument if the row names no known network
+ *         model.
+ */
+std::unique_ptr<NetModel> makeNetModel(const MachineSpec &spec,
+                                       sim::EventQueue &eq,
+                                       net::TopologyKind topo,
+                                       std::uint32_t nodes,
+                                       logp::GapPolicy policy);
+
+class ComposedMachine final : public Machine
 {
   public:
     /**
@@ -38,18 +54,25 @@ class ComposedMachine : public Machine
                     const mem::HomeMap &homes, logp::GapPolicy policy,
                     const CacheConfig &cache, ProtocolKind protocol);
 
+    /** The memory model's non-blocking phase (MemModel::probe). */
     bool
     probe(MemClient &client, mem::Addr addr, AccessType type,
-          AccessTiming &t) override
+          AccessTiming &t)
     {
         return mem_model_->probe(client, addr, type, t);
     }
 
+    /** The memory model's miss transaction (MemModel::miss). */
     sim::Task<AccessTiming>
-    miss(MemClient &client, mem::Addr addr, AccessType type) override
+    miss(MemClient &client, mem::Addr addr, AccessType type)
     {
         return mem_model_->miss(client, addr, type);
     }
+
+    /** probe() || miss(), whose task has completed on return because
+     *  every blocking point blocked the calling process in place. */
+    AccessTiming access(MemClient &client, mem::Addr addr, AccessType type,
+                        std::uint32_t bytes) override;
 
     MachineKind kind() const override { return kind_; }
 

@@ -6,17 +6,13 @@
  * network plus an ideal coherent cache abstracting data locality).
  *
  * A Machine is a memory system: the runtime's processors feed it one
- * shared-memory access at a time and receive a timing split back.  Every
- * access is split in two phases, the same for both drivers of the
- * simulator (execution and trace replay):
- *
- *  - probe(): a plain function that completes the accesses needing no
- *    engine time (cache hits, local memory) in place;
- *  - miss(): a coroutine transaction (sim/task.hh) for the rest, which
- *    first synchronizes the caller with the global engine clock through
- *    the MemClient callback and then blocks in simulated time.
- *
- * access() is probe() || miss() for a fiber caller.
+ * shared-memory access at a time and receive a timing split back.  The
+ * simulator builds every machine as a ComposedMachine of one network
+ * model and one memory model (machines/composed_machine.hh), which
+ * splits each access into a probe() and a miss() phase; Machine itself
+ * is only the interface the runtime drives, kept abstract so that a
+ * wrapper (perfbench's TimedMachine, which times the accesses it
+ * forwards) can stand in for one.
  */
 
 #ifndef ABSIM_MACHINES_MACHINE_HH
@@ -182,7 +178,8 @@ struct MachineStats
 };
 
 /**
- * A simulated machine characterization.
+ * A simulated machine characterization: what the runtime's processors
+ * and the run profile see of it.
  */
 class Machine
 {
@@ -190,37 +187,13 @@ class Machine
     virtual ~Machine() = default;
 
     /**
-     * The non-blocking phase of an access: complete it in place when it
-     * needs no engine time (cache hit, free ideal upgrade, home-local
-     * reference), filling @p t and returning true.  Otherwise return
-     * false having changed nothing, and the caller runs miss().
-     */
-    virtual bool
-    probe(MemClient &, mem::Addr, AccessType, AccessTiming &)
-    {
-        return false;
-    }
-
-    /**
-     * The blocking phase: the transaction for an access probe()
-     * declined.  It co_awaits client.syncToEngine() before blocking; on
-     * completion the engine clock is the access completion time and a
-     * networked result has networked == true.
-     * @throws std::logic_error by default: a machine that overrides
-     *         access() alone has no transaction to run.
-     */
-    virtual sim::Task<AccessTiming> miss(MemClient &client, mem::Addr addr,
-                                         AccessType type);
-
-    /**
      * Perform one shared-memory access on behalf of @p client, from
-     * inside the client's simulated process: probe() || miss(), whose
-     * task has completed on return because every blocking point blocked
-     * the process in place.  @p bytes fits one cache block (asserted by
-     * the runtime).
+     * inside the client's simulated process; every blocking point
+     * blocks the process in place, so the access has completed on
+     * return.  @p bytes fits one cache block (asserted by the runtime).
      */
     virtual AccessTiming access(MemClient &client, mem::Addr addr,
-                                AccessType type, std::uint32_t bytes);
+                                AccessType type, std::uint32_t bytes) = 0;
 
     virtual MachineKind kind() const = 0;
 
@@ -229,7 +202,7 @@ class Machine
      * directory), if it maintains one.  Called by the runtime at drain
      * and by tests; a violation fails an ABSIM_CHECK.
      */
-    virtual void checkInvariants() const {}
+    virtual void checkInvariants() const = 0;
 
     /**
      * Fault-injection hook (fault::Kind::CorruptTransition): corrupt
@@ -239,7 +212,7 @@ class Machine
      * fault injector when a plan is armed.
      *
      * @return true if state was corrupted (false: the machine keeps no
-     *         corruptible protocol state).
+     *         corruptible protocol state, as a wrapper does not).
      */
     virtual bool corruptStateForFault(std::uint64_t seed)
     {
@@ -251,12 +224,12 @@ class Machine
      * @name Per-axis identity.
      * Which model implements each abstraction axis ("detailed"/"logp"
      * for the network, "directory"/"ideal"/"uncached" for the memory
-     * system); "none" on machines without that axis.  Stamped into the
-     * run profile so overhead attribution stays per-axis.
+     * system).  Stamped into the run profile so overhead attribution
+     * stays per-axis.
      */
     /// @{
-    virtual const char *netModelName() const { return "none"; }
-    virtual const char *memModelName() const { return "none"; }
+    virtual const char *netModelName() const = 0;
+    virtual const char *memModelName() const = 0;
     /// @}
 
     const MachineStats &stats() const { return stats_; }

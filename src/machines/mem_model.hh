@@ -16,8 +16,8 @@
  *  - UncachedMem (below): no caches; every non-home reference is one
  *    request/reply round trip (the plain LogP machine's memory system).
  *
- * Every model implements an access in the two phases of Machine: a
- * probe() plain function for what completes without engine time, and a
+ * Every model implements an access in two phases: a probe() plain
+ * function for what completes without engine time, and a
  * miss() coroutine transaction for the rest, which co_awaits
  * MemClient::syncToEngine() exactly once before its first blocking
  * network operation.  Execution and trace replay run these same two
@@ -44,11 +44,21 @@ class MemModel
     /** Axis identity: "directory", "ideal" or "uncached". */
     virtual const char *name() const = 0;
 
-    /** The non-blocking phase (Machine::probe semantics). */
+    /**
+     * The non-blocking phase of an access: complete it in place when it
+     * needs no engine time (cache hit, free ideal upgrade, home-local
+     * reference), filling @p t and returning true.  Otherwise return
+     * false having changed nothing, and the caller runs miss().
+     */
     virtual bool probe(MemClient &client, mem::Addr addr, AccessType type,
                        AccessTiming &t) = 0;
 
-    /** The miss transaction (Machine::miss semantics). */
+    /**
+     * The blocking phase: the transaction for an access probe()
+     * declined.  It co_awaits client.syncToEngine() before blocking; on
+     * completion the engine clock is the access completion time and a
+     * networked result has networked == true.
+     */
     virtual sim::Task<AccessTiming> miss(MemClient &client, mem::Addr addr,
                                          AccessType type) = 0;
 

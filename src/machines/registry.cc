@@ -39,6 +39,13 @@ toString(MachineKind kind)
     return specFor(kind).name;
 }
 
+std::string
+toString(ProtocolKind kind)
+{
+    const auto i = static_cast<std::size_t>(kind);
+    return i < kProtocolNames.size() ? std::string(kProtocolNames[i]) : "?";
+}
+
 bool
 parseMachineKind(std::string_view text, MachineKind &out)
 {

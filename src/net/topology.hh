@@ -79,8 +79,6 @@ class Topology
      */
     virtual std::uint32_t bisectionLinks() const = 0;
 
-    virtual TopologyKind kind() const = 0;
-
     /** Factory. @p p must be a power of two (paper restriction). */
     static std::unique_ptr<Topology> make(TopologyKind kind, NodeId p);
 
@@ -102,7 +100,6 @@ class FullTopology : public Topology
     std::uint32_t hops(NodeId src, NodeId dst) const override;
     std::pair<NodeId, NodeId> linkEndpoints(LinkId link) const override;
     std::uint32_t bisectionLinks() const override;
-    TopologyKind kind() const override { return TopologyKind::Full; }
 };
 
 /** Binary hypercube with e-cube (dimension-ordered) routing. */
@@ -117,7 +114,6 @@ class HypercubeTopology : public Topology
     std::uint32_t hops(NodeId src, NodeId dst) const override;
     std::pair<NodeId, NodeId> linkEndpoints(LinkId link) const override;
     std::uint32_t bisectionLinks() const override;
-    TopologyKind kind() const override { return TopologyKind::Hypercube; }
 
     std::uint32_t dimensions() const { return dims_; }
 
@@ -143,7 +139,6 @@ class MeshTopology : public Topology
     std::uint32_t hops(NodeId src, NodeId dst) const override;
     std::pair<NodeId, NodeId> linkEndpoints(LinkId link) const override;
     std::uint32_t bisectionLinks() const override;
-    TopologyKind kind() const override { return TopologyKind::Mesh2D; }
 
     std::uint32_t rows() const { return rows_; }
     std::uint32_t cols() const { return cols_; }

@@ -170,12 +170,6 @@ Flag::set(Proc &p, std::uint64_t value)
     word_.write(p, 0, value);
 }
 
-std::uint64_t
-Flag::get(Proc &p)
-{
-    return word_.read(p, 0);
-}
-
 void
 Flag::waitFor(Proc &p, std::uint64_t value)
 {

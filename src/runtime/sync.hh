@@ -175,9 +175,6 @@ class Flag
     /** Publish @p value. */
     void set(Proc &p, std::uint64_t value = 1);
 
-    /** Read the current value (one simulated access). */
-    std::uint64_t get(Proc &p);
-
     /** Spin until the flag reads exactly @p value. */
     void waitFor(Proc &p, std::uint64_t value);
 

@@ -156,11 +156,13 @@ Service::workerLoop()
             inFlight_.fetch_add(1);
         }
         std::string response = execute(job->request);
-        job->done.set_value(std::move(response));
+        // The slot frees before the response is delivered: a client that
+        // sends its next request on receipt must find room for it.
         {
             const std::lock_guard<std::mutex> lock(queueMutex_);
             inFlight_.fetch_sub(1);
         }
+        job->done.set_value(std::move(response));
         idle_.notify_all();
     }
 }

@@ -95,16 +95,9 @@ Process::resumeFromScheduler()
     fiber_.resume();
     detail::tl_current_process = prev;
     // The fiber that came back is this process's or, after hand-offs,
-    // another's.  A finished one named itself; its onFinish runs here,
-    // on the scheduler stack, where it may delete the process.
-    if (Process *done = std::exchange(tl_finished, nullptr)) {
+    // another's.  A finished one named itself.
+    if (Process *done = std::exchange(tl_finished, nullptr))
         done->state_ = ProcState::Finished;
-        if (done->onFinish_) {
-            auto fin = std::move(done->onFinish_);
-            done->onFinish_ = nullptr;
-            fin(done); // May delete done; no member access after.
-        }
-    }
 }
 
 void
@@ -168,16 +161,6 @@ Process::wake()
     suspended_ = false;
     state_ = ProcState::Runnable;
     scheduleResume(eq_.now());
-}
-
-Process *
-spawnDetached(EventQueue &eq, std::string name, std::function<void()> entry,
-              Tick when)
-{
-    auto *proc = new Process(eq, std::move(name), std::move(entry));
-    proc->setOnFinish([](Process *p) { delete p; });
-    proc->start(when);
-    return proc;
 }
 
 } // namespace absim::sim

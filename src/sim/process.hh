@@ -14,15 +14,14 @@
  * scheduler and a resume out of it.  Dispatch order, dispatched(),
  * budget trips and their messages are the same either way; everything
  * that could trip, and every first entry, stays with the scheduler, and
- * a finishing fiber always returns there, where onFinish may delete its
- * process.
+ * a finishing fiber always returns there, which marks its process
+ * Finished.
  */
 
 #ifndef ABSIM_SIM_PROCESS_HH
 #define ABSIM_SIM_PROCESS_HH
 
 #include <functional>
-#include <memory>
 #include <string>
 
 #include "sim/event_queue.hh"
@@ -157,16 +156,6 @@ class Process
     /** The process currently running on this thread, if any. */
     static Process *current() { return detail::tl_current_process; }
 
-    /**
-     * Install a hook invoked from the scheduler context right after the
-     * process's entry function returns.  The hook may delete the process
-     * (this is how detached helpers clean themselves up).
-     */
-    void setOnFinish(std::function<void(Process *)> f)
-    {
-        onFinish_ = std::move(f);
-    }
-
     const std::string &name() const { return name_; }
     bool finished() const { return fiber_.finished(); }
     EventQueue &engine() { return eq_; }
@@ -211,22 +200,7 @@ class Process
     ProcState state_ = ProcState::Created;
     WaitReason waitReason_;
     Tick delayedUntil_ = 0;
-    std::function<void(Process *)> onFinish_;
 };
-
-/**
- * Spawn a detached helper process that deletes itself on completion.
- *
- * For a concurrent activity with no owner that must outlive the
- * spawning call frame and needs a stack of its own; one written as a
- * coroutine is cheaper started with sim::spawn (sim/task.hh), as the
- * machine models' invalidation fan-outs are.  The caller can
- * rendezvous with helpers via a Latch.
- *
- * @return A non-owning pointer, valid until the entry function returns.
- */
-Process *spawnDetached(EventQueue &eq, std::string name,
-                       std::function<void()> entry, Tick when);
 
 } // namespace absim::sim
 

@@ -149,8 +149,8 @@ struct PromiseBase
     std::suspend_never initial_suspend() noexcept { return {}; }
 
     /** Symmetric transfer back to the awaiter (or free a detached
-     *  frame).  A detached task has nobody to report an error to, the
-     *  same as a helper process whose entry throws. */
+     *  frame).  A detached task has nobody to report an error to, so
+     *  an error it ends with terminates the program. */
     struct FinalAwaiter
     {
         bool await_ready() const noexcept { return false; }

@@ -66,16 +66,6 @@ Profile::totalContention() const
     return sum;
 }
 
-AxisSplit
-Profile::axisSplit() const
-{
-    AxisSplit split;
-    split.netLatency = totalLatency();
-    split.netContention = totalContention();
-    split.memTime = machine.memTime;
-    return split;
-}
-
 void
 flushPhase(const ProcStats &now, ProcStats &snapshot,
            const std::string &name, std::vector<PhaseStats> &phases)

@@ -78,31 +78,6 @@ struct PhaseStats
 void flushPhase(const ProcStats &now, ProcStats &snapshot,
                 const std::string &name, std::vector<PhaseStats> &phases);
 
-/**
- * Per-abstraction-axis attribution of a run's memory-system time
- * (which model charged what), so the network abstraction's error and
- * the locality abstraction's error stay separable in every profile —
- * the decomposition the quadrant ablation plots.
- */
-struct AxisSplit
-{
-    /** Network-axis time: contention-free transmission, summed over
-     *  processors (SPASM latency). */
-    sim::Duration netLatency = 0;
-    /** Network-axis time: link/g-gate waits, summed over processors
-     *  (SPASM contention). */
-    sim::Duration netContention = 0;
-    /** Memory-axis time: cache/local-memory cost the memory model
-     *  charged (MachineStats::memTime). */
-    sim::Duration memTime = 0;
-
-    sim::Duration
-    networkTotal() const
-    {
-        return netLatency + netContention;
-    }
-};
-
 /** Result of one complete simulation run. */
 struct Profile
 {
@@ -113,7 +88,7 @@ struct Profile
     Histogram remoteLatency;
     mach::MachineStats machine;
     /** Which model implemented each abstraction axis ("detailed"/"logp",
-     *  "directory"/"ideal"/"uncached"; "none" without that axis). */
+     *  "directory"/"ideal"/"uncached"; "none" until a run fills them). */
     std::string netModel = "none";
     std::string memModel = "none";
     std::uint64_t engineEvents = 0; ///< Simulation-cost metric.
@@ -131,9 +106,6 @@ struct Profile
                    ? static_cast<double>(engineEvents) / wallSeconds
                    : 0.0;
     }
-
-    /** Per-axis attribution of the run's memory-system time. */
-    AxisSplit axisSplit() const;
 
     /** Phase breakdown summed across processors. */
     std::vector<PhaseStats> phaseSummary() const;

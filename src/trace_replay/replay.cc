@@ -146,7 +146,7 @@ class Replayer
     const Trace &trace_;
     sim::EventQueue eq_;
     rt::SharedHeap heap_;
-    std::unique_ptr<mach::Machine> machine_;
+    std::unique_ptr<mach::ComposedMachine> machine_;
     ValueStore values_;
     std::unordered_map<mem::Addr, rt::BarrierWords> barriers_;
     std::vector<std::unique_ptr<Worker>> workers_;

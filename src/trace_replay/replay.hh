@@ -11,9 +11,9 @@
  * processor interprets the recorded op stream, decoding each op from
  * the trace's encoded bytes as it reaches it and calling the machine's
  * probe() and, when it declines, awaiting its miss() task — the same two
- * phases Machine::access runs under a fiber.  Every blocking point in
- * the models is an awaitable sim primitive that schedules the same
- * single event for a coroutine as for a fiber (sim/task.hh), so by
+ * phases ComposedMachine::access runs under a fiber.  Every blocking
+ * point in the models is an awaitable sim primitive that schedules the
+ * same single event for a coroutine as for a fiber (sim/task.hh), so by
  * induction over the dispatch order every event lands at the same
  * (tick, seq) as in execution.  Machine-dependent traffic (cache misses,
  * synchronization spins, RMW results) is regenerated from replayed state

@@ -11,6 +11,8 @@
 
 #include <gtest/gtest.h>
 
+#include <csignal>
+#include <cstdlib>
 #include <string>
 #include <thread>
 
@@ -85,6 +87,24 @@ TEST(CheckMacros, HandlerRestoredAfterScope)
     // default (nullptr).
     check::FailureHandler prev = check::setFailureHandler(nullptr);
     EXPECT_EQ(prev, nullptr);
+}
+
+TEST(CheckMacrosDeathTest, FailureWithNoHandlerPrintsAndAborts)
+{
+    testing::FLAGS_gtest_death_test_style = "threadsafe";
+    // The child turns its abort into an exit with a code of its own, so
+    // the exit status proves abort() was called, and the process still
+    // runs its exit handlers (a profiling build writes its counters
+    // there).
+    constexpr int kAborted = 86;
+    EXPECT_EXIT(
+        {
+            std::signal(SIGABRT, [](int) { std::exit(kAborted); });
+            check::setFailureHandler(nullptr);
+            ABSIM_CHECK(false, "no handler installed");
+        },
+        testing::ExitedWithCode(kAborted),
+        "ABSIM_CHECK failed: false\n  no handler installed");
 }
 
 TEST(CheckMacros, HandlerAndCountersArePerThread)

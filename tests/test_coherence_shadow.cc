@@ -395,7 +395,11 @@ class ScanIdealMem final : public mach::IdealCacheMem
     Verdicts &v_;
 };
 
-/** A registry row's composition with the scanning memory models. */
+/**
+ * A registry row's composition with the scanning memory models: the
+ * row's network, built as the registry builds it, under a memory model
+ * that reports each check to the scan.
+ */
 class ScanMachine final : public mach::Machine
 {
   public:
@@ -403,19 +407,13 @@ class ScanMachine final : public mach::Machine
                 net::TopologyKind topo, std::uint32_t nodes,
                 const mem::HomeMap &homes, mach::ProtocolKind protocol,
                 Verdicts &v)
-        : Machine(nodes, homes), kind_(spec.kind)
+        : Machine(nodes, homes), kind_(spec.kind),
+          net_(mach::makeNetModel(spec, eq, topo, nodes,
+                                  logp::GapPolicy::Single))
     {
-        // Every model name is matched explicitly: a row naming a model
-        // this scan does not know fails here instead of being scanned
-        // as some other stack.
-        const std::string network = spec.netModel;
-        if (network == "detailed")
-            net_ = std::make_unique<mach::DetailedNetModel>(eq, topo, nodes);
-        else if (network == "logp")
-            net_ = std::make_unique<mach::LogPNetModel>(
-                eq, topo, nodes, logp::GapPolicy::Single);
-        else
-            unknownModel(spec, "network", network);
+        // Every memory model name is matched explicitly: a row naming a
+        // model this scan does not know fails here instead of being
+        // scanned as some other stack.
         const std::string model = spec.memModel;
         v.name = spec.name;
         if (model == "directory") {
@@ -437,22 +435,21 @@ class ScanMachine final : public mach::Machine
             mem_ = std::make_unique<mach::UncachedMem>(*net_, nodes, homes,
                                                        stats_);
         } else {
-            unknownModel(spec, "memory", model);
+            ADD_FAILURE() << "machine " << spec.name << " names memory "
+                          << "model '" << model
+                          << "', which the shadow scan does not build";
+            throw std::invalid_argument("unknown memory model " + model);
         }
     }
 
-    bool
-    probe(mach::MemClient &client, mem::Addr addr, mach::AccessType type,
-          mach::AccessTiming &t) override
+    mach::AccessTiming
+    access(mach::MemClient &client, mem::Addr addr, mach::AccessType type,
+           std::uint32_t) override
     {
-        return mem_->probe(client, addr, type, t);
-    }
-
-    sim::Task<mach::AccessTiming>
-    miss(mach::MemClient &client, mem::Addr addr,
-         mach::AccessType type) override
-    {
-        return mem_->miss(client, addr, type);
+        mach::AccessTiming t;
+        if (mem_->probe(client, addr, type, t))
+            return t;
+        return mem_->miss(client, addr, type).get();
     }
 
     mach::MachineKind kind() const override { return kind_; }
@@ -464,18 +461,10 @@ class ScanMachine final : public mach::Machine
         return mem_->corruptStateForFault(seed);
     }
 
-  private:
-    [[noreturn]] static void
-    unknownModel(const mach::MachineSpec &spec, const char *axis,
-                 const std::string &name)
-    {
-        ADD_FAILURE() << "machine " << spec.name << " names " << axis
-                      << " model '" << name
-                      << "', which the shadow scan does not build";
-        throw std::invalid_argument(std::string("unknown ") + axis +
-                                    " model " + name);
-    }
+    const char *netModelName() const override { return net_->name(); }
+    const char *memModelName() const override { return mem_->name(); }
 
+  private:
     mach::MachineKind kind_;
     std::unique_ptr<mach::NetModel> net_;
     std::unique_ptr<mach::MemModel> mem_;

@@ -14,6 +14,7 @@
 #include "sim/event_queue.hh"
 #include "sim/fiber.hh"
 #include "sim/process.hh"
+#include "sim/task.hh"
 
 namespace {
 
@@ -69,6 +70,13 @@ TEST(FiberStress, ManyInterleavedProcesses)
         EXPECT_EQ(progress[static_cast<std::size_t>(i)], kSteps);
 }
 
+Task<>
+helper(EventQueue &eq, int &done)
+{
+    co_await Delay{eq, eq.now() + 5};
+    ++done;
+}
+
 TEST(FiberStress, DetachedHelpersInterleaveWithOwnedProcesses)
 {
     EventQueue eq;
@@ -76,12 +84,8 @@ TEST(FiberStress, DetachedHelpersInterleaveWithOwnedProcesses)
     Tick last_tick = 0;
     Process owner(eq, "owner", [&] {
         for (int round = 0; round < 20; ++round) {
-            for (int h = 0; h < 10; ++h) {
-                spawnDetached(eq, "h", [&] {
-                    Process::current()->delay(5);
-                    ++helpers_done;
-                }, eq.now());
-            }
+            for (int h = 0; h < 10; ++h)
+                spawn(eq, eq.now(), [&] { return helper(eq, helpers_done); });
             Process::current()->delay(100);
         }
         last_tick = eq.now();

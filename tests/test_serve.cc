@@ -582,6 +582,29 @@ TEST(ServeService, SweepEntrySurvivesRestartByteIdentical)
     EXPECT_EQ(service.stats().cacheEntries, 4u);
 }
 
+TEST(ServeService, AnsweredRequestFreesItsSlotBeforeTheResponse)
+{
+    // One worker and no queue: each request takes the only slot.  A
+    // client that sends its next request on receipt of the previous
+    // response must find that slot free, never shed.
+    serve::ServiceConfig config;
+    config.workers = 1;
+    config.maxQueue = 0;
+    serve::Service service(config);
+    for (const int procs : {1, 2, 4, 8}) {
+        const std::string response = service.handle(
+            "{\"op\":\"run\",\"app\":\"ep\",\"machine\":\"logpc\","
+            "\"procs\":" +
+            std::to_string(procs) + ",\"size\":128}");
+        EXPECT_NE(response.find("\"status\":\"ok\""), std::string::npos)
+            << response;
+        const serve::ServiceStats stats = service.stats();
+        EXPECT_EQ(stats.inFlight, 0u) << "procs=" << procs;
+        EXPECT_EQ(stats.shed, 0u) << "procs=" << procs;
+    }
+    EXPECT_EQ(service.stats().cacheMisses, 4u);
+}
+
 TEST(ServeService, StatsResponseCountsEveryOutcomeClass)
 {
     serve::Service service(smallConfig());

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <type_traits>
@@ -189,18 +190,6 @@ TEST(Process, SuspendWake)
     EXPECT_EQ(woke_at, 42u);
 }
 
-TEST(Process, SpawnDetachedSelfCleans)
-{
-    EventQueue eq;
-    int ran = 0;
-    spawnDetached(eq, "helper", [&] {
-        Process::current()->delay(5);
-        ++ran;
-    }, 0);
-    eq.run();
-    EXPECT_EQ(ran, 1);
-}
-
 TEST(Process, BlockHandsOffToTheNextStartedProcess)
 {
     // Both first entries come from the scheduler.  Then second blocks
@@ -232,30 +221,26 @@ TEST(Process, BlockHandsOffToTheNextStartedProcess)
     EXPECT_TRUE(second.finished());
 }
 
-TEST(Process, HandedOffDetachedProcessIsDeletedOnTheSchedulerStack)
+TEST(Process, HandedOffProcessFinishesOnTheSchedulerStack)
 {
     EventQueue eq;
-    bool on_scheduler = false;
     bool main_done = false;
-    Process *helper = spawnDetached(eq, "helper", [&] {
-        Process::current()->delay(10);
-    }, 0);
-    helper->setOnFinish([&](Process *p) {
-        on_scheduler =
-            Fiber::current() == nullptr && Process::current() == nullptr;
-        delete p;
-    });
+    Process helper(eq, "helper", [&] { Process::current()->delay(10); });
     // main blocks at 10 behind helper's wake-up and hands off to it; the
     // helper finishes on a fiber it was handed, which still returns to
-    // the scheduler, where onFinish deletes it.
+    // the scheduler, where the process is marked finished.
+    ProcState helper_after_handoff = ProcState::Created;
     Process main(eq, "main", [&] {
         Process::current()->delay(10);
+        helper_after_handoff = helper.state();
         main_done = true;
     });
+    helper.start(0);
     main.start(0);
     eq.run();
     EXPECT_EQ(eq.handedOff(), 1u);
-    EXPECT_TRUE(on_scheduler);
+    EXPECT_EQ(helper_after_handoff, ProcState::Finished);
+    EXPECT_TRUE(helper.finished());
     EXPECT_TRUE(main_done);
     EXPECT_TRUE(eq.blockedProcesses().empty());
 }
@@ -264,12 +249,10 @@ TEST(Process, ClobberedCanaryOnAHandedOffFiberIsACheckFailure)
 {
     EventQueue eq;
     Fiber *victim_fiber = nullptr;
-    int victim_finishes = 0;
     Process victim(eq, "victim", [&] {
         victim_fiber = Fiber::current();
         Process::current()->delay(10);
     });
-    victim.setOnFinish([&](Process *) { ++victim_finishes; });
     // main clobbers the suspended victim's canary, then hands off to
     // it.  The victim finishes and returns to the scheduler inside
     // main's resume: the canary checked there must be the victim's.
@@ -290,23 +273,18 @@ TEST(Process, ClobberedCanaryOnAHandedOffFiberIsACheckFailure)
     }
     EXPECT_EQ(eq.handedOff(), 1u);
     EXPECT_TRUE(victim.finished());
+    EXPECT_NE(victim.state(), ProcState::Finished);
 
     // The failure left nothing behind for the next run on this thread:
     // its first resume that yields (behind the event at 1) must not
-    // finish the victim.
+    // mark the victim finished.
     EventQueue next;
     next.schedule(1, [] {});
-    int finished = 0;
-    Process *p = spawnDetached(next, "after", [] {
-        Process::current()->delay(5);
-    }, 0);
-    p->setOnFinish([&](Process *q) {
-        ++finished;
-        delete q;
-    });
+    Process after(next, "after", [] { Process::current()->delay(5); });
+    after.start(0);
     next.run();
-    EXPECT_EQ(finished, 1);
-    EXPECT_EQ(victim_finishes, 0);
+    EXPECT_EQ(after.state(), ProcState::Finished);
+    EXPECT_NE(victim.state(), ProcState::Finished);
 }
 
 TEST(Process, WorkerExceptionOnAHandedOffFiberSurfacesFromRun)
@@ -486,11 +464,14 @@ TEST(Latch, AwaitBlocksUntilZero)
         latch.await();
         released_at = eq.now();
     });
+    std::vector<std::unique_ptr<Process>> helpers;
     for (int i = 1; i <= 3; ++i) {
-        spawnDetached(eq, "helper", [&latch, i] {
-            Process::current()->delay(static_cast<Duration>(i * 10));
-            latch.countDown();
-        }, 0);
+        helpers.push_back(std::make_unique<Process>(
+            eq, "helper", [&latch, i] {
+                Process::current()->delay(static_cast<Duration>(i * 10));
+                latch.countDown();
+            }));
+        helpers.back()->start(0);
     }
     waiter.start(0);
     eq.run();

@@ -110,4 +110,19 @@ TEST_F(TraceTest, LogPMessagesAreTraced)
     EXPECT_NE(log.find("msg 1->0"), std::string::npos);
 }
 
+TEST(BoundedTraceSink, SingleCharacterWritesKeepTheBoundedTail)
+{
+    sim::BoundedTraceSink sink(4);
+    std::ostream &os = sink.stream();
+    for (const char c : std::string("ab\ncdef"))
+        os.put(c);
+    EXPECT_TRUE(sink.truncated());
+    EXPECT_EQ(sink.excerpt(),
+              "[trace tail; head dropped at 4 bytes]\ncdef");
+    os.put('\n');
+    os.put('g');
+    EXPECT_EQ(sink.excerpt(),
+              "[trace tail; head dropped at 4 bytes]\ng");
+}
+
 } // namespace

@@ -39,6 +39,7 @@
 #include "trace_replay/format.hh"
 #include "trace_replay/recorder.hh"
 #include "trace_replay/replay.hh"
+#include "trace_replay/trace_cache.hh"
 
 namespace {
 
@@ -489,9 +490,9 @@ craftedTrace(const TempTraceDir &dir, const trace::Trace &trace,
     return path;
 }
 
-/** A one-processor trace with a setup record and a few ops. */
+/** A one-processor trace with a setup record and @p ops compute ops. */
 trace::Trace
-tinyTrace()
+tinyTrace(std::size_t ops = 2)
 {
     trace::Trace t;
     t.procs = 1;
@@ -503,7 +504,7 @@ tinyTrace()
     t.setup.push_back(init);
     trace::Op compute;
     compute.value = 10;
-    trace::encodeStreams(t, {{compute, compute}});
+    trace::encodeStreams(t, {std::vector<trace::Op>(ops, compute)});
     return t;
 }
 
@@ -706,6 +707,83 @@ TEST(TraceFormat, EveryKindWidthAndDeltaRoundTrips)
             expected.value = 0;
         EXPECT_TRUE(decoded[i] == expected) << "op " << i;
     }
+}
+
+/** Save tinyTrace(@p ops) at @p path and return its encoded bytes. */
+std::size_t
+saveTiny(const std::string &path, std::size_t ops = 2)
+{
+    trace::saveTrace(tinyTrace(ops), path);
+    trace::Trace loaded;
+    EXPECT_TRUE(trace::loadTrace(path, loaded)) << path;
+    return loaded.bytes.size();
+}
+
+TEST(TraceCache, LeastRecentlyUsedTraceLeavesAtTheByteBound)
+{
+    TempTraceDir dir;
+    const std::string a = dir.path() + "/a.abt";
+    const std::string b = dir.path() + "/b.abt";
+    const std::string c = dir.path() + "/c.abt";
+    const std::size_t bytes = saveTiny(a);
+    ASSERT_EQ(saveTiny(b), bytes);
+    ASSERT_EQ(saveTiny(c), bytes);
+
+    trace::TraceCache cache(2 * bytes);
+    const auto firstA = cache.load(a);
+    const auto firstB = cache.load(b);
+    ASSERT_NE(firstA, nullptr);
+    ASSERT_NE(firstB, nullptr);
+    EXPECT_EQ(cache.load(a), firstA); // A hit: b is now least recent.
+    EXPECT_EQ(cache.cachedBytes(), 2 * bytes);
+
+    ASSERT_NE(cache.load(c), nullptr); // Over the bound: b leaves.
+    EXPECT_EQ(cache.cachedBytes(), 2 * bytes);
+    EXPECT_EQ(cache.load(a), firstA);
+    const auto secondB = cache.load(b); // Reloaded; c leaves.
+    ASSERT_NE(secondB, nullptr);
+    EXPECT_NE(secondB, firstB);
+    EXPECT_EQ(cache.load(a), firstA);
+    EXPECT_EQ(cache.cachedBytes(), 2 * bytes);
+}
+
+TEST(TraceCache, RerecordedTraceReplacesItsStaleVersion)
+{
+    TempTraceDir dir;
+    const std::string path = dir.path() + "/t.abt";
+    const std::size_t oldBytes = saveTiny(path, 2);
+    trace::TraceCache cache(std::size_t{1} << 20);
+    const auto stale = cache.load(path);
+    ASSERT_NE(stale, nullptr);
+    EXPECT_EQ(cache.load(path), stale);
+    EXPECT_EQ(cache.cachedBytes(), oldBytes);
+
+    // A longer stream changes the file's size, whatever its mtime.
+    const std::size_t newBytes = saveTiny(path, 40);
+    ASSERT_NE(newBytes, oldBytes);
+    const auto fresh = cache.load(path);
+    ASSERT_NE(fresh, nullptr);
+    EXPECT_NE(fresh, stale);
+    EXPECT_EQ(fresh->bytes.size(), newBytes);
+    EXPECT_EQ(cache.cachedBytes(), newBytes); // The stale one left.
+    EXPECT_EQ(cache.load(path), fresh);
+}
+
+TEST(TraceCache, TraceLargerThanTheBoundIsReturnedButNotCached)
+{
+    TempTraceDir dir;
+    const std::string path = dir.path() + "/big.abt";
+    const std::size_t bytes = saveTiny(path);
+    trace::TraceCache cache(bytes - 1);
+    const auto first = cache.load(path);
+    ASSERT_NE(first, nullptr);
+    EXPECT_EQ(first->bytes.size(), bytes);
+    EXPECT_EQ(cache.cachedBytes(), 0u);
+    const auto second = cache.load(path);
+    ASSERT_NE(second, nullptr);
+    EXPECT_NE(second, first);
+    EXPECT_EQ(cache.cachedBytes(), 0u);
+    EXPECT_EQ(cache.load(dir.path() + "/missing.abt"), nullptr);
 }
 
 TEST(TraceFormat, CountBeyondTheBodyIsAMissNotAnAllocation)

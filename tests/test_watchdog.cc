@@ -298,9 +298,9 @@ TEST(Chaos, WedgedFiberIsCaughtAndNamed)
     // blocked-fiber dump.
     EXPECT_TRUE(err.kind == core::RunErrorKind::BudgetExceeded ||
                 err.kind == core::RunErrorKind::Deadlock)
-        << err.summary();
+        << err;
     EXPECT_TRUE(dumpNames(err.blockedFibers, "worker-1", "wedged fiber"))
-        << err.summary();
+        << err;
     EXPECT_EQ(fault::injector().fired(fault::Kind::WedgeFiber), 1u);
 }
 
@@ -316,12 +316,12 @@ TEST(Chaos, WedgedPeerLeavesASpinThatIsANamedLivelock)
     const auto result = core::runOneSafe(config, chaosPolicy());
     ASSERT_FALSE(result.ok());
     const core::RunError &err = result.error();
-    EXPECT_EQ(err.kind, core::RunErrorKind::Deadlock) << err.summary();
+    EXPECT_EQ(err.kind, core::RunErrorKind::Deadlock) << err;
     EXPECT_NE(err.message.find("livelock: processor 0 spins on word"),
               std::string::npos)
-        << err.summary();
+        << err;
     EXPECT_TRUE(dumpNames(err.blockedFibers, "worker-1", "wedged fiber"))
-        << err.summary();
+        << err;
 }
 
 TEST(Chaos, CorruptedTransitionFailsCoherenceCheck)
@@ -331,14 +331,14 @@ TEST(Chaos, CorruptedTransitionFailsCoherenceCheck)
     const auto result = core::runOneSafe(chaosConfig(), chaosPolicy());
     ASSERT_FALSE(result.ok());
     EXPECT_EQ(result.error().kind, core::RunErrorKind::CheckFailed)
-        << result.error().summary();
+        << result.error();
     // Caught at the corrupted transition itself, naming the node whose
     // line was flipped.
     EXPECT_NE(result.error().message.find(
                   "target: node 1 owns block 9 but the directory names "
                   "owner -1"),
               std::string::npos)
-        << result.error().summary();
+        << result.error();
     EXPECT_EQ(fault::injector().fired(fault::Kind::CorruptTransition),
               1u);
 }
@@ -358,7 +358,7 @@ TEST(Chaos, DeadWorkerHaltsEngineWithoutAnyBudget)
     const auto result = core::runOneSafe(chaosConfig(), unbounded);
     ASSERT_FALSE(result.ok());
     EXPECT_EQ(result.error().kind, core::RunErrorKind::CheckFailed)
-        << result.error().summary();
+        << result.error();
 }
 
 TEST(Chaos, RetryRecoversFromTransientCorruption)
@@ -382,7 +382,7 @@ TEST(Chaos, DroppedOverheadBreaksConservation)
     const auto result = core::runOneSafe(chaosConfig(), chaosPolicy());
     ASSERT_FALSE(result.ok());
     EXPECT_EQ(result.error().kind, core::RunErrorKind::CheckFailed)
-        << result.error().summary();
+        << result.error();
     EXPECT_NE(result.error().message.find("overhead buckets"),
               std::string::npos)
         << result.error().message;
@@ -395,7 +395,7 @@ TEST(Chaos, StalledQueueTripsDeadlockWatchdog)
     const auto result = core::runOneSafe(chaosConfig(), chaosPolicy());
     ASSERT_FALSE(result.ok());
     const core::RunError &err = result.error();
-    EXPECT_EQ(err.kind, core::RunErrorKind::Deadlock) << err.summary();
+    EXPECT_EQ(err.kind, core::RunErrorKind::Deadlock) << err;
     EXPECT_NE(err.message.find("no sim-time progress"),
               std::string::npos)
         << err.message;
@@ -428,7 +428,7 @@ TEST(Chaos, ReplayHonoursTheRunBudgetLikeExecution)
     config.traceDir = dir.string();
     config.mode = core::RunMode::Record;
     const auto recorded = core::runOneSafe(config, chaosPolicy());
-    ASSERT_TRUE(recorded.ok()) << recorded.error().summary();
+    ASSERT_TRUE(recorded.ok()) << recorded.error();
     const std::uint64_t limit = recorded.value().engineEvents / 2;
     ASSERT_GT(limit, 0u);
 
@@ -440,7 +440,7 @@ TEST(Chaos, ReplayHonoursTheRunBudgetLikeExecution)
         const auto result = core::runOneSafe(config, policy);
         ASSERT_FALSE(result.ok()) << "mode " << static_cast<int>(mode);
         EXPECT_EQ(result.error().kind, core::RunErrorKind::BudgetExceeded)
-            << result.error().summary();
+            << result.error();
         EXPECT_EQ(result.error().eventsDispatched, limit);
     }
     std::filesystem::remove_all(dir);
