@@ -31,15 +31,13 @@ Exit status: 0 when the uncalled functions are exactly the allowlist,
 import argparse
 import gzip
 import json
-import os
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[2]
-DEFAULT_ALLOWLIST = Path(__file__).resolve().with_name(
-    "uncalled_allowlist.json")
+ALLOWLIST = Path(__file__).resolve().with_name("uncalled_allowlist.json")
 
 
 def gcov_functions(gcda, scratch):
@@ -88,8 +86,6 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("build", help="coverage build directory whose "
                         "tests have run")
-    parser.add_argument("--allowlist", default=str(DEFAULT_ALLOWLIST),
-                        help="JSON list of {file, function, reason}")
     args = parser.parse_args()
 
     counts, names = call_counts(args.build, REPO / "src")
@@ -98,7 +94,7 @@ def main():
         if count == 0:
             uncalled |= {(key[0], name) for name in names[key]}
     emitted = {(key[0], name) for key in names for name in names[key]}
-    with open(args.allowlist) as f:
+    with open(ALLOWLIST) as f:
         allowed = json.load(f)
     allowed_keys = set()
     for entry in allowed:
@@ -120,7 +116,7 @@ def main():
         print(f"STALE ALLOWLIST ENTRY ({state}) {file}: {name}")
     if failed:
         print("Test or delete each uncalled function, or allowlist it "
-              f"with its reason in {os.path.relpath(args.allowlist)}; "
+              f"with its reason in {ALLOWLIST.relative_to(REPO)}; "
               "remove stale entries.")
         return 1
     for file, name in sorted(allowed_keys):
